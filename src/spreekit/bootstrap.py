@@ -11,8 +11,10 @@ Replicate b draws from RNG stream b (see :mod:`spreekit.rng`), in this fixed
 order, which independent re-implementations must follow to reproduce runs:
 
 1. Poisson row totals: one vectorised ``rng.poisson`` over areas.
-2. Multinomial split: one ``rng.multinomial`` per area with positive
-   probability mass, in area order (zero-mass areas draw nothing).
+2. Multinomial split: one vectorised ``rng.multinomial`` over areas, with
+   totals rounded half to even and forced to zero on zero-mass areas.  It
+   consumes the stream exactly as one draw per positive-mass area in area
+   order would (zero-mass areas and zero totals draw nothing).
 3. Auxiliary row margin: one ``rng.integers(0, len(pool))`` when a replicate
    pool is supplied, else one vectorised ``rng.lognormal`` over areas for
    the labelled perturbation fallback.
@@ -25,7 +27,6 @@ order, which independent re-implementations must follow to reproduce runs:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -40,7 +41,7 @@ from spreekit.composition import (
 )
 from spreekit.ipf import IpfError, ipf_fit
 from spreekit.margins import reconcile_margins
-from spreekit.mpi import POVERTY_CATEGORIES
+from spreekit.mpi import POVERTY_CATEGORIES, _poor_share
 from spreekit.update import UpdateRequest, spree_update
 
 ColResample = Literal["psu-cluster", "iid-category", "none"]
@@ -130,6 +131,7 @@ class SurveyDesign:
         else:
             cat_ids = tuple(dict.fromkeys(str(c) for c in category))
         cat_pos = {c: i for i, c in enumerate(cat_ids)}
+        cat_index = np.asarray([cat_pos[str(c)] for c in category], dtype=np.intp)
 
         strata = tuple(dict.fromkeys(str(s) for s in stratum))
         psu_keys: list[tuple[str, str]] = list(
@@ -139,7 +141,7 @@ class SurveyDesign:
         totals = np.zeros((len(psu_keys), len(cat_ids)))
         for i in range(n):
             key = (str(stratum[i]), str(psu[i]))
-            totals[psu_pos[key], cat_pos[str(category[i])]] += weight[i] * value[i]
+            totals[psu_pos[key], cat_index[i]] += weight[i] * value[i]
         psus_by_stratum = {
             s: np.asarray([i for i, (ss, _) in enumerate(psu_keys) if ss == s], dtype=int)
             for s in strata
@@ -154,6 +156,7 @@ class SurveyDesign:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "category_ids", cat_ids)
+        object.__setattr__(self, "_cat_index", cat_index)
         object.__setattr__(self, "_strata", strata)
         object.__setattr__(self, "_psu_totals", totals)
         object.__setattr__(self, "_psus_by_stratum", psus_by_stratum)
@@ -191,11 +194,25 @@ def _resample_iid(
     """Observation-level resample, ignoring the cluster structure."""
     n = len(design.weight)
     chosen = rng.integers(0, n, size=n)
-    totals = np.zeros(len(design.category_ids))
-    cat_pos = {c: i for i, c in enumerate(design.category_ids)}
-    for i in chosen:
-        totals[cat_pos[str(design.category[i])]] += design.weight[i] * design.value[i]
+    totals = np.bincount(
+        design._cat_index[chosen],  # type: ignore[attr-defined]
+        weights=(design.weight * design.value)[chosen],
+        minlength=len(design.category_ids),
+    )
     return MarginVector(design.category_ids, totals, MarginLevel.CATEGORY, reference_time)
+
+
+def _split_rows(
+    rng: np.random.Generator, totals: np.ndarray, probs: np.ndarray, row_mass: np.ndarray
+) -> np.ndarray:
+    """Multinomial split of each row total over the row's probabilities.
+
+    Totals round half to even; rows without mass get zero.  One vectorised
+    call consumes the stream exactly as one draw per positive-mass row, in
+    row order, would: zero totals take no randomness.
+    """
+    n = np.where(row_mass > 0, np.rint(totals), 0).astype(np.int64)
+    return rng.multinomial(n, probs).astype(float)
 
 
 def resample_aux_margin(
@@ -246,17 +263,11 @@ class CellUncertainty:
     headcount_cv: np.ndarray | None = None
 
 
-def _headcount(counts: np.ndarray, poor_col: int) -> np.ndarray:
-    totals = counts.sum(axis=1)
-    return np.where(totals > 0, counts[:, poor_col] / np.where(totals > 0, totals, 1.0), np.nan)
-
-
 def bootstrap_mse(
     req: UpdateRequest,
     design: SurveyDesign | None,
     aux_pool: Sequence[MarginVector] | None = None,
     cfg: BootstrapConfig = BootstrapConfig(),
-    threads: int = 1,
 ) -> CellUncertainty:
     """Bootstrap the update in ``req`` and estimate per-cell MSE and CV.
 
@@ -305,10 +316,7 @@ def bootstrap_mse(
             else:
                 pois = row_mass.copy()
             if cfg.multinomial_mode == "sample":
-                mult = np.zeros_like(fitted)
-                for a in range(len(area_ids)):
-                    if row_mass[a] > 0 and pois[a] > 0:
-                        mult[a] = rng.multinomial(int(round(pois[a])), probs[a])
+                mult = _split_rows(rng, pois, probs, row_mass)
             else:
                 mult = pois[:, None] * probs
 
@@ -341,12 +349,7 @@ def bootstrap_mse(
             return f"replicate {b}: did not converge (deviation {res.final_deviation:.3e})"
         return res.fitted.counts, mult
 
-    indices = range(cfg.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            outcomes = list(pool_exec.map(one_replicate, indices))
-    else:
-        outcomes = [one_replicate(b) for b in indices]
+    outcomes = [one_replicate(b) for b in range(cfg.replicates)]
 
     reasons = tuple(o for o in outcomes if isinstance(o, str))
     pairs = [o for o in outcomes if not isinstance(o, str)]
@@ -372,10 +375,8 @@ def bootstrap_mse(
     headcount_point = headcount_mse = headcount_cv = None
     if set(category_ids) == set(POVERTY_CATEGORIES):
         poor_col = category_ids.index("poor")
-        headcount_point = _headcount(fitted, poor_col)
-        h_fit = np.stack([_headcount(p[0], poor_col) for p in pairs])
-        h_mult = np.stack([_headcount(p[1], poor_col) for p in pairs])
-        h_diff = h_fit - h_mult
+        headcount_point = _poor_share(fitted, poor_col)
+        h_diff = _poor_share(fitted_reps, poor_col) - _poor_share(mult_reps, poor_col)
         with np.errstate(invalid="ignore"):
             headcount_mse = np.nanmean(h_diff**2, axis=0)
             headcount_cv = np.where(

@@ -2,7 +2,7 @@
 
 One binary with subcommands::
 
-    spreekit [--seed N] [--threads N] [--out DIR] <subcommand> [flags]
+    spreekit [--seed N] [--out DIR] <subcommand> [flags]
 
 Subcommands: update, bootstrap, validate, mpi, shares, aggregate, diagnose.
 Any flag can also be supplied through an environment variable named
@@ -337,7 +337,7 @@ def cmd_bootstrap(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
         aux_resample=ns.aux_resample,
         aux_perturb_cv=ns.aux_perturb_cv,
     )
-    cell = bootstrap_mse(req, design, aux_pool, cfg, threads=ns.threads)
+    cell = bootstrap_mse(req, design, aux_pool, cfg)
     header = (
         "area_id",
         "category_id",
@@ -423,7 +423,7 @@ def cmd_validate(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
         from dataclasses import replace
 
         plan = replace(plan, **overrides)
-    report = run_simulation(plan, threads=ns.threads)
+    report = run_simulation(plan)
 
     share_rows = []
     for q, name in enumerate(QUARTILE_NAMES):
@@ -655,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Census composition updating, uncertainty, and validation.",
     )
     _add(parser, "--seed", type=int, default=None, help="master RNG seed")
-    _add(parser, "--threads", type=int, default=1, help="worker parallelism cap")
     _add(parser, "--out", default=None, help="output directory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -67,9 +67,6 @@ class ShareVector:
         arr.setflags(write=False)
         object.__setattr__(self, "shares", arr)
 
-    def share_of(self, small_id: str) -> float:
-        return float(self.shares[self.small_ids.index(small_id)])
-
 
 @dataclass(frozen=True)
 class ComponentInputs:

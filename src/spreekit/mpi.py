@@ -279,6 +279,11 @@ def headcount_from_composition(c: Composition) -> np.ndarray:
         raise ValueError(
             f"composition categories {c.category_ids} are not {POVERTY_CATEGORIES}"
         )
-    poor = c.counts[:, c.category_index("poor")]
-    totals = c.counts.sum(axis=1)
-    return np.where(totals > 0, poor / np.where(totals > 0, totals, 1.0), np.nan)
+    return _poor_share(c.counts, c.category_index("poor"))
+
+
+def _poor_share(counts: np.ndarray, poor_col: int) -> np.ndarray:
+    """Poor share over the last (category) axis; NaN where the total is zero."""
+    totals = counts.sum(axis=-1)
+    safe = np.where(totals > 0, totals, 1.0)
+    return np.where(totals > 0, counts[..., poor_col] / safe, np.nan)

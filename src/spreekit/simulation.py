@@ -15,14 +15,13 @@ randomness.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from spreekit import rng as rngmod
-from spreekit.bootstrap import SurveyDesign, resample_column_margin
+from spreekit.bootstrap import SurveyDesign, _split_rows, resample_column_margin
 from spreekit.composition import (
     AreaHierarchy,
     Composition,
@@ -31,6 +30,7 @@ from spreekit.composition import (
     aggregate_to_large,
     column_margins,
     row_margins,
+    to_probabilities,
 )
 from spreekit.ipf import IpfConfig
 from spreekit.margins import (
@@ -40,7 +40,7 @@ from spreekit.margins import (
     hybrid_shares,
     select_by_change,
 )
-from spreekit.mpi import POVERTY_CATEGORIES
+from spreekit.mpi import POVERTY_CATEGORIES, _poor_share
 from spreekit.update import UpdateError, UpdateRequest, spree_update
 
 STRATEGIES = ("fixed", "dynamic", "hybrid")
@@ -98,15 +98,13 @@ def quartile_grouping(change_scores: Sequence[float]) -> np.ndarray:
 def replicate_census(truth: Composition, rng: np.random.Generator) -> Composition:
     """Redraw a census: Poisson row totals, then a multinomial split per area.
 
-    One vectorised Poisson call over areas, then one multinomial per area
-    with positive mass, in area order.  Zero-total rows stay zero.
+    One vectorised Poisson call over areas, then one vectorised multinomial
+    call that consumes the stream exactly as one draw per positive-mass
+    area, in area order, would.  Zero-total rows stay zero.
     """
     totals = truth.counts.sum(axis=1)
-    draws = rng.poisson(totals).astype(float)
-    counts = np.zeros_like(truth.counts)
-    for a in range(truth.n_areas):
-        if totals[a] > 0 and draws[a] > 0:
-            counts[a] = rng.multinomial(int(draws[a]), truth.counts[a] / totals[a])
+    draws = rng.poisson(totals)
+    counts = _split_rows(rng, draws, to_probabilities(truth).probs, totals)
     return Composition(truth.area_ids, truth.category_ids, counts, truth.reference_time)
 
 
@@ -228,19 +226,13 @@ def _nd_rmse(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
     return np.where(denom == 0, np.nan, out)
 
 
-def _headcounts(counts: np.ndarray, poor_col: int) -> np.ndarray:
-    totals = counts.sum(axis=-1)
-    safe = np.where(totals > 0, totals, 1.0)
-    return np.where(totals > 0, counts[..., poor_col] / safe, np.nan)
-
-
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     if x.size < 2 or np.std(x) == 0 or np.std(y) == 0:
         return float("nan")
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def run_simulation(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
+def run_simulation(plan: SimulationPlan) -> SimulationReport:
     """Run the replication study and aggregate the comparison report.
 
     Rounds where a strategy's update fails are dropped for that strategy
@@ -319,11 +311,7 @@ def run_simulation(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
         return census_t.counts, outcomes
 
     indices = range(plan.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rounds = list(pool.map(one_round, indices))
-    else:
-        rounds = [one_round(r) for r in indices]
+    rounds = [one_round(r) for r in indices]
 
     truth_cells = np.stack([t for t, _ in rounds])
     poor_col = (
@@ -372,8 +360,8 @@ def run_simulation(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
 
         headcount_bias = headcount_rmse = None
         if poor_col is not None:
-            est_h = _headcounts(est_cells, poor_col)
-            tru_h = _headcounts(tru_cells, poor_col)
+            est_h = _poor_share(est_cells, poor_col)
+            tru_h = _poor_share(tru_cells, poor_col)
             headcount_bias = _nd_bias(est_h, tru_h)
             headcount_rmse = _nd_rmse(est_h, tru_h)
             est_h_by_strategy[strategy] = (est_h, tru_h, np.asarray(ok))

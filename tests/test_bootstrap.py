@@ -14,9 +14,11 @@ from spreekit import (
     resample_aux_margin,
     resample_column_margin,
     spree_update,
+    to_probabilities,
 )
 from spreekit import io as sio
 from spreekit import rng as rngmod
+from spreekit.bootstrap import _resample_iid, _split_rows
 
 from conftest import FIXTURES, make_composition, two_region_hierarchy
 
@@ -112,16 +114,6 @@ def test_fixed_seed_is_bit_identical():
     for label in a.rep_quantiles:
         np.testing.assert_array_equal(a.rep_quantiles[label], b.rep_quantiles[label])
     np.testing.assert_array_equal(a.headcount_mse, b.headcount_mse)
-
-
-def test_threads_do_not_change_results():
-    req = mini_request()
-    design = mini_design()
-    cfg = BootstrapConfig(replicates=16, seed=3)
-    serial = bootstrap_mse(req, design, mini_pool(), cfg, threads=1)
-    parallel = bootstrap_mse(req, design, mini_pool(), cfg, threads=4)
-    np.testing.assert_array_equal(serial.mse, parallel.mse)
-    np.testing.assert_array_equal(serial.rep_mean, parallel.rep_mean)
 
 
 def test_degenerate_config_gives_exactly_zero_mse():
@@ -305,3 +297,80 @@ class TestAuxResample:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             resample_aux_margin([], rngmod.stream(10, 0))
+
+
+def per_area_split(rng, totals, probs, row_mass):
+    """Reference census split: one multinomial per positive-mass area with a
+    positive total, in area order, the total rounded half to even."""
+    out = np.zeros_like(probs)
+    for a in range(len(totals)):
+        if row_mass[a] > 0 and totals[a] > 0:
+            out[a] = rng.multinomial(int(round(totals[a])), probs[a])
+    return out
+
+
+@pytest.mark.parametrize("poisson_mode", ["sample", "mean"])
+def test_row_split_matches_per_area_loop(poisson_mode):
+    seen = {"zero_mass_drawn": 0, "zero_draw": 0, "half_total": 0}
+    for k in range(150):
+        g = np.random.default_rng(k)
+        # Quarter-unit counts make .5 row totals common under poisson_mode
+        # "mean"; the row-margin lambda is positive on some zero-mass rows.
+        counts = g.integers(0, 9, size=(25, 4)) / 4.0
+        counts[g.random(25) < 0.25] = 0.0
+        lam = g.uniform(0.0, 4.0, 25)
+        lam[::5] = 0.0
+        probs = to_probabilities(make_composition(counts)).probs
+        row_mass = counts.sum(axis=1)
+
+        def draw(rng, split):
+            if poisson_mode == "sample":
+                totals = rng.poisson(lam).astype(float)
+            else:
+                totals = row_mass.copy()
+            return totals, split(rng, totals, probs, row_mass), rng.random()
+
+        totals, expected, expected_next = draw(rngmod.stream(k, 0), per_area_split)
+        _, got, got_next = draw(rngmod.stream(k, 0), _split_rows)
+        np.testing.assert_array_equal(got, expected)
+        assert got_next == expected_next
+        seen["zero_mass_drawn"] += int(np.sum((row_mass == 0) & (totals > 0)))
+        seen["zero_draw"] += int(np.sum((row_mass > 0) & (np.rint(totals) == 0)))
+        seen["half_total"] += int(np.sum(totals % 1 == 0.5))
+    assert seen["zero_draw"] > 0
+    if poisson_mode == "sample":
+        assert seen["zero_mass_drawn"] > 0
+    else:
+        assert seen["half_total"] > 0
+
+
+def per_observation_iid(design, rng):
+    """Reference iid-category resample, one drawn observation at a time."""
+    n = len(design.weight)
+    totals = np.zeros(len(design.category_ids))
+    cat_pos = {c: i for i, c in enumerate(design.category_ids)}
+    for i in rng.integers(0, n, size=n):
+        totals[cat_pos[str(design.category[i])]] += design.weight[i] * design.value[i]
+    return totals
+
+
+def test_iid_resample_matches_per_observation_loop():
+    designs = [mini_design()]
+    for k in range(100):
+        g = np.random.default_rng(k)
+        n = int(g.integers(1, 60))
+        designs.append(
+            SurveyDesign(
+                psu=g.integers(0, 6, n),
+                stratum=g.integers(0, 3, n),
+                weight=g.uniform(0.1, 50.0, n),
+                category=g.choice(["x", "y", "z"], n),
+                value=g.uniform(0.0, 3.0, n),
+                category_ids=("x", "y", "z", "unused"),
+            )
+        )
+    for k, design in enumerate(designs):
+        got = _resample_iid(design, rngmod.stream(k, 1), 2013)
+        expected = per_observation_iid(design, rngmod.stream(k, 1))
+        assert got.ids == design.category_ids
+        np.testing.assert_array_equal(got.values, expected)

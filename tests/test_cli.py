@@ -244,6 +244,13 @@ class TestBootstrap:
         b = cell_map(second / "cell_uncertainty.csv", "mse")
         assert a != b
 
+    def test_iid_category_column_resample(self, tmp_path):
+        argv = bootstrap_argv(tmp_path) + ["--col-resample", "iid-category"]
+        code, _, err = run_cli(*argv)
+        assert code == 0, err
+        report = json.loads((tmp_path / "uncertainty.json").read_text())
+        assert report["completed_replicates"] == 25
+
     def test_aux_pool_directory_must_hold_csv(self, tmp_path):
         empty = tmp_path / "pool"
         empty.mkdir()
