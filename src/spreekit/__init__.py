@@ -27,6 +27,7 @@ from spreekit.margins import (
     HybridSelection,
     ReconcileResult,
     ShareVector,
+    census_baseline,
     cohort_component,
     distribute,
     dynamic_shares,
@@ -71,6 +72,7 @@ from spreekit.simulation import (
     relative_rmse,
     replicate_census,
     run_simulation,
+    summary_row,
 )
 from spreekit.scenario import ScenarioConfig, build_scenario, migration_shock_config
 from spreekit.geo import (

@@ -7,10 +7,18 @@ One binary with subcommands::
 Subcommands: update, bootstrap, validate, mpi, shares, aggregate, diagnose.
 Any flag can also be supplied through an environment variable named
 ``SPREEKIT_<FLAG>`` (dashes become underscores, upper-cased); explicit
-flags win over the environment.  Outputs are written atomically under
-``--out`` together with a ``manifest.json`` recording input digests, the
-seed, the library version, and timestamps; set ``SOURCE_DATE_EPOCH`` to
-pin the timestamps for byte-reproducible runs.
+flags win over the environment.  An environment value gets the same type
+and choice checks as its flag, so a bad one is a usage error (exit 2), even
+where the flag is also given.
+Outputs are written atomically under ``--out`` together with a
+``manifest.json`` recording input digests, the seed, the library version,
+and timestamps; set ``SOURCE_DATE_EPOCH`` to pin the timestamps for
+byte-reproducible runs.
+
+Each subcommand is one row of :data:`SUBCOMMANDS`.  Its run function reads
+the inputs, records every file it reads for the manifest, and yields its
+outputs as ``(file name, text)`` pairs; :func:`main` writes each one as it
+is yielded.
 
 Exit codes: 0 success, 1 data error (a JSON error object is printed to
 stderr), 2 usage error.
@@ -23,60 +31,66 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from spreekit import __version__, io as sio
 from spreekit.bootstrap import BootstrapConfig, BootstrapError, bootstrap_mse
-from spreekit.composition import (
-    MarginLevel,
-    MarginVector,
-    aggregate_to_large,
-)
+from spreekit.composition import Composition, MarginLevel, MarginVector
 from spreekit.geo import aggregate_pixels
 from spreekit.ipf import IpfConfig
-from spreekit.loglinear import association_distance, decompose
+from spreekit.loglinear import LogLinearDecomposition, association_distance, decompose
 from spreekit.margins import (
+    census_baseline,
     distribute,
     dynamic_shares,
     fixed_shares,
     hybrid_shares,
     select_by_change,
 )
-from spreekit.mpi import MpiProfile, compute_mpi, tabulate_poverty
+from spreekit.mpi import MpiProfile, MpiResult, compute_mpi, tabulate_poverty
 from spreekit.simulation import (
     QUARTILE_NAMES,
     SUMMARY_COLUMNS,
     run_simulation,
+    summary_row,
 )
 from spreekit.update import UpdateError, UpdateRequest, spree_update
 
 ENV_PREFIX = "SPREEKIT_"
+
+Inputs = dict[str, Path]
+Outputs = Iterator[tuple[str, str]]
 
 
 class CliDataError(RuntimeError):
     pass
 
 
-def _env_key(flag: str) -> str:
-    return ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
-
-
 def _add(parser: argparse.ArgumentParser, *flags: str, **kwargs: Any) -> None:
-    """add_argument with environment-variable fallback for the default."""
-    env_key = _env_key(kwargs.get("dest") or flags[0])
-    if env_key in os.environ:
-        raw = os.environ[env_key]
-        conv = kwargs.get("type", str)
-        try:
-            kwargs["default"] = conv(raw)
-        except (TypeError, ValueError):
-            raise SystemExit(2) from None
-        kwargs.pop("required", None)
-    parser.add_argument(*flags, **kwargs)
+    """add_argument whose default comes from ``SPREEKIT_<DEST>`` when set.
+
+    The environment value passes the flag's own type and choice checks, so
+    a bad one is a usage error exactly like a bad flag.
+    """
+    action = parser.add_argument(*flags, **kwargs)
+    env_key = ENV_PREFIX + action.dest.upper()
+    raw = os.environ.get(env_key)
+    if raw is None:
+        return
+    try:
+        value = action.type(raw) if action.type else raw
+        valid = action.choices is None or value in action.choices
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        valid = False
+    if not valid:
+        parser.error(f"{env_key}: invalid value {raw!r} for {action.option_strings[0]}")
+    action.default = value
+    action.required = False
 
 
 def _parse_zeros(raw: str) -> tuple[str, float]:
@@ -110,25 +124,27 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def _fmt(value: Any) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _cells_csv(c: Composition) -> str:
+    """The long ``area_id,category_id,count`` form of a composition."""
+    rows = (
+        (area, category, count)
+        for area, counts in zip(c.area_ids, c.counts.tolist())
+        for category, count in zip(c.category_ids, counts)
+    )
+    return _csv_text(("area_id", "category_id", "count"), rows)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -159,42 +175,18 @@ def _now_iso() -> str:
     return moment.isoformat()
 
 
-def _require_out(ns: argparse.Namespace) -> Path:
-    if not ns.out:
-        raise CliDataError("--out is required for this subcommand")
-    return Path(ns.out)
+def _note(inputs: Inputs, name: str, raw: str) -> Path:
+    """Record the input file ``raw`` under ``name`` for the manifest."""
+    inputs[name] = path = Path(raw)
+    return path
 
 
-def _write_manifest(
-    out_dir: Path,
-    ns: argparse.Namespace,
-    inputs: dict[str, Path],
-    outputs: list[str],
-    started: str,
-) -> None:
-    # The output destination is not configuration: runs into different
-    # directories must stay byte-identical.
-    config = {
-        k: str(v)
-        for k, v in sorted(vars(ns).items())
-        if k not in ("func", "out") and v is not None
-    }
-    manifest = {
-        "subcommand": ns.subcommand,
-        "library_version": __version__,
-        "seed": ns.seed,
-        "config_digest": hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()
-        ).hexdigest(),
-        "inputs": {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in sorted(inputs.items())
-        },
-        "outputs": sorted(outputs),
-        "started": started,
-        "finished": _now_iso(),
-    }
-    _atomic_write(out_dir / "manifest.json", _json_text(manifest))
+def _year_entry(load: Callable[[Path], dict], path: Path, year: int) -> MarginVector:
+    """The ``year`` entry of a by-year file (projections or aux populations)."""
+    by_year = load(path)
+    if year not in by_year:
+        raise CliDataError(f"year {year} not present in {path}")
+    return by_year[year]
 
 
 def _build_shares(
@@ -213,114 +205,68 @@ def _build_shares(
         return dynamic_shares(aux, hierarchy)
     if projected is None:
         raise CliDataError("hybrid mode needs projections for the change ranking")
-    baseline = MarginVector(
-        hierarchy.large_ids,
-        aggregate_to_large(census, hierarchy).counts.sum(axis=1),
-        MarginLevel.LARGE_AREA,
-        census.reference_time,
-    )
-    selection = select_by_change(projected, baseline, cutoff)
+    selection = select_by_change(projected, census_baseline(census, hierarchy), cutoff)
     return hybrid_shares(
         fixed_shares(census, hierarchy), dynamic_shares(aux, hierarchy), selection
     )
 
 
-def _load_update_inputs(ns: argparse.Namespace) -> tuple[UpdateRequest, dict[str, Path]]:
-    inputs = {
-        "seed": Path(ns.seed_composition),
-        "col_margin": Path(ns.col_margin),
-        "projections": Path(ns.projections),
-        "hierarchy": Path(ns.hierarchy),
-    }
-    census = sio.load_composition(inputs["seed"])
-    hierarchy = sio.load_hierarchy(inputs["hierarchy"])
-    projections = sio.load_projections(inputs["projections"])
-    if ns.year not in projections:
-        raise CliDataError(f"year {ns.year} not present in {inputs['projections']}")
-    large_totals = projections[ns.year]
-    col_margin = sio.load_margin(inputs["col_margin"], MarginLevel.CATEGORY, ns.year)
+def _update_request(ns: argparse.Namespace, inputs: Inputs) -> UpdateRequest:
+    census = sio.load_composition(_note(inputs, "seed", ns.seed_composition))
+    hierarchy = sio.load_hierarchy(_note(inputs, "hierarchy", ns.hierarchy))
+    projections = _note(inputs, "projections", ns.projections)
+    large_totals = _year_entry(sio.load_projections, projections, ns.year)
+    col_margin = sio.load_margin(
+        _note(inputs, "col_margin", ns.col_margin), MarginLevel.CATEGORY, ns.year
+    )
     aux = None
     if ns.aux:
-        inputs["aux"] = Path(ns.aux)
-        aux_by_year = sio.load_aux_populations(inputs["aux"])
-        if ns.year not in aux_by_year:
-            raise CliDataError(f"year {ns.year} not present in {inputs['aux']}")
-        aux = aux_by_year[ns.year]
-    shares = _build_shares(
-        ns.shares_mode, census, hierarchy, aux, large_totals, ns.cutoff
-    )
-    req = UpdateRequest(
+        aux = _year_entry(sio.load_aux_populations, _note(inputs, "aux", ns.aux), ns.year)
+    return UpdateRequest(
         seed=census,
         col_margin=col_margin,
         large_totals=large_totals,
-        shares=shares,
+        shares=_build_shares(
+            ns.shares_mode, census, hierarchy, aux, large_totals, ns.cutoff
+        ),
         ipf_config=_ipf_config(ns),
         reconcile_policy=ns.reconcile,
     )
-    return req, inputs
 
 
-def cmd_update(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
-    out_dir = _require_out(ns)
-    req, inputs = _load_update_inputs(ns)
-    result = spree_update(req)
-    fitted = result.fitted
-    rows = [
-        (area, category, fitted.counts[a, j])
-        for a, area in enumerate(fitted.area_ids)
-        for j, category in enumerate(fitted.category_ids)
-    ]
-    _atomic_write(
-        out_dir / "fitted.csv", _csv_text(("area_id", "category_id", "count"), rows)
-    )
-    provenance = dict(result.provenance)
-    provenance["unit"] = ns.unit
-    provenance["iterations"] = result.ipf.iterations_used
-    provenance["final_deviation"] = result.ipf.final_deviation
-    _atomic_write(out_dir / "provenance.json", _json_text(provenance))
-    return inputs, ["fitted.csv", "provenance.json"]
+def cmd_update(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
+    result = spree_update(_update_request(ns, inputs))
+    yield "fitted.csv", _cells_csv(result.fitted)
+    provenance = {
+        **result.provenance,
+        "unit": ns.unit,
+        "iterations": result.ipf.iterations_used,
+        "final_deviation": result.ipf.final_deviation,
+    }
+    yield "provenance.json", _json_text(provenance)
 
 
-def cmd_shares(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
-    out_dir = _require_out(ns)
-    inputs = {"census": Path(ns.census), "hierarchy": Path(ns.hierarchy)}
-    census = sio.load_composition(inputs["census"])
-    hierarchy = sio.load_hierarchy(inputs["hierarchy"])
-    aux = None
-    projected = None
+def cmd_shares(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
+    census = sio.load_composition(_note(inputs, "census", ns.census))
+    hierarchy = sio.load_hierarchy(_note(inputs, "hierarchy", ns.hierarchy))
+    if ns.year is None and (ns.aux or ns.projections):
+        raise CliDataError("--year is required with --aux or --projections")
+    aux = projected = None
     if ns.aux:
-        inputs["aux"] = Path(ns.aux)
-        aux_by_year = sio.load_aux_populations(inputs["aux"])
-        if ns.year is None:
-            raise CliDataError("--year is required with --aux")
-        if ns.year not in aux_by_year:
-            raise CliDataError(f"year {ns.year} not present in {inputs['aux']}")
-        aux = aux_by_year[ns.year]
+        aux = _year_entry(sio.load_aux_populations, _note(inputs, "aux", ns.aux), ns.year)
     if ns.projections:
-        inputs["projections"] = Path(ns.projections)
-        projections = sio.load_projections(inputs["projections"])
-        if ns.year is None or ns.year not in projections:
-            raise CliDataError(f"--year naming a year in {inputs['projections']} is required")
-        projected = projections[ns.year]
+        projections = _note(inputs, "projections", ns.projections)
+        projected = _year_entry(sio.load_projections, projections, ns.year)
     shares = _build_shares(ns.mode, census, hierarchy, aux, projected, ns.cutoff)
-    rows = list(zip(shares.small_ids, shares.shares))
-    outputs = ["shares.csv"]
-    _atomic_write(out_dir / "shares.csv", _csv_text(("id", "value"), rows))
+    yield "shares.csv", _csv_text(("id", "value"), zip(shares.small_ids, shares.shares))
     if projected is not None:
         margin = distribute(projected, shares)
-        _atomic_write(
-            out_dir / "margin.csv",
-            _csv_text(("id", "value"), list(zip(margin.ids, margin.values))),
-        )
-        outputs.append("margin.csv")
-    return inputs, outputs
+        yield "margin.csv", _csv_text(("id", "value"), zip(margin.ids, margin.values))
 
 
-def cmd_bootstrap(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
-    out_dir = _require_out(ns)
-    req, inputs = _load_update_inputs(ns)
-    inputs["design"] = Path(ns.design)
-    design = sio.load_design(inputs["design"])
+def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
+    req = _update_request(ns, inputs)
+    design = sio.load_design(_note(inputs, "design", ns.design))
     aux_pool = None
     if ns.aux_pool:
         pool_dir = Path(ns.aux_pool)
@@ -338,37 +284,16 @@ def cmd_bootstrap(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
         aux_perturb_cv=ns.aux_perturb_cv,
     )
     cell = bootstrap_mse(req, design, aux_pool, cfg)
-    header = (
-        "area_id",
-        "category_id",
-        "point",
-        "mse",
-        "cv",
-        "rep_mean",
-        *SUMMARY_COLUMNS[:3],
-        *SUMMARY_COLUMNS[4:],
+    quantiles = (*SUMMARY_COLUMNS[:3], *SUMMARY_COLUMNS[4:])
+    columns = (cell.point, cell.mse, cell.cv, cell.rep_mean)
+    columns += tuple(cell.rep_quantiles[name] for name in quantiles)
+    rows = zip(
+        [area for area in cell.area_ids for _ in cell.category_ids],
+        cell.category_ids * len(cell.area_ids),
+        *(column.ravel().tolist() for column in columns),
     )
-    q = cell.rep_quantiles
-    rows = []
-    for a, area in enumerate(cell.area_ids):
-        for j, category in enumerate(cell.category_ids):
-            rows.append(
-                (
-                    area,
-                    category,
-                    cell.point[a, j],
-                    cell.mse[a, j],
-                    cell.cv[a, j],
-                    cell.rep_mean[a, j],
-                    q["q2.5"][a, j],
-                    q["q25"][a, j],
-                    q["median"][a, j],
-                    q["q75"][a, j],
-                    q["q97.5"][a, j],
-                )
-            )
-    outputs = ["cell_uncertainty.csv", "uncertainty.json"]
-    _atomic_write(out_dir / "cell_uncertainty.csv", _csv_text(header, rows))
+    header = ("area_id", "category_id", "point", "mse", "cv", "rep_mean", *quantiles)
+    yield "cell_uncertainty.csv", _csv_text(header, rows)
 
     report = {
         "completed_replicates": cell.completed_replicates,
@@ -381,47 +306,25 @@ def cmd_bootstrap(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
         "cv": cell.cv,
     }
     if cell.headcount_point is not None:
-        hc_rows = [
-            (area, cell.headcount_point[a], cell.headcount_mse[a], cell.headcount_cv[a])
-            for a, area in enumerate(cell.area_ids)
-        ]
-        _atomic_write(
-            out_dir / "headcount_cv.csv",
-            _csv_text(("area_id", "headcount", "mse", "cv"), hc_rows),
+        hc_rows = zip(
+            cell.area_ids, cell.headcount_point, cell.headcount_mse, cell.headcount_cv
         )
+        yield "headcount_cv.csv", _csv_text(("area_id", "headcount", "mse", "cv"), hc_rows)
         finite = cell.headcount_cv[np.isfinite(cell.headcount_cv)]
-        if finite.size:
-            qs = np.quantile(finite, [0.025, 0.25, 0.5, 0.75, 0.975])
-            summary_row = (
-                "headcount_cv", qs[0], qs[1], qs[2], float(finite.mean()), qs[3], qs[4]
-            )
-        else:
-            nan = float("nan")
-            summary_row = ("headcount_cv", nan, nan, nan, nan, nan, nan)
-        _atomic_write(
-            out_dir / "cv_summary.csv",
-            _csv_text(("measure", *SUMMARY_COLUMNS), [summary_row]),
-        )
-        outputs += ["headcount_cv.csv", "cv_summary.csv"]
+        summary = [("headcount_cv", *summary_row(finite))]
+        yield "cv_summary.csv", _csv_text(("measure", *SUMMARY_COLUMNS), summary)
         report["headcount_point"] = cell.headcount_point
         report["headcount_mse"] = cell.headcount_mse
         report["headcount_cv"] = cell.headcount_cv
-    _atomic_write(out_dir / "uncertainty.json", _json_text(report))
-    return inputs, outputs
+    yield "uncertainty.json", _json_text(report)
 
 
-def cmd_validate(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
-    out_dir = _require_out(ns)
-    inputs = {"plan": Path(ns.plan)}
-    plan = sio.load_plan(inputs["plan"])
-    overrides = {}
-    if ns.replicates is not None:
-        overrides["replicates"] = ns.replicates
-    if ns.seed is not None:
-        overrides["seed"] = ns.seed
+def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
+    plan = sio.load_plan(_note(inputs, "plan", ns.plan))
+    overrides = {
+        k: v for k, v in (("replicates", ns.replicates), ("seed", ns.seed)) if v is not None
+    }
     if overrides:
-        from dataclasses import replace
-
         plan = replace(plan, **overrides)
     report = run_simulation(plan)
 
@@ -435,12 +338,8 @@ def cmd_validate(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
             mean_bias = float(vals.mean()) if vals.size else float("nan")
             mean_abs = float(np.abs(vals).mean()) if vals.size else float("nan")
             share_rows.append((name, strategy, mean_bias, mean_abs))
-    _atomic_write(
-        out_dir / "share_accuracy.csv",
-        _csv_text(
-            ("quartile", "strategy", "mean_share_bias", "mean_abs_share_bias"),
-            share_rows,
-        ),
+    yield "share_accuracy.csv", _csv_text(
+        ("quartile", "strategy", "mean_share_bias", "mean_abs_share_bias"), share_rows
     )
 
     perf_rows = []
@@ -449,9 +348,8 @@ def cmd_validate(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
             for strategy in plan.strategies:
                 table = report.quartile_summary[strategy][metric]
                 perf_rows.append((metric, name, strategy, *table[q]))
-    _atomic_write(
-        out_dir / "performance.csv",
-        _csv_text(("metric", "quartile", "strategy", *SUMMARY_COLUMNS), perf_rows),
+    yield "performance.csv", _csv_text(
+        ("metric", "quartile", "strategy", *SUMMARY_COLUMNS), perf_rows
     )
 
     corr_rows = [
@@ -459,10 +357,7 @@ def cmd_validate(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
         for q, name in enumerate(QUARTILE_NAMES)
         for strategy in plan.strategies
     ]
-    _atomic_write(
-        out_dir / "correlations.csv",
-        _csv_text(("quartile", "strategy", "pearson"), corr_rows),
-    )
+    yield "correlations.csv", _csv_text(("quartile", "strategy", "pearson"), corr_rows)
 
     payload = {
         "area_ids": list(report.area_ids),
@@ -487,151 +382,90 @@ def cmd_validate(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
             for s, m in report.metrics.items()
         },
     }
-    _atomic_write(out_dir / "report.json", _json_text(payload))
-    return inputs, [
-        "share_accuracy.csv",
-        "performance.csv",
-        "correlations.csv",
-        "report.json",
-    ]
+    yield "report.json", _json_text(payload)
 
 
-def cmd_mpi(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
-    out_dir = _require_out(ns)
-    inputs = {"households": Path(ns.households)}
+def _mpi_summary(result: MpiResult) -> dict[str, float]:
+    """The four headline measures of an MPI result."""
+    return {
+        k: float(getattr(result, k))
+        for k in ("headcount", "intensity", "mpi", "population_base")
+    }
+
+
+def cmd_mpi(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     if ns.profile:
-        inputs["profile"] = Path(ns.profile)
-        profile = sio.load_profile(inputs["profile"])
+        profile = sio.load_profile(_note(inputs, "profile", ns.profile))
     else:
         profile = MpiProfile.nine_indicator()
-    records = sio.load_households(inputs["households"], profile)
+    records = sio.load_households(_note(inputs, "households", ns.households), profile)
     result = compute_mpi(records, profile)
     payload = {
-        "headcount": float(result.headcount),
-        "intensity": float(result.intensity),
-        "mpi": float(result.mpi),
-        "population_base": float(result.population_base),
-        "indicator_headcounts": {
-            k: float(v) for k, v in result.indicator_headcounts.items()
-        },
-        "contributions": (
-            {k: float(v) for k, v in result.contributions.items()}
-            if result.contributions is not None
-            else None
-        ),
+        **_mpi_summary(result),
+        "indicator_headcounts": result.indicator_headcounts,
+        "contributions": result.contributions,
     }
     if ns.by_subgroup:
-        groups = sorted({r.subgroup_id for r in records})
-        payload["subgroups"] = {}
-        for group in groups:
-            sub = [r for r in records if r.subgroup_id == group]
-            sub_result = compute_mpi(sub, profile)
-            payload["subgroups"][group] = {
-                "headcount": float(sub_result.headcount),
-                "intensity": float(sub_result.intensity),
-                "mpi": float(sub_result.mpi),
-                "population_base": float(sub_result.population_base),
-            }
-    outputs = ["mpi.json"]
-    _atomic_write(out_dir / "mpi.json", _json_text(payload))
+        payload["subgroups"] = {
+            group: _mpi_summary(
+                compute_mpi([r for r in records if r.subgroup_id == group], profile)
+            )
+            for group in sorted({r.subgroup_id for r in records})
+        }
+    yield "mpi.json", _json_text(payload)
     if ns.hierarchy:
-        inputs["hierarchy"] = Path(ns.hierarchy)
-        hierarchy = sio.load_hierarchy(inputs["hierarchy"])
-        table = tabulate_poverty(records, profile, hierarchy)
-        rows = [
-            (area, category, table.counts[a, j])
-            for a, area in enumerate(table.area_ids)
-            for j, category in enumerate(table.category_ids)
-        ]
-        _atomic_write(
-            out_dir / "poverty_composition.csv",
-            _csv_text(("area_id", "category_id", "count"), rows),
+        hierarchy = sio.load_hierarchy(_note(inputs, "hierarchy", ns.hierarchy))
+        yield "poverty_composition.csv", _cells_csv(
+            tabulate_poverty(records, profile, hierarchy)
         )
-        outputs.append("poverty_composition.csv")
-    return inputs, outputs
 
 
-def cmd_aggregate(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
-    if not ns.out:
-        raise CliDataError("--out is required for this subcommand")
-    inputs = {"pixels": Path(ns.pixels), "polygons": Path(ns.polygons)}
-    px = sio.load_pixels(inputs["pixels"])
-    polys = sio.load_polygons(inputs["polygons"])
+def cmd_aggregate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
+    px = sio.load_pixels(_note(inputs, "pixels", ns.pixels))
+    polys = sio.load_polygons(_note(inputs, "polygons", ns.polygons))
     agg = aggregate_pixels(px, polys)
-    rows = list(zip(agg.margin.ids, agg.margin.values))
-    text = _csv_text(("id", "value"), rows)
-    out = Path(ns.out)
-    if out.suffix == ".csv":
-        # Spec'd single-file form: the margin lands exactly at --out and the
-        # manifest sits beside it.
-        _atomic_write(out, text)
-        out_dir = out.parent
-        outputs = [out.name]
-    else:
-        out_dir = out
-        _atomic_write(out_dir / "margin.csv", text)
-        outputs = ["margin.csv"]
+    yield "margin.csv", _csv_text(("id", "value"), zip(agg.margin.ids, agg.margin.values))
     summary = {
         "unassigned_count": agg.unassigned_count,
         "unassigned_mass": agg.unassigned_mass,
         "total_mass": agg.total_mass,
         "warning_over_5_percent_unassigned": agg.warning,
     }
-    _atomic_write(out_dir / "aggregation.json", _json_text(summary))
-    outputs.append("aggregation.json")
+    yield "aggregation.json", _json_text(summary)
     if agg.warning:
         print(
             json.dumps({"warning": "more than 5% of pixel mass unassigned"}),
             file=sys.stderr,
         )
-    ns.out = str(out_dir)
-    return inputs, outputs
 
 
-def cmd_diagnose(ns: argparse.Namespace) -> tuple[dict[str, Path], list[str]]:
-    inputs = {"first": Path(ns.first), "second": Path(ns.second)}
-    first = sio.load_composition(inputs["first"])
-    second = sio.load_composition(inputs["second"])
+def _effects(d: LogLinearDecomposition) -> dict[str, Any]:
+    return {
+        k: getattr(d, k)
+        for k in ("overall", "area_effects", "category_effects", "interaction")
+    }
+
+
+def cmd_diagnose(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
+    first = sio.load_composition(_note(inputs, "first", ns.first))
+    second = sio.load_composition(_note(inputs, "second", ns.second))
     d_first = decompose(first)
     d_second = decompose(second)
-    payload = {
-        "association_distance": association_distance(first, second),
-        "area_ids": list(first.area_ids),
-        "category_ids": list(first.category_ids),
-        "first": {
-            "overall": d_first.overall,
-            "area_effects": d_first.area_effects,
-            "category_effects": d_first.category_effects,
-            "interaction": d_first.interaction,
-        },
-        "second": {
-            "overall": d_second.overall,
-            "area_effects": d_second.area_effects,
-            "category_effects": d_second.category_effects,
-            "interaction": d_second.interaction,
-        },
-    }
-    text = _json_text(payload)
-    print(text, end="")
-    if ns.out:
-        _atomic_write(Path(ns.out) / "diagnose.json", text)
-        return inputs, ["diagnose.json"]
-    return inputs, []
-
-
-def _add_ipf_flags(p: argparse.ArgumentParser) -> None:
-    _add(p, "--tolerance", type=float, default=1e-8)
-    _add(p, "--max-iter", dest="max_iter", type=int, default=1000)
-    _add(p, "--zeros", type=_parse_zeros, default=("structural", 0.5))
-    _add(
-        p,
-        "--reconcile",
-        choices=("scale-col-to-row", "scale-row-to-col", "error"),
-        default="scale-col-to-row",
+    text = _json_text(
+        {
+            "association_distance": association_distance(first, second),
+            "area_ids": list(first.area_ids),
+            "category_ids": list(first.category_ids),
+            "first": _effects(d_first),
+            "second": _effects(d_second),
+        }
     )
+    print(text, end="")
+    yield "diagnose.json", text
 
 
-def _add_update_flags(p: argparse.ArgumentParser, census_flag: str = "--seed") -> None:
+def _rake_flags(p: argparse.ArgumentParser, census_flag: str) -> None:
+    """The flags of one raking update, shared by update and bootstrap."""
     _add(p, census_flag, dest="seed_composition", metavar="CSV", required=True)
     _add(p, "--col-margin", dest="col_margin", required=True)
     _add(p, "--projections", required=True)
@@ -646,27 +480,24 @@ def _add_update_flags(p: argparse.ArgumentParser, census_flag: str = "--seed") -
     _add(p, "--aux", default=None)
     _add(p, "--cutoff", type=float, default=0.25)
     _add(p, "--year", type=int, required=True)
-    _add_ipf_flags(p)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spreekit",
-        description="Census composition updating, uncertainty, and validation.",
+    _add(p, "--tolerance", type=float, default=1e-8)
+    _add(p, "--max-iter", dest="max_iter", type=int, default=1000)
+    _add(p, "--zeros", type=_parse_zeros, default=("structural", 0.5))
+    _add(
+        p,
+        "--reconcile",
+        choices=("scale-col-to-row", "scale-row-to-col", "error"),
+        default="scale-col-to-row",
     )
-    _add(parser, "--seed", type=int, default=None, help="master RNG seed")
-    _add(parser, "--out", default=None, help="output directory")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("update", help="rake a census composition to new margins")
-    _add_update_flags(p)
+
+def _update_flags(p: argparse.ArgumentParser) -> None:
+    _rake_flags(p, census_flag="--seed")
     _add(p, "--unit", choices=("persons", "households"), required=True)
-    p.add_argument("--out", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_update)
 
-    p = sub.add_parser("bootstrap", help="bootstrap MSE/CV for an update")
-    _add_update_flags(p, census_flag="--census")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+
+def _bootstrap_flags(p: argparse.ArgumentParser) -> None:
+    _rake_flags(p, census_flag="--census")
     _add(p, "--replicates", type=int, default=100)
     _add(p, "--design", required=True)
     _add(p, "--aux-pool", dest="aux_pool", default=None)
@@ -685,25 +516,21 @@ def build_parser() -> argparse.ArgumentParser:
         default="resample-pool",
     )
     _add(p, "--aux-perturb-cv", dest="aux_perturb_cv", type=float, default=0.05)
-    p.add_argument("--out", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_bootstrap)
 
-    p = sub.add_parser("validate", help="design-based strategy comparison")
+
+def _validate_flags(p: argparse.ArgumentParser) -> None:
     _add(p, "--plan", required=True)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     _add(p, "--replicates", type=int, default=None)
-    p.add_argument("--out", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("mpi", help="Alkire-Foster poverty measures from households")
+
+def _mpi_flags(p: argparse.ArgumentParser) -> None:
     _add(p, "--households", required=True)
     _add(p, "--profile", default=None)
     _add(p, "--hierarchy", default=None, help="also tabulate poor counts per area")
     p.add_argument("--by-subgroup", dest="by_subgroup", action="store_true")
-    p.add_argument("--out", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_mpi)
 
-    p = sub.add_parser("shares", help="within-region share vectors")
+
+def _shares_flags(p: argparse.ArgumentParser) -> None:
     _add(p, "--mode", choices=("fixed", "dynamic", "hybrid"), required=True)
     _add(p, "--census", required=True)
     _add(p, "--hierarchy", required=True)
@@ -711,31 +538,140 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--projections", default=None)
     _add(p, "--year", type=int, default=None)
     _add(p, "--cutoff", type=float, default=0.25)
-    p.add_argument("--out", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_shares)
 
-    p = sub.add_parser("aggregate", help="sum pixel values into areas")
+
+def _aggregate_flags(p: argparse.ArgumentParser) -> None:
     _add(p, "--pixels", required=True)
     _add(p, "--polygons", required=True)
-    p.add_argument("--out", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_aggregate)
 
-    p = sub.add_parser("diagnose", help="log-linear decomposition of two compositions")
+
+def _diagnose_flags(p: argparse.ArgumentParser) -> None:
     _add(p, "--first", required=True)
     _add(p, "--second", required=True)
-    p.set_defaults(func=cmd_diagnose)
 
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One subcommand: its parser flags, its run function and its output rules.
+
+    ``needs_out`` makes ``--out`` required (and accepted after the
+    subcommand name); without it the outputs are only written when ``--out``
+    is given.  ``late_seed`` also accepts ``--seed`` after the name.  An
+    ``--out`` ending in ``.csv`` puts the output named ``csv_out`` exactly
+    there, with the other files beside it.
+    """
+
+    name: str
+    help: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace, Inputs], Outputs]
+    needs_out: bool = True
+    late_seed: bool = False
+    csv_out: str | None = None
+
+
+SUBCOMMANDS = (
+    Subcommand("update", "rake a census composition to new margins",
+               _update_flags, cmd_update),
+    Subcommand("bootstrap", "bootstrap MSE/CV for an update",
+               _bootstrap_flags, cmd_bootstrap, late_seed=True),
+    Subcommand("validate", "design-based strategy comparison",
+               _validate_flags, cmd_validate, late_seed=True),
+    Subcommand("mpi", "Alkire-Foster poverty measures from households",
+               _mpi_flags, cmd_mpi),
+    Subcommand("shares", "within-region share vectors", _shares_flags, cmd_shares),
+    Subcommand("aggregate", "sum pixel values into areas",
+               _aggregate_flags, cmd_aggregate, csv_out="margin.csv"),
+    Subcommand("diagnose", "log-linear decomposition of two compositions",
+               _diagnose_flags, cmd_diagnose, needs_out=False),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spreekit",
+        description="Census composition updating, uncertainty, and validation.",
+    )
+    _add(parser, "--seed", type=int, default=None, help="master RNG seed")
+    _add(parser, "--out", default=None, help="output directory")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for spec in SUBCOMMANDS:
+        p = sub.add_parser(spec.name, help=spec.help)
+        spec.add_flags(p)
+        # Global options repeated after the name; SUPPRESS keeps a value
+        # given before the name when the option is not repeated.
+        if spec.late_seed:
+            p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        if spec.needs_out:
+            p.add_argument("--out", default=argparse.SUPPRESS)
     return parser
 
 
+class _Writer:
+    """The one place a run's files are written.
+
+    Each file is written atomically as it is produced and its name kept for
+    the manifest.  Without ``--out`` (allowed only where the subcommand
+    says so) nothing is written.
+    """
+
+    def __init__(self, out: str | None, spec: Subcommand):
+        self.dir = Path(out) if out else None
+        self.renames: dict[str, str] = {}
+        self.names: list[str] = []
+        if self.dir is None and spec.needs_out:
+            raise CliDataError("--out is required for this subcommand")
+        if self.dir is not None and spec.csv_out and self.dir.suffix == ".csv":
+            self.renames[spec.csv_out] = self.dir.name
+            self.dir = self.dir.parent
+
+    def write(self, name: str, text: str) -> None:
+        if self.dir is None:
+            return
+        path = self.dir / self.renames.get(name, name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+        self.names.append(path.name)
+
+    def write_manifest(self, ns: argparse.Namespace, inputs: Inputs, started: str) -> None:
+        if self.dir is None:
+            return
+        # The output destination is not configuration: runs into different
+        # directories must stay byte-identical.
+        config = {
+            k: str(v) for k, v in sorted(vars(ns).items()) if k != "out" and v is not None
+        }
+        manifest = {
+            "subcommand": ns.subcommand,
+            "library_version": __version__,
+            "seed": ns.seed,
+            "config_digest": hashlib.sha256(
+                json.dumps(config, sort_keys=True).encode()
+            ).hexdigest(),
+            "inputs": {
+                name: {"path": str(path), "sha256": _sha256(path)}
+                for name, path in sorted(inputs.items())
+            },
+            "outputs": sorted(self.names),
+            "started": started,
+            "finished": _now_iso(),
+        }
+        self.write("manifest.json", _json_text(manifest))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
+    spec = next(s for s in SUBCOMMANDS if s.name == ns.subcommand)
     started = _now_iso()
     try:
-        inputs, outputs = ns.func(ns)
-        if ns.out:
-            _write_manifest(Path(ns.out), ns, inputs, outputs, started)
+        writer = _Writer(ns.out, spec)
+        inputs: Inputs = {}
+        for name, text in spec.run(ns, inputs):
+            writer.write(name, text)
+        writer.write_manifest(ns, inputs, started)
     except (
         CliDataError,
         UpdateError,

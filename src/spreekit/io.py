@@ -105,8 +105,9 @@ def load_composition(path: str | Path, reference_time: int = 0) -> Composition:
     rows = _read_rows(path, ("area_id", "category_id", "count"))
     if not rows:
         _fail(path, 2, "composition has no data rows")
-    areas: dict[str, None] = {}
-    categories: dict[str, None] = {}
+    # Insertion-ordered id -> position maps.
+    areas: dict[str, int] = {}
+    categories: dict[str, int] = {}
     cells: dict[tuple[str, str], float] = {}
     first_line: dict[tuple[str, str], int] = {}
     for i, row in enumerate(rows, start=2):
@@ -122,15 +123,13 @@ def load_composition(path: str | Path, reference_time: int = 0) -> Composition:
             _fail(path, i, f"duplicate cell ({area},{category}), first at line {first_line[key]}")
         cells[key] = value
         first_line[key] = i
-        areas.setdefault(area)
-        categories.setdefault(category)
-    area_ids = tuple(areas)
-    category_ids = tuple(categories)
-    counts = np.zeros((len(area_ids), len(category_ids)))
+        areas.setdefault(area, len(areas))
+        categories.setdefault(category, len(categories))
+    counts = np.zeros((len(areas), len(categories)))
     for (area, category), value in cells.items():
-        counts[area_ids.index(area), category_ids.index(category)] = value
+        counts[areas[area], categories[category]] = value
     return _wrap_invariant(
-        path, Composition, area_ids, category_ids, counts, reference_time
+        path, Composition, tuple(areas), tuple(categories), counts, reference_time
     )
 
 

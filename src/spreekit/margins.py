@@ -22,6 +22,7 @@ from spreekit.composition import (
     MarginLevel,
     MarginVector,
     _check_unique,
+    aggregate_to_large,
     row_margins,
 )
 
@@ -152,6 +153,17 @@ def dynamic_shares(aux_pop: MarginVector, h: AreaHierarchy) -> ShareVector:
         shares[pos] = aux_pop.values[pos] / large_total
     return ShareVector(
         aux_pop.ids, shares, h, aux_pop.reference_time, "dynamic-auxiliary"
+    )
+
+
+def census_baseline(census: Composition, h: AreaHierarchy) -> MarginVector:
+    """Large-area census totals: the baseline :func:`select_by_change` ranks
+    projected totals against."""
+    return MarginVector(
+        h.large_ids,
+        aggregate_to_large(census, h).counts.sum(axis=1),
+        MarginLevel.LARGE_AREA,
+        census.reference_time,
     )
 
 

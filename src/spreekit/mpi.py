@@ -201,23 +201,15 @@ def is_poor(score: Fraction | float, p: MpiProfile) -> bool:
     return score >= p.poverty_cutoff
 
 
-def compute_mpi(
-    records: Sequence[HouseholdRecord],
-    p: MpiProfile,
-    person_weighted: bool = True,
-) -> MpiResult:
+def compute_mpi(records: Sequence[HouseholdRecord], p: MpiProfile) -> MpiResult:
     """Headcount, intensity, index, and indicator detail over households.
 
-    With ``person_weighted`` (the default) each household counts with
-    size * weight, making the headcount the share of *people* in poor
-    households; the unweighted household-level mode (weight only) exists
-    for debugging.
+    Each household counts with size * weight, making the headcount the
+    share of *people* in poor households.
     """
     if not records:
         raise ValueError("no household records supplied")
-    base = np.array(
-        [r.size * r.weight if person_weighted else r.weight for r in records]
-    )
+    base = np.array([r.size * r.weight for r in records])
     scores = [deprivation_score(r, p) for r in records]
     poor = np.array([is_poor(s, p) for s in scores])
     score_f = np.array([float(s) for s in scores])

@@ -27,7 +27,6 @@ from spreekit.composition import (
     Composition,
     MarginLevel,
     MarginVector,
-    aggregate_to_large,
     column_margins,
     row_margins,
     to_probabilities,
@@ -35,6 +34,7 @@ from spreekit.composition import (
 from spreekit.ipf import IpfConfig
 from spreekit.margins import (
     ShareVector,
+    census_baseline,
     dynamic_shares,
     fixed_shares,
     hybrid_shares,
@@ -46,6 +46,18 @@ from spreekit.update import UpdateError, UpdateRequest, spree_update
 STRATEGIES = ("fixed", "dynamic", "hybrid")
 QUARTILE_NAMES = ("lowest", "second", "third", "highest")
 SUMMARY_COLUMNS = ("q2.5", "q25", "median", "mean", "q75", "q97.5")
+
+
+def summary_row(values: np.ndarray) -> np.ndarray:
+    """The :data:`SUMMARY_COLUMNS` of ``values``; all NaN when it is empty.
+
+    Callers drop the values they do not want summarised (NaN or non-finite)
+    first.
+    """
+    if not values.size:
+        return np.full(len(SUMMARY_COLUMNS), np.nan)
+    qs = np.quantile(values, [0.025, 0.25, 0.5, 0.75, 0.975])
+    return np.array([qs[0], qs[1], qs[2], values.mean(), qs[3], qs[4]])
 
 
 def relative_bias(estimates: Sequence[float], truths: Sequence[float]) -> float:
@@ -261,14 +273,8 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
 
     selection = None
     if "hybrid" in plan.strategies:
-        baseline_large = MarginVector(
-            h.large_ids,
-            aggregate_to_large(plan.truth_t0, h).counts.sum(axis=1),
-            MarginLevel.LARGE_AREA,
-            plan.truth_t0.reference_time,
-        )
         selection = select_by_change(
-            plan.large_totals_t, baseline_large, plan.quantile_cutoff
+            plan.large_totals_t, census_baseline(plan.truth_t0, h), plan.quantile_cutoff
         )
 
     def build_shares(strategy: str, census0: Composition, r: int) -> ShareVector:
@@ -385,14 +391,8 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
         per_area_rmse = headcount_rmse if headcount_rmse is not None else np.nanmean(cell_rmse, axis=1)
         summary = {}
         for name, values in (("bias", per_area_bias), ("rmse", per_area_rmse)):
-            table = np.full((4, 6), np.nan)
-            for q in range(4):
-                vals = values[labels == q]
-                vals = vals[~np.isnan(vals)]
-                if vals.size:
-                    qs = np.quantile(vals, [0.025, 0.25, 0.5, 0.75, 0.975])
-                    table[q] = [qs[0], qs[1], qs[2], vals.mean(), qs[3], qs[4]]
-            summary[name] = table
+            by_quartile = [values[labels == q] for q in range(4)]
+            summary[name] = np.array([summary_row(v[~np.isnan(v)]) for v in by_quartile])
         quartile_summary[strategy] = summary
 
         est_h, tru_h, _ = est_h_by_strategy[strategy]

@@ -565,8 +565,24 @@ class TestEnvironmentFallback:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["strategies"]["fixed"]["completed"] == 3
 
-    def test_invalid_env_value_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPREEKIT_CUTOFF", "not-a-number")
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("SPREEKIT_CUTOFF", "not-a-number"),
+            # A value outside the flag's choices, not a silent fallback.
+            ("SPREEKIT_SHARES_MODE", "bogus"),
+            ("SPREEKIT_UNIT", "acres"),
+            # A type function's ArgumentTypeError, not a traceback.
+            ("SPREEKIT_ZEROS", "bad"),
+        ],
+        ids=["cutoff", "shares_mode", "unit", "zeros"],
+    )
+    def test_invalid_env_value_exits_2(self, tmp_path, monkeypatch, key, value):
+        monkeypatch.setenv(key, value)
+        argv = update_argv(tmp_path)
+        flag = "--" + key.removeprefix("SPREEKIT_").lower().replace("_", "-")
+        if flag in argv:  # the environment alone supplies the flag
+            del argv[argv.index(flag) : argv.index(flag) + 2]
         with pytest.raises(SystemExit) as exc:
-            run_cli(*update_argv(tmp_path))
+            run_cli(*argv)
         assert exc.value.code == 2
