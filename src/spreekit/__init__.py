@@ -27,7 +27,6 @@ from spreekit.margins import (
     HybridSelection,
     ReconcileResult,
     ShareVector,
-    census_baseline,
     cohort_component,
     distribute,
     dynamic_shares,
@@ -72,7 +71,6 @@ from spreekit.simulation import (
     relative_rmse,
     replicate_census,
     run_simulation,
-    summary_row,
 )
 from spreekit.scenario import ScenarioConfig, build_scenario, migration_shock_config
 from spreekit.geo import (

@@ -9,7 +9,8 @@ Any flag can also be supplied through an environment variable named
 ``SPREEKIT_<FLAG>`` (dashes become underscores, upper-cased); explicit
 flags win over the environment.  An environment value gets the same type
 and choice checks as its flag, so a bad one is a usage error (exit 2), even
-where the flag is also given.
+where the flag is also given, and for every subcommand, not only those that
+have the flag.
 Outputs are written atomically under ``--out`` together with a
 ``manifest.json`` recording input digests, the seed, the library version,
 and timestamps; set ``SOURCE_DATE_EPOCH`` to pin the timestamps for
@@ -617,18 +618,19 @@ class _Writer:
 
     def __init__(self, out: str | None, spec: Subcommand):
         self.dir = Path(out) if out else None
-        self.renames: dict[str, str] = {}
+        self.csv_name: str | None = None
+        self.csv_path: Path | None = None
         self.names: list[str] = []
         if self.dir is None and spec.needs_out:
             raise CliDataError("--out is required for this subcommand")
         if self.dir is not None and spec.csv_out and self.dir.suffix == ".csv":
-            self.renames[spec.csv_out] = self.dir.name
+            self.csv_name, self.csv_path = spec.csv_out, self.dir
             self.dir = self.dir.parent
 
     def write(self, name: str, text: str) -> None:
         if self.dir is None:
             return
-        path = self.dir / self.renames.get(name, name)
+        path = self.csv_path if name == self.csv_name else self.dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8", newline="") as f:

@@ -566,22 +566,24 @@ class TestEnvironmentFallback:
         assert report["strategies"]["fixed"]["completed"] == 3
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, keep_flag",
         [
-            ("SPREEKIT_CUTOFF", "not-a-number"),
+            ("SPREEKIT_CUTOFF", "not-a-number", False),
             # A value outside the flag's choices, not a silent fallback.
-            ("SPREEKIT_SHARES_MODE", "bogus"),
-            ("SPREEKIT_UNIT", "acres"),
+            ("SPREEKIT_SHARES_MODE", "bogus", False),
+            ("SPREEKIT_UNIT", "acres", False),
+            # Checked even where the explicit --unit persons would win.
+            ("SPREEKIT_UNIT", "acres", True),
             # A type function's ArgumentTypeError, not a traceback.
-            ("SPREEKIT_ZEROS", "bad"),
+            ("SPREEKIT_ZEROS", "bad", False),
         ],
-        ids=["cutoff", "shares_mode", "unit", "zeros"],
+        ids=["cutoff", "shares_mode", "unit", "unit_with_flag", "zeros"],
     )
-    def test_invalid_env_value_exits_2(self, tmp_path, monkeypatch, key, value):
+    def test_invalid_env_value_exits_2(self, tmp_path, monkeypatch, key, value, keep_flag):
         monkeypatch.setenv(key, value)
         argv = update_argv(tmp_path)
         flag = "--" + key.removeprefix("SPREEKIT_").lower().replace("_", "-")
-        if flag in argv:  # the environment alone supplies the flag
+        if flag in argv and not keep_flag:  # the environment alone supplies it
             del argv[argv.index(flag) : argv.index(flag) + 2]
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)

@@ -132,6 +132,16 @@ def test_structural_zeros_stay_zero(problem):
     assert np.all(fitted[seed.counts == 0] == 0.0)
 
 
+def test_structural_zero_fit_converges():
+    # A zero with a feasible support: raking converges and leaves it zero.
+    seed = make_composition([[0.0, 5.0], [5.0, 5.0]])
+    row_m = make_margin([4.0, 6.0], MarginLevel.SMALL_AREA, "a")
+    col_m = make_margin([3.0, 7.0], MarginLevel.CATEGORY, "c")
+    res = ipf_fit(seed, row_m, col_m)
+    assert res.converged
+    assert res.fitted.counts[0, 0] == 0.0
+
+
 def test_epsilon_mode_fills_zeros():
     seed = make_composition([[0.0, 5.0], [5.0, 5.0]])
     row_m = make_margin([4.0, 6.0], MarginLevel.SMALL_AREA, "a")
