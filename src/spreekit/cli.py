@@ -245,6 +245,14 @@ def cmd_update(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         "final_deviation": result.ipf.final_deviation,
     }
     yield "provenance.json", _json_text(provenance)
+    if not result.ipf.converged:
+        print(
+            json.dumps({
+                "warning": f"IPF did not converge in {result.ipf.iterations_used} "
+                f"iterations (final deviation {result.ipf.final_deviation!r})"
+            }),
+            file=sys.stderr,
+        )
 
 
 def cmd_shares(ns: argparse.Namespace, inputs: Inputs) -> Outputs:

@@ -7,6 +7,18 @@ Geometry is treated as planar in lon/lat, which at 100 m cell scale keeps
 the approximation error far below the pixel size away from the poles and
 the antimeridian.  Points exactly on a shared edge follow whatever the
 crossing test decides for each polygon, so ties stay deterministic.
+
+The crossing test runs on all of a ring's edges at once, and
+:func:`aggregate_pixels` runs it only on the pixels inside each area's
+bounding box.  That prefilter drops no pixel the full test would
+assign: an edge counts for a point only if ``(y1 > lat) != (y2 > lat)``,
+so a point outside the latitude band ``[min_y, max_y)`` straddles no
+edge; a point left of the box lies left of every crossing, and the
+edges a horizontal line straddles around a closed ring are even in
+number; a point right of the box lies right of every crossing.  The
+crossing abscissa is rounded, so it can land a few ulps outside the
+box; the longitude limits are widened by :data:`_PAD_ULPS` ulps of the
+box's largest magnitude to cover that.
 """
 
 from __future__ import annotations
@@ -149,35 +161,57 @@ class AreaPolygonSet:
         return cls(out)
 
 
-def _ring_crossings(lon: np.ndarray, lat: np.ndarray, ring: Ring) -> np.ndarray:
-    """Even-odd containment of each point against one ring."""
-    inside = np.zeros(len(lon), dtype=bool)
+# Points x edges per broadcast: keeps each float temporary at 512 KiB.
+_CHUNK_CELLS = 1 << 16
+# Longitude pad of the prefilter box, in ulps of its largest |lon|; the
+# rounding of one crossing abscissa stays below about 14 of them.
+_PAD_ULPS = 64
+
+# A ring's non-horizontal edges: (x1, y1, y2, x2 - x1, y2 - y1).
+Edges = tuple[np.ndarray, ...]
+
+
+def _edges(ring: Ring) -> Edges:
     x1, y1 = ring[:-1, 0], ring[:-1, 1]
     x2, y2 = ring[1:, 0], ring[1:, 1]
-    for ex1, ey1, ex2, ey2 in zip(x1, y1, x2, y2):
-        if ey1 == ey2:
-            continue
-        straddles = (ey1 > lat) != (ey2 > lat)
-        with np.errstate(invalid="ignore"):
-            x_cross = ex1 + (lat - ey1) * (ex2 - ex1) / (ey2 - ey1)
-        inside ^= straddles & (lon < x_cross)
-    return inside
+    keep = y1 != y2
+    x1, y1, x2, y2 = x1[keep], y1[keep], x2[keep], y2[keep]
+    return x1, y1, y2, x2 - x1, y2 - y1
 
 
-def _polygon_contains(lon: np.ndarray, lat: np.ndarray, polygon: Polygon) -> np.ndarray:
-    inside = np.zeros(len(lon), dtype=bool)
-    for ring in polygon:
-        inside ^= _ring_crossings(lon, lat, ring)
-    return inside
+def _ring_crossings(lon: np.ndarray, lat: np.ndarray, edges: Edges) -> np.ndarray:
+    """Even-odd containment of each point against one ring's edges."""
+    x1, y1, y2, dx, dy = edges
+    lat = lat[:, None]
+    straddles = (y1 > lat) != (y2 > lat)
+    with np.errstate(invalid="ignore"):
+        x_cross = x1 + (lat - y1) * dx / dy
+    return np.count_nonzero(straddles & (lon[:, None] < x_cross), axis=1) % 2 == 1
 
 
 def area_contains(
     lon: np.ndarray, lat: np.ndarray, polygons: tuple[Polygon, ...]
 ) -> np.ndarray:
-    """Containment in a (multi)polygon: inside any constituent polygon."""
+    """Containment in a (multi)polygon: inside any constituent polygon.
+
+    A polygon holds a point when an odd number of its rings do; the
+    points are taken in chunks so the (points, edges) broadcast stays
+    small however many points there are.
+    """
+    lon = np.asarray(lon, dtype=float)
+    lat = np.asarray(lat, dtype=float)
+    rings = [[_edges(ring) for ring in polygon] for polygon in polygons]
+    width = max((len(edges[0]) for polygon in rings for edges in polygon), default=0)
+    step = max(1, _CHUNK_CELLS // max(width, 1))
     inside = np.zeros(len(lon), dtype=bool)
-    for polygon in polygons:
-        inside |= _polygon_contains(lon, lat, polygon)
+    for start in range(0, len(lon), step):
+        part = slice(start, start + step)
+        x, y = lon[part], lat[part]
+        for polygon in rings:
+            odd = np.zeros(len(x), dtype=bool)
+            for edges in polygon:
+                odd ^= _ring_crossings(x, y, edges)
+            inside[part] |= odd
     return inside
 
 
@@ -203,13 +237,23 @@ def aggregate_pixels(
 ) -> PixelAggregation:
     """Sum pixel values into the first containing area, in id order."""
     ordered = tuple(sorted(polys.area_ids))
-    assignment = np.full(len(px), -1, dtype=int)
+    by_lat = np.argsort(px.lat, kind="stable")
+    lon, lat = px.lon[by_lat], px.lat[by_lat]
+    owner = np.full(len(px), -1, dtype=int)
     for pos, area in enumerate(ordered):
-        open_mask = assignment < 0
-        if not np.any(open_mask):
-            break
-        hit = area_contains(px.lon[open_mask], px.lat[open_mask], polys.polygons[area])
-        assignment[np.flatnonzero(open_mask)[hit]] = pos
+        polygons = polys.polygons[area]
+        vertices = np.concatenate([ring for polygon in polygons for ring in polygon])
+        (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
+        pad = _PAD_ULPS * np.spacing(max(abs(x0), abs(x1)))
+        lo, hi = np.searchsorted(lat, (y0, y1))
+        band = slice(lo, hi)
+        candidates = lo + np.flatnonzero(
+            (owner[band] < 0) & (lon[band] >= x0 - pad) & (lon[band] <= x1 + pad)
+        )
+        hit = area_contains(lon[candidates], lat[candidates], polygons)
+        owner[candidates[hit]] = pos
+    assignment = np.empty_like(owner)
+    assignment[by_lat] = owner
     sums = np.zeros(len(ordered))
     for pos in range(len(ordered)):
         sums[pos] = px.value[assignment == pos].sum()

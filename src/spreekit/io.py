@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -81,7 +82,7 @@ def _parse_float(path: Path, line: int, field: str, raw: str) -> float:
         value = float(raw)
     except ValueError:
         _fail(path, line, f"{field} is not a number: {raw!r}")
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         _fail(path, line, f"{field} must be finite, got {raw!r}")
     return value
 

@@ -6,13 +6,22 @@ Outputs are the headcount ratio, the average intensity among the poor, their
 product (the index), per-indicator headcounts, and the percentage
 contribution of each indicator.  Weights and the cutoff are exact rationals
 so that e.g. six one-eighteenth deprivations land exactly on the 1/3 cutoff.
+
+:func:`compute_mpi` and :func:`tabulate_poverty` score all households at
+once in exact integer arithmetic: with ``L`` the lcm of the weight and
+cutoff denominators, a score is the integer ``flags @ (weights * L)``, the
+poverty test compares it with ``cutoff * L`` exactly, and ``score / L`` is
+the correctly rounded float of the rational score.  They give the same
+numbers and raise the same errors as :func:`deprivation_score` and
+:func:`is_poor` applied household by household.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -201,6 +210,51 @@ def is_poor(score: Fraction | float, p: MpiProfile) -> bool:
     return score >= p.poverty_cutoff
 
 
+# Households per block while building the flag matrix: bounds the Python
+# lists and integer temporaries to well under a MiB.
+_BLOCK = 4096
+
+
+def _score(
+    records: Sequence[HouseholdRecord], p: MpiProfile
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Flags, rejected mask, integer scores, their denominator, poor mask.
+
+    ``flags`` is (N, K) in profile order.  ``bad`` marks the households
+    :func:`deprivation_score` rejects (missing or extra flags, or a
+    ``None`` flag); their flags read False.  ``L``, the lcm of the weight
+    and cutoff denominators, makes each score the integer ``flags @
+    (weights * L)``: score / L is the exact rational score and the cutoff
+    test is an integer compare.  int64 holds the scores when ``L`` and the
+    largest score (the sum of the scaled weights) stay within 2**53, where
+    score / L is also correctly rounded; above that the same expressions
+    run on Python ints.
+    """
+    cutoff, k = p.poverty_cutoff, len(p.indicators)
+    denom = math.lcm(cutoff.denominator, *(w.denominator for w in p.weights))
+    scaled = [w.numerator * (denom // w.denominator) for w in p.weights]
+    dtype = np.int64 if max(denom, sum(scaled)) <= 2**53 else object
+    weights = np.array(scaled, dtype=dtype)
+    flags = np.empty((len(records), k), dtype=bool)
+    bad = np.empty(len(records), dtype=bool)
+    score = np.empty(len(records), dtype=dtype)
+    for start in range(0, len(records), _BLOCK):
+        block = records[start:start + _BLOCK]
+        rows = slice(start, start + len(block))
+        table = [list(map(r.deprivations.get, p.indicators)) for r in block]
+        bad[rows] = [len(r.deprivations) != k or None in row for r, row in zip(block, table)]
+        flags[rows] = np.array(table, dtype=bool).reshape(len(block), k)
+        score[rows] = flags[rows].astype(dtype) @ weights
+    poor = score >= cutoff.numerator * (denom // cutoff.denominator)
+    return flags, bad, score, denom, poor
+
+
+def _reject(r: HouseholdRecord, p: MpiProfile) -> None:
+    """Raise the per-record scorer's error for a household it rejects."""
+    is_poor(deprivation_score(r, p), p)
+    raise AssertionError(f"household {r.household_id!r} scores without error")
+
+
 def compute_mpi(records: Sequence[HouseholdRecord], p: MpiProfile) -> MpiResult:
     """Headcount, intensity, index, and indicator detail over households.
 
@@ -210,9 +264,13 @@ def compute_mpi(records: Sequence[HouseholdRecord], p: MpiProfile) -> MpiResult:
     if not records:
         raise ValueError("no household records supplied")
     base = np.array([r.size * r.weight for r in records])
-    scores = [deprivation_score(r, p) for r in records]
-    poor = np.array([is_poor(s, p) for s in scores])
-    score_f = np.array([float(s) for s in scores])
+    flags, bad, score, denom, poor = _score(records, p)
+    # Every flag is checked before any score, as household by household.
+    if bad.any():
+        _reject(records[int(np.argmax(bad))], p)
+    if (score > denom).any():
+        _reject(records[int(np.argmax(score > denom))], p)
+    score_f = (score / denom).astype(float, copy=False)
 
     total = float(base.sum())
     poor_base = float(base[poor].sum())
@@ -220,10 +278,10 @@ def compute_mpi(records: Sequence[HouseholdRecord], p: MpiProfile) -> MpiResult:
     intensity = float((base[poor] * score_f[poor]).sum()) / poor_base if poor_base else 0.0
     mpi = headcount * intensity
 
-    indicator_headcounts: dict[str, float] = {}
-    for indicator in p.indicators:
-        deprived = np.array([bool(r.deprivations[indicator]) for r in records])
-        indicator_headcounts[indicator] = float(base[deprived].sum()) / total
+    indicator_headcounts = {
+        indicator: float(base[flags[:, k]].sum()) / total
+        for k, indicator in enumerate(p.indicators)
+    }
 
     contributions: dict[str, float] | None = None
     if headcount > 0:
@@ -246,19 +304,25 @@ def tabulate_poverty(
 
     Restricts to households of ``subgroup`` when given (records outside the
     subgroup are dropped entirely).  Areas follow the hierarchy's ordering;
-    areas without records get zero rows.
+    areas without records get zero rows.  Counts are summed in record order.
     """
     area_ids = h.small_ids
     pos = {a: i for i, a in enumerate(area_ids)}
-    counts = np.zeros((len(area_ids), 2))
-    for r in records:
-        if subgroup is not None and r.subgroup_id != subgroup:
-            continue
+    if subgroup is not None:
+        records = [r for r in records if r.subgroup_id == subgroup]
+    n = len(records)
+    rows = np.fromiter((pos.get(r.area_id, -1) for r in records), np.intp, n)
+    _, bad, score, denom, poor = _score(records, p)
+    rejected = (rows < 0) | bad | (score > denom)
+    if rejected.any():
+        r = records[int(np.argmax(rejected))]
         if r.area_id not in pos:
             raise KeyError(f"household {r.household_id!r} in unknown area {r.area_id!r}")
-        col = 0 if is_poor(deprivation_score(r, p), p) else 1
-        counts[pos[r.area_id], col] += r.size * r.weight
-    return Composition(area_ids, POVERTY_CATEGORIES, counts)
+        _reject(r, p)
+    cells = 2 * rows + np.where(poor, 0, 1)
+    people = np.fromiter((r.size * r.weight for r in records), float, n)
+    counts = np.bincount(cells, weights=people, minlength=2 * len(area_ids))
+    return Composition(area_ids, POVERTY_CATEGORIES, counts.reshape(-1, 2))
 
 
 def headcount_from_composition(c: Composition) -> np.ndarray:

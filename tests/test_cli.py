@@ -122,6 +122,18 @@ class TestUpdate:
         total = sum(cells.values())
         assert total == pytest.approx(4300.0, rel=1e-8)
 
+    def test_unconverged_fit_warns_on_stderr(self, tmp_path):
+        capped, full = tmp_path / "capped", tmp_path / "full"
+        code, _, err = run_cli(*update_argv(capped, max_iter="1"))
+        assert code == 0
+        provenance = json.loads((capped / "provenance.json").read_text())
+        assert provenance["converged"] is False
+        warning = json.loads(err.strip())["warning"]
+        assert warning.startswith("IPF did not converge in 1 iterations")
+        # A converged fit prints nothing.
+        code, _, err = run_cli(*update_argv(full))
+        assert code == 0 and err == ""
+
 
 class TestShares:
     def test_dynamic_values(self, tmp_path):

@@ -86,6 +86,24 @@ class TestCompositionRoundTrip:
             sio.load_composition(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "load, header, row, field",
+    [
+        (sio.load_composition, "area_id,category_id,count", "a{i},x,{v}", "count"),
+        (sio.load_margin, "id,value", "k{i},{v}", "value"),
+        (sio.load_pixels, "lon,lat,value", "0.5,{v},1.0", "lat"),
+        (sio.load_pixels, "lon,lat,value", "0.5,0.5,{v}", "value"),
+    ],
+    ids=["composition", "margin", "pixel_lat", "pixel_value"],
+)
+def test_non_finite_numbers_rejected_with_line(tmp_path, load, header, row, field, raw):
+    lines = [header, row.format(i=1, v=1), row.format(i=2, v=raw)]
+    p = write(tmp_path, "f.csv", "\n".join(lines) + "\n")
+    with pytest.raises(IngestError, match=rf"f\.csv:3: {field} must be finite, got '{raw}'"):
+        load(p)
+
+
 class TestMarginRoundTrip:
     def test_round_trip(self, tmp_path):
         m = MarginVector(("k", "l"), np.array([0.1 + 0.2, 7.0]),
