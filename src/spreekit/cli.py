@@ -22,7 +22,9 @@ outputs as ``(file name, text)`` pairs; :func:`main` writes each one as it
 is yielded.
 
 Exit codes: 0 success, 1 data error (a JSON error object is printed to
-stderr), 2 usage error.
+stderr), 2 usage error.  A run that succeeds with a caveat (``update``
+stopping unconverged, ``aggregate`` leaving over 5% of the mass
+unassigned) exits 0 and prints a JSON ``{"warning": ...}`` to stderr.
 """
 
 from __future__ import annotations
@@ -235,6 +237,11 @@ def _update_request(ns: argparse.Namespace, inputs: Inputs) -> UpdateRequest:
     )
 
 
+def _warn(message: str) -> None:
+    """A caveat on a successful run: one JSON object on stderr."""
+    print(json.dumps({"warning": message}), file=sys.stderr)
+
+
 def cmd_update(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     result = spree_update(_update_request(ns, inputs))
     yield "fitted.csv", _cells_csv(result.fitted)
@@ -246,12 +253,9 @@ def cmd_update(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     }
     yield "provenance.json", _json_text(provenance)
     if not result.ipf.converged:
-        print(
-            json.dumps({
-                "warning": f"IPF did not converge in {result.ipf.iterations_used} "
-                f"iterations (final deviation {result.ipf.final_deviation!r})"
-            }),
-            file=sys.stderr,
+        _warn(
+            f"IPF did not converge in {result.ipf.iterations_used} iterations "
+            f"(final deviation {result.ipf.final_deviation!r})"
         )
 
 
@@ -442,10 +446,7 @@ def cmd_aggregate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     }
     yield "aggregation.json", _json_text(summary)
     if agg.warning:
-        print(
-            json.dumps({"warning": "more than 5% of pixel mass unassigned"}),
-            file=sys.stderr,
-        )
+        _warn("more than 5% of pixel mass unassigned")
 
 
 def _effects(d: LogLinearDecomposition) -> dict[str, Any]:
