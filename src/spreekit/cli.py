@@ -6,11 +6,15 @@ One binary with subcommands::
 
 Subcommands: update, bootstrap, validate, mpi, shares, aggregate, diagnose.
 Any flag can also be supplied through an environment variable named
-``SPREEKIT_<FLAG>`` (dashes become underscores, upper-cased); explicit
-flags win over the environment.  An environment value gets the same type
-and choice checks as its flag, so a bad one is a usage error (exit 2), even
-where the flag is also given, and for every subcommand, not only those that
-have the flag.
+after the flag, ``SPREEKIT_<FLAG>`` (dashes become underscores,
+upper-cased: ``bootstrap --census`` reads ``SPREEKIT_CENSUS``); explicit
+flags win over the environment.  ``update --seed`` (the census file) and
+``bootstrap --census`` used to read ``SPREEKIT_SEED_COMPOSITION``, which is
+no longer read.  ``SPREEKIT_SEED`` also sets the global integer ``--seed``,
+so give ``update``'s census file as a flag.  An environment value gets the
+same type and choice checks as its flag, so a bad one is a usage error
+(exit 2), even where the flag is also given, and for every subcommand, not
+only those that have the flag.
 Outputs are written atomically under ``--out`` together with a
 ``manifest.json`` recording input digests, the seed, the library version,
 and timestamps; set ``SOURCE_DATE_EPOCH`` to pin the timestamps for
@@ -59,6 +63,7 @@ from spreekit.mpi import MpiProfile, MpiResult, compute_mpi, tabulate_poverty
 from spreekit.simulation import (
     QUARTILE_NAMES,
     SUMMARY_COLUMNS,
+    quartile_means,
     run_simulation,
     summary_row,
 )
@@ -75,13 +80,16 @@ class CliDataError(RuntimeError):
 
 
 def _add(parser: argparse.ArgumentParser, *flags: str, **kwargs: Any) -> None:
-    """add_argument whose default comes from ``SPREEKIT_<DEST>`` when set.
+    """add_argument whose default comes from ``SPREEKIT_<FLAG>`` when set.
 
+    The variable is named after the flag, not its ``dest``: ``--census``
+    reads ``SPREEKIT_CENSUS`` even where its value lands in another field.
     The environment value passes the flag's own type and choice checks, so
     a bad one is a usage error exactly like a bad flag.
     """
     action = parser.add_argument(*flags, **kwargs)
-    env_key = ENV_PREFIX + action.dest.upper()
+    flag = action.option_strings[0].lstrip("-")
+    env_key = ENV_PREFIX + flag.replace("-", "_").upper()
     raw = os.environ.get(env_key)
     if raw is None:
         return
@@ -341,16 +349,15 @@ def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         plan = replace(plan, **overrides)
     report = run_simulation(plan)
 
-    share_rows = []
-    for q, name in enumerate(QUARTILE_NAMES):
-        for strategy in plan.strategies:
-            bias = report.metrics[strategy].share_bias
-            mask = report.quartile_labels == q
-            vals = bias[mask]
-            vals = vals[~np.isnan(vals)]
-            mean_bias = float(vals.mean()) if vals.size else float("nan")
-            mean_abs = float(np.abs(vals).mean()) if vals.size else float("nan")
-            share_rows.append((name, strategy, mean_bias, mean_abs))
+    mean_abs = {
+        s: quartile_means(np.abs(report.metrics[s].share_bias), report.quartile_labels)
+        for s in plan.strategies
+    }
+    share_rows = [
+        (name, s, report.share_accuracy[s][q], mean_abs[s][q])
+        for q, name in enumerate(QUARTILE_NAMES)
+        for s in plan.strategies
+    ]
     yield "share_accuracy.csv", _csv_text(
         ("quartile", "strategy", "mean_share_bias", "mean_abs_share_bias"), share_rows
     )

@@ -3,6 +3,11 @@
 Alternating row/column rescaling (raking).  The sweep order is fixed
 (rows first) for bit-reproducibility, and the fitted table preserves every
 odds ratio of the seed on its positive support.
+
+A sweep makes five passes over the table: scale the rows, sum the columns,
+scale the columns, then sum the rows and the columns for the convergence
+check.  Those row sums are the ones the next sweep scales by, so they are
+not computed again.
 """
 
 from __future__ import annotations
@@ -66,15 +71,6 @@ def _relative_deviation(fitted: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.abs(fitted - target) / np.maximum(target, 1.0)
 
 
-def _deviation_arrays(
-    counts: np.ndarray, row_target: np.ndarray, col_target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        _relative_deviation(counts.sum(axis=1), row_target),
-        _relative_deviation(counts.sum(axis=0), col_target),
-    )
-
-
 def margin_deviation(
     fitted: Composition, row_target: MarginVector, col_target: MarginVector
 ) -> float:
@@ -86,9 +82,8 @@ def margin_deviation(
         raise IpfError("row target ids do not match composition area ids")
     if fitted.category_ids != col_target.ids:
         raise IpfError("column target ids do not match composition category ids")
-    row_dev, col_dev = _deviation_arrays(
-        fitted.counts, row_target.values, col_target.values
-    )
+    row_dev = _relative_deviation(fitted.counts.sum(axis=1), row_target.values)
+    col_dev = _relative_deviation(fitted.counts.sum(axis=0), col_target.values)
     return float(max(row_dev.max(), col_dev.max()))
 
 
@@ -132,27 +127,27 @@ def ipf_fit(
         counts[counts == 0] = cfg.epsilon
 
     # Mass cannot be created in a row/column with no seed support.
-    dead_rows = [
-        a for a, s, t in zip(seed.area_ids, counts.sum(axis=1), rt) if s == 0 and t > 0
-    ]
+    row_sums = counts.sum(axis=1)
+    dead_rows = [seed.area_ids[i] for i in np.flatnonzero((row_sums == 0) & (rt > 0))]
     if dead_rows:
         raise IpfError(f"positive row target but all-zero seed row for: {dead_rows}")
-    dead_cols = [
-        c for c, s, t in zip(seed.category_ids, counts.sum(axis=0), ct) if s == 0 and t > 0
-    ]
+    col_sums = counts.sum(axis=0)
+    dead_cols = [seed.category_ids[i] for i in np.flatnonzero((col_sums == 0) & (ct > 0))]
     if dead_cols:
         raise IpfError(f"positive column target but all-zero seed column for: {dead_cols}")
 
+    row_scale, col_scale = np.maximum(rt, 1.0), np.maximum(ct, 1.0)
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        row_sums = counts.sum(axis=1)
         factors = np.divide(rt, row_sums, out=np.ones_like(rt), where=row_sums > 0)
         counts *= factors[:, None]
         col_sums = counts.sum(axis=0)
         factors = np.divide(ct, col_sums, out=np.ones_like(ct), where=col_sums > 0)
         counts *= factors[None, :]
-        row_dev, col_dev = _deviation_arrays(counts, rt, ct)
+        row_sums = counts.sum(axis=1)
+        row_dev = np.abs(row_sums - rt) / row_scale
+        col_dev = np.abs(counts.sum(axis=0) - ct) / col_scale
         dev = max(row_dev.max(), col_dev.max())
         if dev <= cfg.tolerance:
             converged = True

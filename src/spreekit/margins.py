@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -55,7 +54,7 @@ class ShareVector:
         arr = np.array(self.shares, dtype=float)
         if arr.shape != (len(self.small_ids),):
             raise ValueError("shares shape does not match small ids")
-        if np.any(arr < 0) or np.any(arr > 1 + SHARE_SUM_TOL):
+        if not np.all((arr >= 0) & (arr <= 1 + SHARE_SUM_TOL)):
             raise ValueError("shares must lie in [0, 1]")
         for large, pos in self.hierarchy.group_positions(self.small_ids).items():
             if pos.size == 0:
@@ -220,20 +219,28 @@ def _conserving_block(total: float, shares_block: np.ndarray) -> np.ndarray:
     """total * shares with one entry absorbing the rounding residual.
 
     Recomputes a single positive-share entry as the total minus the exact
-    rational sum of the others, trying the largest share first and then the
+    sum of the others, trying the largest share first and then the
     remaining entries from smallest up (a finer float grid can represent
     the residual when the largest cannot).  The accepted candidate makes
     the exact sum of the returned floats equal the total; zero shares stay
     exactly zero.
+
+    The residual is ``math.fsum`` of the total and the negated others.
+    ``fsum`` returns the correctly rounded value of the exact sum of its
+    finite inputs, which is what rounding the exact rational difference
+    gives; ``or 0.0`` maps a -0.0 result to the +0.0 a rational rounds to.
     """
     block = total * shares_block
+    negated = [-v for v in block.tolist()]
+
+    def residual(idx: int) -> float:
+        return math.fsum([total, *negated[:idx], *negated[idx + 1 :]]) or 0.0
+
     order = np.argsort(shares_block, kind="stable")
-    t = Fraction(total)
     for idx in (int(order[-1]), *map(int, order[:-1])):
         if shares_block[idx] <= 0.0:
             continue
-        rest = sum(Fraction(float(v)) for i, v in enumerate(block) if i != idx)
-        cand = float(t - rest)
+        cand = residual(idx)
         if cand <= 0.0:
             continue
         old = block[idx]
@@ -243,8 +250,7 @@ def _conserving_block(total: float, shares_block: np.ndarray) -> np.ndarray:
         block[idx] = old
     # Degenerate ulp-scale inputs: keep the nearest-rounded largest entry.
     anchor = int(order[-1])
-    rest = sum(Fraction(float(v)) for i, v in enumerate(block) if i != anchor)
-    block[anchor] = max(float(t - rest), 0.0)
+    block[anchor] = max(residual(anchor), 0.0)
     return block
 
 

@@ -11,6 +11,16 @@ Replicate r draws from RNG stream r, in this order: base-year census
 replication, target-year census replication, then column-margin resampling.
 The dynamic margin uses pool entry ``r % len(aux_pool)`` and consumes no
 randomness.
+
+Shares are built once and reused wherever the result cannot differ: the
+fixed shares once per round (the hybrid margin reuses them) and the
+dynamic shares once per aux-pool entry.  A build that fails is not kept,
+so every strategy and round that needs it records the same failure.
+
+The per-quartile correlations are computed for all replicates of a
+strategy at once by :func:`_pearson_rows`, which repeats the arithmetic of
+``np.corrcoef`` row by row (the same centring, matrix product, scaling and
+clipping), so each value is bitwise what the per-replicate call gives.
 """
 
 from __future__ import annotations
@@ -238,10 +248,40 @@ def _nd_rmse(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
     return np.where(denom == 0, np.nan, out)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if x.size < 2 or np.std(x) == 0 or np.std(y) == 0:
-        return float("nan")
-    return float(np.corrcoef(x, y)[0, 1])
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each row of ``x`` with the same row of ``y``.
+
+    Row ``r`` is bitwise ``np.corrcoef(x[r], y[r])[0, 1]``: both rows are
+    centred on their means, their 2 x 2 product comes from the same matmul
+    of the stacked ``(R, 2, n)`` array with its transpose, is scaled by
+    ``1 / (n - 1)`` and divided by the two standard deviations, then
+    clipped to [-1, 1].  NaN where ``n < 2`` or either row has zero
+    ``np.std`` (its mean squared deviation is zero).
+    """
+    xy = np.stack([x, y], axis=1).astype(float, copy=False)
+    rows, _, n = xy.shape
+    if n < 2:
+        return np.full(rows, np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xy -= xy.mean(axis=2, keepdims=True)
+        flat = (np.sum(xy * xy, axis=2) / n == 0).any(axis=1)
+        cov = np.matmul(xy, xy.transpose(0, 2, 1))
+        cov *= np.true_divide(1, n - 1)
+        std = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        r = np.clip(cov[:, 0, 1] / std[:, 0] / std[:, 1], -1, 1)
+    r[flat] = np.nan
+    return r
+
+
+def quartile_means(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean of the non-NaN ``values`` in each quartile; NaN where there are none."""
+    means = np.full(4, np.nan)
+    for q in range(4):
+        v = values[labels == q]
+        v = v[~np.isnan(v)]
+        if v.size:
+            means[q] = v.mean()
+    return means
 
 
 def run_simulation(plan: SimulationPlan) -> SimulationReport:
@@ -277,13 +317,13 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
             plan.large_totals_t, census_baseline(plan.truth_t0, h), plan.quantile_cutoff
         )
 
-    def build_shares(strategy: str, census0: Composition, r: int) -> ShareVector:
-        if strategy == "fixed":
-            return fixed_shares(census0, h)
-        aux = plan.aux_pool[r % len(plan.aux_pool)]
-        if strategy == "dynamic":
-            return dynamic_shares(aux, h)
-        return hybrid_shares(fixed_shares(census0, h), dynamic_shares(aux, h), selection)
+    dynamic_by_entry: dict[int, ShareVector] = {}
+
+    def dynamic_for(r: int) -> ShareVector:
+        k = r % len(plan.aux_pool)
+        if k not in dynamic_by_entry:
+            dynamic_by_entry[k] = dynamic_shares(plan.aux_pool[k], h)
+        return dynamic_by_entry[k]
 
     def one_round(r: int):
         rng = rngmod.stream(plan.seed, r)
@@ -299,9 +339,17 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
                 category_ids, column_margins(census_t).values, MarginLevel.CATEGORY, t_time
             )
         outcomes: dict[str, tuple[np.ndarray, np.ndarray] | str] = {}
+        fixed: ShareVector | None = None
         for strategy in plan.strategies:
             try:
-                sv = build_shares(strategy, census0, r)
+                if strategy != "dynamic" and fixed is None:
+                    fixed = fixed_shares(census0, h)
+                if strategy == "fixed":
+                    sv = fixed
+                elif strategy == "dynamic":
+                    sv = dynamic_for(r)
+                else:
+                    sv = hybrid_shares(fixed, dynamic_for(r), selection)
                 req = UpdateRequest(
                     seed=census0,
                     col_margin=col,
@@ -383,9 +431,7 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
             share_bias, share_rmse, headcount_bias, headcount_rmse,
         )
 
-        share_accuracy[strategy] = np.asarray(
-            [np.nanmean(share_bias[labels == q]) for q in range(4)]
-        )
+        share_accuracy[strategy] = quartile_means(share_bias, labels)
 
         per_area_bias = headcount_bias if headcount_bias is not None else np.nanmean(cell_bias, axis=1)
         per_area_rmse = headcount_rmse if headcount_rmse is not None else np.nanmean(cell_rmse, axis=1)
@@ -399,12 +445,10 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
         corr = np.full(4, np.nan)
         for q in range(4):
             mask = labels == q
-            per_rep = [
-                c
-                for r in range(len(ok))
-                if not np.isnan(c := _pearson(est_h[r][mask], tru_h[r][mask]))
-            ]
-            corr[q] = float(np.mean(per_rep)) if per_rep else float("nan")
+            per_rep = _pearson_rows(est_h[:, mask], tru_h[:, mask])
+            per_rep = per_rep[~np.isnan(per_rep)]
+            if per_rep.size:
+                corr[q] = per_rep.mean()
         correlations[strategy] = corr
 
     win_counts = {s: 0 for s in plan.strategies}

@@ -330,6 +330,29 @@ class TestValidate:
         ):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_golden_output_digests(self, tmp_path, monkeypatch):
+        # Recorded before the harness was vectorised (per-replicate
+        # np.corrcoef, Fraction residuals, six-pass IPF); every byte,
+        # manifest included, must stay the same.  The relative plan path
+        # is part of the manifest, so the run starts in the repo root.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        monkeypatch.chdir(FIXTURES.parent)
+        code, _, err = run_cli(
+            "validate", "--plan", "fixtures/mini_plan.json", "--out", tmp_path
+        )
+        assert code == 0, err
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())
+        }
+        assert digests == {
+            "correlations.csv": "012da8278f9180dfbae6a6e6240a2149d34187558bbe85bcb528d976738f7de7",
+            "manifest.json": "e6262dec617f665ce693498b12fcea1b3985c9df066a68f3fa2948d0cc006106",
+            "performance.csv": "a855a48b36de0f597eb937fd04b3fed5684d1232a1f67ab42b8541a8fb4c69a1",
+            "report.json": "b4b7e5bc59537ae7f849f67fccfaacc152aa7e30244e790a26ec434fae71f424",
+            "share_accuracy.csv": "212e35a897434ad1e1d28483266ed86826044fc2cb1d926b7666cce57b7f33fd",
+        }
+
     def test_plan_file_defaults_apply(self, tmp_path):
         # Without overrides the plan's own replicate count (10) runs.
         code, _, err = run_cli(
@@ -576,6 +599,21 @@ class TestEnvironmentFallback:
         assert code == 0, err
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["strategies"]["fixed"]["completed"] == 3
+
+    def test_env_named_after_flag_not_dest(self, tmp_path, monkeypatch):
+        # bootstrap --census stores into seed_composition; its variable is
+        # still SPREEKIT_CENSUS, and the dest-named one is not read.
+        argv = bootstrap_argv(tmp_path, replicates=2)
+        i = argv.index("--census")
+        monkeypatch.setenv("SPREEKIT_CENSUS", str(argv[i + 1]))
+        monkeypatch.setenv("SPREEKIT_SEED_COMPOSITION", "no-such-file.csv")
+        del argv[i : i + 2]
+        code, _, err = run_cli(*argv)
+        assert code == 0, err
+        monkeypatch.delenv("SPREEKIT_CENSUS")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "key, value, keep_flag",

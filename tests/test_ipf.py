@@ -5,6 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from spreekit import Composition, IpfConfig, IpfError, MarginLevel, ipf_fit, margin_deviation
 from spreekit.composition import column_margins, row_margins
+from spreekit.ipf import IpfResult
 
 from conftest import make_composition, make_margin, random_positive_table
 
@@ -205,3 +206,115 @@ def test_small_target_deviation_uses_absolute_floor():
     res = ipf_fit(seed, rows, cols)
     assert res.converged
     assert res.final_deviation <= 1e-8
+
+
+def _ipf_fit_six_pass(seed, row_target, col_target, cfg=IpfConfig()):
+    """Oracle: the kernel as it was, summing rows and columns afresh for
+    every check (six passes per sweep) and finding dead rows by zip."""
+    rt = np.asarray(row_target.values, dtype=float)
+    ct = np.asarray(col_target.values, dtype=float)
+    total_r, total_c = rt.sum(), ct.sum()
+    if abs(total_r - total_c) > 1e-6 * max(total_r, total_c, 1.0):
+        raise IpfError(
+            f"margin totals disagree (rows {total_r!r}, columns {total_c!r}); "
+            "reconcile the margins before fitting"
+        )
+    counts = np.array(seed.counts, dtype=float)
+    if cfg.zero_mode == "epsilon":
+        counts[counts == 0] = cfg.epsilon
+    dead_rows = [
+        a for a, s, t in zip(seed.area_ids, counts.sum(axis=1), rt) if s == 0 and t > 0
+    ]
+    if dead_rows:
+        raise IpfError(f"positive row target but all-zero seed row for: {dead_rows}")
+    dead_cols = [
+        c for c, s, t in zip(seed.category_ids, counts.sum(axis=0), ct) if s == 0 and t > 0
+    ]
+    if dead_cols:
+        raise IpfError(f"positive column target but all-zero seed column for: {dead_cols}")
+
+    def deviations(counts):
+        return (
+            np.abs(counts.sum(axis=1) - rt) / np.maximum(rt, 1.0),
+            np.abs(counts.sum(axis=0) - ct) / np.maximum(ct, 1.0),
+        )
+
+    converged = False
+    for iterations in range(1, cfg.max_iterations + 1):
+        row_sums = counts.sum(axis=1)
+        factors = np.divide(rt, row_sums, out=np.ones_like(rt), where=row_sums > 0)
+        counts *= factors[:, None]
+        col_sums = counts.sum(axis=0)
+        factors = np.divide(ct, col_sums, out=np.ones_like(ct), where=col_sums > 0)
+        counts *= factors[None, :]
+        row_dev, col_dev = deviations(counts)
+        dev = max(row_dev.max(), col_dev.max())
+        if dev <= cfg.tolerance:
+            converged = True
+            break
+    if row_dev.max() >= col_dev.max():
+        worst = ("row", seed.area_ids[int(row_dev.argmax())], float(row_dev.max()))
+    else:
+        worst = ("column", seed.category_ids[int(col_dev.argmax())], float(col_dev.max()))
+    fitted = Composition(seed.area_ids, seed.category_ids, counts, row_target.reference_time)
+    return IpfResult(fitted, iterations, converged, float(dev), worst, cfg)
+
+
+@st.composite
+def any_fits(draw):
+    """Sparse seeds with arbitrary targets of equal total: feasible or not,
+    dead rows and columns, zero targets, a small or default sweep budget,
+    and both zero modes."""
+    seed = draw(seed_tables(decades=6.0))
+    rows, cols = seed.shape
+    target = st.just(0.0) | st.floats(1e-3, 1e4)
+    rt = draw(hnp.arrays(float, rows, elements=target))
+    ct = draw(hnp.arrays(float, cols, elements=target))
+    if rt.sum() > 0 and ct.sum() > 0:
+        ct = ct * (rt.sum() / ct.sum())
+    elif rt.sum() != ct.sum():
+        rt = ct = None
+    cfg = IpfConfig(
+        tolerance=draw(st.sampled_from([1e-8, 1e-3, 1e-14])),
+        max_iterations=draw(st.sampled_from([1, 2, 7, 1000])),
+        zero_mode=draw(st.sampled_from(["structural", "epsilon"])),
+    )
+    if rt is None:
+        rt, ct = np.zeros(rows), np.zeros(cols)
+    return (
+        make_composition(seed),
+        make_margin(rt, MarginLevel.SMALL_AREA, "a"),
+        make_margin(ct, MarginLevel.CATEGORY, "c"),
+        cfg,
+    )
+
+
+def _outcome(fit, *args):
+    try:
+        return fit(*args)
+    except IpfError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(any_fits())
+def test_kernel_matches_six_pass_oracle(problem):
+    got, want = _outcome(ipf_fit, *problem), _outcome(_ipf_fit_six_pass, *problem)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.fitted.counts.view(np.uint64).tolist() == want.fitted.counts.view(np.uint64).tolist()
+    assert got.iterations_used == want.iterations_used
+    assert got.converged == want.converged
+    assert got.final_deviation == want.final_deviation
+    assert got.worst_margin == want.worst_margin
+
+
+def test_dead_row_and_column_messages_match_oracle():
+    rows = make_margin([2.0, 2.0, 0.0], MarginLevel.SMALL_AREA, "a")
+    cols = make_margin([2.0, 2.0], MarginLevel.CATEGORY, "c")
+    for counts in ([[0, 0], [1, 1], [0, 0]], [[0, 0], [0, 0], [1, 1]], [[0, 1], [0, 1], [0, 1]]):
+        seed = make_composition(counts)
+        want = _outcome(_ipf_fit_six_pass, seed, rows, cols)
+        assert want.startswith("positive")
+        assert _outcome(ipf_fit, seed, rows, cols) == want

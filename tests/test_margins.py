@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spreekit import (
     AreaHierarchy,
@@ -15,6 +19,7 @@ from spreekit import (
     reconcile_margins,
     select_by_change,
 )
+from spreekit.margins import _conserving_block
 
 from conftest import make_composition, make_margin, two_region_hierarchy
 
@@ -52,6 +57,9 @@ def test_share_vector_validates_per_region_sums():
         ShareVector(("a1", "a2"), np.array([0.6, 0.3]), h)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ShareVector(("a1", "a2"), np.array([1.4, -0.4]), h)
+    # NaN passes neither bound; it used to slip through both checks.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ShareVector(("a1", "a2"), np.array([np.nan, 1.0]), h)
 
 
 def test_zero_region_population_is_an_error():
@@ -119,8 +127,6 @@ def test_distribute_conserves_regional_totals_exactly():
 def test_distribute_exact_on_awkward_floats():
     # Random share vectors rarely multiply back to the total bit-for-bit;
     # the residual-absorbing entry must close the gap in exact arithmetic.
-    import math
-
     rng = np.random.default_rng(77)
     for _ in range(200):
         k = int(rng.integers(2, 9))
@@ -188,3 +194,80 @@ def test_reconcile_leaves_float_noise_untouched():
     out = reconcile_margins(row, col)
     assert out.factor == 1.0
     assert out.col is col
+
+
+def _conserving_block_fraction(total: float, shares_block: np.ndarray) -> np.ndarray:
+    """Oracle: the residual as the rounded exact rational difference."""
+    block = total * shares_block
+    order = np.argsort(shares_block, kind="stable")
+    t = Fraction(total)
+    for idx in (int(order[-1]), *map(int, order[:-1])):
+        if shares_block[idx] <= 0.0:
+            continue
+        rest = sum(Fraction(float(v)) for i, v in enumerate(block) if i != idx)
+        cand = float(t - rest)
+        if cand <= 0.0:
+            continue
+        old = block[idx]
+        block[idx] = cand
+        if math.fsum(block) == total:
+            return block
+        block[idx] = old
+    anchor = int(order[-1])
+    rest = sum(Fraction(float(v)) for i, v in enumerate(block) if i != anchor)
+    block[anchor] = max(float(t - rest), 0.0)
+    return block
+
+
+TINY = 5e-324  # the smallest subnormal
+
+
+@st.composite
+def share_blocks(draw):
+    """A total and a share block: any magnitude, zeros, ulp-scale totals.
+
+    Weights over up to nine decades, some exactly zero, normalised by their
+    float sum, so a block's shares need not sum to exactly one.
+    """
+    k = draw(st.integers(1, 12))
+    exponents = draw(st.lists(st.floats(-9.0, 0.0), min_size=k, max_size=k))
+    zeros = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    weights = np.array([0.0 if z else 10.0**e for e, z in zip(exponents, zeros)])
+    if not weights.any():
+        weights[draw(st.integers(0, k - 1))] = 1.0
+    total = draw(
+        st.floats(0.0, 1e300)
+        | st.integers(0, 40).map(lambda n: n * TINY)
+        | st.integers(1, 2**53).map(float)
+    )
+    return total, weights / weights.sum()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(share_blocks())
+def test_conserving_block_matches_fraction_residual(case):
+    total, shares = case
+    got = _conserving_block(total, shares.copy())
+    want = _conserving_block_fraction(total, shares.copy())
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize(
+    "total, shares",
+    [
+        # Every entry rounds up to one ulp, so no residual is positive and
+        # the largest entry takes the (zero) remainder.
+        (2 * TINY, [1 / 3, 1 / 3, 1 / 3]),
+        (3 * TINY, [0.25, 0.25, 0.25, 0.25]),
+        # Five entries of one ulp over a total of three: every residual is
+        # negative, and the largest entry is clamped to zero.
+        (3 * TINY, [0.2, 0.2, 0.2, 0.2, 0.2]),
+        (0.0, [0.5, 0.5]),
+        (-0.0, [0.5, 0.5]),
+    ],
+)
+def test_conserving_block_degenerate_fallback(total, shares):
+    shares = np.array(shares)
+    got = _conserving_block(total, shares.copy())
+    want = _conserving_block_fraction(total, shares.copy())
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()

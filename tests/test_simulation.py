@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spreekit import (
     MarginLevel,
@@ -20,6 +21,7 @@ from spreekit import (
 )
 from spreekit import rng as rngmod
 from spreekit.scenario import ScenarioConfig
+from spreekit.simulation import _pearson_rows, quartile_means
 
 from conftest import make_composition, two_region_hierarchy
 
@@ -264,3 +266,133 @@ class TestRunSimulation:
                 replicates=0, seed=0, truth_t0=truth, truth_t=truth,
                 hierarchy=h, large_totals_t=totals, strategies=("fixed",),
             )
+
+    def test_failed_share_builds_are_recorded_every_round(self):
+        # Shares are built once per round or per pool entry; a failed build
+        # must still fail each round and strategy that needs it, with the
+        # same message.  Pool entry 1 has an empty region g1, so dynamic and
+        # hybrid fail in rounds 1 and 3.
+        good = MarginVector(
+            ("a1", "a2", "a3", "a4"), np.array([1.0, 3.0, 2.0, 2.0]), MarginLevel.SMALL_AREA
+        )
+        bad = good.with_values(np.array([0.0, 0.0, 2.0, 2.0]))
+        plan = deterministic_plan(
+            replicates=4, strategies=("fixed", "dynamic", "hybrid"), aux_pool=(good, bad)
+        )
+        rep = run_simulation(plan)
+        want = tuple(
+            f"replicate {r}: large area 'g1' has zero auxiliary population; "
+            "shares undefined"
+            for r in (1, 3)
+        )
+        assert rep.metrics["dynamic"].failures == want
+        assert rep.metrics["hybrid"].failures == want
+        assert rep.metrics["fixed"].failures == ()
+
+    def test_fixed_share_failure_shared_by_hybrid(self):
+        # Region g1 is nearly empty, so many base-year replicates have no
+        # population there: fixed shares fail, and hybrid, which reuses
+        # them, fails in the same rounds with the same message.
+        truth = make_composition(
+            [[0.004, 0.004], [0.002, 0.0], [550.0, 450.0], [200.0, 800.0]]
+        )
+        h = two_region_hierarchy(4)
+        totals = MarginVector(("g1", "g2"), np.array([0.01, 2000.0]), MarginLevel.LARGE_AREA)
+        plan = SimulationPlan(
+            replicates=6, seed=2, truth_t0=truth, truth_t=truth, hierarchy=h,
+            large_totals_t=totals, aux_pool=(row_margins(truth),),
+        )
+        rep = run_simulation(plan)
+        zero = "has zero census population"
+        fixed = [m for m in rep.metrics["fixed"].failures if zero in m]
+        hybrid = [m for m in rep.metrics["hybrid"].failures if zero in m]
+        assert fixed and fixed == hybrid
+        assert not any(zero in m for m in rep.metrics["dynamic"].failures)
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Oracle: the per-replicate correlation run_simulation used to call."""
+    if x.size < 2 or np.std(x) == 0 or np.std(y) == 0:
+        return float("nan")
+    return float(np.corrcoef(x, y)[0, 1])
+
+
+def same_floats(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(want)
+    return bool(
+        np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    )
+
+
+@st.composite
+def paired_rows(draw):
+    """(R, n) estimate and truth rows, with the degenerate rows mixed in.
+
+    Per row: ordinary, constant estimate, constant truth, all NaN, one NaN
+    entry, exactly (anti-)correlated, deviations of one ulp of 1, or
+    deviations so small their squares underflow.  ``n`` runs from 1 past numpy's 128-element summation block.
+    """
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12) | st.sampled_from([31, 129, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 9))
+    x = rng.normal(size=(rows, n)) * scale
+    y = 0.5 * x + rng.normal(size=(rows, n)) * scale
+    if draw(st.booleans()):
+        x, y = np.round(x), np.round(y)
+    for r in range(rows):
+        kind = draw(st.integers(0, 7))
+        if kind == 1:
+            x[r] = x[r, 0]
+        elif kind == 2:
+            y[r] = 0.25
+        elif kind == 3:
+            x[r] = y[r] = np.nan
+        elif kind == 4:
+            x[r, draw(st.integers(0, n - 1))] = np.nan
+        elif kind == 5:
+            y[r] = -3.0 * x[r] + 1.0
+        elif kind == 6:
+            x[r] = 1.0 + np.arange(n) * 2.0**-52
+        elif kind == 7:
+            x[r] = np.arange(n) * 1e-170
+    return x, y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(paired_rows())
+def test_pearson_rows_match_per_row_corrcoef(xy):
+    x, y = xy
+    with np.errstate(all="ignore"):
+        want = np.array([_pearson(x[r], y[r]) for r in range(len(x))])
+    assert same_floats(_pearson_rows(x, y), want)
+
+
+def test_pearson_rows_small_n():
+    x = np.array([[1.0, 2.0, 4.0], [3.0, 3.0, 3.0]])
+    y = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 3.0]])
+    for n in (1, 2, 3):
+        want = np.array([_pearson(x[r, :n], y[r, :n]) for r in range(2)])
+        assert same_floats(_pearson_rows(x[:, :n], y[:, :n]), want)
+    assert np.all(np.isnan(_pearson_rows(x[:, :1], y[:, :1])))
+
+
+def test_pearson_rows_zero_std_beats_corrcoef():
+    # Squared deviations that underflow: np.std is 0, so the correlation is
+    # undefined, although np.corrcoef alone can return 1.0 here (its
+    # product need not round each square on its own).  In the second row
+    # the squares sum to one subnormal, which the division by n rounds away.
+    x = np.array([[0.0, 0.0, 0.0, 1e-163], [0.0, 0.0, 0.0, 2.1e-162]])
+    y = np.array([[1.0, 2.0, 3.0, 5.0]] * 2)
+    assert np.isnan(_pearson(x[1], y[1])) and np.isnan(_pearson(x[0], y[0]))
+    assert np.all(np.isnan(_pearson_rows(x, y)))
+
+
+def test_quartile_means_skip_nan_without_warning():
+    values = np.array([1.0, np.nan, 3.0, np.nan, np.nan, 2.0, -4.0, 0.5])
+    labels = np.array([0, 0, 0, 1, 1, 2, 2, 3])
+    got = quartile_means(values, labels)
+    assert np.isnan(got[1])
+    assert got[[0, 2, 3]].tolist() == [2.0, -1.0, 0.5]
