@@ -23,11 +23,9 @@ from spreekit.composition import (
 from spreekit.ipf import IpfConfig, IpfError, IpfResult, ipf_fit, margin_deviation
 from spreekit.loglinear import LogLinearDecomposition, association_distance, decompose
 from spreekit.margins import (
-    ComponentInputs,
     HybridSelection,
     ReconcileResult,
     ShareVector,
-    cohort_component,
     distribute,
     dynamic_shares,
     fixed_shares,
@@ -46,12 +44,9 @@ from spreekit.mpi import (
     tabulate_poverty,
 )
 from spreekit.update import (
-    BatchResult,
     UpdateError,
     UpdateRequest,
     UpdateResult,
-    YearInputs,
-    batch_update,
     spree_update,
 )
 from spreekit.bootstrap import (

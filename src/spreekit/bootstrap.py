@@ -322,7 +322,7 @@ def bootstrap_mse(
 
             if cfg.aux_resample == "resample-pool":
                 if aux_pool:
-                    drawn = resample_aux_margin(list(aux_pool), rng)
+                    drawn = resample_aux_margin(aux_pool, rng)
                 else:
                     drawn = resample_aux_margin(
                         point.row_margin_used, rng, cfg.aux_perturb_cv
@@ -377,8 +377,11 @@ def bootstrap_mse(
         poor_col = category_ids.index("poor")
         headcount_point = _poor_share(fitted, poor_col)
         h_diff = _poor_share(fitted_reps, poor_col) - _poor_share(mult_reps, poor_col)
+        # np.nanmean's arithmetic, without its warning for an area that has
+        # no population in any replicate (NaN there).
+        counted = ~np.isnan(h_diff)
         with np.errstate(invalid="ignore"):
-            headcount_mse = np.nanmean(h_diff**2, axis=0)
+            headcount_mse = np.where(counted, h_diff**2, 0.0).sum(axis=0) / counted.sum(axis=0)
             headcount_cv = np.where(
                 headcount_point > 0,
                 np.sqrt(headcount_mse) / np.where(headcount_point > 0, headcount_point, 1.0),

@@ -316,16 +316,6 @@ def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     header = ("area_id", "category_id", "point", "mse", "cv", "rep_mean", *quantiles)
     yield "cell_uncertainty.csv", _csv_text(header, rows)
 
-    report = {
-        "completed_replicates": cell.completed_replicates,
-        "dropped_replicates": cell.dropped_replicates,
-        "drop_reasons": list(cell.drop_reasons),
-        "area_ids": list(cell.area_ids),
-        "category_ids": list(cell.category_ids),
-        "point": cell.point,
-        "mse": cell.mse,
-        "cv": cell.cv,
-    }
     if cell.headcount_point is not None:
         hc_rows = zip(
             cell.area_ids, cell.headcount_point, cell.headcount_mse, cell.headcount_cv
@@ -334,9 +324,11 @@ def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         finite = cell.headcount_cv[np.isfinite(cell.headcount_cv)]
         summary = [("headcount_cv", *summary_row(finite))]
         yield "cv_summary.csv", _csv_text(("measure", *SUMMARY_COLUMNS), summary)
-        report["headcount_point"] = cell.headcount_point
-        report["headcount_mse"] = cell.headcount_mse
-        report["headcount_cv"] = cell.headcount_cv
+    report = {
+        "completed_replicates": cell.completed_replicates,
+        "dropped_replicates": cell.dropped_replicates,
+        "drop_reasons": list(cell.drop_reasons),
+    }
     yield "uncertainty.json", _json_text(report)
 
 

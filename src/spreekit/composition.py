@@ -80,12 +80,6 @@ class Composition:
     def total(self) -> float:
         return float(self.counts.sum())
 
-    def area_index(self, area_id: str) -> int:
-        try:
-            return self.area_ids.index(area_id)
-        except ValueError:
-            raise KeyError(f"unknown area id {area_id!r}") from None
-
     def category_index(self, category_id: str) -> int:
         try:
             return self.category_ids.index(category_id)

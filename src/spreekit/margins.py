@@ -1,10 +1,10 @@
 """Row-margin construction: population shares, distribution, reconciliation.
 
-Large-area totals (from demographic projections or the cohort component
-identity) are spread to small areas through within-large-area population
-shares.  Shares can be frozen at the census (fixed), re-estimated each year
-from auxiliary population data (dynamic), or mixed per region (hybrid:
-dynamic only where projections show the strongest change).
+Large-area totals (from demographic projections) are spread to small areas
+through within-large-area population shares.  Shares can be frozen at the
+census (fixed), re-estimated each year from auxiliary population data
+(dynamic), or mixed per region (hybrid: dynamic only where projections show
+the strongest change).
 """
 
 from __future__ import annotations
@@ -69,24 +69,6 @@ class ShareVector:
 
 
 @dataclass(frozen=True)
-class ComponentInputs:
-    """Demographic flows for one projection period, at large-area level."""
-
-    base_population: MarginVector
-    births: MarginVector
-    deaths: MarginVector
-    immigration: MarginVector
-    emigration: MarginVector
-
-    def __post_init__(self) -> None:
-        ids = self.base_population.ids
-        for name in ("births", "deaths", "immigration", "emigration"):
-            m: MarginVector = getattr(self, name)
-            if m.ids != ids:
-                raise ValueError(f"{name} ids do not match base population ids")
-
-
-@dataclass(frozen=True)
 class HybridSelection:
     """Large areas that switch to dynamic shares, by projected change.
 
@@ -113,22 +95,38 @@ class ReconcileResult(NamedTuple):
     factor: float
 
 
-def fixed_shares(census: Composition, h: AreaHierarchy) -> ShareVector:
-    """Shares frozen at the census: area total over its large-area total."""
-    totals = row_margins(census)
-    groups = h.group_positions(census.area_ids)
-    shares = np.empty(census.n_areas)
-    for large, pos in groups.items():
+def _large_area_shares(
+    ids: tuple[str, ...],
+    values: np.ndarray,
+    h: AreaHierarchy,
+    reference_time: int,
+    provenance: Provenance,
+    source: str,
+) -> ShareVector:
+    """Each area's value over its large-area total; a large area whose
+    ``source`` population is zero has no shares and raises."""
+    shares = np.empty(len(ids))
+    for large, pos in h.group_positions(ids).items():
         if pos.size == 0:
             continue
-        large_total = totals.values[pos].sum()
+        large_total = values[pos].sum()
         if large_total <= 0:
             raise ValueError(
-                f"large area {large!r} has zero census population; shares undefined"
+                f"large area {large!r} has zero {source} population; shares undefined"
             )
-        shares[pos] = totals.values[pos] / large_total
-    return ShareVector(
-        census.area_ids, shares, h, census.reference_time, "fixed-census"
+        shares[pos] = values[pos] / large_total
+    return ShareVector(ids, shares, h, reference_time, provenance)
+
+
+def fixed_shares(census: Composition, h: AreaHierarchy) -> ShareVector:
+    """Shares frozen at the census: area total over its large-area total."""
+    return _large_area_shares(
+        census.area_ids,
+        row_margins(census).values,
+        h,
+        census.reference_time,
+        "fixed-census",
+        "census",
     )
 
 
@@ -139,19 +137,13 @@ def dynamic_shares(aux_pop: MarginVector, h: AreaHierarchy) -> ShareVector:
     never their totals, so any positive rescaling of the input leaves the
     shares unchanged.
     """
-    groups = h.group_positions(aux_pop.ids)
-    shares = np.empty(len(aux_pop.ids))
-    for large, pos in groups.items():
-        if pos.size == 0:
-            continue
-        large_total = aux_pop.values[pos].sum()
-        if large_total <= 0:
-            raise ValueError(
-                f"large area {large!r} has zero auxiliary population; shares undefined"
-            )
-        shares[pos] = aux_pop.values[pos] / large_total
-    return ShareVector(
-        aux_pop.ids, shares, h, aux_pop.reference_time, "dynamic-auxiliary"
+    return _large_area_shares(
+        aux_pop.ids,
+        aux_pop.values,
+        h,
+        aux_pop.reference_time,
+        "dynamic-auxiliary",
+        "auxiliary",
     )
 
 
@@ -274,22 +266,6 @@ def distribute(large_totals: MarginVector, shares: ShareVector) -> MarginVector:
     return MarginVector(
         shares.small_ids, values, MarginLevel.SMALL_AREA, large_totals.reference_time
     )
-
-
-def cohort_component(inputs: ComponentInputs) -> MarginVector:
-    """Projected population: base + births - deaths + immigration - emigration."""
-    base = inputs.base_population
-    values = (
-        base.values
-        + inputs.births.values
-        - inputs.deaths.values
-        + inputs.immigration.values
-        - inputs.emigration.values
-    )
-    if np.any(values < 0):
-        neg = [i for i, v in zip(base.ids, values) if v < 0]
-        raise ValueError(f"projected population negative for: {neg}")
-    return MarginVector(base.ids, values, base.level, base.reference_time + 1)
 
 
 def reconcile_margins(

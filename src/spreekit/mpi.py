@@ -44,14 +44,6 @@ LIVING_STANDARD_INDICATORS = (
 )
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class MpiProfile:
     """Indicator weights and the poverty cutoff.
@@ -68,7 +60,7 @@ class MpiProfile:
         object.__setattr__(
             self, "indicators", _check_unique(self.indicators, "indicator ids")
         )
-        weights = tuple(_as_fraction(w) for w in self.weights)
+        weights = tuple(Fraction(w) for w in self.weights)
         if len(weights) != len(self.indicators):
             raise ValueError("one weight per indicator required")
         if any(w <= 0 for w in weights):
@@ -76,7 +68,7 @@ class MpiProfile:
         total = sum(weights)
         if abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {float(total)!r}, expected 1")
-        cutoff = _as_fraction(self.poverty_cutoff)
+        cutoff = Fraction(self.poverty_cutoff)
         if not 0 < cutoff <= 1:
             raise ValueError("poverty cutoff must lie in (0, 1]")
         object.__setattr__(self, "weights", weights)

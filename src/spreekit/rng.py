@@ -16,7 +16,3 @@ def stream(master_seed: int, index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(seq))
 
-
-def single(master_seed: int) -> np.random.Generator:
-    """Generator for non-replicated draws (stream 0)."""
-    return stream(master_seed, 0)

@@ -76,10 +76,7 @@ def relative_bias(estimates: Sequence[float], truths: Sequence[float]) -> float:
     tru = np.asarray(truths, dtype=float)
     if est.shape != tru.shape or est.ndim != 1 or est.size == 0:
         raise ValueError("estimates and truths must be equal-length 1-D sequences")
-    denom = tru.mean()
-    if denom == 0:
-        return float("nan")
-    return float((est - tru).mean() / denom)
+    return float(_nd_bias(est, tru))
 
 
 def relative_rmse(estimates: Sequence[float], truths: Sequence[float]) -> float:
@@ -88,10 +85,7 @@ def relative_rmse(estimates: Sequence[float], truths: Sequence[float]) -> float:
     tru = np.asarray(truths, dtype=float)
     if est.shape != tru.shape or est.ndim != 1 or est.size == 0:
         raise ValueError("estimates and truths must be equal-length 1-D sequences")
-    denom = tru.mean()
-    if denom == 0:
-        return float("nan")
-    return float(np.sqrt(((est - tru) ** 2).mean()) / denom)
+    return float(_nd_rmse(est, tru))
 
 
 def quartile_grouping(change_scores: Sequence[float]) -> np.ndarray:

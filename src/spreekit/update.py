@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from spreekit.composition import Composition, MarginVector
 from spreekit.ipf import IpfConfig, IpfResult, ipf_fit
@@ -100,53 +99,3 @@ def spree_update(req: UpdateRequest) -> UpdateResult:
         "library_version": __version__,
     }
     return UpdateResult(result.fitted, row, col, result, provenance)
-
-
-@dataclass(frozen=True)
-class YearInputs:
-    """Per-year margins for a batch run (shares may differ by year)."""
-
-    col_margin: MarginVector
-    large_totals: MarginVector
-    shares: ShareVector
-    ipf_config: IpfConfig | None = None
-    reconcile_policy: ReconcilePolicy = "scale-col-to-row"
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    results: dict[int, UpdateResult]
-    errors: dict[int, str]
-
-    @property
-    def complete(self) -> bool:
-        return not self.errors
-
-
-def batch_update(
-    seed: Composition,
-    years: Mapping[int, YearInputs],
-    default_ipf: IpfConfig = IpfConfig(),
-) -> BatchResult:
-    """One independent update per year against the same census seed.
-
-    Years that fail do not abort the batch; their errors are collected and
-    the remaining years still run.  Results are keyed and ordered by year.
-    """
-    results: dict[int, UpdateResult] = {}
-    errors: dict[int, str] = {}
-    for year in sorted(years):
-        inputs = years[year]
-        req = UpdateRequest(
-            seed=seed,
-            col_margin=inputs.col_margin,
-            large_totals=inputs.large_totals,
-            shares=inputs.shares,
-            ipf_config=inputs.ipf_config or default_ipf,
-            reconcile_policy=inputs.reconcile_policy,
-        )
-        try:
-            results[year] = spree_update(req)
-        except Exception as e:
-            errors[year] = str(e)
-    return BatchResult(results, errors)

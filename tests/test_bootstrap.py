@@ -5,6 +5,7 @@ from spreekit import (
     BootstrapConfig,
     BootstrapError,
     CellUncertainty,
+    Composition,
     MarginLevel,
     MarginVector,
     SurveyDesign,
@@ -145,6 +146,28 @@ def test_poverty_categories_add_headcount_uncertainty():
     assert unc.headcount_mse.shape == (len(unc.area_ids),)
     assert np.all(unc.headcount_mse >= 0)
     assert np.all(unc.headcount_cv[unc.headcount_point > 0] >= 0)
+
+
+def test_unpopulated_area_headcount_is_nan_without_warning():
+    # a2 has nobody in the census, so nobody in any replicate: its
+    # headcount MSE is NaN, and no empty-slice warning is raised (the
+    # suite turns RuntimeWarning into an error).
+    census = Composition(
+        ("a1", "a2", "a3", "a4"),
+        ("poor", "non-poor"),
+        np.array([[20.0, 80.0], [0.0, 0.0], [35.0, 65.0], [50.0, 50.0]]),
+    )
+    h = two_region_hierarchy(4)
+    totals = MarginVector(("g1", "g2"), np.array([110.0, 210.0]), MarginLevel.LARGE_AREA)
+    col = MarginVector(("poor", "non-poor"), np.array([100.0, 220.0]), MarginLevel.CATEGORY)
+    req = UpdateRequest(census, col, totals, fixed_shares(census, h))
+    cfg = BootstrapConfig(replicates=20, seed=3, col_resample="none")
+    unc = bootstrap_mse(req, None, None, cfg)
+    assert unc.completed_replicates == 20
+    assert np.isnan(unc.headcount_mse[1]) and np.isnan(unc.headcount_cv[1])
+    populated = [0, 2, 3]
+    assert np.all(np.isfinite(unc.headcount_mse[populated]))
+    assert np.all(unc.headcount_mse[populated] > 0)
 
 
 def test_cv_is_nan_at_zero_point_cells():

@@ -3,20 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spreekit import (
     AreaHierarchy,
-    ComponentInputs,
+    Composition,
     MarginLevel,
     MarginVector,
     ShareVector,
-    cohort_component,
     distribute,
     dynamic_shares,
     fixed_shares,
     hybrid_shares,
     reconcile_margins,
+    row_margins,
     select_by_change,
 )
 from spreekit.margins import _conserving_block
@@ -70,6 +70,101 @@ def test_zero_region_population_is_an_error():
     aux = make_margin([1.0, 1.0, 0.0, 0.0], MarginLevel.SMALL_AREA, "a")
     with pytest.raises(ValueError, match="zero auxiliary population"):
         dynamic_shares(aux, h)
+
+
+def fixed_shares_loop(census, h):
+    """The per-region loop ``fixed_shares`` ran before it shared a helper
+    with ``dynamic_shares``: the oracle for both."""
+    totals = row_margins(census)
+    groups = h.group_positions(census.area_ids)
+    shares = np.empty(census.n_areas)
+    for large, pos in groups.items():
+        if pos.size == 0:
+            continue
+        large_total = totals.values[pos].sum()
+        if large_total <= 0:
+            raise ValueError(
+                f"large area {large!r} has zero census population; shares undefined"
+            )
+        shares[pos] = totals.values[pos] / large_total
+    return ShareVector(
+        census.area_ids, shares, h, census.reference_time, "fixed-census"
+    )
+
+
+def dynamic_shares_loop(aux_pop, h):
+    groups = h.group_positions(aux_pop.ids)
+    shares = np.empty(len(aux_pop.ids))
+    for large, pos in groups.items():
+        if pos.size == 0:
+            continue
+        large_total = aux_pop.values[pos].sum()
+        if large_total <= 0:
+            raise ValueError(
+                f"large area {large!r} has zero auxiliary population; shares undefined"
+            )
+        shares[pos] = aux_pop.values[pos] / large_total
+    return ShareVector(
+        aux_pop.ids, shares, h, aux_pop.reference_time, "dynamic-auxiliary"
+    )
+
+
+def share_outcome(build, *args):
+    """What ``build`` returns or raises, in bitwise-comparable form."""
+    try:
+        sv = build(*args)
+    except ValueError as e:
+        return "error", str(e)
+    return sv.small_ids, sv.shares.tobytes(), sv.reference_time, sv.provenance
+
+
+@st.composite
+def share_inputs(draw):
+    """A hierarchy (some regions empty of areas, some of people) and a
+    census table over its areas, magnitudes 1e-300 to 1e300."""
+    n_areas = draw(st.integers(1, 12))
+    n_large = draw(st.integers(1, 4))
+    regions = draw(
+        st.lists(st.integers(0, n_large - 1), min_size=n_areas, max_size=n_areas)
+    )
+    h = AreaHierarchy(
+        {f"a{i}": f"g{r}" for i, r in enumerate(regions)},
+        tuple(f"g{k}" for k in range(n_large)),
+    )
+    n_cats = draw(st.integers(1, 3))
+    exponent = draw(st.integers(-300, 299))
+    mantissas = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1.0, 9.99)),
+            min_size=n_areas * n_cats,
+            max_size=n_areas * n_cats,
+        )
+    )
+    counts = np.array(mantissas).reshape(n_areas, n_cats) * 10.0**exponent
+    t = draw(st.integers(0, 3000))
+    areas = tuple(f"a{i}" for i in range(n_areas))
+    return Composition(areas, ("c0", "c1", "c2")[:n_cats], counts, t), h
+
+
+@settings(max_examples=400, deadline=None)
+@given(share_inputs())
+@example(  # g0 has no people, g2 no areas
+    (
+        make_composition([[0.0, 0.0], [1.0, 2.0], [3.0, 0.0]]),
+        AreaHierarchy({"a1": "g0", "a2": "g1", "a3": "g1"}, ("g0", "g1", "g2")),
+    )
+)
+def test_share_builders_match_per_region_loops(case):
+    census, h = case
+    assert share_outcome(fixed_shares, census, h) == share_outcome(
+        fixed_shares_loop, census, h
+    )
+    aux = MarginVector(
+        census.area_ids, census.counts[:, 0], MarginLevel.SMALL_AREA, census.reference_time
+    )
+    assert share_outcome(dynamic_shares, aux, h) == share_outcome(
+        dynamic_shares_loop, aux, h
+    )
 
 
 def test_select_by_change_cutoff_and_ties():
@@ -147,29 +242,6 @@ def test_distribute_keeps_zero_shares_zero():
     m = distribute(large_margin([123.456, 78.9]), shares)
     assert m.values[0] == 0.0
     assert m.values[1] == 123.456
-
-
-def test_cohort_component_identity():
-    base = large_margin([1000.0, 500.0])
-    flows = ComponentInputs(
-        base,
-        large_margin([50.0, 30.0]),
-        large_margin([20.0, 10.0]),
-        large_margin([5.0, 2.0]),
-        large_margin([15.0, 7.0]),
-    )
-    out = cohort_component(flows)
-    np.testing.assert_array_equal(out.values, [1020.0, 515.0])
-    assert out.reference_time == base.reference_time + 1
-    bad = ComponentInputs(
-        large_margin([10.0, 10.0]),
-        large_margin([0.0, 0.0]),
-        large_margin([20.0, 0.0]),
-        large_margin([0.0, 0.0]),
-        large_margin([0.0, 0.0]),
-    )
-    with pytest.raises(ValueError, match="negative"):
-        cohort_component(bad)
 
 
 def test_reconcile_policies():

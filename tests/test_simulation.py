@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spreekit import (
     MarginLevel,
@@ -62,6 +62,65 @@ class TestMetricFormulas:
             relative_bias([1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             relative_rmse([], [])
+
+
+def relative_bias_formula(estimates, truths):
+    """``relative_bias`` as it was computed before it shared ``_nd_bias``."""
+    est, tru = np.asarray(estimates, dtype=float), np.asarray(truths, dtype=float)
+    denom = tru.mean()
+    if denom == 0:
+        return float("nan")
+    return float((est - tru).mean() / denom)
+
+
+def relative_rmse_formula(estimates, truths):
+    est, tru = np.asarray(estimates, dtype=float), np.asarray(truths, dtype=float)
+    denom = tru.mean()
+    if denom == 0:
+        return float("nan")
+    return float(np.sqrt(((est - tru) ** 2).mean()) / denom)
+
+
+def same_float(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@st.composite
+def metric_inputs(draw):
+    """Estimates and truths from 1e-300 to 1e300, with truths that are
+    random, all zero, the negated estimates, or mean exactly zero."""
+    n = draw(st.integers(1, 60))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    values = st.floats(-10.0, 10.0).map(lambda v: v * scale)
+    est = draw(st.lists(values, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["random", "zero", "negated", "zero-mean"]))
+    if kind == "random":
+        tru = draw(st.lists(values, min_size=n, max_size=n))
+    elif kind == "zero":
+        tru = [0.0] * n
+    elif kind == "negated":
+        tru = [-v for v in est]
+    else:
+        half = draw(st.lists(values, min_size=n // 2, max_size=n // 2))
+        tru = half + [-v for v in half] + [0.0] * (n % 2)
+    return est, tru
+
+
+class TestMetricOracles:
+    @settings(max_examples=500, deadline=None)
+    @given(metric_inputs())
+    @example(([3.0], [2.0]))
+    @example(([1.0], [0.0]))
+    @example(([1.0, 2.0], [5.0, -5.0]))
+    @example(([1e300, 3e300], [2e300, 2e300]))
+    @example(([3e-300, 1e-300], [1e-300, 1e-300]))
+    def test_metrics_match_direct_formulas_bitwise(self, case):
+        est, tru = case
+        with np.errstate(all="ignore"):
+            assert same_float(relative_bias(est, tru), relative_bias_formula(est, tru))
+            assert same_float(relative_rmse(est, tru), relative_rmse_formula(est, tru))
 
 
 class TestQuartileGrouping:

@@ -9,16 +9,13 @@ from spreekit import (
     MarginVector,
     UpdateError,
     UpdateRequest,
-    UpdateResult,
     aggregate_to_large,
-    batch_update,
     column_margins,
     dynamic_shares,
     fixed_shares,
     row_margins,
     spree_update,
 )
-from spreekit.update import YearInputs
 
 from conftest import make_composition, random_positive_table, two_region_hierarchy
 
@@ -166,28 +163,6 @@ def test_provenance_fields():
     assert other.provenance["config_digest"] != prov["config_digest"]
 
 
-def test_batch_update_isolates_failures():
-    census = make_composition([[10.0, 10.0], [10.0, 10.0]])
-    h = two_region_hierarchy(2)
-    shares = fixed_shares(census, h)
-    good = YearInputs(
-        MarginVector(("c1", "c2"), np.array([30.0, 30.0]), MarginLevel.CATEGORY, 1),
-        MarginVector(("g1", "g2"), np.array([30.0, 30.0]), MarginLevel.LARGE_AREA, 1),
-        shares,
-    )
-    bad = YearInputs(
-        MarginVector(("c1", "c2"), np.array([0.0, 0.0]), MarginLevel.CATEGORY, 2),
-        MarginVector(("g1", "g2"), np.array([30.0, 30.0]), MarginLevel.LARGE_AREA, 2),
-        shares,
-    )
-    out = batch_update(census, {2014: good, 2015: bad})
-    assert not out.complete
-    assert list(out.results) == [2014]
-    assert isinstance(out.results[2014], UpdateResult)
-    assert "2015" not in out.errors  # keyed by int year
-    assert "[reconcile]" in out.errors[2015]
-
-
 def test_updates_always_run_from_census_seed():
     # Two years produce independent fits of the same seed; the second year
     # must not depend on the first year's output.
@@ -196,7 +171,8 @@ def test_updates_always_run_from_census_seed():
     shares = fixed_shares(census, h)
 
     def year(t, col_vals, totals):
-        return YearInputs(
+        return UpdateRequest(
+            census,
             MarginVector(("c1", "c2"), np.asarray(col_vals, float),
                          MarginLevel.CATEGORY, t),
             MarginVector(("g1", "g2"), np.asarray(totals, float),
@@ -204,9 +180,9 @@ def test_updates_always_run_from_census_seed():
             shares,
         )
 
-    both = batch_update(census, {1: year(1, [80.0, 120.0], [100.0, 100.0]),
-                                 2: year(2, [90.0, 130.0], [110.0, 110.0])})
-    only_second = batch_update(census, {2: year(2, [90.0, 130.0], [110.0, 110.0])})
-    np.testing.assert_array_equal(
-        both.results[2].fitted.counts, only_second.results[2].fitted.counts
-    )
+    first = spree_update(year(1, [80.0, 120.0], [100.0, 100.0]))
+    second = spree_update(year(2, [90.0, 130.0], [110.0, 110.0]))
+    only_second = spree_update(year(2, [90.0, 130.0], [110.0, 110.0]))
+    np.testing.assert_array_equal(second.fitted.counts, only_second.fitted.counts)
+    assert first.provenance["seed_time"] == second.provenance["seed_time"] == 0
+    assert second.provenance["target_time"] == 2
