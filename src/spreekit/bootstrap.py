@@ -22,6 +22,12 @@ order, which independent re-implementations must follow to reproduce runs:
    per stratum in first-appearance order (PSUs within a stratum in
    first-appearance order); under ``iid-category``, a single
    ``rng.integers(0, n_obs, size=n_obs)`` over observations.
+
+The margins drawn in steps 3 and 4 go to the reconcile step as they are.  The
+five replicate quantiles (:data:`QUANTILE_LEVELS`, named by
+:data:`QUANTILE_LABELS`, also the quantile columns of the validation
+summaries) come from one ``np.quantile`` call over the replicate stack, and
+``_nan_mean`` is the one NaN-skipping mean of the replicate layer.
 """
 
 from __future__ import annotations
@@ -49,6 +55,17 @@ AuxResample = Literal["resample-pool", "none"]
 
 QUANTILE_LABELS = ("q2.5", "q25", "median", "q75", "q97.5")
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
+
+
+def _nan_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Mean of the non-NaN ``values`` along ``axis``; NaN where there are none.
+
+    The arithmetic of ``np.nanmean`` (NaN replaced by zero, summed, divided
+    by the non-NaN count) without its warning for an all-NaN slice.
+    """
+    counted = ~np.isnan(values)
+    with np.errstate(invalid="ignore"):
+        return np.where(counted, values, 0.0).sum(axis=axis) / counted.sum(axis=axis)
 
 
 class BootstrapError(RuntimeError):
@@ -95,9 +112,10 @@ class BootstrapConfig:
 class SurveyDesign:
     """Per-observation survey records feeding the column margin.
 
-    Each observation contributes ``weight * value`` to its category's total.
-    Strata and PSUs keep first-appearance order; resampling draws PSUs with
-    replacement within each stratum, keeping the per-stratum PSU count.
+    Each observation contributes ``weight * value`` to its PSU's category
+    total, added in observation order.  Strata and PSUs keep first-appearance
+    order; resampling draws PSUs with replacement within each stratum,
+    keeping the per-stratum PSU count.
     """
 
     psu: np.ndarray
@@ -133,22 +151,17 @@ class SurveyDesign:
         cat_pos = {c: i for i, c in enumerate(cat_ids)}
         cat_index = np.asarray([cat_pos[str(c)] for c in category], dtype=np.intp)
 
-        strata = tuple(dict.fromkeys(str(s) for s in stratum))
-        psu_keys: list[tuple[str, str]] = list(
-            dict.fromkeys(zip((str(s) for s in stratum), (str(p) for p in psu)))
+        psu_pos: dict[tuple[str, str], int] = {}
+        psu_index = np.asarray(
+            [psu_pos.setdefault(k, len(psu_pos)) for k in zip(map(str, stratum), map(str, psu))],
+            dtype=np.intp,
         )
-        psu_pos = {k: i for i, k in enumerate(psu_keys)}
-        totals = np.zeros((len(psu_keys), len(cat_ids)))
-        for i in range(n):
-            key = (str(stratum[i]), str(psu[i]))
-            totals[psu_pos[key], cat_index[i]] += weight[i] * value[i]
-        psus_by_stratum = {
-            s: np.asarray([i for i, (ss, _) in enumerate(psu_keys) if ss == s], dtype=int)
-            for s in strata
-        }
-        for s, rows in psus_by_stratum.items():
-            if rows.size == 0:
-                raise ValueError(f"stratum {s!r} has no PSUs")
+        totals = np.zeros((len(psu_pos), len(cat_ids)))
+        np.add.at(totals, (psu_index, cat_index), weight * value)
+        by_stratum: dict[str, list[int]] = {}
+        for i, (s, _) in enumerate(psu_pos):
+            by_stratum.setdefault(s, []).append(i)
+        psus_by_stratum = {s: np.asarray(rows, dtype=int) for s, rows in by_stratum.items()}
 
         object.__setattr__(self, "psu", psu)
         object.__setattr__(self, "stratum", stratum)
@@ -157,7 +170,7 @@ class SurveyDesign:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "category_ids", cat_ids)
         object.__setattr__(self, "_cat_index", cat_index)
-        object.__setattr__(self, "_strata", strata)
+        object.__setattr__(self, "_strata", tuple(psus_by_stratum))
         object.__setattr__(self, "_psu_totals", totals)
         object.__setattr__(self, "_psus_by_stratum", psus_by_stratum)
 
@@ -308,8 +321,8 @@ def bootstrap_mse(
             # composition and the margins are its own realised margins, so
             # raking is an exact no-op and the MSE vanishes identically.
             mult = fitted.copy()
-            row_values = mult.sum(axis=1)
-            col_values = mult.sum(axis=0)
+            row_m = MarginVector(area_ids, mult.sum(axis=1), MarginLevel.SMALL_AREA, t)
+            col_m = MarginVector(category_ids, mult.sum(axis=0), MarginLevel.CATEGORY, t)
         else:
             if cfg.poisson_mode == "sample":
                 pois = rng.poisson(lam).astype(float)
@@ -321,24 +334,18 @@ def bootstrap_mse(
                 mult = pois[:, None] * probs
 
             if cfg.aux_resample == "resample-pool":
-                if aux_pool:
-                    drawn = resample_aux_margin(aux_pool, rng)
-                else:
-                    drawn = resample_aux_margin(
-                        point.row_margin_used, rng, cfg.aux_perturb_cv
-                    )
-                row_values = drawn.values
+                row_m = resample_aux_margin(
+                    aux_pool or point.row_margin_used, rng, cfg.aux_perturb_cv
+                )
             else:
-                row_values = lam
+                row_m = point.row_margin_used
             if cfg.col_resample == "psu-cluster":
-                col_values = resample_column_margin(design, rng, t).values
+                col_m = resample_column_margin(design, rng, t)
             elif cfg.col_resample == "iid-category":
-                col_values = _resample_iid(design, rng, t).values
+                col_m = _resample_iid(design, rng, t)
             else:
-                col_values = point.col_margin_used.values
+                col_m = point.col_margin_used
 
-        row_m = MarginVector(area_ids, row_values, MarginLevel.SMALL_AREA, t)
-        col_m = MarginVector(category_ids, col_values, MarginLevel.CATEGORY, t)
         try:
             row_m, col_m, _ = reconcile_margins(row_m, col_m, req.reconcile_policy)
             seed_b = Composition(area_ids, category_ids, mult, t)
@@ -367,26 +374,20 @@ def bootstrap_mse(
     mse = (diff**2).sum(axis=0) / len(pairs)
     cv = np.where(fitted > 0, np.sqrt(mse) / np.where(fitted > 0, fitted, 1.0), np.nan)
     rep_mean = fitted_reps.mean(axis=0)
-    rep_quantiles = {
-        label: np.quantile(fitted_reps, q, axis=0)
-        for label, q in zip(QUANTILE_LABELS, QUANTILE_LEVELS)
-    }
+    rep_quantiles = dict(zip(QUANTILE_LABELS, np.quantile(fitted_reps, QUANTILE_LEVELS, axis=0)))
 
     headcount_point = headcount_mse = headcount_cv = None
     if set(category_ids) == set(POVERTY_CATEGORIES):
         poor_col = category_ids.index("poor")
         headcount_point = _poor_share(fitted, poor_col)
         h_diff = _poor_share(fitted_reps, poor_col) - _poor_share(mult_reps, poor_col)
-        # np.nanmean's arithmetic, without its warning for an area that has
-        # no population in any replicate (NaN there).
-        counted = ~np.isnan(h_diff)
-        with np.errstate(invalid="ignore"):
-            headcount_mse = np.where(counted, h_diff**2, 0.0).sum(axis=0) / counted.sum(axis=0)
-            headcount_cv = np.where(
-                headcount_point > 0,
-                np.sqrt(headcount_mse) / np.where(headcount_point > 0, headcount_point, 1.0),
-                np.nan,
-            )
+        # NaN for an area that has no population in any replicate.
+        headcount_mse = _nan_mean(h_diff**2, axis=0)
+        headcount_cv = np.where(
+            headcount_point > 0,
+            np.sqrt(headcount_mse) / np.where(headcount_point > 0, headcount_point, 1.0),
+            np.nan,
+        )
 
     return CellUncertainty(
         area_ids,

@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from spreekit import __version__, io as sio
-from spreekit.bootstrap import BootstrapConfig, BootstrapError, bootstrap_mse
+from spreekit.bootstrap import QUANTILE_LABELS, BootstrapConfig, BootstrapError, bootstrap_mse
 from spreekit.composition import Composition, MarginLevel, MarginVector
 from spreekit.geo import aggregate_pixels
 from spreekit.ipf import IpfConfig
@@ -305,15 +305,14 @@ def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         aux_perturb_cv=ns.aux_perturb_cv,
     )
     cell = bootstrap_mse(req, design, aux_pool, cfg)
-    quantiles = (*SUMMARY_COLUMNS[:3], *SUMMARY_COLUMNS[4:])
     columns = (cell.point, cell.mse, cell.cv, cell.rep_mean)
-    columns += tuple(cell.rep_quantiles[name] for name in quantiles)
+    columns += tuple(cell.rep_quantiles[name] for name in QUANTILE_LABELS)
     rows = zip(
         [area for area in cell.area_ids for _ in cell.category_ids],
         cell.category_ids * len(cell.area_ids),
         *(column.ravel().tolist() for column in columns),
     )
-    header = ("area_id", "category_id", "point", "mse", "cv", "rep_mean", *quantiles)
+    header = ("area_id", "category_id", "point", "mse", "cv", "rep_mean", *QUANTILE_LABELS)
     yield "cell_uncertainty.csv", _csv_text(header, rows)
 
     if cell.headcount_point is not None:

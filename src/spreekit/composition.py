@@ -86,11 +86,6 @@ class Composition:
         except ValueError:
             raise KeyError(f"unknown category id {category_id!r}") from None
 
-    def with_counts(self, counts: np.ndarray, reference_time: int | None = None) -> "Composition":
-        """Copy of this composition with new counts (same labels)."""
-        t = self.reference_time if reference_time is None else reference_time
-        return Composition(self.area_ids, self.category_ids, counts, t)
-
 
 @dataclass(frozen=True)
 class AreaHierarchy:
@@ -136,9 +131,6 @@ class AreaHierarchy:
         except KeyError:
             raise KeyError(f"small area {small_id!r} not assigned in hierarchy") from None
 
-    def smalls_of(self, large_id: str) -> tuple[str, ...]:
-        return tuple(s for s, l in self.assignments.items() if l == large_id)
-
     def group_positions(self, area_ids: Sequence[str]) -> dict[str, np.ndarray]:
         """Positions of ``area_ids`` grouped by large area (large id order)."""
         groups: dict[str, list[int]] = {l: [] for l in self.large_ids}
@@ -168,12 +160,6 @@ class MarginVector:
 
     def total(self) -> float:
         return float(self.values.sum())
-
-    def value_of(self, id_: str) -> float:
-        try:
-            return float(self.values[self.ids.index(id_)])
-        except ValueError:
-            raise KeyError(f"unknown margin id {id_!r}") from None
 
     def as_dict(self) -> dict[str, float]:
         return {i: float(v) for i, v in zip(self.ids, self.values)}

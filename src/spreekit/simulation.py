@@ -21,6 +21,13 @@ The per-quartile correlations are computed for all replicates of a
 strategy at once by :func:`_pearson_rows`, which repeats the arithmetic of
 ``np.corrcoef`` row by row (the same centring, matrix product, scaling and
 clipping), so each value is bitwise what the per-replicate call gives.
+
+Means over rounds are the sum over the round count, the arithmetic of
+``np.mean``, and the per-area mean over categories is
+``bootstrap._nan_mean``.  A strategy that completes no round therefore goes
+through the same aggregation as any other, on empty stacks, and reports NaN
+metrics without a warning.  The summary quantiles are
+:data:`~spreekit.bootstrap.QUANTILE_LEVELS`.
 """
 
 from __future__ import annotations
@@ -31,11 +38,17 @@ from typing import Sequence
 import numpy as np
 
 from spreekit import rng as rngmod
-from spreekit.bootstrap import SurveyDesign, _split_rows, resample_column_margin
+from spreekit.bootstrap import (
+    QUANTILE_LABELS,
+    QUANTILE_LEVELS,
+    SurveyDesign,
+    _nan_mean,
+    _split_rows,
+    resample_column_margin,
+)
 from spreekit.composition import (
     AreaHierarchy,
     Composition,
-    MarginLevel,
     MarginVector,
     column_margins,
     row_margins,
@@ -55,7 +68,7 @@ from spreekit.update import UpdateError, UpdateRequest, spree_update
 
 STRATEGIES = ("fixed", "dynamic", "hybrid")
 QUARTILE_NAMES = ("lowest", "second", "third", "highest")
-SUMMARY_COLUMNS = ("q2.5", "q25", "median", "mean", "q75", "q97.5")
+SUMMARY_COLUMNS = (*QUANTILE_LABELS[:3], "mean", *QUANTILE_LABELS[3:])
 
 
 def summary_row(values: np.ndarray) -> np.ndarray:
@@ -66,7 +79,7 @@ def summary_row(values: np.ndarray) -> np.ndarray:
     """
     if not values.size:
         return np.full(len(SUMMARY_COLUMNS), np.nan)
-    qs = np.quantile(values, [0.025, 0.25, 0.5, 0.75, 0.975])
+    qs = np.quantile(values, QUANTILE_LEVELS)
     return np.array([qs[0], qs[1], qs[2], values.mean(), qs[3], qs[4]])
 
 
@@ -139,12 +152,10 @@ def _within_large_shares(
 class SimulationPlan:
     """Inputs for one Monte Carlo comparison run.
 
-    ``quartile_basis`` overrides the per-area change score used for
-    grouping; by default it is the absolute relative change of the true
-    within-region share between the two truth censuses (infinite when a
-    share appears from zero).  The ``replicate_*`` and ``resample_columns``
-    switches exist for exactness tests: turning them all off makes every
-    round deterministic.
+    Areas are grouped into quartiles of the absolute relative change of the
+    true within-region share between the two truth censuses (infinite when
+    a share appears from zero).  Every round redraws both censuses; without
+    a ``survey_design`` the column margin is the target-year replicate's own.
     """
 
     replicates: int
@@ -159,10 +170,6 @@ class SimulationPlan:
     quantile_cutoff: float = 0.25
     ipf_config: IpfConfig = field(default_factory=IpfConfig)
     reconcile_policy: str = "scale-col-to-row"
-    quartile_basis: tuple[float, ...] | None = None
-    replicate_t0: bool = True
-    replicate_t: bool = True
-    resample_columns: bool = True
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -183,10 +190,6 @@ class SimulationPlan:
         for m in self.aux_pool:
             if m.ids != self.truth_t0.area_ids:
                 raise ValueError("aux_pool ids must match the truth area ids")
-        if self.quartile_basis is not None and len(self.quartile_basis) != len(
-            self.truth_t0.area_ids
-        ):
-            raise ValueError("quartile_basis length must match the area count")
 
 
 @dataclass(frozen=True)
@@ -229,16 +232,18 @@ class SimulationReport:
 
 
 def _nd_bias(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
-    denom = tru.mean(axis=0)
+    n = len(tru)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = (est - tru).mean(axis=0) / denom
+        denom = tru.sum(axis=0) / n
+        out = (est - tru).sum(axis=0) / n / denom
     return np.where(denom == 0, np.nan, out)
 
 
 def _nd_rmse(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
-    denom = tru.mean(axis=0)
+    n = len(tru)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.sqrt(((est - tru) ** 2).mean(axis=0)) / denom
+        denom = tru.sum(axis=0) / n
+        out = np.sqrt(((est - tru) ** 2).sum(axis=0) / n) / denom
     return np.where(denom == 0, np.nan, out)
 
 
@@ -296,13 +301,10 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
     shares_t0 = _within_large_shares(rows_t0, positions)
     shares_t = _within_large_shares(rows_t, positions)
 
-    if plan.quartile_basis is not None:
-        change_scores = np.abs(np.asarray(plan.quartile_basis, dtype=float))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(shares_t0 > 0, shares_t / np.where(shares_t0 > 0, shares_t0, 1.0), np.inf)
-        change_scores = np.abs(ratio - 1.0)
-        change_scores[(shares_t0 == 0) & (shares_t == 0)] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(shares_t0 > 0, shares_t / np.where(shares_t0 > 0, shares_t0, 1.0), np.inf)
+    change_scores = np.abs(ratio - 1.0)
+    change_scores[(shares_t0 == 0) & (shares_t == 0)] = 0.0
     labels = quartile_grouping(change_scores)
 
     selection = None
@@ -321,17 +323,12 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
 
     def one_round(r: int):
         rng = rngmod.stream(plan.seed, r)
-        census0 = replicate_census(plan.truth_t0, rng) if plan.replicate_t0 else plan.truth_t0
-        census_t = replicate_census(plan.truth_t, rng) if plan.replicate_t else plan.truth_t
+        census0 = replicate_census(plan.truth_t0, rng)
+        census_t = replicate_census(plan.truth_t, rng)
         if plan.survey_design is not None:
-            if plan.resample_columns:
-                col = resample_column_margin(plan.survey_design, rng, t_time)
-            else:
-                col = plan.survey_design.point_margin(t_time)
+            col = resample_column_margin(plan.survey_design, rng, t_time)
         else:
-            col = MarginVector(
-                category_ids, column_margins(census_t).values, MarginLevel.CATEGORY, t_time
-            )
+            col = column_margins(census_t)
         outcomes: dict[str, tuple[np.ndarray, np.ndarray] | str] = {}
         fixed: ShareVector | None = None
         for strategy in plan.strategies:
@@ -372,33 +369,18 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
     share_accuracy: dict[str, np.ndarray] = {}
     quartile_summary: dict[str, dict[str, np.ndarray]] = {}
     correlations: dict[str, np.ndarray] = {}
-    est_h_by_strategy: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     for strategy in plan.strategies:
         ok = [r for r in indices if not isinstance(rounds[r][1][strategy], str)]
         failures = tuple(
             o for _, out in rounds if isinstance(o := out[strategy], str)
         )
-        if not ok:
-            A, J = len(area_ids), len(category_ids)
-            nanA = np.full(A, np.nan)
-            metrics[strategy] = StrategyMetrics(
-                strategy, 0, failures, np.full((A, J), np.nan), np.full((A, J), np.nan),
-                nanA.copy(), nanA.copy(),
-                nanA.copy() if poor_col is not None else None,
-                nanA.copy() if poor_col is not None else None,
-            )
-            share_accuracy[strategy] = np.full(4, np.nan)
-            quartile_summary[strategy] = {
-                "bias": np.full((4, 6), np.nan),
-                "rmse": np.full((4, 6), np.nan),
-            }
-            correlations[strategy] = np.full(4, np.nan)
-            continue
-
-        est_cells = np.stack([rounds[r][1][strategy][0] for r in ok])
-        est_shares = np.stack([rounds[r][1][strategy][1] for r in ok])
+        # Built with np.array and reshape, not np.stack, so that no
+        # completed round gives empty stacks.
+        fits = [rounds[r][1][strategy] for r in ok]
         tru_cells = truth_cells[ok]
+        est_cells = np.array([f[0] for f in fits]).reshape(tru_cells.shape)
+        est_shares = np.array([f[1] for f in fits]).reshape(len(ok), len(area_ids))
 
         cell_bias = _nd_bias(est_cells, tru_cells)
         cell_rmse = _nd_rmse(est_cells, tru_cells)
@@ -406,19 +388,16 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
         share_bias = _nd_bias(est_shares, tru_shares)
         share_rmse = _nd_rmse(est_shares, tru_shares)
 
-        headcount_bias = headcount_rmse = None
         if poor_col is not None:
             est_h = _poor_share(est_cells, poor_col)
             tru_h = _poor_share(tru_cells, poor_col)
-            headcount_bias = _nd_bias(est_h, tru_h)
-            headcount_rmse = _nd_rmse(est_h, tru_h)
-            est_h_by_strategy[strategy] = (est_h, tru_h, np.asarray(ok))
+            headcount_bias = per_area_bias = _nd_bias(est_h, tru_h)
+            headcount_rmse = per_area_rmse = _nd_rmse(est_h, tru_h)
         else:
-            est_h_by_strategy[strategy] = (
-                est_cells.sum(axis=2),
-                tru_cells.sum(axis=2),
-                np.asarray(ok),
-            )
+            est_h, tru_h = est_cells.sum(axis=2), tru_cells.sum(axis=2)
+            headcount_bias = headcount_rmse = None
+            per_area_bias = _nan_mean(cell_bias, axis=1)
+            per_area_rmse = _nan_mean(cell_rmse, axis=1)
 
         metrics[strategy] = StrategyMetrics(
             strategy, len(ok), failures, cell_bias, cell_rmse,
@@ -427,15 +406,12 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
 
         share_accuracy[strategy] = quartile_means(share_bias, labels)
 
-        per_area_bias = headcount_bias if headcount_bias is not None else np.nanmean(cell_bias, axis=1)
-        per_area_rmse = headcount_rmse if headcount_rmse is not None else np.nanmean(cell_rmse, axis=1)
         summary = {}
         for name, values in (("bias", per_area_bias), ("rmse", per_area_rmse)):
             by_quartile = [values[labels == q] for q in range(4)]
             summary[name] = np.array([summary_row(v[~np.isnan(v)]) for v in by_quartile])
         quartile_summary[strategy] = summary
 
-        est_h, tru_h, _ = est_h_by_strategy[strategy]
         corr = np.full(4, np.nan)
         for q in range(4):
             mask = labels == q

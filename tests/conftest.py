@@ -33,6 +33,17 @@ def make_margin(values, level: MarginLevel, prefix: str, reference_time: int = 0
     return MarginVector(ids, values, level, reference_time)
 
 
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Same shape and dtype, equal bit for bit except that NaN matches NaN."""
+    nan = np.isnan(want)
+    return bool(
+        got.shape == want.shape
+        and got.dtype == want.dtype
+        and np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    )
+
+
 def two_region_hierarchy(n_areas: int) -> AreaHierarchy:
     """First half of the areas in region g1, the rest in g2."""
     half = n_areas // 2

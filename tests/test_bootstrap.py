@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spreekit import (
     BootstrapConfig,
@@ -18,10 +21,16 @@ from spreekit import (
     to_probabilities,
 )
 from spreekit import io as sio
-from spreekit import rng as rngmod
-from spreekit.bootstrap import _resample_iid, _split_rows
+from spreekit import bootstrap, rng as rngmod
+from spreekit.bootstrap import (
+    QUANTILE_LABELS,
+    QUANTILE_LEVELS,
+    _nan_mean,
+    _resample_iid,
+    _split_rows,
+)
 
-from conftest import FIXTURES, make_composition, two_region_hierarchy
+from conftest import FIXTURES, make_composition, same_bits, two_region_hierarchy
 
 
 def mini_request():
@@ -397,3 +406,149 @@ def test_iid_resample_matches_per_observation_loop():
         expected = per_observation_iid(design, rngmod.stream(k, 1))
         assert got.ids == design.category_ids
         np.testing.assert_array_equal(got.values, expected)
+
+
+def per_observation_design(design):
+    """``SurveyDesign``'s grouping as it was built before ``np.add.at``: one
+    observation at a time, each stratum's PSUs found by a scan of all PSUs.
+
+    Returns the strata, the per-PSU totals and each stratum's PSU rows.
+    """
+    cat_pos = {c: i for i, c in enumerate(design.category_ids)}
+    strata = tuple(dict.fromkeys(str(s) for s in design.stratum))
+    psu_keys = list(
+        dict.fromkeys(zip((str(s) for s in design.stratum), (str(p) for p in design.psu)))
+    )
+    psu_pos = {k: i for i, k in enumerate(psu_keys)}
+    totals = np.zeros((len(psu_keys), len(design.category_ids)))
+    for i in range(len(design.psu)):
+        key = (str(design.stratum[i]), str(design.psu[i]))
+        totals[psu_pos[key], cat_pos[str(design.category[i])]] += design.weight[i] * design.value[i]
+    rows = {
+        s: np.asarray([i for i, (ss, _) in enumerate(psu_keys) if ss == s], dtype=int)
+        for s in strata
+    }
+    return strata, totals, rows
+
+
+def per_stratum_resample(totals, rows, strata, rng):
+    """``resample_column_margin``'s draws from the oracle's grouping."""
+    out = np.zeros(totals.shape[1])
+    for s in strata:
+        chosen = rng.integers(0, rows[s].size, size=rows[s].size)
+        out += totals[rows[s][chosen]].sum(axis=0)
+    return out
+
+
+@st.composite
+def survey_designs(draw):
+    """Designs of 1..80 observations: int or str labels, PSU labels reused
+    across strata, weights over nine decades and zero values."""
+    n = draw(st.integers(1, 80))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_strata, n_psu = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    stratum = g.integers(0, n_strata, n)
+    psu = g.integers(0, n_psu, n)
+    if draw(st.booleans()):
+        stratum = np.array([f"s{v}" for v in stratum], dtype=object)
+        psu = np.array([f"p{v}" for v in psu], dtype=object)
+    weight = 10.0 ** g.uniform(-3.0, 6.0, n)
+    value = np.where(g.random(n) < 0.2, 0.0, g.uniform(0.0, 40.0, n))
+    category = g.choice(["x", "y", "z"], n)
+    return SurveyDesign(psu, stratum, weight, category, value, ("x", "y", "z"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(survey_designs(), st.integers(0, 2**32 - 1))
+def test_design_grouping_matches_per_observation_loop(design, seed):
+    strata, totals, rows = per_observation_design(design)
+    assert design.strata == strata
+    assert design.psu_totals().tobytes() == totals.tobytes()
+    got = design._psus_by_stratum
+    assert list(got) == list(rows)
+    for s in strata:
+        assert got[s].tolist() == rows[s].tolist()
+    rng, rng_ref = rngmod.stream(seed, 0), rngmod.stream(seed, 0)
+    drawn = resample_column_margin(design, rng).values
+    assert drawn.tobytes() == per_stratum_resample(totals, rows, strata, rng_ref).tobytes()
+    assert rng.random() == rng_ref.random()
+
+
+@st.composite
+def nan_stacks(draw):
+    """2-D and 3-D float stacks over 1e-300..1e300 with NaN entries, rows
+    and whole slices, in C order or as a transposed view."""
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=2, max_size=3)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = g.normal(size=shape) * 10.0 ** draw(st.integers(-300, 300))
+    values[g.random(shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = np.nan
+    if draw(st.booleans()):
+        values[0] = np.nan
+    return values.T if draw(st.booleans()) else values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(nan_stacks(), st.data())
+def test_nan_mean_is_nanmean_bitwise(values, data):
+    axis = data.draw(st.integers(0, values.ndim - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.nanmean(values, axis=axis)
+    assert same_bits(_nan_mean(values, axis=axis), want)
+
+
+def test_nan_mean_all_nan_slice_is_silent():
+    got = _nan_mean(np.array([[np.nan, 1.0], [np.nan, 3.0]]), axis=0)
+    assert np.isnan(got[0]) and got[1] == 2.0
+
+
+@st.composite
+def small_requests(draw):
+    """Fixed-share updates of 2..8 areas, with or without the poverty
+    categories, some areas empty, the rest large enough never to draw zero."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 8))
+    cats = ("poor", "non-poor") if draw(st.booleans()) else ("x", "y", "z")
+    counts = g.uniform(50.0, 500.0, size=(n, len(cats)))
+    counts[g.random(n) < 0.2] = 0.0
+    counts[0] = g.uniform(50.0, 500.0, size=len(cats))
+    counts[n // 2] = g.uniform(50.0, 500.0, size=len(cats))
+    census = Composition(tuple(f"a{i + 1}" for i in range(n)), cats, counts)
+    h = two_region_hierarchy(n)
+    large = np.array([counts[: n // 2].sum(), counts[n // 2 :].sum()]) * g.uniform(0.9, 1.1, 2)
+    totals = MarginVector(("g1", "g2"), large, MarginLevel.LARGE_AREA)
+    col = MarginVector(cats, counts.sum(axis=0) * g.uniform(0.9, 1.1, len(cats)), MarginLevel.CATEGORY)
+    return UpdateRequest(census, col, totals, fixed_shares(census, h))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_requests(), st.integers(1, 30), st.integers(0, 2**16))
+def test_replicate_summaries_match_separate_numpy_calls(req, replicates, seed):
+    # The replicate stacks are recorded by a spy on the replicate fits; the
+    # quantiles must be bitwise the five separate np.quantile calls, the
+    # mean np.mean's and the headcount MSE np.nanmean's.
+    fits, seeds = [], []
+    original = bootstrap.ipf_fit
+
+    def spy(seed_b, row, col, cfg):
+        res = original(seed_b, row, col, cfg)
+        if res.converged:
+            fits.append(res.fitted.counts)
+            seeds.append(seed_b.counts)
+        return res
+
+    cfg = BootstrapConfig(replicates=replicates, seed=seed, col_resample="none")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bootstrap, "ipf_fit", spy)
+        unc = bootstrap_mse(req, None, None, cfg)
+    assert unc.completed_replicates == len(fits)
+    stack = np.stack(fits)
+    for label, level in zip(QUANTILE_LABELS, QUANTILE_LEVELS):
+        assert same_bits(unc.rep_quantiles[label], np.quantile(stack, level, axis=0))
+    assert same_bits(unc.rep_mean, np.mean(stack, axis=0))
+    if unc.headcount_mse is not None:
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            h_diff = stack[..., 0] / stack.sum(axis=2) - np.stack([m[:, 0] / m.sum(axis=1) for m in seeds])
+            want = np.nanmean(h_diff**2, axis=0)
+        assert same_bits(unc.headcount_mse, want)

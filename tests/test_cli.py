@@ -284,6 +284,60 @@ class TestBootstrap:
         assert "aux_pool[0]" in manifest["inputs"]
         assert "aux_pool[1]" in manifest["inputs"]
 
+    @pytest.mark.parametrize(
+        "col_resample, want",
+        [
+            (
+                "psu-cluster",
+                {
+                    "cell_uncertainty.csv": "6915ce1f9ddf89ee25c6997c0457efd7e03075bc7d31ea6b3f6691ab4bc66121",
+                    "cv_summary.csv": "42b54bcb3ec100c7e790b3b7b75e90415c21f6be0b4256a4baaa2906235a4a59",
+                    "headcount_cv.csv": "638d3f3a05121be025f38143e659737e567ad690e1fba0254e8f489487592941",
+                    "manifest.json": "4390b3cb1dfc29b9af67bc5e772db6c773b2e728491fb9c69cfdc57947ed2667",
+                    "uncertainty.json": "554a700cb821fef1cab5916bc1bb1e6d9a3048afa938f8a6ae20236384ee7536",
+                },
+            ),
+            (
+                "iid-category",
+                {
+                    "cell_uncertainty.csv": "bcd5a0b8162575e895f7d8f8e9465ca27aa51c113fbb1a4a519274feff678690",
+                    "cv_summary.csv": "938b26ce5465bd9536952315bf606c53d353c29178e31a67e795b40b98643a72",
+                    "headcount_cv.csv": "f3167c3bf68bc80d869b7769606f42f5ed50155021fbc3b904932bfbbcba0237",
+                    "manifest.json": "9268a3699de4e30f3ea0d56025e4a9d73cc9ce3f7d35c70e9a5182db9b3f625f",
+                    "uncertainty.json": "554a700cb821fef1cab5916bc1bb1e6d9a3048afa938f8a6ae20236384ee7536",
+                },
+            ),
+        ],
+    )
+    def test_golden_output_digests(self, tmp_path, monkeypatch, col_resample, want):
+        # Recorded before the replicate layer lost its duplicate paths
+        # (per-observation PSU totals, five quantile calls, rebuilt
+        # replicate margins); every byte, manifest included, must stay the
+        # same.  The relative input paths are part of the manifest, so the
+        # run starts in the repo root.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        monkeypatch.chdir(FIXTURES.parent)
+        mini = "fixtures/mini"
+        code, _, err = run_cli(
+            "bootstrap",
+            "--census", f"{mini}/census2002.csv",
+            "--col-margin", f"{mini}/survey_margin.csv",
+            "--projections", f"{mini}/projections.csv",
+            "--hierarchy", f"{mini}/hierarchy.csv",
+            "--design", f"{mini}/design.csv",
+            "--year", "2013",
+            "--shares-mode", "fixed",
+            "--replicates", "50",
+            "--col-resample", col_resample,
+            "--out", tmp_path,
+        )
+        assert code == 0, err
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())
+        }
+        assert digests == want
+
 
 class TestValidate:
     def validate_argv(self, out_dir, seed: int = 5, replicates: int = 4) -> list[str]:

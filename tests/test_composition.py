@@ -49,7 +49,6 @@ def test_hierarchy_from_pairs_orders_and_validates():
     h = AreaHierarchy.from_pairs([("a1", "g1"), ("a2", "g2"), ("a3", "g1")])
     assert h.large_ids == ("g1", "g2")
     assert h.large_of("a3") == "g1"
-    assert h.smalls_of("g1") == ("a1", "a3")
     with pytest.raises(ValueError, match="assigned twice"):
         AreaHierarchy.from_pairs([("a1", "g1"), ("a1", "g2")])
     with pytest.raises(KeyError):
@@ -84,11 +83,8 @@ def test_to_probabilities_flags_zero_rows():
 def test_margin_vector_helpers():
     m = MarginVector(("x", "y"), np.array([2.0, 3.0]), MarginLevel.CATEGORY, 1)
     assert m.total() == 5.0
-    assert m.value_of("y") == 3.0
     assert m.as_dict() == {"x": 2.0, "y": 3.0}
     m2 = m.with_values(np.array([4.0, 6.0]))
     assert m2.ids == m.ids and m2.reference_time == 1
-    with pytest.raises(KeyError):
-        m.value_of("z")
     with pytest.raises(ValueError, match="shape"):
         m.with_values(np.array([1.0]))

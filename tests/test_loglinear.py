@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spreekit import association_distance, decompose
+from spreekit import Composition, association_distance, decompose
 
 from conftest import make_composition, random_positive_table
 
@@ -37,7 +37,7 @@ def test_row_column_scaling_moves_only_main_effects():
     c = make_composition(random_positive_table(rng, 3, 4))
     r = np.exp(rng.normal(size=3))
     s = np.exp(rng.normal(size=4))
-    scaled = c.with_counts(c.counts * r[:, None] * s[None, :])
+    scaled = Composition(c.area_ids, c.category_ids, c.counts * r[:, None] * s[None, :])
     assert association_distance(c, scaled) < 1e-10
 
 
@@ -51,7 +51,7 @@ def test_independent_table_has_zero_interaction():
 
 def test_association_distance_detects_changed_association():
     base = make_composition([[2.0, 3.0], [5.0, 7.0]])
-    bumped = base.with_counts([[2.0 * 1.5, 3.0], [5.0, 7.0]])
+    bumped = Composition(base.area_ids, base.category_ids, [[2.0 * 1.5, 3.0], [5.0, 7.0]])
     # In a 2x2, multiplying one cell by k moves the odds ratio by k, which
     # spreads log(k)/4 across the four centered interaction entries.
     assert association_distance(base, bumped) == pytest.approx(math.log(1.5) / 4)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spreekit import (
+    Composition,
     MarginLevel,
     MarginVector,
     SimulationPlan,
@@ -19,11 +20,11 @@ from spreekit import (
     row_margins,
     run_simulation,
 )
-from spreekit import rng as rngmod
+from spreekit import rng as rngmod, simulation
 from spreekit.scenario import ScenarioConfig
-from spreekit.simulation import _pearson_rows, quartile_means
+from spreekit.simulation import STRATEGIES, StrategyMetrics, _pearson_rows, quartile_means
 
-from conftest import make_composition, two_region_hierarchy
+from conftest import make_composition, same_bits, two_region_hierarchy
 
 
 class TestMetricFormulas:
@@ -211,11 +212,16 @@ class TestReplicateCensus:
         assert zero_draws > 0
 
 
-def deterministic_plan(**overrides):
-    """All randomness off, target truth equals base truth: every strategy
-    reconstructs the truth and all error metrics vanish."""
-    from spreekit import Composition
+@pytest.fixture
+def no_census_redraw(monkeypatch):
+    """Rounds use the truth censuses themselves instead of redrawing them."""
+    monkeypatch.setattr(simulation, "replicate_census", lambda truth, rng: truth)
 
+
+def deterministic_plan(**overrides):
+    """Target truth equals base truth and no survey design: with
+    ``no_census_redraw`` every round is deterministic, every strategy
+    reconstructs the truth and all error metrics vanish."""
     truth = Composition(
         ("a1", "a2", "a3", "a4"),
         ("poor", "non-poor"),
@@ -235,16 +241,13 @@ def deterministic_plan(**overrides):
         large_totals_t=totals,
         strategies=("fixed", "dynamic"),
         aux_pool=(row_margins(truth),),
-        replicate_t0=False,
-        replicate_t=False,
-        resample_columns=False,
     )
     kw.update(overrides)
     return SimulationPlan(**kw)
 
 
 class TestRunSimulation:
-    def test_deterministic_self_update_has_zero_error(self):
+    def test_deterministic_self_update_has_zero_error(self, no_census_redraw):
         rep = run_simulation(deterministic_plan())
         for s in ("fixed", "dynamic"):
             m = rep.metrics[s]
@@ -289,7 +292,7 @@ class TestRunSimulation:
             finite = corr[np.isfinite(corr)]
             assert np.all(finite >= -1.0) and np.all(finite <= 1.0)
 
-    def test_failing_strategy_is_isolated(self):
+    def test_failing_strategy_is_isolated(self, no_census_redraw):
         # A zero-region auxiliary margin makes dynamic shares undefined in
         # every round; fixed must be unaffected.
         bad_aux = MarginVector(
@@ -326,7 +329,7 @@ class TestRunSimulation:
                 hierarchy=h, large_totals_t=totals, strategies=("fixed",),
             )
 
-    def test_failed_share_builds_are_recorded_every_round(self):
+    def test_failed_share_builds_are_recorded_every_round(self, no_census_redraw):
         # Shares are built once per round or per pool entry; a failed build
         # must still fail each round and strategy that needs it, with the
         # same message.  Pool entry 1 has an empty region g1, so dynamic and
@@ -455,3 +458,139 @@ def test_quartile_means_skip_nan_without_warning():
     got = quartile_means(values, labels)
     assert np.isnan(got[1])
     assert got[[0, 2, 3]].tolist() == [2.0, -1.0, 0.5]
+
+
+def test_empty_area_without_poverty_categories_warns_nothing():
+    # Area a3 has no population in either truth, so every cell ratio of it
+    # is NaN; its per-area summary must be NaN without numpy's "Mean of
+    # empty slice" warning, which the validate command would print as a
+    # non-JSON line on stderr.
+    counts = [[40.0, 60.0], [30.0, 70.0], [0.0, 0.0], [55.0, 45.0], [20.0, 80.0]]
+    truth = Composition(tuple(f"a{i + 1}" for i in range(5)), ("x", "y"), counts)
+    h = two_region_hierarchy(5)
+    large = aggregate_to_large(truth, h)
+    totals = MarginVector(large.area_ids, large.counts.sum(axis=1), MarginLevel.LARGE_AREA)
+    plan = SimulationPlan(
+        replicates=3, seed=1, truth_t0=truth, truth_t=truth, hierarchy=h,
+        large_totals_t=totals, strategies=("fixed",),
+    )
+    rep = run_simulation(plan)
+    m = rep.metrics["fixed"]
+    assert m.completed == 3 and m.headcount_bias is None
+    assert np.all(np.isnan(m.cell_bias[2])) and np.all(np.isfinite(m.cell_bias[[0, 1, 3, 4]]))
+    summary = rep.quartile_summary["fixed"]["bias"]
+    assert np.isnan(summary).any() and np.isfinite(summary).any()
+
+
+def zero_completed_oracle(strategy, failures, n_areas, n_cats, poverty):
+    """What ``run_simulation`` used to return, from a branch of its own, for
+    a strategy that completed no round."""
+    nan_a = np.full(n_areas, np.nan)
+    metrics = StrategyMetrics(
+        strategy, 0, failures, np.full((n_areas, n_cats), np.nan),
+        np.full((n_areas, n_cats), np.nan), nan_a.copy(), nan_a.copy(),
+        nan_a.copy() if poverty else None, nan_a.copy() if poverty else None,
+    )
+    summary = {"bias": np.full((4, 6), np.nan), "rmse": np.full((4, 6), np.nan)}
+    return metrics, np.full(4, np.nan), summary, np.full(4, np.nan)
+
+
+@st.composite
+def failing_plans(draw):
+    """Plans of 4..9 areas in which some strategy fails every round: region
+    g1 is empty in the aux pool (dynamic and hybrid fail), in the base-year
+    truth (fixed and hybrid fail), or in both."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 9))
+    cats = draw(st.sampled_from([("poor", "non-poor"), ("x", "y"), ("x", "y", "z")]))
+    areas = tuple(f"a{i + 1}" for i in range(n))
+    t0 = g.uniform(5.0, 500.0, size=(n, len(cats)))
+    t1 = t0 * g.uniform(0.5, 1.5, size=t0.shape)
+    empty_truth, empty_aux = draw(
+        st.sampled_from([(True, False), (False, True), (True, True)])
+    )
+    if empty_truth:
+        t0[: n // 2] = 0.0
+    aux = t1.sum(axis=1)
+    if empty_aux:
+        aux[: n // 2] = 0.0
+    truth_t0 = Composition(areas, cats, t0)
+    truth_t = Composition(areas, cats, t1)
+    h = two_region_hierarchy(n)
+    large = aggregate_to_large(truth_t, h)
+    totals = MarginVector(large.area_ids, large.counts.sum(axis=1), MarginLevel.LARGE_AREA)
+    return SimulationPlan(
+        replicates=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**16)),
+        truth_t0=truth_t0, truth_t=truth_t, hierarchy=h, large_totals_t=totals,
+        # The hybrid selection needs a populated base-year region.
+        strategies=("fixed", "dynamic") if empty_truth else STRATEGIES,
+        aux_pool=(MarginVector(areas, aux, MarginLevel.SMALL_AREA),),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(failing_plans())
+def test_zero_completed_strategy_matches_old_branch(plan):
+    rep = run_simulation(plan)
+    n_areas, n_cats = len(plan.truth_t0.area_ids), len(plan.truth_t0.category_ids)
+    poverty = "poor" in plan.truth_t0.category_ids
+    failed = [s for s, m in rep.metrics.items() if m.completed == 0]
+    assert failed
+    for s in failed:
+        m = rep.metrics[s]
+        want, accuracy, summary, corr = zero_completed_oracle(
+            s, m.failures, n_areas, n_cats, poverty
+        )
+        assert len(m.failures) == plan.replicates
+        assert (m.strategy, m.completed, m.failures) == (want.strategy, 0, want.failures)
+        for name in ("cell_bias", "cell_rmse", "share_bias", "share_rmse"):
+            assert same_bits(getattr(m, name), getattr(want, name)), name
+        for name in ("headcount_bias", "headcount_rmse"):
+            if poverty:
+                assert same_bits(getattr(m, name), getattr(want, name)), name
+            else:
+                assert getattr(m, name) is None
+        assert same_bits(rep.share_accuracy[s], accuracy)
+        assert list(rep.quartile_summary[s]) == ["bias", "rmse"]
+        for name in ("bias", "rmse"):
+            assert same_bits(rep.quartile_summary[s][name], summary[name])
+        assert same_bits(rep.correlations[s], corr)
+
+
+def mean_metrics_oracle(est, tru):
+    """``_nd_bias`` and ``_nd_rmse`` as they were, on ``np.mean``."""
+    denom = tru.mean(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bias = (est - tru).mean(axis=0) / denom
+        rmse = np.sqrt(((est - tru) ** 2).mean(axis=0)) / denom
+    return np.where(denom == 0, np.nan, bias), np.where(denom == 0, np.nan, rmse)
+
+
+@st.composite
+def replicate_stacks(draw):
+    """(R, A) or (R, A, J) estimate and truth stacks over 1e-300..1e300,
+    with zero truths and NaN headcounts; R from 1 past numpy's
+    128-element summation block."""
+    r = draw(st.integers(1, 6) | st.sampled_from([129, 300]))
+    shape = (r, *draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    est = g.uniform(0.0, 10.0, shape) * scale
+    tru = g.uniform(0.0, 10.0, shape) * scale
+    tru[:, 0] = 0.0
+    if draw(st.booleans()):
+        est[g.random(shape) < 0.2] = np.nan
+    return est, tru
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(replicate_stacks())
+def test_replicate_means_match_np_mean_bitwise(stacks):
+    est, tru = stacks
+    # Squares of 1e300 overflow to inf in both; the suite's warning filter
+    # is not the subject here.
+    with np.errstate(all="ignore"):
+        want_bias, want_rmse = mean_metrics_oracle(est, tru)
+        got_bias, got_rmse = simulation._nd_bias(est, tru), simulation._nd_rmse(est, tru)
+    assert same_bits(got_bias, want_bias)
+    assert same_bits(got_rmse, want_rmse)
