@@ -286,8 +286,8 @@ def bootstrap_mse(
 
     Requires a converged point estimate.  Replicates whose raking fails
     (for example a replicate row drawn to zero against a positive target)
-    are dropped and counted; more than ``cfg.max_dropped_fraction`` dropped
-    aborts the run.  The MSE divisor is the completed replicate count.
+    are dropped and counted; more than ``cfg.max_dropped_fraction`` dropped,
+    or every replicate, aborts the run.  The MSE divisor is the completed replicate count.
     """
     point = spree_update(req)
     if not point.ipf.converged:
@@ -361,7 +361,7 @@ def bootstrap_mse(
     reasons = tuple(o for o in outcomes if isinstance(o, str))
     pairs = [o for o in outcomes if not isinstance(o, str)]
     dropped = len(reasons)
-    if dropped > cfg.max_dropped_fraction * cfg.replicates:
+    if not pairs or dropped > cfg.max_dropped_fraction * cfg.replicates:
         detail = "; ".join(reasons[:5])
         raise BootstrapError(
             f"{dropped}/{cfg.replicates} replicates dropped (limit "

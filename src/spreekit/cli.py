@@ -136,9 +136,13 @@ def _sha256(path: Path) -> str:
 
 
 def _fmt(value: Any) -> str:
+    """One CSV field: floats by ``repr``, text quoted where a reader needs it."""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

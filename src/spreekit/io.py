@@ -1,9 +1,14 @@
 """CSV and JSON ingestion for every file schema, plus matching writers.
 
-All readers validate the full target-type invariants at load time and
-raise :class:`IngestError` with file and line context.  Writers format
-floats with ``repr`` so save then load is an identity, and emit rows in
-the object's own id order so files are deterministic.
+Every CSV loader reads its file into columns and checks whole columns
+(ids, numbers, flags, unique keys) before it builds any object.  The first
+bad line in file order raises :class:`IngestError` ``<file>:<line>: <message>``
+(line 1 is the header, each CSV record one line; in a line with several
+faults, the check the loader states first); a fault of the built object as
+a whole names the file only.  Fields may be CSV-quoted and are stripped of
+surrounding whitespace.  Writers format floats with ``repr`` so save then
+load is an identity, and emit rows in the object's own id order so files
+are deterministic.
 
 Schemas (UTF-8, comma-separated, ``.`` decimal point):
 
@@ -28,11 +33,12 @@ Schemas (UTF-8, comma-separated, ``.`` decimal point):
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import math
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,94 +59,152 @@ class IngestError(ValueError):
     """Schema or invariant violation, with file and line context."""
 
 
-def _fail(path: Path, line: int | None, message: str) -> None:
-    where = f"{path}:{line}" if line is not None else str(path)
-    raise IngestError(f"{where}: {message}")
+def _fail(path: Path, line: int, message: str) -> None:
+    raise IngestError(f"{path}:{line}: {message}")
 
 
-def _read_rows(path: str | Path, expected_header: Sequence[str]) -> list[list[str]]:
-    path = Path(path)
+def _read_csv(path: Path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
+            return list(csv.reader(f))
     except OSError as e:
         raise IngestError(f"{path}: {e}") from e
-    if not rows:
-        _fail(path, 1, "empty file, expected header " + ",".join(expected_header))
-    header = [h.strip() for h in rows[0]]
-    if header != list(expected_header):
-        _fail(
-            path,
-            1,
-            f"bad header {','.join(header)!r}, expected {','.join(expected_header)!r}",
-        )
-    return rows[1:]
 
 
-def _parse_float(path: Path, line: int, field: str, raw: str) -> float:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _wrap_invariant(path: Path, build, *args):
     try:
-        value = float(raw)
-    except ValueError:
-        _fail(path, line, f"{field} is not a number: {raw!r}")
-    if not math.isfinite(value):
-        _fail(path, line, f"{field} must be finite, got {raw!r}")
-    return value
-
-
-def _require_columns(path: Path, line: int, row: list[str], n: int) -> None:
-    if len(row) != n:
-        _fail(path, line, f"expected {n} columns, got {len(row)}")
-
-
-def _wrap_invariant(path: Path, build, *args, **kwargs):
-    try:
-        return build(*args, **kwargs)
-    except IngestError:
-        raise
+        return build(*args)
     except ValueError as e:
         raise IngestError(f"{path}: {e}") from e
 
 
+class _Columns:
+    """The data rows of one CSV file as columns, and the first fault in them.
+
+    ``n`` is the row of the earliest fault found so far.  A check keeps a
+    fault only above it, so the fault kept is the one a row-by-row walk
+    running the checks in their stated order would meet first.  Columns
+    are tuples because the garbage collector stops tracking a tuple of
+    strings, numbers or flags after one pass, where it would walk a list
+    on every full collection.
+    """
+
+    def __init__(self, path: Path, rows: list[list[str]], width: int) -> None:
+        self.path = path
+        self.n = len(rows)
+        self.fault: str | None = None
+        widths = list(map(len, rows))
+        if widths.count(width) != len(rows):
+            i = next(i for i, w in enumerate(widths) if w != width)
+            self.flag(i, f"expected {width} columns, got {widths[i]}")
+        self._raw = [tuple(map(itemgetter(k), rows[: self.n])) for k in range(width)]
+
+    def flag(self, i: int, message: str) -> None:
+        """Record a fault at data row ``i`` unless an earlier one is known."""
+        if i < self.n:
+            self.n, self.fault = i, message
+
+    def raw(self, k: int) -> Sequence[str]:
+        return self._raw[k][: self.n]
+
+    def text(self, k: int) -> tuple[str, ...]:
+        return tuple(map(str.strip, self.raw(k)))
+
+    def check(self, bad: Sequence[bool] | np.ndarray, message: Callable[[int], str]) -> None:
+        """Flag the first row where ``bad`` holds."""
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            self.flag(int(hits[0]), message(int(hits[0])))
+
+    def nonempty(self, message: str, *columns: Sequence[str]) -> None:
+        for column in columns:
+            if "" in column:
+                self.flag(column.index(""), message)
+
+    def unique(self, keys: Sequence, message: Callable[[int, int], str]) -> None:
+        """Flag the first repeated key; ``message`` gets its row and first line."""
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        if len(first) < len(keys):
+            i = next(i for i, key in enumerate(keys) if first[key] != i)
+            self.flag(i, message(i, first[keys[i]] + 2))
+
+    def parse(
+        self, column: Sequence[str], convert: Callable[[str], Any], message: Callable[[str], str]
+    ) -> tuple:
+        """``convert`` of each entry up to the first one it rejects."""
+        try:
+            return tuple(map(convert, column))
+        except (ValueError, KeyError):
+            pass
+        for i, raw in enumerate(column):
+            try:
+                convert(raw)
+            except (ValueError, KeyError):
+                self.flag(i, message(raw))
+                return tuple(map(convert, column[:i]))
+
+    def floats(self, column: Sequence[str], field: str) -> np.ndarray:
+        values = self.parse(column, float, lambda raw: f"{field} is not a number: {raw!r}")
+        values = np.array(values, dtype=float)
+        self.check(~np.isfinite(values), lambda i: f"{field} must be finite, got {column[i]!r}")
+        return values
+
+    def done(self) -> None:
+        if self.fault is not None:
+            _fail(self.path, self.n + 2, self.fault)
+
+
+def _columns(path: Path, header: Sequence[str], required: str | None = None) -> _Columns:
+    """The file's data rows under ``header``; ``required`` names what needs some."""
+    rows = _read_csv(path)
+    if not rows:
+        _fail(path, 1, "empty file, expected header " + ",".join(header))
+    got = [h.strip() for h in rows[0]]
+    if got != list(header):
+        _fail(path, 1, f"bad header {','.join(got)!r}, expected {','.join(header)!r}")
+    if required and len(rows) == 1:
+        _fail(path, 2, f"{required} has no data rows")
+    return _Columns(path, rows[1:], len(header))
+
+
 def load_composition(path: str | Path, reference_time: int = 0) -> Composition:
     path = Path(path)
-    rows = _read_rows(path, ("area_id", "category_id", "count"))
-    if not rows:
-        _fail(path, 2, "composition has no data rows")
-    # Insertion-ordered id -> position maps.
-    areas: dict[str, int] = {}
-    categories: dict[str, int] = {}
-    cells: dict[tuple[str, str], float] = {}
-    first_line: dict[tuple[str, str], int] = {}
-    for i, row in enumerate(rows, start=2):
-        _require_columns(path, i, row, 3)
-        area, category, raw = row[0].strip(), row[1].strip(), row[2].strip()
-        if not area or not category:
-            _fail(path, i, "empty area_id or category_id")
-        value = _parse_float(path, i, "count", raw)
-        if value < 0:
-            _fail(path, i, f"negative count {raw} for ({area},{category})")
-        key = (area, category)
-        if key in cells:
-            _fail(path, i, f"duplicate cell ({area},{category}), first at line {first_line[key]}")
-        cells[key] = value
-        first_line[key] = i
-        areas.setdefault(area, len(areas))
-        categories.setdefault(category, len(categories))
-    counts = np.zeros((len(areas), len(categories)))
-    for (area, category), value in cells.items():
-        counts[areas[area], categories[category]] = value
-    return _wrap_invariant(
-        path, Composition, tuple(areas), tuple(categories), counts, reference_time
+    t = _columns(path, ("area_id", "category_id", "count"), "composition")
+    area, category, raw = t.text(0), t.text(1), t.text(2)
+    t.nonempty("empty area_id or category_id", area, category)
+    count = t.floats(raw, "count")
+    t.check(count < 0, lambda i: f"negative count {raw[i]} for ({area[i]},{category[i]})")
+    t.unique(
+        list(zip(area, category)),
+        lambda i, first: f"duplicate cell ({area[i]},{category[i]}), first at line {first}",
     )
+    t.done()
+    # Ids in order of first appearance; absent cells stay zero.
+    area_ids, category_ids = tuple(dict.fromkeys(area)), tuple(dict.fromkeys(category))
+    row = dict(zip(area_ids, range(len(area_ids))))
+    col = dict(zip(category_ids, range(len(category_ids))))
+    counts = np.zeros((len(area_ids), len(category_ids)))
+    counts[list(map(row.get, area)), list(map(col.get, category))] = count
+    return _wrap_invariant(path, Composition, area_ids, category_ids, counts, reference_time)
 
 
 def save_composition(path: str | Path, c: Composition) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("area_id", "category_id", "count"))
-        for a, area in enumerate(c.area_ids):
-            for j, category in enumerate(c.category_ids):
-                w.writerow((area, category, repr(float(c.counts[a, j]))))
+    _write_csv(
+        path,
+        ("area_id", "category_id", "count"),
+        (
+            (area, category, repr(float(c.counts[a, j])))
+            for a, area in enumerate(c.area_ids)
+            for j, category in enumerate(c.category_ids)
+        ),
+    )
 
 
 def load_margin(
@@ -149,61 +213,36 @@ def load_margin(
     reference_time: int = 0,
 ) -> MarginVector:
     path = Path(path)
-    rows = _read_rows(path, ("id", "value"))
-    ids: list[str] = []
-    seen: dict[str, int] = {}
-    values: list[float] = []
-    for i, row in enumerate(rows, start=2):
-        _require_columns(path, i, row, 2)
-        ident, raw = row[0].strip(), row[1].strip()
-        if not ident:
-            _fail(path, i, "empty id")
-        if ident in seen:
-            _fail(path, i, f"duplicate id {ident!r}, first at line {seen[ident]}")
-        seen[ident] = i
-        value = _parse_float(path, i, "value", raw)
-        if value < 0:
-            _fail(path, i, f"negative value {raw} for {ident!r}")
-        ids.append(ident)
-        values.append(value)
-    return _wrap_invariant(
-        path, MarginVector, tuple(ids), np.asarray(values), level, reference_time
-    )
+    t = _columns(path, ("id", "value"))
+    ids, raw = t.text(0), t.text(1)
+    t.nonempty("empty id", ids)
+    t.unique(ids, lambda i, first: f"duplicate id {ids[i]!r}, first at line {first}")
+    values = t.floats(raw, "value")
+    t.check(values < 0, lambda i: f"negative value {raw[i]} for {ids[i]!r}")
+    t.done()
+    return _wrap_invariant(path, MarginVector, tuple(ids), values, level, reference_time)
 
 
 def save_margin(path: str | Path, m: MarginVector) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("id", "value"))
-        for ident, value in zip(m.ids, m.values):
-            w.writerow((ident, repr(float(value))))
+    _write_csv(path, ("id", "value"), ((i, repr(float(v))) for i, v in zip(m.ids, m.values)))
 
 
 def load_hierarchy(path: str | Path) -> AreaHierarchy:
     path = Path(path)
-    rows = _read_rows(path, ("small_id", "large_id"))
-    if not rows:
-        _fail(path, 2, "hierarchy has no data rows")
-    pairs: list[tuple[str, str]] = []
-    seen: dict[str, int] = {}
-    for i, row in enumerate(rows, start=2):
-        _require_columns(path, i, row, 2)
-        small, large = row[0].strip(), row[1].strip()
-        if not small or not large:
-            _fail(path, i, "empty small_id or large_id")
-        if small in seen:
-            _fail(path, i, f"duplicate small_id {small!r}, first at line {seen[small]}")
-        seen[small] = i
-        pairs.append((small, large))
-    return _wrap_invariant(path, AreaHierarchy.from_pairs, pairs)
+    t = _columns(path, ("small_id", "large_id"), "hierarchy")
+    small, large = t.text(0), t.text(1)
+    t.nonempty("empty small_id or large_id", small, large)
+    t.unique(small, lambda i, first: f"duplicate small_id {small[i]!r}, first at line {first}")
+    t.done()
+    return _wrap_invariant(path, AreaHierarchy.from_pairs, list(zip(small, large)))
 
 
 def save_hierarchy(path: str | Path, h: AreaHierarchy) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("small_id", "large_id"))
-        for small in h.small_ids:
-            w.writerow((small, h.large_of(small)))
+    _write_csv(path, ("small_id", "large_id"), ((s, h.large_of(s)) for s in h.small_ids))
+
+
+_HOUSEHOLD_HEADER = ("household_id", "area_id", "subgroup_id", "size", "weight")
+_FLAGS = {"": None, "0": False, "1": True}
 
 
 def load_households(
@@ -215,18 +254,13 @@ def load_households(
     profile's indicators.
     """
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
-    except OSError as e:
-        raise IngestError(f"{path}: {e}") from e
+    rows = _read_csv(path)
     if not rows:
         _fail(path, 1, "empty file, expected household header")
     header = [h.strip() for h in rows[0]]
-    fixed = ("household_id", "area_id", "subgroup_id", "size", "weight")
-    if tuple(header[: len(fixed)]) != fixed:
-        _fail(path, 1, f"header must start with {','.join(fixed)}")
-    indicator_cols = header[len(fixed) :]
+    if tuple(header[: len(_HOUSEHOLD_HEADER)]) != _HOUSEHOLD_HEADER:
+        _fail(path, 1, f"header must start with {','.join(_HOUSEHOLD_HEADER)}")
+    indicator_cols = header[len(_HOUSEHOLD_HEADER) :]
     bad = [c for c in indicator_cols if not c.startswith("ind_")]
     if bad:
         _fail(path, 1, f"indicator columns must start with 'ind_': {bad}")
@@ -240,36 +274,30 @@ def load_households(
             f"indicator columns {sorted(indicators)} do not match the profile "
             f"indicators {sorted(profile.indicators)}",
         )
-    records: list[HouseholdRecord] = []
-    seen: dict[str, int] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        _require_columns(path, i, row, len(header))
-        hid, area, subgroup = row[0].strip(), row[1].strip(), row[2].strip()
-        if not hid or not area:
-            _fail(path, i, "empty household_id or area_id")
-        if hid in seen:
-            _fail(path, i, f"duplicate household_id {hid!r}, first at line {seen[hid]}")
-        seen[hid] = i
-        try:
-            size = int(row[3])
-        except ValueError:
-            _fail(path, i, f"size is not an integer: {row[3]!r}")
-        weight = _parse_float(path, i, "weight", row[4].strip())
-        flags: dict[str, bool | None] = {}
-        for indicator, raw in zip(indicators, row[len(fixed) :]):
-            raw = raw.strip()
-            if raw == "":
-                flags[indicator] = None
-            elif raw in ("0", "1"):
-                flags[indicator] = raw == "1"
-            else:
-                _fail(path, i, f"ind_{indicator} must be 0, 1, or empty, got {raw!r}")
-        records.append(
-            _wrap_invariant(
-                path, HouseholdRecord, hid, area, subgroup, size, flags, weight
-            )
+    t = _Columns(path, rows[1:], len(header))
+    del rows
+    hid, area, subgroup = t.text(0), t.text(1), t.text(2)
+    t.nonempty("empty household_id or area_id", hid, area)
+    t.unique(hid, lambda i, first: f"duplicate household_id {hid[i]!r}, first at line {first}")
+    size = t.parse(t.raw(3), int, lambda raw: f"size is not an integer: {raw!r}")
+    weight = t.floats(t.text(4), "weight").tolist()
+    flags = [
+        t.parse(
+            t.text(k),
+            _FLAGS.__getitem__,
+            lambda raw: f"ind_{indicator} must be 0, 1, or empty, got {raw!r}",
         )
-    return tuple(records)
+        for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER))
+    ]
+    t.check([s < 1 for s in size], lambda i: f"household size must be >= 1, got {size[i]}")
+    t.check([not w > 0 for w in weight], lambda i: f"weight must be positive, got {weight[i]}")
+    t.done()
+    per_row = zip(*flags) if flags else itertools.repeat(())
+    # Via a list: a tuple grown from a generator is re-tracked by the GC at each resize.
+    return tuple([
+        HouseholdRecord(h, a, s, n, dict(zip(indicators, next(per_row))), w)
+        for h, a, s, n, w in zip(hid, area, subgroup, size, weight)
+    ])
 
 
 def save_households(
@@ -277,23 +305,29 @@ def save_households(
     records: Sequence[HouseholdRecord],
     indicators: Sequence[str],
 ) -> None:
-    header = ["household_id", "area_id", "subgroup_id", "size", "weight"] + [
-        f"ind_{i}" for i in indicators
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for r in records:
-            flags = [
-                ""
-                if (v := r.deprivations.get(i)) is None
-                else ("1" if v else "0")
+    header = list(_HOUSEHOLD_HEADER) + [f"ind_{i}" for i in indicators]
+    _write_csv(
+        path,
+        header,
+        (
+            [r.household_id, r.area_id, r.subgroup_id, str(r.size), repr(float(r.weight))]
+            + [
+                "" if (v := r.deprivations.get(i)) is None else ("1" if v else "0")
                 for i in indicators
             ]
-            w.writerow(
-                [r.household_id, r.area_id, r.subgroup_id, str(r.size), repr(float(r.weight))]
-                + flags
-            )
+            for r in records
+        ),
+    )
+
+
+def _load_json(path: Path) -> Any:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        raise IngestError(f"{path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise IngestError(f"{path}: invalid JSON: {e}") from e
 
 
 def _parse_fraction(path: Path, what: str, raw: Any) -> Fraction:
@@ -313,13 +347,7 @@ def _parse_fraction(path: Path, what: str, raw: Any) -> Fraction:
 
 def load_profile(path: str | Path) -> MpiProfile:
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as e:
-        raise IngestError(f"{path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IngestError(f"{path}: invalid JSON: {e}") from e
+    data = _load_json(path)
     if not isinstance(data, dict) or "indicators" not in data:
         raise IngestError(f"{path}: expected an object with an 'indicators' list")
     entries = data["indicators"]
@@ -353,38 +381,27 @@ def _load_by_year(
     path: str | Path, header: tuple[str, str, str], level: MarginLevel
 ) -> dict[int, MarginVector]:
     path = Path(path)
-    rows = _read_rows(path, header)
+    t = _columns(path, header)
+    ident = t.text(0)
+    t.nonempty(f"empty {header[0]}", ident)
+    year = t.parse(t.raw(1), int, lambda raw: f"year is not an integer: {raw!r}")
+    raw = t.raw(2)
+    value = t.floats(t.text(2), header[2])
+    t.check(value < 0, lambda i: f"negative {header[2]} {raw[i]!r}")
+    t.unique(
+        list(zip(year, ident)),
+        lambda i, first: f"duplicate ({ident[i]},{year[i]}), first at line {first}",
+    )
+    t.done()
     by_year: dict[int, dict[str, float]] = {}
-    lines: dict[tuple[int, str], int] = {}
-    for i, row in enumerate(rows, start=2):
-        _require_columns(path, i, row, 3)
-        ident = row[0].strip()
-        if not ident:
-            _fail(path, i, f"empty {header[0]}")
-        try:
-            year = int(row[1])
-        except ValueError:
-            _fail(path, i, f"year is not an integer: {row[1]!r}")
-        value = _parse_float(path, i, header[2], row[2].strip())
-        if value < 0:
-            _fail(path, i, f"negative {header[2]} {row[2]!r}")
-        key = (year, ident)
-        if key in lines:
-            _fail(path, i, f"duplicate ({ident},{year}), first at line {lines[key]}")
-        lines[key] = i
-        by_year.setdefault(year, {})[ident] = value
-    out: dict[int, MarginVector] = {}
-    for year in sorted(by_year):
-        entries = by_year[year]
-        out[year] = _wrap_invariant(
-            path,
-            MarginVector,
-            tuple(entries),
-            np.asarray(list(entries.values())),
-            level,
-            year,
+    for y, i, v in zip(year, ident, value.tolist()):
+        by_year.setdefault(y, {})[i] = v
+    return {
+        y: _wrap_invariant(
+            path, MarginVector, tuple(e), np.asarray(list(e.values())), level, y
         )
-    return out
+        for y, e in sorted(by_year.items())
+    }
 
 
 def load_projections(path: str | Path) -> dict[int, MarginVector]:
@@ -404,89 +421,73 @@ def load_aux_populations(path: str | Path) -> dict[int, MarginVector]:
 def save_by_year(
     path: str | Path, margins: Mapping[int, MarginVector], header: tuple[str, str, str]
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for year in sorted(margins):
-            m = margins[year]
-            for ident, value in zip(m.ids, m.values):
-                w.writerow((ident, str(year), repr(float(value))))
+    _write_csv(
+        path,
+        header,
+        (
+            (ident, str(year), repr(float(value)))
+            for year in sorted(margins)
+            for ident, value in zip(margins[year].ids, margins[year].values)
+        ),
+    )
 
 
 def load_pixels(path: str | Path) -> PixelTable:
     path = Path(path)
-    rows = _read_rows(path, ("lon", "lat", "value"))
-    parsed: list[tuple[float, float, float]] = []
-    for i, row in enumerate(rows, start=2):
-        _require_columns(path, i, row, 3)
-        lon = _parse_float(path, i, "lon", row[0].strip())
-        lat = _parse_float(path, i, "lat", row[1].strip())
-        value = _parse_float(path, i, "value", row[2].strip())
-        if value < 0:
-            _fail(path, i, f"negative value {row[2]!r}")
-        parsed.append((lon, lat, value))
-    return _wrap_invariant(path, PixelTable.from_rows, parsed)
+    t = _columns(path, ("lon", "lat", "value"))
+    lon = t.floats(t.text(0), "lon")
+    lat = t.floats(t.text(1), "lat")
+    raw = t.raw(2)
+    value = t.floats(t.text(2), "value")
+    t.check(value < 0, lambda i: f"negative value {raw[i]!r}")
+    t.done()
+    return _wrap_invariant(path, PixelTable, lon, lat, value)
 
 
 def save_pixels(path: str | Path, px: PixelTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("lon", "lat", "value"))
-        for lon, lat, value in zip(px.lon, px.lat, px.value):
-            w.writerow((repr(float(lon)), repr(float(lat)), repr(float(value))))
+    _write_csv(
+        path,
+        ("lon", "lat", "value"),
+        (tuple(map(repr, map(float, xyv))) for xyv in zip(px.lon, px.lat, px.value)),
+    )
 
 
 def load_design(path: str | Path) -> SurveyDesign:
     path = Path(path)
-    rows = _read_rows(path, ("psu_id", "stratum_id", "weight", "category_id", "value"))
-    if not rows:
-        _fail(path, 2, "survey design has no data rows")
-    psu, stratum, weight, category, value = [], [], [], [], []
-    for i, row in enumerate(rows, start=2):
-        _require_columns(path, i, row, 5)
-        if not row[0].strip() or not row[1].strip() or not row[3].strip():
-            _fail(path, i, "empty psu_id, stratum_id, or category_id")
-        psu.append(row[0].strip())
-        stratum.append(row[1].strip())
-        weight.append(_parse_float(path, i, "weight", row[2].strip()))
-        category.append(row[3].strip())
-        value.append(_parse_float(path, i, "value", row[4].strip()))
+    t = _columns(
+        path, ("psu_id", "stratum_id", "weight", "category_id", "value"), "survey design"
+    )
+    psu, stratum, category = t.text(0), t.text(1), t.text(3)
+    t.nonempty("empty psu_id, stratum_id, or category_id", psu, stratum, category)
+    weight = t.floats(t.text(2), "weight")
+    value = t.floats(t.text(4), "value")
+    t.done()
     return _wrap_invariant(
         path,
         SurveyDesign,
         np.asarray(psu, dtype=object),
         np.asarray(stratum, dtype=object),
-        np.asarray(weight, dtype=float),
+        weight,
         np.asarray(category, dtype=object),
-        np.asarray(value, dtype=float),
+        value,
     )
 
 
 def save_design(path: str | Path, design: SurveyDesign) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("psu_id", "stratum_id", "weight", "category_id", "value"))
-        for i in range(len(design.weight)):
-            w.writerow(
-                (
-                    str(design.psu[i]),
-                    str(design.stratum[i]),
-                    repr(float(design.weight[i])),
-                    str(design.category[i]),
-                    repr(float(design.value[i])),
-                )
-            )
+    _write_csv(
+        path,
+        ("psu_id", "stratum_id", "weight", "category_id", "value"),
+        (
+            (str(design.psu[i]), str(design.stratum[i]), repr(float(design.weight[i])),
+             str(design.category[i]), repr(float(design.value[i])))
+            for i in range(len(design.weight))
+        ),
+    )
 
 
 def load_polygons(path: str | Path) -> AreaPolygonSet:
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as e:
-        raise IngestError(f"{path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IngestError(f"{path}: invalid JSON: {e}") from e
+    data = _load_json(path)
     return _wrap_invariant(path, AreaPolygonSet.from_geojson, data)
 
 
@@ -512,13 +513,7 @@ def load_plan(path: str | Path) -> SimulationPlan:
     ``seed``, ``quantile_cutoff``, and ``target_time``.
     """
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as e:
-        raise IngestError(f"{path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IngestError(f"{path}: invalid JSON: {e}") from e
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise IngestError(f"{path}: plan must be a JSON object")
 

@@ -223,6 +223,20 @@ def test_drop_accounting_when_within_limit():
     assert all("replicate" in r for r in unc.drop_reasons)
 
 
+def test_every_replicate_dropped_is_a_bootstrap_error():
+    # Under the "error" reconcile policy each perturbed row margin disagrees
+    # with the column total, so every replicate drops, even at a 100% limit.
+    req = mini_request()
+    req = UpdateRequest(
+        req.seed, req.col_margin, req.large_totals, req.shares, reconcile_policy="error"
+    )
+    cfg = BootstrapConfig(
+        replicates=5, col_resample="none", aux_perturb_cv=0.2, max_dropped_fraction=1.0
+    )
+    with pytest.raises(BootstrapError, match=r"^5/5 replicates dropped \(limit 100%\): replicate 0: "):
+        bootstrap_mse(req, None, None, cfg)
+
+
 def test_missing_design_is_an_error():
     req = mini_request()
     with pytest.raises(BootstrapError, match="design required"):

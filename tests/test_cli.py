@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spreekit import AreaHierarchy, Composition
+from spreekit import io as sio
 from spreekit.cli import main
 
 from conftest import FIXTURES
@@ -134,6 +136,28 @@ class TestUpdate:
         code, _, err = run_cli(*update_argv(full))
         assert code == 0 and err == ""
 
+
+    def test_output_quotes_ids_so_it_reloads(self, tmp_path):
+        # Area ids with a comma and a double quote, written quoted by save_*.
+        names = {"a1": "a,1", "a2": 'b"2', "a3": "c, \"3\"", "a4": "d4"}
+        census = sio.load_composition(MINI / "census2002.csv")
+        census = Composition(
+            tuple(names[a] for a in census.area_ids), census.category_ids, census.counts
+        )
+        sio.save_composition(tmp_path / "census.csv", census)
+        h = sio.load_hierarchy(MINI / "hierarchy.csv")
+        sio.save_hierarchy(
+            tmp_path / "hierarchy.csv",
+            AreaHierarchy.from_pairs((names[s], h.large_of(s)) for s in h.small_ids),
+        )
+        argv = update_argv(tmp_path / "out")
+        argv[argv.index("--seed") + 1] = tmp_path / "census.csv"
+        argv[argv.index("--hierarchy") + 1] = tmp_path / "hierarchy.csv"
+        code, _, err = run_cli(*argv)
+        assert code == 0, err
+        fitted = sio.load_composition(tmp_path / "out" / "fitted.csv")
+        assert fitted.area_ids == census.area_ids
+        assert fitted.category_ids == census.category_ids
 
 class TestShares:
     def test_dynamic_values(self, tmp_path):

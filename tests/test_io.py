@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spreekit import (
     AreaHierarchy,
@@ -13,10 +14,11 @@ from spreekit import (
     MpiProfile,
     PixelTable,
     SimulationPlan,
+    SurveyDesign,
 )
 from spreekit import io as sio
 
-from conftest import FIXTURES
+from conftest import FIXTURES, same_bits
 
 
 def write(tmp_path, name, text):
@@ -347,3 +349,107 @@ class TestPlans:
         plan = sio.load_plan(p)
         assert plan.replicates == 5
         assert plan.seed == 11
+
+
+# Ids with commas, double quotes, line breaks and non-ASCII text; no
+# surrounding whitespace, which the loaders strip.
+IDS = st.text(
+    st.one_of(st.sampled_from(',"\né€字 '), st.characters(exclude_categories=("Cs", "Cc"))),
+    min_size=1,
+    max_size=6,
+).filter(lambda s: s == s.strip())
+COUNTS = st.floats(min_value=0.0, max_value=1e308)
+COORDS = st.floats(allow_nan=False, allow_infinity=False)
+ROUND_TRIP = settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def unique_ids(min_size=1, max_size=5):
+    return st.lists(IDS, min_size=min_size, max_size=max_size, unique=True)
+
+
+class TestSaveThenLoadIsIdentity:
+    @ROUND_TRIP
+    @given(areas=unique_ids(), categories=unique_ids(), data=st.data())
+    def test_composition(self, tmp_path, areas, categories, data):
+        counts = data.draw(st.lists(COUNTS, min_size=len(areas) * len(categories),
+                                    max_size=len(areas) * len(categories)))
+        c = Composition(tuple(areas), tuple(categories),
+                        np.reshape(counts, (len(areas), len(categories))))
+        sio.save_composition(tmp_path / "c.csv", c)
+        back = sio.load_composition(tmp_path / "c.csv")
+        assert (back.area_ids, back.category_ids) == (c.area_ids, c.category_ids)
+        assert same_bits(back.counts, c.counts)
+
+    @ROUND_TRIP
+    @given(ids=unique_ids(0, 6), data=st.data())
+    def test_margin(self, tmp_path, ids, data):
+        values = np.array(data.draw(st.lists(COUNTS, min_size=len(ids), max_size=len(ids))), dtype=float)
+        m = MarginVector(tuple(ids), values, MarginLevel.CATEGORY, 4)
+        sio.save_margin(tmp_path / "m.csv", m)
+        back = sio.load_margin(tmp_path / "m.csv", MarginLevel.CATEGORY, 4)
+        assert back.ids == m.ids
+        assert same_bits(back.values, m.values)
+
+    @ROUND_TRIP
+    @given(small=unique_ids(), data=st.data())
+    def test_hierarchy(self, tmp_path, small, data):
+        large = data.draw(st.lists(IDS, min_size=len(small), max_size=len(small)))
+        h = AreaHierarchy.from_pairs(zip(small, large))
+        sio.save_hierarchy(tmp_path / "h.csv", h)
+        back = sio.load_hierarchy(tmp_path / "h.csv")
+        assert list(back.assignments.items()) == list(h.assignments.items())
+        assert (back.small_ids, back.large_ids) == (h.small_ids, h.large_ids)
+
+    @ROUND_TRIP
+    @given(
+        years=st.lists(st.integers(-3000, 3000), min_size=1, max_size=3, unique=True),
+        data=st.data(),
+    )
+    def test_by_year(self, tmp_path, years, data):
+        margins = {}
+        for year in years:
+            ids = data.draw(unique_ids())
+            values = data.draw(st.lists(COUNTS, min_size=len(ids), max_size=len(ids)))
+            margins[year] = MarginVector(tuple(ids), np.array(values, dtype=float),
+                                         MarginLevel.LARGE_AREA, year)
+        sio.save_by_year(tmp_path / "p.csv", margins, ("large_id", "year", "population"))
+        back = sio.load_projections(tmp_path / "p.csv")
+        assert list(back) == sorted(margins)
+        for year, m in margins.items():
+            assert (back[year].ids, back[year].level, back[year].reference_time) == (
+                m.ids, m.level, year)
+            assert same_bits(back[year].values, m.values)
+
+    @ROUND_TRIP
+    @given(rows=st.lists(st.tuples(COORDS, COORDS, COUNTS), max_size=6))
+    def test_pixels(self, tmp_path, rows):
+        px = PixelTable.from_rows(rows)
+        sio.save_pixels(tmp_path / "px.csv", px)
+        back = sio.load_pixels(tmp_path / "px.csv")
+        for name in ("lon", "lat", "value"):
+            assert same_bits(getattr(back, name), getattr(px, name))
+
+    @ROUND_TRIP
+    @given(
+        rows=st.lists(
+            st.tuples(IDS, IDS, st.floats(min_value=1e-300, max_value=1e300), IDS,
+                      st.floats(min_value=0.0, max_value=1e6)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_design(self, tmp_path, rows):
+        psu, stratum, weight, category, value = (list(col) for col in zip(*rows))
+        d = SurveyDesign(np.array(psu, dtype=object), np.array(stratum, dtype=object),
+                         np.array(weight), np.array(category, dtype=object), np.array(value))
+        sio.save_design(tmp_path / "d.csv", d)
+        back = sio.load_design(tmp_path / "d.csv")
+        for name in ("psu", "stratum", "category"):
+            assert getattr(back, name).tolist() == getattr(d, name).tolist()
+        assert same_bits(back.weight, d.weight) and same_bits(back.value, d.value)
+        assert (back.category_ids, back.strata) == (d.category_ids, d.strata)
