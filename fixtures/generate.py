@@ -95,7 +95,6 @@ def mini_country() -> None:
         np.asarray(weight, dtype=float),
         np.asarray(category, dtype=object),
         np.asarray(value, dtype=float),
-        CATEGORIES,
     )
     sio.save_design(MINI / "design.csv", design)
 

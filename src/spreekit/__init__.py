@@ -20,7 +20,7 @@ from spreekit.composition import (
     row_margins,
     to_probabilities,
 )
-from spreekit.ipf import IpfConfig, IpfError, IpfResult, ipf_fit, margin_deviation
+from spreekit.ipf import IpfConfig, IpfError, IpfResult, ipf_fit
 from spreekit.loglinear import LogLinearDecomposition, association_distance, decompose
 from spreekit.margins import (
     HybridSelection,

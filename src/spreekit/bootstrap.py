@@ -33,7 +33,7 @@ summaries) come from one ``np.quantile`` call over the replicate stack, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -55,6 +55,8 @@ AuxResample = Literal["resample-pool", "none"]
 
 QUANTILE_LABELS = ("q2.5", "q25", "median", "q75", "q97.5")
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
+# Share of replicates whose raking may fail before a run is aborted.
+_MAX_DROPPED_FRACTION = 0.10
 
 
 def _nan_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -90,7 +92,6 @@ class BootstrapConfig:
     aux_perturb_cv: float = 0.05
     poisson_mode: Literal["sample", "mean"] = "sample"
     multinomial_mode: Literal["sample", "mean"] = "sample"
-    max_dropped_fraction: float = 0.10
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -113,9 +114,9 @@ class SurveyDesign:
     """Per-observation survey records feeding the column margin.
 
     Each observation contributes ``weight * value`` to its PSU's category
-    total, added in observation order.  Strata and PSUs keep first-appearance
-    order; resampling draws PSUs with replacement within each stratum,
-    keeping the per-stratum PSU count.
+    total, added in observation order.  Categories, strata and PSUs keep
+    first-appearance order; resampling draws PSUs with replacement within
+    each stratum, keeping the per-stratum PSU count.
     """
 
     psu: np.ndarray
@@ -123,7 +124,7 @@ class SurveyDesign:
     weight: np.ndarray
     category: np.ndarray
     value: np.ndarray
-    category_ids: tuple[str, ...] = ()
+    category_ids: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         psu = np.asarray(self.psu, dtype=object)
@@ -141,13 +142,7 @@ class SurveyDesign:
         if np.any(value < 0) or not np.all(np.isfinite(value)):
             raise ValueError("design values must be finite and non-negative")
 
-        if self.category_ids:
-            cat_ids = tuple(str(c) for c in self.category_ids)
-            unknown = sorted({str(c) for c in category} - set(cat_ids))
-            if unknown:
-                raise ValueError(f"design categories not in category_ids: {unknown}")
-        else:
-            cat_ids = tuple(dict.fromkeys(str(c) for c in category))
+        cat_ids = tuple(dict.fromkeys(str(c) for c in category))
         cat_pos = {c: i for i, c in enumerate(cat_ids)}
         cat_index = np.asarray([cat_pos[str(c)] for c in category], dtype=np.intp)
 
@@ -157,7 +152,10 @@ class SurveyDesign:
             dtype=np.intp,
         )
         totals = np.zeros((len(psu_pos), len(cat_ids)))
-        np.add.at(totals, (psu_index, cat_index), weight * value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(totals, (psu_index, cat_index), weight * value)
+        if not np.all(np.isfinite(totals)):
+            raise ValueError("design weight * value must be finite")
         by_stratum: dict[str, list[int]] = {}
         for i, (s, _) in enumerate(psu_pos):
             by_stratum.setdefault(s, []).append(i)
@@ -177,15 +175,6 @@ class SurveyDesign:
     @property
     def strata(self) -> tuple[str, ...]:
         return self._strata  # type: ignore[attr-defined]
-
-    def psu_totals(self) -> np.ndarray:
-        """Per-PSU weighted category totals, PSUs in first-appearance order."""
-        return self._psu_totals.copy()  # type: ignore[attr-defined]
-
-    def point_margin(self, reference_time: int = 0) -> MarginVector:
-        """Weighted category totals without any resampling."""
-        totals = self._psu_totals.sum(axis=0)  # type: ignore[attr-defined]
-        return MarginVector(self.category_ids, totals, MarginLevel.CATEGORY, reference_time)
 
 
 def resample_column_margin(
@@ -286,8 +275,8 @@ def bootstrap_mse(
 
     Requires a converged point estimate.  Replicates whose raking fails
     (for example a replicate row drawn to zero against a positive target)
-    are dropped and counted; more than ``cfg.max_dropped_fraction`` dropped,
-    or every replicate, aborts the run.  The MSE divisor is the completed replicate count.
+    are dropped and counted; more than 10% dropped aborts the run.  The MSE
+    divisor is the completed replicate count.
     """
     point = spree_update(req)
     if not point.ipf.converged:
@@ -361,11 +350,11 @@ def bootstrap_mse(
     reasons = tuple(o for o in outcomes if isinstance(o, str))
     pairs = [o for o in outcomes if not isinstance(o, str)]
     dropped = len(reasons)
-    if not pairs or dropped > cfg.max_dropped_fraction * cfg.replicates:
+    if dropped > _MAX_DROPPED_FRACTION * cfg.replicates:
         detail = "; ".join(reasons[:5])
         raise BootstrapError(
             f"{dropped}/{cfg.replicates} replicates dropped (limit "
-            f"{cfg.max_dropped_fraction:.0%}): {detail}"
+            f"{_MAX_DROPPED_FRACTION:.0%}): {detail}"
         )
 
     fitted_reps = np.stack([p[0] for p in pairs])

@@ -27,8 +27,9 @@ is yielded.
 
 Exit codes: 0 success, 1 data error (a JSON error object is printed to
 stderr), 2 usage error.  A run that succeeds with a caveat (``update``
-stopping unconverged, ``aggregate`` leaving over 5% of the mass
-unassigned) exits 0 and prints a JSON ``{"warning": ...}`` to stderr.
+stopping unconverged, ``validate`` with a strategy that failed rounds,
+``aggregate`` leaving over 5% of the mass unassigned) exits 0 and prints a
+JSON ``{"warning": ...}`` to stderr.
 """
 
 from __future__ import annotations
@@ -41,17 +42,26 @@ import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, get_args
 
 import numpy as np
 
 from spreekit import __version__, io as sio
-from spreekit.bootstrap import QUANTILE_LABELS, BootstrapConfig, BootstrapError, bootstrap_mse
+from spreekit.bootstrap import (
+    QUANTILE_LABELS,
+    AuxResample,
+    BootstrapConfig,
+    BootstrapError,
+    ColResample,
+    bootstrap_mse,
+)
 from spreekit.composition import Composition, MarginLevel, MarginVector
 from spreekit.geo import aggregate_pixels
 from spreekit.ipf import IpfConfig
 from spreekit.loglinear import LogLinearDecomposition, association_distance, decompose
 from spreekit.margins import (
+    QUANTILE_CUTOFF,
+    ReconcilePolicy,
     census_baseline,
     distribute,
     dynamic_shares,
@@ -62,6 +72,7 @@ from spreekit.margins import (
 from spreekit.mpi import MpiProfile, MpiResult, compute_mpi, tabulate_poverty
 from spreekit.simulation import (
     QUARTILE_NAMES,
+    STRATEGIES,
     SUMMARY_COLUMNS,
     quartile_means,
     run_simulation,
@@ -303,7 +314,7 @@ def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         aux_pool = sio.load_margin_pool(paths, MarginLevel.SMALL_AREA)
     cfg = BootstrapConfig(
         replicates=ns.replicates,
-        seed=ns.seed if ns.seed is not None else 0,
+        seed=ns.seed if ns.seed is not None else BootstrapConfig.seed,
         col_resample=ns.col_resample,
         aux_resample=ns.aux_resample,
         aux_perturb_cv=ns.aux_perturb_cv,
@@ -398,6 +409,12 @@ def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         },
     }
     yield "report.json", _json_text(payload)
+    for strategy, m in report.metrics.items():
+        if m.failures:
+            _warn(
+                f"strategy {strategy} failed {len(m.failures)} of {plan.replicates} rounds; "
+                f"first: {m.failures[0]}"
+            )
 
 
 def _mpi_summary(result: MpiResult) -> dict[str, float]:
@@ -479,27 +496,21 @@ def cmd_diagnose(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
 def _rake_flags(p: argparse.ArgumentParser, census_flag: str) -> None:
     """The flags of one raking update, shared by update and bootstrap."""
     _add(p, census_flag, dest="seed_composition", metavar="CSV", required=True)
-    _add(p, "--col-margin", dest="col_margin", required=True)
+    _add(p, "--col-margin", required=True)
     _add(p, "--projections", required=True)
     _add(p, "--hierarchy", required=True)
-    _add(
-        p,
-        "--shares-mode",
-        dest="shares_mode",
-        choices=("fixed", "dynamic", "hybrid"),
-        required=True,
-    )
+    _add(p, "--shares-mode", choices=STRATEGIES, required=True)
     _add(p, "--aux", default=None)
-    _add(p, "--cutoff", type=float, default=0.25)
+    _add(p, "--cutoff", type=float, default=QUANTILE_CUTOFF)
     _add(p, "--year", type=int, required=True)
-    _add(p, "--tolerance", type=float, default=1e-8)
-    _add(p, "--max-iter", dest="max_iter", type=int, default=1000)
-    _add(p, "--zeros", type=_parse_zeros, default=("structural", 0.5))
+    _add(p, "--tolerance", type=float, default=IpfConfig.tolerance)
+    _add(p, "--max-iter", type=int, default=IpfConfig.max_iterations)
+    _add(p, "--zeros", type=_parse_zeros, default=(IpfConfig.zero_mode, IpfConfig.epsilon))
     _add(
         p,
         "--reconcile",
-        choices=("scale-col-to-row", "scale-row-to-col", "error"),
-        default="scale-col-to-row",
+        choices=get_args(ReconcilePolicy),
+        default=UpdateRequest.reconcile_policy,
     )
 
 
@@ -510,24 +521,12 @@ def _update_flags(p: argparse.ArgumentParser) -> None:
 
 def _bootstrap_flags(p: argparse.ArgumentParser) -> None:
     _rake_flags(p, census_flag="--census")
-    _add(p, "--replicates", type=int, default=100)
+    _add(p, "--replicates", type=int, default=BootstrapConfig.replicates)
     _add(p, "--design", required=True)
-    _add(p, "--aux-pool", dest="aux_pool", default=None)
-    _add(
-        p,
-        "--col-resample",
-        dest="col_resample",
-        choices=("psu-cluster", "iid-category", "none"),
-        default="psu-cluster",
-    )
-    _add(
-        p,
-        "--aux-resample",
-        dest="aux_resample",
-        choices=("resample-pool", "none"),
-        default="resample-pool",
-    )
-    _add(p, "--aux-perturb-cv", dest="aux_perturb_cv", type=float, default=0.05)
+    _add(p, "--aux-pool", default=None)
+    _add(p, "--col-resample", choices=get_args(ColResample), default=BootstrapConfig.col_resample)
+    _add(p, "--aux-resample", choices=get_args(AuxResample), default=BootstrapConfig.aux_resample)
+    _add(p, "--aux-perturb-cv", type=float, default=BootstrapConfig.aux_perturb_cv)
 
 
 def _validate_flags(p: argparse.ArgumentParser) -> None:
@@ -539,17 +538,17 @@ def _mpi_flags(p: argparse.ArgumentParser) -> None:
     _add(p, "--households", required=True)
     _add(p, "--profile", default=None)
     _add(p, "--hierarchy", default=None, help="also tabulate poor counts per area")
-    p.add_argument("--by-subgroup", dest="by_subgroup", action="store_true")
+    p.add_argument("--by-subgroup", action="store_true")
 
 
 def _shares_flags(p: argparse.ArgumentParser) -> None:
-    _add(p, "--mode", choices=("fixed", "dynamic", "hybrid"), required=True)
+    _add(p, "--mode", choices=STRATEGIES, required=True)
     _add(p, "--census", required=True)
     _add(p, "--hierarchy", required=True)
     _add(p, "--aux", default=None)
     _add(p, "--projections", default=None)
     _add(p, "--year", type=int, default=None)
-    _add(p, "--cutoff", type=float, default=0.25)
+    _add(p, "--cutoff", type=float, default=QUANTILE_CUTOFF)
 
 
 def _aggregate_flags(p: argparse.ArgumentParser) -> None:

@@ -61,13 +61,6 @@ class PixelTable:
     def __len__(self) -> int:
         return len(self.value)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple[float, float, float]]) -> "PixelTable":
-        if not rows:
-            return cls(np.empty(0), np.empty(0), np.empty(0))
-        arr = np.asarray(rows, dtype=float)
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2])
-
 
 def _as_ring(vertices: Sequence[Sequence[float]], where: str) -> Ring:
     ring = np.asarray(vertices, dtype=float)

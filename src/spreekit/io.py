@@ -505,12 +505,22 @@ def _tupled(value: Any) -> Any:
 def load_plan(path: str | Path) -> SimulationPlan:
     """Simulation plan JSON: inline scenario config or file references.
 
-    The inline form is ``{"scenario": {...generator fields...}}`` with
-    optional top-level ``replicates``/``seed`` overrides.  The file-ref
-    form names ``truth_t0``, ``truth_t``, ``hierarchy``, ``large_totals``
-    CSV paths (relative to the plan file), plus optional ``design``,
-    ``aux_pool`` (list of margin CSVs), ``strategies``, ``replicates``,
-    ``seed``, ``quantile_cutoff``, and ``target_time``.
+    The inline form is ``{"scenario": {...}}``.  Its object takes the
+    :class:`~spreekit.scenario.ScenarioConfig` fields, each optional:
+    ``regions``, ``areas_per_region``, ``region_populations``,
+    ``region_growth``, ``base_shares``, ``share_changes``, ``poverty_t0``,
+    ``poverty_t``, ``aux_cv``, ``aux_bias_range``, ``aux_pool_size``,
+    ``aux_exact``, ``psus_per_region``, ``persons_per_psu``,
+    ``replicates``, ``seed``, ``quantile_cutoff`` and ``strategies``; any
+    other key is a bad scenario config.  Top-level ``replicates`` and
+    ``seed`` override the scenario's.
+
+    The file-ref form requires the CSV paths ``truth_t0``, ``truth_t``,
+    ``hierarchy`` and ``large_totals`` (relative to the plan file).  It
+    takes as options ``design``, ``aux_pool`` (a list of margin CSVs),
+    ``strategies``, ``quantile_cutoff``, ``replicates`` (default 500),
+    ``seed`` (default 0), ``base_time`` (default 0) and ``target_time``
+    (default 1); other keys are ignored.
     """
     path = Path(path)
     data = _load_json(path)
@@ -547,6 +557,11 @@ def load_plan(path: str | Path) -> SimulationPlan:
         for p in data.get("aux_pool", [])
     )
     try:
+        optional = {
+            k: cast(data[k])
+            for k, cast in (("strategies", tuple), ("quantile_cutoff", float))
+            if k in data
+        }
         return SimulationPlan(
             replicates=int(data.get("replicates", 500)),
             seed=int(data.get("seed", 0)),
@@ -554,10 +569,9 @@ def load_plan(path: str | Path) -> SimulationPlan:
             truth_t=truth_t,
             hierarchy=hierarchy,
             large_totals_t=large_totals,
-            strategies=tuple(data.get("strategies", ("fixed", "dynamic", "hybrid"))),
             survey_design=design,
             aux_pool=aux_pool,
-            quantile_cutoff=float(data.get("quantile_cutoff", 0.25)),
+            **optional,
         )
     except ValueError as e:
         raise IngestError(f"{path}: {e}") from e

@@ -67,26 +67,6 @@ class IpfResult:
             raise ValueError("converged result above tolerance")
 
 
-def _relative_deviation(fitted: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return np.abs(fitted - target) / np.maximum(target, 1.0)
-
-
-def margin_deviation(
-    fitted: Composition, row_target: MarginVector, col_target: MarginVector
-) -> float:
-    """Convergence statistic: worst relative margin miss of ``fitted``.
-
-    Max over all row and column entries of |margin - target| / max(target, 1).
-    """
-    if fitted.area_ids != row_target.ids:
-        raise IpfError("row target ids do not match composition area ids")
-    if fitted.category_ids != col_target.ids:
-        raise IpfError("column target ids do not match composition category ids")
-    row_dev = _relative_deviation(fitted.counts.sum(axis=1), row_target.values)
-    col_dev = _relative_deviation(fitted.counts.sum(axis=0), col_target.values)
-    return float(max(row_dev.max(), col_dev.max()))
-
-
 def ipf_fit(
     seed: Composition,
     row_target: MarginVector,

@@ -26,6 +26,8 @@ from spreekit.composition import (
 )
 
 SHARE_SUM_TOL = 1e-9
+# Share of large areas the hybrid margin gives dynamic shares by default.
+QUANTILE_CUTOFF = 0.25
 
 Provenance = Literal["fixed-census", "dynamic-auxiliary", "hybrid"]
 ReconcilePolicy = Literal["scale-col-to-row", "scale-row-to-col", "error"]
@@ -161,7 +163,7 @@ def census_baseline(census: Composition, h: AreaHierarchy) -> MarginVector:
 def select_by_change(
     projected: MarginVector,
     baseline: MarginVector,
-    quantile_cutoff: float = 0.25,
+    quantile_cutoff: float = QUANTILE_CUTOFF,
 ) -> HybridSelection:
     """Pick the large areas with the strongest projected population change.
 

@@ -15,7 +15,7 @@ shares moved a lot and loses to the fixed margin where they barely moved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from spreekit.composition import (
     MarginLevel,
     MarginVector,
 )
-from spreekit.ipf import IpfConfig
+from spreekit.margins import QUANTILE_CUTOFF
 from spreekit.mpi import POVERTY_CATEGORIES
-from spreekit.simulation import SimulationPlan
+from spreekit.simulation import STRATEGIES, SimulationPlan
 
 # Stream index for scenario construction noise, far above any replicate
 # index so generator draws never collide with simulation streams.
@@ -86,9 +86,8 @@ class ScenarioConfig:
     persons_per_psu: int = 120
     replicates: int = 500
     seed: int = 20250823
-    quantile_cutoff: float = 0.25
-    strategies: tuple[str, ...] = ("fixed", "dynamic", "hybrid")
-    ipf_config: IpfConfig = field(default_factory=IpfConfig)
+    quantile_cutoff: float = QUANTILE_CUTOFF
+    strategies: tuple[str, ...] = STRATEGIES
 
     def __post_init__(self) -> None:
         if self.regions < 1 or self.areas_per_region < 1:
@@ -123,6 +122,12 @@ class ScenarioConfig:
             raise ValueError("aux_bias_range must satisfy 0 <= lo <= hi")
         if self.aux_pool_size < 1:
             raise ValueError("aux_pool_size must be >= 1")
+        if self.psus_per_region < 1 or self.persons_per_psu < 1:
+            raise ValueError("psus_per_region and persons_per_psu must be >= 1")
+        if any(not v > 0 for v in self.region_populations):
+            raise ValueError("region_populations must be > 0")
+        if any(not v > -1 for v in self.region_growth):
+            raise ValueError("region_growth must be > -1")
 
 
 def _region_ids(cfg: ScenarioConfig) -> tuple[str, ...]:
@@ -233,7 +238,6 @@ def build_scenario(cfg: ScenarioConfig) -> SimulationPlan:
         np.asarray(weight, dtype=float),
         np.asarray(category, dtype=object),
         np.asarray(value, dtype=float),
-        POVERTY_CATEGORIES,
     )
 
     return SimulationPlan(
@@ -247,10 +251,11 @@ def build_scenario(cfg: ScenarioConfig) -> SimulationPlan:
         survey_design=design,
         aux_pool=aux_pool,
         quantile_cutoff=cfg.quantile_cutoff,
-        ipf_config=cfg.ipf_config,
     )
 
 
-def migration_shock_config(replicates: int = 500, seed: int = 20250823) -> ScenarioConfig:
+def migration_shock_config(
+    replicates: int = ScenarioConfig.replicates, seed: int = ScenarioConfig.seed
+) -> ScenarioConfig:
     """The shipped 3-region, 12-area shock scenario."""
     return ScenarioConfig(replicates=replicates, seed=seed)

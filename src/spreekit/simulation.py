@@ -32,7 +32,7 @@ metrics without a warning.  The summary quantiles are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,8 +54,8 @@ from spreekit.composition import (
     row_margins,
     to_probabilities,
 )
-from spreekit.ipf import IpfConfig
 from spreekit.margins import (
+    QUANTILE_CUTOFF,
     ShareVector,
     census_baseline,
     dynamic_shares,
@@ -156,6 +156,8 @@ class SimulationPlan:
     true within-region share between the two truth censuses (infinite when
     a share appears from zero).  Every round redraws both censuses; without
     a ``survey_design`` the column margin is the target-year replicate's own.
+    Each update runs with :class:`UpdateRequest`'s default raking controls
+    and reconcile policy.
     """
 
     replicates: int
@@ -167,9 +169,7 @@ class SimulationPlan:
     strategies: tuple[str, ...] = STRATEGIES
     survey_design: SurveyDesign | None = None
     aux_pool: tuple[MarginVector, ...] = ()
-    quantile_cutoff: float = 0.25
-    ipf_config: IpfConfig = field(default_factory=IpfConfig)
-    reconcile_policy: str = "scale-col-to-row"
+    quantile_cutoff: float = QUANTILE_CUTOFF
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -224,11 +224,6 @@ class SimulationReport:
     quartile_summary: dict[str, dict[str, np.ndarray]]
     correlations: dict[str, np.ndarray]
     win_counts: dict[str, int]
-
-    def quartile_areas(self, quartile: int) -> tuple[str, ...]:
-        return tuple(
-            a for a, q in zip(self.area_ids, self.quartile_labels) if q == quartile
-        )
 
 
 def _nd_bias(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
@@ -346,8 +341,6 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
                     col_margin=col,
                     large_totals=plan.large_totals_t,
                     shares=sv,
-                    ipf_config=plan.ipf_config,
-                    reconcile_policy=plan.reconcile_policy,
                 )
                 res = spree_update(req)
                 outcomes[strategy] = (res.fitted.counts, np.asarray(sv.shares, dtype=float))

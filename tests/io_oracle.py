@@ -267,6 +267,13 @@ def load_aux_populations(path: str | Path) -> dict[int, MarginVector]:
     )
 
 
+def _pixel_table(rows: Sequence[tuple[float, float, float]]) -> PixelTable:
+    if not rows:
+        return PixelTable(np.empty(0), np.empty(0), np.empty(0))
+    arr = np.asarray(rows, dtype=float)
+    return PixelTable(arr[:, 0], arr[:, 1], arr[:, 2])
+
+
 def load_pixels(path: str | Path) -> PixelTable:
     path = Path(path)
     rows = _read_rows(path, ("lon", "lat", "value"))
@@ -279,7 +286,7 @@ def load_pixels(path: str | Path) -> PixelTable:
         if value < 0:
             _fail(path, i, f"negative value {row[2]!r}")
         parsed.append((lon, lat, value))
-    return _wrap_invariant(path, PixelTable.from_rows, parsed)
+    return _wrap_invariant(path, _pixel_table, parsed)
 
 
 def load_design(path: str | Path) -> SurveyDesign:

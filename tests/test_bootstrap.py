@@ -209,15 +209,17 @@ def test_excessive_drops_abort():
 
 
 def test_drop_accounting_when_within_limit():
-    census = make_composition([[1.0, 1.0], [1.0, 1.0]])
+    # One small row (total 3) draws a Poisson zero now and then: a few
+    # replicates drop, fewer than the 10% limit.
+    census = make_composition([[1.5, 1.5], [10.0, 10.0]])
     h = two_region_hierarchy(2)
-    totals = MarginVector(("g1", "g2"), np.array([2.0, 2.0]), MarginLevel.LARGE_AREA)
-    col = MarginVector(("c1", "c2"), np.array([2.0, 2.0]), MarginLevel.CATEGORY)
+    totals = MarginVector(("g1", "g2"), np.array([3.0, 20.0]), MarginLevel.LARGE_AREA)
+    col = MarginVector(("c1", "c2"), np.array([11.5, 11.5]), MarginLevel.CATEGORY)
     req = UpdateRequest(census, col, totals, fixed_shares(census, h))
-    cfg = BootstrapConfig(replicates=50, seed=11, col_resample="none",
-                          aux_resample="none", max_dropped_fraction=0.95)
+    cfg = BootstrapConfig(replicates=50, seed=0, col_resample="none",
+                          aux_resample="none")
     unc = bootstrap_mse(req, None, None, cfg)
-    assert unc.dropped_replicates > 0
+    assert 0 < unc.dropped_replicates <= 5
     assert unc.completed_replicates + unc.dropped_replicates == 50
     assert len(unc.drop_reasons) == unc.dropped_replicates
     assert all("replicate" in r for r in unc.drop_reasons)
@@ -225,15 +227,13 @@ def test_drop_accounting_when_within_limit():
 
 def test_every_replicate_dropped_is_a_bootstrap_error():
     # Under the "error" reconcile policy each perturbed row margin disagrees
-    # with the column total, so every replicate drops, even at a 100% limit.
+    # with the column total, so every replicate drops.
     req = mini_request()
     req = UpdateRequest(
         req.seed, req.col_margin, req.large_totals, req.shares, reconcile_policy="error"
     )
-    cfg = BootstrapConfig(
-        replicates=5, col_resample="none", aux_perturb_cv=0.2, max_dropped_fraction=1.0
-    )
-    with pytest.raises(BootstrapError, match=r"^5/5 replicates dropped \(limit 100%\): replicate 0: "):
+    cfg = BootstrapConfig(replicates=5, col_resample="none", aux_perturb_cv=0.2)
+    with pytest.raises(BootstrapError, match=r"^5/5 replicates dropped \(limit 10%\): replicate 0: "):
         bootstrap_mse(req, None, None, cfg)
 
 
@@ -255,14 +255,19 @@ def test_nonconverged_point_is_an_error():
         bootstrap_mse(strict, mini_design(), None, BootstrapConfig(replicates=2))
 
 
+def point_totals(design):
+    """Weighted category totals of ``design`` without any resampling."""
+    return design._psu_totals.sum(axis=0)
+
+
 class TestSurveyDesign:
     def test_point_margin_totals(self):
         d = mini_design()
-        m = d.point_margin()
+        totals = point_totals(d)
         # 8 PSUs x 100 persons x weight 5.375, poor counts fixed by fixture.
-        assert m.ids == ("poor", "non-poor")
-        assert m.total() == pytest.approx(800 * 5.375)
-        assert m.values[0] == pytest.approx(280 * 5.375)
+        assert d.category_ids == ("poor", "non-poor")
+        assert totals.sum() == pytest.approx(800 * 5.375)
+        assert totals[0] == pytest.approx(280 * 5.375)
 
     def test_single_psu_strata_resample_deterministically(self):
         d = SurveyDesign(
@@ -273,11 +278,11 @@ class TestSurveyDesign:
             np.array([10.0, 30.0, 5.0, 15.0]),
         )
         m = resample_column_margin(d, rngmod.stream(0, 0))
-        np.testing.assert_array_equal(m.values, d.point_margin().values)
+        np.testing.assert_array_equal(m.values, point_totals(d))
 
     def test_resample_preserves_psu_count_mass_scale(self):
         d = mini_design()
-        point_total = d.point_margin().total()
+        point_total = point_totals(d).sum()
         # Redrawing 4 of 4 PSUs per stratum keeps the order of magnitude:
         # each draw is a sum of 8 PSU totals, whatever the mix.
         per_psu = point_total / 8
@@ -301,15 +306,6 @@ class TestSurveyDesign:
                 np.array([0.0]),
                 np.array(["c"], dtype=object),
                 np.array([1.0]),
-            )
-        with pytest.raises(ValueError, match="not in category_ids"):
-            SurveyDesign(
-                np.array(["p"], dtype=object),
-                np.array(["s"], dtype=object),
-                np.array([1.0]),
-                np.array(["zz"], dtype=object),
-                np.array([1.0]),
-                category_ids=("poor", "non-poor"),
             )
 
 
@@ -412,7 +408,6 @@ def test_iid_resample_matches_per_observation_loop():
                 weight=g.uniform(0.1, 50.0, n),
                 category=g.choice(["x", "y", "z"], n),
                 value=g.uniform(0.0, 3.0, n),
-                category_ids=("x", "y", "z", "unused"),
             )
         )
     for k, design in enumerate(designs):
@@ -469,7 +464,7 @@ def survey_designs(draw):
     weight = 10.0 ** g.uniform(-3.0, 6.0, n)
     value = np.where(g.random(n) < 0.2, 0.0, g.uniform(0.0, 40.0, n))
     category = g.choice(["x", "y", "z"], n)
-    return SurveyDesign(psu, stratum, weight, category, value, ("x", "y", "z"))
+    return SurveyDesign(psu, stratum, weight, category, value)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -477,7 +472,7 @@ def survey_designs(draw):
 def test_design_grouping_matches_per_observation_loop(design, seed):
     strata, totals, rows = per_observation_design(design)
     assert design.strata == strata
-    assert design.psu_totals().tobytes() == totals.tobytes()
+    assert design._psu_totals.tobytes() == totals.tobytes()
     got = design._psus_by_stratum
     assert list(got) == list(rows)
     for s in strata:

@@ -440,6 +440,56 @@ class TestValidate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["strategies"]["fixed"]["completed"] == 10
 
+    def test_clean_run_prints_nothing_on_stderr(self, tmp_path):
+        code, _, err = run_cli(
+            "validate", "--plan", FIXTURES / "mini_plan.json", "--out", tmp_path
+        )
+        assert (code, err) == (0, "")
+
+    def test_failed_rounds_warn_on_stderr(self, tmp_path):
+        # Region K has no auxiliary population, so no dynamic shares exist
+        # for it: the dynamic and hybrid strategies fail every round.
+        (tmp_path / "aux.csv").write_text("id,value\na1,0\na2,0\na3,1050\na4,1000\n")
+        plan = json.loads((FIXTURES / "mini_plan.json").read_text())
+        for key in ("truth_t0", "truth_t", "hierarchy", "large_totals", "design"):
+            plan[key] = str(FIXTURES / plan[key])
+        plan.update(aux_pool=["aux.csv"], replicates=3)
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        code, _, err = run_cli("validate", "--plan", tmp_path / "plan.json", "--out", tmp_path)
+        assert code == 0
+        warnings = [json.loads(line)["warning"] for line in err.splitlines()]
+        assert [w.split(";")[0] for w in warnings] == [
+            "strategy dynamic failed 3 of 3 rounds",
+            "strategy hybrid failed 3 of 3 rounds",
+        ]
+        assert all("; first: replicate 0: " in w for w in warnings)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [report["strategies"][s]["failed"] for s in ("fixed", "dynamic", "hybrid")] == [
+            0, 3, 3,
+        ]
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"ipf_config": {"tolerance": 1e-6}},
+            {"persons_per_psu": 0},
+            {"psus_per_region": 0},
+            {"region_populations": [120000.0, 0.0, 100000.0]},
+            {"region_growth": [0.02, 0.025, -1.0]},
+        ],
+        ids=["ipf_config", "persons_per_psu", "psus_per_region",
+             "region_populations", "region_growth"],
+    )
+    def test_bad_scenario_config_is_data_error(self, tmp_path, scenario):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"scenario": {"replicates": 2, **scenario}}))
+        code, out, err = run_cli("validate", "--plan", plan, "--out", tmp_path / "out")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "IngestError"
+        assert "bad scenario config" in error["message"]
+
 
 class TestMpi:
     def mpi_argv(self, out_dir, *extra) -> list[str]:

@@ -219,7 +219,7 @@ class TestMatchesPerEdgeOracle:
         lon = np.nextafter(x, np.sign(x) * np.inf)
         lat = ring[1][1]
         assert reference_contains(np.array([lon]), np.array([lat]), polys.polygons["a"])[0]
-        agg = aggregate_pixels(PixelTable.from_rows([(lon, lat, 1.0)]), polys)
+        agg = aggregate_pixels(PixelTable([lon], [lat], [1.0]), polys)
         assert agg.area_index.tolist() == [0]
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -350,7 +350,7 @@ class TestAggregation:
         left = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         right = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
         polys = AreaPolygonSet({"a": ((left,),), "b": ((right,),)})
-        px = PixelTable.from_rows([(1.0, 0.5, 7.0)])
+        px = PixelTable([1.0], [0.5], [7.0])
         agg = aggregate_pixels(px, polys)
         # Ray casting puts an on-edge point in exactly one square here; the
         # sweep order (sorted ids) makes the outcome reproducible.
@@ -364,10 +364,10 @@ class TestAggregation:
             [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
         )
         polys = AreaPolygonSet({"only": ((square,),)})
-        inside = [(0.5, 0.5, 90.0)]
-        agg = aggregate_pixels(PixelTable.from_rows(inside + [(5.0, 5.0, 4.0)]), polys)
+        lon, lat = [0.5, 5.0], [0.5, 5.0]
+        agg = aggregate_pixels(PixelTable(lon, lat, [90.0, 4.0]), polys)
         assert not agg.warning  # 4/94 < 5%
-        agg2 = aggregate_pixels(PixelTable.from_rows(inside + [(5.0, 5.0, 6.0)]), polys)
+        agg2 = aggregate_pixels(PixelTable(lon, lat, [90.0, 6.0]), polys)
         assert agg2.warning  # 6/96 > 5%
         assert agg2.unassigned_count == 1
         assert agg2.unassigned_mass == 6.0
@@ -376,7 +376,7 @@ class TestAggregation:
     def test_overlapping_areas_resolve_by_id_order(self):
         big = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0], [0.0, 0.0]])
         polys = AreaPolygonSet({"z_first": ((big,),), "a_first": ((big,),)})
-        px = PixelTable.from_rows([(2.0, 2.0, 5.0)])
+        px = PixelTable([2.0], [2.0], [5.0])
         agg = aggregate_pixels(px, polys)
         # Sorted id order puts "a_first" before "z_first".
         assert agg.margin.ids == ("a_first", "z_first")
@@ -385,7 +385,7 @@ class TestAggregation:
 
 class TestPixelTable:
     def test_from_rows_and_len(self):
-        px = PixelTable.from_rows([(0.0, 0.0, 1.0), (1.0, 1.0, 2.0)])
+        px = PixelTable([0.0, 1.0], [0.0, 1.0], [1.0, 2.0])
         assert len(px) == 2
         np.testing.assert_array_equal(px.value, [1.0, 2.0])
 

@@ -273,7 +273,7 @@ class TestByYear:
 
 class TestPixelsAndDesign:
     def test_pixels_round_trip(self, tmp_path):
-        px = PixelTable.from_rows([(0.5, 0.25, 1.0 / 3.0), (1.5, 2.5, 7.0)])
+        px = PixelTable([0.5, 1.5], [0.25, 2.5], [1.0 / 3.0, 7.0])
         p = tmp_path / "px.csv"
         sio.save_pixels(p, px)
         back = sio.load_pixels(p)
@@ -290,7 +290,7 @@ class TestPixelsAndDesign:
         np.testing.assert_array_equal(back.value, d.value)
         assert back.category_ids == d.category_ids
         assert back.strata == d.strata
-        np.testing.assert_array_equal(back.psu_totals(), d.psu_totals())
+        np.testing.assert_array_equal(back._psu_totals, d._psu_totals)
 
     def test_design_errors(self, tmp_path):
         head = "psu_id,stratum_id,weight,category_id,value\n"
@@ -300,6 +300,20 @@ class TestPixelsAndDesign:
         p2 = write(tmp_path, "d2.csv", head + ",s,1,c,1\n")
         with pytest.raises(IngestError, match=r"d2\.csv:2: empty psu_id"):
             sio.load_design(p2)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "p1,s1,1e6,poor,1e303\n",
+            # Each product is finite; their PSU sum is not.
+            "p1,s1,1e5,poor,1e303\np1,s1,1e5,poor,1e303\n",
+        ],
+        ids=["product", "psu-sum"],
+    )
+    def test_design_total_overflow(self, tmp_path, rows):
+        p = write(tmp_path, "d.csv", "psu_id,stratum_id,weight,category_id,value\n" + rows)
+        with pytest.raises(IngestError, match=r"d\.csv: design weight \* value must be finite"):
+            sio.load_design(p)
 
     def test_polygons_fixture(self):
         polys = sio.load_polygons(FIXTURES / "polygons_horizontal.geojson")
@@ -428,7 +442,7 @@ class TestSaveThenLoadIsIdentity:
     @ROUND_TRIP
     @given(rows=st.lists(st.tuples(COORDS, COORDS, COUNTS), max_size=6))
     def test_pixels(self, tmp_path, rows):
-        px = PixelTable.from_rows(rows)
+        px = PixelTable(*np.array(rows, dtype=float).reshape(-1, 3).T)
         sio.save_pixels(tmp_path / "px.csv", px)
         back = sio.load_pixels(tmp_path / "px.csv")
         for name in ("lon", "lat", "value"):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spreekit import Composition, IpfConfig, IpfError, MarginLevel, ipf_fit, margin_deviation
+from spreekit import Composition, IpfConfig, IpfError, MarginLevel, ipf_fit
 from spreekit.composition import column_margins, row_margins
 from spreekit.ipf import IpfResult
 
@@ -185,16 +185,6 @@ def test_non_convergence_is_flagged_not_raised():
     assert res.iterations_used == 2
     assert res.final_deviation > 1e-12
     assert res.worst_margin[0] in ("row", "column")
-
-
-def test_margin_deviation_formula():
-    fitted = make_composition([[2.0, 2.0], [3.0, 3.0]])
-    rows = make_margin([4.0, 6.0], MarginLevel.SMALL_AREA, "a")
-    cols = make_margin([5.0, 5.0], MarginLevel.CATEGORY, "c")
-    assert margin_deviation(fitted, rows, cols) == 0.0
-    cols_off = make_margin([4.0, 6.0], MarginLevel.CATEGORY, "c")
-    # Column sums are (5, 5); |5-4|/4 = 0.25 is the worst miss.
-    assert margin_deviation(fitted, rows, cols_off) == pytest.approx(0.25)
 
 
 def test_small_target_deviation_uses_absolute_floor():
