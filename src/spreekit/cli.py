@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, get_args
+from typing import Any, Callable, Iterator, Sequence, get_args
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from spreekit.bootstrap import (
     ColResample,
     bootstrap_mse,
 )
-from spreekit.composition import Composition, MarginLevel, MarginVector
+from spreekit.composition import MarginLevel, MarginVector
 from spreekit.geo import aggregate_pixels
 from spreekit.ipf import IpfConfig
 from spreekit.loglinear import LogLinearDecomposition, association_distance, decompose
@@ -144,33 +144,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _fmt(value: Any) -> str:
-    """One CSV field: floats by ``repr``, text quoted where a reader needs it."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    text = str(value)
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _cells_csv(c: Composition) -> str:
-    """The long ``area_id,category_id,count`` form of a composition."""
-    rows = (
-        (area, category, count)
-        for area, counts in zip(c.area_ids, c.counts.tolist())
-        for category, count in zip(c.category_ids, counts)
-    )
-    return _csv_text(("area_id", "category_id", "count"), rows)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -267,7 +240,7 @@ def _warn(message: str) -> None:
 
 def cmd_update(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     result = spree_update(_update_request(ns, inputs))
-    yield "fitted.csv", _cells_csv(result.fitted)
+    yield "fitted.csv", sio.composition_csv(result.fitted, "\n")
     provenance = {
         **result.provenance,
         "unit": ns.unit,
@@ -294,10 +267,10 @@ def cmd_shares(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         projections = _note(inputs, "projections", ns.projections)
         projected = _year_entry(sio.load_projections, projections, ns.year)
     shares = _build_shares(ns.mode, census, hierarchy, aux, projected, ns.cutoff)
-    yield "shares.csv", _csv_text(("id", "value"), zip(shares.small_ids, shares.shares))
+    yield "shares.csv", sio.margin_csv(shares.small_ids, shares.shares, "\n")
     if projected is not None:
         margin = distribute(projected, shares)
-        yield "margin.csv", _csv_text(("id", "value"), zip(margin.ids, margin.values))
+        yield "margin.csv", sio.margin_csv(margin.ids, margin.values, "\n")
 
 
 def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
@@ -320,24 +293,18 @@ def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         aux_perturb_cv=ns.aux_perturb_cv,
     )
     cell = bootstrap_mse(req, design, aux_pool, cfg)
-    columns = (cell.point, cell.mse, cell.cv, cell.rep_mean)
-    columns += tuple(cell.rep_quantiles[name] for name in QUANTILE_LABELS)
-    rows = zip(
-        [area for area in cell.area_ids for _ in cell.category_ids],
-        cell.category_ids * len(cell.area_ids),
-        *(column.ravel().tolist() for column in columns),
-    )
+    tables = (cell.point, cell.mse, cell.cv, cell.rep_mean)
+    tables += tuple(cell.rep_quantiles[name] for name in QUANTILE_LABELS)
+    columns = (*sio.long_ids(cell.area_ids, cell.category_ids), *(t.ravel() for t in tables))
     header = ("area_id", "category_id", "point", "mse", "cv", "rep_mean", *QUANTILE_LABELS)
-    yield "cell_uncertainty.csv", _csv_text(header, rows)
+    yield "cell_uncertainty.csv", sio.csv_text(header, columns, "\n")
 
     if cell.headcount_point is not None:
-        hc_rows = zip(
-            cell.area_ids, cell.headcount_point, cell.headcount_mse, cell.headcount_cv
-        )
-        yield "headcount_cv.csv", _csv_text(("area_id", "headcount", "mse", "cv"), hc_rows)
+        hc = (cell.area_ids, cell.headcount_point, cell.headcount_mse, cell.headcount_cv)
+        yield "headcount_cv.csv", sio.csv_text(("area_id", "headcount", "mse", "cv"), hc, "\n")
         finite = cell.headcount_cv[np.isfinite(cell.headcount_cv)]
         summary = [("headcount_cv", *summary_row(finite))]
-        yield "cv_summary.csv", _csv_text(("measure", *SUMMARY_COLUMNS), summary)
+        yield "cv_summary.csv", sio.csv_text(("measure", *SUMMARY_COLUMNS), zip(*summary), "\n")
     report = {
         "completed_replicates": cell.completed_replicates,
         "dropped_replicates": cell.dropped_replicates,
@@ -364,9 +331,8 @@ def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         for q, name in enumerate(QUARTILE_NAMES)
         for s in plan.strategies
     ]
-    yield "share_accuracy.csv", _csv_text(
-        ("quartile", "strategy", "mean_share_bias", "mean_abs_share_bias"), share_rows
-    )
+    header = ("quartile", "strategy", "mean_share_bias", "mean_abs_share_bias")
+    yield "share_accuracy.csv", sio.csv_text(header, zip(*share_rows), "\n")
 
     perf_rows = []
     for metric in ("bias", "rmse"):
@@ -374,16 +340,16 @@ def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
             for strategy in plan.strategies:
                 table = report.quartile_summary[strategy][metric]
                 perf_rows.append((metric, name, strategy, *table[q]))
-    yield "performance.csv", _csv_text(
-        ("metric", "quartile", "strategy", *SUMMARY_COLUMNS), perf_rows
-    )
+    header = ("metric", "quartile", "strategy", *SUMMARY_COLUMNS)
+    yield "performance.csv", sio.csv_text(header, zip(*perf_rows), "\n")
 
     corr_rows = [
         (name, strategy, report.correlations[strategy][q])
         for q, name in enumerate(QUARTILE_NAMES)
         for strategy in plan.strategies
     ]
-    yield "correlations.csv", _csv_text(("quartile", "strategy", "pearson"), corr_rows)
+    header = ("quartile", "strategy", "pearson")
+    yield "correlations.csv", sio.csv_text(header, zip(*corr_rows), "\n")
 
     payload = {
         "area_ids": list(report.area_ids),
@@ -447,8 +413,8 @@ def cmd_mpi(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     yield "mpi.json", _json_text(payload)
     if ns.hierarchy:
         hierarchy = sio.load_hierarchy(_note(inputs, "hierarchy", ns.hierarchy))
-        yield "poverty_composition.csv", _cells_csv(
-            tabulate_poverty(records, profile, hierarchy)
+        yield "poverty_composition.csv", sio.composition_csv(
+            tabulate_poverty(records, profile, hierarchy), "\n"
         )
 
 
@@ -456,7 +422,7 @@ def cmd_aggregate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     px = sio.load_pixels(_note(inputs, "pixels", ns.pixels))
     polys = sio.load_polygons(_note(inputs, "polygons", ns.polygons))
     agg = aggregate_pixels(px, polys)
-    yield "margin.csv", _csv_text(("id", "value"), zip(agg.margin.ids, agg.margin.values))
+    yield "margin.csv", sio.margin_csv(agg.margin.ids, agg.margin.values, "\n")
     summary = {
         "unassigned_count": agg.unassigned_count,
         "unassigned_mass": agg.unassigned_mass,
@@ -642,10 +608,7 @@ class _Writer:
             return
         path = self.csv_path if name == self.csv_name else self.dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-        os.replace(tmp, path)
+        sio.write_text(path, text)
         self.names.append(path.name)
 
     def write_manifest(self, ns: argparse.Namespace, inputs: Inputs, started: str) -> None:

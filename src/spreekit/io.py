@@ -6,9 +6,13 @@ bad line in file order raises :class:`IngestError` ``<file>:<line>: <message>``
 (line 1 is the header, each CSV record one line; in a line with several
 faults, the check the loader states first); a fault of the built object as
 a whole names the file only.  Fields may be CSV-quoted and are stripped of
-surrounding whitespace.  Writers format floats with ``repr`` so save then
-load is an identity, and emit rows in the object's own id order so files
-are deterministic.
+surrounding whitespace.
+
+Every CSV spreekit writes has one dialect, :func:`csv_text`: float columns
+as ``repr`` of Python floats (so save then load is an identity), other
+fields by ``str``, quoted with ``"`` doubled when they contain ``,``, ``"``,
+``\\n`` or ``\\r``; LF line ends in command outputs, CRLF in ``save_*`` files;
+rows in the object's id order.  :func:`write_text` writes every file atomically.
 
 Schemas (UTF-8, comma-separated, ``.`` decimal point):
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -52,7 +57,7 @@ from spreekit.composition import (
 from spreekit.geo import AreaPolygonSet, PixelTable
 from spreekit.mpi import HouseholdRecord, MpiProfile
 from spreekit.scenario import ScenarioConfig, build_scenario
-from spreekit.simulation import SimulationPlan
+from spreekit.simulation import SimulationPlan, check_integer
 
 
 class IngestError(ValueError):
@@ -71,11 +76,55 @@ def _read_csv(path: Path) -> list[list[str]]:
         raise IngestError(f"{path}: {e}") from e
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+def _quoted(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(header: Sequence[str], columns: Iterable[Sequence[Any]], line_end: str) -> str:
+    """The CSV text of equal-length ``columns`` under ``header``."""
+    fields = []
+    for name, column in zip(header, columns, strict=True):
+        values = np.asarray(column)
+        if values.dtype.kind == "f":
+            fields.append([_quoted(name), *map(repr, values.tolist())])
+        else:
+            fields.append(list(map(_quoted, [name, *map(str, column)])))
+    return line_end.join(map(",".join, zip(*fields, strict=True))) + line_end
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``<path>.tmp``, then move that file to ``path``."""
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(text.encode("utf-8"))
+    os.replace(tmp, path)
+
+
+def long_ids(rows: Sequence[str], columns: Sequence[str]) -> tuple[list[str], tuple[str, ...]]:
+    """The row and column id of each cell of a table, row by row."""
+    return [r for r in rows for _ in columns], tuple(columns) * len(rows)
+
+
+_COMPOSITION_HEADER = ("area_id", "category_id", "count")
+_MARGIN_HEADER = ("id", "value")
+_HIERARCHY_HEADER = ("small_id", "large_id")
+_HOUSEHOLD_HEADER = ("household_id", "area_id", "subgroup_id", "size", "weight")
+_PROJECTIONS_HEADER = ("large_id", "year", "population")
+_AUX_HEADER = ("small_id", "year", "population")
+_PIXELS_HEADER = ("lon", "lat", "value")
+_DESIGN_HEADER = ("psu_id", "stratum_id", "weight", "category_id", "value")
+
+
+def composition_csv(c: Composition, line_end: str) -> str:
+    """The long ``area_id,category_id,count`` form of a composition."""
+    columns = (*long_ids(c.area_ids, c.category_ids), c.counts.ravel())
+    return csv_text(_COMPOSITION_HEADER, columns, line_end)
+
+
+def margin_csv(ids: Sequence[str], values: np.ndarray, line_end: str) -> str:
+    """The ``id,value`` form of a vector."""
+    return csv_text(_MARGIN_HEADER, (ids, values), line_end)
 
 
 def _wrap_invariant(path: Path, build, *args):
@@ -176,7 +225,7 @@ def _columns(path: Path, header: Sequence[str], required: str | None = None) -> 
 
 def load_composition(path: str | Path, reference_time: int = 0) -> Composition:
     path = Path(path)
-    t = _columns(path, ("area_id", "category_id", "count"), "composition")
+    t = _columns(path, _COMPOSITION_HEADER, "composition")
     area, category, raw = t.text(0), t.text(1), t.text(2)
     t.nonempty("empty area_id or category_id", area, category)
     count = t.floats(raw, "count")
@@ -196,15 +245,7 @@ def load_composition(path: str | Path, reference_time: int = 0) -> Composition:
 
 
 def save_composition(path: str | Path, c: Composition) -> None:
-    _write_csv(
-        path,
-        ("area_id", "category_id", "count"),
-        (
-            (area, category, repr(float(c.counts[a, j])))
-            for a, area in enumerate(c.area_ids)
-            for j, category in enumerate(c.category_ids)
-        ),
-    )
+    write_text(path, composition_csv(c, "\r\n"))
 
 
 def load_margin(
@@ -213,7 +254,7 @@ def load_margin(
     reference_time: int = 0,
 ) -> MarginVector:
     path = Path(path)
-    t = _columns(path, ("id", "value"))
+    t = _columns(path, _MARGIN_HEADER)
     ids, raw = t.text(0), t.text(1)
     t.nonempty("empty id", ids)
     t.unique(ids, lambda i, first: f"duplicate id {ids[i]!r}, first at line {first}")
@@ -224,12 +265,12 @@ def load_margin(
 
 
 def save_margin(path: str | Path, m: MarginVector) -> None:
-    _write_csv(path, ("id", "value"), ((i, repr(float(v))) for i, v in zip(m.ids, m.values)))
+    write_text(path, margin_csv(m.ids, m.values, "\r\n"))
 
 
 def load_hierarchy(path: str | Path) -> AreaHierarchy:
     path = Path(path)
-    t = _columns(path, ("small_id", "large_id"), "hierarchy")
+    t = _columns(path, _HIERARCHY_HEADER, "hierarchy")
     small, large = t.text(0), t.text(1)
     t.nonempty("empty small_id or large_id", small, large)
     t.unique(small, lambda i, first: f"duplicate small_id {small[i]!r}, first at line {first}")
@@ -238,10 +279,10 @@ def load_hierarchy(path: str | Path) -> AreaHierarchy:
 
 
 def save_hierarchy(path: str | Path, h: AreaHierarchy) -> None:
-    _write_csv(path, ("small_id", "large_id"), ((s, h.large_of(s)) for s in h.small_ids))
+    columns = (h.small_ids, [h.large_of(s) for s in h.small_ids])
+    write_text(path, csv_text(_HIERARCHY_HEADER, columns, "\r\n"))
 
 
-_HOUSEHOLD_HEADER = ("household_id", "area_id", "subgroup_id", "size", "weight")
 _FLAGS = {"": None, "0": False, "1": True}
 
 
@@ -305,19 +346,14 @@ def save_households(
     records: Sequence[HouseholdRecord],
     indicators: Sequence[str],
 ) -> None:
-    header = list(_HOUSEHOLD_HEADER) + [f"ind_{i}" for i in indicators]
-    _write_csv(
-        path,
-        header,
-        (
-            [r.household_id, r.area_id, r.subgroup_id, str(r.size), repr(float(r.weight))]
-            + [
-                "" if (v := r.deprivations.get(i)) is None else ("1" if v else "0")
-                for i in indicators
-            ]
-            for r in records
-        ),
-    )
+    flag_text = {flag: raw for raw, flag in _FLAGS.items()}
+    rows = [
+        (r.household_id, r.area_id, r.subgroup_id, str(r.size), float(r.weight),
+         *(flag_text[r.deprivations.get(i)] for i in indicators))
+        for r in records
+    ]
+    header = (*_HOUSEHOLD_HEADER, *(f"ind_{i}" for i in indicators))
+    write_text(path, csv_text(header, zip(*rows), "\r\n"))
 
 
 def _load_json(path: Path) -> Any:
@@ -372,9 +408,7 @@ def save_profile(path: str | Path, profile: MpiProfile) -> None:
         ],
         "cutoff": str(profile.poverty_cutoff),
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2)
-        f.write("\n")
+    write_text(path, json.dumps(data, indent=2) + "\n")
 
 
 def _load_by_year(
@@ -406,35 +440,25 @@ def _load_by_year(
 
 def load_projections(path: str | Path) -> dict[int, MarginVector]:
     """Large-area population projections, one margin per year."""
-    return _load_by_year(
-        path, ("large_id", "year", "population"), MarginLevel.LARGE_AREA
-    )
+    return _load_by_year(path, _PROJECTIONS_HEADER, MarginLevel.LARGE_AREA)
 
 
 def load_aux_populations(path: str | Path) -> dict[int, MarginVector]:
     """Auxiliary small-area population estimates, one margin per year."""
-    return _load_by_year(
-        path, ("small_id", "year", "population"), MarginLevel.SMALL_AREA
-    )
+    return _load_by_year(path, _AUX_HEADER, MarginLevel.SMALL_AREA)
 
 
 def save_by_year(
     path: str | Path, margins: Mapping[int, MarginVector], header: tuple[str, str, str]
 ) -> None:
-    _write_csv(
-        path,
-        header,
-        (
-            (ident, str(year), repr(float(value)))
-            for year in sorted(margins)
-            for ident, value in zip(margins[year].ids, margins[year].values)
-        ),
-    )
+    rows = [(ident, str(year), value) for year in sorted(margins)
+            for ident, value in zip(margins[year].ids, margins[year].values.tolist())]
+    write_text(path, csv_text(header, zip(*rows), "\r\n"))
 
 
 def load_pixels(path: str | Path) -> PixelTable:
     path = Path(path)
-    t = _columns(path, ("lon", "lat", "value"))
+    t = _columns(path, _PIXELS_HEADER)
     lon = t.floats(t.text(0), "lon")
     lat = t.floats(t.text(1), "lat")
     raw = t.raw(2)
@@ -445,18 +469,12 @@ def load_pixels(path: str | Path) -> PixelTable:
 
 
 def save_pixels(path: str | Path, px: PixelTable) -> None:
-    _write_csv(
-        path,
-        ("lon", "lat", "value"),
-        (tuple(map(repr, map(float, xyv))) for xyv in zip(px.lon, px.lat, px.value)),
-    )
+    write_text(path, csv_text(_PIXELS_HEADER, (px.lon, px.lat, px.value), "\r\n"))
 
 
 def load_design(path: str | Path) -> SurveyDesign:
     path = Path(path)
-    t = _columns(
-        path, ("psu_id", "stratum_id", "weight", "category_id", "value"), "survey design"
-    )
+    t = _columns(path, _DESIGN_HEADER, "survey design")
     psu, stratum, category = t.text(0), t.text(1), t.text(3)
     t.nonempty("empty psu_id, stratum_id, or category_id", psu, stratum, category)
     weight = t.floats(t.text(2), "weight")
@@ -474,15 +492,8 @@ def load_design(path: str | Path) -> SurveyDesign:
 
 
 def save_design(path: str | Path, design: SurveyDesign) -> None:
-    _write_csv(
-        path,
-        ("psu_id", "stratum_id", "weight", "category_id", "value"),
-        (
-            (str(design.psu[i]), str(design.stratum[i]), repr(float(design.weight[i])),
-             str(design.category[i]), repr(float(design.value[i])))
-            for i in range(len(design.weight))
-        ),
-    )
+    columns = (design.psu, design.stratum, design.weight, design.category, design.value)
+    write_text(path, csv_text(_DESIGN_HEADER, columns, "\r\n"))
 
 
 def load_polygons(path: str | Path) -> AreaPolygonSet:
@@ -513,39 +524,43 @@ def load_plan(path: str | Path) -> SimulationPlan:
     ``aux_exact``, ``psus_per_region``, ``persons_per_psu``,
     ``replicates``, ``seed``, ``quantile_cutoff`` and ``strategies``; any
     other key is a bad scenario config.  Top-level ``replicates`` and
-    ``seed`` override the scenario's.
+    ``seed`` override the scenario's; no other top-level key is allowed.
 
     The file-ref form requires the CSV paths ``truth_t0``, ``truth_t``,
     ``hierarchy`` and ``large_totals`` (relative to the plan file).  It
     takes as options ``design``, ``aux_pool`` (a list of margin CSVs),
     ``strategies``, ``quantile_cutoff``, ``replicates`` (default 500),
     ``seed`` (default 0), ``base_time`` (default 0) and ``target_time``
-    (default 1); other keys are ignored.
+    (default 1); any other key is an error.  Counts, seeds and times must
+    be JSON integers.
     """
     path = Path(path)
     data = _load_json(path)
     if not isinstance(data, dict):
         raise IngestError(f"{path}: plan must be a JSON object")
 
+    required = ("truth_t0", "truth_t", "hierarchy", "large_totals")
+    options = ("design", "aux_pool", "strategies", "quantile_cutoff", "replicates", "seed",
+               "base_time", "target_time")
+    known = ("scenario", "replicates", "seed") if "scenario" in data else (*required, *options)
+    if unknown := sorted(set(data) - set(known)):
+        raise IngestError(f"{path}: unknown plan keys: {unknown}")
+
     if "scenario" in data:
-        raw = dict(data["scenario"])
-        for key in ("replicates", "seed"):
-            if key in data:
-                raw[key] = data[key]
-        fields = {k: _tupled(v) for k, v in raw.items()}
         try:
-            cfg = ScenarioConfig(**fields)
+            raw = {**data.pop("scenario"), **data}  # top-level replicates and seed win
+            cfg = ScenarioConfig(**{k: _tupled(v) for k, v in raw.items()})
         except (TypeError, ValueError) as e:
             raise IngestError(f"{path}: bad scenario config: {e}") from e
         return build_scenario(cfg)
 
-    required = ("truth_t0", "truth_t", "hierarchy", "large_totals")
     missing = [k for k in required if k not in data]
     if missing:
         raise IngestError(f"{path}: plan missing keys: {missing}")
+    base_time = _wrap_invariant(path, check_integer, "base_time", data.get("base_time", 0))
+    target_time = _wrap_invariant(path, check_integer, "target_time", data.get("target_time", 1))
     base = path.parent
-    target_time = int(data.get("target_time", 1))
-    truth_t0 = load_composition(base / data["truth_t0"], int(data.get("base_time", 0)))
+    truth_t0 = load_composition(base / data["truth_t0"], base_time)
     truth_t = load_composition(base / data["truth_t"], target_time)
     hierarchy = load_hierarchy(base / data["hierarchy"])
     large_totals = load_margin(
@@ -563,8 +578,8 @@ def load_plan(path: str | Path) -> SimulationPlan:
             if k in data
         }
         return SimulationPlan(
-            replicates=int(data.get("replicates", 500)),
-            seed=int(data.get("seed", 0)),
+            replicates=data.get("replicates", 500),
+            seed=data.get("seed", 0),
             truth_t0=truth_t0,
             truth_t=truth_t,
             hierarchy=hierarchy,

@@ -29,7 +29,7 @@ from spreekit.composition import (
 )
 from spreekit.margins import QUANTILE_CUTOFF
 from spreekit.mpi import POVERTY_CATEGORIES
-from spreekit.simulation import STRATEGIES, SimulationPlan
+from spreekit.simulation import STRATEGIES, SimulationPlan, check_integer
 
 # Stream index for scenario construction noise, far above any replicate
 # index so generator draws never collide with simulation streams.
@@ -90,8 +90,11 @@ class ScenarioConfig:
     strategies: tuple[str, ...] = STRATEGIES
 
     def __post_init__(self) -> None:
-        if self.regions < 1 or self.areas_per_region < 1:
-            raise ValueError("regions and areas_per_region must be >= 1")
+        for name in ("regions", "areas_per_region", "aux_pool_size", "psus_per_region",
+                     "persons_per_psu", "replicates"):
+            if check_integer(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        check_integer("seed", self.seed)
         per_region = {
             "region_populations": self.region_populations,
             "region_growth": self.region_growth,
@@ -120,10 +123,6 @@ class ScenarioConfig:
         lo, hi = self.aux_bias_range
         if not 0 <= lo <= hi:
             raise ValueError("aux_bias_range must satisfy 0 <= lo <= hi")
-        if self.aux_pool_size < 1:
-            raise ValueError("aux_pool_size must be >= 1")
-        if self.psus_per_region < 1 or self.persons_per_psu < 1:
-            raise ValueError("psus_per_region and persons_per_psu must be >= 1")
         if any(not v > 0 for v in self.region_populations):
             raise ValueError("region_populations must be > 0")
         if any(not v > -1 for v in self.region_growth):

@@ -32,6 +32,7 @@ metrics without a warning.  The summary quantiles are
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,6 +70,13 @@ from spreekit.update import UpdateError, UpdateRequest, spree_update
 STRATEGIES = ("fixed", "dynamic", "hybrid")
 QUARTILE_NAMES = ("lowest", "second", "third", "highest")
 SUMMARY_COLUMNS = (*QUANTILE_LABELS[:3], "mean", *QUANTILE_LABELS[3:])
+
+
+def check_integer(name: str, value: object) -> int:
+    """``value`` as an int; ValueError for a bool or what ``operator.index`` refuses."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def summary_row(values: np.ndarray) -> np.ndarray:
@@ -172,7 +180,8 @@ class SimulationPlan:
     quantile_cutoff: float = QUANTILE_CUTOFF
 
     def __post_init__(self) -> None:
-        if self.replicates < 1:
+        check_integer("seed", self.seed)
+        if check_integer("replicates", self.replicates) < 1:
             raise ValueError("replicates must be >= 1")
         if (
             self.truth_t.area_ids != self.truth_t0.area_ids

@@ -467,6 +467,13 @@ class TestValidate:
         assert [report["strategies"][s]["failed"] for s in ("fixed", "dynamic", "hybrid")] == [
             0, 3, 3,
         ]
+        # NaN metrics are written as "nan", with LF line ends.
+        assert (tmp_path / "correlations.csv").read_bytes() == (
+            b"quartile,strategy,pearson\nlowest,fixed,nan\nlowest,dynamic,nan\nlowest,hybrid,nan\n"
+            b"second,fixed,nan\nsecond,dynamic,nan\nsecond,hybrid,nan\nthird,fixed,nan\n"
+            b"third,dynamic,nan\nthird,hybrid,nan\nhighest,fixed,nan\nhighest,dynamic,nan\n"
+            b"highest,hybrid,nan\n"
+        )
 
     @pytest.mark.parametrize(
         "scenario",
@@ -489,6 +496,37 @@ class TestValidate:
         error = json.loads(err)
         assert error["error"] == "IngestError"
         assert "bad scenario config" in error["message"]
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            {"replicates": 2.9},
+            {"seed": 3.7},
+            {"base_time": 0.5},
+            {"target_time": True},
+            {"scenario": {"replicates": 2.5}},
+            {"scenario": {"psus_per_region": 1.5}},
+            {"scenario": {"aux_pool_size": 2.5}},
+            {"scenario": {"seed": 1.5}},
+            {"scenario": {"replicates": 2}, "seed": True},
+        ],
+        ids=["file_replicates", "file_seed", "file_base_time", "file_target_time_bool",
+             "replicates", "psus_per_region", "aux_pool_size", "seed", "seed_bool"],
+    )
+    def test_non_integer_count_is_data_error(self, tmp_path, plan):
+        if "scenario" not in plan:
+            base = json.loads((FIXTURES / "mini_plan.json").read_text())
+            for key in ("truth_t0", "truth_t", "hierarchy", "large_totals", "design"):
+                base[key] = str(FIXTURES / base[key])
+            base["aux_pool"] = [str(FIXTURES / p) for p in base["aux_pool"]]
+            plan = {**base, **plan}
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        code, out, err = run_cli("validate", "--plan", tmp_path / "plan.json", "--out", tmp_path)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "IngestError"
+        assert "must be an integer" in error["message"]
 
 
 class TestMpi:
@@ -563,6 +601,39 @@ class TestAggregate:
         assert summary["total_mass"] == 5050.0
         assert summary["warning_over_5_percent_unassigned"] is False
         assert (tmp_path / "manifest.json").exists()
+
+    def test_output_bytes_with_tricky_ids(self, tmp_path):
+        # One pixel per unit square, so each area's sum is its pixel's value.
+        ids = ("a,1", 'b"2', "c\n3", "d\r4", "é字")
+        values = (-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308)
+        features = [
+            {
+                "type": "Feature",
+                "properties": {"area_id": area},
+                "geometry": {
+                    "type": "Polygon",
+                    "coordinates": [[[k, 0], [k + 1, 0], [k + 1, 1], [k, 1], [k, 0]]],
+                },
+            }
+            for k, area in enumerate(ids)
+        ]
+        polygons = tmp_path / "squares.geojson"
+        polygons.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        pixels = tmp_path / "px.csv"
+        pixels.write_text(
+            "lon,lat,value\n" + "".join(f"{k + 0.5},0.5,{v!r}\n" for k, v in enumerate(values))
+        )
+        code, _, err = run_cli(
+            "aggregate", "--pixels", pixels, "--polygons", polygons, "--out", tmp_path / "out"
+        )
+        assert code == 0, err
+        assert (tmp_path / "out" / "margin.csv").read_bytes() == (
+            b'id,value\n"a,1",0.0\n"b""2",5e-324\n"c\n3",1e-05\n"d\r4",1e+16\n'
+            b"\xc3\xa9\xe5\xad\x97,1.7976931348623157e+308\n"
+        )
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "aggregation.json", "manifest.json", "margin.csv",
+        ]
 
     def test_csv_out_path(self, tmp_path):
         target = tmp_path / "sums.csv"

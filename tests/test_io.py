@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -364,6 +365,25 @@ class TestPlans:
         assert plan.replicates == 5
         assert plan.seed == 11
 
+    def test_scenario_must_be_an_object(self, tmp_path):
+        p = write(tmp_path, "plan.json", '{"scenario": 3}')
+        with pytest.raises(IngestError, match="bad scenario config"):
+            sio.load_plan(p)
+
+    def test_unknown_inline_keys(self, tmp_path):
+        p = write(
+            tmp_path, "plan.json",
+            '{"scenario": {"replicates": 2}, "replicate": 5, "truth_t0": "x.csv"}',
+        )
+        with pytest.raises(IngestError, match=r"unknown plan keys: \['replicate', 'truth_t0'\]"):
+            sio.load_plan(p)
+
+    def test_unknown_file_ref_keys(self, tmp_path):
+        plan = json.loads((FIXTURES / "mini_plan.json").read_text())
+        p = write(tmp_path, "plan.json", json.dumps({**plan, "replicates": 3, "replicate": 2}))
+        with pytest.raises(IngestError, match=r"unknown plan keys: \['replicate'\]$"):
+            sio.load_plan(p)
+
 
 # Ids with commas, double quotes, line breaks and non-ASCII text; no
 # surrounding whitespace, which the loaders strip.
@@ -467,3 +487,86 @@ class TestSaveThenLoadIsIdentity:
             assert getattr(back, name).tolist() == getattr(d, name).tolist()
         assert same_bits(back.weight, d.weight) and same_bits(back.value, d.value)
         assert (back.category_ids, back.strata) == (d.category_ids, d.strata)
+
+
+# Ids that need quoting, or are not ASCII, and floats whose repr is easy to
+# get wrong.  The expected bytes below were written by the csv.writer-based
+# save_* functions this dialect replaced.
+TRICKY_IDS = ("a,1", 'b"2', "c\n3", "d\r4", "é字")
+TRICKY_FLOATS = (-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308)
+YZ = 'y,"z"'
+
+
+def tricky_design():
+    return SurveyDesign(
+        np.array(TRICKY_IDS, dtype=object),
+        np.array(TRICKY_IDS[::-1], dtype=object),
+        np.array((5e-324, 1e-05, 1e16, 1.0, 2.5)),
+        np.array(("x", YZ, "x", "x", YZ), dtype=object),
+        np.array((-0.0, 5e-324, 1e-05, 1.7976931348623157e308, 1e16)),
+    )
+
+
+SAVED_BYTES = {
+    "composition": (
+        lambda p: sio.save_composition(p, Composition(
+            TRICKY_IDS, ("x", YZ), np.array([TRICKY_FLOATS, TRICKY_FLOATS[::-1]]).T)),
+        b'area_id,category_id,count\r\n"a,1",x,-0.0\r\n"a,1","y,""z""",1.7976931348623157e+308'
+        b'\r\n"b""2",x,5e-324\r\n"b""2","y,""z""",1e+16\r\n"c\n3",x,1e-05\r\n"c\n3","y,""z""",'
+        b'1e-05\r\n"d\r4",x,1e+16\r\n"d\r4","y,""z""",5e-324\r\n\xc3\xa9\xe5\xad\x97,x,'
+        b'1.7976931348623157e+308\r\n\xc3\xa9\xe5\xad\x97,"y,""z""",-0.0\r\n',
+    ),
+    "margin": (
+        lambda p: sio.save_margin(
+            p, MarginVector(TRICKY_IDS, np.array(TRICKY_FLOATS), MarginLevel.SMALL_AREA, 0)),
+        b'id,value\r\n"a,1",-0.0\r\n"b""2",5e-324\r\n"c\n3",1e-05\r\n"d\r4",1e+16\r\n'
+        b'\xc3\xa9\xe5\xad\x97,1.7976931348623157e+308\r\n',
+    ),
+    "hierarchy": (
+        lambda p: sio.save_hierarchy(p, AreaHierarchy.from_pairs(
+            zip(TRICKY_IDS, ("L,1", "L,1", 'L"2', "L\n3", "L\n3")))),
+        b'small_id,large_id\r\n"a,1","L,1"\r\n"b""2","L,1"\r\n"c\n3","L""2"\r\n"d\r4","L\n3"'
+        b'\r\n\xc3\xa9\xe5\xad\x97,"L\n3"\r\n',
+    ),
+    "design": (
+        lambda p: sio.save_design(p, tricky_design()),
+        b'psu_id,stratum_id,weight,category_id,value\r\n"a,1",\xc3\xa9\xe5\xad\x97,5e-324,x,'
+        b'-0.0\r\n"b""2","d\r4",1e-05,"y,""z""",5e-324\r\n"c\n3","c\n3",1e+16,x,1e-05\r\n'
+        b'"d\r4","b""2",1.0,x,1.7976931348623157e+308\r\n\xc3\xa9\xe5\xad\x97,"a,1",2.5,'
+        b'"y,""z""",1e+16\r\n',
+    ),
+}
+
+
+class TestDialect:
+    @pytest.mark.parametrize("schema", sorted(SAVED_BYTES))
+    def test_save_bytes(self, tmp_path, schema):
+        save, expected = SAVED_BYTES[schema]
+        save(tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class _Unprintable:
+    def __str__(self) -> str:
+        raise RuntimeError("no text for this id")
+
+
+@pytest.mark.parametrize(
+    "save, error",
+    [
+        (lambda p: sio.save_households(
+            p, [HouseholdRecord(_Unprintable(), "a1", "s", 1, {"x": True})], ["x"]),
+         RuntimeError),
+        (lambda p: sio.save_margin(
+            p, MarginVector(("ok", "\udc80"), np.ones(2), MarginLevel.SMALL_AREA, 0)),
+         UnicodeEncodeError),
+    ],
+    ids=["str_raises", "not_utf8"],
+)
+def test_failed_save_keeps_previous_file(tmp_path, save, error):
+    p = write(tmp_path, "out.csv", "previous contents\n")
+    with pytest.raises(error):
+        save(p)
+    assert p.read_bytes() == b"previous contents\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["out.csv"]
