@@ -3,13 +3,15 @@ Multidimensional poverty from household deprivation records
 ===========================================================
 
 Computes the adjusted headcount index on the bundled three-household
-fixture: each household carries nine deprivation flags, a person count,
-and a survey weight.  A household is poor when its weighted deprivation
-score reaches one third; the index is the product of the poor share H
-and their average score A.
+fixture, loaded as one household table: each row carries nine deprivation
+flags, a person count, and a survey weight.  A household is poor when its
+weighted deprivation score reaches one third; the index is the product of
+the poor share H and their average score A.
 """
 
 from pathlib import Path
+
+import numpy as np
 
 from spreekit import (
     compute_mpi,
@@ -22,15 +24,16 @@ from spreekit import io as sio
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 profile = sio.load_profile(FIXTURES / "profile9.json")
-records = sio.load_households(FIXTURES / "households3.csv", profile)
+households = sio.load_households(FIXTURES / "households3.csv", profile)
 
+# One row per household; deprivation_score is the exact per-row reference.
 print("household scores:")
-for r in records:
-    flags = sorted(k for k, v in r.deprivations.items() if v)
-    print(f"  {r.household_id} ({r.size} persons): "
-          f"score={deprivation_score(r, profile)}  deprived in {flags}")
+for i, hid in enumerate(households.household_ids):
+    flags = sorted(k for k, v in zip(households.indicators, households.flags[i]) if v)
+    print(f"  {hid} ({households.size[i]} persons): "
+          f"score={deprivation_score(households, i, profile)}  deprived in {flags}")
 
-res = compute_mpi(records, profile)
+res = compute_mpi(households, profile)
 print(f"\nheadcount H            = {res.headcount:.4f}")
 print(f"intensity A            = {res.intensity:.4f}")
 print(f"index   M = H * A      = {res.mpi:.4f}")
@@ -43,9 +46,10 @@ for ind, share in sorted(res.contributions.items(), key=lambda kv: -kv[1]):
     if share > 0:
         print(f"  {ind:<22} {share:6.1%}")
 
-# Subgroup decomposition is just a filter on the records.
-for group in sorted({r.subgroup_id for r in records}):
-    sub = compute_mpi([r for r in records if r.subgroup_id == group], profile)
+# Subgroup decomposition is just a row subset of the table.
+groups = np.array(households.subgroup_ids, dtype=object)
+for group in sorted(set(households.subgroup_ids)):
+    sub = compute_mpi(households.subset(groups == group), profile)
     print(f"\n{group}: H={sub.headcount:.3f}  A={sub.intensity:.3f}"
           f"  M={sub.mpi:.3f}")
 
@@ -53,7 +57,7 @@ for group in sorted({r.subgroup_id for r in records}):
 # plugs straight into the census-update pipeline, and the headcount can
 # be read back from any such composition.
 hierarchy = sio.load_hierarchy(FIXTURES / "mini" / "hierarchy.csv")
-comp = tabulate_poverty(records, profile, hierarchy)
+comp = tabulate_poverty(households, profile, hierarchy)
 rates = headcount_from_composition(comp)
 print("\nper-area composition and headcount (NaN where no one lives):")
 for area, row, rate in zip(comp.area_ids, comp.counts, rates):

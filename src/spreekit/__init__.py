@@ -34,7 +34,7 @@ from spreekit.margins import (
     select_by_change,
 )
 from spreekit.mpi import (
-    HouseholdRecord,
+    Households,
     MpiProfile,
     MpiResult,
     compute_mpi,

@@ -43,6 +43,7 @@ from spreekit.composition import (
     Composition,
     MarginLevel,
     MarginVector,
+    check_integer,
     to_probabilities,
 )
 from spreekit.ipf import IpfError, ipf_fit
@@ -94,8 +95,8 @@ class BootstrapConfig:
     multinomial_mode: Literal["sample", "mean"] = "sample"
 
     def __post_init__(self) -> None:
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        check_integer("replicates", self.replicates, 1)
+        check_integer("seed", self.seed, 0)
         if self.aux_perturb_cv < 0:
             raise ValueError("aux_perturb_cv must be >= 0")
 

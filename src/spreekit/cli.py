@@ -396,26 +396,26 @@ def cmd_mpi(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         profile = sio.load_profile(_note(inputs, "profile", ns.profile))
     else:
         profile = MpiProfile.nine_indicator()
-    records = sio.load_households(_note(inputs, "households", ns.households), profile)
-    result = compute_mpi(records, profile)
+    households = sio.load_households(_note(inputs, "households", ns.households), profile)
+    result = compute_mpi(households, profile)
     payload = {
         **_mpi_summary(result),
         "indicator_headcounts": result.indicator_headcounts,
         "contributions": result.contributions,
     }
     if ns.by_subgroup:
+        groups = np.array(households.subgroup_ids, dtype=object)
         payload["subgroups"] = {
-            group: _mpi_summary(
-                compute_mpi([r for r in records if r.subgroup_id == group], profile)
-            )
-            for group in sorted({r.subgroup_id for r in records})
+            group: _mpi_summary(compute_mpi(households.subset(groups == group), profile))
+            for group in sorted(set(households.subgroup_ids))
         }
-    yield "mpi.json", _json_text(payload)
+    # Every output is made before the first is yielded, so a failed run writes nothing.
+    outputs = [("mpi.json", _json_text(payload))]
     if ns.hierarchy:
         hierarchy = sio.load_hierarchy(_note(inputs, "hierarchy", ns.hierarchy))
-        yield "poverty_composition.csv", sio.composition_csv(
-            tabulate_poverty(records, profile, hierarchy), "\n"
-        )
+        poverty = tabulate_poverty(households, profile, hierarchy)
+        outputs.append(("poverty_composition.csv", sio.composition_csv(poverty, "\n")))
+    yield from outputs
 
 
 def cmd_aggregate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:

@@ -8,6 +8,7 @@ immutable after construction, so they can be shared freely across workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -21,6 +22,17 @@ class MarginLevel(str, Enum):
     SMALL_AREA = "small-area"
     LARGE_AREA = "large-area"
     CATEGORY = "category"
+
+
+def check_integer(name: str, value: object, minimum: int | None = None) -> int:
+    """``value`` as an int; ValueError naming ``name`` for a bool, what
+    ``operator.index`` refuses, or a value below ``minimum``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
 
 
 def _check_unique(ids: Sequence[str], what: str) -> tuple[str, ...]:

@@ -37,7 +37,6 @@ Schemas (UTF-8, comma-separated, ``.`` decimal point):
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 from fractions import Fraction
@@ -53,11 +52,12 @@ from spreekit.composition import (
     Composition,
     MarginLevel,
     MarginVector,
+    check_integer,
 )
 from spreekit.geo import AreaPolygonSet, PixelTable
-from spreekit.mpi import HouseholdRecord, MpiProfile
+from spreekit.mpi import Households, MpiProfile
 from spreekit.scenario import ScenarioConfig, build_scenario
-from spreekit.simulation import SimulationPlan, check_integer
+from spreekit.simulation import SimulationPlan
 
 
 class IngestError(ValueError):
@@ -283,13 +283,12 @@ def save_hierarchy(path: str | Path, h: AreaHierarchy) -> None:
     write_text(path, csv_text(_HIERARCHY_HEADER, columns, "\r\n"))
 
 
-_FLAGS = {"": None, "0": False, "1": True}
+# Flag codes: not deprived, deprived, missing.
+_FLAGS = {"0": 0, "1": 1, "": 2}
 
 
-def load_households(
-    path: str | Path, profile: MpiProfile | None = None
-) -> tuple[HouseholdRecord, ...]:
-    """Household rows with per-indicator deprivation flags.
+def load_households(path: str | Path, profile: MpiProfile | None = None) -> Households:
+    """The household table, with per-indicator deprivation flags.
 
     With a profile supplied, the ``ind_`` columns must cover exactly the
     profile's indicators.
@@ -321,8 +320,8 @@ def load_households(
     t.nonempty("empty household_id or area_id", hid, area)
     t.unique(hid, lambda i, first: f"duplicate household_id {hid[i]!r}, first at line {first}")
     size = t.parse(t.raw(3), int, lambda raw: f"size is not an integer: {raw!r}")
-    weight = t.floats(t.text(4), "weight").tolist()
-    flags = [
+    weight = t.floats(t.text(4), "weight")
+    codes = [
         t.parse(
             t.text(k),
             _FLAGS.__getitem__,
@@ -331,29 +330,22 @@ def load_households(
         for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER))
     ]
     t.check([s < 1 for s in size], lambda i: f"household size must be >= 1, got {size[i]}")
-    t.check([not w > 0 for w in weight], lambda i: f"weight must be positive, got {weight[i]}")
+    t.check(~(weight > 0), lambda i: f"weight must be positive, got {float(weight[i])}")
     t.done()
-    per_row = zip(*flags) if flags else itertools.repeat(())
-    # Via a list: a tuple grown from a generator is re-tracked by the GC at each resize.
-    return tuple([
-        HouseholdRecord(h, a, s, n, dict(zip(indicators, next(per_row))), w)
-        for h, a, s, n, w in zip(hid, area, subgroup, size, weight)
-    ])
+    codes = np.array(codes, dtype=np.int8).reshape(len(indicators), len(hid)).T
+    return _wrap_invariant(
+        path, Households, hid, area, subgroup, size, weight, indicators, codes == 1, codes == 2
+    )
 
 
-def save_households(
-    path: str | Path,
-    records: Sequence[HouseholdRecord],
-    indicators: Sequence[str],
-) -> None:
-    flag_text = {flag: raw for raw, flag in _FLAGS.items()}
-    rows = [
-        (r.household_id, r.area_id, r.subgroup_id, str(r.size), float(r.weight),
-         *(flag_text[r.deprivations.get(i)] for i in indicators))
-        for r in records
-    ]
-    header = (*_HOUSEHOLD_HEADER, *(f"ind_{i}" for i in indicators))
-    write_text(path, csv_text(header, zip(*rows), "\r\n"))
+def save_households(path: str | Path, households: Households) -> None:
+    flag_text = np.array(list(_FLAGS))[np.where(households.missing, 2, households.flags)]
+    columns = (
+        households.household_ids, households.area_ids, households.subgroup_ids,
+        households.size, households.weight, *flag_text.T,
+    )
+    header = (*_HOUSEHOLD_HEADER, *(f"ind_{i}" for i in households.indicators))
+    write_text(path, csv_text(header, columns, "\r\n"))
 
 
 def _load_json(path: Path) -> Any:

@@ -7,21 +7,29 @@ product (the index), per-indicator headcounts, and the percentage
 contribution of each indicator.  Weights and the cutoff are exact rationals
 so that e.g. six one-eighteenth deprivations land exactly on the 1/3 cutoff.
 
+Households are one column table, :class:`Households`, from
+:func:`spreekit.io.load_households` through the scorers to
+:func:`spreekit.io.save_households`; its constructor is the one check of
+the table, and :meth:`Households.subset` selects rows, such as a subgroup.
+
 :func:`compute_mpi` and :func:`tabulate_poverty` score all households at
 once in exact integer arithmetic: with ``L`` the lcm of the weight and
 cutoff denominators, a score is the integer ``flags @ (weights * L)``, the
 poverty test compares it with ``cutoff * L`` exactly, and ``score / L`` is
-the correctly rounded float of the rational score.  They give the same
-numbers and raise the same errors as :func:`deprivation_score` and
-:func:`is_poor` applied household by household.
+the correctly rounded float of the rational score.  A table scores against
+a profile whose indicators equal its own as a set.  The scorers give the
+same numbers and raise the same errors, for the first rejected household in
+row order, as the exact :class:`~fractions.Fraction` reference
+:func:`deprivation_score` and :func:`is_poor` applied row by row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -118,32 +126,71 @@ class MpiProfile:
         return cls(indicators, weights)
 
 
-@dataclass(frozen=True)
-class HouseholdRecord:
-    """One household: location, subgroup, size, and deprivation flags.
+@dataclass(frozen=True, eq=False)
+class Households:
+    """Households as one column table; row ``i`` is one household.
 
-    A flag is True (deprived), False (not deprived), or None (missing) --
-    missingness must be resolved before scoring.  ``weight`` is an optional
-    survey design weight multiplying household size; default 1.
+    ``flags[i, k]`` is True where household ``i`` is deprived in
+    ``indicators[k]``; ``missing[i, k]`` marks a missing flag, which reads
+    False in ``flags`` and must be resolved before scoring.  ``weight`` is
+    the survey design weight multiplying ``size``.  The constructor checks
+    for equal column lengths, unique household and indicator ids, integer
+    sizes >= 1 and positive weights; the arrays are read-only copies.
     """
 
-    household_id: str
-    area_id: str
-    subgroup_id: str
-    size: int
-    deprivations: Mapping[str, bool | None]
-    weight: float = 1.0
+    household_ids: tuple[str, ...]
+    area_ids: tuple[str, ...]
+    subgroup_ids: tuple[str, ...]
+    size: np.ndarray
+    weight: np.ndarray
+    indicators: tuple[str, ...]
+    flags: np.ndarray
+    missing: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"household size must be >= 1, got {self.size}")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        flags = {
-            str(k): (None if v is None else bool(v))
-            for k, v in self.deprivations.items()
-        }
-        object.__setattr__(self, "deprivations", flags)
+        n, k = len(self.household_ids), len(self.indicators)
+        size = np.array(self.size, dtype=None if n else np.int64)
+        weight = np.array(self.weight, dtype=float)
+        flags, missing = np.array(self.flags, dtype=bool), np.array(self.missing, dtype=bool)
+        shapes = dict(
+            area_ids=(len(self.area_ids),), subgroup_ids=(len(self.subgroup_ids),),
+            size=size.shape, weight=weight.shape, flags=flags.shape, missing=missing.shape,
+        )
+        for name, shape in shapes.items():
+            want = (n, k) if name in ("flags", "missing") else (n,)
+            if shape != want:
+                raise ValueError(
+                    f"ragged household columns: {name} has shape {shape}, expected {want}"
+                )
+        if size.dtype.kind != "i":
+            raise ValueError(f"household sizes must be integers below 2**63, got {size.dtype}")
+        if (size < 1).any():
+            raise ValueError(f"household size must be >= 1, got {size[np.argmax(size < 1)]}")
+        if not (weight > 0).all():
+            raise ValueError(f"weight must be positive, got {float(weight[np.argmin(weight > 0)])}")
+        values = (
+            _check_unique(self.household_ids, "household ids"), tuple(map(str, self.area_ids)),
+            tuple(map(str, self.subgroup_ids)), size, weight,
+            _check_unique(self.indicators, "indicator ids"), flags & ~missing, missing,
+        )
+        for field, value in zip(fields(self), values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, field.name, value)
+
+    def __len__(self) -> int:
+        return len(self.household_ids)
+
+    def subset(self, mask: Sequence[bool] | np.ndarray) -> "Households":
+        """The households where ``mask`` is True, in row order."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (len(self),):
+            raise ValueError(f"mask shape {mask.shape} does not match {len(self)} households")
+        keep = mask.tolist()
+        ids = (self.household_ids, self.area_ids, self.subgroup_ids)
+        ids = (tuple(compress(column, keep)) for column in ids)
+        return Households(*ids, self.size[mask], self.weight[mask], self.indicators,
+                          self.flags[mask], self.missing[mask])
 
 
 @dataclass(frozen=True)
@@ -163,34 +210,30 @@ class MpiResult:
     population_base: float
 
 
-def _check_flags(r: HouseholdRecord, p: MpiProfile) -> None:
-    have = set(r.deprivations)
-    want = set(p.indicators)
-    if have != want:
-        missing = sorted(want - have)
-        extra = sorted(have - want)
+def _profile_columns(households: Households, p: MpiProfile) -> list[int]:
+    """The table column of each profile indicator, in profile order."""
+    if set(households.indicators) != set(p.indicators):
         raise ValueError(
-            f"household {r.household_id!r} flags do not cover the profile "
-            f"(missing {missing}, extra {extra})"
+            f"household indicators {sorted(households.indicators)} do not match "
+            f"the profile indicators {sorted(p.indicators)}"
         )
+    return [households.indicators.index(i) for i in p.indicators]
 
 
-def deprivation_score(r: HouseholdRecord, p: MpiProfile) -> Fraction:
-    """Weighted number of deprivations of a household, in [0, 1].
+def deprivation_score(households: Households, i: int, p: MpiProfile) -> Fraction:
+    """Weighted number of deprivations of household ``i``, in [0, 1].
 
     Exact rational arithmetic; a missing flag is an error (resolve
     missingness at ingestion, no imputation happens here).
     """
-    _check_flags(r, p)
     score = Fraction(0)
-    for indicator, weight in zip(p.indicators, p.weights):
-        flag = r.deprivations[indicator]
-        if flag is None:
+    for indicator, weight, k in zip(p.indicators, p.weights, _profile_columns(households, p)):
+        if households.missing[i, k]:
             raise ValueError(
-                f"household {r.household_id!r} has a missing flag for "
+                f"household {households.household_ids[i]!r} has a missing flag for "
                 f"{indicator!r}; resolve missingness at ingestion before scoring"
             )
-        if flag:
+        if households.flags[i, k]:
             score += weight
     return score
 
@@ -202,67 +245,43 @@ def is_poor(score: Fraction | float, p: MpiProfile) -> bool:
     return score >= p.poverty_cutoff
 
 
-# Households per block while building the flag matrix: bounds the Python
-# lists and integer temporaries to well under a MiB.
-_BLOCK = 4096
-
-
 def _score(
-    records: Sequence[HouseholdRecord], p: MpiProfile
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Flags, rejected mask, integer scores, their denominator, poor mask.
+    households: Households, p: MpiProfile
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Flags in profile order, integer scores, their denominator, poor mask.
 
-    ``flags`` is (N, K) in profile order.  ``bad`` marks the households
-    :func:`deprivation_score` rejects (missing or extra flags, or a
-    ``None`` flag); their flags read False.  ``L``, the lcm of the weight
-    and cutoff denominators, makes each score the integer ``flags @
-    (weights * L)``: score / L is the exact rational score and the cutoff
-    test is an integer compare.  int64 holds the scores when ``L`` and the
-    largest score (the sum of the scaled weights) stay within 2**53, where
-    score / L is also correctly rounded; above that the same expressions
-    run on Python ints.
+    ``L``, the lcm of the weight and cutoff denominators, makes each score
+    the integer ``flags @ (weights * L)``: score / L is the exact rational
+    score and the cutoff test is an integer compare.  int64 holds the
+    scores when ``L`` and the largest score (the sum of the scaled weights)
+    stay within 2**53, where score / L is also correctly rounded; above
+    that the same expressions run on Python ints.  Missing flags read False.
     """
-    cutoff, k = p.poverty_cutoff, len(p.indicators)
+    flags = households.flags[:, _profile_columns(households, p)]
+    cutoff = p.poverty_cutoff
     denom = math.lcm(cutoff.denominator, *(w.denominator for w in p.weights))
     scaled = [w.numerator * (denom // w.denominator) for w in p.weights]
     dtype = np.int64 if max(denom, sum(scaled)) <= 2**53 else object
-    weights = np.array(scaled, dtype=dtype)
-    flags = np.empty((len(records), k), dtype=bool)
-    bad = np.empty(len(records), dtype=bool)
-    score = np.empty(len(records), dtype=dtype)
-    for start in range(0, len(records), _BLOCK):
-        block = records[start:start + _BLOCK]
-        rows = slice(start, start + len(block))
-        table = [list(map(r.deprivations.get, p.indicators)) for r in block]
-        bad[rows] = [len(r.deprivations) != k or None in row for r, row in zip(block, table)]
-        flags[rows] = np.array(table, dtype=bool).reshape(len(block), k)
-        score[rows] = flags[rows].astype(dtype) @ weights
+    score = flags.astype(dtype) @ np.array(scaled, dtype=dtype)
     poor = score >= cutoff.numerator * (denom // cutoff.denominator)
-    return flags, bad, score, denom, poor
+    return flags, score, denom, poor
 
 
-def _reject(r: HouseholdRecord, p: MpiProfile) -> None:
-    """Raise the per-record scorer's error for a household it rejects."""
-    is_poor(deprivation_score(r, p), p)
-    raise AssertionError(f"household {r.household_id!r} scores without error")
-
-
-def compute_mpi(records: Sequence[HouseholdRecord], p: MpiProfile) -> MpiResult:
+def compute_mpi(households: Households, p: MpiProfile) -> MpiResult:
     """Headcount, intensity, index, and indicator detail over households.
 
     Each household counts with size * weight, making the headcount the
     share of *people* in poor households.
     """
-    if not records:
+    if not len(households):
         raise ValueError("no household records supplied")
-    base = np.array([r.size * r.weight for r in records])
-    flags, bad, score, denom, poor = _score(records, p)
+    flags, score, denom, poor = _score(households, p)
     # Every flag is checked before any score, as household by household.
-    if bad.any():
-        _reject(records[int(np.argmax(bad))], p)
-    if (score > denom).any():
-        _reject(records[int(np.argmax(score > denom))], p)
+    for rejected in (households.missing.any(axis=1), score > denom):
+        if rejected.any():
+            is_poor(deprivation_score(households, int(np.argmax(rejected)), p), p)
     score_f = (score / denom).astype(float, copy=False)
+    base = households.size * households.weight
 
     total = float(base.sum())
     poor_base = float(base[poor].sum())
@@ -286,33 +305,29 @@ def compute_mpi(records: Sequence[HouseholdRecord], p: MpiProfile) -> MpiResult:
     return MpiResult(headcount, intensity, mpi, indicator_headcounts, contributions, total)
 
 
-def tabulate_poverty(
-    records: Sequence[HouseholdRecord],
-    p: MpiProfile,
-    h: AreaHierarchy,
-    subgroup: str | None = None,
-) -> Composition:
+def tabulate_poverty(households: Households, p: MpiProfile, h: AreaHierarchy) -> Composition:
     """Person counts of poor vs non-poor per small area, ready as a seed.
 
-    Restricts to households of ``subgroup`` when given (records outside the
-    subgroup are dropped entirely).  Areas follow the hierarchy's ordering;
-    areas without records get zero rows.  Counts are summed in record order.
+    Areas follow the hierarchy's ordering; areas without households get
+    zero rows.  Counts are summed in row order.  A household in an area the
+    hierarchy lacks is an error, raised like a scoring error for the first
+    rejected household in row order.
     """
     area_ids = h.small_ids
     pos = {a: i for i, a in enumerate(area_ids)}
-    if subgroup is not None:
-        records = [r for r in records if r.subgroup_id == subgroup]
-    n = len(records)
-    rows = np.fromiter((pos.get(r.area_id, -1) for r in records), np.intp, n)
-    _, bad, score, denom, poor = _score(records, p)
-    rejected = (rows < 0) | bad | (score > denom)
+    rows = np.fromiter((pos.get(a, -1) for a in households.area_ids), np.intp, len(households))
+    _, score, denom, poor = _score(households, p)
+    rejected = (rows < 0) | households.missing.any(axis=1) | (score > denom)
     if rejected.any():
-        r = records[int(np.argmax(rejected))]
-        if r.area_id not in pos:
-            raise KeyError(f"household {r.household_id!r} in unknown area {r.area_id!r}")
-        _reject(r, p)
+        i = int(np.argmax(rejected))
+        if rows[i] < 0:
+            raise ValueError(
+                f"household {households.household_ids[i]!r} in unknown area "
+                f"{households.area_ids[i]!r}"
+            )
+        is_poor(deprivation_score(households, i, p), p)
     cells = 2 * rows + np.where(poor, 0, 1)
-    people = np.fromiter((r.size * r.weight for r in records), float, n)
+    people = households.size * households.weight
     counts = np.bincount(cells, weights=people, minlength=2 * len(area_ids))
     return Composition(area_ids, POVERTY_CATEGORIES, counts.reshape(-1, 2))
 

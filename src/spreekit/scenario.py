@@ -26,10 +26,11 @@ from spreekit.composition import (
     Composition,
     MarginLevel,
     MarginVector,
+    check_integer,
 )
 from spreekit.margins import QUANTILE_CUTOFF
 from spreekit.mpi import POVERTY_CATEGORIES
-from spreekit.simulation import STRATEGIES, SimulationPlan, check_integer
+from spreekit.simulation import STRATEGIES, SimulationPlan
 
 # Stream index for scenario construction noise, far above any replicate
 # index so generator draws never collide with simulation streams.
@@ -92,9 +93,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("regions", "areas_per_region", "aux_pool_size", "psus_per_region",
                      "persons_per_psu", "replicates"):
-            if check_integer(name, getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        check_integer("seed", self.seed)
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
         per_region = {
             "region_populations": self.region_populations,
             "region_growth": self.region_growth,

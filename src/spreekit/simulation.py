@@ -32,7 +32,6 @@ metrics without a warning.  The summary quantiles are
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,6 +50,7 @@ from spreekit.composition import (
     AreaHierarchy,
     Composition,
     MarginVector,
+    check_integer,
     column_margins,
     row_margins,
     to_probabilities,
@@ -70,13 +70,6 @@ from spreekit.update import UpdateError, UpdateRequest, spree_update
 STRATEGIES = ("fixed", "dynamic", "hybrid")
 QUARTILE_NAMES = ("lowest", "second", "third", "highest")
 SUMMARY_COLUMNS = (*QUANTILE_LABELS[:3], "mean", *QUANTILE_LABELS[3:])
-
-
-def check_integer(name: str, value: object) -> int:
-    """``value`` as an int; ValueError for a bool or what ``operator.index`` refuses."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 def summary_row(values: np.ndarray) -> np.ndarray:
@@ -180,9 +173,8 @@ class SimulationPlan:
     quantile_cutoff: float = QUANTILE_CUTOFF
 
     def __post_init__(self) -> None:
-        check_integer("seed", self.seed)
-        if check_integer("replicates", self.replicates) < 1:
-            raise ValueError("replicates must be >= 1")
+        check_integer("seed", self.seed, 0)
+        check_integer("replicates", self.replicates, 1)
         if (
             self.truth_t.area_ids != self.truth_t0.area_ids
             or self.truth_t.category_ids != self.truth_t0.category_ids
@@ -244,10 +236,18 @@ def _nd_bias(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
 
 
 def _nd_rmse(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
+    """Relative RMSE over the first axis; NaN where the mean truth is zero.
+
+    Where the squares overflow, so that the result is not finite while the
+    mean truth is, the differences are scaled by the mean truth first."""
     n = len(tru)
     with np.errstate(invalid="ignore", divide="ignore"):
         denom = tru.sum(axis=0) / n
-        out = np.sqrt(((est - tru) ** 2).sum(axis=0) / n) / denom
+        diff = est - tru
+        with np.errstate(over="ignore"):
+            out = np.sqrt((diff**2).sum(axis=0) / n) / denom
+            scaled = np.sqrt(((diff / denom) ** 2).sum(axis=0) / n) * np.sign(denom)
+        out = np.where(np.isfinite(out) | ~np.isfinite(denom), out, scaled)
     return np.where(denom == 0, np.nan, out)
 
 

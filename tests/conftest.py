@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import pytest
 
-from spreekit import AreaHierarchy, Composition, MarginLevel, MarginVector
+from spreekit import AreaHierarchy, Composition, Households, MarginLevel, MarginVector
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -49,3 +50,35 @@ def two_region_hierarchy(n_areas: int) -> AreaHierarchy:
     half = n_areas // 2
     pairs = [(f"a{i + 1}", "g1" if i < half else "g2") for i in range(n_areas)]
     return AreaHierarchy.from_pairs(pairs)
+
+
+class Household(NamedTuple):
+    """One household as a test writes it down; ``deprivations`` maps each
+    indicator to True, False or None (missing)."""
+
+    household_id: str
+    area_id: str
+    subgroup_id: str
+    size: int
+    deprivations: Mapping[str, bool | None]
+    weight: float = 1.0
+
+
+def household_table(
+    records: Sequence[Household], indicators: Sequence[str] | None = None
+) -> Households:
+    """The household table of ``records``; indicators default to the first record's."""
+    if indicators is None:
+        indicators = tuple(records[0].deprivations) if records else ()
+    flags = [[r.deprivations[i] for i in indicators] for r in records]
+    shape = (len(records), len(indicators))
+    return Households(
+        tuple(r.household_id for r in records),
+        tuple(r.area_id for r in records),
+        tuple(r.subgroup_id for r in records),
+        [r.size for r in records],
+        [r.weight for r in records],
+        tuple(indicators),
+        np.array([[bool(f) for f in row] for row in flags], dtype=bool).reshape(shape),
+        np.array([[f is None for f in row] for row in flags], dtype=bool).reshape(shape),
+    )

@@ -2,7 +2,9 @@
 
 Kept verbatim as oracles: ``tests/test_io_oracle.py`` checks that every
 ``spreekit.io`` loader returns the same object, or raises the same
-``IngestError`` message, on valid and malformed files.
+``IngestError`` message, on valid and malformed files.  The one change:
+households were one record object each, whose size and weight checks now
+run inline before the rows become one household table.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from spreekit.bootstrap import SurveyDesign
 from spreekit.composition import AreaHierarchy, Composition, MarginLevel, MarginVector
 from spreekit.geo import PixelTable
 from spreekit.io import IngestError
-from spreekit.mpi import HouseholdRecord, MpiProfile
+from spreekit.mpi import Households, MpiProfile
+
+from conftest import Household, household_table
 
 
 def _fail(path: Path, line: int | None, message: str) -> None:
@@ -149,9 +153,7 @@ def load_hierarchy(path: str | Path) -> AreaHierarchy:
     return _wrap_invariant(path, AreaHierarchy.from_pairs, pairs)
 
 
-def load_households(
-    path: str | Path, profile: MpiProfile | None = None
-) -> tuple[HouseholdRecord, ...]:
+def load_households(path: str | Path, profile: MpiProfile | None = None) -> Households:
     """Household rows with per-indicator deprivation flags.
 
     With a profile supplied, the ``ind_`` columns must cover exactly the
@@ -183,7 +185,7 @@ def load_households(
             f"indicator columns {sorted(indicators)} do not match the profile "
             f"indicators {sorted(profile.indicators)}",
         )
-    records: list[HouseholdRecord] = []
+    records: list[Household] = []
     seen: dict[str, int] = {}
     for i, row in enumerate(rows[1:], start=2):
         _require_columns(path, i, row, len(header))
@@ -207,12 +209,12 @@ def load_households(
                 flags[indicator] = raw == "1"
             else:
                 _fail(path, i, f"ind_{indicator} must be 0, 1, or empty, got {raw!r}")
-        records.append(
-            _wrap_invariant(
-                path, HouseholdRecord, hid, area, subgroup, size, flags, weight
-            )
-        )
-    return tuple(records)
+        if size < 1:
+            _fail(path, None, f"household size must be >= 1, got {size}")
+        if not weight > 0:
+            _fail(path, None, f"weight must be positive, got {weight}")
+        records.append(Household(hid, area, subgroup, size, flags, weight))
+    return _wrap_invariant(path, household_table, records, indicators)
 
 
 def _load_by_year(

@@ -19,7 +19,6 @@ from spreekit import (
     AreaHierarchy,
     BootstrapConfig,
     Composition,
-    HouseholdRecord,
     IpfConfig,
     MarginLevel,
     MarginVector,
@@ -53,6 +52,8 @@ from spreekit.mpi import LIVING_STANDARD_INDICATORS
 
 from conftest import (
     FIXTURES,
+    Household,
+    household_table,
     make_composition,
     make_margin,
     random_positive_table,
@@ -107,7 +108,7 @@ def random_regions(rng):
 
 def household(hid, deprived, size=1, weight=1.0):
     flags = {i: i in deprived for i in NINE.indicators}
-    return HouseholdRecord(hid, "a1", "all", size, flags, weight)
+    return Household(hid, "a1", "all", size, flags, weight)
 
 
 def enumerate_persons(records, profile):
@@ -256,10 +257,11 @@ def test_03_share_vectors_sum_to_one_rescale_invariantly_and_distribute_exactly(
 
 
 def test_04_poverty_scores_cutoff_and_index_identities_hold_exactly():
-    assert deprivation_score(household("h", {"child_mortality"}), NINE) == Fraction(1, 3)
-    assert deprivation_score(
-        household("h", set(LIVING_STANDARD_INDICATORS)), NINE
-    ) == Fraction(1, 3)
+    two = household_table(
+        [household("h1", {"child_mortality"}), household("h2", set(LIVING_STANDARD_INDICATORS))]
+    )
+    assert deprivation_score(two, 0, NINE) == Fraction(1, 3)
+    assert deprivation_score(two, 1, NINE) == Fraction(1, 3)
     assert is_poor(Fraction(1, 3), NINE)
 
     rng = np.random.default_rng(404)
@@ -267,7 +269,7 @@ def test_04_poverty_scores_cutoff_and_index_identities_hold_exactly():
     for i in range(200):
         deprived = {ind for ind in NINE.indicators if rng.random() < 0.3}
         records.append(household(f"h{i}", deprived, size=int(rng.integers(1, 9))))
-    res = compute_mpi(records, NINE)
+    res = compute_mpi(household_table(records), NINE)
     assert res.mpi == res.headcount * res.intensity
     assert res.contributions is not None
     assert sum(res.contributions.values()) == pytest.approx(1.0, abs=1e-9)

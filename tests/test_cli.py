@@ -584,6 +584,65 @@ class TestMpi:
         payload = json.loads((tmp_path / "mpi.json").read_text())
         assert payload["headcount"] == 0.8
 
+    @staticmethod
+    def digests(out_dir: Path) -> dict[str, str]:
+        return {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.iterdir())
+        }
+
+    def test_golden_output_digests_fixture(self, tmp_path, monkeypatch):
+        # Recorded while households were still one record object each;
+        # every byte, manifest included, must stay the same.  The relative
+        # input paths are part of the manifest, so the run starts in the
+        # repo root.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        monkeypatch.chdir(FIXTURES.parent)
+        code, _, err = run_cli(
+            "mpi", "--households", "fixtures/households3.csv",
+            "--hierarchy", "fixtures/mini/hierarchy.csv", "--by-subgroup", "--out", tmp_path,
+        )
+        assert (code, err) == (0, "")
+        assert self.digests(tmp_path) == {
+            "manifest.json": "14f5603961073bd469f2c38e0a9e10b40ba0b80598fc35e45de873a44e469fa2",
+            "mpi.json": "0bd3278ac0b4896485beda37272c59cf1d0acf478080eab0e8f9ed433294bdde",
+            "poverty_composition.csv": "6a9103daf4ba5e4a56edae4a7d5d6390ce7f734bd021ad2810af513c1d93bda3",
+        }
+
+    def test_golden_output_digests_generated(self, tmp_path, monkeypatch):
+        # 2000 seeded households in 12 areas and 4 subgroups, with
+        # non-integer weights, so that every float sum depends on its order.
+        rng = np.random.default_rng(2024)
+        areas = [f"a{k}" for k in range(12)]
+        (tmp_path / "hierarchy.csv").write_text(
+            "small_id,large_id\n" + "".join(f"{a},L{k % 3}\n" for k, a in enumerate(areas))
+        )
+        profile = sio.load_profile(FIXTURES / "profile9.json")
+        lines = [",".join(
+            ("household_id", "area_id", "subgroup_id", "size", "weight",
+             *(f"ind_{i}" for i in profile.indicators))
+        )]
+        for i in range(2000):
+            flags = (rng.random(len(profile.indicators)) < 0.3).astype(int)
+            lines.append(",".join((
+                f"h{i}", areas[rng.integers(len(areas))], f"g{rng.integers(4)}",
+                str(rng.integers(1, 10)), repr(float(rng.uniform(0.05, 3.0))),
+                *map(str, flags),
+            )))
+        (tmp_path / "households.csv").write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            "mpi", "--households", "households.csv", "--hierarchy", "hierarchy.csv",
+            "--by-subgroup", "--out", "out",
+        )
+        assert (code, err) == (0, "")
+        assert self.digests(tmp_path / "out") == {
+            "manifest.json": "d97837a9abb021c625cea7a25f5d4f04b29f15864d126c27eec13f946edf9062",
+            "mpi.json": "82a287c0028492ff3f54e4cf9f6c828726249156419c97974696826f47cabdbc",
+            "poverty_composition.csv": "d94353f04112b77ba8e07c8ef453d51543e5efa950e605bfa93f911dd99b91ca",
+        }
+
 
 class TestAggregate:
     def test_directory_out(self, tmp_path):
@@ -722,6 +781,51 @@ class TestDiagnose:
 
 
 class TestErrorsAndExitCodes:
+    def test_unknown_area_is_data_error_and_writes_nothing(self, tmp_path):
+        rows = (FIXTURES / "households3.csv").read_text().splitlines()
+        rows[2] = rows[2].replace("h2,a1,", "h2,ZZ,")
+        (tmp_path / "households.csv").write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            "mpi", "--households", tmp_path / "households.csv",
+            "--hierarchy", MINI / "hierarchy.csv", "--by-subgroup", "--out", tmp_path / "out",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "household 'h2' in unknown area 'ZZ'",
+        }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, plan, error",
+        [
+            (["validate", "--plan", "{plan}", "--out", "{out}"],
+             {"scenario": {"replicates": 2, "seed": -1}}, "IngestError"),
+            (["validate", "--plan", "{plan}", "--out", "{out}"], {"seed": -1}, "IngestError"),
+            (["--seed", "-3", "validate", "--plan", "{plan}", "--out", "{out}"],
+             {"scenario": {"replicates": 2}}, "ValueError"),
+            (["validate", "--plan", "{plan}", "--seed", "-3", "--out", "{out}"], {}, "ValueError"),
+            (bootstrap_argv("{out}", seed=-3), None, "ValueError"),
+        ],
+        ids=["scenario_plan", "file_plan", "global_flag", "flag", "bootstrap_flag"],
+    )
+    def test_negative_seed_is_named(self, tmp_path, argv, plan, error):
+        if plan is not None:
+            base = json.loads((FIXTURES / "mini_plan.json").read_text())
+            for key in ("truth_t0", "truth_t", "hierarchy", "large_totals", "design"):
+                base[key] = str(FIXTURES / base[key])
+            base["aux_pool"] = [str(FIXTURES / p) for p in base["aux_pool"]]
+            plan = plan if "scenario" in plan else {**base, **plan}
+            (tmp_path / "plan.json").write_text(json.dumps(plan))
+        argv = [str(a).format(plan=tmp_path / "plan.json", out=tmp_path / "out") for a in argv]
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == error
+        assert payload["message"].endswith("seed must be >= 0")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         code, _, err = run_cli(
             "mpi", "--households", tmp_path / "nope.csv", "--out", tmp_path

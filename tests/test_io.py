@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from spreekit import (
     AreaHierarchy,
     Composition,
-    HouseholdRecord,
+    Households,
     IngestError,
     MarginLevel,
     MarginVector,
@@ -153,21 +153,26 @@ class TestHierarchyRoundTrip:
 class TestHouseholds:
     def test_fixture_loads_with_profile(self):
         profile = sio.load_profile(FIXTURES / "profile9.json")
-        records = sio.load_households(FIXTURES / "households3.csv", profile)
-        assert len(records) == 3
-        assert records[0].household_id == "h1"
-        assert records[0].deprivations["child_mortality"] is True
-        assert records[0].deprivations["assets"] is False
+        households = sio.load_households(FIXTURES / "households3.csv", profile)
+        assert len(households) == 3
+        assert households.household_ids == ("h1", "h2", "h3")
+        assert households.subgroup_ids == ("female", "male", "female")
+        assert households.size.tolist() == [5, 3, 2]
+        assert households.indicators == profile.indicators
+        assert households.flags[0].tolist() == [True] + [False] * 8
+        assert not households.missing.any()
 
     def test_round_trip_with_missing_flags(self, tmp_path):
-        inds = ("x", "y")
-        r = HouseholdRecord("h1", "a1", "s", 2, {"x": True, "y": None}, 1.5)
+        hh = Households(("h1", "h2"), ("a1", "a2"), ("s", ""), [2, 1], [1.5, 0.1], ("x", "y"),
+                        [[True, False], [False, True]], [[False, True], [False, False]])
         p = tmp_path / "hh.csv"
-        sio.save_households(p, [r], inds)
+        sio.save_households(p, hh)
         back = sio.load_households(p)
-        assert back[0].deprivations == {"x": True, "y": None}
-        assert back[0].weight == 1.5
-        assert back[0].size == 2
+        for name in ("household_ids", "area_ids", "subgroup_ids", "indicators"):
+            assert getattr(back, name) == getattr(hh, name)
+        for name in ("size", "weight", "flags", "missing"):
+            assert getattr(back, name).tolist() == getattr(hh, name).tolist()
+        assert back.size.dtype == np.int64
 
     def test_error_contracts(self, tmp_path):
         head = "household_id,area_id,subgroup_id,size,weight,ind_x\n"
@@ -186,6 +191,12 @@ class TestHouseholds:
         p5 = write(tmp_path, "hh5.csv", head.replace("ind_x", "flag_x"))
         with pytest.raises(IngestError, match=r"must start with 'ind_'"):
             sio.load_households(p5)
+
+    def test_size_past_int64_is_rejected(self, tmp_path):
+        head = "household_id,area_id,subgroup_id,size,weight,ind_x\n"
+        p = write(tmp_path, "hh.csv", head + "h1,a,s,1,1.0,1\nh2,a,s,99999999999999999999,1.0,1\n")
+        with pytest.raises(IngestError, match=r"hh\.csv: household sizes must be integers below 2\*\*63"):
+            sio.load_households(p)
 
     def test_profile_mismatch(self, tmp_path):
         head = "household_id,area_id,subgroup_id,size,weight,ind_x\n"
@@ -528,6 +539,17 @@ SAVED_BYTES = {
         b'small_id,large_id\r\n"a,1","L,1"\r\n"b""2","L,1"\r\n"c\n3","L""2"\r\n"d\r4","L\n3"'
         b'\r\n\xc3\xa9\xe5\xad\x97,"L\n3"\r\n',
     ),
+    "households": (
+        lambda p: sio.save_households(p, Households(
+            TRICKY_IDS, TRICKY_IDS[::-1], ("x", YZ, "x", YZ, "x"), [1, 7, 2**40, 3, 12],
+            (5e-324, 1e-05, 1e16, 1.0, 1.7976931348623157e308), ("x", YZ),
+            [[True, False], [False, True], [False, False], [True, True], [False, False]],
+            [[False, True], [False, False], [True, True], [False, False], [False, False]])),
+        b'household_id,area_id,subgroup_id,size,weight,ind_x,"ind_y,""z"""\r\n"a,1",\xc3\xa9'
+        b'\xe5\xad\x97,x,1,5e-324,1,\r\n"b""2","d\r4","y,""z""",7,1e-05,0,1\r\n"c\n3","c\n3",x,'
+        b'1099511627776,1e+16,,\r\n"d\r4","b""2","y,""z""",3,1.0,1,1\r\n\xc3\xa9\xe5\xad\x97,'
+        b'"a,1",x,12,1.7976931348623157e+308,0,0\r\n',
+    ),
     "design": (
         lambda p: sio.save_design(p, tricky_design()),
         b'psu_id,stratum_id,weight,category_id,value\r\n"a,1",\xc3\xa9\xe5\xad\x97,5e-324,x,'
@@ -552,12 +574,18 @@ class _Unprintable:
         raise RuntimeError("no text for this id")
 
 
+def _unprintable_households() -> Households:
+    """A household table whose id fails to print; only a table changed
+    after its checks can hold one."""
+    hh = Households(("h1",), ("a1",), ("s",), [1], [1.0], ("x",), [[True]], [[False]])
+    object.__setattr__(hh, "household_ids", (_Unprintable(),))
+    return hh
+
+
 @pytest.mark.parametrize(
     "save, error",
     [
-        (lambda p: sio.save_households(
-            p, [HouseholdRecord(_Unprintable(), "a1", "s", 1, {"x": True})], ["x"]),
-         RuntimeError),
+        (lambda p: sio.save_households(p, _unprintable_households()), RuntimeError),
         (lambda p: sio.save_margin(
             p, MarginVector(("ok", "\udc80"), np.ones(2), MarginLevel.SMALL_AREA, 0)),
          UnicodeEncodeError),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from spreekit import (
     AreaHierarchy,
     Composition,
-    HouseholdRecord,
+    Households,
     MpiProfile,
     compute_mpi,
     deprivation_score,
@@ -16,17 +16,25 @@ from spreekit import (
     is_poor,
     tabulate_poverty,
 )
-from spreekit import mpi
 from spreekit.mpi import LIVING_STANDARD_INDICATORS, POVERTY_CATEGORIES, MpiResult
 
-from conftest import make_composition
+from conftest import Household, household_table as table, make_composition
 
 NINE = MpiProfile.nine_indicator()
 
 
 def household(hid, deprived, size=1, area="a1", subgroup="all", weight=1.0):
     flags = {i: i in deprived for i in NINE.indicators}
-    return HouseholdRecord(hid, area, subgroup, size, flags, weight)
+    return Household(hid, area, subgroup, size, flags, weight)
+
+
+def score(r, p=NINE):
+    """The exact score of one household, as the only row of a table."""
+    return deprivation_score(table([r]), 0, p)
+
+
+def of_subgroup(households, group):
+    return households.subset(np.array(households.subgroup_ids, dtype=object) == group)
 
 
 def enumerate_persons(records, profile):
@@ -56,7 +64,8 @@ def reference_compute_mpi(records, p):
     if not records:
         raise ValueError("no household records supplied")
     base = np.array([r.size * r.weight for r in records])
-    scores = [deprivation_score(r, p) for r in records]
+    households = table(records)
+    scores = [deprivation_score(households, i, p) for i in range(len(records))]
     poor = np.array([is_poor(s, p) for s in scores])
     score_f = np.array([float(s) for s in scores])
     total = float(base.sum())
@@ -77,16 +86,15 @@ def reference_compute_mpi(records, p):
     )
 
 
-def reference_tabulate(records, p, h, subgroup=None):
+def reference_tabulate(records, p, h):
     """Oracle: one household at a time, added in record order."""
     pos = {a: i for i, a in enumerate(h.small_ids)}
     counts = np.zeros((len(h.small_ids), 2))
-    for r in records:
-        if subgroup is not None and r.subgroup_id != subgroup:
-            continue
+    households = table(records, p.indicators)
+    for i, r in enumerate(records):
         if r.area_id not in pos:
-            raise KeyError(f"household {r.household_id!r} in unknown area {r.area_id!r}")
-        col = 0 if is_poor(deprivation_score(r, p), p) else 1
+            raise ValueError(f"household {r.household_id!r} in unknown area {r.area_id!r}")
+        col = 0 if is_poor(deprivation_score(households, i, p), p) else 1
         counts[pos[r.area_id], col] += r.size * r.weight
     return Composition(h.small_ids, POVERTY_CATEGORIES, counts)
 
@@ -110,32 +118,48 @@ def assert_same_error(expected, fn, *args, **kwargs):
 class TestScoring:
     def test_child_mortality_alone_is_exactly_one_third(self):
         r = household("h", {"child_mortality"})
-        assert deprivation_score(r, NINE) == Fraction(1, 3)
-        assert is_poor(deprivation_score(r, NINE), NINE)
+        assert score(r) == Fraction(1, 3)
+        assert is_poor(score(r), NINE)
 
     def test_six_living_standards_are_exactly_one_third(self):
         r = household("h", set(LIVING_STANDARD_INDICATORS))
         # Six eighteenths must reach the cutoff exactly, which float
         # accumulation (6 * 0.0555...) would miss.
-        assert deprivation_score(r, NINE) == Fraction(1, 3)
-        assert is_poor(deprivation_score(r, NINE), NINE)
+        assert score(r) == Fraction(1, 3)
+        assert is_poor(score(r), NINE)
 
     def test_five_living_standards_are_below_cutoff(self):
         r = household("h", set(LIVING_STANDARD_INDICATORS[:5]))
-        assert deprivation_score(r, NINE) == Fraction(5, 18)
-        assert not is_poor(deprivation_score(r, NINE), NINE)
+        assert score(r) == Fraction(5, 18)
+        assert not is_poor(score(r), NINE)
 
     def test_missing_flag_is_an_error(self):
         flags = {i: False for i in NINE.indicators}
         flags["assets"] = None
-        r = HouseholdRecord("h", "a1", "all", 1, flags)
-        with pytest.raises(ValueError, match="missing flag"):
-            deprivation_score(r, NINE)
+        with pytest.raises(ValueError, match="missing flag for 'assets'"):
+            score(Household("h", "a1", "all", 1, flags))
 
-    def test_flag_set_must_match_profile(self):
-        r = HouseholdRecord("h", "a1", "all", 1, {"child_mortality": True})
-        with pytest.raises(ValueError, match="cover the profile"):
-            deprivation_score(r, NINE)
+    def test_indicator_set_must_match_profile(self):
+        # A table has one indicator set; it must equal the profile's.
+        h = AreaHierarchy.from_pairs([("a1", "g1")])
+        flags = {i: False for i in NINE.indicators}
+        for deprivations in ({"child_mortality": True}, flags | {"extra": True}):
+            households = table([Household("h", "a1", "all", 1, deprivations)])
+            for call in (
+                lambda: deprivation_score(households, 0, NINE),
+                lambda: compute_mpi(households, NINE),
+                lambda: tabulate_poverty(households, NINE, h),
+            ):
+                with pytest.raises(ValueError, match="do not match the profile indicators"):
+                    call()
+
+    def test_indicator_order_follows_the_table(self):
+        # Flags in another column order than the profile's score the same.
+        records = [household("h1", {"child_mortality"}, size=2),
+                   household("h2", {"assets", "housing"}, size=3)]
+        reversed_table = table(records, NINE.indicators[::-1])
+        assert compute_mpi(reversed_table, NINE) == compute_mpi(table(records), NINE)
+        assert deprivation_score(reversed_table, 1, NINE) == Fraction(1, 9)
 
 
 class TestProfiles:
@@ -168,7 +192,7 @@ class TestComputeMpi:
             household("h2", {"years_of_schooling", "school_attendance"}, size=3),
             household("h3", set(LIVING_STANDARD_INDICATORS[:3]), size=2),
         ]
-        res = compute_mpi(records, NINE)
+        res = compute_mpi(table(records), NINE)
         assert res.headcount == pytest.approx(0.8)
         assert res.mpi == pytest.approx(res.headcount * res.intensity, abs=1e-15)
 
@@ -178,7 +202,7 @@ class TestComputeMpi:
             household("h2", {"years_of_schooling", "school_attendance"}, size=3),
             household("h3", set(LIVING_STANDARD_INDICATORS[:3]), size=2),
         ]
-        res = compute_mpi(records, NINE)
+        res = compute_mpi(table(records), NINE)
         assert res.contributions is not None
         assert sum(res.contributions.values()) == pytest.approx(1.0, abs=1e-9)
         # child_mortality: weighted headcount (1/3)(5/10) out of a weighted
@@ -187,7 +211,7 @@ class TestComputeMpi:
 
     def test_no_poor_households(self):
         records = [household("h1", set(), size=4), household("h2", {"assets"})]
-        res = compute_mpi(records, NINE)
+        res = compute_mpi(table(records), NINE)
         assert res.headcount == 0.0
         assert res.intensity == 0.0
         assert res.mpi == 0.0
@@ -203,7 +227,7 @@ class TestComputeMpi:
             records.append(
                 household(f"h{i}", deprived, size=int(rng.integers(1, 9)))
             )
-        res = compute_mpi(records, NINE)
+        res = compute_mpi(table(records), NINE)
         h, a, m = enumerate_persons(records, NINE)
         # Both routes are exact rational computations of the same quantity,
         # so the floats must agree exactly.
@@ -216,13 +240,13 @@ class TestComputeMpi:
             household("h1", {"child_mortality"}, size=2, weight=3.0),
             household("h2", set(), size=4, weight=0.5),
         ]
-        res = compute_mpi(records, NINE)
+        res = compute_mpi(table(records), NINE)
         assert res.population_base == pytest.approx(8.0)
         assert res.headcount == pytest.approx(6.0 / 8.0)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="no household records"):
-            compute_mpi([], NINE)
+            compute_mpi(table([], NINE.indicators), NINE)
 
 
 class TestTabulate:
@@ -234,16 +258,21 @@ class TestTabulate:
             household("h3", set(LIVING_STANDARD_INDICATORS), size=2, area="a2",
                       subgroup="female"),
         ]
-        c = tabulate_poverty(records, NINE, h)
+        c = tabulate_poverty(table(records), NINE, h)
         np.testing.assert_array_equal(c.counts, [[5.0, 3.0], [2.0, 0.0]])
-        fem = tabulate_poverty(records, NINE, h, subgroup="female")
+        fem = tabulate_poverty(of_subgroup(table(records), "female"), NINE, h)
         np.testing.assert_array_equal(fem.counts, [[5.0, 0.0], [2.0, 0.0]])
 
     def test_unknown_area_rejected(self):
         h = AreaHierarchy.from_pairs([("a1", "g1")])
-        records = [household("h1", set(), area="zz")]
-        with pytest.raises(KeyError, match="unknown area"):
-            tabulate_poverty(records, NINE, h)
+        records = [household("h1", set()), household("h2", set(), area="zz")]
+        with pytest.raises(ValueError, match="^household 'h2' in unknown area 'zz'$"):
+            tabulate_poverty(table(records), NINE, h)
+
+    def test_empty_table_tabulates_zeros(self):
+        h = AreaHierarchy.from_pairs([("a1", "g1")])
+        c = tabulate_poverty(table([], NINE.indicators), NINE, h)
+        assert c.counts.tolist() == [[0.0, 0.0]]
 
 
 @st.composite
@@ -269,7 +298,7 @@ def households(draw, p, areas=("a1", "a2", "a3")):
     out = []
     for i in range(n):
         flags = {ind: draw(st.booleans()) for ind in p.indicators}
-        out.append(HouseholdRecord(
+        out.append(Household(
             f"h{i}",
             draw(st.sampled_from(areas)),
             draw(st.sampled_from(["f", "m"])),
@@ -292,17 +321,19 @@ class TestMatchesFractionOracle:
     def test_compute_mpi(self, data):
         p = data.draw(profiles())
         records = data.draw(households(p))
-        assert compute_mpi(records, p) == reference_compute_mpi(records, p)
+        assert compute_mpi(table(records), p) == reference_compute_mpi(records, p)
 
     @PROPERTY
     @given(st.data())
     def test_tabulate_poverty(self, data):
         p = data.draw(profiles())
         records = data.draw(households(p))
-        for subgroup in (None, "f"):
-            got = tabulate_poverty(records, p, HIERARCHY, subgroup)
-            want = reference_tabulate(records, p, HIERARCHY, subgroup)
-            assert got.counts.tobytes() == want.counts.tobytes()
+        got = tabulate_poverty(table(records), p, HIERARCHY)
+        want = reference_tabulate(records, p, HIERARCHY)
+        assert got.counts.tobytes() == want.counts.tobytes()
+        got = tabulate_poverty(of_subgroup(table(records), "f"), p, HIERARCHY)
+        want = reference_tabulate([r for r in records if r.subgroup_id == "f"], p, HIERARCHY)
+        assert got.counts.tobytes() == want.counts.tobytes()
 
     def test_tabulate_sums_in_record_order(self):
         # Non-integer weights make the float sums depend on their order.
@@ -318,35 +349,13 @@ class TestMatchesFractionOracle:
             )
             for i in range(2000)
         ]
-        got = tabulate_poverty(records, NINE, HIERARCHY)
+        got = tabulate_poverty(table(records), NINE, HIERARCHY)
         want = reference_tabulate(records, NINE, HIERARCHY)
         assert got.counts.tobytes() == want.counts.tobytes()
         # A sum in another order would differ in the last bits.
         assert got.counts.tobytes() != reference_tabulate(
             records[::-1], NINE, HIERARCHY
         ).counts.tobytes()
-
-    def test_blocks_join_seamlessly(self, monkeypatch):
-        monkeypatch.setattr(mpi, "_BLOCK", 7)
-        rng = np.random.default_rng(4)
-        records = [
-            household(
-                f"h{i}",
-                {ind for ind in NINE.indicators if rng.random() < 0.3},
-                size=int(rng.integers(1, 9)),
-                area=f"a{rng.integers(1, 4)}",
-                weight=0.1,
-            )
-            for i in range(200)
-        ]
-        assert compute_mpi(records, NINE) == reference_compute_mpi(records, NINE)
-        got = tabulate_poverty(records, NINE, HIERARCHY)
-        assert got.counts.tobytes() == reference_tabulate(records, NINE, HIERARCHY).counts.tobytes()
-        flags = dict(records[30].deprivations, assets=None)
-        records[30] = HouseholdRecord("h30", "a1", "all", 1, flags)
-        expected = raised(reference_compute_mpi, records, NINE)
-        assert "'h30'" in expected[1]
-        assert_same_error(expected, compute_mpi, records, NINE)
 
     @pytest.mark.parametrize(
         "primes",
@@ -362,76 +371,144 @@ class TestMatchesFractionOracle:
         p = MpiProfile(names, (*w, 1 - sum(w)), w[0] + w[1])
         assert math.lcm(*primes) > 2**53
         records = [
-            HouseholdRecord(f"h{i}", f"a{i}", "all", i + 1, dict(zip(names, bits)), 0.7)
+            Household(f"h{i}", f"a{i}", "all", i + 1, dict(zip(names, bits)), 0.7)
             for i, bits in enumerate(np.ndindex(*[2] * len(names)))
         ]
-        assert compute_mpi(records, p) == reference_compute_mpi(records, p)
+        assert compute_mpi(table(records), p) == reference_compute_mpi(records, p)
         for r in records:
-            assert compute_mpi([r], p) == reference_compute_mpi([r], p)
+            assert compute_mpi(table([r]), p) == reference_compute_mpi([r], p)
         h = AreaHierarchy.from_pairs([(r.area_id, "g") for r in records])
-        poor = tabulate_poverty(records, p, h).counts[:, 0] > 0
-        scores = [deprivation_score(r, p) for r in records]
+        poor = tabulate_poverty(table(records), p, h).counts[:, 0] > 0
+        scores = [score(r, p) for r in records]
         assert poor.tolist() == [is_poor(s, p) for s in scores]
         assert p.poverty_cutoff in scores  # an exact tie is poor
 
 
 class TestErrorsNameFirstBadHousehold:
-    """Both paths raise the per-record scorer's message for the first
-    rejected household in record order."""
+    """Both paths raise the per-row scorer's message for the first
+    rejected household in row order."""
 
-    def missing(self, hid, **kw):
-        flags = {i: False for i in NINE.indicators}
-        flags["assets"] = None
-        return HouseholdRecord(hid, kw.get("area", "a1"), kw.get("subgroup", "f"), 1, flags)
+    def missing(self, hid, indicator="assets", **kw):
+        flags = {i: False for i in NINE.indicators} | {indicator: None}
+        return Household(hid, kw.get("area", "a1"), kw.get("subgroup", "f"), 1, flags)
 
-    def uncovered(self, hid, **kw):
-        flags = {i: False for i in NINE.indicators[:-1]} | {"extra": True}
-        return HouseholdRecord(hid, kw.get("area", "a1"), kw.get("subgroup", "f"), 1, flags)
-
-    def extra(self, hid, **kw):
-        flags = {i: False for i in NINE.indicators} | {"extra": False}
-        return HouseholdRecord(hid, kw.get("area", "a1"), kw.get("subgroup", "f"), 1, flags)
-
-    @pytest.mark.parametrize("first", ["missing", "uncovered", "extra"])
-    def test_bad_flags(self, first):
-        kinds = ["missing", "uncovered", "extra"]
-        kinds.remove(first)
-        bad = [getattr(self, kind)(f"h{k + 2}") for k, kind in enumerate([first, *kinds])]
-        records = [household("h1", set()), *bad, household("h5", {"assets"})]
+    def test_first_missing_flag_in_row_order(self):
+        # The first row with a missing flag, and in it the first missing
+        # indicator in profile order, deep in a table and behind bad rows.
+        rng = np.random.default_rng(4)
+        records = [
+            household(
+                f"h{i}",
+                {ind for ind in NINE.indicators if rng.random() < 0.3},
+                size=int(rng.integers(1, 9)),
+                area=f"a{rng.integers(1, 4)}",
+                weight=0.1,
+            )
+            for i in range(200)
+        ]
+        records[30] = self.missing("h30", "housing")
+        records[30].deprivations["sanitation"] = None
+        records[50] = self.missing("h50")
         expected = raised(reference_compute_mpi, records, NINE)
-        assert bad[0].household_id in expected[1]
-        assert_same_error(expected, compute_mpi, records, NINE)
+        assert expected[1].startswith("household 'h30' has a missing flag for 'sanitation'")
+        assert_same_error(expected, compute_mpi, table(records), NINE)
         expected = raised(reference_tabulate, records, NINE, HIERARCHY)
-        assert_same_error(expected, tabulate_poverty, records, NINE, HIERARCHY)
+        assert_same_error(expected, tabulate_poverty, table(records), NINE, HIERARCHY)
 
     def test_unknown_area_and_bad_flags_in_record_order(self):
         stray = household("h2", set(), area="zz")
-        for records in ([stray, self.missing("h3")], [self.missing("h3"), stray]):
+        both = self.missing("h4", area="zz")  # the area is checked first
+        for records in ([stray, self.missing("h3")], [self.missing("h3"), stray], [both]):
             expected = raised(reference_tabulate, records, NINE, HIERARCHY)
-            assert_same_error(expected, tabulate_poverty, records, NINE, HIERARCHY)
+            assert_same_error(expected, tabulate_poverty, table(records), NINE, HIERARCHY)
 
-    def test_subgroup_filter_skips_bad_records(self):
+    def test_subset_drops_bad_records(self):
         records = [self.missing("h1", subgroup="m"), household("h2", {"assets"})]
-        got = tabulate_poverty(records, NINE, HIERARCHY, subgroup="all")
+        got = tabulate_poverty(of_subgroup(table(records), "all"), NINE, HIERARCHY)
         assert got.counts.tolist() == [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
-        expected = raised(reference_tabulate, records, NINE, HIERARCHY, "m")
-        assert_same_error(expected, tabulate_poverty, records, NINE, HIERARCHY, "m")
+        expected = raised(reference_tabulate, records[:1], NINE, HIERARCHY)
+        assert_same_error(
+            expected, tabulate_poverty, of_subgroup(table(records), "m"), NINE, HIERARCHY
+        )
 
     def test_score_above_one(self):
         # Weights may exceed a sum of 1 by up to 1e-12; a household deprived
         # in all of them then scores above 1, which is_poor rejects.  A bad
         # flag anywhere is reported first, as the scorer sees it first.
         p = MpiProfile(("x", "y"), (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**14)))
-        full = HouseholdRecord("h1", "a1", "f", 1, {"x": True, "y": True})
-        later = HouseholdRecord("h2", "a1", "f", 1, {"x": None, "y": True})
+        full = Household("h1", "a1", "f", 1, {"x": True, "y": True})
+        later = Household("h2", "a1", "f", 1, {"x": None, "y": True})
         for records in ([full], [full, later]):
             expected = raised(reference_compute_mpi, records, p)
-            assert_same_error(expected, compute_mpi, records, p)
+            assert_same_error(expected, compute_mpi, table(records), p)
             expected = raised(reference_tabulate, records, p, HIERARCHY)
-            assert_same_error(expected, tabulate_poverty, records, p, HIERARCHY)
+            assert_same_error(expected, tabulate_poverty, table(records), p, HIERARCHY)
         assert "outside [0, 1]" in raised(reference_compute_mpi, [full], p)[1]
         assert "missing flag" in raised(reference_compute_mpi, [full, later], p)[1]
         assert "outside [0, 1]" in raised(reference_tabulate, [full, later], p, HIERARCHY)[1]
+
+
+class TestHouseholds:
+    """The table constructor is the one check of households."""
+
+    def columns(self, **changes):
+        cols = dict(
+            household_ids=("h1", "h2", "h3"), area_ids=("a1", "a1", "a2"),
+            subgroup_ids=("f", "m", "f"), size=[5, 3, 2], weight=[1.0, 0.5, 2.0],
+            indicators=("x", "y"), flags=[[True, False], [False, True], [True, True]],
+            missing=[[False, False], [False, True], [False, False]],
+        )
+        return cols | changes
+
+    def test_columns(self):
+        hh = Households(**self.columns())
+        assert len(hh) == 3
+        assert hh.size.dtype == np.int64 and hh.weight.dtype == float
+        # A missing flag reads False.
+        assert hh.flags.tolist() == [[True, False], [False, False], [True, True]]
+        for arr in (hh.size, hh.weight, hh.flags, hh.missing):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"household_ids": ("h1", "h2", "h1")}, "duplicate household ids: ['h1']"),
+            ({"size": [5, 0, 2]}, "household size must be >= 1, got 0"),
+            ({"size": [5, -3, 0]}, "household size must be >= 1, got -3"),
+            ({"size": [5.0, 3.0, 2.0]}, "household sizes must be integers below 2**63, got float64"),
+            ({"weight": [1.0, 0.0, 2.0]}, "weight must be positive, got 0.0"),
+            ({"weight": [1.0, 0.5, -2.0]}, "weight must be positive, got -2.0"),
+            ({"weight": [1.0, float("nan"), 2.0]}, "weight must be positive, got nan"),
+            ({"area_ids": ("a1", "a1")},
+             "ragged household columns: area_ids has shape (2,), expected (3,)"),
+            ({"weight": [1.0, 0.5, 2.0, 4.0]},
+             "ragged household columns: weight has shape (4,), expected (3,)"),
+            ({"flags": [[True, False], [False, True]]},
+             "ragged household columns: flags has shape (2, 2), expected (3, 2)"),
+            ({"missing": np.zeros((3, 3), dtype=bool)},
+             "ragged household columns: missing has shape (3, 3), expected (3, 2)"),
+            ({"indicators": ("x", "x")}, "duplicate indicator ids: ['x']"),
+        ],
+        ids=["duplicate_id", "size_zero", "size_negative", "size_float", "weight_zero",
+             "weight_negative", "weight_nan", "ragged_area", "ragged_weight",
+             "ragged_flags", "ragged_missing", "duplicate_indicator"],
+    )
+    def test_rejects(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            Households(**self.columns(**changes))
+        assert str(info.value) == message
+
+    def test_subset_keeps_row_order(self):
+        hh = Households(**self.columns())
+        sub = hh.subset([True, False, True])
+        assert sub.household_ids == ("h1", "h3")
+        assert sub.area_ids == ("a1", "a2") and sub.subgroup_ids == ("f", "f")
+        assert sub.size.tolist() == [5, 2] and sub.weight.tolist() == [1.0, 2.0]
+        assert sub.flags.tolist() == [[True, False], [True, True]]
+        assert sub.indicators == hh.indicators
+        assert len(hh.subset(np.zeros(3, dtype=bool))) == 0
+        with pytest.raises(ValueError, match="mask shape"):
+            hh.subset([True, False])
 
 
 class TestHeadcountFromComposition:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,7 @@ def relative_bias_formula(estimates, truths):
 
 
 def relative_rmse_formula(estimates, truths):
+    """``relative_rmse`` before it recomputed overflowed squares."""
     est, tru = np.asarray(estimates, dtype=float), np.asarray(truths, dtype=float)
     denom = tru.mean()
     if denom == 0:
@@ -82,10 +84,47 @@ def relative_rmse_formula(estimates, truths):
     return float(np.sqrt(((est - tru) ** 2).mean()) / denom)
 
 
+def relative_rmse_exact(estimates, truths) -> float:
+    """sqrt(mean((est - truth)^2)) / mean(truth), rounded once from exact
+    rationals but for the mean truth, which is the float ``np.mean``; NaN
+    for a non-finite input or a zero mean truth."""
+    if not all(map(math.isfinite, [*estimates, *truths])):
+        return math.nan
+    est, tru = [Fraction(v) for v in estimates], [Fraction(v) for v in truths]
+    mean = Fraction(float(np.mean(truths)))
+    if mean == 0:
+        return math.nan
+    ratio = sum((e - t) ** 2 for e, t in zip(est, tru)) / len(tru) / mean**2
+    try:
+        return math.copysign(math.sqrt(ratio), mean)
+    except OverflowError:
+        return math.copysign(math.inf, mean)
+
+
 def same_float(a: float, b: float) -> bool:
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
     return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def rmse_matches_oracles(got: float, estimates, truths, plain: float) -> bool:
+    """``plain`` (the old formula) bit for bit where it is finite or the mean
+    truth is not finite or zero; where it overflowed, the exact value.
+
+    Squares of differences scaled by the mean truth can themselves overflow
+    once the result passes about 1e153, so past 1e150 only the magnitude
+    and the sign are checked.
+    """
+    with np.errstate(all="ignore"):
+        mean = float(np.mean(truths))
+    if math.isfinite(plain) or not math.isfinite(mean) or mean == 0:
+        return same_float(got, plain)
+    exact = relative_rmse_exact(estimates, truths)
+    if math.isnan(exact):
+        return math.isnan(got)
+    if abs(exact) > 1e150:
+        return abs(got) > 1e150 and math.copysign(1, got) == math.copysign(1, exact)
+    return got == pytest.approx(exact, rel=1e-12)
 
 
 @st.composite
@@ -121,7 +160,25 @@ class TestMetricOracles:
         est, tru = case
         with np.errstate(all="ignore"):
             assert same_float(relative_bias(est, tru), relative_bias_formula(est, tru))
-            assert same_float(relative_rmse(est, tru), relative_rmse_formula(est, tru))
+            plain = relative_rmse_formula(est, tru)
+        assert rmse_matches_oracles(relative_rmse(est, tru), est, tru, plain)
+
+    def test_rmse_of_overflowing_squares(self):
+        # (1e300)**2 overflows; scaled by the mean truth 2e300 the
+        # differences are -0.5 and 0.5.  No RuntimeWarning is raised.
+        assert relative_rmse([1e300, 3e300], [2e300, 2e300]) == 0.5
+        assert relative_rmse([1e300, 3e300], [-2e300, -2e300]) == pytest.approx(-(17**0.5) / 2)
+        est = np.array([[1e300, 1.0], [3e300, 3.0]])
+        tru = np.array([[2e300, 2.0], [2e300, 2.0]])
+        assert simulation._nd_rmse(est, tru).tolist() == [0.5, 0.5]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(metric_inputs())
+    def test_rmse_keeps_plain_bits_or_matches_exact(self, case):
+        est, tru = case
+        with np.errstate(all="ignore"):
+            plain = relative_rmse_formula(est, tru)
+        assert rmse_matches_oracles(relative_rmse(est, tru), est, tru, plain)
 
 
 class TestQuartileGrouping:
@@ -594,4 +651,7 @@ def test_replicate_means_match_np_mean_bitwise(stacks):
         want_bias, want_rmse = mean_metrics_oracle(est, tru)
         got_bias, got_rmse = simulation._nd_bias(est, tru), simulation._nd_rmse(est, tru)
     assert same_bits(got_bias, want_bias)
-    assert same_bits(got_rmse, want_rmse)
+    for cell in np.ndindex(*est.shape[1:]):
+        column = (slice(None), *cell)
+        got, want = float(got_rmse[cell]), float(want_rmse[cell])
+        assert rmse_matches_oracles(got, est[column].tolist(), tru[column].tolist(), want)
