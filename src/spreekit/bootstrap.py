@@ -18,16 +18,30 @@ order, which independent re-implementations must follow to reproduce runs:
 3. Auxiliary row margin: one ``rng.integers(0, len(pool))`` when a replicate
    pool is supplied, else one vectorised ``rng.lognormal`` over areas for
    the labelled perturbation fallback.
-4. Column margin: under ``psu-cluster``, one ``rng.integers(0, n, size=n)``
-   per stratum in first-appearance order (PSUs within a stratum in
-   first-appearance order); under ``iid-category``, a single
+4. Column margin: under ``psu-cluster``, one ``rng.integers(0, high)`` whose
+   ``high`` holds each stratum's PSU count once per PSU, strata in
+   first-appearance order (PSUs within a stratum in first-appearance order);
+   it consumes the stream exactly as one ``rng.integers(0, n, size=n)`` per
+   stratum in that order would.  Under ``iid-category``, a single
    ``rng.integers(0, n_obs, size=n_obs)`` over observations.
 
-The margins drawn in steps 3 and 4 go to the reconcile step as they are.  The
-five replicate quantiles (:data:`QUANTILE_LEVELS`, named by
+The margins drawn in steps 3 and 4 go to the reconcile step as they are.
+
+Replicates are aggregated as they complete, in replicate order, so a run
+holds one (B, A, J) stack of fitted tables and nothing else of that size.
+Each replicate's fitted table goes into the next row of that stack, and its
+squared difference from the replicate composition is added to a running
+sum; the headcount keeps only one (B, A) array of squared differences.
+These sums are bitwise what numpy's sum over the replicate axis of the full
+stacks gives, which adds whole tables in replicate order; a one-cell table,
+whose column numpy sums pairwise, keeps its squares and sums them the same
+way.  The five replicate quantiles (:data:`QUANTILE_LEVELS`, named by
 :data:`QUANTILE_LABELS`, also the quantile columns of the validation
-summaries) come from one ``np.quantile`` call over the replicate stack, and
-``_nan_mean`` is the one NaN-skipping mean of the replicate layer.
+summaries) come from ``np.quantile`` over chunks of about
+:data:`_QUANTILE_CHUNK_BYTES` of cells, so its copy of the stack is bounded,
+and ``_nan_mean`` is the one NaN-skipping mean of the replicate layer.
+A run whose stack would pass :data:`_MAX_STACK_BYTES` fails with a
+:class:`BootstrapError` before the point fit.
 """
 
 from __future__ import annotations
@@ -58,6 +72,11 @@ QUANTILE_LABELS = ("q2.5", "q25", "median", "q75", "q97.5")
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
 # Share of replicates whose raking may fail before a run is aborted.
 _MAX_DROPPED_FRACTION = 0.10
+# Largest float64 replicate stack a run may hold, in bytes: a run that would
+# need more fails before its first replicate, not by running out of memory.
+_MAX_STACK_BYTES = 4 * 2**30
+# Bytes of stack per ``np.quantile`` call, which copies what it is given.
+_QUANTILE_CHUNK_BYTES = 2**20
 
 
 def _nan_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -73,6 +92,17 @@ def _nan_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
 
 class BootstrapError(RuntimeError):
     pass
+
+
+def _check_stack(stage: str, shape: tuple[int, ...], error: type[Exception]) -> None:
+    """Raise ``error`` when a float64 stack of ``shape`` passes the budget."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > _MAX_STACK_BYTES:
+        dims = " x ".join(map(str, shape))
+        raise error(
+            f"{stage}: a {dims} replicate stack needs {nbytes} bytes, "
+            f"over the budget of {_MAX_STACK_BYTES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -160,7 +190,15 @@ class SurveyDesign:
         by_stratum: dict[str, list[int]] = {}
         for i, (s, _) in enumerate(psu_pos):
             by_stratum.setdefault(s, []).append(i)
-        psus_by_stratum = {s: np.asarray(rows, dtype=int) for s, rows in by_stratum.items()}
+        # The PSU draw's layout: PSU rows grouped by stratum, each stratum's
+        # PSU count and first position there, and the strata of each count.
+        sizes = np.asarray([len(rows) for rows in by_stratum.values()])
+        starts = np.cumsum(sizes) - sizes
+        size_groups = tuple(
+            (idx, starts[idx][:, None] + np.arange(n))
+            for n in np.unique(sizes)
+            for idx in [np.flatnonzero(sizes == n)]
+        )
 
         object.__setattr__(self, "psu", psu)
         object.__setattr__(self, "stratum", stratum)
@@ -169,9 +207,12 @@ class SurveyDesign:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "category_ids", cat_ids)
         object.__setattr__(self, "_cat_index", cat_index)
-        object.__setattr__(self, "_strata", tuple(psus_by_stratum))
+        object.__setattr__(self, "_strata", tuple(by_stratum))
         object.__setattr__(self, "_psu_totals", totals)
-        object.__setattr__(self, "_psus_by_stratum", psus_by_stratum)
+        object.__setattr__(self, "_psu_rows", np.concatenate(list(by_stratum.values())))
+        object.__setattr__(self, "_draw_high", np.repeat(sizes, sizes))
+        object.__setattr__(self, "_draw_start", np.repeat(starts, sizes))
+        object.__setattr__(self, "_size_groups", size_groups)
 
     @property
     def strata(self) -> tuple[str, ...]:
@@ -181,14 +222,19 @@ class SurveyDesign:
 def resample_column_margin(
     design: SurveyDesign, rng: np.random.Generator, reference_time: int = 0
 ) -> MarginVector:
-    """Column margin from PSUs redrawn with replacement within strata."""
-    totals = np.zeros(len(design.category_ids))
-    psu_totals = design._psu_totals  # type: ignore[attr-defined]
-    for s in design.strata:
-        rows = design._psus_by_stratum[s]  # type: ignore[attr-defined]
-        chosen = rng.integers(0, rows.size, size=rows.size)
-        totals += psu_totals[rows[chosen]].sum(axis=0)
-    return MarginVector(design.category_ids, totals, MarginLevel.CATEGORY, reference_time)
+    """Column margin from PSUs redrawn with replacement within strata.
+
+    Each stratum's drawn PSU totals are summed, then the strata are added
+    in stratum order: the sums of a per-stratum loop, bit for bit.
+    """
+    d = design
+    chosen = rng.integers(0, d._draw_high) + d._draw_start  # type: ignore[attr-defined]
+    drawn = d._psu_totals[d._psu_rows[chosen]]  # type: ignore[attr-defined]
+    per_stratum = np.empty((len(d.strata), len(d.category_ids)))
+    for idx, pos in d._size_groups:  # type: ignore[attr-defined]
+        per_stratum[idx] = drawn[pos].sum(axis=1)
+    totals = np.add.accumulate(per_stratum, axis=0)[-1]
+    return MarginVector(d.category_ids, totals, MarginLevel.CATEGORY, reference_time)
 
 
 def _resample_iid(
@@ -277,8 +323,11 @@ def bootstrap_mse(
     Requires a converged point estimate.  Replicates whose raking fails
     (for example a replicate row drawn to zero against a positive target)
     are dropped and counted; more than 10% dropped aborts the run.  The MSE
-    divisor is the completed replicate count.
+    divisor is the completed replicate count.  A run whose replicate stack
+    would pass the memory budget fails before the point fit.
     """
+    shape = (cfg.replicates, len(req.seed.area_ids), len(req.seed.category_ids))
+    _check_stack("bootstrap", shape, BootstrapError)
     point = spree_update(req)
     if not point.ipf.converged:
         raise BootstrapError("point estimate did not converge; cannot bootstrap")
@@ -346,10 +395,32 @@ def bootstrap_mse(
             return f"replicate {b}: did not converge (deviation {res.final_deviation:.3e})"
         return res.fitted.counts, mult
 
-    outcomes = [one_replicate(b) for b in range(cfg.replicates)]
+    poor_col = (
+        category_ids.index("poor") if set(category_ids) == set(POVERTY_CATEGORIES) else None
+    )
+    stack = np.empty(shape)
+    # Squares are never -0.0, so starting from zeros changes no bit.
+    sq_sum = np.zeros(fitted.shape)
+    # numpy sums a one-cell stack's column pairwise, not row after row.
+    sq_cells = np.empty(shape) if fitted.size == 1 else None
+    h_sq = np.empty(shape[:2]) if poor_col is not None else None
+    reasons = []
+    n = 0
+    for b in range(cfg.replicates):
+        outcome = one_replicate(b)
+        if isinstance(outcome, str):
+            reasons.append(outcome)
+            continue
+        fitted_b, mult = outcome
+        stack[n] = fitted_b
+        sq = np.square(fitted_b - mult)
+        sq_sum += sq
+        if sq_cells is not None:
+            sq_cells[n] = sq
+        if h_sq is not None:
+            h_sq[n] = np.square(_poor_share(fitted_b, poor_col) - _poor_share(mult, poor_col))
+        n += 1
 
-    reasons = tuple(o for o in outcomes if isinstance(o, str))
-    pairs = [o for o in outcomes if not isinstance(o, str)]
     dropped = len(reasons)
     if dropped > _MAX_DROPPED_FRACTION * cfg.replicates:
         detail = "; ".join(reasons[:5])
@@ -358,21 +429,24 @@ def bootstrap_mse(
             f"{_MAX_DROPPED_FRACTION:.0%}): {detail}"
         )
 
-    fitted_reps = np.stack([p[0] for p in pairs])
-    mult_reps = np.stack([p[1] for p in pairs])
-    diff = fitted_reps - mult_reps
-    mse = (diff**2).sum(axis=0) / len(pairs)
+    stack = stack[:n]
+    if sq_cells is not None:
+        sq_sum = sq_cells[:n].sum(axis=0)
+    mse = sq_sum / n
     cv = np.where(fitted > 0, np.sqrt(mse) / np.where(fitted > 0, fitted, 1.0), np.nan)
-    rep_mean = fitted_reps.mean(axis=0)
-    rep_quantiles = dict(zip(QUANTILE_LABELS, np.quantile(fitted_reps, QUANTILE_LEVELS, axis=0)))
+    rep_mean = stack.mean(axis=0)
+    cells = stack.reshape(n, -1)
+    quantiles = np.empty((len(QUANTILE_LEVELS), cells.shape[1]))
+    width = max(1, _QUANTILE_CHUNK_BYTES // (8 * n))
+    for c in range(0, cells.shape[1], width):
+        quantiles[:, c : c + width] = np.quantile(cells[:, c : c + width], QUANTILE_LEVELS, axis=0)
+    rep_quantiles = dict(zip(QUANTILE_LABELS, quantiles.reshape(-1, *fitted.shape)))
 
     headcount_point = headcount_mse = headcount_cv = None
-    if set(category_ids) == set(POVERTY_CATEGORIES):
-        poor_col = category_ids.index("poor")
+    if h_sq is not None:
         headcount_point = _poor_share(fitted, poor_col)
-        h_diff = _poor_share(fitted_reps, poor_col) - _poor_share(mult_reps, poor_col)
         # NaN for an area that has no population in any replicate.
-        headcount_mse = _nan_mean(h_diff**2, axis=0)
+        headcount_mse = _nan_mean(h_sq[:n], axis=0)
         headcount_cv = np.where(
             headcount_point > 0,
             np.sqrt(headcount_mse) / np.where(headcount_point > 0, headcount_point, 1.0),
@@ -387,9 +461,9 @@ def bootstrap_mse(
         cv,
         rep_mean,
         rep_quantiles,
-        len(pairs),
+        n,
         dropped,
-        reasons,
+        tuple(reasons),
         headcount_point,
         headcount_mse,
         headcount_cv,

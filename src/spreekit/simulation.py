@@ -42,6 +42,7 @@ from spreekit.bootstrap import (
     QUANTILE_LABELS,
     QUANTILE_LEVELS,
     SurveyDesign,
+    _check_stack,
     _nan_mean,
     _split_rows,
     resample_column_margin,
@@ -227,28 +228,46 @@ class SimulationReport:
     win_counts: dict[str, int]
 
 
-def _nd_bias(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
+def _relative(est: np.ndarray, tru: np.ndarray, metric) -> np.ndarray:
+    """``metric(est - tru, mean truth, n, rescaled)`` over the first axis;
+    NaN where the mean truth is zero.
+
+    Where the result or the mean truth is not finite (and the mean truth is
+    not zero), both are recomputed with ``rescaled`` true from the values
+    divided by the least power of two that is at least twice the round
+    count: exact but for subnormals, and small enough that no sum over the
+    rounds of the values or of their differences overflows.  The metrics
+    are ratios, so the factor cancels; every other result keeps its bits.
+    """
     n = len(tru)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         denom = tru.sum(axis=0) / n
-        out = (est - tru).sum(axis=0) / n / denom
+        out = metric(est - tru, denom, n, False)
+        redo = (~np.isfinite(out) | ~np.isfinite(denom)) & (denom != 0)
+        if redo.any():
+            k = float(2 ** (2 * n - 1).bit_length())
+            denom_k = (tru / k).sum(axis=0) / n
+            out = np.where(redo, metric(est / k - tru / k, denom_k, n, True), out)
+            denom = np.where(redo, denom_k, denom)
     return np.where(denom == 0, np.nan, out)
+
+
+def _nd_bias(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
+    """Relative bias over the first axis; see :func:`_relative`."""
+    return _relative(est, tru, lambda diff, denom, n, _: diff.sum(axis=0) / n / denom)
 
 
 def _nd_rmse(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
-    """Relative RMSE over the first axis; NaN where the mean truth is zero.
+    """Relative RMSE over the first axis; see :func:`_relative`.  Rescaled,
+    the differences are divided by the mean truth before they are squared,
+    so that the squares do not overflow either."""
 
-    Where the squares overflow, so that the result is not finite while the
-    mean truth is, the differences are scaled by the mean truth first."""
-    n = len(tru)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        denom = tru.sum(axis=0) / n
-        diff = est - tru
-        with np.errstate(over="ignore"):
-            out = np.sqrt((diff**2).sum(axis=0) / n) / denom
-            scaled = np.sqrt(((diff / denom) ** 2).sum(axis=0) / n) * np.sign(denom)
-        out = np.where(np.isfinite(out) | ~np.isfinite(denom), out, scaled)
-    return np.where(denom == 0, np.nan, out)
+    def rmse(diff: np.ndarray, denom: np.ndarray, n: int, rescaled: bool) -> np.ndarray:
+        if rescaled:
+            return np.sqrt(((diff / denom) ** 2).sum(axis=0) / n) * np.sign(denom)
+        return np.sqrt((diff**2).sum(axis=0) / n) / denom
+
+    return _relative(est, tru, rmse)
 
 
 def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -292,11 +311,15 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
 
     Rounds where a strategy's update fails are dropped for that strategy
     only and recorded in its ``failures``; the report carries the completed
-    count per strategy.
+    count per strategy.  A plan whose replicate stacks would pass the memory
+    budget of :mod:`spreekit.bootstrap` fails before its first round.
     """
     h = plan.hierarchy
     area_ids = plan.truth_t0.area_ids
     category_ids = plan.truth_t0.category_ids
+    # The truths and each strategy's estimates, R x A x J each.
+    stacks = (1 + len(plan.strategies), plan.replicates, len(area_ids), len(category_ids))
+    _check_stack("simulation", stacks, ValueError)
     positions = h.group_positions(area_ids)
     t_time = plan.truth_t.reference_time
 

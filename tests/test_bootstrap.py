@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spreekit import (
+    AreaHierarchy,
     BootstrapConfig,
     BootstrapError,
     CellUncertainty,
@@ -29,6 +31,8 @@ from spreekit.bootstrap import (
     _resample_iid,
     _split_rows,
 )
+from spreekit.ipf import IpfError
+from spreekit.mpi import _poor_share
 
 from conftest import FIXTURES, make_composition, same_bits, two_region_hierarchy
 
@@ -473,13 +477,60 @@ def test_design_grouping_matches_per_observation_loop(design, seed):
     strata, totals, rows = per_observation_design(design)
     assert design.strata == strata
     assert design._psu_totals.tobytes() == totals.tobytes()
-    got = design._psus_by_stratum
-    assert list(got) == list(rows)
-    for s in strata:
-        assert got[s].tolist() == rows[s].tolist()
+    # The draw layout lists each stratum's PSU rows in turn, from its start.
+    starts = list(dict.fromkeys(design._draw_start.tolist()))
+    got = np.split(design._psu_rows, starts[1:])
+    assert [g.tolist() for g in got] == [rows[s].tolist() for s in strata]
     rng, rng_ref = rngmod.stream(seed, 0), rngmod.stream(seed, 0)
     drawn = resample_column_margin(design, rng).values
     assert drawn.tobytes() == per_stratum_resample(totals, rows, strata, rng_ref).tobytes()
+    assert rng.random() == rng_ref.random()
+
+
+@st.composite
+def psu_layouts(draw):
+    """Designs of 1..199 strata of 1..11 PSUs, at least one stratum with a
+    single PSU, one or two observations per PSU over 1..4 categories, and
+    strata interleaved in observation order."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_strata = draw(st.integers(1, 199))
+    sizes = g.integers(1, 12, n_strata)
+    sizes[g.random(n_strata) < 0.2] = 1
+    sizes[g.integers(0, n_strata)] = 1
+    cats = ["w", "x", "y", "z"][: draw(st.integers(1, 4))]
+    obs = [
+        (f"p{k}", f"s{s}")
+        for s, n in enumerate(sizes)
+        for k in range(n)
+        for _ in range(int(g.integers(1, 3)))
+    ]
+    obs = [obs[i] for i in g.permutation(len(obs))]
+    n = len(obs)
+    return SurveyDesign(
+        np.array([p for p, _ in obs], dtype=object),
+        np.array([s for _, s in obs], dtype=object),
+        10.0 ** g.uniform(-2.0, 4.0, n),
+        g.choice(cats, n),
+        np.where(g.random(n) < 0.1, 0.0, g.uniform(0.0, 40.0, n)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(psu_layouts(), st.integers(0, 2**32 - 1))
+def test_psu_draw_matches_per_stratum_loop(design, seed):
+    # One draw over every PSU takes the same integers from the stream as one
+    # draw per stratum, and leaves the stream at the same position.
+    strata, totals, rows = per_observation_design(design)
+    sizes = [rows[s].size for s in strata]
+    assert 1 in sizes
+    rng, rng_ref = rngmod.stream(seed, 0), rngmod.stream(seed, 0)
+    drawn = resample_column_margin(design, rng).values
+    assert drawn.tobytes() == per_stratum_resample(totals, rows, strata, rng_ref).tobytes()
+    assert rng.random() == rng_ref.random()
+    rng, rng_ref = rngmod.stream(seed, 1), rngmod.stream(seed, 1)
+    one_call = rng.integers(0, design._draw_high)
+    per_stratum = [rng_ref.integers(0, n, size=n) for n in sizes]
+    assert one_call.tolist() == np.concatenate(per_stratum).tolist()
     assert rng.random() == rng_ref.random()
 
 
@@ -522,6 +573,8 @@ def small_requests(draw):
     counts[g.random(n) < 0.2] = 0.0
     counts[0] = g.uniform(50.0, 500.0, size=len(cats))
     counts[n // 2] = g.uniform(50.0, 500.0, size=len(cats))
+    if n > 2 and draw(st.booleans()):
+        counts[n - 1] = 0.0
     census = Composition(tuple(f"a{i + 1}" for i in range(n)), cats, counts)
     h = two_region_hierarchy(n)
     large = np.array([counts[: n // 2].sum(), counts[n // 2 :].sum()]) * g.uniform(0.9, 1.1, 2)
@@ -530,34 +583,124 @@ def small_requests(draw):
     return UpdateRequest(census, col, totals, fixed_shares(census, h))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(small_requests(), st.integers(1, 30), st.integers(0, 2**16))
-def test_replicate_summaries_match_separate_numpy_calls(req, replicates, seed):
-    # The replicate stacks are recorded by a spy on the replicate fits; the
-    # quantiles must be bitwise the five separate np.quantile calls, the
-    # mean np.mean's and the headcount MSE np.nanmean's.
-    fits, seeds = [], []
+def stacked_summaries(point, fits, seeds):
+    """The MSE, CV and headcount MSE and CV from the stacked replicate tables,
+    as they were computed before the sums were taken per replicate (the
+    headcount MSE by np.nanmean, which ``_nan_mean`` matches bitwise)."""
+    fitted_reps, mult_reps = np.stack(fits), np.stack(seeds)
+    mse = ((fitted_reps - mult_reps) ** 2).sum(axis=0) / len(fits)
+    cv = np.where(point > 0, np.sqrt(mse) / np.where(point > 0, point, 1.0), np.nan)
+    h_point = _poor_share(point, 0)
+    h_diff = _poor_share(fitted_reps, 0) - _poor_share(mult_reps, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        h_mse = np.nanmean(h_diff**2, axis=0)
+    h_cv = np.where(h_point > 0, np.sqrt(h_mse) / np.where(h_point > 0, h_point, 1.0), np.nan)
+    return mse, cv, h_mse, h_cv
+
+
+def spied_bootstrap(req, cfg, drop=frozenset()):
+    """``bootstrap_mse`` with a spy on the replicate fits: the fits whose call
+    index is in ``drop`` raise, and the converged fitted tables and their
+    replicate compositions are recorded in replicate order."""
+    fits, seeds, calls = [], [], []
     original = bootstrap.ipf_fit
 
-    def spy(seed_b, row, col, cfg):
-        res = original(seed_b, row, col, cfg)
+    def spy(seed_b, row, col, ipf_cfg):
+        calls.append(None)
+        if len(calls) - 1 in drop:
+            raise IpfError("forced drop")
+        res = original(seed_b, row, col, ipf_cfg)
         if res.converged:
             fits.append(res.fitted.counts)
             seeds.append(seed_b.counts)
         return res
 
-    cfg = BootstrapConfig(replicates=replicates, seed=seed, col_resample="none")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bootstrap, "ipf_fit", spy)
         unc = bootstrap_mse(req, None, None, cfg)
-    assert unc.completed_replicates == len(fits)
+    return unc, fits, seeds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_requests(), st.integers(1, 30), st.integers(0, 2**16), st.data())
+def test_replicate_summaries_match_separate_numpy_calls(req, replicates, seed, data):
+    # The summaries, taken per replicate as each completes, must be bitwise
+    # those of the stacked replicate tables: the quantiles the five separate
+    # np.quantile calls, the mean np.mean's, the MSE, CV and headcount the
+    # stacked formulas', with some replicates dropped (under the 10% limit).
+    drop = data.draw(st.sets(st.integers(0, replicates - 1), max_size=replicates // 10))
+    cfg = BootstrapConfig(replicates=replicates, seed=seed, col_resample="none")
+    unc, fits, seeds = spied_bootstrap(req, cfg, drop)
+    assert unc.completed_replicates == len(fits) == replicates - len(drop)
+    assert unc.dropped_replicates == len(drop)
     stack = np.stack(fits)
     for label, level in zip(QUANTILE_LABELS, QUANTILE_LEVELS):
         assert same_bits(unc.rep_quantiles[label], np.quantile(stack, level, axis=0))
     assert same_bits(unc.rep_mean, np.mean(stack, axis=0))
+    mse, cv, h_mse, h_cv = stacked_summaries(unc.point, fits, seeds)
+    assert same_bits(unc.mse, mse)
+    assert same_bits(unc.cv, cv)
     if unc.headcount_mse is not None:
-        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
-            warnings.simplefilter("ignore", RuntimeWarning)
-            h_diff = stack[..., 0] / stack.sum(axis=2) - np.stack([m[:, 0] / m.sum(axis=1) for m in seeds])
-            want = np.nanmean(h_diff**2, axis=0)
-        assert same_bits(unc.headcount_mse, want)
+        assert same_bits(unc.headcount_mse, h_mse)
+        assert same_bits(unc.headcount_cv, h_cv)
+        empty = req.seed.counts.sum(axis=1) == 0
+        assert np.isnan(unc.headcount_mse[empty]).all()
+
+
+@pytest.mark.parametrize("replicates", [1, 9, 40])
+def test_one_cell_table_mse_matches_stacked_sum(replicates):
+    # numpy sums a one-cell stack's column pairwise, not row after row, so
+    # the running sum alone would differ in the last bits from B = 8 on.
+    census = Composition(("a1",), ("c1",), np.array([[40.0]]))
+    h = AreaHierarchy.from_pairs([("a1", "g1")])
+    totals = MarginVector(("g1",), np.array([44.0]), MarginLevel.LARGE_AREA)
+    col = MarginVector(("c1",), np.array([44.0]), MarginLevel.CATEGORY)
+    req = UpdateRequest(census, col, totals, fixed_shares(census, h))
+    cfg = BootstrapConfig(replicates=replicates, seed=6, col_resample="none")
+    unc, fits, seeds = spied_bootstrap(req, cfg)
+    assert unc.completed_replicates == replicates
+    mse, cv, _, _ = stacked_summaries(unc.point, fits, seeds)
+    assert same_bits(unc.mse, mse)
+    assert same_bits(unc.cv, cv)
+
+
+def test_traced_peak_stays_below_three_stacks():
+    # The run holds one B x A x J stack of fitted tables; the replicate
+    # compositions, differences and squares are never stacked, and
+    # np.quantile copies the stack in chunks.
+    g = np.random.default_rng(12)
+    areas, cats, replicates = 400, 12, 60
+    counts = g.uniform(20.0, 400.0, size=(areas, cats))
+    census = make_composition(counts)
+    h = two_region_hierarchy(areas)
+    large = np.array([counts[: areas // 2].sum(), counts[areas // 2 :].sum()]) * 1.05
+    totals = MarginVector(("g1", "g2"), large, MarginLevel.LARGE_AREA)
+    col = MarginVector(census.category_ids, counts.sum(axis=0) * 1.05, MarginLevel.CATEGORY)
+    req = UpdateRequest(census, col, totals, fixed_shares(census, h))
+    cfg = BootstrapConfig(
+        replicates=replicates, seed=4, col_resample="none", aux_resample="none"
+    )
+    np.quantile(np.zeros(2), QUANTILE_LEVELS)  # numpy's lazy imports are not the subject
+    tracemalloc.start()
+    try:
+        unc = bootstrap_mse(req, None, None, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert unc.completed_replicates == replicates
+    stack = replicates * areas * cats * 8
+    assert peak < 3 * stack, peak / stack
+
+
+def test_stack_over_budget_fails_before_the_point_fit(monkeypatch):
+    def no_fit(req):
+        pytest.fail("the point fit ran")
+
+    monkeypatch.setattr(bootstrap, "spree_update", no_fit)
+    monkeypatch.setattr(bootstrap, "_MAX_STACK_BYTES", 25 * 4 * 2 * 8 - 1)
+    with pytest.raises(
+        BootstrapError,
+        match=r"^bootstrap: a 25 x 4 x 2 replicate stack needs 1600 bytes, over the budget of 1599$",
+    ):
+        bootstrap_mse(mini_request(), mini_design(), None, BootstrapConfig(replicates=25))

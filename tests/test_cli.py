@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from spreekit import AreaHierarchy, Composition
+from spreekit import bootstrap, simulation
 from spreekit import io as sio
 from spreekit.cli import main
 
@@ -61,6 +62,18 @@ def update_argv(out_dir, mode: str = "fixed", **extra) -> list[str]:
     for flag, value in extra.items():
         argv += ["--" + flag.replace("_", "-"), value]
     return argv
+
+
+def plan_json(plan: dict) -> dict:
+    """``plan`` as written; a plan without a ``scenario`` overrides the keys
+    of ``mini_plan.json``, its paths made absolute."""
+    if "scenario" in plan:
+        return plan
+    base = json.loads((FIXTURES / "mini_plan.json").read_text())
+    for key in ("truth_t0", "truth_t", "hierarchy", "large_totals", "design"):
+        base[key] = str(FIXTURES / base[key])
+    base["aux_pool"] = [str(FIXTURES / p) for p in base["aux_pool"]]
+    return {**base, **plan}
 
 
 def bootstrap_argv(out_dir, seed: int = 7, replicates: int = 25) -> list[str]:
@@ -514,13 +527,7 @@ class TestValidate:
              "replicates", "psus_per_region", "aux_pool_size", "seed", "seed_bool"],
     )
     def test_non_integer_count_is_data_error(self, tmp_path, plan):
-        if "scenario" not in plan:
-            base = json.loads((FIXTURES / "mini_plan.json").read_text())
-            for key in ("truth_t0", "truth_t", "hierarchy", "large_totals", "design"):
-                base[key] = str(FIXTURES / base[key])
-            base["aux_pool"] = [str(FIXTURES / p) for p in base["aux_pool"]]
-            plan = {**base, **plan}
-        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        (tmp_path / "plan.json").write_text(json.dumps(plan_json(plan)))
         code, out, err = run_cli("validate", "--plan", tmp_path / "plan.json", "--out", tmp_path)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
@@ -811,12 +818,7 @@ class TestErrorsAndExitCodes:
     )
     def test_negative_seed_is_named(self, tmp_path, argv, plan, error):
         if plan is not None:
-            base = json.loads((FIXTURES / "mini_plan.json").read_text())
-            for key in ("truth_t0", "truth_t", "hierarchy", "large_totals", "design"):
-                base[key] = str(FIXTURES / base[key])
-            base["aux_pool"] = [str(FIXTURES / p) for p in base["aux_pool"]]
-            plan = plan if "scenario" in plan else {**base, **plan}
-            (tmp_path / "plan.json").write_text(json.dumps(plan))
+            (tmp_path / "plan.json").write_text(json.dumps(plan_json(plan)))
         argv = [str(a).format(plan=tmp_path / "plan.json", out=tmp_path / "out") for a in argv]
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, "")
@@ -824,6 +826,38 @@ class TestErrorsAndExitCodes:
         payload = json.loads(err)
         assert payload["error"] == error
         assert payload["message"].endswith("seed must be >= 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, plan, message",
+        [
+            (bootstrap_argv("{out}", replicates=10**9), None,
+             "bootstrap: a 1000000000 x 4 x 2 replicate stack needs 64000000000 bytes"),
+            (["validate", "--plan", "{plan}", "--out", "{out}"], {"replicates": 10**9},
+             "simulation: a 4 x 1000000000 x 4 x 2 replicate stack needs 256000000000 bytes"),
+            (["validate", "--plan", "{plan}", "--out", "{out}"],
+             {"scenario": {"replicates": 10**9}},
+             "simulation: a 4 x 1000000000 x 12 x 2 replicate stack needs 768000000000 bytes"),
+        ],
+        ids=["bootstrap", "file_plan", "scenario_plan"],
+    )
+    def test_stack_over_budget_fails_before_any_replicate(
+        self, tmp_path, monkeypatch, argv, plan, message
+    ):
+        def no_replicate(*args):
+            pytest.fail("a replicate or the point fit ran")
+
+        monkeypatch.setattr(bootstrap, "spree_update", no_replicate)
+        monkeypatch.setattr(simulation, "replicate_census", no_replicate)
+        if plan is not None:
+            (tmp_path / "plan.json").write_text(json.dumps(plan_json(plan)))
+        argv = [str(a).format(plan=tmp_path / "plan.json", out=tmp_path / "out") for a in argv]
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == ("BootstrapError" if plan is None else "ValueError")
+        assert payload["message"] == f"{message}, over the budget of {2**32}"
         assert not (tmp_path / "out").exists()
 
     def test_missing_input_file_is_data_error(self, tmp_path):

@@ -181,6 +181,95 @@ class TestMetricOracles:
         assert rmse_matches_oracles(relative_rmse(est, tru), est, tru, plain)
 
 
+def metric_exact(estimates, truths, rmse: bool) -> tuple[float, float]:
+    """The relative bias or RMSE from exact rationals, and the error that the
+    float sums of n terms may add to it.
+
+    The mean truth is the float ``np.mean``, which the plain formula divides
+    by, where that is finite, and exact where it overflows; NaN where it is
+    zero.  The error allows (n + 2) roundings of the sums of absolute terms.
+    """
+    est, tru = [Fraction(v) for v in estimates], [Fraction(v) for v in truths]
+    n = len(tru)
+    with np.errstate(all="ignore"):
+        mean = float(np.mean(truths))
+    total = Fraction(mean) * n if math.isfinite(mean) else sum(tru)
+    if total == 0:
+        return math.nan, 0.0
+    diffs = [e - t for e, t in zip(est, tru)]
+    if rmse:
+        squared = n * sum(d * d for d in diffs) / total**2
+        if squared > 10**300:  # only the sign is checked past 1e150
+            return (math.inf if total > 0 else -math.inf), math.inf
+        value = Fraction(math.sqrt(squared)) * (1 if total > 0 else -1)
+        spread = abs(value)
+    else:
+        value = sum(diffs) / total
+        spread = sum(abs(d) for d in diffs) / abs(total)
+    slack = (n + 2) * Fraction(np.finfo(float).eps) * (
+        spread + abs(value) * sum(abs(t) for t in tru) / abs(total)
+    )
+    try:
+        return float(value), float(slack)
+    except OverflowError:
+        return (math.inf if value > 0 else -math.inf), math.inf
+
+
+@st.composite
+def huge_metric_inputs(draw):
+    """Estimates and truths up to the float maximum, all non-negative (as
+    counts and shares are) or of either sign, so that the sums of the truths
+    or of the differences overflow."""
+    n = draw(st.integers(1, 12))
+    top = np.finfo(float).max
+    low = 0.0 if draw(st.booleans()) else -1.0
+    values = st.floats(low, 1.0).map(lambda v: v * top)
+    est = draw(st.lists(values, min_size=n, max_size=n))
+    tru = draw(st.lists(values, min_size=n, max_size=n))
+    return est, tru
+
+
+class TestOverflowSafeMetrics:
+    def test_bias_and_rmse_of_overflowing_mean_truth(self):
+        # The truths sum past the float range; divided by four first, they
+        # do not.  No RuntimeWarning is raised.
+        assert relative_bias([1.5e308, 1.5e308], [1e308, 1e308]) == 0.5
+        assert relative_rmse([1.5e308, 1.5e308], [1e308, 1e308]) == 0.5
+        assert relative_rmse([1e308], [-1e308]) == -2.0
+        assert math.isnan(relative_bias([1e308, 1e308], [1e308, -1e308]))
+        est = np.array([[1.5e308, 1.0], [1.5e308, 3.0]])
+        tru = np.array([[1e308, 2.0], [1e308, 2.0]])
+        assert simulation._nd_bias(est, tru).tolist() == [0.5, 0.0]
+        assert simulation._nd_rmse(est, tru).tolist() == [0.5, 0.5]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(metric_inputs() | huge_metric_inputs())
+    def test_plain_bits_where_finite_else_exact(self, case):
+        # The formulas before the overflow fixes are the oracle wherever
+        # their result and the mean truth are finite (or the mean truth is
+        # zero); elsewhere the exact value within the rounding of the sums.
+        est, tru = case
+        with np.errstate(all="ignore"):
+            mean = float(np.mean(tru))
+            plain = (relative_bias_formula(est, tru), relative_rmse_formula(est, tru))
+        for got, want, rmse in zip(
+            (relative_bias(est, tru), relative_rmse(est, tru)), plain, (False, True)
+        ):
+            if mean == 0 or (math.isfinite(mean) and math.isfinite(want)):
+                assert same_float(got, want)
+                continue
+            exact, slack = metric_exact(est, tru, rmse)
+            if math.isnan(exact):
+                assert math.isnan(got)
+            elif rmse and abs(exact) > 1e150:
+                # Past about 1e153 the squares of the scaled differences overflow.
+                assert abs(got) > 1e150 and math.copysign(1, got) == math.copysign(1, exact)
+            elif math.isinf(exact):
+                assert got == exact
+            else:
+                assert abs(got - exact) <= slack, (got, exact, slack)
+
+
 class TestQuartileGrouping:
     def test_even_split(self):
         labels = quartile_grouping([0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4, 0.6])
