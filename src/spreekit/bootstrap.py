@@ -94,15 +94,18 @@ class BootstrapError(RuntimeError):
     pass
 
 
-def _check_stack(stage: str, shape: tuple[int, ...], error: type[Exception]) -> None:
-    """Raise ``error`` when a float64 stack of ``shape`` passes the budget."""
-    nbytes = 8 * math.prod(shape)
+def _check_stack(
+    stage: str, shapes: Sequence[tuple[int, ...]], error: type[Exception]
+) -> None:
+    """Raise ``error`` when float64 stacks of ``shapes`` together pass the budget."""
+    nbytes = 8 * sum(map(math.prod, shapes))
     if nbytes > _MAX_STACK_BYTES:
-        dims = " x ".join(map(str, shape))
-        raise error(
-            f"{stage}: a {dims} replicate stack needs {nbytes} bytes, "
-            f"over the budget of {_MAX_STACK_BYTES}"
-        )
+        dims = " + ".join(" x ".join(map(str, shape)) for shape in shapes)
+        if len(shapes) == 1:
+            stacks = f"a {dims} replicate stack needs"
+        else:
+            stacks = f"replicate stacks of {dims} need"
+        raise error(f"{stage}: {stacks} {nbytes} bytes, over the budget of {_MAX_STACK_BYTES}")
 
 
 @dataclass(frozen=True)
@@ -327,7 +330,7 @@ def bootstrap_mse(
     would pass the memory budget fails before the point fit.
     """
     shape = (cfg.replicates, len(req.seed.area_ids), len(req.seed.category_ids))
-    _check_stack("bootstrap", shape, BootstrapError)
+    _check_stack("bootstrap", [shape], BootstrapError)
     point = spree_update(req)
     if not point.ipf.converged:
         raise BootstrapError("point estimate did not converge; cannot bootstrap")

@@ -22,8 +22,8 @@ byte-reproducible runs.
 
 Each subcommand is one row of :data:`SUBCOMMANDS`.  Its run function reads
 the inputs, records every file it reads for the manifest, and yields its
-outputs as ``(file name, text)`` pairs; :func:`main` writes each one as it
-is yielded.
+outputs as ``(file name, text)`` pairs, where a CSV's text comes as blocks
+of rows; :func:`main` writes each file as it is yielded, block by block.
 
 Exit codes: 0 success, 1 data error (a JSON error object is printed to
 stderr), 2 usage error.  A run that succeeds with a caveat (``update``
@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, get_args
+from typing import Any, Callable, Iterable, Iterator, Sequence, get_args
 
 import numpy as np
 
@@ -83,7 +83,7 @@ from spreekit.update import UpdateError, UpdateRequest, spree_update
 ENV_PREFIX = "SPREEKIT_"
 
 Inputs = dict[str, Path]
-Outputs = Iterator[tuple[str, str]]
+Outputs = Iterator[tuple[str, str | Iterable[str]]]
 
 
 class CliDataError(RuntimeError):
@@ -409,7 +409,7 @@ def cmd_mpi(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
             group: _mpi_summary(compute_mpi(households.subset(groups == group), profile))
             for group in sorted(set(households.subgroup_ids))
         }
-    # Every output is made before the first is yielded, so a failed run writes nothing.
+    # Every output is computed before the first is yielded, so a failed run writes nothing.
     outputs = [("mpi.json", _json_text(payload))]
     if ns.hierarchy:
         hierarchy = sio.load_hierarchy(_note(inputs, "hierarchy", ns.hierarchy))
@@ -587,9 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
 class _Writer:
     """The one place a run's files are written.
 
-    Each file is written atomically as it is produced and its name kept for
-    the manifest.  Without ``--out`` (allowed only where the subcommand
-    says so) nothing is written.
+    Each file is written atomically as it is produced, its text block by
+    block as the blocks come, and its name kept for the manifest.  Without
+    ``--out`` (allowed only where the subcommand says so) nothing is
+    written.
     """
 
     def __init__(self, out: str | None, spec: Subcommand):
@@ -603,7 +604,7 @@ class _Writer:
             self.csv_name, self.csv_path = spec.csv_out, self.dir
             self.dir = self.dir.parent
 
-    def write(self, name: str, text: str) -> None:
+    def write(self, name: str, text: str | Iterable[str]) -> None:
         if self.dir is None:
             return
         path = self.csv_path if name == self.csv_name else self.dir / name

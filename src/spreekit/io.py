@@ -1,18 +1,28 @@
 """CSV and JSON ingestion for every file schema, plus matching writers.
 
-Every CSV loader reads its file into columns and checks whole columns
-(ids, numbers, flags, unique keys) before it builds any object.  The first
-bad line in file order raises :class:`IngestError` ``<file>:<line>: <message>``
-(line 1 is the header, each CSV record one line; in a line with several
-faults, the check the loader states first); a fault of the built object as
-a whole names the file only.  Fields may be CSV-quoted and are stripped of
-surrounding whitespace.
+Every CSV loader reads its file in blocks of ``_BLOCK_ROWS`` rows and
+checks each block's columns (ids, numbers, flags, unique keys) before it
+keeps them; unique keys are checked against every earlier block too.  The
+first bad line in file order raises :class:`IngestError`
+``<file>:<line>: <message>`` (line 1 is the header, each CSV record one
+line; in a line with several faults, the check the loader states first),
+and no later block is read; a fault of the built object as a whole names
+the file only.  Fields may be CSV-quoted and are stripped of surrounding
+whitespace.
+
+Memory: a load holds the object it returns, one block of rows and, where
+keys must be unique, the keys read so far; the object's own constructor
+may then copy its columns once.  Repeated ids (areas, subgroups,
+categories, strata, PSUs, large areas) share one ``str`` per distinct
+value.
 
 Every CSV spreekit writes has one dialect, :func:`csv_text`: float columns
 as ``repr`` of Python floats (so save then load is an identity), other
 fields by ``str``, quoted with ``"`` doubled when they contain ``,``, ``"``,
 ``\\n`` or ``\\r``; LF line ends in command outputs, CRLF in ``save_*`` files;
-rows in the object's id order.  :func:`write_text` writes every file atomically.
+rows in the object's id order.  :func:`csv_text` yields its text one block
+of rows at a time, and :func:`write_text` writes those blocks as they come,
+atomically, so no whole-file string is built.
 
 Schemas (UTF-8, comma-separated, ``.`` decimal point):
 
@@ -39,10 +49,12 @@ from __future__ import annotations
 import csv
 import json
 import os
+from array import array
 from fractions import Fraction
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -64,14 +76,26 @@ class IngestError(ValueError):
     """Schema or invariant violation, with file and line context."""
 
 
+# Rows per block, in which every CSV is read and written.  Below the
+# collector's first-generation threshold (700 allocations by default), so a
+# block's row lists are mostly freed before a collection can promote them:
+# at 4096 rows a 150k-row load ran about 170 young and two full collections.
+_BLOCK_ROWS = 512
+
+
 def _fail(path: Path, line: int, message: str) -> None:
     raise IngestError(f"{path}:{line}: {message}")
 
 
-def _read_csv(path: Path) -> list[list[str]]:
+def _csv_blocks(path: Path) -> Iterator[list[list[str]]]:
+    """The file's header row alone (no row for an empty file), then its
+    data rows ``_BLOCK_ROWS`` at a time."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            return list(csv.reader(f))
+            rows = csv.reader(f)
+            yield list(islice(rows, 1))
+            while block := list(islice(rows, _BLOCK_ROWS)):
+                yield block
     except OSError as e:
         raise IngestError(f"{path}: {e}") from e
 
@@ -82,23 +106,47 @@ def _quoted(text: str) -> str:
     return text
 
 
-def csv_text(header: Sequence[str], columns: Iterable[Sequence[Any]], line_end: str) -> str:
-    """The CSV text of equal-length ``columns`` under ``header``."""
-    fields = []
-    for name, column in zip(header, columns, strict=True):
-        values = np.asarray(column)
-        if values.dtype.kind == "f":
-            fields.append([_quoted(name), *map(repr, values.tolist())])
-        else:
-            fields.append(list(map(_quoted, [name, *map(str, column)])))
-    return line_end.join(map(",".join, zip(*fields, strict=True))) + line_end
+def _is_float(column: Sequence[Any]) -> bool:
+    if isinstance(column, np.ndarray):
+        return column.dtype.kind == "f"
+    return all(isinstance(v, (float, np.floating)) for v in column)
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``<path>.tmp``, then move that file to ``path``."""
+def csv_text(
+    header: Sequence[str], columns: Iterable[Sequence[Any]], line_end: str
+) -> Iterator[str]:
+    """The CSV text of equal-length ``columns`` under ``header``: the header
+    line, then ``_BLOCK_ROWS`` rows at a time."""
+    columns = list(columns)
+    lengths = {len(column) for column in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(f"{len(header)} header fields for columns of lengths {sorted(lengths)}")
+    yield ",".join(map(_quoted, header)) + line_end
+    floats = list(map(_is_float, columns))
+    for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
+        fields = [
+            map(repr, np.asarray(block, dtype=float).tolist()) if is_float
+            else map(_quoted, map(str, block))
+            for column, is_float in zip(columns, floats)
+            for block in [column[start : start + _BLOCK_ROWS]]
+        ]
+        yield line_end.join(map(",".join, zip(*fields))) + line_end
+
+
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its chunks as they are produced, as UTF-8 to
+    ``<path>.tmp``, then move that file to ``path``.  If producing or
+    writing a chunk fails, ``<path>.tmp`` is removed and ``path`` is left
+    as it was."""
     tmp = Path(f"{path}.tmp")
-    tmp.write_bytes(text.encode("utf-8"))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in (text,) if isinstance(text, str) else text:
+                f.write(chunk.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def long_ids(rows: Sequence[str], columns: Sequence[str]) -> tuple[list[str], tuple[str, ...]]:
@@ -116,13 +164,13 @@ _PIXELS_HEADER = ("lon", "lat", "value")
 _DESIGN_HEADER = ("psu_id", "stratum_id", "weight", "category_id", "value")
 
 
-def composition_csv(c: Composition, line_end: str) -> str:
+def composition_csv(c: Composition, line_end: str) -> Iterator[str]:
     """The long ``area_id,category_id,count`` form of a composition."""
     columns = (*long_ids(c.area_ids, c.category_ids), c.counts.ravel())
     return csv_text(_COMPOSITION_HEADER, columns, line_end)
 
 
-def margin_csv(ids: Sequence[str], values: np.ndarray, line_end: str) -> str:
+def margin_csv(ids: Sequence[str], values: np.ndarray, line_end: str) -> Iterator[str]:
     """The ``id,value`` form of a vector."""
     return csv_text(_MARGIN_HEADER, (ids, values), line_end)
 
@@ -135,25 +183,29 @@ def _wrap_invariant(path: Path, build, *args):
 
 
 class _Columns:
-    """The data rows of one CSV file as columns, and the first fault in them.
+    """One block of a CSV file's data rows as columns, and the first fault in them.
 
-    ``n`` is the row of the earliest fault found so far.  A check keeps a
-    fault only above it, so the fault kept is the one a row-by-row walk
-    running the checks in their stated order would meet first.  Columns
-    are tuples because the garbage collector stops tracking a tuple of
-    strings, numbers or flags after one pass, where it would walk a list
-    on every full collection.
+    ``start`` is the block's first data row in the file.  ``n`` is the row
+    of the earliest fault found so far in the block.  A check keeps a fault
+    only above it, so the fault kept is the one a row-by-row walk running
+    the checks in their stated order would meet first; as every earlier
+    block was clean, it is also the file's first fault.  Columns are tuples
+    because the garbage collector stops tracking a tuple of strings, numbers
+    or flags after one pass, where it would walk a list on every full
+    collection.
     """
 
-    def __init__(self, path: Path, rows: list[list[str]], width: int) -> None:
+    def __init__(self, path: Path, rows: list[list[str]], width: int, start: int) -> None:
         self.path = path
+        self.start = start
         self.n = len(rows)
         self.fault: str | None = None
         widths = list(map(len, rows))
         if widths.count(width) != len(rows):
             i = next(i for i, w in enumerate(widths) if w != width)
             self.flag(i, f"expected {width} columns, got {widths[i]}")
-        self._raw = [tuple(map(itemgetter(k), rows[: self.n])) for k in range(width)]
+        rows = rows[: self.n]
+        self._raw = [tuple(map(itemgetter(k), rows)) for k in range(width)]
 
     def flag(self, i: int, message: str) -> None:
         """Record a fault at data row ``i`` unless an earlier one is known."""
@@ -166,6 +218,11 @@ class _Columns:
     def text(self, k: int) -> tuple[str, ...]:
         return tuple(map(str.strip, self.raw(k)))
 
+    def ids(self, k: int, pool: dict[str, str]) -> tuple[str, ...]:
+        """``text(k)`` with one ``str`` per distinct value, kept in ``pool``."""
+        column = self.text(k)
+        return tuple(map(pool.setdefault, column, column))
+
     def check(self, bad: Sequence[bool] | np.ndarray, message: Callable[[int], str]) -> None:
         """Flag the first row where ``bad`` holds."""
         hits = np.flatnonzero(bad)
@@ -177,12 +234,22 @@ class _Columns:
             if "" in column:
                 self.flag(column.index(""), message)
 
-    def unique(self, keys: Sequence, message: Callable[[int, int], str]) -> None:
-        """Flag the first repeated key; ``message`` gets its row and first line."""
-        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        if len(first) < len(keys):
-            i = next(i for i, key in enumerate(keys) if first[key] != i)
-            self.flag(i, message(i, first[keys[i]] + 2))
+    def unique(self, keys: Sequence, seen: dict, message: Callable[[int, int], str]) -> None:
+        """Flag the first key that is in ``seen`` or earlier in ``keys``;
+        ``message`` gets its row and the line of its first occurrence.
+
+        ``seen`` holds the keys of the earlier blocks, one per data row in
+        file order, and takes this block's.
+        """
+        before = len(seen)
+        seen.update(zip(keys, repeat(None)))
+        if len(seen) - before < len(keys):
+            first = {key: line for line, key in enumerate(islice(seen, before), 2)}
+            for i, key in enumerate(keys):
+                if key in first:
+                    self.flag(i, message(i, first[key]))
+                    break
+                first[key] = self.start + i + 2
 
     def parse(
         self, column: Sequence[str], convert: Callable[[str], Any], message: Callable[[str], str]
@@ -207,41 +274,65 @@ class _Columns:
 
     def done(self) -> None:
         if self.fault is not None:
-            _fail(self.path, self.n + 2, self.fault)
+            _fail(self.path, self.start + self.n + 2, self.fault)
 
 
-def _columns(path: Path, header: Sequence[str], required: str | None = None) -> _Columns:
-    """The file's data rows under ``header``; ``required`` names what needs some."""
-    rows = _read_csv(path)
-    if not rows:
-        _fail(path, 1, "empty file, expected header " + ",".join(header))
-    got = [h.strip() for h in rows[0]]
+def _read(path: Path, expected: str) -> tuple[list[str], Iterator[list[list[str]]]]:
+    """The file's stripped header and its data blocks; ``expected`` names
+    the header an empty file lacks."""
+    blocks = _csv_blocks(path)
+    first = next(blocks)
+    if not first:
+        _fail(path, 1, f"empty file, expected {expected}")
+    return [h.strip() for h in first[0]], blocks
+
+
+def _column_blocks(
+    path: Path, blocks: Iterator[list[list[str]]], width: int, required: str | None = None
+) -> Iterator[_Columns]:
+    """Each data block as columns; ``required`` names what needs some rows."""
+    start = 0
+    for rows in blocks:
+        yield _Columns(path, rows, width, start)
+        start += len(rows)
+    if required and not start:
+        _fail(path, 2, f"{required} has no data rows")
+
+
+def _columns(path: Path, header: Sequence[str], required: str | None = None) -> Iterator[_Columns]:
+    """The file's data blocks under ``header``; ``required`` names what needs some rows."""
+    got, blocks = _read(path, "header " + ",".join(header))
     if got != list(header):
         _fail(path, 1, f"bad header {','.join(got)!r}, expected {','.join(header)!r}")
-    if required and len(rows) == 1:
-        _fail(path, 2, f"{required} has no data rows")
-    return _Columns(path, rows[1:], len(header))
+    return _column_blocks(path, blocks, len(header), required)
 
 
 def load_composition(path: str | Path, reference_time: int = 0) -> Composition:
     path = Path(path)
-    t = _columns(path, _COMPOSITION_HEADER, "composition")
-    area, category, raw = t.text(0), t.text(1), t.text(2)
-    t.nonempty("empty area_id or category_id", area, category)
-    count = t.floats(raw, "count")
-    t.check(count < 0, lambda i: f"negative count {raw[i]} for ({area[i]},{category[i]})")
-    t.unique(
-        list(zip(area, category)),
-        lambda i, first: f"duplicate cell ({area[i]},{category[i]}), first at line {first}",
+    seen: dict[tuple[str, str], None] = {}
+    # Id positions in order of first appearance; absent cells stay zero.
+    areas: dict[str, int] = {}
+    categories: dict[str, int] = {}
+    row, col, counts = array("q"), array("q"), array("d")
+    for t in _columns(path, _COMPOSITION_HEADER, "composition"):
+        area, category, raw = t.text(0), t.text(1), t.text(2)
+        t.nonempty("empty area_id or category_id", area, category)
+        count = t.floats(raw, "count")
+        t.check(count < 0, lambda i: f"negative count {raw[i]} for ({area[i]},{category[i]})")
+        t.unique(
+            list(zip(area, category)),
+            seen,
+            lambda i, first: f"duplicate cell ({area[i]},{category[i]}), first at line {first}",
+        )
+        t.done()
+        row.extend(areas.setdefault(a, len(areas)) for a in area)
+        col.extend(categories.setdefault(c, len(categories)) for c in category)
+        counts.frombytes(count.tobytes())
+    table = np.zeros((len(areas), len(categories)))
+    table[np.frombuffer(row, np.int64), np.frombuffer(col, np.int64)] = np.frombuffer(counts)
+    return _wrap_invariant(
+        path, Composition, tuple(areas), tuple(categories), table, reference_time
     )
-    t.done()
-    # Ids in order of first appearance; absent cells stay zero.
-    area_ids, category_ids = tuple(dict.fromkeys(area)), tuple(dict.fromkeys(category))
-    row = dict(zip(area_ids, range(len(area_ids))))
-    col = dict(zip(category_ids, range(len(category_ids))))
-    counts = np.zeros((len(area_ids), len(category_ids)))
-    counts[list(map(row.get, area)), list(map(col.get, category))] = count
-    return _wrap_invariant(path, Composition, area_ids, category_ids, counts, reference_time)
 
 
 def save_composition(path: str | Path, c: Composition) -> None:
@@ -254,14 +345,20 @@ def load_margin(
     reference_time: int = 0,
 ) -> MarginVector:
     path = Path(path)
-    t = _columns(path, _MARGIN_HEADER)
-    ids, raw = t.text(0), t.text(1)
-    t.nonempty("empty id", ids)
-    t.unique(ids, lambda i, first: f"duplicate id {ids[i]!r}, first at line {first}")
-    values = t.floats(raw, "value")
-    t.check(values < 0, lambda i: f"negative value {raw[i]} for {ids[i]!r}")
-    t.done()
-    return _wrap_invariant(path, MarginVector, tuple(ids), values, level, reference_time)
+    seen: dict[str, None] = {}
+    values = array("d")
+    for t in _columns(path, _MARGIN_HEADER):
+        ids, raw = t.text(0), t.text(1)
+        t.nonempty("empty id", ids)
+        t.unique(ids, seen, lambda i, first: f"duplicate id {ids[i]!r}, first at line {first}")
+        value = t.floats(raw, "value")
+        t.check(value < 0, lambda i: f"negative value {raw[i]} for {ids[i]!r}")
+        t.done()
+        values.frombytes(value.tobytes())
+    # Every row added one key, so ``seen`` holds the ids in file order.
+    return _wrap_invariant(
+        path, MarginVector, tuple(seen), np.frombuffer(values), level, reference_time
+    )
 
 
 def save_margin(path: str | Path, m: MarginVector) -> None:
@@ -270,12 +367,18 @@ def save_margin(path: str | Path, m: MarginVector) -> None:
 
 def load_hierarchy(path: str | Path) -> AreaHierarchy:
     path = Path(path)
-    t = _columns(path, _HIERARCHY_HEADER, "hierarchy")
-    small, large = t.text(0), t.text(1)
-    t.nonempty("empty small_id or large_id", small, large)
-    t.unique(small, lambda i, first: f"duplicate small_id {small[i]!r}, first at line {first}")
-    t.done()
-    return _wrap_invariant(path, AreaHierarchy.from_pairs, list(zip(small, large)))
+    seen: dict[str, None] = {}
+    large: list[str] = []
+    pool: dict[str, str] = {}
+    for t in _columns(path, _HIERARCHY_HEADER, "hierarchy"):
+        small, big = t.text(0), t.ids(1, pool)
+        t.nonempty("empty small_id or large_id", small, big)
+        t.unique(
+            small, seen, lambda i, first: f"duplicate small_id {small[i]!r}, first at line {first}"
+        )
+        t.done()
+        large.extend(big)
+    return _wrap_invariant(path, AreaHierarchy.from_pairs, list(zip(seen, large)))
 
 
 def save_hierarchy(path: str | Path, h: AreaHierarchy) -> None:
@@ -294,10 +397,7 @@ def load_households(path: str | Path, profile: MpiProfile | None = None) -> Hous
     profile's indicators.
     """
     path = Path(path)
-    rows = _read_csv(path)
-    if not rows:
-        _fail(path, 1, "empty file, expected household header")
-    header = [h.strip() for h in rows[0]]
+    header, blocks = _read(path, "household header")
     if tuple(header[: len(_HOUSEHOLD_HEADER)]) != _HOUSEHOLD_HEADER:
         _fail(path, 1, f"header must start with {','.join(_HOUSEHOLD_HEADER)}")
     indicator_cols = header[len(_HOUSEHOLD_HEADER) :]
@@ -314,27 +414,47 @@ def load_households(path: str | Path, profile: MpiProfile | None = None) -> Hous
             f"indicator columns {sorted(indicators)} do not match the profile "
             f"indicators {sorted(profile.indicators)}",
         )
-    t = _Columns(path, rows[1:], len(header))
-    del rows
-    hid, area, subgroup = t.text(0), t.text(1), t.text(2)
-    t.nonempty("empty household_id or area_id", hid, area)
-    t.unique(hid, lambda i, first: f"duplicate household_id {hid[i]!r}, first at line {first}")
-    size = t.parse(t.raw(3), int, lambda raw: f"size is not an integer: {raw!r}")
-    weight = t.floats(t.text(4), "weight")
-    codes = [
-        t.parse(
-            t.text(k),
-            _FLAGS.__getitem__,
-            lambda raw: f"ind_{indicator} must be 0, 1, or empty, got {raw!r}",
+    seen: dict[str, None] = {}
+    pool: dict[str, str] = {}
+    areas: list[str] = []
+    subgroups: list[str] = []
+    # Sizes stay Python ints, so the table's own check sees each one whole.
+    sizes: list[int] = []
+    weights, codes = array("d"), array("b")
+    for t in _column_blocks(path, blocks, len(header)):
+        hid, area, subgroup = t.text(0), t.ids(1, pool), t.ids(2, pool)
+        t.nonempty("empty household_id or area_id", hid, area)
+        t.unique(
+            hid, seen, lambda i, first: f"duplicate household_id {hid[i]!r}, first at line {first}"
         )
-        for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER))
-    ]
-    t.check([s < 1 for s in size], lambda i: f"household size must be >= 1, got {size[i]}")
-    t.check(~(weight > 0), lambda i: f"weight must be positive, got {float(weight[i])}")
-    t.done()
-    codes = np.array(codes, dtype=np.int8).reshape(len(indicators), len(hid)).T
+        size = t.parse(t.raw(3), int, lambda raw: f"size is not an integer: {raw!r}")
+        weight = t.floats(t.text(4), "weight")
+        flag_columns = [
+            t.parse(
+                t.text(k),
+                _FLAGS.__getitem__,
+                lambda raw: f"ind_{indicator} must be 0, 1, or empty, got {raw!r}",
+            )
+            for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER))
+        ]
+        t.check([s < 1 for s in size], lambda i: f"household size must be >= 1, got {size[i]}")
+        t.check(~(weight > 0), lambda i: f"weight must be positive, got {float(weight[i])}")
+        t.done()
+        areas.extend(area)
+        subgroups.extend(subgroup)
+        sizes.extend(size)
+        weights.frombytes(weight.tobytes())
+        block_codes = np.array(flag_columns, dtype=np.int8).reshape(len(indicators), t.n)
+        codes.frombytes(block_codes.T.tobytes())
+    household_ids = tuple(seen)
+    flag_codes = np.frombuffer(codes, dtype=np.int8).reshape(len(seen), len(indicators))
+    flags, missing = flag_codes == 1, flag_codes == 2
+    # The table copies its columns and keeps its own set of the ids: free
+    # the key set and the codes first.
+    del seen, flag_codes, codes
     return _wrap_invariant(
-        path, Households, hid, area, subgroup, size, weight, indicators, codes == 1, codes == 2
+        path, Households, household_ids, areas, subgroups, sizes, np.frombuffer(weights),
+        indicators, flags, missing,
     )
 
 
@@ -407,21 +527,23 @@ def _load_by_year(
     path: str | Path, header: tuple[str, str, str], level: MarginLevel
 ) -> dict[int, MarginVector]:
     path = Path(path)
-    t = _columns(path, header)
-    ident = t.text(0)
-    t.nonempty(f"empty {header[0]}", ident)
-    year = t.parse(t.raw(1), int, lambda raw: f"year is not an integer: {raw!r}")
-    raw = t.raw(2)
-    value = t.floats(t.text(2), header[2])
-    t.check(value < 0, lambda i: f"negative {header[2]} {raw[i]!r}")
-    t.unique(
-        list(zip(year, ident)),
-        lambda i, first: f"duplicate ({ident[i]},{year[i]}), first at line {first}",
-    )
-    t.done()
+    seen: dict[tuple[int, str], None] = {}
     by_year: dict[int, dict[str, float]] = {}
-    for y, i, v in zip(year, ident, value.tolist()):
-        by_year.setdefault(y, {})[i] = v
+    for t in _columns(path, header):
+        ident = t.text(0)
+        t.nonempty(f"empty {header[0]}", ident)
+        year = t.parse(t.raw(1), int, lambda raw: f"year is not an integer: {raw!r}")
+        raw = t.raw(2)
+        value = t.floats(t.text(2), header[2])
+        t.check(value < 0, lambda i: f"negative {header[2]} {raw[i]!r}")
+        t.unique(
+            list(zip(year, ident)),
+            seen,
+            lambda i, first: f"duplicate ({ident[i]},{year[i]}), first at line {first}",
+        )
+        t.done()
+        for y, i, v in zip(year, ident, value.tolist()):
+            by_year.setdefault(y, {})[i] = v
     return {
         y: _wrap_invariant(
             path, MarginVector, tuple(e), np.asarray(list(e.values())), level, y
@@ -450,14 +572,17 @@ def save_by_year(
 
 def load_pixels(path: str | Path) -> PixelTable:
     path = Path(path)
-    t = _columns(path, _PIXELS_HEADER)
-    lon = t.floats(t.text(0), "lon")
-    lat = t.floats(t.text(1), "lat")
-    raw = t.raw(2)
-    value = t.floats(t.text(2), "value")
-    t.check(value < 0, lambda i: f"negative value {raw[i]!r}")
-    t.done()
-    return _wrap_invariant(path, PixelTable, lon, lat, value)
+    lon, lat, value = array("d"), array("d"), array("d")
+    for t in _columns(path, _PIXELS_HEADER):
+        x = t.floats(t.text(0), "lon")
+        y = t.floats(t.text(1), "lat")
+        raw = t.raw(2)
+        v = t.floats(t.text(2), "value")
+        t.check(v < 0, lambda i: f"negative value {raw[i]!r}")
+        t.done()
+        for column, block in ((lon, x), (lat, y), (value, v)):
+            column.frombytes(block.tobytes())
+    return _wrap_invariant(path, PixelTable, *map(np.frombuffer, (lon, lat, value)))
 
 
 def save_pixels(path: str | Path, px: PixelTable) -> None:
@@ -466,20 +591,29 @@ def save_pixels(path: str | Path, px: PixelTable) -> None:
 
 def load_design(path: str | Path) -> SurveyDesign:
     path = Path(path)
-    t = _columns(path, _DESIGN_HEADER, "survey design")
-    psu, stratum, category = t.text(0), t.text(1), t.text(3)
-    t.nonempty("empty psu_id, stratum_id, or category_id", psu, stratum, category)
-    weight = t.floats(t.text(2), "weight")
-    value = t.floats(t.text(4), "value")
-    t.done()
+    pool: dict[str, str] = {}
+    psu: list[str] = []
+    stratum: list[str] = []
+    category: list[str] = []
+    weight, value = array("d"), array("d")
+    for t in _columns(path, _DESIGN_HEADER, "survey design"):
+        ids = t.ids(0, pool), t.ids(1, pool), t.ids(3, pool)
+        t.nonempty("empty psu_id, stratum_id, or category_id", *ids)
+        w = t.floats(t.text(2), "weight")
+        v = t.floats(t.text(4), "value")
+        t.done()
+        for column, block in zip((psu, stratum, category), ids):
+            column.extend(block)
+        weight.frombytes(w.tobytes())
+        value.frombytes(v.tobytes())
     return _wrap_invariant(
         path,
         SurveyDesign,
         np.asarray(psu, dtype=object),
         np.asarray(stratum, dtype=object),
-        weight,
+        np.frombuffer(weight),
         np.asarray(category, dtype=object),
-        value,
+        np.frombuffer(value),
     )
 
 

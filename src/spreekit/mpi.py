@@ -348,5 +348,6 @@ def headcount_from_composition(c: Composition) -> np.ndarray:
 def _poor_share(counts: np.ndarray, poor_col: int) -> np.ndarray:
     """Poor share over the last (category) axis; NaN where the total is zero."""
     totals = counts.sum(axis=-1)
-    safe = np.where(totals > 0, totals, 1.0)
-    return np.where(totals > 0, counts[..., poor_col] / safe, np.nan)
+    share = np.full(totals.shape, np.nan)
+    np.divide(counts[..., poor_col], totals, out=share, where=totals > 0)
+    return share

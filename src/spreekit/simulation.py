@@ -265,7 +265,8 @@ def _nd_rmse(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
     def rmse(diff: np.ndarray, denom: np.ndarray, n: int, rescaled: bool) -> np.ndarray:
         if rescaled:
             return np.sqrt(((diff / denom) ** 2).sum(axis=0) / n) * np.sign(denom)
-        return np.sqrt((diff**2).sum(axis=0) / n) / denom
+        # ``diff`` is a temporary: square it in place, bitwise ``diff**2``.
+        return np.sqrt(np.square(diff, out=diff).sum(axis=0) / n) / denom
 
     return _relative(est, tru, rmse)
 
@@ -311,15 +312,26 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
 
     Rounds where a strategy's update fails are dropped for that strategy
     only and recorded in its ``failures``; the report carries the completed
-    count per strategy.  A plan whose replicate stacks would pass the memory
-    budget of :mod:`spreekit.bootstrap` fails before its first round.
+    count per strategy.  Every round's tables go into stacks allocated
+    before the first round and filled in round order.  A plan whose stacks
+    would pass the memory budget of :mod:`spreekit.bootstrap` fails before
+    its first round.
     """
     h = plan.hierarchy
     area_ids = plan.truth_t0.area_ids
     category_ids = plan.truth_t0.category_ids
-    # The truths and each strategy's estimates, R x A x J each.
-    stacks = (1 + len(plan.strategies), plan.replicates, len(area_ids), len(category_ids))
-    _check_stack("simulation", stacks, ValueError)
+    n_strategies, rounds = len(plan.strategies), plan.replicates
+    # All the run holds that grows with the round count: every round's
+    # target-year truth, per strategy the fitted table and shares of each
+    # completed round, and the per-area headcounts of the truth and of one
+    # strategy's fits.
+    shapes = [
+        (rounds, len(area_ids), len(category_ids)),
+        (n_strategies, rounds, len(area_ids), len(category_ids)),
+        (n_strategies, rounds, len(area_ids)),
+        (2, rounds, len(area_ids)),
+    ]
+    _check_stack("simulation", shapes, ValueError)
     positions = h.group_positions(area_ids)
     t_time = plan.truth_t.reference_time
 
@@ -348,17 +360,21 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
             dynamic_by_entry[k] = dynamic_shares(plan.aux_pool[k], h)
         return dynamic_by_entry[k]
 
-    def one_round(r: int):
+    truth_cells, fitted_cells, fitted_shares = map(np.empty, shapes[:3])
+    completed = [0] * n_strategies
+    failed: list[list[int]] = [[] for _ in plan.strategies]
+    failures: list[list[str]] = [[] for _ in plan.strategies]
+    for r in range(rounds):
         rng = rngmod.stream(plan.seed, r)
         census0 = replicate_census(plan.truth_t0, rng)
         census_t = replicate_census(plan.truth_t, rng)
+        truth_cells[r] = census_t.counts
         if plan.survey_design is not None:
             col = resample_column_margin(plan.survey_design, rng, t_time)
         else:
             col = column_margins(census_t)
-        outcomes: dict[str, tuple[np.ndarray, np.ndarray] | str] = {}
         fixed: ShareVector | None = None
-        for strategy in plan.strategies:
+        for s, strategy in enumerate(plan.strategies):
             try:
                 if strategy != "dynamic" and fixed is None:
                     fixed = fixed_shares(census0, h)
@@ -375,37 +391,36 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
                     shares=sv,
                 )
                 res = spree_update(req)
-                outcomes[strategy] = (res.fitted.counts, np.asarray(sv.shares, dtype=float))
             except (UpdateError, ValueError) as e:
-                outcomes[strategy] = f"replicate {r}: {e}"
-        return census_t.counts, outcomes
+                failed[s].append(r)
+                failures[s].append(f"replicate {r}: {e}")
+                continue
+            fitted_cells[s, completed[s]] = res.fitted.counts
+            fitted_shares[s, completed[s]] = sv.shares
+            completed[s] += 1
 
-    indices = range(plan.replicates)
-    rounds = [one_round(r) for r in indices]
-
-    truth_cells = np.stack([t for t, _ in rounds])
     poor_col = (
         category_ids.index("poor")
         if set(category_ids) == set(POVERTY_CATEGORIES)
         else None
     )
 
+    def headcounts(cells: np.ndarray) -> np.ndarray:
+        """Per round and area: the poor share, or else the total."""
+        return cells.sum(axis=2) if poor_col is None else _poor_share(cells, poor_col)
+
+    # Row by row, so the rows of the completed rounds are a strategy's own.
+    truth_h = headcounts(truth_cells)
+
     metrics: dict[str, StrategyMetrics] = {}
     share_accuracy: dict[str, np.ndarray] = {}
     quartile_summary: dict[str, dict[str, np.ndarray]] = {}
     correlations: dict[str, np.ndarray] = {}
 
-    for strategy in plan.strategies:
-        ok = [r for r in indices if not isinstance(rounds[r][1][strategy], str)]
-        failures = tuple(
-            o for _, out in rounds if isinstance(o := out[strategy], str)
-        )
-        # Built with np.array and reshape, not np.stack, so that no
-        # completed round gives empty stacks.
-        fits = [rounds[r][1][strategy] for r in ok]
-        tru_cells = truth_cells[ok]
-        est_cells = np.array([f[0] for f in fits]).reshape(tru_cells.shape)
-        est_shares = np.array([f[1] for f in fits]).reshape(len(ok), len(area_ids))
+    for s, strategy in enumerate(plan.strategies):
+        n = completed[s]
+        est_cells, est_shares = fitted_cells[s, :n], fitted_shares[s, :n]
+        tru_cells = truth_cells if n == rounds else np.delete(truth_cells, failed[s], axis=0)
 
         cell_bias = _nd_bias(est_cells, tru_cells)
         cell_rmse = _nd_rmse(est_cells, tru_cells)
@@ -413,19 +428,18 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
         share_bias = _nd_bias(est_shares, tru_shares)
         share_rmse = _nd_rmse(est_shares, tru_shares)
 
+        est_h = headcounts(est_cells)
+        tru_h = truth_h if n == rounds else np.delete(truth_h, failed[s], axis=0)
         if poor_col is not None:
-            est_h = _poor_share(est_cells, poor_col)
-            tru_h = _poor_share(tru_cells, poor_col)
             headcount_bias = per_area_bias = _nd_bias(est_h, tru_h)
             headcount_rmse = per_area_rmse = _nd_rmse(est_h, tru_h)
         else:
-            est_h, tru_h = est_cells.sum(axis=2), tru_cells.sum(axis=2)
             headcount_bias = headcount_rmse = None
             per_area_bias = _nan_mean(cell_bias, axis=1)
             per_area_rmse = _nan_mean(cell_rmse, axis=1)
 
         metrics[strategy] = StrategyMetrics(
-            strategy, len(ok), failures, cell_bias, cell_rmse,
+            strategy, n, tuple(failures[s]), cell_bias, cell_rmse,
             share_bias, share_rmse, headcount_bias, headcount_rmse,
         )
 

@@ -834,10 +834,12 @@ class TestErrorsAndExitCodes:
             (bootstrap_argv("{out}", replicates=10**9), None,
              "bootstrap: a 1000000000 x 4 x 2 replicate stack needs 64000000000 bytes"),
             (["validate", "--plan", "{plan}", "--out", "{out}"], {"replicates": 10**9},
-             "simulation: a 4 x 1000000000 x 4 x 2 replicate stack needs 256000000000 bytes"),
+             "simulation: replicate stacks of 1000000000 x 4 x 2 + 3 x 1000000000 x 4 x 2"
+             " + 3 x 1000000000 x 4 + 2 x 1000000000 x 4 need 416000000000 bytes"),
             (["validate", "--plan", "{plan}", "--out", "{out}"],
              {"scenario": {"replicates": 10**9}},
-             "simulation: a 4 x 1000000000 x 12 x 2 replicate stack needs 768000000000 bytes"),
+             "simulation: replicate stacks of 1000000000 x 12 x 2 + 3 x 1000000000 x 12 x 2"
+             " + 3 x 1000000000 x 12 + 2 x 1000000000 x 12 need 1248000000000 bytes"),
         ],
         ids=["bootstrap", "file_plan", "scenario_plan"],
     )

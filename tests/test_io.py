@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -561,8 +563,11 @@ SAVED_BYTES = {
 
 
 class TestDialect:
+    # Blocks of 1 and 2 rows split the five rows at every boundary.
+    @pytest.mark.parametrize("block", [1, 2, sio._BLOCK_ROWS])
     @pytest.mark.parametrize("schema", sorted(SAVED_BYTES))
-    def test_save_bytes(self, tmp_path, schema):
+    def test_save_bytes(self, tmp_path, monkeypatch, schema, block):
+        monkeypatch.setattr(sio, "_BLOCK_ROWS", block)
         save, expected = SAVED_BYTES[schema]
         save(tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == expected
@@ -598,3 +603,95 @@ def test_failed_save_keeps_previous_file(tmp_path, save, error):
         save(p)
     assert p.read_bytes() == b"previous contents\n"
     assert [q.name for q in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_failed_stream_keeps_previous_file(tmp_path):
+    """A write whose block iterator raises after its first block removes
+    ``<path>.tmp`` and leaves the previous file byte-identical."""
+    p = write(tmp_path, "out.csv", "previous contents\n")
+
+    def blocks():
+        yield "id,value\n"
+        raise RuntimeError("second block failed")
+
+    with pytest.raises(RuntimeError, match="second block failed"):
+        sio.write_text(p, blocks())
+    assert p.read_bytes() == b"previous contents\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_failed_save_after_first_block_keeps_previous_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(sio, "_BLOCK_ROWS", 1)
+    hh = Households(("h1", "h2"), ("a1", "a1"), ("s", "s"), [1, 1], [1.0, 1.0], ("x",),
+                    [[True], [False]], [[False], [False]])
+    object.__setattr__(hh, "household_ids", ("h1", _Unprintable()))
+    p = write(tmp_path, "out.csv", "previous contents\n")
+    with pytest.raises(RuntimeError, match="no text for this id"):
+        sio.save_households(p, hh)
+    assert p.read_bytes() == b"previous contents\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["out.csv"]
+
+
+# Ingest memory: a load may hold, beyond the table it returns, one block of
+# rows and the set of unique keys read so far, not the file's rows.
+INGEST_ROWS = 200_000
+INGEST_ALLOWANCE = 8 * 2**20
+
+
+def held_bytes(table) -> int:
+    """The bytes of a table's arrays, id tuples and distinct id strings."""
+    total, strings = 0, {}
+    for value in vars(table).values():
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif isinstance(value, tuple):
+            total += sys.getsizeof(value)
+            strings.update((id(s), s) for s in value)
+    return total + sum(map(sys.getsizeof, strings.values()))
+
+
+def traced_peak(load, path):
+    tracemalloc.start()
+    try:
+        table = load(path)
+        return table, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pixel_ingest_memory_is_bounded(tmp_path):
+    g = np.random.default_rng(13)
+    columns = (g.uniform(-180, 180, INGEST_ROWS), g.uniform(-90, 90, INGEST_ROWS),
+               g.integers(0, 200, INGEST_ROWS).astype(float))
+    path = tmp_path / "pixels.csv"
+    rows = (f"{x!r},{y!r},{v!r}\n" for x, y, v in zip(*(c.tolist() for c in columns)))
+    path.write_text("lon,lat,value\n" + "".join(rows), encoding="utf-8")
+    px, peak = traced_peak(sio.load_pixels, path)
+    assert len(px) == INGEST_ROWS
+    assert peak < held_bytes(px) + INGEST_ALLOWANCE
+
+
+def test_household_ingest_memory_is_bounded(tmp_path):
+    g = np.random.default_rng(17)
+    area = g.integers(0, 500, INGEST_ROWS).tolist()
+    group = g.integers(0, 4, INGEST_ROWS).tolist()
+    size = g.integers(1, 9, INGEST_ROWS).tolist()
+    weight = g.uniform(0.5, 3.0, INGEST_ROWS).tolist()
+    flags = [",".join(row) for row in np.where(g.random((INGEST_ROWS, 9)) < 0.3, "1", "0")]
+    path = tmp_path / "households.csv"
+    head = "household_id,area_id,subgroup_id,size,weight," + ",".join(f"ind_{k}" for k in range(9))
+    rows = (f"h{i},A{a},G{s},{n},{w!r},{f}\n"
+            for i, (a, s, n, w, f) in enumerate(zip(area, group, size, weight, flags)))
+    path.write_text(head + "\n" + "".join(rows), encoding="utf-8")
+    hh, peak = traced_peak(sio.load_households, path)
+    assert len(hh) == INGEST_ROWS and len(set(hh.area_ids)) == 500
+    # The table's constructor copies its arrays and id tuples and keeps a
+    # set of the ids while it checks them: a cost of the table, not of
+    # reading the file.
+    arrays = (hh.size, hh.weight, hh.flags, hh.missing)
+    ids = (hh.household_ids, hh.area_ids, hh.subgroup_ids)
+    construct = (sum(a.nbytes for a in arrays) + sum(map(sys.getsizeof, ids))
+                 + sys.getsizeof(set(hh.household_ids)))
+    assert peak < held_bytes(hh) + construct + INGEST_ALLOWANCE
+    # Repeated ids share one string.
+    assert len({id(a) for a in hh.area_ids}) == 500

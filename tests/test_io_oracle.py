@@ -224,3 +224,67 @@ def test_hand_written_faults_match_oracle(tmp_path, name, text):
     path = tmp_path / f"{name}.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert_matches_oracle(name, path)
+
+
+# Block sizes small enough that the generated files span several blocks.
+SMALL_BLOCKS = [2, 3]
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("name", list(LOADERS))
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_blocks_match_whole_file(tmp_path, monkeypatch, name, block, data):
+    """Read in blocks of 2 or 3 rows, every loader returns what it returns
+    reading the file as one block, or raises the same message and line;
+    both agree with the row-by-row oracle."""
+    new = LOADERS[name][0]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(data.draw(csv_files(name)), encoding="utf-8", newline="")
+    whole_kind, whole = outcome(new, path)
+    monkeypatch.setattr(sio, "_BLOCK_ROWS", block)
+    got_kind, got = outcome(new, path)
+    assert got_kind is whole_kind
+    assert same(got, whole) if got_kind == "ok" else got == whole
+    assert_matches_oracle(name, path)
+
+
+# At two rows a block: data rows 1-2 are lines 2-3, rows 3-4 lines 4-5, ...
+BLOCK_FAULTS = [
+    # A repeated key whose first occurrence is in an earlier block.
+    ("margin", "id,value\na,1\nb,2\nc,3\na,4\n", "5: duplicate id 'a', first at line 2"),
+    ("households",
+     "household_id,area_id,subgroup_id,size,weight\nh1,a,s,1,1\nh2,a,s,1,1\nh3,a,s,1,1\nh2,b,s,1,1\n",
+     "5: duplicate household_id 'h2', first at line 3"),
+    ("composition", "area_id,category_id,count\na,x,1\na,y,2\nb,x,3\nb,y,4\nb,x,5\n",
+     "6: duplicate cell (b,x), first at line 4"),
+    ("projections", "large_id,year,population\nk,2013,1\nk,2014,2\nl,2013,3\nk, 2014 ,4\n",
+     "5: duplicate (k,2014), first at line 3"),
+    # A width fault in a later block, behind clean blocks.
+    ("pixels", "lon,lat,value\n1,2,3\n1,2,3\n1,2,3\n1,2,3\n1,2\n", "6: expected 3 columns, got 2"),
+    ("design",
+     "psu_id,stratum_id,weight,category_id,value\np,s,1,c,1\np,s,1,d,1\nq,s,1,c,1\nq,s,1,d,1\nr,s,1,c\n",
+     "6: expected 5 columns, got 4"),
+    # A fault on a block's first row, and one on its last row.
+    ("hierarchy", "small_id,large_id\na,g\nb,g\n,g\nd,h\n", "4: empty small_id or large_id"),
+    ("margin", "id,value\na,1\nb,2\nc,3\nd,-4\n", "5: negative value -4 for 'd'"),
+    # A later block whose first row repeats a key and whose last row has an
+    # earlier-stated fault: the first row's fault is the file's first.
+    ("margin", "id,value\na,1\nb,2\nb,3\n,4\n", "4: duplicate id 'b', first at line 3"),
+]
+
+
+@pytest.mark.parametrize("name, text, fault", BLOCK_FAULTS)
+def test_faults_across_block_boundaries(tmp_path, monkeypatch, name, text, fault):
+    monkeypatch.setattr(sio, "_BLOCK_ROWS", 2)
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(sio.IngestError) as raised:
+        LOADERS[name][0](path)
+    assert str(raised.value) == f"{path}:{fault}"
+    assert_matches_oracle(name, path)

@@ -16,9 +16,9 @@ from spreekit import (
     is_poor,
     tabulate_poverty,
 )
-from spreekit.mpi import LIVING_STANDARD_INDICATORS, POVERTY_CATEGORIES, MpiResult
+from spreekit.mpi import LIVING_STANDARD_INDICATORS, POVERTY_CATEGORIES, MpiResult, _poor_share
 
-from conftest import Household, household_table as table, make_composition
+from conftest import Household, household_table as table, make_composition, same_bits
 
 NINE = MpiProfile.nine_indicator()
 
@@ -530,3 +530,11 @@ class TestHeadcountFromComposition:
         c = make_composition([[1.0, 2.0]])
         with pytest.raises(ValueError, match="not"):
             headcount_from_composition(c)
+
+    def test_poor_share_matches_masked_division_bitwise(self):
+        # The formula ``_poor_share`` had before it divided in place.
+        g = np.random.default_rng(29)
+        counts = g.uniform(0.0, 1e6, (50, 7, 3)) * (g.random((50, 7, 3)) < 0.7)
+        totals = counts.sum(axis=-1)
+        want = np.where(totals > 0, counts[..., 1] / np.where(totals > 0, totals, 1.0), np.nan)
+        assert same_bits(_poor_share(counts, 1), want)

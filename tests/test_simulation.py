@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +23,11 @@ from spreekit import (
     row_margins,
     run_simulation,
 )
-from spreekit import rng as rngmod, simulation
+from spreekit import bootstrap, io as sio, rng as rngmod, simulation
 from spreekit.scenario import ScenarioConfig
 from spreekit.simulation import STRATEGIES, StrategyMetrics, _pearson_rows, quartile_means
 
-from conftest import make_composition, same_bits, two_region_hierarchy
+from conftest import FIXTURES, make_composition, same_bits, two_region_hierarchy
 
 
 class TestMetricFormulas:
@@ -744,3 +746,79 @@ def test_replicate_means_match_np_mean_bitwise(stacks):
         column = (slice(None), *cell)
         got, want = float(got_rmse[cell]), float(want_rmse[cell])
         assert rmse_matches_oracles(got, est[column].tolist(), tru[column].tolist(), want)
+
+
+def test_stacks_hold_what_the_budget_counts():
+    """At R = 400 on the shipped shock plan, the run's traced peak stays
+    within 1.5x the bytes its budget check counts, and the check counts
+    exactly those bytes."""
+    plan = replace(sio.load_plan(FIXTURES / "shock.json"), replicates=400)
+    strategies, rounds = len(plan.strategies), plan.replicates
+    areas, categories = plan.truth_t0.counts.shape
+    counted = 8 * rounds * (areas * categories * (1 + strategies) + areas * (strategies + 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bootstrap, "_MAX_STACK_BYTES", counted - 1)
+        with pytest.raises(ValueError, match=rf" need {counted} bytes, over the budget"):
+            run_simulation(plan)
+    # A first run fills numpy's and the interpreter's caches.
+    want = run_simulation(plan)
+    tracemalloc.start()
+    try:
+        got = run_simulation(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * counted
+    assert same_bits(got.metrics["hybrid"].cell_rmse, want.metrics["hybrid"].cell_rmse)
+
+
+def test_partly_failed_strategies_match_stacked_rounds(monkeypatch):
+    """Strategies that fail in some rounds report what the formulas give on
+    the completed rounds' tables stacked in round order, bit for bit."""
+    # Region g1 is empty in some base-year redraws, so fixed fails in those
+    # rounds only; dynamic and hybrid meet an empty seed row in every round.
+    truth = make_composition([[0.3, 0.3], [0.2, 0.0], [550.0, 450.0], [200.0, 800.0]])
+    truth = Composition(truth.area_ids, ("poor", "non-poor"), truth.counts)
+    h = two_region_hierarchy(4)
+    totals = MarginVector(("g1", "g2"), np.array([0.8, 2000.0]), MarginLevel.LARGE_AREA)
+    plan = SimulationPlan(
+        replicates=12, seed=2, truth_t0=truth, truth_t=truth, hierarchy=h,
+        large_totals_t=totals, aux_pool=(row_margins(truth),),
+    )
+    report = run_simulation(plan)
+    assert [m.completed for m in report.metrics.values()] == [9, 0, 0]
+    shares_t = simulation._within_large_shares(
+        row_margins(truth).values, h.group_positions(truth.area_ids)
+    )
+    real_census, real_update = simulation.replicate_census, simulation.spree_update
+    for strategy in plan.strategies:
+        truths, fits, shares = [], [], []
+
+        def census(t, rng):
+            c = real_census(t, rng)
+            truths.append(c.counts)
+            return c
+
+        def update(req):
+            res = real_update(req)
+            fits.append(res.fitted.counts)
+            shares.append(req.shares.shares)
+            return res
+
+        monkeypatch.setattr(simulation, "replicate_census", census)
+        monkeypatch.setattr(simulation, "spree_update", update)
+        run_simulation(SimulationPlan(**{**vars(plan), "strategies": (strategy,)}))
+        m = report.metrics[strategy]
+        failed = [int(f.split()[1].rstrip(":")) for f in m.failures]
+        ok = [r for r in range(plan.replicates) if r not in failed]
+        tru = np.stack(truths[1::2])[ok]
+        est = np.array(fits).reshape(tru.shape)
+        assert same_bits(m.cell_bias, simulation._nd_bias(est, tru))
+        assert same_bits(m.cell_rmse, simulation._nd_rmse(est, tru))
+        est_s = np.array(shares).reshape(len(ok), 4)
+        tru_s = np.broadcast_to(shares_t, est_s.shape)
+        assert same_bits(m.share_bias, simulation._nd_bias(est_s, tru_s))
+        assert same_bits(m.share_rmse, simulation._nd_rmse(est_s, tru_s))
+        est_h, tru_h = simulation._poor_share(est, 0), simulation._poor_share(tru, 0)
+        assert same_bits(m.headcount_bias, simulation._nd_bias(est_h, tru_h))
+        assert same_bits(m.headcount_rmse, simulation._nd_rmse(est_h, tru_h))
