@@ -57,6 +57,7 @@ from spreekit.composition import (
     Composition,
     MarginLevel,
     MarginVector,
+    _check_unique,
     check_integer,
     to_probabilities,
 )
@@ -176,9 +177,9 @@ class SurveyDesign:
         if np.any(value < 0) or not np.all(np.isfinite(value)):
             raise ValueError("design values must be finite and non-negative")
 
-        cat_ids = tuple(dict.fromkeys(str(c) for c in category))
-        cat_pos = {c: i for i, c in enumerate(cat_ids)}
-        cat_index = np.asarray([cat_pos[str(c)] for c in category], dtype=np.intp)
+        cat_pos: dict[str, int] = {}
+        cat_index = np.array([cat_pos.setdefault(str(c), len(cat_pos)) for c in category], np.intp)
+        cat_ids = _check_unique(cat_pos, "category ids")
 
         psu_pos: dict[tuple[str, str], int] = {}
         psu_index = np.asarray(

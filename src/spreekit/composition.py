@@ -3,7 +3,9 @@
 A composition is a non-negative contingency table of population counts over
 small areas (rows) and categories of interest (columns).  Small areas nest in
 disjoint large areas; margins are carried as labelled vectors.  All types are
-immutable after construction, so they can be shared freely across workers.
+immutable after construction.  Every public constructor checks its ids for
+duplicates; ids one has checked pass unchecked into the next, and a slice or
+concatenation of them is a plain tuple, checked again.
 """
 
 from __future__ import annotations
@@ -35,13 +37,22 @@ def check_integer(name: str, value: object, minimum: int | None = None) -> int:
     return value
 
 
+class _Ids(tuple):
+    """Ids that :func:`_check_unique` has checked; only it makes one."""
+    __slots__ = ()
+
+
 def _check_unique(ids: Sequence[str], what: str) -> tuple[str, ...]:
-    ids = tuple(str(i) for i in ids)
+    """``ids`` as checked ``str`` ids, or ValueError naming ``what`` and the
+    repeated ids; ids it has checked before pass through unchanged."""
+    if type(ids) is _Ids:
+        return ids
+    ids = tuple(map(str, ids))
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
         dupes = sorted({i for i in ids if i in seen or seen.add(i)})  # type: ignore[func-returns-value]
         raise ValueError(f"duplicate {what}: {dupes}")
-    return ids
+    return _Ids(ids)
 
 
 def _as_readonly(values, shape_name: str, allow_negative: bool = False) -> np.ndarray:
@@ -113,42 +124,44 @@ class AreaHierarchy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "large_ids", _check_unique(self.large_ids, "large ids"))
         assignments = {str(s): str(l) for s, l in self.assignments.items()}
-        known = set(self.large_ids)
+        known = {l: i for i, l in enumerate(self.large_ids)}
         orphans = sorted({l for l in assignments.values() if l not in known})
         if orphans:
             raise ValueError(f"assignments reference unknown large ids: {orphans}")
         object.__setattr__(self, "assignments", assignments)
+        object.__setattr__(self, "_index", {s: known[l] for s, l in assignments.items()})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "AreaHierarchy":
         """Build from (small_id, large_id) pairs; large order = first appearance."""
         assignments: dict[str, str] = {}
-        large_ids: list[str] = []
         for small, large in pairs:
             small, large = str(small), str(large)
             if small in assignments:
                 raise ValueError(f"small area {small!r} assigned twice")
             assignments[small] = large
-            if large not in large_ids:
-                large_ids.append(large)
-        return cls(assignments, tuple(large_ids))
+        return cls(assignments, tuple(dict.fromkeys(assignments.values())))
 
     @property
     def small_ids(self) -> tuple[str, ...]:
         return tuple(self.assignments)
 
     def large_of(self, small_id: str) -> str:
+        return self.large_ids[self._large_index((small_id,))[0]]
+
+    def _large_index(self, area_ids: Iterable[str]) -> list[int]:
+        """Each area's large area, as its position in ``large_ids``."""
         try:
-            return self.assignments[small_id]
-        except KeyError:
-            raise KeyError(f"small area {small_id!r} not assigned in hierarchy") from None
+            return [self._index[a] for a in area_ids]  # type: ignore[attr-defined]
+        except KeyError as e:
+            raise KeyError(f"small area {e.args[0]!r} not assigned in hierarchy") from None
 
     def group_positions(self, area_ids: Sequence[str]) -> dict[str, np.ndarray]:
         """Positions of ``area_ids`` grouped by large area (large id order)."""
-        groups: dict[str, list[int]] = {l: [] for l in self.large_ids}
-        for pos, a in enumerate(area_ids):
-            groups[self.large_of(a)].append(pos)
-        return {l: np.asarray(p, dtype=int) for l, p in groups.items()}
+        groups: list[list[int]] = [[] for _ in self.large_ids]
+        for pos, k in enumerate(self._large_index(area_ids)):
+            groups[k].append(pos)
+        return {l: np.asarray(p, dtype=int) for l, p in zip(self.large_ids, groups)}
 
 
 @dataclass(frozen=True)
@@ -205,11 +218,9 @@ class ProbabilityMatrix:
             raise ValueError("probabilities exceed 1")
         zero = set(self.zero_row_ids)
         row_sums = arr.sum(axis=1)
-        for i, a in enumerate(self.area_ids):
-            if a in zero:
-                continue
-            if abs(row_sums[i] - 1.0) > 1e-9:
-                raise ValueError(f"row {a!r} sums to {row_sums[i]!r}, expected 1")
+        for i in np.flatnonzero(np.abs(row_sums - 1.0) > 1e-9):
+            if self.area_ids[i] not in zero:
+                raise ValueError(f"row {self.area_ids[i]!r} sums to {row_sums[i]!r}, expected 1")
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "zero_row_ids", tuple(self.zero_row_ids))
 
@@ -237,9 +248,8 @@ def aggregate_to_large(c: Composition, h: AreaHierarchy) -> Composition:
     if unassigned:
         raise KeyError(f"areas not assigned in hierarchy: {unassigned}")
     out = np.zeros((len(h.large_ids), c.n_categories))
-    large_pos = {l: i for i, l in enumerate(h.large_ids)}
-    for i, a in enumerate(c.area_ids):
-        out[large_pos[h.large_of(a)]] += c.counts[i]
+    for i, k in enumerate(h._large_index(c.area_ids)):
+        out[k] += c.counts[i]
     return Composition(h.large_ids, c.category_ids, out, c.reference_time)
 
 

@@ -89,15 +89,27 @@ def _fail(path: Path, line: int, message: str) -> None:
 
 def _csv_blocks(path: Path) -> Iterator[list[list[str]]]:
     """The file's header row alone (no row for an empty file), then its
-    data rows ``_BLOCK_ROWS`` at a time."""
+    data rows ``_BLOCK_ROWS`` at a time.  A record the ``csv`` module
+    rejects, such as one with an overlong field, ends them: the rows before
+    it in its block come as a last block, then IngestError names its line."""
+    done, block = 0, []  # records in the blocks yielded; the block being read
     try:
         with open(path, newline="", encoding="utf-8") as f:
             rows = csv.reader(f)
-            yield list(islice(rows, 1))
-            while block := list(islice(rows, _BLOCK_ROWS)):
+            block.extend(islice(rows, 1))  # extend keeps the rows read before an error
+            while True:
                 yield block
+                done += len(block)
+                block = []
+                block.extend(islice(rows, _BLOCK_ROWS))
+                if not block:
+                    return
     except OSError as e:
         raise IngestError(f"{path}: {e}") from e
+    except csv.Error as e:
+        if block:
+            yield block
+        _fail(path, done + len(block) + 1, str(e))
 
 
 def _quoted(text: str) -> str:
@@ -382,7 +394,7 @@ def load_hierarchy(path: str | Path) -> AreaHierarchy:
 
 
 def save_hierarchy(path: str | Path, h: AreaHierarchy) -> None:
-    columns = (h.small_ids, [h.large_of(s) for s in h.small_ids])
+    columns = (h.small_ids, tuple(h.assignments.values()))
     write_text(path, csv_text(_HIERARCHY_HEADER, columns, "\r\n"))
 
 

@@ -58,7 +58,8 @@ class ShareVector:
             raise ValueError("shares shape does not match small ids")
         if not np.all((arr >= 0) & (arr <= 1 + SHARE_SUM_TOL)):
             raise ValueError("shares must lie in [0, 1]")
-        for large, pos in self.hierarchy.group_positions(self.small_ids).items():
+        groups = self.hierarchy.group_positions(self.small_ids)
+        for large, pos in groups.items():
             if pos.size == 0:
                 continue
             s = arr[pos].sum()
@@ -68,6 +69,7 @@ class ShareVector:
                 )
         arr.setflags(write=False)
         object.__setattr__(self, "shares", arr)
+        object.__setattr__(self, "_groups", groups)
 
 
 @dataclass(frozen=True)
@@ -199,10 +201,9 @@ def hybrid_shares(
         raise ValueError("fixed and dynamic share vectors cover different small areas")
     if fixed.hierarchy.assignments != dynamic.hierarchy.assignments:
         raise ValueError("fixed and dynamic share vectors use different hierarchies")
-    selected = set(sel.selected_large_ids)
-    use_dynamic = np.array(
-        [fixed.hierarchy.large_of(a) in selected for a in fixed.small_ids]
-    )
+    use_dynamic = np.zeros(len(fixed.small_ids), dtype=bool)
+    for large in set(sel.selected_large_ids) & fixed._groups.keys():  # type: ignore[attr-defined]
+        use_dynamic[fixed._groups[large]] = True  # type: ignore[attr-defined]
     shares = np.where(use_dynamic, dynamic.shares, fixed.shares)
     return ShareVector(
         fixed.small_ids, shares, fixed.hierarchy, dynamic.reference_time, "hybrid"
@@ -259,7 +260,7 @@ def distribute(large_totals: MarginVector, shares: ShareVector) -> MarginVector:
         raise ValueError("large_totals must be a large-area margin")
     totals = large_totals.as_dict()
     values = np.empty(len(shares.small_ids))
-    for large, pos in shares.hierarchy.group_positions(shares.small_ids).items():
+    for large, pos in shares._groups.items():  # type: ignore[attr-defined]
         if pos.size == 0:
             continue
         if large not in totals:

@@ -788,6 +788,19 @@ class TestDiagnose:
 
 
 class TestErrorsAndExitCodes:
+    def test_overlong_field_is_data_error(self, tmp_path):
+        first = tmp_path / "first.csv"
+        first.write_text(f"area_id,category_id,count\n{'a' * 200_000},poor,1\n")
+        code, out, err = run_cli(
+            "diagnose", "--first", first, "--second", MINI / "census2013.csv",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "IngestError",
+            "message": f"{first}:2: field larger than field limit ({csv.field_size_limit()})",
+        }
+
     def test_unknown_area_is_data_error_and_writes_nothing(self, tmp_path):
         rows = (FIXTURES / "households3.csv").read_text().splitlines()
         rows[2] = rows[2].replace("h2,a1,", "h2,ZZ,")

@@ -1,18 +1,33 @@
+import dataclasses
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from spreekit import (
     AreaHierarchy,
+    BootstrapConfig,
     Composition,
+    Households,
+    LogLinearDecomposition,
     MarginLevel,
     MarginVector,
+    MpiProfile,
+    ProbabilityMatrix,
+    ShareVector,
+    UpdateRequest,
     aggregate_to_large,
+    bootstrap_mse,
     column_margins,
+    fixed_shares,
     row_margins,
+    run_simulation,
     to_probabilities,
 )
+from spreekit import io as sio
 
-from conftest import make_composition, two_region_hierarchy
+from conftest import FIXTURES, make_composition, two_region_hierarchy
 
 
 def test_composition_rejects_bad_shapes_and_values():
@@ -88,3 +103,104 @@ def test_margin_vector_helpers():
     assert m2.ids == m.ids and m2.reference_time == 1
     with pytest.raises(ValueError, match="shape"):
         m.with_values(np.array([1.0]))
+
+
+def test_probability_rows_name_the_first_bad_row():
+    probs = [[0.5, 0.5], [0.0, 0.0], [0.25, 0.25], [0.125, 0.125]]
+    with pytest.raises(ValueError) as e:
+        ProbabilityMatrix(("a1", "a2", "a3", "a4"), ("c1", "c2"), probs, ("a2",))
+    assert str(e.value) == f"row 'a3' sums to {np.float64(0.5)!r}, expected 1"
+    with pytest.raises(ValueError, match="row 'a2' sums to"):
+        ProbabilityMatrix(("a1", "a2"), ("c1", "c2"), probs[:2])
+
+
+def _households(ids, indicators):
+    n, k = len(ids), len(indicators)
+    return Households(ids, ("a",) * n, ("s",) * n, [1] * n, [1.0] * n, indicators,
+                      np.zeros((n, k), bool), np.zeros((n, k), bool))
+
+
+_C = make_composition([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Composition(("a", "a"), ("c",), np.ones((2, 1))), "duplicate area ids: ['a']"),
+        (lambda: Composition(("a",), ("c", "c"), np.ones((1, 2))),
+         "duplicate category ids: ['c']"),
+        (lambda: ProbabilityMatrix(("a", "a"), ("c",), np.ones((2, 1))),
+         "duplicate area ids: ['a']"),
+        (lambda: ProbabilityMatrix(("a",), ("c", "c"), [[0.5, 0.5]]),
+         "duplicate category ids: ['c']"),
+        (lambda: MarginVector(("k", "k"), [1.0, 2.0], MarginLevel.CATEGORY),
+         "duplicate margin ids: ['k']"),
+        (lambda: AreaHierarchy({"a1": "g"}, ("g", "g")), "duplicate large ids: ['g']"),
+        (lambda: ShareVector(("a1", "a1"), [0.5, 0.5], two_region_hierarchy(2)),
+         "duplicate small ids: ['a1']"),
+        (lambda: LogLinearDecomposition(("a", "a"), ("c",), 0.0, [0, 0], [0], [[0], [0]]),
+         "duplicate area ids: ['a']"),
+        (lambda: MpiProfile(("x", "x"), (Fraction(1, 2),) * 2), "duplicate indicator ids: ['x']"),
+        (lambda: _households(("h", "h"), ("x",)), "duplicate household ids: ['h']"),
+        (lambda: _households(("h",), ("x", "x")), "duplicate indicator ids: ['x']"),
+        # A slice or concatenation of checked ids is checked again.
+        (lambda: Composition(_C.area_ids + _C.area_ids[:1], _C.category_ids, np.ones((3, 2))),
+         "duplicate area ids: ['a1']"),
+        (lambda: MarginVector(_C.category_ids[:1] * 2, [1.0, 2.0], MarginLevel.CATEGORY),
+         "duplicate margin ids: ['c1']"),
+    ],
+)
+def test_duplicate_ids_are_rejected_at_every_public_constructor(build, message):
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message
+
+
+def _count_slow_checks(monkeypatch) -> list[str]:
+    """Wrap ``_check_unique`` in every spreekit module that uses it; the
+    returned list gets the ``what`` of each call that did not return its
+    argument unchanged, that is, each call that checked its ids."""
+    slow: list[str] = []
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "spreekit"]
+    real = sys.modules["spreekit.composition"]._check_unique
+
+    def counting(ids, what):
+        out = real(ids, what)
+        if out is not ids:
+            slow.append(what)
+        return out
+
+    for module in modules:
+        if hasattr(module, "_check_unique"):
+            monkeypatch.setattr(module, "_check_unique", counting)
+    return slow
+
+
+def _simulate(replicates: int) -> None:
+    plan = sio.load_plan(FIXTURES / "mini_plan.json")
+    run_simulation(dataclasses.replace(plan, replicates=replicates))
+
+
+def _bootstrap(replicates: int) -> None:
+    mini = FIXTURES / "mini"
+    census = sio.load_composition(mini / "census2002.csv")
+    h = sio.load_hierarchy(mini / "hierarchy.csv")
+    totals = sio.load_projections(mini / "projections.csv")[2013]
+    col = sio.load_margin(mini / "survey_margin.csv", MarginLevel.CATEGORY, 2013)
+    req = UpdateRequest(census, col, totals, fixed_shares(census, h))
+    aux = sio.load_aux_populations(mini / "aux.csv")[2013]
+    pool = [aux.with_values(aux.values * (1.0 + 0.05 * k)) for k in range(3)]
+    design = sio.load_design(mini / "design.csv")
+    bootstrap_mse(req, design, pool, BootstrapConfig(replicates=replicates, seed=7))
+
+
+@pytest.mark.parametrize("run", [_simulate, _bootstrap], ids=["simulation", "bootstrap"])
+def test_ids_are_checked_at_the_boundary_only(monkeypatch, run):
+    counts = []
+    for replicates in (2, 6):
+        with monkeypatch.context() as m:
+            slow = _count_slow_checks(m)
+            run(replicates)
+            counts.append(len(slow))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]

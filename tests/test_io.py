@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -572,6 +574,44 @@ class TestDialect:
         save(tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == expected
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestOverlongField:
+    """A field over the ``csv`` module's size limit is a fault of its line,
+    found after any earlier fault in its block."""
+
+    LONG = "x" * (csv.field_size_limit() + 1)
+    ERROR = f"field larger than field limit ({csv.field_size_limit()})"
+
+    # In blocks of 2 rows the long field is a block's first row (rows 1 and 3) or last (row 2).
+    @pytest.mark.parametrize("block", [2, sio._BLOCK_ROWS])
+    @pytest.mark.parametrize("row", [1, 2, 3])
+    def test_composition(self, tmp_path, monkeypatch, block, row):
+        monkeypatch.setattr(sio, "_BLOCK_ROWS", block)
+        rows = [f"a{i},x,1" for i in range(4)]
+        rows[row - 1] = f"{self.LONG},x,1"
+        p = write(tmp_path, "c.csv", "area_id,category_id,count\n" + "\n".join(rows) + "\n")
+        with pytest.raises(IngestError) as e:
+            sio.load_composition(p)
+        assert str(e.value) == f"{p}:{row + 1}: {self.ERROR}"
+
+    def test_composition_header_and_earlier_fault(self, tmp_path):
+        p = write(tmp_path, "head.csv", f"area_id,category_id,{self.LONG}\n")
+        with pytest.raises(IngestError, match=rf"head\.csv:1: {re.escape(self.ERROR)}"):
+            sio.load_composition(p)
+        p = write(tmp_path, "neg.csv", f"area_id,category_id,count\na,x,-1\n{self.LONG},x,1\n")
+        with pytest.raises(IngestError, match=r"neg\.csv:2: negative count -1"):
+            sio.load_composition(p)
+
+    def test_households(self, tmp_path):
+        head = "household_id,area_id,subgroup_id,size,weight,ind_x\n"
+        p = write(tmp_path, "hh.csv", head + f"h1,a,s,1,1.0,1\nh2,{self.LONG},s,1,1.0,1\n")
+        with pytest.raises(IngestError) as e:
+            sio.load_households(p)
+        assert str(e.value) == f"{p}:3: {self.ERROR}"
+        p = write(tmp_path, "hh2.csv", head + f"h1,a,s,1,1.0,2\nh2,{self.LONG},s,1,1.0,1\n")
+        with pytest.raises(IngestError, match=r"hh2\.csv:2: ind_x must be 0, 1, or empty"):
+            sio.load_households(p)
 
 
 class _Unprintable:
