@@ -12,9 +12,10 @@ order, which independent re-implementations must follow to reproduce runs:
 
 1. Poisson row totals: one vectorised ``rng.poisson`` over areas.
 2. Multinomial split: one vectorised ``rng.multinomial`` over areas, with
-   totals rounded half to even and forced to zero on zero-mass areas.  It
-   consumes the stream exactly as one draw per positive-mass area in area
-   order would (zero-mass areas and zero totals draw nothing).
+   totals forced to zero on zero-mass areas.  It consumes the stream
+   exactly as one draw per positive-mass area in area order would
+   (zero-mass areas and zero totals draw nothing).  Steps 1 and 2 are
+   :func:`_redraw_census`, which the validation harness uses too.
 3. Auxiliary row margin: one ``rng.integers(0, len(pool))`` when a replicate
    pool is supplied, else one vectorised ``rng.lognormal`` over areas for
    the labelled perturbation fallback.
@@ -59,15 +60,15 @@ from spreekit.composition import (
     MarginVector,
     _check_unique,
     check_integer,
-    to_probabilities,
 )
 from spreekit.ipf import IpfError, ipf_fit
 from spreekit.margins import reconcile_margins
-from spreekit.mpi import POVERTY_CATEGORIES, _poor_share
+from spreekit.mpi import _poor_column, _poor_share
 from spreekit.update import UpdateRequest, spree_update
 
 ColResample = Literal["psu-cluster", "iid-category", "none"]
 AuxResample = Literal["resample-pool", "none"]
+CensusResample = Literal["poisson-multinomial", "none"]
 
 QUANTILE_LABELS = ("q2.5", "q25", "median", "q75", "q97.5")
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
@@ -113,10 +114,11 @@ def _check_stack(
 class BootstrapConfig:
     """Replicate count, master seed, and resampling switches.
 
-    ``poisson_mode`` / ``multinomial_mode`` set to ``"mean"`` replace the
-    census replication draws by their expectation; together with
-    ``aux_resample="none"``, ``aux_perturb_cv=0`` and ``col_resample="none"``
-    every noise source is degenerate and the MSE is exactly zero, which
+    ``census_resample="poisson-multinomial"`` redraws each replicate's census
+    (draw steps 1 and 2); ``"none"`` gives every replicate the point
+    composition itself and draws nothing for it.  With all three
+    ``*_resample`` switches ``"none"`` every noise source is degenerate: each
+    replicate is raked to its own margins and the MSE is exactly zero, which
     anchors the formula tests.
     """
 
@@ -125,8 +127,7 @@ class BootstrapConfig:
     col_resample: ColResample = "psu-cluster"
     aux_resample: AuxResample = "resample-pool"
     aux_perturb_cv: float = 0.05
-    poisson_mode: Literal["sample", "mean"] = "sample"
-    multinomial_mode: Literal["sample", "mean"] = "sample"
+    census_resample: CensusResample = "poisson-multinomial"
 
     def __post_init__(self) -> None:
         check_integer("replicates", self.replicates, 1)
@@ -136,12 +137,7 @@ class BootstrapConfig:
 
     @property
     def fully_degenerate(self) -> bool:
-        return (
-            self.poisson_mode == "mean"
-            and self.multinomial_mode == "mean"
-            and self.aux_resample == "none"
-            and self.col_resample == "none"
-        )
+        return self.census_resample == self.aux_resample == self.col_resample == "none"
 
 
 @dataclass(frozen=True)
@@ -255,17 +251,21 @@ def _resample_iid(
     return MarginVector(design.category_ids, totals, MarginLevel.CATEGORY, reference_time)
 
 
-def _split_rows(
-    rng: np.random.Generator, totals: np.ndarray, probs: np.ndarray, row_mass: np.ndarray
-) -> np.ndarray:
-    """Multinomial split of each row total over the row's probabilities.
+def _redraw_census(rng: np.random.Generator, lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """A census redrawn around ``counts``: Poisson row totals of mean ``lam``,
+    each split multinomially over its row's category proportions.
 
-    Totals round half to even; rows without mass get zero.  One vectorised
-    call consumes the stream exactly as one draw per positive-mass row, in
-    row order, would: zero totals take no randomness.
+    Rows of ``counts`` without mass get zero.  The proportions are
+    :func:`~spreekit.composition.to_probabilities`' arithmetic.  The one
+    vectorised split consumes the stream exactly as one draw per
+    positive-mass row, in row order, would: zero totals take no randomness.
     """
-    n = np.where(row_mass > 0, np.rint(totals), 0).astype(np.int64)
-    return rng.multinomial(n, probs).astype(float)
+    totals = rng.poisson(lam)
+    row_mass = counts.sum(axis=1)
+    zero = row_mass == 0
+    probs = counts / np.where(zero, 1.0, row_mass)[:, None]
+    probs[zero] = 0.0
+    return rng.multinomial(np.where(zero, 0, totals), probs).astype(float)
 
 
 def resample_aux_margin(
@@ -339,8 +339,6 @@ def bootstrap_mse(
     area_ids = point.fitted.area_ids
     category_ids = point.fitted.category_ids
     lam = point.row_margin_used.values
-    probs = to_probabilities(point.fitted).probs
-    row_mass = fitted.sum(axis=1)
 
     if cfg.col_resample != "none":
         if design is None:
@@ -358,24 +356,13 @@ def bootstrap_mse(
 
     def one_replicate(b: int) -> tuple[np.ndarray, np.ndarray] | str:
         rng = rngmod.stream(cfg.seed, b)
-
+        mult = fitted if cfg.census_resample == "none" else _redraw_census(rng, lam, fitted)
         if cfg.fully_degenerate:
-            # Zero-variance limit: the replicate composition is the point
-            # composition and the margins are its own realised margins, so
-            # raking is an exact no-op and the MSE vanishes identically.
-            mult = fitted.copy()
+            # Zero-variance limit: the margins are the point composition's
+            # own, so raking is an exact no-op and the MSE vanishes identically.
             row_m = MarginVector(area_ids, mult.sum(axis=1), MarginLevel.SMALL_AREA, t)
             col_m = MarginVector(category_ids, mult.sum(axis=0), MarginLevel.CATEGORY, t)
         else:
-            if cfg.poisson_mode == "sample":
-                pois = rng.poisson(lam).astype(float)
-            else:
-                pois = row_mass.copy()
-            if cfg.multinomial_mode == "sample":
-                mult = _split_rows(rng, pois, probs, row_mass)
-            else:
-                mult = pois[:, None] * probs
-
             if cfg.aux_resample == "resample-pool":
                 row_m = resample_aux_margin(
                     aux_pool or point.row_margin_used, rng, cfg.aux_perturb_cv
@@ -399,9 +386,7 @@ def bootstrap_mse(
             return f"replicate {b}: did not converge (deviation {res.final_deviation:.3e})"
         return res.fitted.counts, mult
 
-    poor_col = (
-        category_ids.index("poor") if set(category_ids) == set(POVERTY_CATEGORIES) else None
-    )
+    poor_col = _poor_column(category_ids)
     stack = np.empty(shape)
     # Squares are never -0.0, so starting from zeros changes no bit.
     sq_sum = np.zeros(fitted.shape)

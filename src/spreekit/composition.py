@@ -47,12 +47,12 @@ def _check_unique(ids: Sequence[str], what: str) -> tuple[str, ...]:
     repeated ids; ids it has checked before pass through unchanged."""
     if type(ids) is _Ids:
         return ids
-    ids = tuple(map(str, ids))
+    ids = _Ids(map(str, ids))
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
         dupes = sorted({i for i in ids if i in seen or seen.add(i)})  # type: ignore[func-returns-value]
         raise ValueError(f"duplicate {what}: {dupes}")
-    return _Ids(ids)
+    return ids
 
 
 def _as_readonly(values, shape_name: str, allow_negative: bool = False) -> np.ndarray:

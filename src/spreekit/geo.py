@@ -63,7 +63,10 @@ class PixelTable:
 
 
 def _as_ring(vertices: Sequence[Sequence[float]], where: str) -> Ring:
-    ring = np.asarray(vertices, dtype=float)
+    try:
+        ring = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError):
+        ring = np.empty(0)
     if ring.ndim != 2 or ring.shape[1] < 2:
         raise ValueError(f"{where}: ring must be a sequence of lon/lat pairs")
     ring = ring[:, :2]
@@ -93,10 +96,10 @@ class AreaPolygonSet:
                 raise ValueError(f"area {area!r} has no polygons")
             fixed = []
             for p, rings in enumerate(polys):
-                if isinstance(rings, np.ndarray):
+                if not isinstance(rings, (tuple, list)):
                     raise ValueError(
                         f"area {area!r}: expected a tuple of polygons, each a "
-                        "tuple of rings; got a bare ring array"
+                        f"tuple of rings; got {type(rings).__name__}"
                     )
                 if not rings:
                     raise ValueError(f"area {area!r} polygon {p} has no rings")
@@ -115,42 +118,37 @@ class AreaPolygonSet:
 
     @classmethod
     def from_geojson(cls, data: Mapping[str, Any]) -> "AreaPolygonSet":
-        """Build from a FeatureCollection carrying ``properties.area_id``."""
-        if data.get("type") != "FeatureCollection":
+        """Build from a FeatureCollection carrying ``properties.area_id``;
+        the constructor checks the rings."""
+        if not isinstance(data, Mapping) or data.get("type") != "FeatureCollection":
             raise ValueError("expected a GeoJSON FeatureCollection")
         features = data.get("features")
         if not isinstance(features, list) or not features:
             raise ValueError("FeatureCollection has no features")
-        out: dict[str, tuple[Polygon, ...]] = {}
+        out: dict[str, Any] = {}
         for i, feature in enumerate(features):
             where = f"feature {i}"
+            if not isinstance(feature, Mapping):
+                raise ValueError(f"{where}: feature must be an object")
             props = feature.get("properties") or {}
+            geom = feature.get("geometry") or {}
+            if not isinstance(props, Mapping) or not isinstance(geom, Mapping):
+                raise ValueError(f"{where}: properties and geometry must be objects")
             area = props.get("area_id")
             if area is None:
                 raise ValueError(f"{where}: missing properties.area_id")
             area = str(area)
             if area in out:
                 raise ValueError(f"{where}: duplicate area_id {area!r}")
-            geom = feature.get("geometry") or {}
             gtype = geom.get("type")
             coords = geom.get("coordinates")
-            if gtype == "Polygon":
-                poly_list = [coords]
-            elif gtype == "MultiPolygon":
-                poly_list = coords
-            else:
+            if gtype not in ("Polygon", "MultiPolygon"):
                 raise ValueError(f"{where}: geometry must be Polygon or MultiPolygon")
-            if not poly_list:
+            if not isinstance(coords, list):
+                raise ValueError(f"{where}: coordinates must be a list")
+            if not coords:
                 raise ValueError(f"{where}: empty coordinates")
-            polys = []
-            for p, rings in enumerate(poly_list):
-                polys.append(
-                    tuple(
-                        _as_ring(r, f"{where} polygon {p} ring {ri}")
-                        for ri, r in enumerate(rings)
-                    )
-                )
-            out[area] = tuple(polys)
+            out[area] = [coords] if gtype == "Polygon" else coords
         return cls(out)
 
 

@@ -695,6 +695,14 @@ def load_plan(path: str | Path) -> SimulationPlan:
     missing = [k for k in required if k not in data]
     if missing:
         raise IngestError(f"{path}: plan missing keys: {missing}")
+    for keys, ok, what in (
+        ((*required, "design"), lambda v: isinstance(v, str), "a path string"),
+        (("aux_pool", "strategies"),
+         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings"),
+        (("quantile_cutoff",), lambda v: type(v) in (int, float), "a number"),
+    ):
+        if bad := [k for k in keys if k in data and not ok(data[k])]:
+            raise IngestError(f"{path}: {bad[0]} must be {what}")
     base_time = _wrap_invariant(path, check_integer, "base_time", data.get("base_time", 0))
     target_time = _wrap_invariant(path, check_integer, "target_time", data.get("target_time", 1))
     base = path.parent

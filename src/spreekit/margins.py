@@ -178,6 +178,8 @@ def select_by_change(
     if np.any(baseline.values <= 0):
         zero = [i for i, v in zip(baseline.ids, baseline.values) if v <= 0]
         raise ValueError(f"baseline population must be positive, got zero for: {zero}")
+    if not 0 < quantile_cutoff < 1:
+        raise ValueError("quantile_cutoff must lie in (0, 1)")
     scores = np.abs(projected.values / baseline.values - 1.0)
     n_select = math.ceil(quantile_cutoff * len(projected.ids))
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))

@@ -338,11 +338,17 @@ def headcount_from_composition(c: Composition) -> np.ndarray:
     Returns NaN for areas with zero total population (headcount undefined
     there); callers should treat NaN as a flagged absent value.
     """
-    if set(c.category_ids) != set(POVERTY_CATEGORIES):
+    poor_col = _poor_column(c.category_ids)
+    if poor_col is None:
         raise ValueError(
             f"composition categories {c.category_ids} are not {POVERTY_CATEGORIES}"
         )
-    return _poor_share(c.counts, c.category_index("poor"))
+    return _poor_share(c.counts, poor_col)
+
+
+def _poor_column(category_ids: Sequence[str]) -> int | None:
+    """Position of ``"poor"`` when the categories are {poor, non-poor}, else None."""
+    return category_ids.index("poor") if set(category_ids) == set(POVERTY_CATEGORIES) else None
 
 
 def _poor_share(counts: np.ndarray, poor_col: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from spreekit.bootstrap import (
     SurveyDesign,
     _check_stack,
     _nan_mean,
-    _split_rows,
+    _redraw_census,
     resample_column_margin,
 )
 from spreekit.composition import (
@@ -54,7 +54,6 @@ from spreekit.composition import (
     check_integer,
     column_margins,
     row_margins,
-    to_probabilities,
 )
 from spreekit.margins import (
     QUANTILE_CUTOFF,
@@ -65,7 +64,7 @@ from spreekit.margins import (
     hybrid_shares,
     select_by_change,
 )
-from spreekit.mpi import POVERTY_CATEGORIES, _poor_share
+from spreekit.mpi import _poor_column, _poor_share
 from spreekit.update import UpdateError, UpdateRequest, spree_update
 
 STRATEGIES = ("fixed", "dynamic", "hybrid")
@@ -127,15 +126,11 @@ def quartile_grouping(change_scores: Sequence[float]) -> np.ndarray:
 
 
 def replicate_census(truth: Composition, rng: np.random.Generator) -> Composition:
-    """Redraw a census: Poisson row totals, then a multinomial split per area.
-
-    One vectorised Poisson call over areas, then one vectorised multinomial
-    call that consumes the stream exactly as one draw per positive-mass
-    area, in area order, would.  Zero-total rows stay zero.
+    """Redraw a census: Poisson row totals with the truth's as means, then a
+    multinomial split per area (:func:`spreekit.bootstrap._redraw_census`).
+    Zero-total rows stay zero.
     """
-    totals = truth.counts.sum(axis=1)
-    draws = rng.poisson(totals)
-    counts = _split_rows(rng, draws, to_probabilities(truth).probs, totals)
+    counts = _redraw_census(rng, truth.counts.sum(axis=1), truth.counts)
     return Composition(truth.area_ids, truth.category_ids, counts, truth.reference_time)
 
 
@@ -399,11 +394,7 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
             fitted_shares[s, completed[s]] = sv.shares
             completed[s] += 1
 
-    poor_col = (
-        category_ids.index("poor")
-        if set(category_ids) == set(POVERTY_CATEGORIES)
-        else None
-    )
+    poor_col = _poor_column(category_ids)
 
     def headcounts(cells: np.ndarray) -> np.ndarray:
         """Per round and area: the poor share, or else the total."""

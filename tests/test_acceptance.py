@@ -290,8 +290,7 @@ def test_05_bootstrap_degenerates_to_zero_matches_reference_and_reruns_bitwise()
         seed=5,
         col_resample="none",
         aux_resample="none",
-        poisson_mode="mean",
-        multinomial_mode="mean",
+        census_resample="none",
     )
     assert degenerate.fully_degenerate
     unc = bootstrap_mse(req, None, None, degenerate)

@@ -1,3 +1,5 @@
+import dataclasses
+import sys
 import tracemalloc
 import warnings
 
@@ -23,13 +25,13 @@ from spreekit import (
     to_probabilities,
 )
 from spreekit import io as sio
-from spreekit import bootstrap, rng as rngmod
+from spreekit import bootstrap, ipf, rng as rngmod, run_simulation
 from spreekit.bootstrap import (
     QUANTILE_LABELS,
     QUANTILE_LEVELS,
     _nan_mean,
+    _redraw_census,
     _resample_iid,
-    _split_rows,
 )
 from spreekit.ipf import IpfError
 from spreekit.mpi import _poor_share
@@ -137,8 +139,7 @@ def test_degenerate_config_gives_exactly_zero_mse():
         seed=5,
         col_resample="none",
         aux_resample="none",
-        poisson_mode="mean",
-        multinomial_mode="mean",
+        census_resample="none",
     )
     assert cfg.fully_degenerate
     unc = bootstrap_mse(req, None, None, cfg)
@@ -347,21 +348,20 @@ class TestAuxResample:
 
 def per_area_split(rng, totals, probs, row_mass):
     """Reference census split: one multinomial per positive-mass area with a
-    positive total, in area order, the total rounded half to even."""
+    positive total, in area order."""
     out = np.zeros_like(probs)
     for a in range(len(totals)):
         if row_mass[a] > 0 and totals[a] > 0:
-            out[a] = rng.multinomial(int(round(totals[a])), probs[a])
+            out[a] = rng.multinomial(int(totals[a]), probs[a])
     return out
 
 
-@pytest.mark.parametrize("poisson_mode", ["sample", "mean"])
-def test_row_split_matches_per_area_loop(poisson_mode):
-    seen = {"zero_mass_drawn": 0, "zero_draw": 0, "half_total": 0}
+def test_row_split_matches_per_area_loop():
+    seen = {"zero_mass_drawn": 0, "zero_draw": 0}
     for k in range(150):
         g = np.random.default_rng(k)
-        # Quarter-unit counts make .5 row totals common under poisson_mode
-        # "mean"; the row-margin lambda is positive on some zero-mass rows.
+        # Quarter-unit counts give fractional proportions; the row-margin
+        # lambda is positive on some zero-mass rows.
         counts = g.integers(0, 9, size=(25, 4)) / 4.0
         counts[g.random(25) < 0.25] = 0.0
         lam = g.uniform(0.0, 4.0, 25)
@@ -369,25 +369,17 @@ def test_row_split_matches_per_area_loop(poisson_mode):
         probs = to_probabilities(make_composition(counts)).probs
         row_mass = counts.sum(axis=1)
 
-        def draw(rng, split):
-            if poisson_mode == "sample":
-                totals = rng.poisson(lam).astype(float)
-            else:
-                totals = row_mass.copy()
-            return totals, split(rng, totals, probs, row_mass), rng.random()
-
-        totals, expected, expected_next = draw(rngmod.stream(k, 0), per_area_split)
-        _, got, got_next = draw(rngmod.stream(k, 0), _split_rows)
+        rng = rngmod.stream(k, 0)
+        totals = rng.poisson(lam)
+        expected, expected_next = per_area_split(rng, totals, probs, row_mass), rng.random()
+        rng = rngmod.stream(k, 0)
+        got, got_next = _redraw_census(rng, lam, counts), rng.random()
         np.testing.assert_array_equal(got, expected)
         assert got_next == expected_next
         seen["zero_mass_drawn"] += int(np.sum((row_mass == 0) & (totals > 0)))
-        seen["zero_draw"] += int(np.sum((row_mass > 0) & (np.rint(totals) == 0)))
-        seen["half_total"] += int(np.sum(totals % 1 == 0.5))
+        seen["zero_draw"] += int(np.sum((row_mass > 0) & (totals == 0)))
     assert seen["zero_draw"] > 0
-    if poisson_mode == "sample":
-        assert seen["zero_mass_drawn"] > 0
-    else:
-        assert seen["half_total"] > 0
+    assert seen["zero_mass_drawn"] > 0
 
 
 def per_observation_iid(design, rng):
@@ -704,3 +696,48 @@ def test_stack_over_budget_fails_before_the_point_fit(monkeypatch):
         match=r"^bootstrap: a 25 x 4 x 2 replicate stack needs 1600 bytes, over the budget of 1599$",
     ):
         bootstrap_mse(mini_request(), mini_design(), None, BootstrapConfig(replicates=25))
+
+
+def _record_fits(monkeypatch) -> list[tuple[np.ndarray, ...]]:
+    """Wrap ``ipf_fit`` where the bootstrap and the update import it; the
+    returned list gets each call's seed counts, row and column targets and
+    fitted counts."""
+    calls: list[tuple[np.ndarray, ...]] = []
+
+    def recording(seed, row, col, cfg=ipf.IpfConfig()):
+        res = ipf.ipf_fit(seed, row, col, cfg)
+        calls.append((seed.counts, row.values, col.values, res.fitted.counts))
+        return res
+
+    monkeypatch.setattr(bootstrap, "ipf_fit", recording)
+    monkeypatch.setattr(sys.modules["spreekit.update"], "ipf_fit", recording)
+    return calls
+
+
+def _bootstrap_fits(replicates: int) -> int:
+    """Run the mini bootstrap; the fits of the point and two replicates."""
+    bootstrap_mse(
+        mini_request(), mini_design(), mini_pool(), BootstrapConfig(replicates=replicates, seed=4)
+    )
+    return 3
+
+
+def _simulation_fits(replicates: int) -> int:
+    """Run the mini plan; the fits of its first two rounds."""
+    plan = sio.load_plan(FIXTURES / "mini_plan.json")
+    run_simulation(dataclasses.replace(plan, replicates=replicates))
+    return 2 * len(plan.strategies)
+
+
+@pytest.mark.parametrize("run", [_bootstrap_fits, _simulation_fits], ids=["bootstrap", "simulation"])
+def test_replicate_b_does_not_depend_on_the_replicate_count(monkeypatch, run):
+    recorded = []
+    for replicates in (2, 6):
+        with monkeypatch.context() as m:
+            calls = _record_fits(m)
+            prefix = run(replicates)
+            recorded.append(calls)
+    short, long = recorded
+    assert len(short) == prefix < len(long)
+    for got, want in zip(long[:prefix], short):
+        assert all(same_bits(g, w) for g, w in zip(got, want))

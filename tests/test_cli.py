@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,16 @@ def plan_json(plan: dict) -> dict:
         base[key] = str(FIXTURES / base[key])
     base["aux_pool"] = [str(FIXTURES / p) for p in base["aux_pool"]]
     return {**base, **plan}
+
+
+SQUARE = {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]}
+
+
+def one_feature(geometry, properties=None) -> dict:
+    """A FeatureCollection of one feature, area ``x`` unless ``properties`` is given."""
+    properties = {"area_id": "x"} if properties is None else properties
+    feature = {"type": "Feature", "properties": properties, "geometry": geometry}
+    return {"type": "FeatureCollection", "features": [feature]}
 
 
 def bootstrap_argv(out_dir, seed: int = 7, replicates: int = 25) -> list[str]:
@@ -874,6 +885,71 @@ class TestErrorsAndExitCodes:
         assert payload["error"] == ("BootstrapError" if plan is None else "ValueError")
         assert payload["message"] == f"{message}, over the budget of {2**32}"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "polygons, message",
+        [
+            ([], "expected a GeoJSON FeatureCollection"),
+            ({"type": "FeatureCollection", "features": [1]}, "feature 0: feature must be an object"),
+            (one_feature(SQUARE, properties=5),
+             "feature 0: properties and geometry must be objects"),
+            (one_feature({"type": "Polygon", "coordinates": 5}),
+             "feature 0: coordinates must be a list"),
+            (one_feature({"type": "MultiPolygon", "coordinates": [5]}),
+             "area 'x': expected a tuple of polygons, each a tuple of rings; got int"),
+            (one_feature({"type": "Polygon", "coordinates": [[{"lon": 0}]]}),
+             "area 'x' polygon 0 ring 0: ring must be a sequence of lon/lat pairs"),
+            (one_feature({"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1]]]}),
+             "area 'x' polygon 0 ring 0: ring is not closed (first vertex != last)"),
+        ],
+        ids=["list", "feature_number", "properties_number", "coordinates_number",
+             "polygon_number", "ring_of_objects", "open_ring"],
+    )
+    def test_wrong_polygons_json_is_data_error(self, tmp_path, polygons, message):
+        path = tmp_path / "polygons.geojson"
+        path.write_text(json.dumps(polygons))
+        code, out, err = run_cli(
+            "aggregate", "--pixels", FIXTURES / "pixels10.csv", "--polygons", path,
+            "--out", tmp_path / "out",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "IngestError", "message": f"{path}: {message}"}
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ({"truth_t0": 5}, "truth_t0 must be a path string"),
+            ({"design": ["d.csv"]}, "design must be a path string"),
+            ({"aux_pool": 5}, "aux_pool must be a list of strings"),
+            ({"aux_pool": [5]}, "aux_pool must be a list of strings"),
+            ({"strategies": 5}, "strategies must be a list of strings"),
+            ({"strategies": "fixed"}, "strategies must be a list of strings"),
+            ({"quantile_cutoff": "0.5"}, "quantile_cutoff must be a number"),
+            ({"quantile_cutoff": True}, "quantile_cutoff must be a number"),
+        ],
+        ids=["truth_t0", "design", "aux_pool", "aux_pool_entry", "strategies",
+             "strategies_string", "quantile_cutoff", "quantile_cutoff_bool"],
+    )
+    def test_wrong_plan_json_type_is_data_error(self, tmp_path, plan, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_json(plan)))
+        code, out, err = run_cli("validate", "--plan", path, "--out", tmp_path / "out")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "IngestError", "message": f"{path}: {message}"}
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_quantile_cutoff_is_data_error(self, tmp_path, cutoff):
+        """Python's json writes and reads NaN and Infinity as floats."""
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_json({"replicates": 2, "quantile_cutoff": cutoff})))
+        code, out, err = run_cli("validate", "--plan", path, "--out", tmp_path / "out")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "quantile_cutoff must lie in (0, 1)",
+        }
 
     def test_missing_input_file_is_data_error(self, tmp_path):
         code, _, err = run_cli(
