@@ -267,9 +267,10 @@ def cmd_shares(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         projections = _note(inputs, "projections", ns.projections)
         projected = _year_entry(sio.load_projections, projections, ns.year)
     shares = _build_shares(ns.mode, census, hierarchy, aux, projected, ns.cutoff)
+    # The margin is computed before the first output, so a failed join writes nothing.
+    margin = distribute(projected, shares) if projected is not None else None
     yield "shares.csv", sio.margin_csv(shares.small_ids, shares.shares, "\n")
-    if projected is not None:
-        margin = distribute(projected, shares)
+    if margin is not None:
         yield "margin.csv", sio.margin_csv(margin.ids, margin.values, "\n")
 
 

@@ -103,12 +103,6 @@ class Composition:
     def total(self) -> float:
         return float(self.counts.sum())
 
-    def category_index(self, category_id: str) -> int:
-        try:
-            return self.category_ids.index(category_id)
-        except ValueError:
-            raise KeyError(f"unknown category id {category_id!r}") from None
-
 
 @dataclass(frozen=True)
 class AreaHierarchy:
@@ -149,12 +143,15 @@ class AreaHierarchy:
     def large_of(self, small_id: str) -> str:
         return self.large_ids[self._large_index((small_id,))[0]]
 
-    def _large_index(self, area_ids: Iterable[str]) -> list[int]:
-        """Each area's large area, as its position in ``large_ids``."""
+    def _large_index(self, area_ids: Sequence[str]) -> list[int]:
+        """Each area's large area, as its position in ``large_ids``: the one join
+        of areas to the hierarchy, a ValueError naming the first 20 it lacks."""
+        index: dict[str, int] = self._index  # type: ignore[attr-defined]
         try:
-            return [self._index[a] for a in area_ids]  # type: ignore[attr-defined]
-        except KeyError as e:
-            raise KeyError(f"small area {e.args[0]!r} not assigned in hierarchy") from None
+            return [index[a] for a in area_ids]
+        except KeyError:
+            missing = [a for a in area_ids if a not in index][:20]
+            raise ValueError(f"areas not assigned in hierarchy: {missing}") from None
 
     def group_positions(self, area_ids: Sequence[str]) -> dict[str, np.ndarray]:
         """Positions of ``area_ids`` grouped by large area (large id order)."""
@@ -244,12 +241,8 @@ def aggregate_to_large(c: Composition, h: AreaHierarchy) -> Composition:
 
     Every area of ``c`` must be assigned in ``h``; totals are conserved.
     """
-    unassigned = [a for a in c.area_ids if a not in h.assignments]
-    if unassigned:
-        raise KeyError(f"areas not assigned in hierarchy: {unassigned}")
     out = np.zeros((len(h.large_ids), c.n_categories))
-    for i, k in enumerate(h._large_index(c.area_ids)):
-        out[k] += c.counts[i]
+    np.add.at(out, h._large_index(c.area_ids), c.counts)
     return Composition(h.large_ids, c.category_ids, out, c.reference_time)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,6 +151,15 @@ def dynamic_shares(aux_pop: MarginVector, h: AreaHierarchy) -> ShareVector:
     )
 
 
+def _totals_at(totals: MarginVector, large_ids: Sequence[str]) -> list[float]:
+    """``totals`` at ``large_ids``, joined by id; ValueError naming the first 20 it lacks."""
+    by_id = totals.as_dict()
+    missing = [l for l in large_ids if l not in by_id][:20]
+    if missing:
+        raise ValueError(f"no total supplied for large areas: {missing}")
+    return [by_id[l] for l in large_ids]
+
+
 def census_baseline(census: Composition, h: AreaHierarchy) -> MarginVector:
     """Large-area census totals: the baseline :func:`select_by_change` ranks
     projected totals against."""
@@ -170,23 +179,22 @@ def select_by_change(
     """Pick the large areas with the strongest projected population change.
 
     Change score is the absolute relative change |projected/baseline - 1|,
-    so both growth and decline count.  Selects ceil(cutoff * K) areas; equal
-    scores are resolved by id order for reproducibility.
+    so both growth and decline count, with ``projected`` read at the ids of
+    ``baseline``.  Selects ceil(cutoff * K) areas; equal scores are resolved
+    by id order for reproducibility.
     """
-    if projected.ids != baseline.ids:
-        raise ValueError("projected and baseline ids do not match")
     if np.any(baseline.values <= 0):
         zero = [i for i, v in zip(baseline.ids, baseline.values) if v <= 0]
         raise ValueError(f"baseline population must be positive, got zero for: {zero}")
     if not 0 < quantile_cutoff < 1:
         raise ValueError("quantile_cutoff must lie in (0, 1)")
-    scores = np.abs(projected.values / baseline.values - 1.0)
-    n_select = math.ceil(quantile_cutoff * len(projected.ids))
+    scores = np.abs(np.array(_totals_at(projected, baseline.ids)) / baseline.values - 1.0)
+    n_select = math.ceil(quantile_cutoff * len(baseline.ids))
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    selected = tuple(projected.ids[i] for i in order[:n_select])
+    selected = tuple(baseline.ids[i] for i in order[:n_select])
     return HybridSelection(
         selected,
-        {i: float(s) for i, s in zip(projected.ids, scores)},
+        {i: float(s) for i, s in zip(baseline.ids, scores)},
         quantile_cutoff,
     )
 
@@ -254,20 +262,17 @@ def _conserving_block(total: float, shares_block: np.ndarray) -> np.ndarray:
 def distribute(large_totals: MarginVector, shares: ShareVector) -> MarginVector:
     """Small-area margin: each large total spread by the within-area shares.
 
+    Totals are matched by id; every large area with small areas needs one.
     Conservation is exact, not approximate: the values returned for the
     small areas of one large area sum back to its total in exact (not
     merely floating-point) arithmetic.
     """
     if large_totals.level is not MarginLevel.LARGE_AREA:
         raise ValueError("large_totals must be a large-area margin")
-    totals = large_totals.as_dict()
+    groups = {l: p for l, p in shares._groups.items() if p.size}  # type: ignore[attr-defined]
     values = np.empty(len(shares.small_ids))
-    for large, pos in shares._groups.items():  # type: ignore[attr-defined]
-        if pos.size == 0:
-            continue
-        if large not in totals:
-            raise KeyError(f"no total supplied for large area {large!r}")
-        values[pos] = _conserving_block(float(totals[large]), shares.shares[pos])
+    for total, pos in zip(_totals_at(large_totals, list(groups)), groups.values()):
+        values[pos] = _conserving_block(total, shares.shares[pos])
     return MarginVector(
         shares.small_ids, values, MarginLevel.SMALL_AREA, large_totals.reference_time
     )

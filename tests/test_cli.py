@@ -148,6 +148,19 @@ class TestUpdate:
         total = sum(cells.values())
         assert total == pytest.approx(4300.0, rel=1e-8)
 
+    def test_epsilon_zeros_fill_a_zero_seed_cell(self, tmp_path):
+        census = tmp_path / "census.csv"
+        text = (MINI / "census2002.csv").read_text()
+        census.write_text(text.replace("a1,poor,400.0", "a1,poor,0"))
+        argv = update_argv(tmp_path / "out", zeros="epsilon:0.5")
+        argv[argv.index(MINI / "census2002.csv")] = census
+        code, _, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
+        assert provenance["zero_mode"] == "epsilon"
+        # Structural zeros would keep the cell at exactly zero.
+        assert cell_map(tmp_path / "out" / "fitted.csv")["a1", "poor"] > 0
+
     def test_unconverged_fit_warns_on_stderr(self, tmp_path):
         capped, full = tmp_path / "capped", tmp_path / "full"
         code, _, err = run_cli(*update_argv(capped, max_iter="1"))
@@ -951,6 +964,64 @@ class TestErrorsAndExitCodes:
             "error": "ValueError", "message": "quantile_cutoff must lie in (0, 1)",
         }
 
+    @pytest.mark.parametrize(
+        "argv, edit, error",
+        [
+            (update_argv("{out}"), ("hierarchy.csv", "a1,"),
+             ("ValueError", "areas not assigned in hierarchy: ['a1']")),
+            (update_argv("{out}", mode="hybrid", aux=MINI / "aux.csv"), ("hierarchy.csv", "a1,"),
+             ("ValueError", "areas not assigned in hierarchy: ['a1']")),
+            (bootstrap_argv("{out}"), ("hierarchy.csv", "a1,"),
+             ("ValueError", "areas not assigned in hierarchy: ['a1']")),
+            (["validate", "--plan", "{plan}", "--out", "{out}"], ("hierarchy.csv", "a1,"),
+             ("ValueError", "areas not assigned in hierarchy: ['a1']")),
+            (["shares", "--mode", "fixed", "--census", MINI / "census2002.csv",
+              "--hierarchy", MINI / "hierarchy.csv", "--projections", MINI / "projections.csv",
+              "--year", "2013", "--out", "{out}"], ("projections.csv", "L,"),
+             ("ValueError", "no total supplied for large areas: ['L']")),
+            (update_argv("{out}"), ("projections.csv", "L,"),
+             ("UpdateError", "[margins] no total supplied for large areas: ['L']")),
+            (update_argv("{out}", mode="hybrid", aux=MINI / "aux.csv"),
+             ("projections.csv", "reversed"), None),
+        ],
+        ids=["update_fixed_hierarchy", "update_hybrid_hierarchy", "bootstrap_hierarchy",
+             "validate_hierarchy", "shares_projections", "update_projections",
+             "hybrid_projections_reversed"],
+    )
+    def test_join_to_the_hierarchy(self, tmp_path, argv, edit, error):
+        """Tables join the hierarchy by id: a row missing from the hierarchy or
+        the projections is a data error naming it, and the order of the
+        projection rows does not matter."""
+        name, how = edit
+        rows = (MINI / name).read_text().splitlines()
+        if how == "reversed":
+            rows = rows[:1] + rows[:0:-1]
+        else:
+            rows = [r for r in rows if not r.startswith(how)]
+        mini = tmp_path / "mini"
+        mini.mkdir()
+        for path in MINI.iterdir():
+            (mini / path.name).write_bytes(path.read_bytes())
+        (mini / name).write_text("\n".join(rows) + "\n")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_json({})).replace(str(MINI), str(mini)))
+
+        def run(data: Path, out: str) -> tuple[int, str, str]:
+            fill = dict(plan=plan, out=tmp_path / out)
+            return run_cli(*(str(a).replace(str(MINI), str(data)).format(**fill) for a in argv))
+
+        code, out, err = run(mini, "out")
+        if error is None:
+            assert (code, err) == (0, "")
+            assert run(MINI, "in_order")[0] == 0
+            fitted = (tmp_path / "out" / "fitted.csv").read_bytes()
+            assert fitted == (tmp_path / "in_order" / "fitted.csv").read_bytes()
+            return
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": error[0], "message": error[1]}
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         code, _, err = run_cli(
             "mpi", "--households", tmp_path / "nope.csv", "--out", tmp_path
@@ -984,10 +1055,11 @@ class TestErrorsAndExitCodes:
         assert exc.value.code == 2
 
     def test_bad_zeros_syntax_exits_2(self, tmp_path):
-        argv = update_argv(tmp_path) + ["--zeros", "fuzzy"]
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*argv)
-        assert exc.value.code == 2
+        for zeros in ("fuzzy", "epsilon:x"):
+            argv = update_argv(tmp_path) + ["--zeros", zeros]
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2
 
 
 class TestEnvironmentFallback:

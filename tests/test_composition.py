@@ -66,7 +66,7 @@ def test_hierarchy_from_pairs_orders_and_validates():
     assert h.large_of("a3") == "g1"
     with pytest.raises(ValueError, match="assigned twice"):
         AreaHierarchy.from_pairs([("a1", "g1"), ("a1", "g2")])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^areas not assigned in hierarchy: \['missing'\]$"):
         h.large_of("missing")
 
 
@@ -84,8 +84,50 @@ def test_aggregate_to_large_conserves_mass():
     assert agg.area_ids == ("g1", "g2")
     assert np.array_equal(agg.counts, [[4.0, 6.0], [12.0, 14.0]])
     assert agg.total() == c.total()
-    with pytest.raises(KeyError, match="not assigned"):
+    with pytest.raises(ValueError, match=r"^areas not assigned in hierarchy: \['a3', 'a4'\]$"):
         aggregate_to_large(c, two_region_hierarchy(2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_join_matches_per_area_loop(seed):
+    """``group_positions`` and ``aggregate_to_large`` equal a loop over the
+    areas bitwise, with assignments, large ids and rows each in their own
+    shuffled order and some large areas left empty."""
+    rng = np.random.default_rng(seed)
+    n_areas, n_large = 40, 9
+    small = [f"s{i}" for i in rng.permutation(n_areas)]
+    large = [f"L{k}" for k in rng.permutation(n_large)]
+    used = large[: n_large - 3]
+    h = AreaHierarchy({s: used[rng.integers(len(used))] for s in small}, tuple(large))
+    rows = tuple(rng.permutation(small))
+    c = Composition(rows, ("x", "y", "z"), rng.exponential(size=(n_areas, 3)))
+
+    groups: dict[str, list[int]] = {l: [] for l in h.large_ids}
+    summed = np.zeros((n_large, 3))
+    for i, a in enumerate(c.area_ids):
+        groups[h.assignments[a]].append(i)
+        summed[h.large_ids.index(h.assignments[a])] += c.counts[i]
+
+    positions = h.group_positions(c.area_ids)
+    assert list(positions) == list(h.large_ids)
+    for l, want in groups.items():
+        assert positions[l].dtype == np.asarray(want, dtype=int).dtype
+        assert positions[l].tolist() == want
+    assert sum(p.size == 0 for p in positions.values()) == 3
+    agg = aggregate_to_large(c, h)
+    assert agg.area_ids == h.large_ids
+    assert agg.counts.tobytes() == summed.tobytes()
+
+    # An unassigned area is named by the one join, the first 20 in input order.
+    partial = AreaHierarchy({s: h.assignments[s] for s in small[:10]}, h.large_ids)
+    unassigned = [a for a in c.area_ids if a not in partial.assignments]
+    message = f"areas not assigned in hierarchy: {unassigned[:20]}"
+    with pytest.raises(ValueError) as e:
+        partial.group_positions(c.area_ids)
+    assert str(e.value) == message
+    with pytest.raises(ValueError) as e:
+        aggregate_to_large(c, partial)
+    assert str(e.value) == message
 
 
 def test_to_probabilities_flags_zero_rows():
