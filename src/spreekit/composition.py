@@ -55,11 +55,11 @@ def _check_unique(ids: Sequence[str], what: str) -> tuple[str, ...]:
     return ids
 
 
-def _as_readonly(values, shape_name: str, allow_negative: bool = False) -> np.ndarray:
+def _as_readonly(values, shape_name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError(f"{shape_name} contains non-finite values")
-    if not allow_negative and np.any(arr < 0):
+    if np.logical_or.reduce(arr < 0, axis=None):
         raise ValueError(f"{shape_name} contains negative values")
     arr.setflags(write=False)
     return arr

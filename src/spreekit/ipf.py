@@ -7,7 +7,9 @@ odds ratio of the seed on its positive support.
 A sweep makes five passes over the table: scale the rows, sum the columns,
 scale the columns, then sum the rows and the columns for the convergence
 check.  Those row sums are the ones the next sweep scales by, so they are
-not computed again.
+not computed again.  A row or column whose sum is zero gets a factor of
+exactly 1.0.  The sums, factors and deviations live in buffers allocated
+once per fit, so a sweep allocates no array.
 """
 
 from __future__ import annotations
@@ -91,11 +93,9 @@ def ipf_fit(
         raise IpfError("row target ids do not match seed area ids")
     if seed.category_ids != col_target.ids:
         raise IpfError("column target ids do not match seed category ids")
-    rt = np.asarray(row_target.values, dtype=float)
-    ct = np.asarray(col_target.values, dtype=float)
-    if np.any(rt < 0) or np.any(ct < 0):
-        raise IpfError("margin targets must be non-negative")
-    total_r, total_c = rt.sum(), ct.sum()
+    # MarginVector values are finite, non-negative and read-only.
+    rt, ct = row_target.values, col_target.values
+    total_r, total_c = np.add.reduce(rt), np.add.reduce(ct)
     if abs(total_r - total_c) > 1e-6 * max(total_r, total_c, 1.0):
         raise IpfError(
             f"margin totals disagree (rows {total_r!r}, columns {total_c!r}); "
@@ -106,37 +106,56 @@ def ipf_fit(
     if cfg.zero_mode == "epsilon":
         counts[counts == 0] = cfg.epsilon
 
-    # Mass cannot be created in a row/column with no seed support.
-    row_sums = counts.sum(axis=1)
+    n_rows = len(rt)
+    targets = np.concatenate((rt, ct))
+    sums, devs = np.empty_like(targets), np.empty_like(targets)
+    row_sums, col_sums = sums[:n_rows], sums[n_rows:]
+    row_dev, col_dev = devs[:n_rows], devs[n_rows:]
+
+    # Mass cannot be created in a row/column with no seed support.  Rows are
+    # checked before the columns are summed, so a column sum that overflows
+    # cannot warn ahead of a dead row.
+    np.add.reduce(counts, axis=1, out=row_sums)
     dead_rows = [seed.area_ids[i] for i in np.flatnonzero((row_sums == 0) & (rt > 0))]
     if dead_rows:
         raise IpfError(f"positive row target but all-zero seed row for: {dead_rows}")
-    col_sums = counts.sum(axis=0)
+    np.add.reduce(counts, axis=0, out=col_sums)
     dead_cols = [seed.category_ids[i] for i in np.flatnonzero((col_sums == 0) & (ct > 0))]
     if dead_cols:
         raise IpfError(f"positive column target but all-zero seed column for: {dead_cols}")
 
-    row_scale, col_scale = np.maximum(rt, 1.0), np.maximum(ct, 1.0)
+    scales = np.maximum(targets, 1.0)
+    row_factors, col_factors = np.empty_like(rt), np.empty_like(ct)
+    row_live, col_live = np.empty(rt.shape, bool), np.empty(ct.shape, bool)
+    row_factors_2d = row_factors[:, None]
     converged = False
-    iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        factors = np.divide(rt, row_sums, out=np.ones_like(rt), where=row_sums > 0)
-        counts *= factors[:, None]
-        col_sums = counts.sum(axis=0)
-        factors = np.divide(ct, col_sums, out=np.ones_like(ct), where=col_sums > 0)
-        counts *= factors[None, :]
-        row_sums = counts.sum(axis=1)
-        row_dev = np.abs(row_sums - rt) / row_scale
-        col_dev = np.abs(counts.sum(axis=0) - ct) / col_scale
-        dev = max(row_dev.max(), col_dev.max())
+        np.greater(row_sums, 0, out=row_live)
+        row_factors.fill(1.0)
+        np.divide(rt, row_sums, out=row_factors, where=row_live)
+        counts *= row_factors_2d
+        np.add.reduce(counts, axis=0, out=col_sums)
+        np.greater(col_sums, 0, out=col_live)
+        col_factors.fill(1.0)
+        np.divide(ct, col_sums, out=col_factors, where=col_live)
+        counts *= col_factors
+        np.add.reduce(counts, axis=1, out=row_sums)
+        np.add.reduce(counts, axis=0, out=col_sums)
+        np.subtract(sums, targets, out=devs)
+        np.abs(devs, out=devs)
+        np.divide(devs, scales, out=devs)
+        # Python's max, not one reduce over both: a NaN row deviation wins,
+        # a NaN column deviation loses to a row one.
+        row_max, col_max = np.maximum.reduce(row_dev), np.maximum.reduce(col_dev)
+        dev = max(row_max, col_max)
         if dev <= cfg.tolerance:
             converged = True
             break
 
-    if row_dev.max() >= col_dev.max():
-        worst = ("row", seed.area_ids[int(row_dev.argmax())], float(row_dev.max()))
+    if row_max >= col_max:
+        worst = ("row", seed.area_ids[int(row_dev.argmax())], float(row_max))
     else:
-        worst = ("column", seed.category_ids[int(col_dev.argmax())], float(col_dev.max()))
+        worst = ("column", seed.category_ids[int(col_dev.argmax())], float(col_max))
 
     fitted = Composition(
         seed.area_ids, seed.category_ids, counts, row_target.reference_time

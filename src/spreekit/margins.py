@@ -10,7 +10,7 @@ the strongest change).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -50,15 +50,21 @@ class ShareVector:
     hierarchy: AreaHierarchy
     reference_time: int = 0
     provenance: Provenance = "fixed-census"
+    # ``hierarchy.group_positions(small_ids)``, passed in only by the builders
+    # below, which have just computed it.  An InitVar, so that
+    # ``dataclasses.replace`` groups afresh.
+    _grouped: InitVar[dict[str, np.ndarray] | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _grouped: dict[str, np.ndarray] | None) -> None:
         object.__setattr__(self, "small_ids", _check_unique(self.small_ids, "small ids"))
         arr = np.array(self.shares, dtype=float)
         if arr.shape != (len(self.small_ids),):
             raise ValueError("shares shape does not match small ids")
         if not np.all((arr >= 0) & (arr <= 1 + SHARE_SUM_TOL)):
             raise ValueError("shares must lie in [0, 1]")
-        groups = self.hierarchy.group_positions(self.small_ids)
+        groups = _grouped
+        if groups is None:
+            groups = self.hierarchy.group_positions(self.small_ids)
         for large, pos in groups.items():
             if pos.size == 0:
                 continue
@@ -110,7 +116,8 @@ def _large_area_shares(
     """Each area's value over its large-area total; a large area whose
     ``source`` population is zero has no shares and raises."""
     shares = np.empty(len(ids))
-    for large, pos in h.group_positions(ids).items():
+    groups = h.group_positions(ids)
+    for large, pos in groups.items():
         if pos.size == 0:
             continue
         large_total = values[pos].sum()
@@ -119,7 +126,7 @@ def _large_area_shares(
                 f"large area {large!r} has zero {source} population; shares undefined"
             )
         shares[pos] = values[pos] / large_total
-    return ShareVector(ids, shares, h, reference_time, provenance)
+    return ShareVector(ids, shares, h, reference_time, provenance, _grouped=groups)
 
 
 def fixed_shares(census: Composition, h: AreaHierarchy) -> ShareVector:
@@ -216,7 +223,8 @@ def hybrid_shares(
         use_dynamic[fixed._groups[large]] = True  # type: ignore[attr-defined]
     shares = np.where(use_dynamic, dynamic.shares, fixed.shares)
     return ShareVector(
-        fixed.small_ids, shares, fixed.hierarchy, dynamic.reference_time, "hybrid"
+        fixed.small_ids, shares, fixed.hierarchy, dynamic.reference_time, "hybrid",
+        _grouped=fixed._groups,  # type: ignore[attr-defined]
     )
 
 

@@ -57,6 +57,11 @@ class UpdateResult:
     provenance: dict[str, object] = field(default_factory=dict)
 
 
+# Config digests by the repr of the hashed values: 1 and 1.0, or 0.0 and
+# -0.0, compare equal but JSON writes them differently.
+_digests: dict[str, str] = {}
+
+
 def _config_digest(req: UpdateRequest) -> str:
     cfg = {
         "tolerance": req.ipf_config.tolerance,
@@ -66,8 +71,14 @@ def _config_digest(req: UpdateRequest) -> str:
         "reconcile_policy": req.reconcile_policy,
         "shares_provenance": req.shares.provenance,
     }
-    blob = json.dumps(cfg, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    key = repr(list(cfg.values()))
+    digest = _digests.get(key)
+    if digest is None:
+        if len(_digests) >= 256:
+            _digests.clear()
+        blob = json.dumps(cfg, sort_keys=True).encode()
+        digest = _digests[key] = hashlib.sha256(blob).hexdigest()[:16]
+    return digest
 
 
 def spree_update(req: UpdateRequest) -> UpdateResult:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spreekit import Composition, IpfConfig, IpfError, MarginLevel, ipf_fit
@@ -250,16 +250,30 @@ def _ipf_fit_six_pass(seed, row_target, col_target, cfg=IpfConfig()):
     return IpfResult(fitted, iterations, converged, float(dev), worst, cfg)
 
 
+# Seed and target scales: subnormal, ordinary, and up to about 1e300.
+SEED_SCALES = (1e-320, 1.0, 1e294)
+TARGET_SCALES = (1e-318, 1.0, 1e296)
+
+
 @st.composite
 def any_fits(draw):
     """Sparse seeds with arbitrary targets of equal total: feasible or not,
     dead rows and columns, zero targets, a small or default sweep budget,
-    and both zero modes."""
-    seed = draw(seed_tables(decades=6.0))
+    and both zero modes.  Seeds and targets are scaled from subnormal to
+    about 1e300, and a zero column target may hold a row's whole mass, so
+    that the row empties during the fit."""
+    seed = draw(seed_tables(decades=6.0)) * draw(st.sampled_from(SEED_SCALES))
     rows, cols = seed.shape
     target = st.just(0.0) | st.floats(1e-3, 1e4)
-    rt = draw(hnp.arrays(float, rows, elements=target))
-    ct = draw(hnp.arrays(float, cols, elements=target))
+    target_scale = draw(st.sampled_from(TARGET_SCALES))
+    rt = draw(hnp.arrays(float, rows, elements=target)) * target_scale
+    ct = draw(hnp.arrays(float, cols, elements=target)) * target_scale
+    if cols > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        mass = seed[i].max()
+        seed[i] = 0.0
+        seed[i, j] = mass if mass > 0 else 1.0
+        ct[j] = 0.0
     if rt.sum() > 0 and ct.sum() > 0:
         ct = ct * (rt.sum() / ct.sum())
     elif rt.sum() != ct.sum():
@@ -280,17 +294,28 @@ def any_fits(draw):
 
 
 def _outcome(fit, *args):
+    """The fit's result, or the type and message of what it raised, such as
+    an ``IpfError`` or a numpy overflow ``RuntimeWarning``, which the test
+    settings raise as an error."""
     try:
         return fit(*args)
-    except IpfError as e:
-        return str(e)
+    except Exception as e:
+        return type(e), str(e)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(any_fits())
+# Row a1's mass sits in column c2, whose target is zero: the row empties in
+# the first sweep, and later sweeps scale its zero sum, unconverged.
+@example((
+    make_composition([[0.0, 4.0], [3.0, 5.0]]),
+    make_margin([2.0, 6.0], MarginLevel.SMALL_AREA, "a"),
+    make_margin([8.0, 0.0], MarginLevel.CATEGORY, "c"),
+    IpfConfig(max_iterations=7),
+))
 def test_kernel_matches_six_pass_oracle(problem):
     got, want = _outcome(ipf_fit, *problem), _outcome(_ipf_fit_six_pass, *problem)
-    if isinstance(want, str):
+    if isinstance(want, tuple):
         assert got == want
         return
     assert got.fitted.counts.view(np.uint64).tolist() == want.fitted.counts.view(np.uint64).tolist()
@@ -303,8 +328,38 @@ def test_kernel_matches_six_pass_oracle(problem):
 def test_dead_row_and_column_messages_match_oracle():
     rows = make_margin([2.0, 2.0, 0.0], MarginLevel.SMALL_AREA, "a")
     cols = make_margin([2.0, 2.0], MarginLevel.CATEGORY, "c")
-    for counts in ([[0, 0], [1, 1], [0, 0]], [[0, 0], [0, 0], [1, 1]], [[0, 1], [0, 1], [0, 1]]):
+    # The last seed's first column sums past the float range: the dead row
+    # is still reported, before that sum can warn.
+    for counts in (
+        [[0, 0], [1, 1], [0, 0]],
+        [[0, 0], [0, 0], [1, 1]],
+        [[0, 1], [0, 1], [0, 1]],
+        [[0, 0], [1e308, 1], [1e308, 1]],
+    ):
         seed = make_composition(counts)
         want = _outcome(_ipf_fit_six_pass, seed, rows, cols)
-        assert want.startswith("positive")
+        assert want[0] is IpfError and want[1].startswith("positive")
         assert _outcome(ipf_fit, seed, rows, cols) == want
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tolerance": 0.0}, "tolerance must be > 0"),
+        ({"tolerance": -1e-8}, "tolerance must be > 0"),
+        ({"tolerance": float("nan")}, "tolerance must be > 0"),
+        ({"max_iterations": 0}, "max_iterations must be >= 1"),
+        ({"zero_mode": "drop"}, "unknown zero_mode 'drop'"),
+        ({"zero_mode": "epsilon", "epsilon": 0.0}, "epsilon must be > 0"),
+        ({"zero_mode": "epsilon", "epsilon": float("nan")}, "epsilon must be > 0"),
+    ],
+)
+def test_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IpfConfig(**kwargs)
+
+
+def test_converged_result_above_tolerance_is_rejected():
+    seed, _, _, res = fit_random(np.random.default_rng(3), 2, 2)
+    with pytest.raises(ValueError, match="^converged result above tolerance$"):
+        IpfResult(res.fitted, 1, True, 2 * res.config.tolerance, res.worst_margin, res.config)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,16 @@ def test_share_vector_validates_per_region_sums():
     # NaN passes neither bound; it used to slip through both checks.
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ShareVector(("a1", "a2"), np.array([np.nan, 1.0]), h)
+
+
+def test_replaced_share_vector_groups_its_own_hierarchy():
+    # A built vector carries its builder's groups; a copy under another
+    # hierarchy must check its sums against that hierarchy's groups.
+    census = make_composition([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
+    shares = fixed_shares(census, two_region_hierarchy(4))
+    crossed = AreaHierarchy.from_pairs([("a1", "g1"), ("a3", "g1"), ("a2", "g2"), ("a4", "g2")])
+    with pytest.raises(ValueError, match=r"shares in large area 'g1' sum to .*0\.75"):
+        replace(shares, hierarchy=crossed)
 
 
 def test_zero_region_population_is_an_error():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spreekit import (
+    AreaHierarchy,
     Composition,
     MarginLevel,
     MarginVector,
@@ -770,6 +771,25 @@ def test_stacks_hold_what_the_budget_counts():
         tracemalloc.stop()
     assert peak <= 1.5 * counted
     assert same_bits(got.metrics["hybrid"].cell_rmse, want.metrics["hybrid"].cell_rmse)
+
+
+@pytest.mark.parametrize("rounds", [3, 500])
+def test_share_vectors_reuse_their_builders_groups(rounds, monkeypatch):
+    """On the shipped shock scenario the run groups its areas once for itself,
+    once per round for the fixed shares and once per aux pool entry it uses
+    for dynamic shares.  The share vectors those builders and the hybrid
+    builder make group nothing again (at 500 rounds: 701 calls, where one
+    more per share vector made 1901)."""
+    plan = build_scenario(migration_shock_config(replicates=rounds))
+    group_positions, calls = AreaHierarchy.group_positions, []
+
+    def counted(self, area_ids):
+        calls.append(len(area_ids))
+        return group_positions(self, area_ids)
+
+    monkeypatch.setattr(AreaHierarchy, "group_positions", counted)
+    run_simulation(plan)
+    assert len(calls) == 1 + rounds + min(rounds, len(plan.aux_pool))
 
 
 def test_partly_failed_strategies_match_stacked_rounds(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from spreekit import (
     row_margins,
     spree_update,
 )
+from spreekit.margins import ShareVector
+from spreekit.update import _config_digest
 
 from conftest import make_composition, random_positive_table, two_region_hierarchy
 
@@ -161,6 +165,35 @@ def test_provenance_fields():
     assert spree_update(req).provenance["config_digest"] == prov["config_digest"]
     other = spree_update(self_request(census, h))
     assert other.provenance["config_digest"] != prov["config_digest"]
+
+
+def test_config_digest_pins_its_six_fields():
+    census = make_composition([[10.0, 10.0], [10.0, 10.0]])
+    h = two_region_hierarchy(2)
+    req = self_request(census, h)
+    assert _config_digest(req) == "6c12bc72c84efb75"
+    equal = IpfConfig()
+    assert equal == req.ipf_config and equal is not req.ipf_config
+    assert _config_digest(replace(req, ipf_config=equal)) == "6c12bc72c84efb75"
+    changed = [
+        replace(req, ipf_config=IpfConfig(tolerance=1e-6)),
+        replace(req, ipf_config=IpfConfig(max_iterations=50)),
+        replace(req, ipf_config=IpfConfig(zero_mode="epsilon")),
+        replace(req, ipf_config=IpfConfig(epsilon=0.25)),
+        replace(req, reconcile_policy="scale-row-to-col"),
+        replace(req, shares=ShareVector(census.area_ids, req.shares.shares, h,
+                                        provenance="hybrid")),
+    ]
+    digests = {_config_digest(r) for r in changed}
+    assert len(digests) == 6 and "6c12bc72c84efb75" not in digests
+    # Equal values that JSON writes differently keep their own digests.
+    for cfg, digest in [
+        (IpfConfig(max_iterations=1000.0), "257e817bc2aeac68"),
+        (IpfConfig(epsilon=-0.0), "35f187eb36daf317"),
+        (IpfConfig(epsilon=0.0), "61edd2dba011b9bb"),
+    ]:
+        assert _config_digest(replace(req, ipf_config=cfg)) == digest
+    assert _config_digest(req) == "6c12bc72c84efb75"
 
 
 def test_updates_always_run_from_census_seed():
