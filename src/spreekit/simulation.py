@@ -84,22 +84,23 @@ def summary_row(values: np.ndarray) -> np.ndarray:
     return np.array([qs[0], qs[1], qs[2], values.mean(), qs[3], qs[4]])
 
 
-def relative_bias(estimates: Sequence[float], truths: Sequence[float]) -> float:
-    """mean(est - truth) / mean(truth); NaN when the mean truth is zero."""
+def _series(estimates: Sequence[float], truths: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Both sequences as float arrays, checked to be equal-length, 1-D and non-empty."""
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truths, dtype=float)
     if est.shape != tru.shape or est.ndim != 1 or est.size == 0:
         raise ValueError("estimates and truths must be equal-length 1-D sequences")
-    return float(_nd_bias(est, tru))
+    return est, tru
+
+
+def relative_bias(estimates: Sequence[float], truths: Sequence[float]) -> float:
+    """mean(est - truth) / mean(truth); NaN when the mean truth is zero."""
+    return float(_nd_bias(*_series(estimates, truths)))
 
 
 def relative_rmse(estimates: Sequence[float], truths: Sequence[float]) -> float:
     """sqrt(mean((est - truth)^2)) / mean(truth); NaN when the mean truth is zero."""
-    est = np.asarray(estimates, dtype=float)
-    tru = np.asarray(truths, dtype=float)
-    if est.shape != tru.shape or est.ndim != 1 or est.size == 0:
-        raise ValueError("estimates and truths must be equal-length 1-D sequences")
-    return float(_nd_rmse(est, tru))
+    return float(_nd_rmse(*_series(estimates, truths)))
 
 
 def quartile_grouping(change_scores: Sequence[float]) -> np.ndarray:
@@ -108,20 +109,17 @@ def quartile_grouping(change_scores: Sequence[float]) -> np.ndarray:
     Areas are ranked by ascending absolute change, ties broken by position,
     and split into four groups whose sizes differ by at most one; the
     earlier groups absorb the remainder, so 103 areas split 26/26/26/25.
+    A NaN score ranks after every number, infinities included, so it lands
+    in the highest groups.
     """
     scores = np.abs(np.asarray(change_scores, dtype=float))
     n = len(scores)
     if n < 4:
         raise ValueError("quartile grouping needs at least 4 areas")
-    order = sorted(range(n), key=lambda i: (scores[i], i))
     base, rem = divmod(n, 4)
-    sizes = [base + 1 if q < rem else base for q in range(4)]
+    sizes = [base + (q < rem) for q in range(4)]
     labels = np.empty(n, dtype=int)
-    start = 0
-    for q, size in enumerate(sizes):
-        for i in order[start : start + size]:
-            labels[i] = q
-        start += size
+    labels[np.argsort(scores, kind="stable")] = np.repeat(np.arange(4), sizes)
     return labels
 
 
@@ -291,6 +289,15 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r
 
 
+def _win_counts(share_bias: dict[str, np.ndarray]) -> dict[str, int]:
+    """Areas won per strategy: the least absolute share bias, the first
+    strategy on a tie; NaN never wins, and an all-NaN area counts for none."""
+    abs_bias = np.abs(list(share_bias.values()))
+    best = np.argsort(abs_bias, axis=0, kind="stable")[0]
+    wins = np.bincount(best[~np.isnan(abs_bias).all(axis=0)], minlength=len(share_bias))
+    return dict(zip(share_bias, wins.tolist()))
+
+
 def quartile_means(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean of the non-NaN ``values`` in each quartile; NaN where there are none."""
     means = np.full(4, np.nan)
@@ -451,20 +458,7 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
                 corr[q] = per_rep.mean()
         correlations[strategy] = corr
 
-    win_counts = {s: 0 for s in plan.strategies}
-    abs_share = {
-        s: np.abs(metrics[s].share_bias) for s in plan.strategies
-    }
-    for a in range(len(area_ids)):
-        best = None
-        for s in plan.strategies:
-            v = abs_share[s][a]
-            if np.isnan(v):
-                continue
-            if best is None or v < abs_share[best][a]:
-                best = s
-        if best is not None:
-            win_counts[best] += 1
+    win_counts = _win_counts({s: m.share_bias for s, m in metrics.items()})
 
     return SimulationReport(
         area_ids,

@@ -5,10 +5,16 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spreekit import AreaHierarchy, Composition, Households, MarginLevel, MarginVector
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+# Every property draws the same examples on every run: derandomised, with no
+# example database and no per-example deadline.
+settings.register_profile("spreekit", derandomize=True, database=None, deadline=None)
+settings.load_profile("spreekit")
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import tracemalloc
 import warnings
@@ -741,3 +742,73 @@ def test_replicate_b_does_not_depend_on_the_replicate_count(monkeypatch, run):
     assert len(short) == prefix < len(long)
     for got, want in zip(long[:prefix], short):
         assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "run, point_fits",
+    [(_bootstrap_fits, 1), (_simulation_fits, 0)],
+    ids=["bootstrap", "simulation"],
+)
+def test_replicate_b_does_not_depend_on_the_replicate_order(monkeypatch, run, point_fits):
+    """Handed the streams in reverse, replicate b gets stream B-1-b and then
+    fits exactly what replicate B-1-b fits in the plain run."""
+    replicates, stream = 5, rngmod.stream
+    recorded = []
+    for reverse in (False, True):
+        with monkeypatch.context() as m:
+            if reverse:
+                m.setattr(rngmod, "stream", lambda seed, b: stream(seed, replicates - 1 - b))
+            calls = _record_fits(m)
+            run(replicates)
+            recorded.append(calls)
+    plain, reversed_ = recorded
+    assert len(plain) == len(reversed_) > point_fits
+    per_replicate, rest = divmod(len(plain) - point_fits, replicates)
+    assert per_replicate > 0 and rest == 0
+    # The point fit draws nothing; replicate b's fits follow it in order.
+    order = [*range(point_fits)] + [
+        point_fits + (replicates - 1 - b) * per_replicate + k
+        for b in range(replicates)
+        for k in range(per_replicate)
+    ]
+    for got, i in zip(reversed_, order):
+        assert all(same_bits(g, w) for g, w in zip(got, plain[i]))
+
+
+def _design(value=(1.0, 3.0), category=("poor", "non-poor")):
+    n = len(value)
+    return SurveyDesign(
+        np.array(["p1"] * n, dtype=object), np.array(["s1"] * n, dtype=object),
+        np.ones(n), np.array(category, dtype=object), np.array(value),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BootstrapConfig(aux_perturb_cv=-0.01), "aux_perturb_cv must be >= 0"),
+        (lambda: _design((), ()), "empty survey design"),
+        (lambda: _design((1.0, -1.0)), "design values must be finite and non-negative"),
+        (lambda: _design((1.0, np.nan)), "design values must be finite and non-negative"),
+        (lambda: _design((1.0, np.inf)), "design values must be finite and non-negative"),
+    ],
+    ids=["negative-cv", "empty-design", "negative-value", "nan-value", "inf-value"],
+)
+def test_bad_config_and_design_values_are_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_design_categories_must_match_the_composition():
+    design = _design(category=("non-poor", "poor"))
+    with pytest.raises(
+        BootstrapError,
+        match="^survey design categories do not match the composition categories$",
+    ):
+        bootstrap_mse(mini_request(), design, None, BootstrapConfig(replicates=2))
+
+
+def test_aux_pool_ids_must_match_the_seed_areas():
+    pool = [MarginVector(("a1", "a2", "a3", "a5"), np.ones(4), MarginLevel.SMALL_AREA)]
+    with pytest.raises(BootstrapError, match="^auxiliary pool ids do not match the seed areas$"):
+        bootstrap_mse(mini_request(), mini_design(), pool, BootstrapConfig(replicates=2))

@@ -257,23 +257,33 @@ TARGET_SCALES = (1e-318, 1.0, 1e296)
 
 @st.composite
 def any_fits(draw):
-    """Sparse seeds with arbitrary targets of equal total: feasible or not,
-    dead rows and columns, zero targets, a small or default sweep budget,
-    and both zero modes.  Seeds and targets are scaled from subnormal to
-    about 1e300, and a zero column target may hold a row's whole mass, so
-    that the row empties during the fit."""
-    seed = draw(seed_tables(decades=6.0)) * draw(st.sampled_from(SEED_SCALES))
+    """Sparse or dense seeds with arbitrary targets of equal total: feasible
+    or not, dead rows and columns, zero targets, a small or default sweep
+    budget, and both zero modes.  Seeds and targets are scaled from
+    subnormal to about 1e300, and a zero column target may hold a row's
+    whole mass, so that the row empties during the fit."""
+    seed = draw(seed_tables(decades=6.0, sparse=draw(st.booleans())))
+    seed = seed * draw(st.sampled_from(SEED_SCALES))
     rows, cols = seed.shape
-    target = st.just(0.0) | st.floats(1e-3, 1e4)
     target_scale = draw(st.sampled_from(TARGET_SCALES))
-    rt = draw(hnp.arrays(float, rows, elements=target)) * target_scale
-    ct = draw(hnp.arrays(float, cols, elements=target)) * target_scale
-    if cols > 1 and draw(st.booleans()):
+    # About one target in eight is zero, and most problems give the empty
+    # rows and columns of their seed zero targets, so that most fits move mass.
+    zero = st.sampled_from([False] * 7 + [True])
+
+    def targets(n):
+        drawn = draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e4))) * target_scale
+        return np.where(draw(hnp.arrays(bool, n, elements=zero)), 0.0, drawn)
+
+    rt, ct = targets(rows), targets(cols)
+    if cols > 1 and draw(st.sampled_from([False] * 3 + [True])):
         i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
         mass = seed[i].max()
         seed[i] = 0.0
         seed[i, j] = mass if mass > 0 else 1.0
         ct[j] = 0.0
+    if draw(st.sampled_from([True] * 3 + [False])):
+        rt[seed.sum(axis=1) == 0] = 0.0
+        ct[seed.sum(axis=0) == 0] = 0.0
     if rt.sum() > 0 and ct.sum() > 0:
         ct = ct * (rt.sum() / ct.sum())
     elif rt.sum() != ct.sum():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -28,7 +29,7 @@ from spreekit import bootstrap, io as sio, rng as rngmod, simulation
 from spreekit.scenario import ScenarioConfig
 from spreekit.simulation import STRATEGIES, StrategyMetrics, _pearson_rows, quartile_means
 
-from conftest import FIXTURES, make_composition, same_bits, two_region_hierarchy
+from conftest import FIXTURES, make_composition, make_margin, same_bits, two_region_hierarchy
 
 
 class TestMetricFormulas:
@@ -302,6 +303,83 @@ class TestQuartileGrouping:
         with pytest.raises(ValueError, match="at least 4"):
             quartile_grouping([1.0, 2.0, 3.0])
 
+    def test_nan_ranks_last(self):
+        labels = quartile_grouping([0.3, np.nan, 0.1, 0.2, np.nan, 0.05, 0.4, 0.0])
+        assert labels.tolist() == [2, 3, 1, 1, 3, 0, 2, 0]
+
+
+def quartile_grouping_loop(change_scores):
+    """Oracle: ``quartile_grouping`` as it was, a sort of the positions by
+    (absolute score, position) and a loop over each group's areas.  NaN
+    ranks after every number: the old key gave it no defined place."""
+    scores = np.abs(np.asarray(change_scores, dtype=float))
+    n = len(scores)
+    order = sorted(
+        range(n), key=lambda i: (1, 0.0, i) if np.isnan(scores[i]) else (0, scores[i], i)
+    )
+    base, rem = divmod(n, 4)
+    sizes = [base + 1 if q < rem else base for q in range(4)]
+    labels = np.empty(n, dtype=int)
+    start = 0
+    for q, size in enumerate(sizes):
+        for i in order[start : start + size]:
+            labels[i] = q
+        start += size
+    return labels
+
+
+def win_counts_loop(share_bias):
+    """Oracle: the per-area loop ``run_simulation`` counted wins with."""
+    win_counts = {s: 0 for s in share_bias}
+    abs_share = {s: np.abs(v) for s, v in share_bias.items()}
+    for a in range(len(next(iter(abs_share.values())))):
+        best = None
+        for s in share_bias:
+            v = abs_share[s][a]
+            if np.isnan(v):
+                continue
+            if best is None or v < abs_share[best][a]:
+                best = s
+        if best is not None:
+            win_counts[best] += 1
+    return win_counts
+
+
+@st.composite
+def ranked_scores(draw):
+    """(S, A) scores for 1-3 strategies over 4-200 areas: ordinary values,
+    ties, signed zeros, +-inf and NaN, with whole areas NaN."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(4, 200)))
+    scores = g.normal(size=shape) * 10.0 ** draw(st.integers(-5, 5))
+    if draw(st.booleans()):
+        scores = np.round(scores)
+    special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+    mask = g.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    scores[mask] = g.choice(special, size=shape)[mask]
+    scores[:, g.random(shape[1]) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan
+    return scores
+
+
+@settings(max_examples=300)
+@given(ranked_scores())
+def test_quartile_grouping_matches_old_loop(scores):
+    for row in scores:
+        got = quartile_grouping(row)
+        assert got.dtype == np.dtype(int)
+        assert got.tolist() == quartile_grouping_loop(row).tolist()
+
+
+@settings(max_examples=300)
+@given(ranked_scores())
+@example(np.array([[np.nan, 1.0, np.inf, np.nan], [np.nan, np.nan, np.nan, 2.0]]))
+def test_win_counts_match_old_loop(scores):
+    share_bias = dict(zip(STRATEGIES, scores))
+    got = simulation._win_counts(share_bias)
+    want = win_counts_loop(share_bias)
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is int for v in got.values())
+
 
 class TestReplicateCensus:
     def test_zero_rows_stay_zero(self):
@@ -478,6 +556,33 @@ class TestRunSimulation:
                 replicates=0, seed=0, truth_t0=truth, truth_t=truth,
                 hierarchy=h, large_totals_t=totals, strategies=("fixed",),
             )
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"truth_t": make_composition(np.ones((4, 2)))},
+                "truth compositions must share area and category ids",
+            ),
+            (
+                {
+                    "truth_t": Composition(
+                        ("a1", "a2", "a3", "a5"), ("poor", "non-poor"), np.ones((4, 2))
+                    )
+                },
+                "truth compositions must share area and category ids",
+            ),
+            ({"strategies": ()}, "at least one strategy required"),
+            (
+                {"aux_pool": (make_margin(np.ones(4), MarginLevel.SMALL_AREA, "b"),)},
+                "aux_pool ids must match the truth area ids",
+            ),
+        ],
+        ids=["categories", "areas", "no-strategy", "aux-pool-ids"],
+    )
+    def test_plan_messages(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            deterministic_plan(**overrides)
 
     def test_failed_share_builds_are_recorded_every_round(self, no_census_redraw):
         # Shares are built once per round or per pool entry; a failed build
