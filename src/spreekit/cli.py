@@ -69,7 +69,7 @@ from spreekit.margins import (
     hybrid_shares,
     select_by_change,
 )
-from spreekit.mpi import MpiProfile, MpiResult, compute_mpi, tabulate_poverty
+from spreekit.mpi import MpiProfile, MpiResult, _subgroup_mpi, compute_mpi, tabulate_poverty
 from spreekit.simulation import (
     QUARTILE_NAMES,
     STRATEGIES,
@@ -405,11 +405,8 @@ def cmd_mpi(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         "contributions": result.contributions,
     }
     if ns.by_subgroup:
-        groups = np.array(households.subgroup_ids, dtype=object)
-        payload["subgroups"] = {
-            group: _mpi_summary(compute_mpi(households.subset(groups == group), profile))
-            for group in sorted(set(households.subgroup_ids))
-        }
+        results = _subgroup_mpi(households, profile).items()
+        payload["subgroups"] = {group: _mpi_summary(result) for group, result in results}
     # Every output is computed before the first is yielded, so a failed run writes nothing.
     outputs = [("mpi.json", _json_text(payload))]
     if ns.hierarchy:

@@ -245,9 +245,11 @@ def aggregate_pixels(
         owner[candidates[hit]] = pos
     assignment = np.empty_like(owner)
     assignment[by_lat] = owner
-    sums = np.zeros(len(ordered))
-    for pos in range(len(ordered)):
-        sums[pos] = px.value[assignment == pos].sum()
+    # Each area's pixels in row order, as one slice: the same sum as the masked one.
+    by_area = np.argsort(assignment, kind="stable")
+    bounds = np.searchsorted(assignment[by_area], np.arange(len(ordered) + 1)).tolist()
+    values = px.value[by_area]
+    sums = np.array([values[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])], dtype=float)
     unassigned_mask = assignment < 0
     unassigned_mass = float(px.value[unassigned_mask].sum())
     total = float(px.value.sum())

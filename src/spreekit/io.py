@@ -8,7 +8,8 @@ first bad line in file order raises :class:`IngestError`
 line; in a line with several faults, the check the loader states first),
 and no later block is read; a fault of the built object as a whole names
 the file only.  Fields may be CSV-quoted and are stripped of surrounding
-whitespace.
+whitespace.  Numbers and flags are converted from the raw text; a stripped
+copy is made only when the raw text is rejected.
 
 Memory: a load holds the object it returns, one block of rows and, where
 keys must be unique, the keys read so far; the object's own constructor
@@ -52,7 +53,6 @@ import os
 from array import array
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -216,8 +216,7 @@ class _Columns:
         if widths.count(width) != len(rows):
             i = next(i for i, w in enumerate(widths) if w != width)
             self.flag(i, f"expected {width} columns, got {widths[i]}")
-        rows = rows[: self.n]
-        self._raw = [tuple(map(itemgetter(k), rows)) for k in range(width)]
+        self._raw = list(zip(*rows[: self.n])) or [()] * width
 
     def flag(self, i: int, message: str) -> None:
         """Record a fault at data row ``i`` unless an earlier one is known."""
@@ -278,10 +277,16 @@ class _Columns:
                 self.flag(i, message(raw))
                 return tuple(map(convert, column[:i]))
 
-    def floats(self, column: Sequence[str], field: str) -> np.ndarray:
-        values = self.parse(column, float, lambda raw: f"{field} is not a number: {raw!r}")
-        values = np.array(values, dtype=float)
-        self.check(~np.isfinite(values), lambda i: f"{field} must be finite, got {column[i]!r}")
+    def floats(self, k: int, field: str) -> np.ndarray:
+        """Column ``k`` as finite floats."""
+        raw = self.raw(k)
+        try:
+            values = np.fromiter(map(float, raw), float, len(raw))
+        except ValueError:
+            parsed = self.parse(self.text(k), float, lambda v: f"{field} is not a number: {v!r}")
+            values = np.array(parsed, dtype=float)
+        nonfinite = ~np.isfinite(values)
+        self.check(nonfinite, lambda i: f"{field} must be finite, got {raw[i].strip()!r}")
         return values
 
     def done(self) -> None:
@@ -327,10 +332,12 @@ def load_composition(path: str | Path, reference_time: int = 0) -> Composition:
     categories: dict[str, int] = {}
     row, col, counts = array("q"), array("q"), array("d")
     for t in _columns(path, _COMPOSITION_HEADER, "composition"):
-        area, category, raw = t.text(0), t.text(1), t.text(2)
+        area, category, raw = t.text(0), t.text(1), t.raw(2)
         t.nonempty("empty area_id or category_id", area, category)
-        count = t.floats(raw, "count")
-        t.check(count < 0, lambda i: f"negative count {raw[i]} for ({area[i]},{category[i]})")
+        count = t.floats(2, "count")
+        t.check(
+            count < 0, lambda i: f"negative count {raw[i].strip()} for ({area[i]},{category[i]})"
+        )
         t.unique(
             list(zip(area, category)),
             seen,
@@ -360,11 +367,11 @@ def load_margin(
     seen: dict[str, None] = {}
     values = array("d")
     for t in _columns(path, _MARGIN_HEADER):
-        ids, raw = t.text(0), t.text(1)
+        ids, raw = t.text(0), t.raw(1)
         t.nonempty("empty id", ids)
         t.unique(ids, seen, lambda i, first: f"duplicate id {ids[i]!r}, first at line {first}")
-        value = t.floats(raw, "value")
-        t.check(value < 0, lambda i: f"negative value {raw[i]} for {ids[i]!r}")
+        value = t.floats(1, "value")
+        t.check(value < 0, lambda i: f"negative value {raw[i].strip()} for {ids[i]!r}")
         t.done()
         values.frombytes(value.tobytes())
     # Every row added one key, so ``seen`` holds the ids in file order.
@@ -440,15 +447,17 @@ def load_households(path: str | Path, profile: MpiProfile | None = None) -> Hous
             hid, seen, lambda i, first: f"duplicate household_id {hid[i]!r}, first at line {first}"
         )
         size = t.parse(t.raw(3), int, lambda raw: f"size is not an integer: {raw!r}")
-        weight = t.floats(t.text(4), "weight")
-        flag_columns = [
-            t.parse(
-                t.text(k),
-                _FLAGS.__getitem__,
-                lambda raw: f"ind_{indicator} must be 0, 1, or empty, got {raw!r}",
-            )
-            for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER))
-        ]
+        weight = t.floats(4, "weight")
+        flag_columns = []
+        for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER)):
+            try:
+                flag_columns.append(bytes(map(_FLAGS.get, t.raw(k))))
+            except TypeError:  # a field that is not a flag code as it stands
+                flag_columns.append(bytes(t.parse(
+                    t.text(k),
+                    _FLAGS.__getitem__,
+                    lambda raw: f"ind_{indicator} must be 0, 1, or empty, got {raw!r}",
+                )))
         t.check([s < 1 for s in size], lambda i: f"household size must be >= 1, got {size[i]}")
         t.check(~(weight > 0), lambda i: f"weight must be positive, got {float(weight[i])}")
         t.done()
@@ -456,7 +465,7 @@ def load_households(path: str | Path, profile: MpiProfile | None = None) -> Hous
         subgroups.extend(subgroup)
         sizes.extend(size)
         weights.frombytes(weight.tobytes())
-        block_codes = np.array(flag_columns, dtype=np.int8).reshape(len(indicators), t.n)
+        block_codes = np.frombuffer(b"".join(flag_columns), np.int8).reshape(len(indicators), t.n)
         codes.frombytes(block_codes.T.tobytes())
     household_ids = tuple(seen)
     flag_codes = np.frombuffer(codes, dtype=np.int8).reshape(len(seen), len(indicators))
@@ -546,7 +555,7 @@ def _load_by_year(
         t.nonempty(f"empty {header[0]}", ident)
         year = t.parse(t.raw(1), int, lambda raw: f"year is not an integer: {raw!r}")
         raw = t.raw(2)
-        value = t.floats(t.text(2), header[2])
+        value = t.floats(2, header[2])
         t.check(value < 0, lambda i: f"negative {header[2]} {raw[i]!r}")
         t.unique(
             list(zip(year, ident)),
@@ -586,10 +595,10 @@ def load_pixels(path: str | Path) -> PixelTable:
     path = Path(path)
     lon, lat, value = array("d"), array("d"), array("d")
     for t in _columns(path, _PIXELS_HEADER):
-        x = t.floats(t.text(0), "lon")
-        y = t.floats(t.text(1), "lat")
+        x = t.floats(0, "lon")
+        y = t.floats(1, "lat")
         raw = t.raw(2)
-        v = t.floats(t.text(2), "value")
+        v = t.floats(2, "value")
         t.check(v < 0, lambda i: f"negative value {raw[i]!r}")
         t.done()
         for column, block in ((lon, x), (lat, y), (value, v)):
@@ -611,8 +620,8 @@ def load_design(path: str | Path) -> SurveyDesign:
     for t in _columns(path, _DESIGN_HEADER, "survey design"):
         ids = t.ids(0, pool), t.ids(1, pool), t.ids(3, pool)
         t.nonempty("empty psu_id, stratum_id, or category_id", *ids)
-        w = t.floats(t.text(2), "weight")
-        v = t.floats(t.text(4), "value")
+        w = t.floats(2, "weight")
+        v = t.floats(4, "value")
         t.done()
         for column, block in zip((psu, stratum, category), ids):
             column.extend(block)

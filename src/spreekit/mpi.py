@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -273,6 +273,11 @@ def compute_mpi(households: Households, p: MpiProfile) -> MpiResult:
     Each household counts with size * weight, making the headcount the
     share of *people* in poor households.
     """
+    return _measures(p, *_checked_scores(households, p))
+
+
+def _checked_scores(households: Households, p: MpiProfile) -> tuple[np.ndarray, ...]:
+    """``compute_mpi``'s checks, then its per-household columns for ``_measures``."""
     if not len(households):
         raise ValueError("no household records supplied")
     flags, score, denom, poor = _score(households, p)
@@ -281,8 +286,13 @@ def compute_mpi(households: Households, p: MpiProfile) -> MpiResult:
         if rejected.any():
             is_poor(deprivation_score(households, int(np.argmax(rejected)), p), p)
     score_f = (score / denom).astype(float, copy=False)
-    base = households.size * households.weight
+    return households.size * households.weight, flags, score_f, poor
 
+
+def _measures(
+    p: MpiProfile, base: np.ndarray, flags: np.ndarray, score_f: np.ndarray, poor: np.ndarray
+) -> MpiResult:
+    """The measures over rows of people, profile-order flags, float scores, poor."""
     total = float(base.sum())
     poor_base = float(base[poor].sum())
     headcount = poor_base / total
@@ -305,6 +315,15 @@ def compute_mpi(households: Households, p: MpiProfile) -> MpiResult:
     return MpiResult(headcount, intensity, mpi, indicator_headcounts, contributions, total)
 
 
+def _subgroup_mpi(households: Households, p: MpiProfile) -> dict[str, MpiResult]:
+    """``compute_mpi`` of each subgroup, in id order, from one scoring: a
+    subgroup's rows, in row order, give the bits of its subset's result."""
+    scored = _checked_scores(households, p)
+    groups = np.array(households.subgroup_ids, dtype=object)
+    masks = {group: groups == group for group in sorted(set(households.subgroup_ids))}
+    return {group: _measures(p, *(c[mask] for c in scored)) for group, mask in masks.items()}
+
+
 def tabulate_poverty(households: Households, p: MpiProfile, h: AreaHierarchy) -> Composition:
     """Person counts of poor vs non-poor per small area, ready as a seed.
 
@@ -315,7 +334,7 @@ def tabulate_poverty(households: Households, p: MpiProfile, h: AreaHierarchy) ->
     """
     area_ids = h.small_ids
     pos = {a: i for i, a in enumerate(area_ids)}
-    rows = np.fromiter((pos.get(a, -1) for a in households.area_ids), np.intp, len(households))
+    rows = np.fromiter(map(pos.get, households.area_ids, repeat(-1)), np.intp, len(households))
     _, score, denom, poor = _score(households, p)
     rejected = (rows < 0) | households.missing.any(axis=1) | (score > denom)
     if rejected.any():

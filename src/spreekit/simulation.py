@@ -179,6 +179,9 @@ class SimulationPlan:
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown strategies: {unknown}")
+        repeated = [s for s in dict.fromkeys(self.strategies) if self.strategies.count(s) > 1]
+        if repeated:
+            raise ValueError(f"repeated strategies: {repeated}")
         needs_aux = {"dynamic", "hybrid"} & set(self.strategies)
         if needs_aux and not self.aux_pool:
             raise ValueError("dynamic/hybrid strategies need a non-empty aux_pool")

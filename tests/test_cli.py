@@ -11,19 +11,26 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import shutil
+import tempfile
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spreekit import AreaHierarchy, Composition
-from spreekit import bootstrap, simulation
+from spreekit import AreaHierarchy, Composition, Households, MpiProfile, compute_mpi
+from spreekit import bootstrap, mpi, simulation
 from spreekit import io as sio
 from spreekit.cli import main
+from spreekit.mpi import MpiResult, _measures
 
 from conftest import FIXTURES
 
@@ -675,7 +682,115 @@ class TestMpi:
         }
 
 
+    def test_missing_flag_fails_before_any_subgroup(self, tmp_path):
+        rows = (FIXTURES / "households3.csv").read_text().splitlines()
+        rows[2] = "h2,a1,male,3,1.0,0,1,1,0,,0,0,0,0"
+        rows[3] = "h3,a2,female,2,1.0,0,0,0,1,1,1,0,0,"
+        (tmp_path / "households.csv").write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            "mpi", "--households", tmp_path / "households.csv", "--by-subgroup",
+            "--out", tmp_path / "out",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "household 'h2' has a missing flag for 'sanitation'; "
+                       "resolve missingness at ingestion before scoring",
+        }
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_subgroup_results_equal_compute_mpi_of_the_subset(self, data):
+        profile, households = data.draw(subgroup_tables())
+        measured: list[MpiResult] = []
+
+        def record(*args):
+            measured.append(_measures(*args))
+            return measured[-1]
+
+        with tempfile.TemporaryDirectory() as d:
+            sio.save_households(Path(d) / "households.csv", households)
+            sio.save_profile(Path(d) / "profile.json", profile)
+            with mock.patch.object(mpi, "_measures", record):
+                code, _, err = run_cli(
+                    "mpi", "--households", Path(d) / "households.csv",
+                    "--profile", Path(d) / "profile.json", "--by-subgroup", "--out", d,
+                )
+            assert (code, err) == (0, "")
+            payload = json.loads((Path(d) / "mpi.json").read_text())
+        groups = np.array(households.subgroup_ids, dtype=object)
+        names = sorted(set(households.subgroup_ids))
+        want = [compute_mpi(households.subset(groups == g), profile) for g in names]
+        assert list(payload["subgroups"]) == names
+        # The first result is the whole table's, the rest one per subgroup.
+        assert list(map(result_bits, measured[1:])) == list(map(result_bits, want))
+
+
+def result_bits(result: MpiResult) -> dict:
+    """Every field of ``result`` with each float as its 8 bytes."""
+    def bits(value):
+        if isinstance(value, dict):
+            return {k: bits(v) for k, v in value.items()}
+        return None if value is None else np.float64(value).tobytes()
+
+    return {f.name: bits(getattr(result, f.name)) for f in dataclasses.fields(result)}
+
+
+@st.composite
+def subgroup_tables(draw):
+    """A profile of 1-9 indicators (a profile has at least one) and 1-60
+    households in 1-5 subgroups, with non-integer weights and 0-9
+    deprivations each."""
+    k = draw(st.integers(1, 9))
+    parts = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    cutoff = Fraction(draw(st.integers(1, 9)), 9)
+    profile = MpiProfile(
+        tuple(f"i{j}" for j in range(k)), tuple(Fraction(a, sum(parts)) for a in parts), cutoff
+    )
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = [f"g{j}" for j in range(draw(st.integers(1, 5)))]
+    households = Households(
+        tuple(f"h{i}" for i in range(n)),
+        ("a1",) * n,
+        tuple(groups[j] for j in rng.integers(len(groups), size=n)),
+        rng.integers(1, 10, n),
+        rng.uniform(0.05, 3.0, n),
+        profile.indicators,
+        rng.random((n, k)) < rng.uniform(0.0, 1.0),
+        np.zeros((n, k), dtype=bool),
+    )
+    return profile, households
+
+
 class TestAggregate:
+    def test_golden_output_digests(self, tmp_path, monkeypatch):
+        # 3000 seeded pixels with non-integer values, some outside both
+        # areas, so every sum depends on its order.  Recorded while each
+        # area's sum was a masked sum over all pixels.
+        rng = np.random.default_rng(2025)
+        lon, lat = rng.uniform(-1.0, 11.0, 3000), rng.uniform(-0.5, 10.5, 3000)
+        values = rng.uniform(0.0, 1.0, 3000) * 10.0 ** rng.uniform(-3.0, 4.0, 3000)
+        (tmp_path / "pixels.csv").write_text("lon,lat,value\n" + "".join(
+            f"{x!r},{y!r},{v!r}\n" for x, y, v in zip(lon.tolist(), lat.tolist(), values.tolist())
+        ))
+        shutil.copy(FIXTURES / "polygons_vertical.geojson", tmp_path / "polygons.geojson")
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            "aggregate", "--pixels", "pixels.csv", "--polygons", "polygons.geojson",
+            "--out", "out",
+        )
+        assert code == 0
+        assert json.loads(err) == {"warning": "more than 5% of pixel mass unassigned"}
+        assert TestMpi.digests(tmp_path / "out") == {
+            "aggregation.json": "7fe05fd0f8815a5aaf308722f96796841652d7e3525e6d5127f9cdb77b232548",
+            "manifest.json": "2a34f0d86cf1b2b50332ee3c47f908b9ba08bfde0adf01f7f8c24bcc484c3010",
+            "margin.csv": "75d0dd4838952e2de27a1dfcb91f5131ea984c4269dabbb8d420671169e56e28",
+        }
+
     def test_directory_out(self, tmp_path):
         code, _, err = run_cli(
             "aggregate",
@@ -951,6 +1066,27 @@ class TestErrorsAndExitCodes:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {"error": "IngestError", "message": f"{path}: {message}"}
+
+    def test_repeated_strategy_in_a_plan_file_is_data_error(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_json({"strategies": ["fixed", "dynamic", "fixed"]})))
+        code, out, err = run_cli("validate", "--plan", path, "--out", tmp_path / "out")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "IngestError", "message": f"{path}: repeated strategies: ['fixed']",
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_strategy_in_a_scenario_plan_is_data_error(self, tmp_path):
+        path = tmp_path / "plan.json"
+        scenario = {"replicates": 2, "strategies": ["fixed", "fixed"]}
+        path.write_text(json.dumps({"scenario": scenario}))
+        code, out, err = run_cli("validate", "--plan", path, "--out", tmp_path / "out")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "repeated strategies: ['fixed']"}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
     def test_non_finite_quantile_cutoff_is_data_error(self, tmp_path, cutoff):

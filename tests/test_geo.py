@@ -243,6 +243,35 @@ class TestMatchesPerEdgeOracle:
         assert agg.margin.values.tobytes() == sums.tobytes()
 
 
+def masked_sums(values, assignment, n_areas):
+    """Each area's sum as one masked sum over all pixels, in row order."""
+    sums = np.zeros(n_areas)
+    for pos in range(n_areas):
+        sums[pos] = values[assignment == pos].sum()
+    return sums
+
+
+class TestAreaSums:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 12), st.integers(0, 3000), st.integers(0, 2**32 - 1))
+    def test_equal_the_masked_sums_bitwise(self, n_areas, n_pixels, seed):
+        # Unit squares two apart, so pixels between them stay unassigned;
+        # a square far from the pixels leaves its area empty.
+        rng = np.random.default_rng(seed)
+        far = rng.random(n_areas) < 0.3
+        polys = AreaPolygonSet({
+            f"a{k:02d}": ((closed([(x, 0), (x + 1, 0), (x + 1, 1), (x, 1)]),),)
+            for k, x in enumerate(np.where(far, 1000.0, 0.0) + 2.0 * np.arange(n_areas))
+        })
+        lon = rng.uniform(-0.5, 2.0 * n_areas, n_pixels)
+        lat = rng.uniform(-0.2, 1.2, n_pixels)
+        values = rng.uniform(0.0, 1.0, n_pixels) * 10.0 ** rng.uniform(-3.0, 6.0, n_pixels)
+        agg = aggregate_pixels(PixelTable(lon, lat, values), polys)
+        want = masked_sums(values, agg.area_index, n_areas)
+        assert agg.margin.values.tobytes() == want.tobytes()
+        assert agg.unassigned_count == int((agg.area_index < 0).sum())
+
+
 @st.composite
 def jittered_ring(draw, cx, cy, scale):
     """Star-shaped ring around (cx, cy) with jittered angles and radii;

@@ -76,7 +76,7 @@ LOADERS = {
 }
 
 HOUSEHOLD_FLAG_HEADERS = [(), ("ind_x",), ("ind_x", "ind_y", "ind_z")] * 3 + [("ind_x", "ind_x"), ("flag_x",)]
-PADS = ["", "", "", "", "", " ", "  ", "\t"]
+PADS = ["", "", "", "", " ", "\x1c", "  ", "\t"]
 
 
 @st.composite

@@ -584,6 +584,17 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             deterministic_plan(**overrides)
 
+    @pytest.mark.parametrize(
+        "strategies, repeated",
+        [(("fixed", "dynamic", "fixed"), ["fixed"]),
+         (("hybrid", "dynamic", "dynamic", "hybrid"), ["hybrid", "dynamic"])],
+        ids=["one", "two"],
+    )
+    def test_repeated_strategy_is_rejected(self, strategies, repeated):
+        # A repeated strategy would run twice per round but be reported once.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'repeated strategies: {repeated}')}$"):
+            deterministic_plan(strategies=strategies)
+
     def test_failed_share_builds_are_recorded_every_round(self, no_census_redraw):
         # Shares are built once per round or per pool entry; a failed build
         # must still fail each round and strategy that needs it, with the
