@@ -38,9 +38,14 @@ stacks gives, which adds whole tables in replicate order; a one-cell table,
 whose column numpy sums pairwise, keeps its squares and sums them the same
 way.  The five replicate quantiles (:data:`QUANTILE_LEVELS`, named by
 :data:`QUANTILE_LABELS`, also the quantile columns of the validation
-summaries) come from ``np.quantile`` over chunks of about
-:data:`_QUANTILE_CHUNK_BYTES` of cells, so its copy of the stack is bounded,
-and ``_nan_mean`` is the one NaN-skipping mean of the replicate layer.
+summaries) are read by ``np.quantile`` from chunks of cells, each copied
+into one buffer of about :data:`_QUANTILE_CHUNK_BYTES`, allocated once per
+run, and sorted there, so the stack is never copied whole.  Linear
+quantiles depend only on the order statistics, so they are bitwise those
+of ``np.quantile`` over the stack, except that a cell holding both -0.0
+and +0.0 (only a -0.0 margin value, such as a ``-0`` in an auxiliary pool
+file, puts -0.0 there) may get the other, equal zero.  ``_nan_mean`` is
+the one NaN-skipping mean of the replicate layer.
 A run whose stack would pass :data:`_MAX_STACK_BYTES` fails with a
 :class:`BootstrapError` before the point fit.
 """
@@ -77,7 +82,7 @@ _MAX_DROPPED_FRACTION = 0.10
 # Largest float64 replicate stack a run may hold, in bytes: a run that would
 # need more fails before its first replicate, not by running out of memory.
 _MAX_STACK_BYTES = 4 * 2**30
-# Bytes of stack per ``np.quantile`` call, which copies what it is given.
+# Bytes of the one buffer each chunk of cells is sorted in for ``np.quantile``.
 _QUANTILE_CHUNK_BYTES = 2**20
 
 
@@ -316,6 +321,21 @@ class CellUncertainty:
     headcount_cv: np.ndarray | None = None
 
 
+def _replicate_quantiles(cells: np.ndarray) -> np.ndarray:
+    """The :data:`QUANTILE_LEVELS` of each column of the (B, m) ``cells``, as
+    a (5, m) array, read from chunks of cells sorted in one reused buffer."""
+    n, m = cells.shape
+    out = np.empty((len(QUANTILE_LEVELS), m))
+    width = max(1, min(_QUANTILE_CHUNK_BYTES // (8 * n), m))
+    buf = np.empty((width, n))
+    for c in range(0, m, width):
+        chunk = buf[: min(width, m - c)]
+        np.copyto(chunk, cells[:, c : c + width].T)
+        chunk.sort(axis=1)
+        out[:, c : c + width] = np.quantile(chunk, QUANTILE_LEVELS, axis=1, overwrite_input=True)
+    return out
+
+
 def bootstrap_mse(
     req: UpdateRequest,
     design: SurveyDesign | None,
@@ -424,11 +444,7 @@ def bootstrap_mse(
     mse = sq_sum / n
     cv = np.where(fitted > 0, np.sqrt(mse) / np.where(fitted > 0, fitted, 1.0), np.nan)
     rep_mean = stack.mean(axis=0)
-    cells = stack.reshape(n, -1)
-    quantiles = np.empty((len(QUANTILE_LEVELS), cells.shape[1]))
-    width = max(1, _QUANTILE_CHUNK_BYTES // (8 * n))
-    for c in range(0, cells.shape[1], width):
-        quantiles[:, c : c + width] = np.quantile(cells[:, c : c + width], QUANTILE_LEVELS, axis=0)
+    quantiles = _replicate_quantiles(stack.reshape(n, -1))
     rep_quantiles = dict(zip(QUANTILE_LABELS, quantiles.reshape(-1, *fitted.shape)))
 
     headcount_point = headcount_mse = headcount_cv = None

@@ -699,7 +699,10 @@ def load_plan(path: str | Path) -> SimulationPlan:
             cfg = ScenarioConfig(**{k: _tupled(v) for k, v in raw.items()})
         except (TypeError, ValueError) as e:
             raise IngestError(f"{path}: bad scenario config: {e}") from e
-        return build_scenario(cfg)
+        try:
+            return build_scenario(cfg)
+        except ValueError as e:
+            raise IngestError(f"{path}: {e}") from e
 
     missing = [k for k in required if k not in data]
     if missing:

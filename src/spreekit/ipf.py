@@ -86,8 +86,9 @@ def ipf_fit(
     ------
     IpfError
         On id mismatch, on margin totals differing by more than 1e-6
-        relative (reconcile first), or when mass would have to be created
-        in an all-zero row or column.
+        relative (reconcile first), when mass would have to be created
+        in an all-zero row or column, or at the first sweep whose margin
+        deviation is NaN (the raking overflowed).
     """
     if seed.area_ids != row_target.ids:
         raise IpfError("row target ids do not match seed area ids")
@@ -151,6 +152,9 @@ def ipf_fit(
         if dev <= cfg.tolerance:
             converged = True
             break
+        if dev != dev:
+            # An overflow left NaN cells, which no later sweep removes.
+            raise IpfError(f"margin deviation is NaN at sweep {iterations}: the raking overflowed")
 
     if row_max >= col_max:
         worst = ("row", seed.area_ids[int(row_dev.argmax())], float(row_max))

@@ -32,6 +32,7 @@ from spreekit.bootstrap import (
     QUANTILE_LEVELS,
     _nan_mean,
     _redraw_census,
+    _replicate_quantiles,
     _resample_iid,
 )
 from spreekit.ipf import IpfError
@@ -641,6 +642,52 @@ def test_replicate_summaries_match_separate_numpy_calls(req, replicates, seed, d
         assert np.isnan(unc.headcount_mse[empty]).all()
 
 
+def chunked_quantiles(cells):
+    """The replicate quantiles as ``bootstrap_mse`` took them before they
+    were read from sorted chunks: ``np.quantile`` over chunks of cells."""
+    quantiles = np.empty((len(QUANTILE_LEVELS), cells.shape[1]))
+    width = max(1, bootstrap._QUANTILE_CHUNK_BYTES // (8 * cells.shape[0]))
+    for c in range(0, cells.shape[1], width):
+        quantiles[:, c : c + width] = np.quantile(cells[:, c : c + width], QUANTILE_LEVELS, axis=0)
+    return quantiles
+
+
+@st.composite
+def replicate_cells(draw):
+    """1-60 replicates of 1-40 cells, many of them ties, zeros, subnormal or
+    huge, some cells constant, and a chunk size of 1 to m + 1 cells that
+    is not always a whole number of cells' bytes."""
+    n, m = draw(st.integers(1, 60)), draw(st.integers(1, 40))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([0.0, 0.0, 1.0, 2.5, 7.0, 5e-324, 1e-300, 1e300])
+    tied = g.random((n, m)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    cells = np.where(tied, g.choice(pool, (n, m)), g.uniform(0.0, 1e3, (n, m)))
+    constant = g.random(m) < 0.2
+    cells[:, constant] = cells[0, constant]
+    width = draw(st.integers(1, m + 1))
+    return cells, 8 * n * width + draw(st.integers(0, 8 * n - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(replicate_cells())
+def test_sorted_chunk_quantiles_match_chunked_np_quantile(case):
+    # Linear quantiles depend only on the order statistics, so reading them
+    # from sorted chunks changes no bit.
+    cells, chunk_bytes = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bootstrap, "_QUANTILE_CHUNK_BYTES", chunk_bytes)
+        assert same_bits(_replicate_quantiles(cells), chunked_quantiles(cells))
+
+
+def test_mixed_signed_zero_quantiles_equal_the_oracle():
+    # The sort and numpy's partition may order -0.0 and +0.0 differently, so
+    # a cell holding both may get the other zero: equal, not bitwise.
+    g = np.random.default_rng(5)
+    cells = g.choice([-0.0, 0.0, 1.0], size=(40, 300))
+    cells[:2] = [[-0.0], [0.0]]
+    assert np.array_equal(_replicate_quantiles(cells), chunked_quantiles(cells))
+
+
 @pytest.mark.parametrize("replicates", [1, 9, 40])
 def test_one_cell_table_mse_matches_stacked_sum(replicates):
     # numpy sums a one-cell stack's column pairwise, not row after row, so
@@ -660,8 +707,9 @@ def test_one_cell_table_mse_matches_stacked_sum(replicates):
 
 def test_traced_peak_stays_below_three_stacks():
     # The run holds one B x A x J stack of fitted tables; the replicate
-    # compositions, differences and squares are never stacked, and
-    # np.quantile copies the stack in chunks.
+    # compositions, differences and squares are never stacked, and the
+    # quantiles are read from chunks sorted in one reused buffer of about
+    # 1 MiB, so they never copy the whole stack.
     g = np.random.default_rng(12)
     areas, cats, replicates = 400, 12, 60
     counts = g.uniform(20.0, 400.0, size=(areas, cats))

@@ -1085,7 +1085,9 @@ class TestErrorsAndExitCodes:
         code, out, err = run_cli("validate", "--plan", path, "--out", tmp_path / "out")
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
-        assert json.loads(err) == {"error": "ValueError", "message": "repeated strategies: ['fixed']"}
+        assert json.loads(err) == {
+            "error": "IngestError", "message": f"{path}: repeated strategies: ['fixed']",
+        }
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])

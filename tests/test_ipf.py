@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -350,6 +352,20 @@ def test_dead_row_and_column_messages_match_oracle():
         want = _outcome(_ipf_fit_six_pass, seed, rows, cols)
         assert want[0] is IpfError and want[1].startswith("positive")
         assert _outcome(ipf_fit, seed, rows, cols) == want
+
+
+def test_nan_deviation_stops_the_fit_at_its_sweep():
+    # The row factors overflow in the first sweep (1e296 / 3e-320), and the
+    # NaN cells they leave would last through the whole sweep budget.
+    seed = make_composition([[1e-320, 2e-320], [3e-320, 1e-320]])
+    rows = make_margin([1e296, 2e296], MarginLevel.SMALL_AREA, "a")
+    cols = make_margin([1.5e296, 1.5e296], MarginLevel.CATEGORY, "c")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(
+            IpfError, match=r"^margin deviation is NaN at sweep 1: the raking overflowed$"
+        ):
+            ipf_fit(seed, rows, cols)
 
 
 @pytest.mark.parametrize(
