@@ -28,6 +28,14 @@ order, which independent re-implementations must follow to reproduce runs:
 
 The margins drawn in steps 3 and 4 go to the reconcile step as they are.
 
+One helper thread overlaps the census of replicate b+1 (steps 1 and 2)
+with the rest of replicate b: the main thread takes stream b+1, hands
+:func:`_redraw_census` to the helper, and then draws steps 3 and 4 of
+replicate b from stream b, whose census it has waited for.  Each stream
+is still drawn in the order above, by one thread at a time, so no
+output depends on how the threads are scheduled.  Without a census
+redraw no helper thread starts.
+
 Replicates are aggregated as they complete, in replicate order, so a run
 holds one (B, A, J) stack of fitted tables and nothing else of that size.
 Each replicate's fitted table goes into the next row of that stack, and its
@@ -42,10 +50,10 @@ summaries) are read by ``np.quantile`` from chunks of cells, each copied
 into one buffer of about :data:`_QUANTILE_CHUNK_BYTES`, allocated once per
 run, and sorted there, so the stack is never copied whole.  Linear
 quantiles depend only on the order statistics, so they are bitwise those
-of ``np.quantile`` over the stack, except that a cell holding both -0.0
-and +0.0 (only a -0.0 margin value, such as a ``-0`` in an auxiliary pool
-file, puts -0.0 there) may get the other, equal zero.  ``_nan_mean`` is
-the one NaN-skipping mean of the replicate layer.
+of ``np.quantile`` over the stack, except that every zero quantile is
++0.0: the copy adds +0.0, which turns a -0.0 cell (only a -0.0 margin
+value, such as a ``-0`` in an auxiliary pool file, puts one there) into
++0.0.  ``_nan_mean`` is the one NaN-skipping mean of the replicate layer.
 A run whose stack would pass :data:`_MAX_STACK_BYTES` fails with a
 :class:`BootstrapError` before the point fit.
 """
@@ -102,16 +110,19 @@ class BootstrapError(RuntimeError):
 
 
 def _check_stack(
-    stage: str, shapes: Sequence[tuple[int, ...]], error: type[Exception]
+    stage: str,
+    shapes: Sequence[tuple[int, ...]],
+    error: type[Exception],
+    what: str = "replicate stack",
 ) -> None:
-    """Raise ``error`` when float64 stacks of ``shapes`` together pass the budget."""
+    """Raise ``error`` when float64 arrays of ``shapes`` together pass the budget."""
     nbytes = 8 * sum(map(math.prod, shapes))
     if nbytes > _MAX_STACK_BYTES:
         dims = " + ".join(" x ".join(map(str, shape)) for shape in shapes)
         if len(shapes) == 1:
-            stacks = f"a {dims} replicate stack needs"
+            stacks = f"a {dims} {what} needs"
         else:
-            stacks = f"replicate stacks of {dims} need"
+            stacks = f"{what}s of {dims} need"
         raise error(f"{stage}: {stacks} {nbytes} bytes, over the budget of {_MAX_STACK_BYTES}")
 
 
@@ -330,7 +341,8 @@ def _replicate_quantiles(cells: np.ndarray) -> np.ndarray:
     buf = np.empty((width, n))
     for c in range(0, m, width):
         chunk = buf[: min(width, m - c)]
-        np.copyto(chunk, cells[:, c : c + width].T)
+        # Adding +0.0 copies the chunk and turns -0.0 into +0.0.
+        np.add(cells[:, c : c + width].T, 0.0, out=chunk)
         chunk.sort(axis=1)
         out[:, c : c + width] = np.quantile(chunk, QUANTILE_LEVELS, axis=1, overwrite_input=True)
     return out
@@ -374,9 +386,9 @@ def bootstrap_mse(
 
     t = point.row_margin_used.reference_time
 
-    def one_replicate(b: int) -> tuple[np.ndarray, np.ndarray] | str:
-        rng = rngmod.stream(cfg.seed, b)
-        mult = fitted if cfg.census_resample == "none" else _redraw_census(rng, lam, fitted)
+    def one_replicate(
+        b: int, rng: np.random.Generator, mult: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | str:
         if cfg.fully_degenerate:
             # Zero-variance limit: the margins are the point composition's
             # own, so raking is an exact no-op and the MSE vanishes identically.
@@ -415,20 +427,37 @@ def bootstrap_mse(
     h_sq = np.empty(shape[:2]) if poor_col is not None else None
     reasons = []
     n = 0
-    for b in range(cfg.replicates):
-        outcome = one_replicate(b)
-        if isinstance(outcome, str):
-            reasons.append(outcome)
-            continue
-        fitted_b, mult = outcome
-        stack[n] = fitted_b
-        sq = np.square(fitted_b - mult)
-        sq_sum += sq
-        if sq_cells is not None:
-            sq_cells[n] = sq
-        if h_sq is not None:
-            h_sq[n] = np.square(_poor_share(fitted_b, poor_col) - _poor_share(mult, poor_col))
-        n += 1
+    # Imported here, so that the other commands do not load it.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as helper:
+
+        def draw(b: int) -> tuple[np.random.Generator, Future | None]:
+            """Replicate b's stream, and its census (steps 1-2) as a future."""
+            rng = rngmod.stream(cfg.seed, b)
+            if cfg.census_resample == "none":
+                return rng, None
+            return rng, helper.submit(_redraw_census, rng, lam, fitted)
+
+        ahead = draw(0)
+        for b in range(cfg.replicates):
+            rng, census = ahead
+            if b + 1 < cfg.replicates:
+                ahead = draw(b + 1)
+            mult = fitted if census is None else census.result()
+            outcome = one_replicate(b, rng, mult)
+            if isinstance(outcome, str):
+                reasons.append(outcome)
+                continue
+            fitted_b, mult = outcome
+            stack[n] = fitted_b
+            sq = np.square(fitted_b - mult)
+            sq_sum += sq
+            if sq_cells is not None:
+                sq_cells[n] = sq
+            if h_sq is not None:
+                h_sq[n] = np.square(_poor_share(fitted_b, poor_col) - _poor_share(mult, poor_col))
+            n += 1
 
     dropped = len(reasons)
     if dropped > _MAX_DROPPED_FRACTION * cfg.replicates:

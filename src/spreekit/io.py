@@ -67,7 +67,7 @@ from spreekit.composition import (
     check_integer,
 )
 from spreekit.geo import AreaPolygonSet, PixelTable
-from spreekit.mpi import Households, MpiProfile
+from spreekit.mpi import Households, MpiProfile, _people
 from spreekit.scenario import ScenarioConfig, build_scenario
 from spreekit.simulation import SimulationPlan
 
@@ -473,10 +473,12 @@ def load_households(path: str | Path, profile: MpiProfile | None = None) -> Hous
     # The table copies its columns and keeps its own set of the ids: free
     # the key set and the codes first.
     del seen, flag_codes, codes
-    return _wrap_invariant(
+    households = _wrap_invariant(
         path, Households, household_ids, areas, subgroups, sizes, np.frombuffer(weights),
         indicators, flags, missing,
     )
+    _wrap_invariant(path, _people, households)
+    return households
 
 
 def save_households(path: str | Path, households: Households) -> None:

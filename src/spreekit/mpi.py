@@ -286,7 +286,24 @@ def _checked_scores(households: Households, p: MpiProfile) -> tuple[np.ndarray, 
         if rejected.any():
             is_poor(deprivation_score(households, int(np.argmax(rejected)), p), p)
     score_f = (score / denom).astype(float, copy=False)
-    return households.size * households.weight, flags, score_f, poor
+    return _people(households), flags, score_f, poor
+
+
+def _people(households: Households) -> np.ndarray:
+    """Each household's people, ``size * weight``, which the scorers sum.
+
+    Raises ValueError naming the first household whose people, or the sum
+    of people up to it, is not finite.
+    """
+    with np.errstate(over="ignore"):
+        people = households.size * households.weight
+        running, total = np.cumsum(people), people.sum()
+    past = ~np.isfinite(running)
+    if len(people) and (past[-1] or not np.isfinite(total)):
+        i = int(np.argmax(past)) if past[-1] else len(people) - 1
+        what = "the people sum" if np.isfinite(people[i]) else "size * weight"
+        raise ValueError(f"household {households.household_ids[i]!r}: {what} is not finite")
+    return people
 
 
 def _measures(
@@ -346,8 +363,7 @@ def tabulate_poverty(households: Households, p: MpiProfile, h: AreaHierarchy) ->
             )
         is_poor(deprivation_score(households, i, p), p)
     cells = 2 * rows + np.where(poor, 0, 1)
-    people = households.size * households.weight
-    counts = np.bincount(cells, weights=people, minlength=2 * len(area_ids))
+    counts = np.bincount(cells, weights=_people(households), minlength=2 * len(area_ids))
     return Composition(area_ids, POVERTY_CATEGORIES, counts.reshape(-1, 2))
 
 

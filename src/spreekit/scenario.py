@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spreekit import rng as rngmod
-from spreekit.bootstrap import SurveyDesign
+from spreekit.bootstrap import SurveyDesign, _check_stack
 from spreekit.composition import (
     AreaHierarchy,
     Composition,
@@ -152,8 +152,14 @@ def build_scenario(cfg: ScenarioConfig) -> SimulationPlan:
 
     Construction noise (aux distortions, pool entries, survey draws) comes
     from a dedicated RNG stream of ``cfg.seed``, so the plan is a pure
-    function of the config.
+    function of the config.  A config whose auxiliary pool (its noise and
+    its margins) and design columns would pass the replicate memory budget
+    fails before anything is drawn.
     """
+    areas = cfg.regions * cfg.areas_per_region
+    pool = (areas,) if cfg.aux_exact else (2, cfg.aux_pool_size, areas)
+    design_rows = cfg.regions * cfg.psus_per_region * len(POVERTY_CATEGORIES)
+    _check_stack("scenario", [pool, (design_rows, 5)], ValueError, "pool and design array")
     rng = rngmod.stream(cfg.seed, _GENERATOR_STREAM)
     region_ids = _region_ids(cfg)
     area_ids = _area_ids(cfg)

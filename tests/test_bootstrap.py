@@ -1,8 +1,10 @@
 import dataclasses
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -681,11 +683,14 @@ def test_sorted_chunk_quantiles_match_chunked_np_quantile(case):
 
 def test_mixed_signed_zero_quantiles_equal_the_oracle():
     # The sort and numpy's partition may order -0.0 and +0.0 differently, so
-    # a cell holding both may get the other zero: equal, not bitwise.
+    # the oracle may give either zero: equal, not bitwise.  The chunk copy
+    # turns -0.0 into +0.0, so every zero quantile is +0.0.
     g = np.random.default_rng(5)
     cells = g.choice([-0.0, 0.0, 1.0], size=(40, 300))
     cells[:2] = [[-0.0], [0.0]]
-    assert np.array_equal(_replicate_quantiles(cells), chunked_quantiles(cells))
+    got = _replicate_quantiles(cells)
+    assert np.array_equal(got, chunked_quantiles(cells))
+    assert not np.signbit(got).any()
 
 
 @pytest.mark.parametrize("replicates", [1, 9, 40])
@@ -745,6 +750,41 @@ def test_stack_over_budget_fails_before_the_point_fit(monkeypatch):
         match=r"^bootstrap: a 25 x 4 x 2 replicate stack needs 1600 bytes, over the budget of 1599$",
     ):
         bootstrap_mse(mini_request(), mini_design(), None, BootstrapConfig(replicates=25))
+
+
+def test_census_redraw_error_propagates_and_the_helper_thread_ends(monkeypatch):
+    # The census is drawn on a helper thread; its error must reach the
+    # caller as it is, not count as a dropped replicate, and the helper
+    # thread must be gone once bootstrap_mse returns.
+    calls, original = [], bootstrap._redraw_census
+
+    def third_fails(rng, lam, counts):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("third census")
+        return original(rng, lam, counts)
+
+    monkeypatch.setattr(bootstrap, "_redraw_census", third_fails)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^third census$"):
+        bootstrap_mse(mini_request(), mini_design(), mini_pool(), BootstrapConfig(replicates=6))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("census", ["poisson-multinomial", "none"])
+def test_helper_thread_draws_only_the_census(monkeypatch, census):
+    # One task per replicate census, and none without a census redraw.
+    submitted, submit = [], ThreadPoolExecutor.submit
+
+    def recording(self, fn, *args):
+        submitted.append(fn)
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording)
+    cfg = BootstrapConfig(replicates=4, census_resample=census)
+    unc = bootstrap_mse(mini_request(), mini_design(), mini_pool(), cfg)
+    assert unc.completed_replicates == 4
+    assert submitted == ([bootstrap._redraw_census] * 4 if census != "none" else [])
 
 
 def _record_fits(monkeypatch) -> list[tuple[np.ndarray, ...]]:

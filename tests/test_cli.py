@@ -18,6 +18,7 @@ import json
 import math
 import shutil
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spreekit import AreaHierarchy, Composition, Households, MpiProfile, compute_mpi
-from spreekit import bootstrap, mpi, simulation
+from spreekit import bootstrap, mpi, rng as rngmod, simulation
 from spreekit import io as sio
 from spreekit.cli import main
 from spreekit.mpi import MpiResult, _measures
@@ -952,6 +953,46 @@ class TestErrorsAndExitCodes:
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {
             "error": "ValueError", "message": "household 'h2' in unknown area 'ZZ'",
+        }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--by-subgroup"], ["--hierarchy", MINI / "hierarchy.csv"]],
+        ids=["plain", "by_subgroup", "hierarchy"],
+    )
+    def test_people_past_the_float_range_name_the_household(self, tmp_path, extra):
+        rows = (FIXTURES / "households3.csv").read_text().splitlines()
+        rows[1] = rows[1].replace("h1,a1,female,5,1.0,", "h1,a1,female,5,1e308,")
+        households = tmp_path / "households.csv"
+        households.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                "mpi", "--households", households, *extra, "--out", tmp_path / "out"
+            )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "IngestError",
+            "message": f"{households}: household 'h1': size * weight is not finite",
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_scenario_pool_over_budget_fails_before_any_draw(self, tmp_path, monkeypatch):
+        def no_draw(*args):
+            pytest.fail("the scenario drew")
+
+        monkeypatch.setattr(rngmod, "stream", no_draw)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"scenario": {"aux_pool_size": 100_000_000, "replicates": 2}}))
+        code, out, err = run_cli("validate", "--plan", plan, "--out", tmp_path / "out")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "IngestError",
+            "message": f"{plan}: scenario: pool and design arrays of 2 x 100000000 x 12"
+            f" + 48 x 5 need 19200001920 bytes, over the budget of {2**32}",
         }
         assert not (tmp_path / "out").exists()
 

@@ -384,6 +384,14 @@ class TestMatchesFractionOracle:
         assert p.poverty_cutoff in scores  # an exact tie is poor
 
 
+PAIRWISE_OVERFLOW = [
+    2.0068037756678867e307, 5.022489637803324e306, 2.0034184060507563e307, 8.151228258284695e306,
+    1.0231712998364586e307, 1.7777328689931208e307, 9.968098853420168e306, 1.2587846192194815e307,
+    2.846736765868004e306, 1.6392960817600947e307, 1.237418342733199e307, 8.485245282605551e306,
+    1.704448208810578e307, 7.990069800399053e306, 1.0794708857135031e307,
+]
+
+
 class TestErrorsNameFirstBadHousehold:
     """Both paths raise the per-row scorer's message for the first
     rejected household in row order."""
@@ -446,6 +454,32 @@ class TestErrorsNameFirstBadHousehold:
         assert "outside [0, 1]" in raised(reference_compute_mpi, [full], p)[1]
         assert "missing flag" in raised(reference_compute_mpi, [full, later], p)[1]
         assert "outside [0, 1]" in raised(reference_tabulate, [full, later], p, HIERARCHY)[1]
+
+    @pytest.mark.parametrize(
+        "sizes, weights, message",
+        [
+            ([1, 5, 1], [1.0, 1e308, 1.0], "household 'h2': size * weight is not finite"),
+            ([1, 5, 1], [1.0, math.inf, 1.0], "household 'h2': size * weight is not finite"),
+            ([1, 1, 2**62], [1.0, 1.0, 1e300], "household 'h3': size * weight is not finite"),
+            ([1, 1, 1], [1e308, 1e308, 1.0], "household 'h2': the people sum is not finite"),
+            # Every running sum is finite, but numpy's pairwise sum is not.
+            ([1] * 15, PAIRWISE_OVERFLOW, "household 'h15': the people sum is not finite"),
+        ],
+        ids=["product_overflow", "weight_inf", "size_overflow", "sum_overflow", "pairwise_sum"],
+    )
+    def test_people_past_the_float_range(self, sizes, weights, message):
+        # Each household's size * weight, and their sum, must be finite; the
+        # first household that is not is named, without a RuntimeWarning.
+        records = [
+            household(f"h{i + 1}", set(), size=size, area=f"a{i % 3 + 1}", weight=weight)
+            for i, (size, weight) in enumerate(zip(sizes, weights))
+        ]
+        with np.errstate(all="raise"):
+            for score in (lambda t: compute_mpi(t, NINE),
+                          lambda t: tabulate_poverty(t, NINE, HIERARCHY)):
+                with pytest.raises(ValueError) as info:
+                    score(table(records))
+                assert str(info.value) == message
 
 
 class TestHouseholds:
