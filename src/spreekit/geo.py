@@ -8,17 +8,18 @@ the approximation error far below the pixel size away from the poles and
 the antimeridian.  Points exactly on a shared edge follow whatever the
 crossing test decides for each polygon, so ties stay deterministic.
 
-The crossing test runs on all of a ring's edges at once, and
-:func:`aggregate_pixels` runs it only on the pixels inside each area's
-bounding box.  That prefilter drops no pixel the full test would
-assign: an edge counts for a point only if ``(y1 > lat) != (y2 > lat)``,
-so a point outside the latitude band ``[min_y, max_y)`` straddles no
-edge; a point left of the box lies left of every crossing, and the
-edges a horizontal line straddles around a closed ring are even in
-number; a point right of the box lies right of every crossing.  The
-crossing abscissa is rounded, so it can land a few ulps outside the
-box; the longitude limits are widened by :data:`_PAD_ULPS` ulps of the
-box's largest magnitude to cover that.
+An edge counts for a point only if ``(y1 > lat) != (y2 > lat)``, that
+is ``min(y1, y2) <= lat < max(y1, y2)``: with the points in latitude
+order, one slice of them, found by binary search.  So each point meets
+only the edges whose latitude span holds it (the scanline edge table of
+Hormann & Agathos 2001), each with the crossing abscissa of the per-edge
+loop.  :func:`aggregate_pixels` also tests only the pixels in each area's
+bounding box, which drops no pixel the full test would assign: a point
+outside the latitude band ``[min_y, max_y)`` straddles no edge; left of
+the box it lies left of every crossing, and a horizontal line straddles
+an even number of a closed ring's edges; right of the box it lies right
+of every crossing.  A rounded crossing can land a few ulps outside the
+box, so its longitude limits are widened by :data:`_PAD_ULPS` ulps.
 """
 
 from __future__ import annotations
@@ -103,12 +104,8 @@ class AreaPolygonSet:
                     )
                 if not rings:
                     raise ValueError(f"area {area!r} polygon {p} has no rings")
-                fixed.append(
-                    tuple(
-                        _as_ring(r, f"area {area!r} polygon {p} ring {i}")
-                        for i, r in enumerate(rings)
-                    )
-                )
+                where = f"area {area!r} polygon {p} ring"
+                fixed.append(tuple(_as_ring(r, f"{where} {i}") for i, r in enumerate(rings)))
             checked[area] = tuple(fixed)
         object.__setattr__(self, "polygons", checked)
 
@@ -152,57 +149,62 @@ class AreaPolygonSet:
         return cls(out)
 
 
-# Points x edges per broadcast: keeps each float temporary at 512 KiB.
+# (Edge, point) pairs per batch: keeps each per-pair array at 512 KiB.
 _CHUNK_CELLS = 1 << 16
 # Longitude pad of the prefilter box, in ulps of its largest |lon|; the
 # rounding of one crossing abscissa stays below about 14 of them.
 _PAD_ULPS = 64
 
-# A ring's non-horizontal edges: (x1, y1, y2, x2 - x1, y2 - y1).
-Edges = tuple[np.ndarray, ...]
 
-
-def _edges(ring: Ring) -> Edges:
-    x1, y1 = ring[:-1, 0], ring[:-1, 1]
-    x2, y2 = ring[1:, 0], ring[1:, 1]
-    keep = y1 != y2
-    x1, y1, x2, y2 = x1[keep], y1[keep], x2[keep], y2[keep]
-    return x1, y1, y2, x2 - x1, y2 - y1
-
-
-def _ring_crossings(lon: np.ndarray, lat: np.ndarray, edges: Edges) -> np.ndarray:
-    """Even-odd containment of each point against one ring's edges."""
-    x1, y1, y2, dx, dy = edges
-    lat = lat[:, None]
-    straddles = (y1 > lat) != (y2 > lat)
-    with np.errstate(invalid="ignore"):
-        x_cross = x1 + (lat - y1) * dx / dy
-    return np.count_nonzero(straddles & (lon[:, None] < x_cross), axis=1) % 2 == 1
+def _contains_sorted(
+    lon: np.ndarray, lat: np.ndarray, polygons: tuple[Polygon, ...]
+) -> np.ndarray:
+    """:func:`area_contains` for points in ascending latitude order.  The
+    crossings are counted per (polygon, point), for as many polygons at a
+    time as keep those counters within one batch or the points."""
+    n = len(lat)
+    inside = np.zeros(n, dtype=bool)
+    group = max(1, _CHUNK_CELLS // max(n, 1))
+    for first in range(0, len(polygons), group):
+        part = polygons[first : first + group]
+        rings = [ring for polygon in part for ring in polygon]
+        v = np.concatenate(rings)
+        # Edge k runs from vertex k to k + 1; its (x1, y1, dx, dy) are column k.
+        edges = np.concatenate((v[:-1].T, v[1:].T - v[:-1].T))
+        y1, y2 = v[:-1, 1], v[1:, 1]
+        start, stop = lat.searchsorted(np.minimum(y1, y2)), lat.searchsorted(np.maximum(y1, y2))
+        count = stop - start
+        if len(rings) > 1:  # no edge joins one ring's last vertex to the next's first
+            count[np.cumsum([len(ring) for ring in rings[:-1]]) - 1] = 0
+        ends = count.cumsum()
+        # Pair j, counted over all edges, is point j + offsets[0] of its edge
+        # and counter j + offsets[1], which adds the polygon's position times n.
+        shift = start - ends + count
+        sizes = [sum(map(len, polygon)) for polygon in part]
+        offsets = np.array((shift, shift + (np.arange(len(part)) * n).repeat(sizes)[:-1]))
+        crossings = np.zeros(len(part) * n)
+        for j0 in range(0, ends[-1], _CHUNK_CELLS):
+            j1 = min(j0 + _CHUNK_CELLS, ends[-1])
+            e0, e1 = ends.searchsorted((j0, j1 - 1), side="right") + (0, 1)
+            take = np.minimum(ends[e0:e1], j1) - np.maximum(ends[e0:e1] - count[e0:e1], j0)
+            x1, y1, dx, dy = edges[:, e0:e1].repeat(take, axis=1)
+            point, counter = offsets[:, e0:e1].repeat(take, axis=1) + np.arange(j0, j1)
+            with np.errstate(invalid="ignore"):
+                hit = lon[point] < x1 + (lat[point] - y1) * dx / dy
+            crossings += np.bincount(counter, weights=hit, minlength=len(crossings))
+        inside |= np.logical_or.reduce(crossings.astype(np.intp).reshape(len(part), n) & 1, axis=0)
+    return inside
 
 
 def area_contains(
     lon: np.ndarray, lat: np.ndarray, polygons: tuple[Polygon, ...]
 ) -> np.ndarray:
-    """Containment in a (multi)polygon: inside any constituent polygon.
-
-    A polygon holds a point when an odd number of its rings do; the
-    points are taken in chunks so the (points, edges) broadcast stays
-    small however many points there are.
-    """
-    lon = np.asarray(lon, dtype=float)
+    """Containment in a (multi)polygon: inside any constituent polygon,
+    which holds a point when an odd number of its rings do."""
     lat = np.asarray(lat, dtype=float)
-    rings = [[_edges(ring) for ring in polygon] for polygon in polygons]
-    width = max((len(edges[0]) for polygon in rings for edges in polygon), default=0)
-    step = max(1, _CHUNK_CELLS // max(width, 1))
-    inside = np.zeros(len(lon), dtype=bool)
-    for start in range(0, len(lon), step):
-        part = slice(start, start + step)
-        x, y = lon[part], lat[part]
-        for polygon in rings:
-            odd = np.zeros(len(x), dtype=bool)
-            for edges in polygon:
-                odd ^= _ring_crossings(x, y, edges)
-            inside[part] |= odd
+    by_lat = np.argsort(lat)
+    inside = np.empty(len(lat), dtype=bool)
+    inside[by_lat] = _contains_sorted(np.asarray(lon, dtype=float)[by_lat], lat[by_lat], polygons)
     return inside
 
 
@@ -228,7 +230,8 @@ def aggregate_pixels(
 ) -> PixelAggregation:
     """Sum pixel values into the first containing area, in id order."""
     ordered = tuple(sorted(polys.area_ids))
-    by_lat = np.argsort(px.lat, kind="stable")
+    # Ties may fall in any order: each pixel's outcome depends on its own values.
+    by_lat = np.argsort(px.lat)
     lon, lat = px.lon[by_lat], px.lat[by_lat]
     owner = np.full(len(px), -1, dtype=int)
     for pos, area in enumerate(ordered):
@@ -237,27 +240,23 @@ def aggregate_pixels(
         (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
         pad = _PAD_ULPS * np.spacing(max(abs(x0), abs(x1)))
         lo, hi = np.searchsorted(lat, (y0, y1))
-        band = slice(lo, hi)
-        candidates = lo + np.flatnonzero(
-            (owner[band] < 0) & (lon[band] >= x0 - pad) & (lon[band] <= x1 + pad)
-        )
-        hit = area_contains(lon[candidates], lat[candidates], polygons)
+        x = lon[lo:hi]
+        candidates = lo + np.flatnonzero((owner[lo:hi] < 0) & (x >= x0 - pad) & (x <= x1 + pad))
+        hit = _contains_sorted(lon[candidates], lat[candidates], polygons)
         owner[candidates[hit]] = pos
     assignment = np.empty_like(owner)
     assignment[by_lat] = owner
-    # Each area's pixels in row order, as one slice: the same sum as the masked one.
+    # The unassigned pixels, then each area's, in row order as one slice: the
+    # same sums as the masked ones.
     by_area = np.argsort(assignment, kind="stable")
     bounds = np.searchsorted(assignment[by_area], np.arange(len(ordered) + 1)).tolist()
     values = px.value[by_area]
     sums = np.array([values[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])], dtype=float)
-    unassigned_mask = assignment < 0
-    unassigned_mass = float(px.value[unassigned_mask].sum())
-    total = float(px.value.sum())
-    margin = MarginVector(ordered, sums, MarginLevel.SMALL_AREA, reference_time)
+    unassigned_mass, total = float(values[: bounds[0]].sum()), float(px.value.sum())
     return PixelAggregation(
-        margin,
+        MarginVector(ordered, sums, MarginLevel.SMALL_AREA, reference_time),
         assignment,
-        int(unassigned_mask.sum()),
+        bounds[0],
         unassigned_mass,
         total,
         warning=total > 0 and unassigned_mass > 0.05 * total,

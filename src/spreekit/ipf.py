@@ -145,10 +145,9 @@ def ipf_fit(
         np.subtract(sums, targets, out=devs)
         np.abs(devs, out=devs)
         np.divide(devs, scales, out=devs)
-        # Python's max, not one reduce over both: a NaN row deviation wins,
-        # a NaN column deviation loses to a row one.
-        row_max, col_max = np.maximum.reduce(row_dev), np.maximum.reduce(col_dev)
-        dev = max(row_max, col_max)
+        # One reduce over both margins: a NaN column deviation comes from a
+        # NaN cell, whose row deviation is NaN too.
+        dev = np.maximum.reduce(devs)
         if dev <= cfg.tolerance:
             converged = True
             break
@@ -156,6 +155,7 @@ def ipf_fit(
             # An overflow left NaN cells, which no later sweep removes.
             raise IpfError(f"margin deviation is NaN at sweep {iterations}: the raking overflowed")
 
+    row_max, col_max = np.maximum.reduce(row_dev), np.maximum.reduce(col_dev)
     if row_max >= col_max:
         worst = ("row", seed.area_ids[int(row_dev.argmax())], float(row_max))
     else:

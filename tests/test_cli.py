@@ -169,6 +169,13 @@ class TestUpdate:
         # Structural zeros would keep the cell at exactly zero.
         assert cell_map(tmp_path / "out" / "fitted.csv")["a1", "poor"] > 0
 
+    def test_explicit_structural_zeros_are_the_default(self, tmp_path):
+        default, explicit = tmp_path / "default", tmp_path / "explicit"
+        assert run_cli(*update_argv(default))[::2] == (0, "")
+        assert run_cli(*update_argv(explicit, zeros="structural"))[::2] == (0, "")
+        for name in ("fitted.csv", "provenance.json"):
+            assert (explicit / name).read_bytes() == (default / name).read_bytes()
+
     def test_unconverged_fit_warns_on_stderr(self, tmp_path):
         capped, full = tmp_path / "capped", tmp_path / "full"
         code, _, err = run_cli(*update_argv(capped, max_iter="1"))

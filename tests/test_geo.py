@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +245,54 @@ class TestMatchesPerEdgeOracle:
         assert agg.margin.values.tobytes() == sums.tobytes()
 
 
+def comb(teeth):
+    """A bar along y in [-1, 0] with ``teeth`` unit-wide teeth up to y = 1:
+    every point with 0 <= lat < 1 lies between 2 * teeth tall edges."""
+    top = []
+    for k in range(teeth - 1, -1, -1):
+        top += [(2 * k + 1, 1.0), (2 * k, 1.0)]
+        if k:
+            top += [(2 * k, 0.0), (2 * k - 1, 0.0)]
+    return closed([(0.0, -1.0), (2 * teeth - 1, -1.0)] + top)
+
+
+def test_comb_is_contained_in_bounded_memory(monkeypatch):
+    # 2000 points x 102 straddled edges = 204,000 (edge, point) pairs, which
+    # would take 1.6 MB per temporary if they were not split into batches.
+    monkeypatch.setattr(geo, "_CHUNK_CELLS", 1024)
+    polys = AreaPolygonSet({"comb": ((comb(50),),)})
+    rng = np.random.default_rng(11)
+    lon, lat = rng.uniform(-0.5, 99.5, 2000), rng.uniform(0.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        got = area_contains(lon, lat, polys.polygons["comb"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = reference_contains(lon, lat, polys.polygons["comb"])
+    np.testing.assert_array_equal(got, want)
+    assert 0 < want.sum() < len(want)
+    assert peak < 512 * 1024, f"peak {peak} bytes"
+    px = PixelTable(lon, lat, np.ones(len(lon)))
+    np.testing.assert_array_equal(aggregate_pixels(px, polys).area_index, np.where(want, 0, -1))
+
+
+@pytest.mark.parametrize("per_batch", [1, 2, 5])
+def test_multipolygon_is_a_union_however_its_polygons_are_grouped(monkeypatch, per_batch):
+    # Five polygons, the first two overlapping: a point in both is inside.
+    polys = AreaPolygonSet({"islands": tuple(
+        (closed([(x, 0.0), (x + 0.8, 0.0), (x + 0.8, 0.5 + 0.1 * k), (x, 0.5)]),)
+        for k, x in enumerate((0.0, 0.5, 1.9, 3.1, 4.3))
+    )})
+    lon, lat = probe_points(polys, np.random.default_rng(12))
+    # Room for the crossing counters of ``per_batch`` polygons at a time.
+    monkeypatch.setattr(geo, "_CHUNK_CELLS", per_batch * len(lon))
+    want = reference_contains(lon, lat, polys.polygons["islands"])
+    np.testing.assert_array_equal(area_contains(lon, lat, polys.polygons["islands"]), want)
+    overlap = (lon > 0.5) & (lon < 0.8) & (lat > 0.0) & (lat < 0.5)
+    assert overlap.any() and want[overlap].all()
+
+
 def masked_sums(values, assignment, n_areas):
     """Each area's sum as one masked sum over all pixels, in row order."""
     sums = np.zeros(n_areas)
@@ -347,6 +397,43 @@ class TestGeojsonParsing:
         }
         with pytest.raises(ValueError, match="Polygon or MultiPolygon"):
             AreaPolygonSet.from_geojson(line)
+
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+
+
+def collection(*coordinates):
+    return {
+        "type": "FeatureCollection",
+        "features": [
+            {"properties": {"area_id": f"a{i}"}, "geometry": {"type": "Polygon", "coordinates": c}}
+            for i, c in enumerate(coordinates)
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PixelTable([0.0, np.nan], [0.0, 1.0], [1.0, 1.0]), "pixel coordinates must be finite"),
+        (lambda: PixelTable([0.0], [np.inf], [1.0]), "pixel coordinates must be finite"),
+        (lambda: AreaPolygonSet.from_geojson(collection([[[0, 0], [1, 0], [0, 0]]])),
+         "area 'a0' polygon 0 ring 0: ring needs at least 4 vertices"),
+        (lambda: AreaPolygonSet.from_geojson(collection([SQUARE, [[0, 0], [1e400, 0], [1, 1], [0, 0]]])),
+         "area 'a0' polygon 0 ring 1: ring coordinates must be finite"),
+        (lambda: AreaPolygonSet({}), "empty polygon set"),
+        (lambda: AreaPolygonSet({"a": ()}), "area 'a' has no polygons"),
+        (lambda: AreaPolygonSet({"a": ((np.array(SQUARE, dtype=float),), ())}),
+         "area 'a' polygon 1 has no rings"),
+        (lambda: AreaPolygonSet.from_geojson({"type": "FeatureCollection", "features": []}),
+         "FeatureCollection has no features"),
+        (lambda: AreaPolygonSet.from_geojson(collection([SQUARE], [])),
+         "feature 1: empty coordinates"),
+    ],
+)
+def test_bad_geometry_is_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestAggregation:

@@ -236,6 +236,12 @@ class TestProfile:
         assert profile.weight_of("b") == Fraction(2, 3)
         assert profile.poverty_cutoff == Fraction(1, 3)
 
+    def test_integer_weights_are_exact(self, tmp_path):
+        p = write(tmp_path, "p.json", '{"indicators": [{"id": "a", "weight": 1}], "cutoff": 1}')
+        profile = sio.load_profile(p)
+        assert profile.weights == (Fraction(1),)
+        assert profile.poverty_cutoff == Fraction(1)
+
     def test_error_contracts(self, tmp_path):
         p = write(tmp_path, "bad.json", "{nope")
         with pytest.raises(IngestError, match="invalid JSON"):

@@ -325,6 +325,44 @@ def _outcome(fit, *args):
     make_margin([8.0, 0.0], MarginLevel.CATEGORY, "c"),
     IpfConfig(max_iterations=7),
 ))
+# A zero row target empties its row in the first sweep; later sweeps scale
+# the zero sum, unconverged.
+@example((
+    make_composition([[1.0, 2.0], [3.0, 4.0], [0.5, 6.0]]),
+    make_margin([0.0, 9.0, 7.0], MarginLevel.SMALL_AREA, "a"),
+    make_margin([4.0, 12.0], MarginLevel.CATEGORY, "c"),
+    IpfConfig(max_iterations=7),
+))
+# A zero column target empties its column in the first sweep.
+@example((
+    make_composition([[1.0, 2.0, 1.0], [3.0, 4.0, 2.0]]),
+    make_margin([5.0, 11.0], MarginLevel.SMALL_AREA, "a"),
+    make_margin([0.0, 9.0, 7.0], MarginLevel.CATEGORY, "c"),
+    IpfConfig(max_iterations=7),
+))
+# Subnormal row and column sums, scaled up by 1e6 in the first sweep, and a
+# zero column target.
+@example((
+    make_composition([[0.0, 4e-315, 0.0], [3e-315, 5e-315, 1e-320], [2e-320, 0.0, 7e-316]]),
+    make_margin([2e-9, 5e-9, 1e-9], MarginLevel.SMALL_AREA, "a"),
+    make_margin([0.0, 6e-9, 2e-9], MarginLevel.CATEGORY, "c"),
+    IpfConfig(tolerance=1e-20, max_iterations=7),
+))
+# -0.0 targets: the factor of a row or column that has emptied is 1.0, not
+# the -0.0 of its last sweep with mass, which would flip the signs of its
+# zeros once per sweep.
+@example((
+    make_composition([[1.0, 2.0], [3.0, 4.0], [0.5, 6.0]]),
+    make_margin([-0.0, 9.0, 7.0], MarginLevel.SMALL_AREA, "a"),
+    make_margin([4.0, 12.0], MarginLevel.CATEGORY, "c"),
+    IpfConfig(max_iterations=6),
+))
+@example((
+    make_composition([[1.0, 2.0, 1.0], [3.0, 4.0, 2.0]]),
+    make_margin([5.0, 11.0], MarginLevel.SMALL_AREA, "a"),
+    make_margin([-0.0, 9.0, 7.0], MarginLevel.CATEGORY, "c"),
+    IpfConfig(max_iterations=7),
+))
 def test_kernel_matches_six_pass_oracle(problem):
     got, want = _outcome(ipf_fit, *problem), _outcome(_ipf_fit_six_pass, *problem)
     if isinstance(want, tuple):

@@ -269,6 +269,15 @@ def test_reconcile_policies():
         reconcile_margins(row, col, "error")
 
 
+def test_reconcile_error_policy_passes_a_mismatch_within_tolerance():
+    # 1e-7 relative: above the float-noise level, below the 1e-6 tolerance.
+    row = make_margin([60.0, 40.0], MarginLevel.SMALL_AREA, "a")
+    col = make_margin([30.0, 70.00001], MarginLevel.CATEGORY, "c")
+    kept = reconcile_margins(row, col, "error")
+    assert kept.factor == 1.0
+    assert kept.row is row and kept.col is col
+
+
 def test_reconcile_leaves_float_noise_untouched():
     # A total mismatch at rounding-noise level must not trigger rescaling,
     # otherwise exactly reproducible pipelines pick up factors of 1 +- ulp.

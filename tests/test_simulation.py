@@ -484,6 +484,15 @@ class TestRunSimulation:
             assert np.all(np.abs(m.share_bias) < 1e-12)
             assert np.all(np.abs(m.headcount_bias) < 1e-8)
 
+    def test_zero_aux_cv_leaves_only_the_distortion(self):
+        # No sampling noise: every pool entry is the same distorted truth.
+        plan = build_scenario(ScenarioConfig(replicates=2, aux_cv=0.0, aux_pool_size=3, seed=4))
+        first = plan.aux_pool[0].values
+        assert all(entry.values.tobytes() == first.tobytes() for entry in plan.aux_pool)
+        truth = plan.truth_t.counts.sum(axis=1)
+        assert np.all(first != truth)
+        np.testing.assert_allclose(first / truth, 1.0, atol=ScenarioConfig().aux_bias_range[1])
+
     def test_exact_aux_pool_zeroes_dynamic_share_error(self):
         cfg = ScenarioConfig(replicates=6, aux_exact=True, seed=4)
         rep = run_simulation(build_scenario(cfg))
