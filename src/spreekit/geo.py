@@ -104,8 +104,12 @@ class AreaPolygonSet:
                     )
                 if not rings:
                     raise ValueError(f"area {area!r} polygon {p} has no rings")
-                where = f"area {area!r} polygon {p} ring"
-                fixed.append(tuple(_as_ring(r, f"{where} {i}") for i, r in enumerate(rings)))
+                fixed.append(
+                    tuple(
+                        _as_ring(r, f"area {area!r} polygon {p} ring {i}")
+                        for i, r in enumerate(rings)
+                    )
+                )
             checked[area] = tuple(fixed)
         object.__setattr__(self, "polygons", checked)
 
@@ -159,40 +163,32 @@ _PAD_ULPS = 64
 def _contains_sorted(
     lon: np.ndarray, lat: np.ndarray, polygons: tuple[Polygon, ...]
 ) -> np.ndarray:
-    """:func:`area_contains` for points in ascending latitude order.  The
-    crossings are counted per (polygon, point), for as many polygons at a
-    time as keep those counters within one batch or the points."""
+    """:func:`area_contains` for points in ascending latitude order."""
     n = len(lat)
     inside = np.zeros(n, dtype=bool)
-    group = max(1, _CHUNK_CELLS // max(n, 1))
-    for first in range(0, len(polygons), group):
-        part = polygons[first : first + group]
-        rings = [ring for polygon in part for ring in polygon]
-        v = np.concatenate(rings)
+    for polygon in polygons:
+        v = np.concatenate(polygon)
         # Edge k runs from vertex k to k + 1; its (x1, y1, dx, dy) are column k.
         edges = np.concatenate((v[:-1].T, v[1:].T - v[:-1].T))
         y1, y2 = v[:-1, 1], v[1:, 1]
         start, stop = lat.searchsorted(np.minimum(y1, y2)), lat.searchsorted(np.maximum(y1, y2))
         count = stop - start
-        if len(rings) > 1:  # no edge joins one ring's last vertex to the next's first
-            count[np.cumsum([len(ring) for ring in rings[:-1]]) - 1] = 0
+        if len(polygon) > 1:  # no edge joins one ring's last vertex to the next's first
+            count[np.cumsum([len(ring) for ring in polygon[:-1]]) - 1] = 0
         ends = count.cumsum()
-        # Pair j, counted over all edges, is point j + offsets[0] of its edge
-        # and counter j + offsets[1], which adds the polygon's position times n.
+        # Pair j, counted over all edges, is point j + shift of its edge.
         shift = start - ends + count
-        sizes = [sum(map(len, polygon)) for polygon in part]
-        offsets = np.array((shift, shift + (np.arange(len(part)) * n).repeat(sizes)[:-1]))
-        crossings = np.zeros(len(part) * n)
+        crossings = np.zeros(n, dtype=np.intp)
         for j0 in range(0, ends[-1], _CHUNK_CELLS):
             j1 = min(j0 + _CHUNK_CELLS, ends[-1])
             e0, e1 = ends.searchsorted((j0, j1 - 1), side="right") + (0, 1)
             take = np.minimum(ends[e0:e1], j1) - np.maximum(ends[e0:e1] - count[e0:e1], j0)
             x1, y1, dx, dy = edges[:, e0:e1].repeat(take, axis=1)
-            point, counter = offsets[:, e0:e1].repeat(take, axis=1) + np.arange(j0, j1)
+            point = shift[e0:e1].repeat(take) + np.arange(j0, j1)
             with np.errstate(invalid="ignore"):
                 hit = lon[point] < x1 + (lat[point] - y1) * dx / dy
-            crossings += np.bincount(counter, weights=hit, minlength=len(crossings))
-        inside |= np.logical_or.reduce(crossings.astype(np.intp).reshape(len(part), n) & 1, axis=0)
+            np.add.at(crossings, point[hit], 1)
+        inside |= crossings & 1 == 1
     return inside
 
 
@@ -202,7 +198,7 @@ def area_contains(
     """Containment in a (multi)polygon: inside any constituent polygon,
     which holds a point when an odd number of its rings do."""
     lat = np.asarray(lat, dtype=float)
-    by_lat = np.argsort(lat)
+    by_lat = np.argsort(lat, kind="stable")
     inside = np.empty(len(lat), dtype=bool)
     inside[by_lat] = _contains_sorted(np.asarray(lon, dtype=float)[by_lat], lat[by_lat], polygons)
     return inside
@@ -230,8 +226,7 @@ def aggregate_pixels(
 ) -> PixelAggregation:
     """Sum pixel values into the first containing area, in id order."""
     ordered = tuple(sorted(polys.area_ids))
-    # Ties may fall in any order: each pixel's outcome depends on its own values.
-    by_lat = np.argsort(px.lat)
+    by_lat = np.argsort(px.lat, kind="stable")
     lon, lat = px.lon[by_lat], px.lat[by_lat]
     owner = np.full(len(px), -1, dtype=int)
     for pos, area in enumerate(ordered):
@@ -240,21 +235,27 @@ def aggregate_pixels(
         (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
         pad = _PAD_ULPS * np.spacing(max(abs(x0), abs(x1)))
         lo, hi = np.searchsorted(lat, (y0, y1))
-        x = lon[lo:hi]
-        candidates = lo + np.flatnonzero((owner[lo:hi] < 0) & (x >= x0 - pad) & (x <= x1 + pad))
+        band = slice(lo, hi)
+        candidates = lo + np.flatnonzero(
+            (owner[band] < 0) & (lon[band] >= x0 - pad) & (lon[band] <= x1 + pad)
+        )
         hit = _contains_sorted(lon[candidates], lat[candidates], polygons)
         owner[candidates[hit]] = pos
     assignment = np.empty_like(owner)
     assignment[by_lat] = owner
+    # Freed before the by-area sort, which would otherwise set the peak.
+    del by_lat, lon, lat, owner
     # The unassigned pixels, then each area's, in row order as one slice: the
     # same sums as the masked ones.
     by_area = np.argsort(assignment, kind="stable")
     bounds = np.searchsorted(assignment[by_area], np.arange(len(ordered) + 1)).tolist()
     values = px.value[by_area]
     sums = np.array([values[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])], dtype=float)
-    unassigned_mass, total = float(values[: bounds[0]].sum()), float(px.value.sum())
+    unassigned_mass = float(values[: bounds[0]].sum())
+    total = float(px.value.sum())
+    margin = MarginVector(ordered, sums, MarginLevel.SMALL_AREA, reference_time)
     return PixelAggregation(
-        MarginVector(ordered, sums, MarginLevel.SMALL_AREA, reference_time),
+        margin,
         assignment,
         bounds[0],
         unassigned_mass,

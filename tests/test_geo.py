@@ -277,16 +277,13 @@ def test_comb_is_contained_in_bounded_memory(monkeypatch):
     np.testing.assert_array_equal(aggregate_pixels(px, polys).area_index, np.where(want, 0, -1))
 
 
-@pytest.mark.parametrize("per_batch", [1, 2, 5])
-def test_multipolygon_is_a_union_however_its_polygons_are_grouped(monkeypatch, per_batch):
+def test_multipolygon_is_a_union_of_its_polygons():
     # Five polygons, the first two overlapping: a point in both is inside.
     polys = AreaPolygonSet({"islands": tuple(
         (closed([(x, 0.0), (x + 0.8, 0.0), (x + 0.8, 0.5 + 0.1 * k), (x, 0.5)]),)
         for k, x in enumerate((0.0, 0.5, 1.9, 3.1, 4.3))
     )})
     lon, lat = probe_points(polys, np.random.default_rng(12))
-    # Room for the crossing counters of ``per_batch`` polygons at a time.
-    monkeypatch.setattr(geo, "_CHUNK_CELLS", per_batch * len(lon))
     want = reference_contains(lon, lat, polys.polygons["islands"])
     np.testing.assert_array_equal(area_contains(lon, lat, polys.polygons["islands"]), want)
     overlap = (lon > 0.5) & (lon < 0.8) & (lat > 0.0) & (lat < 0.5)
