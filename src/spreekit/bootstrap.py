@@ -37,25 +37,16 @@ output depends on how the threads are scheduled.  Without a census
 redraw no helper thread starts.
 
 Replicates are aggregated as they complete, in replicate order, so a run
-holds one (B, A, J) stack of fitted tables and nothing else of that size.
-Each replicate's fitted table goes into the next row of that stack, and its
-squared difference from the replicate composition is added to a running
-sum; the headcount keeps only one (B, A) array of squared differences.
-These sums are bitwise what numpy's sum over the replicate axis of the full
-stacks gives, which adds whole tables in replicate order; a one-cell table,
-whose column numpy sums pairwise, keeps its squares and sums them the same
-way.  The five replicate quantiles (:data:`QUANTILE_LEVELS`, named by
-:data:`QUANTILE_LABELS`, also the quantile columns of the validation
-summaries) are read by ``np.quantile`` from chunks of cells, each copied
-into one buffer of about :data:`_QUANTILE_CHUNK_BYTES`, allocated once per
-run, and sorted there, so the stack is never copied whole.  Linear
-quantiles depend only on the order statistics, so they are bitwise those
-of ``np.quantile`` over the stack, except that every zero quantile is
-+0.0: the copy adds +0.0, which turns a -0.0 cell (only a -0.0 margin
-value, such as a ``-0`` in an auxiliary pool file, puts one there) into
-+0.0.  ``_nan_mean`` is the one NaN-skipping mean of the replicate layer.
-A run whose stack would pass :data:`_MAX_STACK_BYTES` fails with a
-:class:`BootstrapError` before the point fit.
+holds one (B, A, J) stack of fitted tables and nothing else of that size:
+running sums of squared differences, and one (B, A) array for the
+headcount.  The five replicate quantiles (:data:`QUANTILE_LEVELS`) are
+numpy's linear ones (Hyndman & Fan 1996, type 7), read from chunks of
+cells sorted in one reused buffer.  Every zero quantile is +0.0, also
+where a ``-0`` margin value puts -0.0 cells in the stack.  The oracle tests
+in ``tests/test_bootstrap.py`` pin the sums and quantiles bit for bit to
+numpy's over the whole stack.  A run whose stack would pass
+:data:`_MAX_STACK_BYTES` fails with a :class:`BootstrapError` before the
+point fit.
 """
 
 from __future__ import annotations
@@ -90,7 +81,7 @@ _MAX_DROPPED_FRACTION = 0.10
 # Largest float64 replicate stack a run may hold, in bytes: a run that would
 # need more fails before its first replicate, not by running out of memory.
 _MAX_STACK_BYTES = 4 * 2**30
-# Bytes of the one buffer each chunk of cells is sorted in for ``np.quantile``.
+# Bytes of the one buffer each chunk of cells is sorted in.
 _QUANTILE_CHUNK_BYTES = 2**20
 
 
@@ -271,10 +262,8 @@ def _redraw_census(rng: np.random.Generator, lam: np.ndarray, counts: np.ndarray
     """A census redrawn around ``counts``: Poisson row totals of mean ``lam``,
     each split multinomially over its row's category proportions.
 
-    Rows of ``counts`` without mass get zero.  The proportions are
-    :func:`~spreekit.composition.to_probabilities`' arithmetic.  The one
-    vectorised split consumes the stream exactly as one draw per
-    positive-mass row, in row order, would: zero totals take no randomness.
+    Rows of ``counts`` without mass get zero; the draws follow steps 1 and
+    2 of the module's draw order.
     """
     totals = rng.poisson(lam)
     row_mass = counts.sum(axis=1)
@@ -337,6 +326,12 @@ def _replicate_quantiles(cells: np.ndarray) -> np.ndarray:
     a (5, m) array, read from chunks of cells sorted in one reused buffer."""
     n, m = cells.shape
     out = np.empty((len(QUANTILE_LEVELS), m))
+    # np.quantile's "linear" read-out: the order statistics lo and hi around
+    # each virtual index (both the last one from n - 1 on) and the weight t.
+    vi = (n - 1) * np.array(QUANTILE_LEVELS)
+    lo = np.where(vi >= n - 1, -1, np.floor(vi)).astype(np.intp)
+    hi = np.where(lo < 0, -1, lo + 1)
+    t = (vi - lo)[:, None]
     width = max(1, min(_QUANTILE_CHUNK_BYTES // (8 * n), m))
     buf = np.empty((width, n))
     for c in range(0, m, width):
@@ -344,7 +339,12 @@ def _replicate_quantiles(cells: np.ndarray) -> np.ndarray:
         # Adding +0.0 copies the chunk and turns -0.0 into +0.0.
         np.add(cells[:, c : c + width].T, 0.0, out=chunk)
         chunk.sort(axis=1)
-        out[:, c : c + width] = np.quantile(chunk, QUANTILE_LEVELS, axis=1, overwrite_input=True)
+        a, b, q = chunk[:, lo].T, chunk[:, hi].T, out[:, c : c + width]
+        diff = b - a
+        np.add(a, diff * t, out=q)
+        np.subtract(b, diff * (1 - t), out=q, where=t >= 0.5)
+        # A cell holding NaN sorts it last and reads it, as np.quantile does.
+        np.copyto(q, chunk[:, -1], where=np.isnan(chunk[:, -1]))
     return out
 
 

@@ -38,7 +38,8 @@ def check_integer(name: str, value: object, minimum: int | None = None) -> int:
 
 
 class _Ids(tuple):
-    """Ids that :func:`_check_unique` has checked; only it makes one."""
+    """Unique ``str`` ids: made by :func:`_check_unique`, or by a loader
+    that has proved them unique itself."""
     __slots__ = ()
 
 

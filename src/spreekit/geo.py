@@ -20,6 +20,11 @@ the box it lies left of every crossing, and a horizontal line straddles
 an even number of a closed ring's edges; right of the box it lies right
 of every crossing.  A rounded crossing can land a few ulps outside the
 box, so its longitude limits are widened by :data:`_PAD_ULPS` ulps.
+
+The latitude sort need not be stable: a pixel's crossings and owner
+depend only on its own coordinates, and a binary-searched slice holds the
+same pixels under any order of ties.  The by-area sort fixes the summation
+order, so it is stable, on the narrowest unsigned key (a radix sort).
 """
 
 from __future__ import annotations
@@ -198,7 +203,7 @@ def area_contains(
     """Containment in a (multi)polygon: inside any constituent polygon,
     which holds a point when an odd number of its rings do."""
     lat = np.asarray(lat, dtype=float)
-    by_lat = np.argsort(lat, kind="stable")
+    by_lat = np.argsort(lat)
     inside = np.empty(len(lat), dtype=bool)
     inside[by_lat] = _contains_sorted(np.asarray(lon, dtype=float)[by_lat], lat[by_lat], polygons)
     return inside
@@ -226,7 +231,7 @@ def aggregate_pixels(
 ) -> PixelAggregation:
     """Sum pixel values into the first containing area, in id order."""
     ordered = tuple(sorted(polys.area_ids))
-    by_lat = np.argsort(px.lat, kind="stable")
+    by_lat = np.argsort(px.lat)
     lon, lat = px.lon[by_lat], px.lat[by_lat]
     owner = np.full(len(px), -1, dtype=int)
     for pos, area in enumerate(ordered):
@@ -247,8 +252,9 @@ def aggregate_pixels(
     del by_lat, lon, lat, owner
     # The unassigned pixels, then each area's, in row order as one slice: the
     # same sums as the masked ones.
-    by_area = np.argsort(assignment, kind="stable")
-    bounds = np.searchsorted(assignment[by_area], np.arange(len(ordered) + 1)).tolist()
+    key = (assignment + 1).astype(np.min_scalar_type(len(ordered)))
+    by_area = np.argsort(key, kind="stable")
+    bounds = np.bincount(key, minlength=len(ordered) + 1).cumsum().tolist()
     values = px.value[by_area]
     sums = np.array([values[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])], dtype=float)
     unassigned_mass = float(values[: bounds[0]].sum())

@@ -64,6 +64,7 @@ from spreekit.composition import (
     Composition,
     MarginLevel,
     MarginVector,
+    _Ids,
     check_integer,
 )
 from spreekit.geo import AreaPolygonSet, PixelTable
@@ -467,11 +468,11 @@ def load_households(path: str | Path, profile: MpiProfile | None = None) -> Hous
         weights.frombytes(weight.tobytes())
         block_codes = np.frombuffer(b"".join(flag_columns), np.int8).reshape(len(indicators), t.n)
         codes.frombytes(block_codes.T.tobytes())
-    household_ids = tuple(seen)
+    # ``t.unique`` has proved the keys unique, so the table need not.
+    household_ids = _Ids(seen)
     flag_codes = np.frombuffer(codes, dtype=np.int8).reshape(len(seen), len(indicators))
     flags, missing = flag_codes == 1, flag_codes == 2
-    # The table copies its columns and keeps its own set of the ids: free
-    # the key set and the codes first.
+    # The table copies its columns: free the key dict and the codes first.
     del seen, flag_codes, codes
     households = _wrap_invariant(
         path, Households, household_ids, areas, subgroups, sizes, np.frombuffer(weights),

@@ -236,22 +236,19 @@ def _conserving_block(total: float, shares_block: np.ndarray) -> np.ndarray:
     remaining entries from smallest up (a finer float grid can represent
     the residual when the largest cannot).  The accepted candidate makes
     the exact sum of the returned floats equal the total; zero shares stay
-    exactly zero.
-
-    The residual is ``math.fsum`` of the total and the negated others.
-    ``fsum`` returns the correctly rounded value of the exact sum of its
-    finite inputs, which is what rounding the exact rational difference
-    gives; ``or 0.0`` maps a -0.0 result to the +0.0 a rational rounds to.
+    exactly zero.  ``tests/test_margins.py`` checks the residual against
+    the exact rational difference, rounded.
     """
-    block = total * shares_block
-    negated = [-v for v in block.tolist()]
+    shares = shares_block.tolist()
+    block = [total * share for share in shares]
+    negated = [-v for v in block]
 
     def residual(idx: int) -> float:
         return math.fsum([total, *negated[:idx], *negated[idx + 1 :]]) or 0.0
 
-    order = np.argsort(shares_block, kind="stable")
-    for idx in (int(order[-1]), *map(int, order[:-1])):
-        if shares_block[idx] <= 0.0:
+    order = sorted(range(len(shares)), key=shares.__getitem__)
+    for idx in (order[-1], *order[:-1]):
+        if shares[idx] <= 0.0:
             continue
         cand = residual(idx)
         if cand <= 0.0:
@@ -259,12 +256,12 @@ def _conserving_block(total: float, shares_block: np.ndarray) -> np.ndarray:
         old = block[idx]
         block[idx] = cand
         if math.fsum(block) == total:
-            return block
+            return np.array(block)
         block[idx] = old
     # Degenerate ulp-scale inputs: keep the nearest-rounded largest entry.
-    anchor = int(order[-1])
+    anchor = order[-1]
     block[anchor] = max(residual(anchor), 0.0)
-    return block
+    return np.array(block)
 
 
 def distribute(large_totals: MarginVector, shares: ShareVector) -> MarginVector:

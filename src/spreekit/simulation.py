@@ -17,11 +17,6 @@ fixed shares once per round (the hybrid margin reuses them) and the
 dynamic shares once per aux-pool entry.  A build that fails is not kept,
 so every strategy and round that needs it records the same failure.
 
-The per-quartile correlations are computed for all replicates of a
-strategy at once by :func:`_pearson_rows`, which repeats the arithmetic of
-``np.corrcoef`` row by row (the same centring, matrix product, scaling and
-clipping), so each value is bitwise what the per-replicate call gives.
-
 Means over rounds are the sum over the round count, the arithmetic of
 ``np.mean``, and the per-area mean over categories is
 ``bootstrap._nan_mean``.  A strategy that completes no round therefore goes
@@ -270,12 +265,9 @@ def _nd_rmse(est: np.ndarray, tru: np.ndarray) -> np.ndarray:
 def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson correlation of each row of ``x`` with the same row of ``y``.
 
-    Row ``r`` is bitwise ``np.corrcoef(x[r], y[r])[0, 1]``: both rows are
-    centred on their means, their 2 x 2 product comes from the same matmul
-    of the stacked ``(R, 2, n)`` array with its transpose, is scaled by
-    ``1 / (n - 1)`` and divided by the two standard deviations, then
-    clipped to [-1, 1].  NaN where ``n < 2`` or either row has zero
-    ``np.std`` (its mean squared deviation is zero).
+    Row ``r`` is bitwise ``np.corrcoef(x[r], y[r])[0, 1]``, as the oracle
+    tests in ``tests/test_simulation.py`` check; NaN where ``n < 2`` or
+    either row has zero ``np.std``.
     """
     xy = np.stack([x, y], axis=1).astype(float, copy=False)
     rows, _, n = xy.shape

@@ -693,6 +693,33 @@ def test_mixed_signed_zero_quantiles_equal_the_oracle():
     assert not np.signbit(got).any()
 
 
+@st.composite
+def quantile_oracle_cells(draw):
+    """1-300 replicates of 1-12 cells: replicate counts whose virtual index
+    (B - 1) * q is a whole number for some level, ties, mixed signed zeros,
+    magnitudes over 600 decades, and sometimes NaN in one cell."""
+    n = draw(st.integers(1, 300) | st.sampled_from([1, 2, 3, 5, 41, 81, 121, 201, 281]))
+    m = draw(st.integers(1, 12))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([-0.0, 0.0, 0.0, 1.0, 2.5, 5e-324, 1e-300, 1e300])
+    tied = g.random((n, m)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    spread = g.uniform(0.0, 1.0, (n, m)) * 10.0 ** g.uniform(-300.0, 300.0, (n, m))
+    cells = np.where(tied, g.choice(pool, (n, m)), spread)
+    if draw(st.booleans()):
+        cells[g.integers(0, n, draw(st.integers(1, n))), g.integers(0, m)] = np.nan
+    return cells
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(quantile_oracle_cells())
+def test_quantiles_from_sorted_rows_equal_np_quantile_bitwise(cells):
+    # Compared as bit patterns, so every zero must read +0.0 and a NaN
+    # cell must carry numpy's NaN.
+    want = np.quantile(cells, QUANTILE_LEVELS, axis=0) + 0.0
+    got = _replicate_quantiles(cells)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("replicates", [1, 9, 40])
 def test_one_cell_table_mse_matches_stacked_sum(replicates):
     # numpy sums a one-cell stack's column pairwise, not row after row, so

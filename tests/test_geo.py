@@ -244,6 +244,37 @@ class TestMatchesPerEdgeOracle:
         np.testing.assert_array_equal(agg.area_index, assignment)
         assert agg.margin.values.tobytes() == sums.tobytes()
 
+    def test_tied_latitudes_on_shared_edges_and_vertices(self):
+        # Every latitude of a quarter-step grid holds 82 pixels, in shuffled
+        # rows, many of them on the squares' shared edges and vertices and
+        # on the diamond's; no order of the tied latitudes may change a bit.
+        squares = {
+            f"g{i}{j}": ((closed([(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]),),)
+            for i in range(4) for j in range(4)
+        }
+        polys = AreaPolygonSet({"a_diamond": ((closed([(1, 0), (2, 1), (1, 2), (0, 1)]),),),
+                                **squares})
+        grid = np.arange(-0.5, 4.75, 0.25)
+        lon, lat = (np.repeat(axis.ravel(), 2) for axis in np.meshgrid(grid, grid))
+        rng = np.random.default_rng(21)
+        rows = rng.permutation(len(lon))
+        values = rng.uniform(0.0, 1.0, len(lon)) * 10.0 ** rng.uniform(-3.0, 6.0, len(lon))
+        px = PixelTable(lon[rows], lat[rows], values)
+        for polygons in polys.polygons.values():
+            want = reference_contains(px.lon, px.lat, polygons)
+            np.testing.assert_array_equal(area_contains(px.lon, px.lat, polygons), want)
+        agg = aggregate_pixels(px, polys)
+        assignment, _ = reference_aggregate(px, polys)
+        np.testing.assert_array_equal(agg.area_index, assignment)
+        want = masked_sums(px.value, assignment, len(polys.area_ids))
+        assert agg.margin.values.tobytes() == want.tobytes()
+        assert set(assignment.tolist()) == set(range(-1, len(polys.area_ids)))
+        shuffled = rng.permutation(len(px))
+        again = aggregate_pixels(
+            PixelTable(px.lon[shuffled], px.lat[shuffled], px.value[shuffled]), polys
+        )
+        np.testing.assert_array_equal(again.area_index, agg.area_index[shuffled])
+
 
 def comb(teeth):
     """A bar along y in [-1, 0] with ``teeth`` unit-wide teeth up to y = 1:
@@ -317,6 +348,28 @@ class TestAreaSums:
         want = masked_sums(values, agg.area_index, n_areas)
         assert agg.margin.values.tobytes() == want.tobytes()
         assert agg.unassigned_count == int((agg.area_index < 0).sum())
+
+    @pytest.mark.parametrize("n_areas", [255, 256])
+    def test_narrow_area_keys_sum_like_an_int64_stable_sort(self, n_areas):
+        # Keys 0 (unassigned) to n_areas: 255 fits a uint8 key, 256 needs
+        # a uint16 one.
+        rng = np.random.default_rng(n_areas)
+        polys = AreaPolygonSet({
+            f"a{k:03d}": ((closed([(k, 0), (k + 1, 0), (k + 1, 1), (k, 1)]),),)
+            for k in range(n_areas)
+        })
+        n = 20 * n_areas
+        lon, lat = rng.uniform(-1.0, n_areas + 1.0, n), rng.uniform(-0.2, 1.2, n)
+        values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 6.0, n)
+        agg = aggregate_pixels(PixelTable(lon, lat, values), polys)
+        by_area = np.argsort(agg.area_index.astype(np.int64), kind="stable")
+        bounds = np.searchsorted(agg.area_index[by_area], np.arange(n_areas + 1))
+        ordered = values[by_area]
+        want = np.array([ordered[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])])
+        assert agg.margin.values.tobytes() == want.tobytes()
+        assert agg.unassigned_count == bounds[0] > 0
+        assert agg.unassigned_mass == ordered[: bounds[0]].sum()
+        assert (agg.area_index == n_areas - 1).any()
 
 
 @st.composite
