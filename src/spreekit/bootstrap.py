@@ -15,7 +15,8 @@ order, which independent re-implementations must follow to reproduce runs:
    totals forced to zero on zero-mass areas.  It consumes the stream
    exactly as one draw per positive-mass area in area order would
    (zero-mass areas and zero totals draw nothing).  Steps 1 and 2 are
-   :func:`_redraw_census`, which the validation harness uses too.
+   :func:`_redraw_census`, which the validation harness uses too; the split
+   proportions are the point fit's, computed once per run.
 3. Auxiliary row margin: one ``rng.integers(0, len(pool))`` when a replicate
    pool is supplied, else one vectorised ``rng.lognormal`` over areas for
    the labelled perturbation fallback.
@@ -29,12 +30,12 @@ order, which independent re-implementations must follow to reproduce runs:
 The margins drawn in steps 3 and 4 go to the reconcile step as they are.
 
 One helper thread overlaps the census of replicate b+1 (steps 1 and 2)
-with the rest of replicate b: the main thread takes stream b+1, hands
-:func:`_redraw_census` to the helper, and then draws steps 3 and 4 of
-replicate b from stream b, whose census it has waited for.  Each stream
-is still drawn in the order above, by one thread at a time, so no
-output depends on how the threads are scheduled.  Without a census
-redraw no helper thread starts.
+with the rest of replicate b: the main thread takes stream b+1, hands the
+helper :func:`_redraw_census` with the proportions computed before the
+helper started, and then draws steps 3 and 4 of replicate b from stream b,
+whose census it has waited for.  Each stream is still drawn in the order
+above, by one thread at a time, so no output depends on how the threads
+are scheduled.  Without a census redraw no helper thread starts.
 
 Replicates are aggregated as they complete, in replicate order, so a run
 holds one (B, A, J) stack of fitted tables and nothing else of that size:
@@ -258,19 +259,25 @@ def _resample_iid(
     return MarginVector(design.category_ids, totals, MarginLevel.CATEGORY, reference_time)
 
 
-def _redraw_census(rng: np.random.Generator, lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """A census redrawn around ``counts``: Poisson row totals of mean ``lam``,
-    each split multinomially over its row's category proportions.
-
-    Rows of ``counts`` without mass get zero; the draws follow steps 1 and
-    2 of the module's draw order.
-    """
-    totals = rng.poisson(lam)
+def _census_proportions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``counts`` without mass, and each row's category
+    proportions (zero on those rows): what :func:`_redraw_census` splits by."""
     row_mass = counts.sum(axis=1)
     zero = row_mass == 0
     probs = counts / np.where(zero, 1.0, row_mass)[:, None]
     probs[zero] = 0.0
-    return rng.multinomial(np.where(zero, 0, totals), probs).astype(float)
+    return zero, probs
+
+
+def _redraw_census(
+    rng: np.random.Generator, lam: np.ndarray, zero: np.ndarray, probs: np.ndarray
+) -> np.ndarray:
+    """A census redrawn: Poisson row totals of mean ``lam``, zero on the
+    ``zero`` rows, each split multinomially over its row's ``probs`` (steps
+    1 and 2 of the module's draw order)."""
+    totals = rng.poisson(lam)
+    totals[zero] = 0
+    return rng.multinomial(totals, probs).astype(float)
 
 
 def resample_aux_margin(
@@ -430,6 +437,9 @@ def bootstrap_mse(
     # Imported here, so that the other commands do not load it.
     from concurrent.futures import Future, ThreadPoolExecutor
 
+    if cfg.census_resample != "none":
+        zero, probs = _census_proportions(fitted)
+
     with ThreadPoolExecutor(1) as helper:
 
         def draw(b: int) -> tuple[np.random.Generator, Future | None]:
@@ -437,7 +447,7 @@ def bootstrap_mse(
             rng = rngmod.stream(cfg.seed, b)
             if cfg.census_resample == "none":
                 return rng, None
-            return rng, helper.submit(_redraw_census, rng, lam, fitted)
+            return rng, helper.submit(_redraw_census, rng, lam, zero, probs)
 
         ahead = draw(0)
         for b in range(cfg.replicates):

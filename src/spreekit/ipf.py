@@ -4,12 +4,13 @@ Alternating row/column rescaling (raking).  The sweep order is fixed
 (rows first) for bit-reproducibility, and the fitted table preserves every
 odds ratio of the seed on its positive support.
 
-A sweep makes five passes over the table: scale the rows, sum the columns,
-scale the columns, then sum the rows and the columns for the convergence
-check.  Those row sums are the ones the next sweep scales by, so they are
-not computed again.  A row or column whose sum is zero gets a factor of
-exactly 1.0.  The sums, factors and deviations live in buffers allocated
-once per fit, so a sweep allocates no array.
+A sweep makes four passes over the table: scale the rows, sum the columns,
+scale the columns, then sum the rows, which the next sweep scales by.  The
+columns are summed again for the convergence check only on a sweep whose
+rows are within tolerance, or on the last one: on any other the fit cannot
+stop, and a NaN cell makes its row's deviation NaN as well as its column's.
+A row or column whose sum is zero gets a factor of exactly 1.0.  Sums,
+factors and deviations live in buffers allocated once per fit.
 """
 
 from __future__ import annotations
@@ -107,30 +108,30 @@ def ipf_fit(
     if cfg.zero_mode == "epsilon":
         counts[counts == 0] = cfg.epsilon
 
-    n_rows = len(rt)
-    targets = np.concatenate((rt, ct))
-    sums, devs = np.empty_like(targets), np.empty_like(targets)
-    row_sums, col_sums = sums[:n_rows], sums[n_rows:]
-    row_dev, col_dev = devs[:n_rows], devs[n_rows:]
+    row_sums, col_sums = np.empty_like(rt), np.empty_like(ct)
+    row_dev, col_dev = np.empty_like(rt), np.empty_like(ct)
 
     # Mass cannot be created in a row/column with no seed support.  Rows are
     # checked before the columns are summed, so a column sum that overflows
     # cannot warn ahead of a dead row.
     np.add.reduce(counts, axis=1, out=row_sums)
-    dead_rows = [seed.area_ids[i] for i in np.flatnonzero((row_sums == 0) & (rt > 0))]
-    if dead_rows:
-        raise IpfError(f"positive row target but all-zero seed row for: {dead_rows}")
+    if not row_sums.all():
+        dead_rows = [seed.area_ids[i] for i in np.flatnonzero((row_sums == 0) & (rt > 0))]
+        if dead_rows:
+            raise IpfError(f"positive row target but all-zero seed row for: {dead_rows}")
     np.add.reduce(counts, axis=0, out=col_sums)
-    dead_cols = [seed.category_ids[i] for i in np.flatnonzero((col_sums == 0) & (ct > 0))]
-    if dead_cols:
-        raise IpfError(f"positive column target but all-zero seed column for: {dead_cols}")
+    if not col_sums.all():
+        dead_cols = [seed.category_ids[i] for i in np.flatnonzero((col_sums == 0) & (ct > 0))]
+        if dead_cols:
+            raise IpfError(f"positive column target but all-zero seed column for: {dead_cols}")
 
-    scales = np.maximum(targets, 1.0)
+    row_scales, col_scales = np.maximum(rt, 1.0), np.maximum(ct, 1.0)
     row_factors, col_factors = np.empty_like(rt), np.empty_like(ct)
     row_live, col_live = np.empty(rt.shape, bool), np.empty(ct.shape, bool)
     row_factors_2d = row_factors[:, None]
+    tolerance, last = cfg.tolerance, cfg.max_iterations
     converged = False
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, last + 1):
         np.greater(row_sums, 0, out=row_live)
         row_factors.fill(1.0)
         np.divide(rt, row_sums, out=row_factors, where=row_live)
@@ -141,21 +142,24 @@ def ipf_fit(
         np.divide(ct, col_sums, out=col_factors, where=col_live)
         counts *= col_factors
         np.add.reduce(counts, axis=1, out=row_sums)
-        np.add.reduce(counts, axis=0, out=col_sums)
-        np.subtract(sums, targets, out=devs)
-        np.abs(devs, out=devs)
-        np.divide(devs, scales, out=devs)
-        # One reduce over both margins: a NaN column deviation comes from a
-        # NaN cell, whose row deviation is NaN too.
-        dev = np.maximum.reduce(devs)
-        if dev <= cfg.tolerance:
-            converged = True
-            break
-        if dev != dev:
+        np.subtract(row_sums, rt, out=row_dev)
+        np.abs(row_dev, out=row_dev)
+        np.divide(row_dev, row_scales, out=row_dev)
+        row_max = np.maximum.reduce(row_dev)
+        if row_max != row_max:
             # An overflow left NaN cells, which no later sweep removes.
             raise IpfError(f"margin deviation is NaN at sweep {iterations}: the raking overflowed")
+        if row_max <= tolerance or iterations == last:
+            np.add.reduce(counts, axis=0, out=col_sums)
+            np.subtract(col_sums, ct, out=col_dev)
+            np.abs(col_dev, out=col_dev)
+            np.divide(col_dev, col_scales, out=col_dev)
+            col_max = np.maximum.reduce(col_dev)
+            dev = max(row_max, col_max)
+            if dev <= tolerance:
+                converged = True
+                break
 
-    row_max, col_max = np.maximum.reduce(row_dev), np.maximum.reduce(col_dev)
     if row_max >= col_max:
         worst = ("row", seed.area_ids[int(row_dev.argmax())], float(row_max))
     else:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -49,6 +50,23 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
         and np.array_equal(np.isnan(got), nan)
         and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
     )
+
+
+def report_bits(x):
+    """``x`` (a report, a dataclass, or containers of arrays and scalars) as
+    nested tuples in which every array is its dtype, shape and bytes and
+    every float its hex: equal only when equal bit for bit."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, report_bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, dict):
+        return tuple((k, report_bits(v)) for k, v in x.items())
+    if isinstance(x, (tuple, list)):
+        return tuple(report_bits(v) for v in x)
+    if isinstance(x, float):
+        return x.hex()
+    return x
 
 
 def two_region_hierarchy(n_areas: int) -> AreaHierarchy:

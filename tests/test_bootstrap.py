@@ -32,6 +32,7 @@ from spreekit import bootstrap, ipf, rng as rngmod, run_simulation
 from spreekit.bootstrap import (
     QUANTILE_LABELS,
     QUANTILE_LEVELS,
+    _census_proportions,
     _nan_mean,
     _redraw_census,
     _replicate_quantiles,
@@ -40,7 +41,7 @@ from spreekit.bootstrap import (
 from spreekit.ipf import IpfError
 from spreekit.mpi import _poor_share
 
-from conftest import FIXTURES, make_composition, same_bits, two_region_hierarchy
+from conftest import FIXTURES, make_composition, report_bits, same_bits, two_region_hierarchy
 
 
 def mini_request():
@@ -377,7 +378,7 @@ def test_row_split_matches_per_area_loop():
         totals = rng.poisson(lam)
         expected, expected_next = per_area_split(rng, totals, probs, row_mass), rng.random()
         rng = rngmod.stream(k, 0)
-        got, got_next = _redraw_census(rng, lam, counts), rng.random()
+        got, got_next = _redraw_census(rng, lam, *_census_proportions(counts)), rng.random()
         np.testing.assert_array_equal(got, expected)
         assert got_next == expected_next
         seen["zero_mass_drawn"] += int(np.sum((row_mass == 0) & (totals > 0)))
@@ -785,11 +786,11 @@ def test_census_redraw_error_propagates_and_the_helper_thread_ends(monkeypatch):
     # thread must be gone once bootstrap_mse returns.
     calls, original = [], bootstrap._redraw_census
 
-    def third_fails(rng, lam, counts):
+    def third_fails(*args):
         calls.append(None)
         if len(calls) == 3:
             raise ValueError("third census")
-        return original(rng, lam, counts)
+        return original(*args)
 
     monkeypatch.setattr(bootstrap, "_redraw_census", third_fails)
     threads = threading.active_count()
@@ -927,3 +928,25 @@ def test_aux_pool_ids_must_match_the_seed_areas():
     pool = [MarginVector(("a1", "a2", "a3", "a5"), np.ones(4), MarginLevel.SMALL_AREA)]
     with pytest.raises(BootstrapError, match="^auxiliary pool ids do not match the seed areas$"):
         bootstrap_mse(mini_request(), mini_design(), pool, BootstrapConfig(replicates=2))
+
+
+def test_runs_in_one_process_carry_no_state(monkeypatch):
+    """Two runs on one request report the bits of a run on fresh objects,
+    and each run computes the census proportions of its point fit once."""
+    proportions, calls = bootstrap._census_proportions, []
+
+    def counted(counts):
+        calls.append(None)
+        return proportions(counts)
+
+    monkeypatch.setattr(bootstrap, "_census_proportions", counted)
+    req, design, pool = mini_request(), mini_design(), mini_pool()
+    cfg = BootstrapConfig(replicates=8)
+    first = report_bits(bootstrap_mse(req, design, pool, cfg))
+    assert len(calls) == 1
+    second = report_bits(bootstrap_mse(req, design, pool, cfg))
+    assert len(calls) == 2
+    assert first == second == report_bits(bootstrap_mse(mini_request(), mini_design(), mini_pool(), cfg))
+    assert len(calls) == 3
+    bootstrap_mse(req, design, pool, dataclasses.replace(cfg, census_resample="none"))
+    assert len(calls) == 3

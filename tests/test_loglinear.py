@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spreekit import Composition, association_distance, decompose
+from spreekit import Composition, LogLinearDecomposition, association_distance, decompose
 
 from conftest import make_composition, random_positive_table
 
@@ -68,3 +68,36 @@ def test_mismatched_labels_rejected():
     b = make_composition([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError, match="share"):
         association_distance(a, b)
+
+
+def _effects(**overrides):
+    """The effects of a valid 2 x 2 decomposition, with ``overrides``."""
+    kw = dict(
+        area_ids=("a1", "a2"),
+        category_ids=("c1", "c2"),
+        overall=1.0,
+        area_effects=[0.5, -0.5],
+        category_effects=[0.25, -0.25],
+        interaction=[[0.1, -0.1], [-0.1, 0.1]],
+    )
+    kw.update(overrides)
+    return LogLinearDecomposition(**kw)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"area_effects": [0.5, -0.25, -0.25]}, "main effect shapes do not match ids"),
+        ({"category_effects": [0.0]}, "main effect shapes do not match ids"),
+        ({"interaction": [[0.1, -0.1]]}, "interaction shape does not match ids"),
+        ({"area_effects": [0.5, -0.4]}, "main effects must sum to zero"),
+        ({"category_effects": [0.25, 0.25]}, "main effects must sum to zero"),
+        ({"interaction": [[0.1, -0.1], [0.1, -0.1]]}, "interaction rows and columns must sum to zero"),
+    ],
+    ids=["area-shape", "category-shape", "interaction-shape", "area-sum", "category-sum",
+         "interaction-sum"],
+)
+def test_decomposition_checks_its_effects(overrides, message):
+    _effects()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _effects(**overrides)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from spreekit import (
     AreaHierarchy,
     Composition,
+    HybridSelection,
     MarginLevel,
     MarginVector,
     ShareVector,
@@ -21,6 +22,7 @@ from spreekit import (
     select_by_change,
 )
 from spreekit.margins import _conserving_block
+from spreekit.update import UpdateRequest, spree_update
 
 from conftest import make_composition, make_margin, two_region_hierarchy
 
@@ -363,3 +365,86 @@ def test_conserving_block_degenerate_fallback(total, shares):
     got = _conserving_block(total, shares.copy())
     want = _conserving_block_fraction(total, shares.copy())
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_share_vector_shape_must_match_its_ids():
+    with pytest.raises(ValueError, match="^shares shape does not match small ids$"):
+        ShareVector(("a1", "a2"), np.array([1.0]), two_region_hierarchy(2))
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 1.0])
+def test_hybrid_selection_cutoff_must_lie_strictly_inside_the_unit_interval(cutoff):
+    with pytest.raises(ValueError, match=r"^quantile_cutoff must lie in \(0, 1\)$"):
+        HybridSelection(("g1",), {"g1": 0.5, "g2": 0.1}, cutoff)
+
+
+def test_hybrid_selection_needs_a_score_for_every_selected_id():
+    with pytest.raises(ValueError, match=r"^selected ids without change scores: \['g3'\]$"):
+        HybridSelection(("g1", "g3"), {"g1": 0.5, "g2": 0.1}, 0.5)
+
+
+def test_select_by_change_needs_a_positive_baseline():
+    baseline = large_margin([5.0, 0.0])
+    with pytest.raises(
+        ValueError, match=r"^baseline population must be positive, got zero for: \['g2'\]$"
+    ):
+        select_by_change(large_margin([5.0, 6.0]), baseline)
+
+
+def test_hybrid_shares_need_the_same_small_areas():
+    h = two_region_hierarchy(4)
+    fixed = ShareVector(("a1", "a2", "a3", "a4"), np.full(4, 0.5), h)
+    dynamic = ShareVector(("a2", "a1", "a3", "a4"), np.full(4, 0.5), h)
+    sel = HybridSelection(("g1",), {"g1": 0.5, "g2": 0.1}, 0.5)
+    with pytest.raises(
+        ValueError, match="^fixed and dynamic share vectors cover different small areas$"
+    ):
+        hybrid_shares(fixed, dynamic, sel)
+
+
+def test_hybrid_shares_need_the_same_hierarchy():
+    ids = ("a1", "a2", "a3", "a4")
+    fixed = ShareVector(ids, np.full(4, 0.5), two_region_hierarchy(4))
+    one_region = AreaHierarchy.from_pairs((a, "g1") for a in ids)
+    dynamic = ShareVector(ids, np.full(4, 0.25), one_region)
+    sel = HybridSelection(("g1",), {"g1": 0.5}, 0.5)
+    with pytest.raises(
+        ValueError, match="^fixed and dynamic share vectors use different hierarchies$"
+    ):
+        hybrid_shares(fixed, dynamic, sel)
+
+
+def test_reconcile_rejects_an_unknown_policy():
+    row = make_margin([4.0, 6.0], MarginLevel.SMALL_AREA, "a")
+    col = make_margin([5.0, 7.0], MarginLevel.CATEGORY, "c")
+    with pytest.raises(ValueError, match="^unknown reconcile policy 'bogus'$"):
+        reconcile_margins(row, col, "bogus")
+
+
+def test_distribute_returns_its_last_margin_for_the_same_totals_object():
+    census = make_composition([[40.0, 60.0], [30.0, 70.0], [55.0, 45.0], [20.0, 80.0]])
+    shares = fixed_shares(census, two_region_hierarchy(4))
+    totals = large_margin([1000.0, 3000.0], t=5)
+    first = distribute(totals, shares)
+    assert distribute(totals, shares) is first
+    # Equal totals in another object, or other totals, are spread afresh.
+    twin = large_margin([1000.0, 3000.0], t=5)
+    again = distribute(twin, shares)
+    assert again is not first
+    assert again.values.tobytes() == first.values.tobytes()
+    other = distribute(large_margin([10.0, 30.0], t=6), shares)
+    assert other.values.tolist() == [5.0, 5.0, 15.0, 15.0] and other.reference_time == 6
+    # The memo keeps only the last margin, and the update still reads it.
+    assert distribute(totals, shares) is not first
+    col = make_margin([1500.0, 2500.0], MarginLevel.CATEGORY, "c")
+    res = spree_update(UpdateRequest(census, col, totals, shares))
+    assert res.row_margin_used is distribute(totals, shares)
+
+
+def test_distribute_does_not_keep_a_failed_margin():
+    census = make_composition([[40.0, 60.0], [30.0, 70.0], [55.0, 45.0], [20.0, 80.0]])
+    shares = fixed_shares(census, two_region_hierarchy(4))
+    partial = large_margin([1000.0], ids=("g1",))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^no total supplied for large areas: \['g2'\]$"):
+            distribute(partial, shares)

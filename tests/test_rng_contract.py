@@ -15,6 +15,7 @@ import pytest
 
 from spreekit import io as sio, rng as rngmod, run_simulation, simulation
 from spreekit.bootstrap import (
+    _census_proportions,
     _redraw_census,
     _resample_iid,
     resample_aux_margin,
@@ -40,7 +41,8 @@ def floats(hexes) -> list[float]:
 
 def census_split(case) -> np.ndarray:
     census = sio.load_composition(MINI / "census2002.csv")
-    return _redraw_census(stream(case), census.counts.sum(axis=1), census.counts)
+    lam = census.counts.sum(axis=1)
+    return _redraw_census(stream(case), lam, *_census_proportions(census.counts))
 
 
 @CASES

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -29,7 +30,14 @@ from spreekit import bootstrap, io as sio, rng as rngmod, simulation
 from spreekit.scenario import ScenarioConfig
 from spreekit.simulation import STRATEGIES, StrategyMetrics, _pearson_rows, quartile_means
 
-from conftest import FIXTURES, make_composition, make_margin, same_bits, two_region_hierarchy
+from conftest import (
+    FIXTURES,
+    make_composition,
+    make_margin,
+    report_bits,
+    same_bits,
+    two_region_hierarchy,
+)
 
 
 class TestMetricFormulas:
@@ -967,3 +975,68 @@ def test_partly_failed_strategies_match_stacked_rounds(monkeypatch):
         est_h, tru_h = simulation._poor_share(est, 0), simulation._poor_share(tru, 0)
         assert same_bits(m.headcount_bias, simulation._nd_bias(est_h, tru_h))
         assert same_bits(m.headcount_rmse, simulation._nd_rmse(est_h, tru_h))
+
+
+def test_runs_in_one_process_carry_no_state(monkeypatch):
+    """Runs on reused plan objects, and on a second plan that shares the
+    first's large-area totals and hierarchy, report the bits of runs on
+    fresh objects.  Each truth's census proportions are computed once,
+    however many rounds redraw it."""
+    proportions, calls = simulation._census_proportions, []
+
+    def counted(counts):
+        calls.append(None)
+        return proportions(counts)
+
+    monkeypatch.setattr(simulation, "_census_proportions", counted)
+    cfg_a = migration_shock_config(replicates=6)
+    cfg_b = migration_shock_config(replicates=6, seed=cfg_a.seed + 1)
+
+    def plan_b(plan_a):
+        return replace(
+            build_scenario(cfg_b), large_totals_t=plan_a.large_totals_t, hierarchy=plan_a.hierarchy
+        )
+
+    plan_a = build_scenario(cfg_a)
+    first = report_bits(run_simulation(plan_a))
+    assert len(calls) == 2
+    second = report_bits(run_simulation(plan_a))
+    assert len(calls) == 2
+    shared = report_bits(run_simulation(plan_b(plan_a)))
+    assert len(calls) == 4
+    third = report_bits(run_simulation(plan_a))
+    assert len(calls) == 4
+    assert first == second == third == report_bits(run_simulation(build_scenario(cfg_a)))
+    assert shared == report_bits(run_simulation(plan_b(build_scenario(cfg_a))))
+    assert shared != first
+
+
+def test_dynamic_margin_is_built_once_per_pool_entry(monkeypatch):
+    """Every round that uses a pool entry gets that entry's one distributed
+    margin, and a run that spreads the totals afresh for every update
+    reports the same bits."""
+    plan = build_scenario(migration_shock_config(replicates=7))
+    plan = replace(plan, aux_pool=plan.aux_pool[:3])
+    real_update, rows = simulation.spree_update, []
+
+    def update(req):
+        res = real_update(req)
+        if req.shares.provenance == "dynamic-auxiliary":
+            rows.append(res.row_margin_used)
+        return res
+
+    monkeypatch.setattr(simulation, "spree_update", update)
+    memoised = report_bits(run_simulation(plan))
+    assert len(rows) == 7 and len({id(r) for r in rows}) == 3
+    assert all(rows[r] is rows[r % 3] for r in range(7))
+
+    real_distribute = sys.modules["spreekit.update"].distribute
+
+    def afresh(large_totals, shares):
+        shares.__dict__.pop("_distributed", None)
+        return real_distribute(large_totals, shares)
+
+    monkeypatch.setattr(sys.modules["spreekit.update"], "distribute", afresh)
+    rows.clear()
+    assert report_bits(run_simulation(plan)) == memoised
+    assert len({id(r) for r in rows}) == 7
