@@ -29,13 +29,17 @@ order, which independent re-implementations must follow to reproduce runs:
 
 The margins drawn in steps 3 and 4 go to the reconcile step as they are.
 
-One helper thread overlaps the census of replicate b+1 (steps 1 and 2)
-with the rest of replicate b: the main thread takes stream b+1, hands the
-helper :func:`_redraw_census` with the proportions computed before the
-helper started, and then draws steps 3 and 4 of replicate b from stream b,
-whose census it has waited for.  Each stream is still drawn in the order
-above, by one thread at a time, so no output depends on how the threads
-are scheduled.  Without a census redraw no helper thread starts.
+One helper thread draws censuses (steps 1 and 2) ahead of the replicates
+that use them: while the main thread works on replicate b, the censuses of
+the next three (:data:`_CENSUSES_AHEAD`) are queued on the helper, each as
+:func:`_redraw_census` on its own stream with the proportions computed
+before the helper started.  When census b is not ready, the main thread
+does not wait idle: it takes back the furthest queued census the helper
+has not started and draws it itself.  Either way each census is drawn
+once, by one thread, from its own stream, and before the main thread draws
+steps 3 and 4 from that stream.  No draw depends on which thread makes it,
+so no output depends on how the threads are scheduled.  Without a census
+redraw no helper thread starts.
 
 Replicates are aggregated as they complete, in replicate order, so a run
 holds one (B, A, J) stack of fitted tables and nothing else of that size:
@@ -53,6 +57,7 @@ point fit.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -84,6 +89,8 @@ _MAX_DROPPED_FRACTION = 0.10
 _MAX_STACK_BYTES = 4 * 2**30
 # Bytes of the one buffer each chunk of cells is sorted in.
 _QUANTILE_CHUNK_BYTES = 2**20
+# Censuses queued on the helper thread beyond the replicate being raked.
+_CENSUSES_AHEAD = 3
 
 
 def _nan_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -441,20 +448,38 @@ def bootstrap_mse(
         zero, probs = _census_proportions(fitted)
 
     with ThreadPoolExecutor(1) as helper:
+        # Each replicate's stream, and its census (steps 1-2): a future while
+        # queued on the helper, an array once drawn here, None if not redrawn.
+        queued: deque[tuple[np.random.Generator, Future | np.ndarray | None]] = deque()
 
-        def draw(b: int) -> tuple[np.random.Generator, Future | None]:
-            """Replicate b's stream, and its census (steps 1-2) as a future."""
+        def queue(b: int) -> None:
             rng = rngmod.stream(cfg.seed, b)
             if cfg.census_resample == "none":
-                return rng, None
-            return rng, helper.submit(_redraw_census, rng, lam, zero, probs)
+                queued.append((rng, None))
+            else:
+                queued.append((rng, helper.submit(_redraw_census, rng, lam, zero, probs)))
 
-        ahead = draw(0)
+        def take() -> tuple[np.random.Generator, np.ndarray]:
+            """The next replicate's stream and census.  While the helper is
+            still drawing that census, this thread draws the furthest queued
+            census the helper has not started, rather than wait."""
+            rng, census = queued.popleft()
+            if isinstance(census, Future):
+                if not census.done():
+                    for i in reversed(range(len(queued))):
+                        later_rng, later = queued[i]
+                        if isinstance(later, Future) and later.cancel():
+                            queued[i] = later_rng, _redraw_census(later_rng, lam, zero, probs)
+                            break
+                census = census.result()
+            return rng, fitted if census is None else census
+
+        for b in range(min(_CENSUSES_AHEAD, cfg.replicates)):
+            queue(b)
         for b in range(cfg.replicates):
-            rng, census = ahead
-            if b + 1 < cfg.replicates:
-                ahead = draw(b + 1)
-            mult = fitted if census is None else census.result()
+            if b + _CENSUSES_AHEAD < cfg.replicates:
+                queue(b + _CENSUSES_AHEAD)
+            rng, mult = take()
             outcome = one_replicate(b, rng, mult)
             if isinstance(outcome, str):
                 reasons.append(outcome)

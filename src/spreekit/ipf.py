@@ -89,7 +89,8 @@ def ipf_fit(
         On id mismatch, on margin totals differing by more than 1e-6
         relative (reconcile first), when mass would have to be created
         in an all-zero row or column, or at the first sweep whose margin
-        deviation is NaN (the raking overflowed).
+        deviation is NaN, or at a last sweep whose deviation is infinite (the
+        raking overflowed).
     """
     if seed.area_ids != row_target.ids:
         raise IpfError("row target ids do not match seed area ids")
@@ -150,6 +151,11 @@ def ipf_fit(
             # An overflow left NaN cells, which no later sweep removes.
             raise IpfError(f"margin deviation is NaN at sweep {iterations}: the raking overflowed")
         if row_max <= tolerance or iterations == last:
+            if row_max == np.inf:
+                # Infinite cells on the last sweep: the next would make them NaN.
+                raise IpfError(
+                    f"margin deviation is infinite at sweep {iterations}: the raking overflowed"
+                )
             np.add.reduce(counts, axis=0, out=col_sums)
             np.subtract(col_sums, ct, out=col_dev)
             np.abs(col_dev, out=col_dev)

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -780,23 +781,60 @@ def test_stack_over_budget_fails_before_the_point_fit(monkeypatch):
         bootstrap_mse(mini_request(), mini_design(), None, BootstrapConfig(replicates=25))
 
 
-def test_census_redraw_error_propagates_and_the_helper_thread_ends(monkeypatch):
-    # The census is drawn on a helper thread; its error must reach the
-    # caller as it is, not count as a dropped replicate, and the helper
-    # thread must be gone once bootstrap_mse returns.
+def _slow_helper(monkeypatch, fail_on=None) -> list[tuple[np.random.Generator, bool]]:
+    """Make ``_redraw_census`` sleep 20 ms off the main thread, so that the
+    main thread draws some censuses itself.  The returned list gets each
+    draw's stream and whether the main thread drew it.  ``fail_on(calls)``
+    says whether the draw just recorded raises."""
     calls, original = [], bootstrap._redraw_census
 
-    def third_fails(*args):
-        calls.append(None)
-        if len(calls) == 3:
-            raise ValueError("third census")
-        return original(*args)
+    def slowed(rng, *args):
+        on_main = threading.current_thread() is threading.main_thread()
+        calls.append((rng, on_main))
+        if fail_on is not None and fail_on(calls):
+            raise ValueError("failing census")
+        if not on_main:
+            time.sleep(0.02)
+        return original(rng, *args)
 
-    monkeypatch.setattr(bootstrap, "_redraw_census", third_fails)
+    monkeypatch.setattr(bootstrap, "_redraw_census", slowed)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fail_on",
+    [lambda calls: len(calls) >= 3 and not calls[-1][1], lambda calls: calls[-1][1]],
+    ids=["helper-thread", "main-thread"],
+)
+def test_census_redraw_error_propagates_and_the_helper_thread_ends(monkeypatch, fail_on):
+    # A census drawn on the helper thread or on the main thread: its error
+    # must reach the caller as it is, not count as a dropped replicate, and
+    # the helper thread must be gone once bootstrap_mse returns.
+    _slow_helper(monkeypatch, fail_on)
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="^third census$"):
+    with pytest.raises(ValueError, match="^failing census$"):
         bootstrap_mse(mini_request(), mini_design(), mini_pool(), BootstrapConfig(replicates=6))
     assert threading.active_count() == threads
+
+
+def test_censuses_drawn_on_the_main_thread_change_no_bit(monkeypatch):
+    """With the helper slowed, the main thread draws some censuses; each
+    replicate's census is still drawn once, and every output bit holds."""
+    cfg = BootstrapConfig(replicates=12)
+    want = report_bits(bootstrap_mse(mini_request(), mini_design(), mini_pool(), cfg))
+    streams, stream = {}, rngmod.stream
+
+    def recording(seed, b):
+        rng = stream(seed, b)
+        streams[id(rng)] = b
+        return rng
+
+    monkeypatch.setattr(rngmod, "stream", recording)
+    calls = _slow_helper(monkeypatch)
+    got = report_bits(bootstrap_mse(mini_request(), mini_design(), mini_pool(), cfg))
+    assert got == want
+    assert sorted(streams[id(rng)] for rng, _ in calls) == list(range(cfg.replicates))
+    assert any(on_main for _, on_main in calls)
 
 
 @pytest.mark.parametrize("census", ["poisson-multinomial", "none"])

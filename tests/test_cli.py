@@ -528,18 +528,34 @@ class TestValidate:
         )
 
     @pytest.mark.parametrize(
-        "scenario",
+        "scenario, message",
         [
-            {"ipf_config": {"tolerance": 1e-6}},
-            {"persons_per_psu": 0},
-            {"psus_per_region": 0},
-            {"region_populations": [120000.0, 0.0, 100000.0]},
-            {"region_growth": [0.02, 0.025, -1.0]},
+            ({"ipf_config": {"tolerance": 1e-6}}, "unexpected keyword argument 'ipf_config'"),
+            ({"persons_per_psu": 0}, "persons_per_psu must be >= 1"),
+            ({"psus_per_region": 0}, "psus_per_region must be >= 1"),
+            ({"region_populations": [120000.0, 0.0, 100000.0]}, "region_populations must be > 0"),
+            ({"region_growth": [0.02, 0.025, -1.0]}, "region_growth must be > -1"),
+            ({"region_growth": [0.02, 0.025]}, "region_growth must have one entry per region"),
+            (
+                {"base_shares": [[0.5, 0.5], [0.25] * 4, [0.25] * 4]},
+                "base_shares rows must have one entry per area",
+            ),
+            (
+                {"base_shares": [[0.25] * 4, [0.25] * 4, [0.3] * 4]},
+                "base_shares rows must sum to 1",
+            ),
+            (
+                {"poverty_t0": [[0.2] * 4, [0.2] * 4, [0.2, 0.2, 0.2, 1.0]]},
+                "poverty rates must lie strictly in (0, 1)",
+            ),
+            ({"aux_cv": -0.1}, "aux_cv must be >= 0"),
+            ({"aux_bias_range": [0.05, 0.025]}, "aux_bias_range must satisfy 0 <= lo <= hi"),
         ],
         ids=["ipf_config", "persons_per_psu", "psus_per_region",
-             "region_populations", "region_growth"],
+             "region_populations", "region_growth", "regions-per-row", "areas-per-row",
+             "share-sum", "poverty-rate", "aux_cv", "aux_bias_range"],
     )
-    def test_bad_scenario_config_is_data_error(self, tmp_path, scenario):
+    def test_bad_scenario_config_is_data_error(self, tmp_path, scenario, message):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"scenario": {"replicates": 2, **scenario}}))
         code, out, err = run_cli("validate", "--plan", plan, "--out", tmp_path / "out")
@@ -547,7 +563,8 @@ class TestValidate:
         assert len(err.splitlines()) == 1
         error = json.loads(err)
         assert error["error"] == "IngestError"
-        assert "bad scenario config" in error["message"]
+        assert "bad scenario config: " in error["message"]
+        assert error["message"].endswith(message)
 
     @pytest.mark.parametrize(
         "plan",

@@ -260,6 +260,31 @@ class TestProfile:
         with pytest.raises(IngestError, match="sum"):
             sio.load_profile(p4)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "[Errno 2] No such file or directory"),
+            ('{"indicators": []}', "'indicators' must be a non-empty list"),
+            (
+                '{"indicators": [{"id": "a", "weight": true}]}',
+                "indicators[0].weight must be a number or fraction string",
+            ),
+            (
+                '{"indicators": [{"id": "a", "weight": "1/0"}]}',
+                "bad indicators[0].weight '1/0': Fraction(1, 0)",
+            ),
+            (
+                '{"indicators": [{"id": "a", "weight": 1}], "cutoff": [1]}',
+                "cutoff must be a number or fraction string, got [1]",
+            ),
+        ],
+        ids=["missing-file", "no-indicators", "bool-weight", "zero-denominator", "list-cutoff"],
+    )
+    def test_bad_profile_is_an_ingest_error_naming_the_file(self, tmp_path, text, message):
+        p = tmp_path / "p.json" if text is None else write(tmp_path, "p.json", text)
+        with pytest.raises(IngestError, match=f"^{re.escape(f'{p}: {message}')}"):
+            sio.load_profile(p)
+
 
 class TestByYear:
     def test_projections_round_trip(self, tmp_path):
@@ -385,6 +410,11 @@ class TestPlans:
         plan = sio.load_plan(p)
         assert plan.replicates == 5
         assert plan.seed == 11
+
+    def test_plan_must_be_an_object(self, tmp_path):
+        p = write(tmp_path, "plan.json", '[{"scenario": {}}]')
+        with pytest.raises(IngestError, match=f"^{re.escape(str(p))}: plan must be a JSON object$"):
+            sio.load_plan(p)
 
     def test_scenario_must_be_an_object(self, tmp_path):
         p = write(tmp_path, "plan.json", '{"scenario": 3}')

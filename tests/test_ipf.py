@@ -408,6 +408,27 @@ def test_nan_deviation_stops_the_fit_at_its_sweep():
 
 
 @pytest.mark.parametrize(
+    "sweeps, message",
+    [
+        (1, "margin deviation is infinite at sweep 1: the raking overflowed"),
+        (2, "margin deviation is NaN at sweep 2: the raking overflowed"),
+    ],
+)
+def test_infinite_cells_on_the_last_sweep_stop_the_fit(sweeps, message):
+    # Epsilon mode gives the seed 0.5 + 0.5 + 1e-320, and the third column's
+    # factor (1/3) / 1e-320 overflows to inf in the first sweep.  The second
+    # sweep's row factor 1 / inf turns the cells NaN.
+    seed = make_composition([[0.0, 0.0, 1e-320]])
+    rows = make_margin([1.0], MarginLevel.SMALL_AREA, "a")
+    cols = make_margin([1 / 3] * 3, MarginLevel.CATEGORY, "c")
+    cfg = IpfConfig(max_iterations=sweeps, zero_mode="epsilon")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(IpfError, match=f"^{message}$"):
+            ipf_fit(seed, rows, cols, cfg)
+
+
+@pytest.mark.parametrize(
     "kwargs, message",
     [
         ({"tolerance": 0.0}, "tolerance must be > 0"),
@@ -440,7 +461,8 @@ def test_column_ids_must_match_the_seed_categories():
 
 def _ipf_fit_both_margins(seed, row_target, col_target, cfg=IpfConfig()):
     """Oracle: the kernel's sweep loop as it was when it summed the columns
-    and took both margins' deviations on every sweep."""
+    and took both margins' deviations on every sweep, with the kernel's rule
+    that a fit whose last sweep leaves infinite cells raises."""
     rt, ct = row_target.values, col_target.values
     total_r, total_c = np.add.reduce(rt), np.add.reduce(ct)
     if abs(total_r - total_c) > 1e-6 * max(total_r, total_c, 1.0):
@@ -488,6 +510,8 @@ def _ipf_fit_both_margins(seed, row_target, col_target, cfg=IpfConfig()):
         if dev != dev:
             raise IpfError(f"margin deviation is NaN at sweep {iterations}: the raking overflowed")
 
+    if dev == np.inf:
+        raise IpfError(f"margin deviation is infinite at sweep {iterations}: the raking overflowed")
     row_max, col_max = np.maximum.reduce(row_dev), np.maximum.reduce(col_dev)
     if row_max >= col_max:
         worst = ("row", seed.area_ids[int(row_dev.argmax())], float(row_max))
@@ -543,8 +567,7 @@ def rake_problems(draw):
 
 def _rake_bits(fit, *args):
     """Everything a fit returns, floats as their bits or repr, or the type
-    and text of what it raised: an IpfError, or the ValueError of a fitted
-    table left with infinite cells.  numpy's warnings are not the subject."""
+    and text of what it raised.  numpy's warnings are not the subject."""
     with np.errstate(all="ignore"):
         try:
             res = fit(*args)
@@ -583,6 +606,13 @@ def _rake_bits(fit, *args):
     make_margin([1e296, 2e296], MarginLevel.SMALL_AREA, "a"),
     make_margin([1.5e296, 1.5e296], MarginLevel.CATEGORY, "c"),
     IpfConfig(),
+))
+# The third column's factor overflows to inf on the only sweep allowed.
+@example((
+    make_composition([[0.0, 0.0, 1e-320]]),
+    make_margin([1.0], MarginLevel.SMALL_AREA, "a"),
+    make_margin([1 / 3] * 3, MarginLevel.CATEGORY, "c"),
+    IpfConfig(max_iterations=1, zero_mode="epsilon"),
 ))
 # -0.0 targets on a row and a column.
 @example((
