@@ -39,7 +39,8 @@ has not started and draws it itself.  Either way each census is drawn
 once, by one thread, from its own stream, and before the main thread draws
 steps 3 and 4 from that stream.  No draw depends on which thread makes it,
 so no output depends on how the threads are scheduled.  Without a census
-redraw no helper thread starts.
+redraw no helper thread starts.  A census draw that raises ends the run:
+the censuses still queued are not drawn.
 
 Replicates are aggregated as they complete, in replicate order, so a run
 holds one (B, A, J) stack of fitted tables and nothing else of that size:
@@ -447,7 +448,8 @@ def bootstrap_mse(
     if cfg.census_resample != "none":
         zero, probs = _census_proportions(fitted)
 
-    with ThreadPoolExecutor(1) as helper:
+    helper = ThreadPoolExecutor(1)
+    try:
         # Each replicate's stream, and its census (steps 1-2): a future while
         # queued on the helper, an array once drawn here, None if not redrawn.
         queued: deque[tuple[np.random.Generator, Future | np.ndarray | None]] = deque()
@@ -493,6 +495,9 @@ def bootstrap_mse(
             if h_sq is not None:
                 h_sq[n] = np.square(_poor_share(fitted_b, poor_col) - _poor_share(mult, poor_col))
             n += 1
+    finally:
+        # After an error the censuses still queued are not drawn.
+        helper.shutdown(cancel_futures=True)
 
     dropped = len(reasons)
     if dropped > _MAX_DROPPED_FRACTION * cfg.replicates:

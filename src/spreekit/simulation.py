@@ -26,12 +26,26 @@ Means over rounds are the sum over the round count, the arithmetic of
 through the same aggregation as any other, on empty stacks, and reports NaN
 metrics without a warning.  The summary quantiles are
 :data:`~spreekit.bootstrap.QUANTILE_LEVELS`.
+
+``run_simulation(plan, processes=n)`` splits the rounds into at most ``n``
+contiguous ranges.  The calling process runs the first range; a child
+started with ``os.fork`` runs each other range with the same loop and
+sends back over a pipe its target-year truths, each strategy's completed
+fits and shares, and its failures.  The caller reads each range, in round
+order, straight into the stacks a one-process run fills, and aggregates
+them once.  Round r draws only from stream r wherever it runs, and every
+cache a process builds gives the bits a fresh build gives, so no byte of
+the report depends on the process count.  A child holds only its own
+range's rows, so the machine holds about twice the stacks the budget
+counts.  The library default is one process: a library must not fork
+behind a caller that may hold threads or locks.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -313,7 +327,107 @@ def quartile_means(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return means
 
 
-def run_simulation(plan: SimulationPlan) -> SimulationReport:
+# Per strategy: the completed round count, the failed rounds and their messages.
+_Played = tuple[list[int], list[list[int]], list[list[str]]]
+
+
+def _play_child(
+    out, parent_ends: list, play: Callable[[int, int], _Played], lo: int, hi: int, stacks
+) -> NoReturn:
+    """In a forked child: play rounds ``lo`` to ``hi - 1`` and write to
+    ``out`` a pickled header, then the range's rows.  The header holds the
+    error the rounds raised, as type, arguments and attributes (so that an
+    exception whose constructor takes other arguments arrives whole), or
+    else what ``play`` returned.  The child leaves by ``os._exit``, never
+    into its caller's stack."""
+    import pickle
+
+    status = 1
+    try:
+        for end in parent_ends:
+            end.close()
+        truth_cells, fitted_cells, fitted_shares = stacks
+        try:
+            error, played = None, play(lo, hi)
+        except Exception as e:
+            error, played = (type(e), e.args, vars(e)), None
+            try:
+                pickle.dumps(error)
+            except Exception:
+                error = (RuntimeError, (f"{type(e).__name__}: {e}",), {})
+        header = pickle.dumps((error, played))
+        with out:
+            out.write(len(header).to_bytes(8, "little") + header)
+            if played is not None:
+                out.write(truth_cells[lo:hi])
+                for s, n in enumerate(played[0]):
+                    out.write(fitted_cells[s, :n])
+                    out.write(fitted_shares[s, :n])
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _play_forked(play: Callable[[int, int], _Played], bounds: list[int], stacks) -> _Played:
+    """``play`` each range ``bounds[k]`` to ``bounds[k + 1] - 1``: the first
+    here, each other in a forked child whose rows are read, in round order,
+    into ``stacks`` behind the rows before them.  The lowest range that
+    raised raises here; every child is reaped on every path."""
+    import pickle
+    import signal
+
+    truth_cells, fitted_cells, fitted_shares = stacks
+    children = []  # (pid, read end) per child, in round order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_end, write_end = os.pipe()
+            stream, out = open(read_end, "rb"), open(write_end, "wb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _play_child(out, [stream, *(c[1] for c in children)], play, lo, hi, stacks)
+            except BaseException:
+                stream.close()
+                raise
+            finally:
+                out.close()
+            children.append((pid, stream))
+        completed, failed, failures = play(bounds[0], bounds[1])
+        for (_, stream), lo, hi in zip(children, bounds[1:-1], bounds[2:]):
+            # A buffered pipe reads until each buffer is full or the child
+            # has gone.
+            lost = ChildProcessError(f"rounds {lo} to {hi - 1} ended without a result")
+            size = int.from_bytes(stream.read(8), "little")
+            header = stream.read(size)
+            if not header or len(header) < size:
+                raise lost
+            error, played = pickle.loads(header)
+            if error is not None:
+                cls, args, attributes = error
+                exc = cls.__new__(cls, *args)
+                exc.args = args
+                vars(exc).update(attributes)
+                raise exc
+            rows = [truth_cells[lo:hi]]
+            for s, n in enumerate(played[0]):
+                at = completed[s]
+                rows += [fitted_cells[s, at : at + n], fitted_shares[s, at : at + n]]
+                completed[s] += n
+                failed[s] += played[1][s]
+                failures[s] += played[2][s]
+            if any(stream.readinto(row) != row.nbytes for row in rows):
+                raise lost
+        return completed, failed, failures
+    finally:
+        # A child that has sent its rows has nothing left to do; one still
+        # running is not needed once this process has raised.
+        for pid, stream in children:
+            stream.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationReport:
     """Run the replication study and aggregate the comparison report.
 
     Rounds where a strategy's update fails are dropped for that strategy
@@ -322,7 +436,14 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
     before the first round and filled in round order.  A plan whose stacks
     would pass the memory budget of :mod:`spreekit.bootstrap` fails before
     its first round.
+
+    With ``processes`` above 1, this process runs the first of that many
+    contiguous ranges of rounds (one per round at most) and a forked child
+    each other range; every byte of the report is that of a one-process
+    run, and so is an error: the one from the lowest round that raises.
+    Every child has ended when this returns or raises.
     """
+    check_integer("processes", processes, 1)
     h = plan.hierarchy
     area_ids = plan.truth_t0.area_ids
     category_ids = plan.truth_t0.category_ids
@@ -366,44 +487,56 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
             dynamic_by_entry[k] = dynamic_shares(plan.aux_pool[k], h)
         return dynamic_by_entry[k]
 
-    truth_cells, fitted_cells, fitted_shares = map(np.empty, shapes[:3])
-    completed = [0] * n_strategies
-    failed: list[list[int]] = [[] for _ in plan.strategies]
-    failures: list[list[str]] = [[] for _ in plan.strategies]
-    for r in range(rounds):
-        rng = rngmod.stream(plan.seed, r)
-        census0 = replicate_census(plan.truth_t0, rng)
-        census_t = replicate_census(plan.truth_t, rng)
-        truth_cells[r] = census_t.counts
-        if plan.survey_design is not None:
-            col = resample_column_margin(plan.survey_design, rng, t_time)
-        else:
-            col = column_margins(census_t)
-        fixed: ShareVector | None = None
-        for s, strategy in enumerate(plan.strategies):
-            try:
-                if strategy != "dynamic" and fixed is None:
-                    fixed = fixed_shares(census0, h)
-                if strategy == "fixed":
-                    sv = fixed
-                elif strategy == "dynamic":
-                    sv = dynamic_for(r)
-                else:
-                    sv = hybrid_shares(fixed, dynamic_for(r), selection)
-                req = UpdateRequest(
-                    seed=census0,
-                    col_margin=col,
-                    large_totals=plan.large_totals_t,
-                    shares=sv,
-                )
-                res = spree_update(req)
-            except (UpdateError, ValueError) as e:
-                failed[s].append(r)
-                failures[s].append(f"replicate {r}: {e}")
-                continue
-            fitted_cells[s, completed[s]] = res.fitted.counts
-            fitted_shares[s, completed[s]] = sv.shares
-            completed[s] += 1
+    stacks = truth_cells, fitted_cells, fitted_shares = tuple(map(np.empty, shapes[:3]))
+
+    def play(lo: int, hi: int) -> _Played:
+        """Rounds ``lo`` to ``hi - 1``: round r's truth into row r, and each
+        strategy's completed fits and shares from row 0 of its stacks."""
+        completed = [0] * n_strategies
+        failed: list[list[int]] = [[] for _ in plan.strategies]
+        failures: list[list[str]] = [[] for _ in plan.strategies]
+        for r in range(lo, hi):
+            rng = rngmod.stream(plan.seed, r)
+            census0 = replicate_census(plan.truth_t0, rng)
+            census_t = replicate_census(plan.truth_t, rng)
+            truth_cells[r] = census_t.counts
+            if plan.survey_design is not None:
+                col = resample_column_margin(plan.survey_design, rng, t_time)
+            else:
+                col = column_margins(census_t)
+            fixed: ShareVector | None = None
+            for s, strategy in enumerate(plan.strategies):
+                try:
+                    if strategy != "dynamic" and fixed is None:
+                        fixed = fixed_shares(census0, h)
+                    if strategy == "fixed":
+                        sv = fixed
+                    elif strategy == "dynamic":
+                        sv = dynamic_for(r)
+                    else:
+                        sv = hybrid_shares(fixed, dynamic_for(r), selection)
+                    req = UpdateRequest(
+                        seed=census0,
+                        col_margin=col,
+                        large_totals=plan.large_totals_t,
+                        shares=sv,
+                    )
+                    res = spree_update(req)
+                except (UpdateError, ValueError) as e:
+                    failed[s].append(r)
+                    failures[s].append(f"replicate {r}: {e}")
+                    continue
+                fitted_cells[s, completed[s]] = res.fitted.counts
+                fitted_shares[s, completed[s]] = sv.shares
+                completed[s] += 1
+        return completed, failed, failures
+
+    ranges = min(processes, rounds)
+    if ranges == 1:
+        completed, failed, failures = play(0, rounds)
+    else:
+        bounds = [rounds * k // ranges for k in range(ranges + 1)]
+        completed, failed, failures = _play_forked(play, bounds, stacks)
 
     poor_col = _poor_column(category_ids)
 

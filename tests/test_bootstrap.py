@@ -781,17 +781,21 @@ def test_stack_over_budget_fails_before_the_point_fit(monkeypatch):
         bootstrap_mse(mini_request(), mini_design(), None, BootstrapConfig(replicates=25))
 
 
-def _slow_helper(monkeypatch, fail_on=None) -> list[tuple[np.random.Generator, bool]]:
+def _slow_helper(
+    monkeypatch, fail_on=None, raised=None
+) -> list[tuple[np.random.Generator, bool]]:
     """Make ``_redraw_census`` sleep 20 ms off the main thread, so that the
     main thread draws some censuses itself.  The returned list gets each
     draw's stream and whether the main thread drew it.  ``fail_on(calls)``
-    says whether the draw just recorded raises."""
+    says whether the draw just recorded raises; ``raised`` gets the number
+    of draws started when it does."""
     calls, original = [], bootstrap._redraw_census
 
     def slowed(rng, *args):
         on_main = threading.current_thread() is threading.main_thread()
         calls.append((rng, on_main))
         if fail_on is not None and fail_on(calls):
+            raised.append(len(calls))
             raise ValueError("failing census")
         if not on_main:
             time.sleep(0.02)
@@ -809,12 +813,16 @@ def _slow_helper(monkeypatch, fail_on=None) -> list[tuple[np.random.Generator, b
 def test_census_redraw_error_propagates_and_the_helper_thread_ends(monkeypatch, fail_on):
     # A census drawn on the helper thread or on the main thread: its error
     # must reach the caller as it is, not count as a dropped replicate, and
-    # the helper thread must be gone once bootstrap_mse returns.
-    _slow_helper(monkeypatch, fail_on)
+    # the helper thread must be gone once bootstrap_mse returns.  The
+    # censuses still queued are cancelled: at most the one the helper had
+    # already started is drawn after the failing one.
+    raised = []
+    calls = _slow_helper(monkeypatch, fail_on, raised)
     threads = threading.active_count()
     with pytest.raises(ValueError, match="^failing census$"):
         bootstrap_mse(mini_request(), mini_design(), mini_pool(), BootstrapConfig(replicates=6))
     assert threading.active_count() == threads
+    assert len(calls) - raised[0] <= 1
 
 
 def test_censuses_drawn_on_the_main_thread_change_no_bit(monkeypatch):

@@ -16,7 +16,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -459,6 +462,37 @@ class TestValidate:
             "manifest.json",
         ):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()) < 2,
+        reason="comparing a run on several CPUs with a run on one needs at least 2 CPUs",
+    )
+    def test_same_bytes_on_every_cpu_and_on_one(self, tmp_path):
+        # 200 rounds run in as many processes as there are CPUs (up to 3),
+        # or in one process when pinned to one CPU; every file, manifest
+        # included, must be the same.
+        script = (
+            "import os, sys\n"
+            "if sys.argv[2] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from spreekit.cli import main\n"
+            "sys.exit(main(['validate', '--plan', 'fixtures/mini_plan.json',"
+            " '--replicates', '200', '--out', sys.argv[1]]))\n"
+        )
+        src = Path(sio.__file__).parents[1]
+        env = {**os.environ, "SOURCE_DATE_EPOCH": "1700000000"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        for cpus in ("every", "one"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / cpus), cpus],
+                cwd=FIXTURES.parent, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+        names = sorted(p.name for p in (tmp_path / "every").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert "report.json" in names and "manifest.json" in names
+        for name in names:
+            assert (tmp_path / "every" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
     def test_golden_output_digests(self, tmp_path, monkeypatch):
         # Recorded before the harness was vectorised (per-replicate

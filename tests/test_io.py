@@ -612,6 +612,19 @@ class TestDialect:
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+@pytest.mark.parametrize(
+    "header, columns, message",
+    [
+        (("a", "b"), [[1.0]], r"^2 header fields for columns of lengths \[1\]$"),
+        (("a", "b"), [[1.0], ["x", "y"]], r"^2 header fields for columns of lengths \[1, 2\]$"),
+    ],
+    ids=["header-longer", "unequal-columns"],
+)
+def test_csv_text_needs_one_equal_length_column_per_header_field(header, columns, message):
+    with pytest.raises(ValueError, match=message):
+        next(sio.csv_text(header, columns, "\n"))
+
+
 class TestOverlongField:
     """A field over the ``csv`` module's size limit is a fault of its line,
     found after any earlier fault in its block."""

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -1040,3 +1041,132 @@ def test_dynamic_margin_is_built_once_per_pool_entry(monkeypatch):
     rows.clear()
     assert report_bits(run_simulation(plan)) == memoised
     assert len({id(r) for r in rows}) == 7
+
+
+def partly_failing_plan(replicates: int) -> SimulationPlan:
+    """The plan of ``test_partly_failed_strategies_match_stacked_rounds``:
+    fixed fails in some rounds, dynamic and hybrid in every round."""
+    truth = make_composition([[0.3, 0.3], [0.2, 0.0], [550.0, 450.0], [200.0, 800.0]])
+    truth = Composition(truth.area_ids, ("poor", "non-poor"), truth.counts)
+    totals = MarginVector(("g1", "g2"), np.array([0.8, 2000.0]), MarginLevel.LARGE_AREA)
+    return SimulationPlan(
+        replicates=replicates, seed=2, truth_t0=truth, truth_t=truth,
+        hierarchy=two_region_hierarchy(4), large_totals_t=totals, aux_pool=(row_margins(truth),),
+    )
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_process_starts_no_other(monkeypatch):
+    def no_fork():
+        pytest.fail("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    plan = build_scenario(migration_shock_config(replicates=130))
+    assert run_simulation(plan).metrics["fixed"].completed == 130
+    assert run_simulation(plan, processes=1).metrics["fixed"].completed == 130
+
+
+@pytest.mark.parametrize("processes", [0, -1, True, 2.0])
+def test_process_count_must_be_a_positive_integer(processes):
+    plan = build_scenario(migration_shock_config(replicates=2))
+    with pytest.raises(ValueError, match="^processes must be"):
+        run_simulation(plan, processes=processes)
+
+
+def test_report_bits_do_not_depend_on_the_process_count():
+    """37 rounds, which no count from 2 to 4 divides; 50 processes run one
+    round each."""
+    plan = build_scenario(migration_shock_config(replicates=37))
+    want = report_bits(run_simulation(plan))
+    for processes in (2, 3, 4, 50):
+        assert report_bits(run_simulation(plan, processes=processes)) == want
+    assert_no_child_left()
+
+
+def test_failed_rounds_in_several_ranges_come_back_in_round_order():
+    plan = partly_failing_plan(23)
+    report = run_simulation(plan)
+    fixed_failed = [int(f.split()[1].rstrip(":")) for f in report.metrics["fixed"].failures]
+    assert fixed_failed == [2, 4, 7, 12, 13, 17, 19, 21]
+    assert report.metrics["fixed"].completed == 15
+    want = report_bits(report)
+    for processes in (2, 3, 4):
+        bounds = [23 * k // processes for k in range(processes + 1)]
+        ranges = {next(k for k in range(processes) if r < bounds[k + 1]) for r in fixed_failed}
+        assert len(ranges) > 1
+        got = run_simulation(plan, processes=processes)
+        assert report_bits(got) == want
+        for strategy, m in got.metrics.items():
+            assert m.failures == report.metrics[strategy].failures
+    assert_no_child_left()
+
+
+class CensusError(Exception):
+    """An error whose constructor does not take its own ``args``."""
+
+    def __init__(self, round_: int, what: str):
+        super().__init__(f"round {round_}: {what}")
+        self.round = round_
+
+
+def fail_census_in_rounds(monkeypatch, rounds, error=CensusError) -> None:
+    """``replicate_census`` raises ``error`` in each of ``rounds``."""
+    stream, census, round_of = rngmod.stream, simulation.replicate_census, {}
+
+    def recording(seed, r):
+        rng = stream(seed, r)
+        round_of[id(rng)] = r
+        return rng
+
+    def failing(truth, rng):
+        r = round_of[id(rng)]
+        if r in rounds:
+            raise error(r, "census failed") if error is CensusError else error(f"round {r}")
+        return census(truth, rng)
+
+    monkeypatch.setattr(rngmod, "stream", recording)
+    monkeypatch.setattr(simulation, "replicate_census", failing)
+
+
+@pytest.mark.parametrize("rounds", [{30}, {15, 30}, {5, 30}, {36}], ids=str)
+@pytest.mark.parametrize("error", [CensusError, ValueError, KeyError], ids=lambda e: e.__name__)
+def test_the_lowest_failing_round_raises_whichever_process_runs_it(monkeypatch, rounds, error):
+    """On 37 rounds in 3 ranges (0-11 here, 12-23 and 24-36 in children)."""
+    plan = build_scenario(migration_shock_config(replicates=37))
+    fail_census_in_rounds(monkeypatch, rounds, error)
+    with pytest.raises(error) as one:
+        run_simulation(plan)
+    with pytest.raises(error) as three:
+        run_simulation(plan, processes=3)
+    assert type(three.value) is type(one.value)
+    assert str(three.value) == str(one.value)
+    assert vars(three.value) == vars(one.value)
+    assert str(one.value).strip("'").startswith(f"round {min(rounds)}")
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_this_process_reaps_every_child(monkeypatch):
+    plan = build_scenario(migration_shock_config(replicates=37))
+    fail_census_in_rounds(monkeypatch, {3}, lambda message: KeyboardInterrupt(message))
+    with pytest.raises(KeyboardInterrupt):
+        run_simulation(plan, processes=4)
+    assert_no_child_left()
+
+
+def test_a_child_that_ends_without_its_rounds_is_an_error(monkeypatch):
+    plan = build_scenario(migration_shock_config(replicates=37))
+    parent, census = os.getpid(), simulation.replicate_census
+
+    def ending(truth, rng):
+        if os.getpid() != parent:
+            os._exit(3)
+        return census(truth, rng)
+
+    monkeypatch.setattr(simulation, "replicate_census", ending)
+    with pytest.raises(ChildProcessError, match="^rounds 12 to 23 ended without a result$"):
+        run_simulation(plan, processes=3)
+    assert_no_child_left()
