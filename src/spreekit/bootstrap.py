@@ -109,6 +109,11 @@ class BootstrapError(RuntimeError):
     pass
 
 
+def _within_budget(shapes: Sequence[tuple[int, ...]]) -> bool:
+    """Whether float64 arrays of ``shapes`` together keep to the budget."""
+    return 8 * sum(map(math.prod, shapes)) <= _MAX_STACK_BYTES
+
+
 def _check_stack(
     stage: str,
     shapes: Sequence[tuple[int, ...]],
@@ -116,8 +121,8 @@ def _check_stack(
     what: str = "replicate stack",
 ) -> None:
     """Raise ``error`` when float64 arrays of ``shapes`` together pass the budget."""
-    nbytes = 8 * sum(map(math.prod, shapes))
-    if nbytes > _MAX_STACK_BYTES:
+    if not _within_budget(shapes):
+        nbytes = 8 * sum(map(math.prod, shapes))
         dims = " + ".join(" x ".join(map(str, shape)) for shape in shapes)
         if len(shapes) == 1:
             stacks = f"a {dims} {what} needs"

@@ -74,6 +74,7 @@ from spreekit.simulation import (
     QUARTILE_NAMES,
     STRATEGIES,
     SUMMARY_COLUMNS,
+    cpu_processes,
     quartile_means,
     run_simulation,
     summary_row,
@@ -314,11 +315,6 @@ def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     yield "uncertainty.json", _json_text(report)
 
 
-# The fewest rounds ``validate`` gives each process: on the shipped scenario
-# a round costs about 0.4 ms, so 64 rounds pay for a 1.3 ms fork many times.
-_ROUNDS_PER_PROCESS = 64
-
-
 def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     plan = sio.load_plan(_note(inputs, "plan", ns.plan))
     overrides = {
@@ -326,11 +322,7 @@ def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     }
     if overrides:
         plan = replace(plan, **overrides)
-    # Every CPU this process may run on; the report does not depend on it.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    report = run_simulation(
-        plan, processes=max(1, min(cpus, plan.replicates // _ROUNDS_PER_PROCESS))
-    )
+    report = run_simulation(plan, processes=cpu_processes(plan.replicates))
 
     mean_abs = {
         s: quartile_means(np.abs(report.metrics[s].share_bias), report.quartile_labels)

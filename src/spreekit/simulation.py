@@ -35,10 +35,13 @@ fits and shares, and its failures.  The caller reads each range, in round
 order, straight into the stacks a one-process run fills, and aggregates
 them once.  Round r draws only from stream r wherever it runs, and every
 cache a process builds gives the bits a fresh build gives, so no byte of
-the report depends on the process count.  A child holds only its own
-range's rows, so the machine holds about twice the stacks the budget
-counts.  The library default is one process: a library must not fork
-behind a caller that may hold threads or locks.
+the report depends on the process count.  A child writes its own range's
+rows into pages of its own, so a split holds up to about twice the stacks
+the budget counts; a plan whose split would pass the budget runs in one
+process.  The library default is one process: a library must not fork
+behind a caller that may hold threads or locks.  :func:`cpu_processes` is
+the count the ``validate`` command passes: one process per CPU it may run
+on, with at least :data:`_ROUNDS_PER_PROCESS` rounds each.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from spreekit.bootstrap import (
     _check_stack,
     _nan_mean,
     _redraw_census,
+    _within_budget,
     resample_column_margin,
 )
 from spreekit.composition import (
@@ -371,8 +375,9 @@ def _play_child(
 def _play_forked(play: Callable[[int, int], _Played], bounds: list[int], stacks) -> _Played:
     """``play`` each range ``bounds[k]`` to ``bounds[k + 1] - 1``: the first
     here, each other in a forked child whose rows are read, in round order,
-    into ``stacks`` behind the rows before them.  The lowest range that
-    raised raises here; every child is reaped on every path."""
+    into ``stacks`` behind the rows before them.  One range forks nothing.
+    The lowest range that raised raises here; every child is reaped on
+    every path."""
     import pickle
     import signal
 
@@ -427,6 +432,21 @@ def _play_forked(play: Callable[[int, int], _Played], bounds: list[int], stacks)
             os.waitpid(pid, 0)
 
 
+# The fewest rounds :func:`cpu_processes` gives a process.  On two CPUs, a
+# split of the shipped scenario or the mini plan in two loses at 8 rounds,
+# is about even at 10 and wins from 12 (a round costs about 0.45 ms, a
+# fork 1.3 ms).
+_ROUNDS_PER_PROCESS = 8
+
+
+def cpu_processes(rounds: int) -> int:
+    """One process per CPU this process may run on, with at least
+    :data:`_ROUNDS_PER_PROCESS` of ``rounds`` each; one where the CPUs
+    cannot be read."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, rounds // _ROUNDS_PER_PROCESS))
+
+
 def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationReport:
     """Run the replication study and aggregate the comparison report.
 
@@ -439,9 +459,10 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
 
     With ``processes`` above 1, this process runs the first of that many
     contiguous ranges of rounds (one per round at most) and a forked child
-    each other range; every byte of the report is that of a one-process
-    run, and so is an error: the one from the lowest round that raises.
-    Every child has ended when this returns or raises.
+    each other range, unless the stacks and the children's rows together
+    would pass the budget; every byte of the report is that of a
+    one-process run, and so is an error: the one from the lowest round
+    that raises.  Every child has ended when this returns or raises.
     """
     check_integer("processes", processes, 1)
     h = plan.hierarchy
@@ -531,12 +552,10 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
                 completed[s] += 1
         return completed, failed, failures
 
-    ranges = min(processes, rounds)
-    if ranges == 1:
-        completed, failed, failures = play(0, rounds)
-    else:
-        bounds = [rounds * k // ranges for k in range(ranges + 1)]
-        completed, failed, failures = _play_forked(play, bounds, stacks)
+    # The children write up to one more copy of the stacks.
+    ranges = min(processes, rounds) if _within_budget([*shapes, *shapes[:3]]) else 1
+    bounds = [rounds * k // ranges for k in range(ranges + 1)]
+    completed, failed, failures = _play_forked(play, bounds, stacks)
 
     poor_col = _poor_column(category_ids)
 

@@ -468,9 +468,9 @@ class TestValidate:
         reason="comparing a run on several CPUs with a run on one needs at least 2 CPUs",
     )
     def test_same_bytes_on_every_cpu_and_on_one(self, tmp_path):
-        # 200 rounds run in as many processes as there are CPUs (up to 3),
-        # or in one process when pinned to one CPU; every file, manifest
-        # included, must be the same.
+        # 200 rounds run in as many processes as there are CPUs, or in one
+        # process when pinned to one CPU; every file, manifest included,
+        # must be the same.
         script = (
             "import os, sys\n"
             "if sys.argv[2] == 'one':\n"
@@ -493,6 +493,22 @@ class TestValidate:
         assert "report.json" in names and "manifest.json" in names
         for name in names:
             assert (tmp_path / "every" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    @pytest.mark.parametrize("cpus, replicates, forks", [(1, 200, 0), (3, 23, 1), (3, 24, 2)])
+    def test_one_process_per_cpu_with_eight_rounds_each(
+        self, tmp_path, monkeypatch, cpus, replicates, forks
+    ):
+        pids, fork = [], os.fork
+
+        def counted():
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "fork", counted)
+        argv = self.validate_argv(tmp_path)
+        assert run_cli(*argv, "--replicates", replicates)[0] == 0
+        assert len(pids) == forks
 
     def test_golden_output_digests(self, tmp_path, monkeypatch):
         # Recorded before the harness was vectorised (per-replicate

@@ -1170,3 +1170,42 @@ def test_a_child_that_ends_without_its_rounds_is_an_error(monkeypatch):
     with pytest.raises(ChildProcessError, match="^rounds 12 to 23 ended without a result$"):
         run_simulation(plan, processes=3)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "cpus, counts",
+    [(1, {1: 1, 500: 1}), (2, {1: 1, 15: 1, 16: 2, 500: 2}), (4, {23: 2, 24: 3, 32: 4, 500: 4})],
+)
+def test_cpu_processes_gives_each_process_eight_rounds(monkeypatch, cpus, counts):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert {rounds: simulation.cpu_processes(rounds) for rounds in counts} == counts
+
+
+def test_cpu_processes_is_one_where_the_cpus_cannot_be_read(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert simulation.cpu_processes(500) == 1
+
+
+def test_a_split_that_would_pass_the_budget_runs_in_one_process(monkeypatch):
+    """The children write up to one more copy of the three stacks, so a
+    plan whose stacks fill from half to all of the budget runs in one
+    process unless the budget also holds that copy."""
+    plan = build_scenario(migration_shock_config(replicates=37))
+    want = report_bits(run_simulation(plan))
+    areas, categories = plan.truth_t0.counts.shape
+    stacks = 8 * 37 * (areas * categories + 3 * areas * categories + 3 * areas)
+    counted = stacks + 8 * 2 * 37 * areas
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for budget, forks in ((counted, 0), (counted + stacks - 1, 0), (counted + stacks, 2)):
+        assert counted <= budget < 2 * counted
+        monkeypatch.setattr(bootstrap, "_MAX_STACK_BYTES", budget)
+        pids.clear()
+        assert report_bits(run_simulation(plan, processes=3)) == want
+        assert len(pids) == forks
+    assert_no_child_left()
