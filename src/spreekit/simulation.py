@@ -29,23 +29,23 @@ metrics without a warning.  The summary quantiles are
 
 ``run_simulation(plan, processes=n)`` splits the rounds into at most ``n``
 contiguous ranges.  The calling process runs the first range; a child
-started with ``os.fork`` runs each other range with the same loop and
-sends back over a pipe its target-year truths, each strategy's completed
-fits and shares, and its failures.  The caller reads each range, in round
-order, straight into the stacks a one-process run fills, and aggregates
-them once.  Round r draws only from stream r wherever it runs, and every
-cache a process builds gives the bits a fresh build gives, so no byte of
-the report depends on the process count.  A child writes its own range's
-rows into pages of its own, so a split holds up to about twice the stacks
-the budget counts; a plan whose split would pass the budget runs in one
-process.  The library default is one process: a library must not fork
-behind a caller that may hold threads or locks.  :func:`cpu_processes` is
-the count the ``validate`` command passes: one process per CPU it may run
-on, with at least :data:`_ROUNDS_PER_PROCESS` rounds each.
+started with ``os.fork`` runs each other range with the same loop.  The
+stacks live in anonymous shared memory, held once: every process writes
+round r's truth and fits at row r of the caller's own arrays, and a child
+sends back over a pipe only its failed rounds, or its error.  The caller
+aggregates the stacks once.  Round r draws only from stream r wherever it
+runs, and every cache a process builds gives the bits a fresh build
+gives, so no byte of the report depends on the process count.  The
+library default is one process: a library must not fork behind a caller
+that may hold threads or locks.  :func:`cpu_processes` is the count the
+``validate`` command passes: one process per CPU it may run on, with at
+least :data:`_ROUNDS_PER_PROCESS` rounds each.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 from dataclasses import dataclass
 from typing import Callable, NoReturn, Sequence
@@ -61,7 +61,6 @@ from spreekit.bootstrap import (
     _check_stack,
     _nan_mean,
     _redraw_census,
-    _within_budget,
     resample_column_margin,
 )
 from spreekit.composition import (
@@ -331,26 +330,32 @@ def quartile_means(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return means
 
 
-# Per strategy: the completed round count, the failed rounds and their messages.
-_Played = tuple[list[int], list[list[int]], list[list[str]]]
+# Per strategy: the failed rounds and their messages.
+_Played = tuple[list[list[int]], list[list[str]]]
+
+
+def _shared(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float64 array of ``shape`` in anonymous memory that the
+    children this process forks write into.  An empty array maps one
+    element, since no mapping is empty."""
+    n = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=float)[:n].reshape(shape)
 
 
 def _play_child(
-    out, parent_ends: list, play: Callable[[int, int], _Played], lo: int, hi: int, stacks
+    out, parent_ends: list, play: Callable[[int, int], _Played], lo: int, hi: int
 ) -> NoReturn:
     """In a forked child: play rounds ``lo`` to ``hi - 1`` and write to
-    ``out`` a pickled header, then the range's rows.  The header holds the
-    error the rounds raised, as type, arguments and attributes (so that an
-    exception whose constructor takes other arguments arrives whole), or
-    else what ``play`` returned.  The child leaves by ``os._exit``, never
-    into its caller's stack."""
+    ``out`` a pickled header: the error the rounds raised, as type,
+    arguments and attributes (so that an exception whose constructor takes
+    other arguments arrives whole), or else what ``play`` returned.  The
+    child leaves by ``os._exit``, never into its caller's stack."""
     import pickle
 
     status = 1
     try:
         for end in parent_ends:
             end.close()
-        truth_cells, fitted_cells, fitted_shares = stacks
         try:
             error, played = None, play(lo, hi)
         except Exception as e:
@@ -362,26 +367,19 @@ def _play_child(
         header = pickle.dumps((error, played))
         with out:
             out.write(len(header).to_bytes(8, "little") + header)
-            if played is not None:
-                out.write(truth_cells[lo:hi])
-                for s, n in enumerate(played[0]):
-                    out.write(fitted_cells[s, :n])
-                    out.write(fitted_shares[s, :n])
         status = 0
     finally:
         os._exit(status)
 
 
-def _play_forked(play: Callable[[int, int], _Played], bounds: list[int], stacks) -> _Played:
+def _play_forked(play: Callable[[int, int], _Played], bounds: list[int]) -> _Played:
     """``play`` each range ``bounds[k]`` to ``bounds[k + 1] - 1``: the first
-    here, each other in a forked child whose rows are read, in round order,
-    into ``stacks`` behind the rows before them.  One range forks nothing.
-    The lowest range that raised raises here; every child is reaped on
-    every path."""
+    here, each other in a forked child whose failures are gathered in round
+    order.  One range forks nothing.  The lowest range that raised raises
+    here; every child is reaped on every path."""
     import pickle
     import signal
 
-    truth_cells, fitted_cells, fitted_shares = stacks
     children = []  # (pid, read end) per child, in round order
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -390,22 +388,21 @@ def _play_forked(play: Callable[[int, int], _Played], bounds: list[int], stacks)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _play_child(out, [stream, *(c[1] for c in children)], play, lo, hi, stacks)
+                    _play_child(out, [stream, *(c[1] for c in children)], play, lo, hi)
             except BaseException:
                 stream.close()
                 raise
             finally:
                 out.close()
             children.append((pid, stream))
-        completed, failed, failures = play(bounds[0], bounds[1])
+        failed, failures = play(bounds[0], bounds[1])
         for (_, stream), lo, hi in zip(children, bounds[1:-1], bounds[2:]):
             # A buffered pipe reads until each buffer is full or the child
             # has gone.
-            lost = ChildProcessError(f"rounds {lo} to {hi - 1} ended without a result")
             size = int.from_bytes(stream.read(8), "little")
             header = stream.read(size)
             if not header or len(header) < size:
-                raise lost
+                raise ChildProcessError(f"rounds {lo} to {hi - 1} ended without a result")
             error, played = pickle.loads(header)
             if error is not None:
                 cls, args, attributes = error
@@ -413,18 +410,12 @@ def _play_forked(play: Callable[[int, int], _Played], bounds: list[int], stacks)
                 exc.args = args
                 vars(exc).update(attributes)
                 raise exc
-            rows = [truth_cells[lo:hi]]
-            for s, n in enumerate(played[0]):
-                at = completed[s]
-                rows += [fitted_cells[s, at : at + n], fitted_shares[s, at : at + n]]
-                completed[s] += n
-                failed[s] += played[1][s]
-                failures[s] += played[2][s]
-            if any(stream.readinto(row) != row.nbytes for row in rows):
-                raise lost
-        return completed, failed, failures
+            for s in range(len(failed)):
+                failed[s] += played[0][s]
+                failures[s] += played[1][s]
+        return failed, failures
     finally:
-        # A child that has sent its rows has nothing left to do; one still
+        # A child that has sent its header has nothing left to do; one still
         # running is not needed once this process has raised.
         for pid, stream in children:
             stream.close()
@@ -452,17 +443,17 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
 
     Rounds where a strategy's update fails are dropped for that strategy
     only and recorded in its ``failures``; the report carries the completed
-    count per strategy.  Every round's tables go into stacks allocated
-    before the first round and filled in round order.  A plan whose stacks
-    would pass the memory budget of :mod:`spreekit.bootstrap` fails before
-    its first round.
+    count per strategy.  Round r's tables go into row r of stacks
+    allocated before the first round.  A plan whose stacks would pass the
+    memory budget of :mod:`spreekit.bootstrap` fails before its first
+    round.
 
     With ``processes`` above 1, this process runs the first of that many
     contiguous ranges of rounds (one per round at most) and a forked child
-    each other range, unless the stacks and the children's rows together
-    would pass the budget; every byte of the report is that of a
-    one-process run, and so is an error: the one from the lowest round
-    that raises.  Every child has ended when this returns or raises.
+    each other range, writing into this process's stacks, which are held
+    once; every byte of the report is that of a one-process run, and so is
+    an error: the one from the lowest round that raises.  Every child has
+    ended when this returns or raises.
     """
     check_integer("processes", processes, 1)
     h = plan.hierarchy
@@ -471,8 +462,8 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
     n_strategies, rounds = len(plan.strategies), plan.replicates
     # All the run holds that grows with the round count: every round's
     # target-year truth, per strategy the fitted table and shares of each
-    # completed round, and the per-area headcounts of the truth and of one
-    # strategy's fits.
+    # round, and the per-area headcounts of the truth and of one strategy's
+    # fits.
     shapes = [
         (rounds, len(area_ids), len(category_ids)),
         (n_strategies, rounds, len(area_ids), len(category_ids)),
@@ -508,12 +499,10 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
             dynamic_by_entry[k] = dynamic_shares(plan.aux_pool[k], h)
         return dynamic_by_entry[k]
 
-    stacks = truth_cells, fitted_cells, fitted_shares = tuple(map(np.empty, shapes[:3]))
+    truth_cells, fitted_cells, fitted_shares = map(_shared, shapes[:3])
 
     def play(lo: int, hi: int) -> _Played:
-        """Rounds ``lo`` to ``hi - 1``: round r's truth into row r, and each
-        strategy's completed fits and shares from row 0 of its stacks."""
-        completed = [0] * n_strategies
+        """Rounds ``lo`` to ``hi - 1``, each into its row of the stacks."""
         failed: list[list[int]] = [[] for _ in plan.strategies]
         failures: list[list[str]] = [[] for _ in plan.strategies]
         for r in range(lo, hi):
@@ -547,15 +536,13 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
                     failed[s].append(r)
                     failures[s].append(f"replicate {r}: {e}")
                     continue
-                fitted_cells[s, completed[s]] = res.fitted.counts
-                fitted_shares[s, completed[s]] = sv.shares
-                completed[s] += 1
-        return completed, failed, failures
+                fitted_cells[s, r] = res.fitted.counts
+                fitted_shares[s, r] = sv.shares
+        return failed, failures
 
-    # The children write up to one more copy of the stacks.
-    ranges = min(processes, rounds) if _within_budget([*shapes, *shapes[:3]]) else 1
+    ranges = min(processes, rounds)
     bounds = [rounds * k // ranges for k in range(ranges + 1)]
-    completed, failed, failures = _play_forked(play, bounds, stacks)
+    failed, failures = _play_forked(play, bounds)
 
     poor_col = _poor_column(category_ids)
 
@@ -572,9 +559,11 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
     correlations: dict[str, np.ndarray] = {}
 
     for s, strategy in enumerate(plan.strategies):
-        n = completed[s]
-        est_cells, est_shares = fitted_cells[s, :n], fitted_shares[s, :n]
-        tru_cells = truth_cells if n == rounds else np.delete(truth_cells, failed[s], axis=0)
+        n = rounds - len(failed[s])
+        est_cells, est_shares, tru_cells, tru_h = (
+            np.delete(stack, failed[s], axis=0) if failed[s] else stack
+            for stack in (fitted_cells[s], fitted_shares[s], truth_cells, truth_h)
+        )
 
         cell_bias = _nd_bias(est_cells, tru_cells)
         cell_rmse = _nd_rmse(est_cells, tru_cells)
@@ -583,7 +572,6 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
         share_rmse = _nd_rmse(est_shares, tru_shares)
 
         est_h = headcounts(est_cells)
-        tru_h = truth_h if n == rounds else np.delete(truth_h, failed[s], axis=0)
         if poor_col is not None:
             headcount_bias = per_area_bias = _nd_bias(est_h, tru_h)
             headcount_rmse = per_area_rmse = _nd_rmse(est_h, tru_h)

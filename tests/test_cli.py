@@ -48,6 +48,18 @@ def run_cli(*argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def run_python(*argv, **env) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh process, from the repository root, with
+    this checkout's spreekit first on the path and ``env`` added."""
+    src = Path(sio.__file__).parents[1]
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        cwd=FIXTURES.parent, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def read_rows(path: Path) -> list[dict[str, str]]:
     with open(path, newline="", encoding="utf-8") as f:
         return list(csv.DictReader(f))
@@ -493,6 +505,42 @@ class TestValidate:
         assert "report.json" in names and "manifest.json" in names
         for name in names:
             assert (tmp_path / "every" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_fixture_plans_run_without_warnings(self, tmp_path):
+        for plan in ("fixtures/mini_plan.json", "fixtures/shock.json"):
+            done = run_python("-m", "spreekit.cli", "validate", "--plan", plan, "--out", tmp_path)
+            assert (done.returncode, done.stderr) == (0, ""), plan
+
+    def test_runs_in_one_process_carry_no_state(self, tmp_path):
+        # Library users and the benchmark call spreekit.cli.main repeatedly
+        # in one process, and some objects keep what they computed once: the
+        # shock plan must write the same bytes before and after another plan.
+        script = (
+            "import sys\n"
+            "from spreekit.cli import main\n"
+            "for plan, name in (('shock.json', 'shock-1'), ('mini_plan.json', 'mini'),"
+            " ('shock.json', 'shock-2')):\n"
+            "    if main(['validate', '--plan', f'fixtures/{plan}', '--out', f'{sys.argv[1]}/{name}']):\n"
+            "        sys.exit(f'validate --plan fixtures/{plan} failed')\n"
+        )
+        done = run_python("-c", script, tmp_path, SOURCE_DATE_EPOCH="1700000000")
+        assert done.returncode == 0, done.stderr
+        first, second = tmp_path / "shock-1", tmp_path / "shock-2"
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_inline_plan_with_a_repeated_strategy_is_a_data_error(self, tmp_path):
+        plan = tmp_path / "repeated-strategy.json"
+        plan.write_text('{"scenario": {"strategies": ["fixed", "fixed"]}}\n')
+        done = run_python("-m", "spreekit.cli", "validate", "--plan", plan, "--out", tmp_path / "out")
+        assert done.returncode == 1, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        error = json.loads(lines[0])
+        assert error.get("error") == "IngestError"
+        assert str(plan) in error.get("message", "")
 
     @pytest.mark.parametrize("cpus, replicates, forks", [(1, 200, 0), (3, 23, 1), (3, 24, 2)])
     def test_one_process_per_cpu_with_eight_rounds_each(

@@ -884,9 +884,10 @@ def test_replicate_means_match_np_mean_bitwise(stacks):
 
 
 def test_stacks_hold_what_the_budget_counts():
-    """At R = 400 on the shipped shock plan, the run's traced peak stays
-    within 1.5x the bytes its budget check counts, and the check counts
-    exactly those bytes."""
+    """At R = 400 on the shipped shock plan, the run's peak (the traced
+    peak plus the shared memory of the stacks, which tracemalloc does not
+    see and the run holds throughout) stays within 1.5x the bytes its
+    budget check counts, and the check counts exactly those bytes."""
     plan = replace(sio.load_plan(FIXTURES / "shock.json"), replicates=400)
     strategies, rounds = len(plan.strategies), plan.replicates
     areas, categories = plan.truth_t0.counts.shape
@@ -897,13 +898,22 @@ def test_stacks_hold_what_the_budget_counts():
             run_simulation(plan)
     # A first run fills numpy's and the interpreter's caches.
     want = run_simulation(plan)
+    held, shared = [], simulation._shared
+
+    def counted_shared(shape):
+        held.append(8 * math.prod(shape))
+        return shared(shape)
+
     tracemalloc.start()
     try:
-        got = run_simulation(plan)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_shared", counted_shared)
+            got = run_simulation(plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * counted
+    assert len(held) == 3
+    assert peak + sum(held) <= 1.5 * counted
     assert same_bits(got.metrics["hybrid"].cell_rmse, want.metrics["hybrid"].cell_rmse)
 
 
@@ -1186,15 +1196,17 @@ def test_cpu_processes_is_one_where_the_cpus_cannot_be_read(monkeypatch):
     assert simulation.cpu_processes(500) == 1
 
 
-def test_a_split_that_would_pass_the_budget_runs_in_one_process(monkeypatch):
-    """The children write up to one more copy of the three stacks, so a
-    plan whose stacks fill from half to all of the budget runs in one
-    process unless the budget also holds that copy."""
+def test_an_empty_shared_stack_keeps_its_shape():
+    assert simulation._shared((2, 0, 3)).shape == (2, 0, 3)
+
+
+def test_a_plan_whose_stacks_fill_the_budget_still_splits(monkeypatch):
+    """The children write into the caller's stacks, which are held once, so
+    a split needs no more than the budget counts."""
     plan = build_scenario(migration_shock_config(replicates=37))
     want = report_bits(run_simulation(plan))
     areas, categories = plan.truth_t0.counts.shape
-    stacks = 8 * 37 * (areas * categories + 3 * areas * categories + 3 * areas)
-    counted = stacks + 8 * 2 * 37 * areas
+    counted = 8 * 37 * (areas * categories + 3 * areas * categories + 3 * areas + 2 * areas)
     pids, fork = [], os.fork
 
     def counted_fork():
@@ -1202,10 +1214,7 @@ def test_a_split_that_would_pass_the_budget_runs_in_one_process(monkeypatch):
         return pids[-1]
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    for budget, forks in ((counted, 0), (counted + stacks - 1, 0), (counted + stacks, 2)):
-        assert counted <= budget < 2 * counted
-        monkeypatch.setattr(bootstrap, "_MAX_STACK_BYTES", budget)
-        pids.clear()
-        assert report_bits(run_simulation(plan, processes=3)) == want
-        assert len(pids) == forks
+    monkeypatch.setattr(bootstrap, "_MAX_STACK_BYTES", counted)
+    assert report_bits(run_simulation(plan, processes=3)) == want
+    assert len(pids) == 2
     assert_no_child_left()
