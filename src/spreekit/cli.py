@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, get_args
 import numpy as np
 
 from spreekit import __version__, io as sio
+from spreekit._fork import usable_cpus
 from spreekit.bootstrap import (
     QUANTILE_LABELS,
     AuxResample,
@@ -299,7 +300,8 @@ def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     tables += tuple(cell.rep_quantiles[name] for name in QUANTILE_LABELS)
     columns = (*sio.long_ids(cell.area_ids, cell.category_ids), *(t.ravel() for t in tables))
     header = ("area_id", "category_id", "point", "mse", "cv", "rep_mean", *QUANTILE_LABELS)
-    yield "cell_uncertainty.csv", sio.csv_text(header, columns, "\n")
+    # The census helper thread has ended, so this process may fork.
+    yield "cell_uncertainty.csv", sio.csv_text(header, columns, "\n", usable_cpus())
 
     if cell.headcount_point is not None:
         hc = (cell.area_ids, cell.headcount_point, cell.headcount_mse, cell.headcount_cv)

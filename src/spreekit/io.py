@@ -67,6 +67,7 @@ from spreekit.composition import (
     _Ids,
     check_integer,
 )
+from spreekit._fork import forked
 from spreekit.geo import AreaPolygonSet, PixelTable
 from spreekit.mpi import Households, MpiProfile, _people
 from spreekit.scenario import ScenarioConfig, build_scenario
@@ -82,6 +83,11 @@ class IngestError(ValueError):
 # block's row lists are mostly freed before a collection can promote them:
 # at 4096 rows a 150k-row load ran about 170 young and two full collections.
 _BLOCK_ROWS = 512
+# The fewest rows :func:`csv_text` gives a process.  On two CPUs, beside a
+# 64 MiB heap, a split of bootstrap's cell table in two saves 9% at 1024
+# rows (one block each) and 27% at 2048; ranges of 1024 rows leave room
+# for a slower fork on a loaded host.
+_ROWS_PER_PROCESS = 1024
 
 
 def _fail(path: Path, line: int, message: str) -> None:
@@ -126,38 +132,73 @@ def _is_float(column: Sequence[Any]) -> bool:
 
 
 def csv_text(
-    header: Sequence[str], columns: Iterable[Sequence[Any]], line_end: str
+    header: Sequence[str],
+    columns: Iterable[Sequence[Any]],
+    line_end: str,
+    processes: int = 1,
 ) -> Iterator[str]:
     """The CSV text of equal-length ``columns`` under ``header``: the header
-    line, then ``_BLOCK_ROWS`` rows at a time."""
+    line, then ``_BLOCK_ROWS`` rows at a time.
+
+    With ``processes`` above 1, the rows are split into at most that many
+    contiguous ranges of whole blocks (the last also takes a part block),
+    each of at least :data:`_ROWS_PER_PROCESS` rows.  When the first block
+    of rows is asked for, a child is forked for each range but the first
+    (:mod:`spreekit._fork`).  This process yields the first range block by
+    block; each child formats its range with the same code and sends its
+    blocks, which are yielded one at a time, in range order.  The text, and
+    any error, is that of one process.  Every child has ended when the
+    generator is exhausted or closed.
+    """
+    check_integer("processes", processes, 1)
     columns = list(columns)
     lengths = {len(column) for column in columns}
     if len(columns) != len(header) or len(lengths) > 1:
         raise ValueError(f"{len(header)} header fields for columns of lengths {sorted(lengths)}")
     yield ",".join(map(_quoted, header)) + line_end
     floats = list(map(_is_float, columns))
-    for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
-        fields = [
-            map(repr, np.asarray(block, dtype=float).tolist()) if is_float
-            else map(_quoted, map(str, block))
-            for column, is_float in zip(columns, floats)
-            for block in [column[start : start + _BLOCK_ROWS]]
-        ]
-        yield line_end.join(map(",".join, zip(*fields))) + line_end
+
+    def blocks(lo: int, hi: int) -> Iterator[str]:
+        for start in range(lo, hi, _BLOCK_ROWS):
+            fields = [
+                map(repr, np.asarray(block, dtype=float).tolist()) if is_float
+                else map(_quoted, map(str, block))
+                for column, is_float in zip(columns, floats)
+                for block in [column[start : start + _BLOCK_ROWS]]
+            ]
+            yield line_end.join(map(",".join, zip(*fields))) + line_end
+
+    # Whole blocks, at least _ROWS_PER_PROCESS rows a range; the earlier
+    # ranges take any extra block, the last the part block.
+    rows = max(lengths, default=0)
+    full = rows // _BLOCK_ROWS
+    ranges = max(1, min(processes, full // -(-_ROWS_PER_PROCESS // _BLOCK_ROWS)))
+    bounds = [_BLOCK_ROWS * -(-full * k // ranges) for k in range(ranges)] + [rows]
+
+    def encoded(lo: int, hi: int) -> Iterator[bytes]:
+        return (block.encode("utf-8") for block in blocks(lo, hi))
+
+    with forked(encoded, bounds, "rows") as children:
+        yield from blocks(bounds[0], bounds[1])
+        for pieces in children:
+            for piece in pieces:
+                yield piece.decode("utf-8")
 
 
 def write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write ``text``, or its chunks as they are produced, as UTF-8 to
     ``<path>.tmp``, then move that file to ``path``.  If producing or
-    writing a chunk fails, ``<path>.tmp`` is removed and ``path`` is left
-    as it was."""
+    writing a chunk fails, ``<path>.tmp`` is removed, ``path`` is left as
+    it was and a generator of chunks is closed."""
     tmp = Path(f"{path}.tmp")
+    chunks = (text,) if isinstance(text, str) else text
     try:
         with open(tmp, "wb") as f:
-            for chunk in (text,) if isinstance(text, str) else text:
+            for chunk in chunks:
                 f.write(chunk.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
+        getattr(chunks, "close", lambda: None)()
         tmp.unlink(missing_ok=True)
         raise
 

@@ -255,14 +255,21 @@ def _score(
     score and the cutoff test is an integer compare.  int64 holds the
     scores when ``L`` and the largest score (the sum of the scaled weights)
     stay within 2**53, where score / L is also correctly rounded; above
-    that the same expressions run on Python ints.  Missing flags read False.
+    that the matmul runs on Python ints.  Missing flags read False.
     """
     flags = households.flags[:, _profile_columns(households, p)]
     cutoff = p.poverty_cutoff
     denom = math.lcm(cutoff.denominator, *(w.denominator for w in p.weights))
     scaled = [w.numerator * (denom // w.denominator) for w in p.weights]
-    dtype = np.int64 if max(denom, sum(scaled)) <= 2**53 else object
-    score = flags.astype(dtype) @ np.array(scaled, dtype=dtype)
+    if max(denom, sum(scaled)) <= 2**53:
+        # Flag column times its scaled weight, summed column by column:
+        # exact integers, without an int64 copy of the flags.
+        score = np.zeros(len(flags), dtype=np.int64)
+        term = np.empty_like(score)
+        for k, w in enumerate(scaled):
+            score += np.multiply(flags[:, k], w, out=term, dtype=np.int64)
+    else:
+        score = flags.astype(object) @ np.array(scaled, dtype=object)
     poor = score >= cutoff.numerator * (denom // cutoff.denominator)
     return flags, score, denom, poor
 

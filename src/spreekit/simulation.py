@@ -28,31 +28,30 @@ metrics without a warning.  The summary quantiles are
 :data:`~spreekit.bootstrap.QUANTILE_LEVELS`.
 
 ``run_simulation(plan, processes=n)`` splits the rounds into at most ``n``
-contiguous ranges.  The calling process runs the first range; a child
-started with ``os.fork`` runs each other range with the same loop.  The
-stacks live in anonymous shared memory, held once: every process writes
-round r's truth and fits at row r of the caller's own arrays, and a child
-sends back over a pipe only its failed rounds, or its error.  The caller
-aggregates the stacks once.  Round r draws only from stream r wherever it
-runs, and every cache a process builds gives the bits a fresh build
-gives, so no byte of the report depends on the process count.  The
-library default is one process: a library must not fork behind a caller
-that may hold threads or locks.  :func:`cpu_processes` is the count the
-``validate`` command passes: one process per CPU it may run on, with at
-least :data:`_ROUNDS_PER_PROCESS` rounds each.
+contiguous ranges, the first run by the calling process and each other by
+a forked child (:mod:`spreekit._fork`).  The stacks live in anonymous
+shared memory, held once: every process writes round r's truth and fits at
+row r of the caller's own arrays, and a child sends back only its failed
+rounds.  The caller aggregates the stacks once.  Round r draws only from
+stream r wherever it runs, and every cache a process builds gives the bits
+a fresh build gives, so no byte of the report depends on the process
+count.  :func:`cpu_processes` is the count the ``validate`` command
+passes: one process per CPU it may run on, with at least
+:data:`_ROUNDS_PER_PROCESS` rounds each.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-import os
+import pickle
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from spreekit import rng as rngmod
+from spreekit._fork import forked, usable_cpus
 from spreekit.bootstrap import (
     QUANTILE_LABELS,
     QUANTILE_LEVELS,
@@ -342,87 +341,6 @@ def _shared(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=float)[:n].reshape(shape)
 
 
-def _play_child(
-    out, parent_ends: list, play: Callable[[int, int], _Played], lo: int, hi: int
-) -> NoReturn:
-    """In a forked child: play rounds ``lo`` to ``hi - 1`` and write to
-    ``out`` a pickled header: the error the rounds raised, as type,
-    arguments and attributes (so that an exception whose constructor takes
-    other arguments arrives whole), or else what ``play`` returned.  The
-    child leaves by ``os._exit``, never into its caller's stack."""
-    import pickle
-
-    status = 1
-    try:
-        for end in parent_ends:
-            end.close()
-        try:
-            error, played = None, play(lo, hi)
-        except Exception as e:
-            error, played = (type(e), e.args, vars(e)), None
-            try:
-                pickle.dumps(error)
-            except Exception:
-                error = (RuntimeError, (f"{type(e).__name__}: {e}",), {})
-        header = pickle.dumps((error, played))
-        with out:
-            out.write(len(header).to_bytes(8, "little") + header)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _play_forked(play: Callable[[int, int], _Played], bounds: list[int]) -> _Played:
-    """``play`` each range ``bounds[k]`` to ``bounds[k + 1] - 1``: the first
-    here, each other in a forked child whose failures are gathered in round
-    order.  One range forks nothing.  The lowest range that raised raises
-    here; every child is reaped on every path."""
-    import pickle
-    import signal
-
-    children = []  # (pid, read end) per child, in round order
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read_end, write_end = os.pipe()
-            stream, out = open(read_end, "rb"), open(write_end, "wb")
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _play_child(out, [stream, *(c[1] for c in children)], play, lo, hi)
-            except BaseException:
-                stream.close()
-                raise
-            finally:
-                out.close()
-            children.append((pid, stream))
-        failed, failures = play(bounds[0], bounds[1])
-        for (_, stream), lo, hi in zip(children, bounds[1:-1], bounds[2:]):
-            # A buffered pipe reads until each buffer is full or the child
-            # has gone.
-            size = int.from_bytes(stream.read(8), "little")
-            header = stream.read(size)
-            if not header or len(header) < size:
-                raise ChildProcessError(f"rounds {lo} to {hi - 1} ended without a result")
-            error, played = pickle.loads(header)
-            if error is not None:
-                cls, args, attributes = error
-                exc = cls.__new__(cls, *args)
-                exc.args = args
-                vars(exc).update(attributes)
-                raise exc
-            for s in range(len(failed)):
-                failed[s] += played[0][s]
-                failures[s] += played[1][s]
-        return failed, failures
-    finally:
-        # A child that has sent its header has nothing left to do; one still
-        # running is not needed once this process has raised.
-        for pid, stream in children:
-            stream.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 # The fewest rounds :func:`cpu_processes` gives a process.  On two CPUs, a
 # split of the shipped scenario or the mini plan in two loses at 8 rounds,
 # is about even at 10 and wins from 12 (a round costs about 0.45 ms, a
@@ -434,8 +352,7 @@ def cpu_processes(rounds: int) -> int:
     """One process per CPU this process may run on, with at least
     :data:`_ROUNDS_PER_PROCESS` of ``rounds`` each; one where the CPUs
     cannot be read."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, rounds // _ROUNDS_PER_PROCESS))
+    return max(1, min(usable_cpus(), rounds // _ROUNDS_PER_PROCESS))
 
 
 def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationReport:
@@ -542,7 +459,13 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
 
     ranges = min(processes, rounds)
     bounds = [rounds * k // ranges for k in range(ranges + 1)]
-    failed, failures = _play_forked(play, bounds)
+    with forked(lambda lo, hi: [pickle.dumps(play(lo, hi))], bounds, "rounds") as played:
+        failed, failures = play(bounds[0], bounds[1])
+        for pieces in played:
+            child_failed, child_failures = pickle.loads(b"".join(pieces))
+            for s in range(len(failed)):
+                failed[s] += child_failed[s]
+                failures[s] += child_failures[s]
 
     poor_col = _poor_column(category_ids)
 
@@ -560,10 +483,16 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
 
     for s, strategy in enumerate(plan.strategies):
         n = rounds - len(failed[s])
-        est_cells, est_shares, tru_cells, tru_h = (
-            np.delete(stack, failed[s], axis=0) if failed[s] else stack
-            for stack in (fitted_cells[s], fitted_shares[s], truth_cells, truth_h)
-        )
+        tru_cells, tru_h = truth_cells, truth_h
+        if failed[s]:
+            # The strategy's own stacks keep its completed rounds, moved to
+            # the front in round order; the shared truths are copied.
+            kept = np.delete(np.arange(rounds), failed[s])
+            for i in range(failed[s][0], n):
+                fitted_cells[s, i] = fitted_cells[s, kept[i]]
+                fitted_shares[s, i] = fitted_shares[s, kept[i]]
+            tru_cells, tru_h = (np.delete(t, failed[s], axis=0) for t in (truth_cells, truth_h))
+        est_cells, est_shares = fitted_cells[s, :n], fitted_shares[s, :n]
 
         cell_bias = _nd_bias(est_cells, tru_cells)
         cell_rmse = _nd_rmse(est_cells, tru_cells)

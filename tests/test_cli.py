@@ -17,10 +17,12 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -374,6 +376,72 @@ class TestBootstrap:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "aux_pool[0]" in manifest["inputs"]
         assert "aux_pool[1]" in manifest["inputs"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a run to one CPU")
+    def test_outputs_do_not_depend_on_how_the_census_helper_thread_is_scheduled(self, tmp_path):
+        # Once free, once pinned to one CPU, which also writes every file in
+        # one process: every output file must be byte-identical.
+        script = (
+            "import os, sys\n"
+            "if sys.argv[2] == 'one-cpu':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from spreekit.cli import main\n"
+            "m = 'fixtures/mini'\n"
+            "sys.exit(main(['bootstrap', '--census', f'{m}/census2002.csv',"
+            " '--col-margin', f'{m}/survey_margin.csv', '--shares-mode', 'hybrid',"
+            " '--hierarchy', f'{m}/hierarchy.csv', '--projections', f'{m}/projections.csv',"
+            " '--aux', f'{m}/aux.csv', '--year', '2013', '--design', f'{m}/design.csv',"
+            " '--replicates', '50', '--out', sys.argv[1]]))\n"
+        )
+        for cpus in ("free", "one-cpu"):
+            done = run_python("-c", script, tmp_path / cpus, cpus, SOURCE_DATE_EPOCH="1700000000")
+            assert done.returncode == 0, done.stderr
+        files = sorted((tmp_path / "free").iterdir())
+        assert files
+        for f in files:
+            assert f.read_bytes() == (tmp_path / "one-cpu" / f.name).read_bytes(), f.name
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a run to one CPU")
+    def test_outputs_do_not_depend_on_which_thread_draws_each_census(self):
+        # The mini fixture's censuses are drawn too fast for the main thread
+        # ever to draw one itself; the benchmark's smoke inputs are not. Once
+        # free, once pinned to one CPU: every output digest must be the same.
+        script = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'one-cpu':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "argv = ['bench/run.py', '--workload', 'bootstrap-2k', '--smoke', '--seconds', '0',"
+            " '--trace', '0']\n"
+            "os.execv(sys.executable, [sys.executable, *argv])\n"
+        )
+        digests = {}
+        for cpus in ("free", "one-cpu"):
+            done = run_python("-c", script, cpus)
+            assert done.returncode == 0, done.stderr
+            lines = done.stdout.splitlines()
+            digests[cpus] = [line for line in lines if re.match(r"output .* sha256:", line)]
+        assert digests["free"], "no output digests"
+        assert digests["free"] == digests["one-cpu"]
+
+    def test_the_cell_table_is_split_with_one_thread_at_each_fork(self, tmp_path, monkeypatch):
+        # 8 rows in blocks of 1, at least 2 rows a process, on 4 CPUs: three
+        # children, forked once the census helper thread has ended.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        assert run_cli(*bootstrap_argv(tmp_path / "one"))[0] == 0
+        threads, fork = [], os.fork
+
+        def counted():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(sio, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(sio, "_ROWS_PER_PROCESS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(os, "fork", counted)
+        assert run_cli(*bootstrap_argv(tmp_path / "split"))[0] == 0
+        assert threads == [1, 1, 1]
+        for f in sorted((tmp_path / "one").iterdir()):
+            assert f.read_bytes() == (tmp_path / "split" / f.name).read_bytes(), f.name
 
     @pytest.mark.parametrize(
         "col_resample, want",

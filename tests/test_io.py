@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import re
+import signal
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -719,6 +721,111 @@ def test_failed_save_after_first_block_keeps_previous_file(tmp_path, monkeypatch
         sio.save_households(p, hh)
     assert p.read_bytes() == b"previous contents\n"
     assert [q.name for q in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestSplitText:
+    """``csv_text`` over several processes, with blocks of 3 rows and at
+    least 4 rows (so 2 blocks) a range: the text of one process, byte for
+    byte, and no child left on any path."""
+
+    HEADER = ("id", "name", "value")
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children forked; each must be reaped by the end
+        of the test."""
+        monkeypatch.setattr(sio, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(sio, "_ROWS_PER_PROCESS", 4)
+        pids, fork = [], os.fork
+
+        def recorded():
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", recorded)
+        yield pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def columns(self, rows: int, name=lambda i: None) -> list:
+        """Ids, names that need quoting (``name(i)`` where it is not None)
+        and floats."""
+        names = ['x,"y"', "two\nlines", "plain", "\u00e9\u5b57"]
+        return [
+            [f"a{i}" for i in range(rows)],
+            [names[i % 4] if name(i) is None else name(i) for i in range(rows)],
+            np.arange(rows) / 7 - 1e-300 * (np.arange(rows) % 2),
+        ]
+
+    # 0 rows; 7 rows end in a one-row block; 12 rows in 4 whole blocks; 26
+    # rows in 8 whole blocks and a ragged one.
+    @pytest.mark.parametrize("rows, splits", [(0, 1), (7, 1), (12, 2), (26, 4)])
+    def test_every_process_count_gives_the_same_text(self, forks, rows, splits):
+        want = "".join(sio.csv_text(self.HEADER, self.columns(rows), "\r\n"))
+        assert len(want.splitlines()) > rows
+        for processes in (1, 2, 3, 4):
+            del forks[:]
+            got = "".join(sio.csv_text(self.HEADER, self.columns(rows), "\r\n", processes))
+            assert got == want, processes
+            assert len(forks) == min(processes, splits) - 1
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(_Unprintable(), RuntimeError), ("\udc80", UnicodeEncodeError)],
+        ids=["str_raises", "not_utf8"],
+    )
+    # Row 3 opens the caller's second block; rows 10 and 11 are a child's
+    # in four processes, row 25 in two and in four.
+    @pytest.mark.parametrize("row", [3, 10, 11, 25])
+    def test_an_error_is_that_of_one_process(self, tmp_path, forks, bad, error, row):
+        p = write(tmp_path, "out.csv", "previous contents\n")
+        columns = self.columns(26, lambda i: bad if i == row else None)
+        raised = []
+        for processes in (1, 2, 4):
+            with pytest.raises(error) as e:
+                sio.write_text(p, sio.csv_text(self.HEADER, columns, "\n", processes))
+            raised.append((type(e.value), str(e.value)))
+            assert p.read_bytes() == b"previous contents\n"
+            assert [q.name for q in tmp_path.iterdir()] == ["out.csv"]
+        assert raised == [raised[0]] * 3
+        assert len(forks) == 1 + 3
+
+    def test_a_generator_closed_early_leaves_no_child(self, forks):
+        text = sio.csv_text(self.HEADER, self.columns(26), "\n", 4)
+        next(text), next(text)
+        assert len(forks) == 3
+        text.close()
+
+    def test_a_caller_that_ignores_its_children_gets_the_same_text(self, forks):
+        # Children that have ended are reaped by the system, not by the writer.
+        want = "".join(sio.csv_text(self.HEADER, self.columns(26), "\n"))
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert "".join(sio.csv_text(self.HEADER, self.columns(26), "\n", 4)) == want
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 3
+
+    def test_this_process_holds_one_block_of_a_child_at_a_time(self, tmp_path):
+        # 80 blocks of about 16 kB: the child's 40 blocks come one at a time,
+        # as this process's own do, not as one 0.65 MB text.
+        rows = 80 * sio._BLOCK_ROWS
+        columns = self.columns(rows)
+        want = "".join(sio.csv_text(self.HEADER, columns, "\n")).encode()
+        tracemalloc.start()
+        try:
+            sio.write_text(tmp_path / "out.csv", sio.csv_text(self.HEADER, columns, "\n", 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "out.csv").read_bytes() == want
+        assert peak < len(want) / 4
+
+    @pytest.mark.parametrize("processes", [0, -1, True, 2.0])
+    def test_process_count_must_be_a_positive_integer(self, processes):
+        with pytest.raises(ValueError, match="^processes must be"):
+            next(sio.csv_text(self.HEADER, self.columns(3), "\n", processes))
 
 
 # Ingest memory: a load may hold, beyond the table it returns, one block of

@@ -16,7 +16,7 @@ from spreekit import (
     is_poor,
     tabulate_poverty,
 )
-from spreekit.mpi import LIVING_STANDARD_INDICATORS, POVERTY_CATEGORIES, MpiResult, _poor_share
+from spreekit.mpi import LIVING_STANDARD_INDICATORS, POVERTY_CATEGORIES, MpiResult, _poor_share, _score
 
 from conftest import Household, household_table as table, make_composition, same_bits
 
@@ -334,6 +334,17 @@ class TestMatchesFractionOracle:
         got = tabulate_poverty(of_subgroup(table(records), "f"), p, HIERARCHY)
         want = reference_tabulate([r for r in records if r.subgroup_id == "f"], p, HIERARCHY)
         assert got.counts.tobytes() == want.counts.tobytes()
+
+    @PROPERTY
+    @given(st.data())
+    def test_int64_scores_equal_the_flag_matmul(self, data):
+        # The scores are summed column by column, without the int64 copy of
+        # the flags that the matmul needed.
+        p = data.draw(profiles())
+        flags, score, denom, _ = _score(table(data.draw(households(p))), p)
+        scaled = np.array([w.numerator * (denom // w.denominator) for w in p.weights])
+        assert score.dtype == np.int64
+        assert score.tobytes() == (flags.astype(np.int64) @ scaled.astype(np.int64)).tobytes()
 
     def test_tabulate_sums_in_record_order(self):
         # Non-integer weights make the float sums depend on their order.

@@ -1065,6 +1065,43 @@ def partly_failing_plan(replicates: int) -> SimulationPlan:
     )
 
 
+def test_failed_rounds_add_less_than_a_fit_stack_to_the_aggregation():
+    """A strategy's completed rounds are moved to the front of its own
+    stacks, not copied: what failed rounds add to the aggregation's
+    ``tracemalloc`` peak (from the end of the rounds) is less than one
+    strategy's fit stack.  Copying the fits and shares took 155 kB."""
+
+    def aggregation_peak(plan: SimulationPlan) -> tuple[int, dict]:
+        run_simulation(replace(plan, replicates=20))  # fills numpy's and the interpreter's caches
+        poor_column = simulation._poor_column
+
+        def after_the_rounds(category_ids):
+            tracemalloc.start()
+            return poor_column(category_ids)
+
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulation, "_poor_column", after_the_rounds)
+                report = run_simulation(plan)
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    failing = partly_failing_plan(2000)
+    truth = Composition(failing.truth_t0.area_ids, ("poor", "non-poor"),
+                        [[300.0, 300.0], [200.0, 100.0], [550.0, 450.0], [200.0, 800.0]])
+    clean = replace(
+        failing, truth_t0=truth, truth_t=truth, aux_pool=(row_margins(truth),),
+        large_totals_t=MarginVector(("g1", "g2"), np.array([900.0, 2000.0]), MarginLevel.LARGE_AREA),
+    )
+    failing_peak, report = aggregation_peak(failing)
+    clean_peak, clean_report = aggregation_peak(clean)
+    assert [m.completed for m in report.metrics.values()] == [1123, 169, 169]
+    assert [m.completed for m in clean_report.metrics.values()] == [2000] * 3
+    fit_stack = 8 * 2000 * failing.truth_t0.counts.size
+    assert failing_peak - clean_peak < fit_stack
+
+
 def assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
