@@ -12,6 +12,12 @@ raised raises, with its type, message and attributes.  Every child is
 killed if still running and reaped on every path: a return, an error, an
 interrupt, or a generator closed before its end.
 
+Three callers split their work this way: ``validate``'s rounds
+(:func:`spreekit.simulation.run_simulation`), the rows of a CSV output
+(:func:`spreekit.io.csv_text`), and the byte ranges of a large households
+or pixels file (:func:`spreekit.io.load_households`,
+:func:`spreekit.io.load_pixels`).
+
 Nothing here forks unless asked.  A library must not fork behind a caller
 that may hold threads or locks, so every library function that splits its
 work defaults to one process; the command line asks for one process per

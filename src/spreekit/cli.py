@@ -400,7 +400,9 @@ def cmd_mpi(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         profile = sio.load_profile(_note(inputs, "profile", ns.profile))
     else:
         profile = MpiProfile.nine_indicator()
-    households = sio.load_households(_note(inputs, "households", ns.households), profile)
+    households = sio.load_households(
+        _note(inputs, "households", ns.households), profile, usable_cpus()
+    )
     result = compute_mpi(households, profile)
     payload = {
         **_mpi_summary(result),
@@ -420,7 +422,7 @@ def cmd_mpi(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
 
 
 def cmd_aggregate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
-    px = sio.load_pixels(_note(inputs, "pixels", ns.pixels))
+    px = sio.load_pixels(_note(inputs, "pixels", ns.pixels), usable_cpus())
     polys = sio.load_polygons(_note(inputs, "polygons", ns.polygons))
     agg = aggregate_pixels(px, polys)
     yield "margin.csv", sio.margin_csv(agg.margin.ids, agg.margin.values, "\n")

@@ -13,9 +13,14 @@ copy is made only when the raw text is rejected.
 
 Memory: a load holds the object it returns, one block of rows and, where
 keys must be unique, the keys read so far; the object's own constructor
-may then copy its columns once.  Repeated ids (areas, subgroups,
-categories, strata, PSUs, large areas) share one ``str`` per distinct
-value.
+may then copy its columns once (``Households`` keeps the loader's
+columns).  Repeated ids (areas, subgroups, categories, strata, PSUs,
+large areas) share one ``str`` per distinct value.  :func:`load_households`
+and :func:`load_pixels` take a number of ``processes``; with more than one
+they read a large file's byte ranges in forked children (:func:`_load`),
+each of which holds its range's parsed blocks until it sends them, and
+this process takes one block from them at a time.  The object and any
+error are those of one process.
 
 Every CSV spreekit writes has one dialect, :func:`csv_text`: float columns
 as ``repr`` of Python floats (so save then load is an identity), other
@@ -47,9 +52,12 @@ Schemas (UTF-8, comma-separated, ``.`` decimal point):
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
+import pickle
 from array import array
 from fractions import Fraction
 from itertools import islice, repeat
@@ -88,21 +96,49 @@ _BLOCK_ROWS = 512
 # rows (one block each) and 27% at 2048; ranges of 1024 rows leave room
 # for a slower fork on a loaded host.
 _ROWS_PER_PROCESS = 1024
+# The fewest bytes :func:`load_households` and :func:`load_pixels` give a
+# process.  On two CPUs, a split in two is even with one process at 256 KiB
+# files (128 KiB a range), and saves 15-22% at 512 KiB and 22-31% at 1 MiB.
+_BYTES_PER_PROCESS = 256 * 1024
 
 
 def _fail(path: Path, line: int, message: str) -> None:
     raise IngestError(f"{path}:{line}: {message}")
 
 
-def _csv_blocks(path: Path) -> Iterator[list[list[str]]]:
-    """The file's header row alone (no row for an empty file), then its
-    data rows ``_BLOCK_ROWS`` at a time.  A record the ``csv`` module
-    rejects, such as one with an overlong field, ends them: the rows before
-    it in its block come as a last block, then IngestError names its line."""
+class _Span(io.RawIOBase):
+    """A raw binary file read from where it stands up to byte ``end``."""
+
+    def __init__(self, raw: io.RawIOBase, end: int) -> None:
+        self.raw, self.left = raw, end - raw.tell()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(memoryview(buffer)[: max(self.left, 0)])
+        self.left -= n
+        return n
+
+
+def _csv_blocks(path: Path, lo: int = 0, hi: int | None = None) -> Iterator[list[list[str]]]:
+    """The first row of the file's bytes ``lo`` to ``hi - 1`` (to its end
+    where ``hi`` is None) alone, no row where there is none, then its other
+    rows ``_BLOCK_ROWS`` at a time, read as they are parsed.  A record the
+    ``csv`` module rejects, such as one with an overlong field, ends them:
+    the rows before it in its block come as a last block, then IngestError
+    names its line, counted from ``lo``.  A range with an end is parsed
+    ``strict``, so that one cut inside a quoted field fails rather than
+    close the quote."""
     done, block = 0, []  # records in the blocks yielded; the block being read
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = csv.reader(f)
+        with open(path, "rb", buffering=0) as raw:
+            if lo:
+                raw.seek(lo)
+            binary = io.BufferedReader(raw if hi is None else _Span(raw, hi))
+            rows = csv.reader(
+                io.TextIOWrapper(binary, encoding="utf-8", newline=""), strict=hi is not None
+            )
             block.extend(islice(rows, 1))  # extend keeps the rows read before an error
             while True:
                 yield block
@@ -117,6 +153,26 @@ def _csv_blocks(path: Path) -> Iterator[list[list[str]]]:
         if block:
             yield block
         _fail(path, done + len(block) + 1, str(e))
+
+
+def _bounds(path: Path, processes: int) -> list[int]:
+    """Where the file's byte ranges start, then its size: at most
+    ``processes`` ranges and one per :data:`_BYTES_PER_PROCESS` bytes, cut
+    at even shares of the file, each cut moved to just after the next
+    ``\\n``.  ``[0]`` for one range."""
+    check_integer("processes", processes, 1)
+    with contextlib.suppress(OSError):
+        size = os.stat(path).st_size if processes > 1 else 0
+        ranges = min(processes, size // _BYTES_PER_PROCESS)
+        if ranges > 1:
+            with open(path, "rb") as f:
+                cuts = {0, size}
+                for k in range(1, ranges):
+                    f.seek(size * k // ranges - 1)
+                    f.readline()
+                    cuts.add(min(f.tell(), size))
+            return sorted(cuts)
+    return [0]
 
 
 def _quoted(text: str) -> str:
@@ -336,10 +392,12 @@ class _Columns:
             _fail(self.path, self.start + self.n + 2, self.fault)
 
 
-def _read(path: Path, expected: str) -> tuple[list[str], Iterator[list[list[str]]]]:
-    """The file's stripped header and its data blocks; ``expected`` names
-    the header an empty file lacks."""
-    blocks = _csv_blocks(path)
+def _read(
+    path: Path, expected: str, hi: int | None = None
+) -> tuple[list[str], Iterator[list[list[str]]]]:
+    """The file's stripped header and its data blocks, up to byte ``hi``
+    where it is given; ``expected`` names the header an empty file lacks."""
+    blocks = _csv_blocks(path, 0, hi)
     first = next(blocks)
     if not first:
         _fail(path, 1, f"empty file, expected {expected}")
@@ -358,12 +416,64 @@ def _column_blocks(
         _fail(path, 2, f"{required} has no data rows")
 
 
+def _check_header(path: Path, got: Sequence[str], header: Sequence[str]) -> None:
+    if list(got) != list(header):
+        _fail(path, 1, f"bad header {','.join(got)!r}, expected {','.join(header)!r}")
+
+
 def _columns(path: Path, header: Sequence[str], required: str | None = None) -> Iterator[_Columns]:
     """The file's data blocks under ``header``; ``required`` names what needs some rows."""
     got, blocks = _read(path, "header " + ",".join(header))
-    if got != list(header):
-        _fail(path, 1, f"bad header {','.join(got)!r}, expected {','.join(header)!r}")
+    _check_header(path, got, header)
     return _column_blocks(path, blocks, len(header), required)
+
+
+# What a load sets up for a header: ``parse(t)`` checks one block of data
+# rows (IngestError at its first fault) and gives its parts; ``keep(*parts)``
+# appends them to the columns, and ``absorb(*parts)`` those of a block that
+# a child parsed; ``done()`` builds the object from the columns.
+_Begun = tuple[Callable[[_Columns], tuple], Callable[..., None], Callable[..., None], Callable]
+
+
+def _load(path: Path, processes: int, expected: str, begin: Callable[[list[str]], _Begun]) -> Any:
+    """The object that ``begin(header)`` sets up the load of, for the
+    file's stripped header (``expected`` names the header an empty file
+    lacks), read in up to ``processes`` processes.
+
+    A file of at least two ranges of :data:`_BYTES_PER_PROCESS` bytes is cut
+    into at most ``processes`` byte ranges (:func:`_bounds`).  This process
+    reads the header, forks a child for each range but the first
+    (:mod:`spreekit._fork`), and reads the first range.  Each child sends
+    each parsed block as one pickle, which this process absorbs in file
+    order.  If any of this raises IngestError or UnicodeDecodeError (a
+    range cut inside a quoted field, a fault, a unique key in two ranges),
+    or a child is lost, the file is read again in one process, whose object
+    or error is the one given.
+    """
+    bounds = _bounds(path, processes)
+    if len(bounds) > 2:
+        with contextlib.suppress(IngestError, UnicodeDecodeError, ChildProcessError):
+            return _load_ranges(path, expected, begin, bounds)
+    return _load_ranges(path, expected, begin, [0, None])
+
+
+def _load_ranges(
+    path: Path, expected: str, begin: Callable[[list[str]], _Begun], bounds: list[int | None]
+) -> Any:
+    header, blocks = _read(path, expected, bounds[1])
+    parse, keep, absorb, done = begin(header)
+
+    def parsed(lo: int, hi: int) -> Iterator[bytes]:
+        blocks = _column_blocks(path, _csv_blocks(path, lo, hi), len(header))
+        return (pickle.dumps(parse(t)) for t in blocks)
+
+    with forked(parsed, bounds, "bytes") as children:
+        for t in _column_blocks(path, blocks, len(header)):
+            keep(*parse(t))
+        for pieces in children:
+            for piece in pieces:
+                absorb(*pickle.loads(piece))
+    return done()
 
 
 def load_composition(path: str | Path, reference_time: int = 0) -> Composition:
@@ -451,76 +561,106 @@ def save_hierarchy(path: str | Path, h: AreaHierarchy) -> None:
 _FLAGS = {"0": 0, "1": 1, "": 2}
 
 
-def load_households(path: str | Path, profile: MpiProfile | None = None) -> Households:
+def load_households(
+    path: str | Path, profile: MpiProfile | None = None, processes: int = 1
+) -> Households:
     """The household table, with per-indicator deprivation flags.
 
     With a profile supplied, the ``ind_`` columns must cover exactly the
-    profile's indicators.
+    profile's indicators.  With ``processes`` above 1, a file of at least
+    two ranges of :data:`_BYTES_PER_PROCESS` bytes is read in up to that
+    many processes (:func:`_load`); the table, or the error, is that of
+    one process.
     """
     path = Path(path)
-    header, blocks = _read(path, "household header")
-    if tuple(header[: len(_HOUSEHOLD_HEADER)]) != _HOUSEHOLD_HEADER:
-        _fail(path, 1, f"header must start with {','.join(_HOUSEHOLD_HEADER)}")
-    indicator_cols = header[len(_HOUSEHOLD_HEADER) :]
-    bad = [c for c in indicator_cols if not c.startswith("ind_")]
-    if bad:
-        _fail(path, 1, f"indicator columns must start with 'ind_': {bad}")
-    indicators = tuple(c[len("ind_") :] for c in indicator_cols)
-    if len(set(indicators)) != len(indicators):
-        _fail(path, 1, "duplicate indicator columns")
-    if profile is not None and set(indicators) != set(profile.indicators):
-        _fail(
-            path,
-            1,
-            f"indicator columns {sorted(indicators)} do not match the profile "
-            f"indicators {sorted(profile.indicators)}",
-        )
-    seen: dict[str, None] = {}
-    pool: dict[str, str] = {}
-    areas: list[str] = []
-    subgroups: list[str] = []
-    # Sizes stay Python ints, so the table's own check sees each one whole.
-    sizes: list[int] = []
-    weights, codes = array("d"), array("b")
-    for t in _column_blocks(path, blocks, len(header)):
-        hid, area, subgroup = t.text(0), t.ids(1, pool), t.ids(2, pool)
-        t.nonempty("empty household_id or area_id", hid, area)
-        t.unique(
-            hid, seen, lambda i, first: f"duplicate household_id {hid[i]!r}, first at line {first}"
-        )
-        size = t.parse(t.raw(3), int, lambda raw: f"size is not an integer: {raw!r}")
-        weight = t.floats(4, "weight")
-        flag_columns = []
-        for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER)):
-            try:
-                flag_columns.append(bytes(map(_FLAGS.get, t.raw(k))))
-            except TypeError:  # a field that is not a flag code as it stands
-                flag_columns.append(bytes(t.parse(
-                    t.text(k),
-                    _FLAGS.__getitem__,
-                    lambda raw: f"ind_{indicator} must be 0, 1, or empty, got {raw!r}",
-                )))
-        t.check([s < 1 for s in size], lambda i: f"household size must be >= 1, got {size[i]}")
-        t.check(~(weight > 0), lambda i: f"weight must be positive, got {float(weight[i])}")
-        t.done()
-        areas.extend(area)
-        subgroups.extend(subgroup)
-        sizes.extend(size)
-        weights.frombytes(weight.tobytes())
-        block_codes = np.frombuffer(b"".join(flag_columns), np.int8).reshape(len(indicators), t.n)
-        codes.frombytes(block_codes.T.tobytes())
-    # ``t.unique`` has proved the keys unique, so the table need not.
-    household_ids = _Ids(seen)
-    flag_codes = np.frombuffer(codes, dtype=np.int8).reshape(len(seen), len(indicators))
-    flags, missing = flag_codes == 1, flag_codes == 2
-    # The table copies its columns: free the key dict and the codes first.
-    del seen, flag_codes, codes
-    households = _wrap_invariant(
-        path, Households, household_ids, areas, subgroups, sizes, np.frombuffer(weights),
-        indicators, flags, missing,
-    )
-    _wrap_invariant(path, _people, households)
-    return households
+
+    def begin(header: list[str]) -> _Begun:
+        if tuple(header[: len(_HOUSEHOLD_HEADER)]) != _HOUSEHOLD_HEADER:
+            _fail(path, 1, f"header must start with {','.join(_HOUSEHOLD_HEADER)}")
+        indicator_cols = header[len(_HOUSEHOLD_HEADER) :]
+        bad = [c for c in indicator_cols if not c.startswith("ind_")]
+        if bad:
+            _fail(path, 1, f"indicator columns must start with 'ind_': {bad}")
+        indicators = tuple(c[len("ind_") :] for c in indicator_cols)
+        if len(set(indicators)) != len(indicators):
+            _fail(path, 1, "duplicate indicator columns")
+        if profile is not None and set(indicators) != set(profile.indicators):
+            _fail(
+                path,
+                1,
+                f"indicator columns {sorted(indicators)} do not match the profile "
+                f"indicators {sorted(profile.indicators)}",
+            )
+        seen: dict[str, None] = {}
+        pool: dict[str, str] = {}
+        areas: list[str] = []
+        subgroups: list[str] = []
+        # Sizes stay Python ints, so the table's own check sees each one whole.
+        sizes: list[int] = []
+        weights, codes = array("d"), array("b")
+
+        def parse(t: _Columns) -> tuple:
+            hid, area, subgroup = t.text(0), t.ids(1, pool), t.ids(2, pool)
+            t.nonempty("empty household_id or area_id", hid, area)
+            t.unique(
+                hid, seen,
+                lambda i, first: f"duplicate household_id {hid[i]!r}, first at line {first}",
+            )
+            size = t.parse(t.raw(3), int, lambda raw: f"size is not an integer: {raw!r}")
+            weight = t.floats(4, "weight")
+            flag_columns = []
+            for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER)):
+                try:
+                    flag_columns.append(bytes(map(_FLAGS.get, t.raw(k))))
+                except TypeError:  # a field that is not a flag code as it stands
+                    flag_columns.append(bytes(t.parse(
+                        t.text(k),
+                        _FLAGS.__getitem__,
+                        lambda raw: f"ind_{indicator} must be 0, 1, or empty, got {raw!r}",
+                    )))
+            t.check([s < 1 for s in size], lambda i: f"household size must be >= 1, got {size[i]}")
+            t.check(~(weight > 0), lambda i: f"weight must be positive, got {float(weight[i])}")
+            t.done()
+            flags = np.frombuffer(b"".join(flag_columns), np.int8).reshape(len(indicators), t.n)
+            return hid, area, subgroup, size, weight.tobytes(), flags.T.tobytes()
+
+        def keep(hid, area, subgroup, size, weight: bytes, flags: bytes) -> None:
+            # ``parse`` has put the ids in ``seen``.
+            areas.extend(area)
+            subgroups.extend(subgroup)
+            sizes.extend(size)
+            weights.frombytes(weight)
+            codes.frombytes(flags)
+
+        def absorb(hid, area, subgroup, *rest) -> None:
+            before = len(seen)
+            seen.update(zip(hid, repeat(None)))
+            if len(seen) - before < len(hid):
+                raise IngestError(f"{path}: a household_id is in two ranges")
+            # One str per distinct id, as in one process.
+            keep(hid, map(pool.setdefault, area, area), map(pool.setdefault, subgroup, subgroup),
+                 *rest)
+
+        def done() -> Households:
+            # ``t.unique`` has proved the keys unique, so the table need not.
+            household_ids = _Ids(seen)
+            flag_codes = np.frombuffer(codes, dtype=np.int8).reshape(len(seen), len(indicators))
+            flags, missing = flag_codes == 1, flag_codes == 2
+            # The table keeps its columns uncopied: free the key dict and the codes first.
+            seen.clear()
+            del flag_codes, codes[:]
+            households = _wrap_invariant(
+                path, Households._adopt, household_ids, areas, subgroups, sizes,
+                np.frombuffer(weights), indicators, flags, missing,
+            )
+            for column in areas, subgroups, sizes:  # the table holds its own tuples and array
+                column.clear()
+            _wrap_invariant(path, _people, households)
+            return households
+
+        return parse, keep, absorb, done
+
+    return _load(path, processes, "household header", begin)
 
 
 def save_households(path: str | Path, households: Households) -> None:
@@ -635,19 +775,36 @@ def save_by_year(
     write_text(path, csv_text(header, zip(*rows), "\r\n"))
 
 
-def load_pixels(path: str | Path) -> PixelTable:
+def load_pixels(path: str | Path, processes: int = 1) -> PixelTable:
+    """The pixel table.  With ``processes`` above 1, a file of at least two
+    ranges of :data:`_BYTES_PER_PROCESS` bytes is read in up to that many
+    processes (:func:`_load`); the table, or the error, is that of one
+    process."""
     path = Path(path)
-    lon, lat, value = array("d"), array("d"), array("d")
-    for t in _columns(path, _PIXELS_HEADER):
-        x = t.floats(0, "lon")
-        y = t.floats(1, "lat")
-        raw = t.raw(2)
-        v = t.floats(2, "value")
-        t.check(v < 0, lambda i: f"negative value {raw[i]!r}")
-        t.done()
-        for column, block in ((lon, x), (lat, y), (value, v)):
-            column.frombytes(block.tobytes())
-    return _wrap_invariant(path, PixelTable, *map(np.frombuffer, (lon, lat, value)))
+
+    def begin(header: list[str]) -> _Begun:
+        _check_header(path, header, _PIXELS_HEADER)
+        columns = array("d"), array("d"), array("d")
+
+        def parse(t: _Columns) -> tuple[bytes, bytes, bytes]:
+            x = t.floats(0, "lon")
+            y = t.floats(1, "lat")
+            raw = t.raw(2)
+            v = t.floats(2, "value")
+            t.check(v < 0, lambda i: f"negative value {raw[i]!r}")
+            t.done()
+            return x.tobytes(), y.tobytes(), v.tobytes()
+
+        def keep(*parts: bytes) -> None:
+            for column, part in zip(columns, parts):
+                column.frombytes(part)
+
+        def done() -> PixelTable:
+            return _wrap_invariant(path, PixelTable, *map(np.frombuffer, columns))
+
+        return parse, keep, keep, done
+
+    return _load(path, processes, "header " + ",".join(_PIXELS_HEADER), begin)
 
 
 def save_pixels(path: str | Path, px: PixelTable) -> None:

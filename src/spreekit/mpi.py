@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from spreekit.composition import AreaHierarchy, Composition, _check_unique
+from spreekit.composition import AreaHierarchy, Composition, _check_unique, _Ids
 
 POVERTY_CATEGORIES = ("poor", "non-poor")
 
@@ -135,7 +135,8 @@ class Households:
     False in ``flags`` and must be resolved before scoring.  ``weight`` is
     the survey design weight multiplying ``size``.  The constructor checks
     for equal column lengths, unique household and indicator ids, integer
-    sizes >= 1 and positive weights; the arrays are read-only copies.
+    sizes >= 1 and positive weights; the arrays are read-only copies of
+    those given.
     """
 
     household_ids: tuple[str, ...]
@@ -148,10 +149,26 @@ class Households:
     missing: np.ndarray
 
     def __post_init__(self) -> None:
+        self._keep(copy=True)
+
+    @classmethod
+    def _adopt(cls, *columns) -> "Households":
+        """The table over ``columns``, checked as the constructor checks
+        them, that keeps them uncopied: for a caller that built them for the
+        table alone.  Its arrays are made read-only in place; id lists
+        become tuples, and ids must be ``str`` already."""
+        table = object.__new__(cls)
+        for field, value in zip(fields(cls), columns):
+            object.__setattr__(table, field.name, value)
+        table._keep(copy=False)
+        return table
+
+    def _keep(self, copy: bool) -> None:
         n, k = len(self.household_ids), len(self.indicators)
-        size = np.array(self.size, dtype=None if n else np.int64)
-        weight = np.array(self.weight, dtype=float)
-        flags, missing = np.array(self.flags, dtype=bool), np.array(self.missing, dtype=bool)
+        array = np.array if copy else np.asarray
+        size = array(self.size, dtype=None if n else np.int64)
+        weight = array(self.weight, dtype=float)
+        flags, missing = array(self.flags, dtype=bool), array(self.missing, dtype=bool)
         shapes = dict(
             area_ids=(len(self.area_ids),), subgroup_ids=(len(self.subgroup_ids),),
             size=size.shape, weight=weight.shape, flags=flags.shape, missing=missing.shape,
@@ -168,10 +185,12 @@ class Households:
             raise ValueError(f"household size must be >= 1, got {size[np.argmax(size < 1)]}")
         if not (weight > 0).all():
             raise ValueError(f"weight must be positive, got {float(weight[np.argmin(weight > 0)])}")
+        flags[missing] = False
+        ids = (lambda column: tuple(map(str, column))) if copy else tuple
         values = (
-            _check_unique(self.household_ids, "household ids"), tuple(map(str, self.area_ids)),
-            tuple(map(str, self.subgroup_ids)), size, weight,
-            _check_unique(self.indicators, "indicator ids"), flags & ~missing, missing,
+            _check_unique(self.household_ids, "household ids"), ids(self.area_ids),
+            ids(self.subgroup_ids), size, weight,
+            _check_unique(self.indicators, "indicator ids"), flags, missing,
         )
         for field, value in zip(fields(self), values):
             if isinstance(value, np.ndarray):
@@ -187,10 +206,12 @@ class Households:
         if mask.shape != (len(self),):
             raise ValueError(f"mask shape {mask.shape} does not match {len(self)} households")
         keep = mask.tolist()
-        ids = (self.household_ids, self.area_ids, self.subgroup_ids)
-        ids = (tuple(compress(column, keep)) for column in ids)
-        return Households(*ids, self.size[mask], self.weight[mask], self.indicators,
-                          self.flags[mask], self.missing[mask])
+        area, subgroup = (tuple(compress(ids, keep)) for ids in (self.area_ids, self.subgroup_ids))
+        # A subset of unique ids is unique, and indexing copies the arrays.
+        return Households._adopt(
+            _Ids(compress(self.household_ids, keep)), area, subgroup, self.size[mask],
+            self.weight[mask], self.indicators, self.flags[mask], self.missing[mask],
+        )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import signal
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -828,6 +830,221 @@ class TestSplitText:
             next(sio.csv_text(self.HEADER, self.columns(3), "\n", processes))
 
 
+def recorded_forks(monkeypatch) -> list[int]:
+    """The pids of the children forked from here on, through a wrapped ``os.fork``."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+HOUSEHOLD_HEAD = ("household_id", "area_id", "subgroup_id", "size", "weight", "ind_x", "ind_y")
+# Ids with a comma, a quote, a line break (LF and CRLF), multibyte UTF-8 and padding.
+SPLIT_IDS = ["a", "b,c", 'q"x', "two\nlines", "cr\r\nlf", "é字", " pad "]
+SPLIT_NUMBERS = ["0", "1.5", " 2 ", "1e-300", "12345678.125", "-0.0"]
+# One bad field per kind, each a fault the loaders name.
+SPLIT_FAULTS = {
+    "households": ["", "0", "-1", "x", "2", "nan", "1\n2"],
+    "pixels": ["-1", "nan", "abc", "é", "", "1\n2"],
+}
+
+
+@st.composite
+def split_csv(draw, kind: str) -> bytes:
+    """A household or pixel file: quoted fields with ``,``, ``"`` or a line
+    break anywhere, LF or CRLF line ends, with or without a final line end,
+    empty or header-only; and at most one fault, in its first, a middle or
+    its last row, or a household id repeated from an earlier row."""
+    if draw(st.integers(0, 19)) == 0:
+        return b""
+    rows = []
+    for i in range(draw(st.integers(0, 24))):
+        if kind == "households":
+            hid = f"h{i}" + draw(st.sampled_from(["", *SPLIT_IDS]))
+            ids = [draw(st.sampled_from(SPLIT_IDS)) for _ in range(2)]
+            flags = [draw(st.sampled_from(["", "0", "1"])) for _ in range(2)]
+            rows.append([hid, *ids, draw(st.sampled_from(["1", "3", " 2"])),
+                         draw(st.sampled_from(SPLIT_NUMBERS[1:])), *flags])
+        else:
+            rows.append([draw(st.sampled_from(SPLIT_NUMBERS)) for _ in range(3)])
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(sorted({0, len(rows) // 2, len(rows) - 1})))
+        if kind == "households" and draw(st.booleans()):
+            rows[row][0] = rows[draw(st.integers(0, row))][0]
+        else:
+            rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(
+                st.sampled_from(SPLIT_FAULTS[kind]))
+    out = io.StringIO()
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    writer = csv.writer(out, lineterminator=end,
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(HOUSEHOLD_HEAD if kind == "households" else ("lon", "lat", "value"))
+    writer.writerows(rows)
+    text = out.getvalue()
+    if draw(st.booleans()):
+        text = text[: -len(end)]
+    return text.encode("utf-8")
+
+
+def load_outcome(kind: str, path, processes: int):
+    """The loaded table's fields (arrays as dtype, shape and bytes), or the
+    error's type and message."""
+    try:
+        if kind == "households":
+            table = sio.load_households(path, None, processes)
+            # One str per distinct id, whichever process read it.
+            for ids in (table.area_ids, table.subgroup_ids):
+                assert len({id(i) for i in ids}) == len(set(ids))
+        else:
+            table = sio.load_pixels(path, processes)
+    except Exception as e:
+        return type(e), str(e)
+    return "ok", {
+        name: (value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
+        else value
+        for name, value in vars(table).items()
+    }
+
+
+class TestSplitLoad:
+    """``load_households`` and ``load_pixels`` over several processes, with
+    a 1-byte range threshold (so a file is cut at line ends all through it)
+    and blocks of 2 rows: the object, or the error, of one process, and no
+    child left on any path."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(sio, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", 1)
+        pids = recorded_forks(monkeypatch)
+        yield pids
+        assert_reaped(pids)
+
+    def reruns(self, monkeypatch) -> list[int]:
+        """A list that gets an entry each time a file is read in one
+        process: a one-process load, or the rerun after a split fails."""
+        reads, read = [], sio._read
+
+        def counted(path, expected, hi=None):
+            if hi is None:
+                reads.append(1)
+            return read(path, expected, hi)
+
+        monkeypatch.setattr(sio, "_read", counted)
+        return reads
+
+    @pytest.mark.parametrize("kind", ["households", "pixels"])
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_every_process_count_gives_the_one_process_load(self, tmp_path, forks, kind, data):
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(data.draw(split_csv(kind)))
+        want = load_outcome(kind, path, 1)
+        assert want[0] in ("ok", sio.IngestError)
+        for processes in (2, 3, 4):
+            assert load_outcome(kind, path, processes) == want, processes
+
+    def big(self, tmp_path, rows: int = 40, changed: dict[int, str] | None = None) -> Path:
+        """A clean household file of ``rows`` rows, but for the ``changed``
+        rows."""
+        changed = changed or {}
+        lines = [changed.get(i, f"h{i},a{i % 3},s,{1 + i % 4},1.5,1,") for i in range(rows)]
+        return write(tmp_path, "hh.csv", "\n".join([",".join(HOUSEHOLD_HEAD), *lines]) + "\n")
+
+    def test_a_range_that_ends_inside_a_quoted_field_fails(self, tmp_path):
+        # Without ``strict`` the csv module would close the quote at the end
+        # of the range and read the row as ['a', 'b\n'].
+        path = write(tmp_path, "x.csv", 'a,"b\nc"\nd,e\n')
+        end = path.read_bytes().index(b"\n") + 1
+        with pytest.raises(sio.IngestError, match=r"x\.csv:1: unexpected end of data$"):
+            list(sio._csv_blocks(path, 0, end))
+        assert list(sio._csv_blocks(path, end)) == [[['c"']], [["d", "e"]]]
+        assert list(sio._csv_blocks(path)) == [[["a", "b\nc"]], [["d", "e"]]]
+
+    def test_a_clean_file_is_read_once_in_every_process(self, tmp_path, forks, monkeypatch):
+        reruns = self.reruns(monkeypatch)
+        path = self.big(tmp_path)
+        want = load_outcome("households", path, 1)
+        for processes in (2, 3, 4):
+            del forks[:]
+            assert load_outcome("households", path, processes) == want
+            assert len(forks) == processes - 1
+        assert reruns == [1]  # the one-process load only
+
+    def test_no_fork_in_one_process_or_below_the_threshold(self, tmp_path, monkeypatch):
+        forks = recorded_forks(monkeypatch)
+        path = self.big(tmp_path, 30_000)
+        assert path.stat().st_size > 2 * sio._BYTES_PER_PROCESS
+        sio.load_households(path)
+        sio.load_households(path, None, 1)
+        monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", path.stat().st_size // 2 + 1)
+        sio.load_households(path, None, 4)
+        assert forks == []
+        monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", path.stat().st_size // 2)
+        sio.load_households(path, None, 4)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    # Row 0 is in this process's range, row 39 in the last child's; h5 in
+    # row 39 repeats an id of the first range, which only this process sees.
+    @pytest.mark.parametrize(
+        "changed, message",
+        [
+            ({0: "h0,a,s,0,1.5,1,"}, r"hh\.csv:2: household size must be >= 1, got 0$"),
+            ({39: "h39,a,s,1,1.5,1,7"}, r"hh\.csv:41: ind_y must be 0, 1, or empty, got '7'$"),
+            ({39: "h5,a,s,1,1.5,1,"}, r"hh\.csv:41: duplicate household_id 'h5', first at line 7$"),
+            ({39: 'h39,"a,s,1,1.5,1,'}, r"hh\.csv:41: expected 7 columns, got 2$"),
+        ],
+        ids=["this_process", "a_child", "an_id_in_two_ranges", "an_open_quote_at_the_end"],
+    )
+    def test_every_child_is_reaped_when_a_range_fails(self, tmp_path, forks, monkeypatch,
+                                                      changed, message):
+        reruns = self.reruns(monkeypatch)
+        path = self.big(tmp_path, changed=changed)
+        for processes in (1, 4):
+            with pytest.raises(sio.IngestError, match=message):
+                sio.load_households(path, None, processes)
+        assert len(forks) == 3 and reruns == [1, 1]
+
+    def test_a_child_lost_is_a_rerun(self, tmp_path, forks, monkeypatch):
+        reruns = self.reruns(monkeypatch)
+        path = self.big(tmp_path)
+        parse_in = os.getpid()
+
+        def lost(*args):  # the child dies without a result
+            if os.getpid() != parse_in:
+                os._exit(3)
+            return csv_blocks(*args)
+
+        csv_blocks = sio._csv_blocks
+        monkeypatch.setattr(sio, "_csv_blocks", lost)
+        assert load_outcome("households", path, 2) == load_outcome("households", path, 1)
+        assert len(forks) == 1 and reruns == [1, 1]
+
+    @pytest.mark.parametrize("processes", [0, -1, True, 2.0])
+    def test_process_count_must_be_a_positive_integer(self, tmp_path, processes):
+        path = self.big(tmp_path, 3)
+        with pytest.raises(ValueError, match="^processes must be"):
+            sio.load_households(path, None, processes)
+        with pytest.raises(ValueError, match="^processes must be"):
+            sio.load_pixels(path, processes)
+
+
 # Ingest memory: a load may hold, beyond the table it returns, one block of
 # rows and the set of unique keys read so far, not the file's rows.
 INGEST_ROWS = 200_000
@@ -867,7 +1084,7 @@ def test_pixel_ingest_memory_is_bounded(tmp_path):
     assert peak < held_bytes(px) + INGEST_ALLOWANCE
 
 
-def test_household_ingest_memory_is_bounded(tmp_path):
+def test_household_ingest_memory_is_bounded(tmp_path, monkeypatch):
     g = np.random.default_rng(17)
     area = g.integers(0, 500, INGEST_ROWS).tolist()
     group = g.integers(0, 4, INGEST_ROWS).tolist()
@@ -879,15 +1096,23 @@ def test_household_ingest_memory_is_bounded(tmp_path):
     rows = (f"h{i},A{a},G{s},{n},{w!r},{f}\n"
             for i, (a, s, n, w, f) in enumerate(zip(area, group, size, weight, flags)))
     path.write_text(head + "\n" + "".join(rows), encoding="utf-8")
+    # The peak while the file is read, then the peak from when the loader
+    # hands its columns to the table.
+    reading, adopt = [], Households._adopt.__func__
+
+    def handed(cls, *columns):
+        reading.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return adopt(cls, *columns)
+
+    monkeypatch.setattr(Households, "_adopt", classmethod(handed))
     hh, peak = traced_peak(sio.load_households, path)
     assert len(hh) == INGEST_ROWS and len(set(hh.area_ids)) == 500
-    # The table's constructor copies its arrays and id tuples and keeps a
-    # set of the ids while it checks them: a cost of the table, not of
-    # reading the file.
-    arrays = (hh.size, hh.weight, hh.flags, hh.missing)
-    ids = (hh.household_ids, hh.area_ids, hh.subgroup_ids)
-    construct = (sum(a.nbytes for a in arrays) + sum(map(sys.getsizeof, ids))
-                 + sys.getsizeof(set(hh.household_ids)))
-    assert peak < held_bytes(hh) + construct + INGEST_ALLOWANCE
+    # Reading holds the keys read so far as a dict.  The table keeps the
+    # loader's columns uncopied, so building and checking it stays below
+    # reading.
+    keys = sys.getsizeof(dict.fromkeys(hh.household_ids))
+    assert reading[0] < held_bytes(hh) + keys + INGEST_ALLOWANCE
+    assert peak < reading[0]
     # Repeated ids share one string.
     assert len({id(a) for a in hh.area_ids}) == 500

@@ -543,6 +543,33 @@ class TestHouseholds:
             Households(**self.columns(**changes))
         assert str(info.value) == message
 
+    def test_constructor_copies_what_it_is_given(self):
+        given = self.columns(
+            size=np.array([5, 3, 2]), weight=np.array([1.0, 0.5, 2.0]),
+            flags=np.array([[True, False], [False, True], [True, True]]),
+            missing=np.array([[False, False], [False, True], [False, False]]),
+        )
+        hh = Households(**given)
+        for name in ("size", "weight", "flags", "missing"):
+            assert not np.shares_memory(getattr(hh, name), given[name]), name
+            assert given[name].flags.writeable
+        # The missing flag is cleared in the table's copy only.
+        assert given["flags"][1, 1] and not hh.flags[1, 1]
+
+    def test_a_loader_hands_over_its_columns(self):
+        given = self.columns(
+            area_ids=["a1", "a1", "a2"], size=np.array([5, 3, 2]), weight=np.array([1.0, 0.5, 2.0]),
+            flags=np.array([[True, False], [False, False], [True, True]]),
+            missing=np.array([[False, False], [False, True], [False, False]]),
+        )
+        hh = Households._adopt(*given.values())
+        for name in ("size", "weight", "flags", "missing"):
+            assert getattr(hh, name) is given[name], name
+            assert not given[name].flags.writeable
+        assert hh.area_ids == ("a1", "a1", "a2") and type(hh.area_ids) is tuple
+        with pytest.raises(ValueError, match="weight must be positive, got -1.0"):
+            Households._adopt(*self.columns(weight=np.array([1.0, -1.0, 2.0])).values())
+
     def test_subset_keeps_row_order(self):
         hh = Households(**self.columns())
         sub = hh.subset([True, False, True])
