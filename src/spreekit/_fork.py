@@ -1,18 +1,22 @@
 """Contiguous ranges of work split across forked processes.
 
+:func:`split` cuts a count of units into at most one even range per
+process asked for, each of at least the caller's fewest units.
 :func:`forked` runs a function on each range but the first in a child
 started with ``os.fork``; the calling process works on the first range
-itself.  A child makes all the pieces of bytes the function gives, then
-sends them over a pipe, where the caller reads them one at a time; or it
-sends its error.  It leaves by ``os._exit``: it never returns into its
-caller's stack, and never flushes a buffer it inherited, such as a
-half-written output file or stdout.  The caller reads the children's
-results in range order after its own range, so the lowest range that
-raised raises, with its type, message and attributes.  Every child is
-killed if still running and reaped on every path: a return, an error, an
-interrupt, or a generator closed before its end.
+itself.  A child pickles every object the function gives,
+then sends them over a pipe, where the caller unpickles them one at a
+time; or it sends its error, which is also what an object it cannot pickle
+gives.  It leaves by ``os._exit``: it never returns into its caller's
+stack, and never flushes a buffer it inherited, such as a half-written
+output file or stdout.  The caller reads the children's results in range
+order after its own range, so the lowest range that raised raises, with
+its type, message and attributes.  Every child is killed if still running
+and reaped on every path: a return, an error, an interrupt, or a generator
+closed before its end.
 
-Three callers split their work this way: ``validate``'s rounds
+Three callers split their work this way, each naming its unit and its
+fewest units a process: ``validate``'s rounds
 (:func:`spreekit.simulation.run_simulation`), the rows of a CSV output
 (:func:`spreekit.io.csv_text`), and the byte ranges of a large households
 or pixels file (:func:`spreekit.io.load_households`,
@@ -31,7 +35,7 @@ import contextlib
 import os
 import pickle
 import signal
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 
 def usable_cpus() -> int:
@@ -39,11 +43,20 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def split(n: int, fewest: int, processes: int) -> list[int]:
+    """Where each range of units ``0`` to ``n - 1`` starts, then ``n``: at
+    most ``processes`` even ranges of at least ``fewest`` units each, the
+    later ranges taking any extra unit; one range where two would not
+    have ``fewest`` units each."""
+    ranges = max(1, min(processes, n // fewest))
+    return [n * k // ranges for k in range(ranges + 1)]
+
+
 def _child(
-    work: Callable[[int, int], Iterable[bytes]], lo: int, hi: int, out, inherited: list
+    work: Callable[[int, int], Iterable[Any]], lo: int, hi: int, out, inherited: list
 ) -> NoReturn:
-    """In a forked child: write to ``out`` a flag and a count, then each
-    piece ``work(lo, hi)`` gave, after its length, once all are made; or
+    """In a forked child: write to ``out`` the count of objects
+    ``work(lo, hi)`` gave, then each, once all are pickled; or None, then
     the error it raised as type, arguments and attributes (so that an
     exception whose constructor takes other arguments arrives whole)."""
     status = 1
@@ -51,38 +64,32 @@ def _child(
         for end in inherited:
             end.close()
         try:
-            ok, pieces = True, list(work(lo, hi))
+            pieces = [pickle.dumps(piece) for piece in work(lo, hi)]
+            head = len(pieces)
         except Exception as e:
             try:
                 error = pickle.dumps((type(e), e.args, vars(e)))
             except Exception:
                 error = pickle.dumps((RuntimeError, (f"{type(e).__name__}: {e}",), {}))
-            ok, pieces = False, [error]
+            head, pieces = None, [error]
         with out:
-            out.write(bytes([ok]) + len(pieces).to_bytes(8, "little"))
+            out.write(pickle.dumps(head))
             for piece in pieces:
-                out.write(len(piece).to_bytes(8, "little"))
                 out.write(piece)
         status = 0
     finally:
         os._exit(status)
 
 
-def _read(stream, size: int, lost: str) -> bytes:
-    # A buffered pipe reads until the buffer is full or the child has gone.
-    data = stream.read(size)
-    if len(data) < size:
-        raise ChildProcessError(lost)
-    return data
+def _unpickled(stream, lost: str) -> Any:
+    # A child that ended early leaves no pickle, or a cut one.
+    try:
+        return pickle.load(stream)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(lost) from None
 
 
-def _pieces(stream, count: int, lost: str) -> Iterator[bytes]:
-    for _ in range(count):
-        yield _read(stream, int.from_bytes(_read(stream, 8, lost), "little"), lost)
-
-
-def _rebuilt(error: bytes) -> BaseException:
-    cls, args, attributes = pickle.loads(error)
+def _rebuilt(cls: type[BaseException], args: tuple, attributes: dict) -> BaseException:
     exc = cls.__new__(cls, *args)
     # Sets what only a constructor sets, such as a UnicodeError's fields;
     # one that takes other arguments keeps the arguments alone.
@@ -95,25 +102,24 @@ def _rebuilt(error: bytes) -> BaseException:
 
 @contextlib.contextmanager
 def forked(
-    work: Callable[[int, int], Iterable[bytes]], bounds: Sequence[int], what: str
-) -> Iterator[Iterator[Iterator[bytes]]]:
+    work: Callable[[int, int], Iterable[Any]], bounds: Sequence[int], what: str
+) -> Iterator[Iterator[Iterator[Any]]]:
     """Fork a child for each range ``bounds[k]`` to ``bounds[k + 1] - 1``
-    with ``k`` from 1 and give, in range order, an iterator over the pieces
-    ``work`` gave there, read one at a time; the caller works on the first
-    range itself.  One range forks nothing.  A child that raised raises
-    when its pieces are reached; one that ended without them all is
-    ``ChildProcessError`` naming its range as ``what``.  Every child is
-    killed and reaped on leaving the block."""
+    with ``k`` from 1 and give, in range order, an iterator over the
+    objects ``work`` gave there, unpickled one at a time; the caller works
+    on the first range itself.  One range forks nothing.  A child that
+    raised raises when its objects are reached; one that ended without
+    them all is ``ChildProcessError`` naming its range as ``what``.  Every
+    child is killed and reaped on leaving the block."""
     children = []  # (pid, read end) per child, in range order
 
-    def results() -> Iterator[Iterator[bytes]]:
+    def results() -> Iterator[Iterator[Any]]:
         for (_, stream), lo, hi in zip(children, bounds[1:-1], bounds[2:]):
             lost = f"{what} {lo} to {hi - 1} ended without a result"
-            head = _read(stream, 9, lost)
-            pieces = _pieces(stream, int.from_bytes(head[1:], "little"), lost)
-            if not head[0]:
-                raise _rebuilt(b"".join(pieces))
-            yield pieces
+            count = _unpickled(stream, lost)
+            if count is None:
+                raise _rebuilt(*_unpickled(stream, lost))
+            yield (_unpickled(stream, lost) for _ in range(count))
 
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):

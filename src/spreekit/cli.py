@@ -75,7 +75,6 @@ from spreekit.simulation import (
     QUARTILE_NAMES,
     STRATEGIES,
     SUMMARY_COLUMNS,
-    cpu_processes,
     quartile_means,
     run_simulation,
     summary_row,
@@ -169,11 +168,12 @@ def _json_text(data: Any) -> str:
 
 def _now_iso() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        moment = datetime.now(tz=timezone.utc)
-    return moment.isoformat()
+    if epoch is None:
+        return datetime.now(tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise CliDataError(f"SOURCE_DATE_EPOCH must be seconds since 1970, got {epoch!r}") from None
 
 
 def _note(inputs: Inputs, name: str, raw: str) -> Path:
@@ -324,7 +324,7 @@ def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     }
     if overrides:
         plan = replace(plan, **overrides)
-    report = run_simulation(plan, processes=cpu_processes(plan.replicates))
+    report = run_simulation(plan, processes=usable_cpus())
 
     mean_abs = {
         s: quartile_means(np.abs(report.metrics[s].share_bias), report.quartile_labels)
@@ -644,8 +644,8 @@ class _Writer:
 def main(argv: Sequence[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     spec = next(s for s in SUBCOMMANDS if s.name == ns.subcommand)
-    started = _now_iso()
     try:
+        started = _now_iso()
         writer = _Writer(ns.out, spec)
         inputs: Inputs = {}
         for name, text in spec.run(ns, inputs):

@@ -57,7 +57,6 @@ import csv
 import io
 import json
 import os
-import pickle
 from array import array
 from fractions import Fraction
 from itertools import islice, repeat
@@ -75,7 +74,7 @@ from spreekit.composition import (
     _Ids,
     check_integer,
 )
-from spreekit._fork import forked
+from spreekit._fork import forked, split
 from spreekit.geo import AreaPolygonSet, PixelTable
 from spreekit.mpi import Households, MpiProfile, _people
 from spreekit.scenario import ScenarioConfig, build_scenario
@@ -156,19 +155,19 @@ def _csv_blocks(path: Path, lo: int = 0, hi: int | None = None) -> Iterator[list
 
 
 def _bounds(path: Path, processes: int) -> list[int]:
-    """Where the file's byte ranges start, then its size: at most
-    ``processes`` ranges and one per :data:`_BYTES_PER_PROCESS` bytes, cut
-    at even shares of the file, each cut moved to just after the next
+    """Where the file's byte ranges start, then its size: the ranges
+    :func:`~spreekit._fork.split` gives ``processes`` processes of at least
+    :data:`_BYTES_PER_PROCESS` bytes, each cut moved to just after the next
     ``\\n``.  ``[0]`` for one range."""
     check_integer("processes", processes, 1)
     with contextlib.suppress(OSError):
         size = os.stat(path).st_size if processes > 1 else 0
-        ranges = min(processes, size // _BYTES_PER_PROCESS)
-        if ranges > 1:
+        bounds = split(size, _BYTES_PER_PROCESS, processes)
+        if len(bounds) > 2:
             with open(path, "rb") as f:
                 cuts = {0, size}
-                for k in range(1, ranges):
-                    f.seek(size * k // ranges - 1)
+                for cut in bounds[1:-1]:
+                    f.seek(cut - 1)
                     f.readline()
                     cuts.add(min(f.tell(), size))
             return sorted(cuts)
@@ -224,21 +223,16 @@ def csv_text(
             ]
             yield line_end.join(map(",".join, zip(*fields))) + line_end
 
-    # Whole blocks, at least _ROWS_PER_PROCESS rows a range; the earlier
-    # ranges take any extra block, the last the part block.
+    # Whole blocks, at least _ROWS_PER_PROCESS rows a range; the last also
+    # takes the part block.
     rows = max(lengths, default=0)
-    full = rows // _BLOCK_ROWS
-    ranges = max(1, min(processes, full // -(-_ROWS_PER_PROCESS // _BLOCK_ROWS)))
-    bounds = [_BLOCK_ROWS * -(-full * k // ranges) for k in range(ranges)] + [rows]
-
-    def encoded(lo: int, hi: int) -> Iterator[bytes]:
-        return (block.encode("utf-8") for block in blocks(lo, hi))
-
-    with forked(encoded, bounds, "rows") as children:
+    fewest = -(-_ROWS_PER_PROCESS // _BLOCK_ROWS)
+    bounds = [_BLOCK_ROWS * b for b in split(rows // _BLOCK_ROWS, fewest, processes)[:-1]]
+    bounds.append(rows)
+    with forked(blocks, bounds, "rows") as children:
         yield from blocks(bounds[0], bounds[1])
-        for pieces in children:
-            for piece in pieces:
-                yield piece.decode("utf-8")
+        for text in children:
+            yield from text
 
 
 def write_text(path: str | Path, text: str | Iterable[str]) -> None:
@@ -444,11 +438,11 @@ def _load(path: Path, processes: int, expected: str, begin: Callable[[list[str]]
     into at most ``processes`` byte ranges (:func:`_bounds`).  This process
     reads the header, forks a child for each range but the first
     (:mod:`spreekit._fork`), and reads the first range.  Each child sends
-    each parsed block as one pickle, which this process absorbs in file
-    order.  If any of this raises IngestError or UnicodeDecodeError (a
-    range cut inside a quoted field, a fault, a unique key in two ranges),
-    or a child is lost, the file is read again in one process, whose object
-    or error is the one given.
+    each parsed block, which this process absorbs in file order.  If any
+    of this raises IngestError or UnicodeDecodeError (a range cut inside a
+    quoted field, a fault, a unique key in two ranges), or a child is lost,
+    the file is read again in one process, whose object or error is the
+    one given.
     """
     bounds = _bounds(path, processes)
     if len(bounds) > 2:
@@ -463,16 +457,15 @@ def _load_ranges(
     header, blocks = _read(path, expected, bounds[1])
     parse, keep, absorb, done = begin(header)
 
-    def parsed(lo: int, hi: int) -> Iterator[bytes]:
-        blocks = _column_blocks(path, _csv_blocks(path, lo, hi), len(header))
-        return (pickle.dumps(parse(t)) for t in blocks)
+    def parsed(lo: int, hi: int) -> Iterator[tuple]:
+        return map(parse, _column_blocks(path, _csv_blocks(path, lo, hi), len(header)))
 
     with forked(parsed, bounds, "bytes") as children:
         for t in _column_blocks(path, blocks, len(header)):
             keep(*parse(t))
-        for pieces in children:
-            for piece in pieces:
-                absorb(*pickle.loads(piece))
+        for parts in children:
+            for part in parts:
+                absorb(*part)
     return done()
 
 

@@ -28,30 +28,27 @@ metrics without a warning.  The summary quantiles are
 :data:`~spreekit.bootstrap.QUANTILE_LEVELS`.
 
 ``run_simulation(plan, processes=n)`` splits the rounds into at most ``n``
-contiguous ranges, the first run by the calling process and each other by
-a forked child (:mod:`spreekit._fork`).  The stacks live in anonymous
-shared memory, held once: every process writes round r's truth and fits at
-row r of the caller's own arrays, and a child sends back only its failed
-rounds.  The caller aggregates the stacks once.  Round r draws only from
-stream r wherever it runs, and every cache a process builds gives the bits
-a fresh build gives, so no byte of the report depends on the process
-count.  :func:`cpu_processes` is the count the ``validate`` command
-passes: one process per CPU it may run on, with at least
-:data:`_ROUNDS_PER_PROCESS` rounds each.
+contiguous ranges of at least :data:`_ROUNDS_PER_PROCESS` rounds each, the
+first run by the calling process and each other by a forked child
+(:mod:`spreekit._fork`).  The stacks live in anonymous shared memory, held
+once: every process writes round r's truth and fits at row r of the
+caller's own arrays, and a child sends back only its failed rounds.  The
+caller aggregates the stacks once.  Round r draws only from stream r
+wherever it runs, and every cache a process builds gives the bits a fresh
+build gives, so no byte of the report depends on the process count.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-import pickle
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from spreekit import rng as rngmod
-from spreekit._fork import forked, usable_cpus
+from spreekit._fork import forked, split
 from spreekit.bootstrap import (
     QUANTILE_LABELS,
     QUANTILE_LEVELS,
@@ -341,18 +338,11 @@ def _shared(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=float)[:n].reshape(shape)
 
 
-# The fewest rounds :func:`cpu_processes` gives a process.  On two CPUs, a
-# split of the shipped scenario or the mini plan in two loses at 8 rounds,
-# is about even at 10 and wins from 12 (a round costs about 0.45 ms, a
-# fork 1.3 ms).
+# The fewest rounds :func:`run_simulation` gives a process.  On two CPUs,
+# a split of the shipped scenario or the mini plan in two loses at 8
+# rounds, is about even at 10 and wins from 12 (a round costs about
+# 0.45 ms, a fork 1.3 ms).
 _ROUNDS_PER_PROCESS = 8
-
-
-def cpu_processes(rounds: int) -> int:
-    """One process per CPU this process may run on, with at least
-    :data:`_ROUNDS_PER_PROCESS` of ``rounds`` each; one where the CPUs
-    cannot be read."""
-    return max(1, min(usable_cpus(), rounds // _ROUNDS_PER_PROCESS))
 
 
 def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationReport:
@@ -365,12 +355,13 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
     memory budget of :mod:`spreekit.bootstrap` fails before its first
     round.
 
-    With ``processes`` above 1, this process runs the first of that many
-    contiguous ranges of rounds (one per round at most) and a forked child
-    each other range, writing into this process's stacks, which are held
-    once; every byte of the report is that of a one-process run, and so is
-    an error: the one from the lowest round that raises.  Every child has
-    ended when this returns or raises.
+    With ``processes`` above 1, the rounds are split into at most that
+    many contiguous ranges of at least :data:`_ROUNDS_PER_PROCESS` rounds
+    each (:func:`spreekit._fork.split`).  This process runs the first and
+    a forked child each other range, writing into this process's stacks,
+    which are held once; every byte of the report is that of a
+    one-process run, and so is an error: the one from the lowest round
+    that raises.  Every child has ended when this returns or raises.
     """
     check_integer("processes", processes, 1)
     h = plan.hierarchy
@@ -457,12 +448,10 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
                 fitted_shares[s, r] = sv.shares
         return failed, failures
 
-    ranges = min(processes, rounds)
-    bounds = [rounds * k // ranges for k in range(ranges + 1)]
-    with forked(lambda lo, hi: [pickle.dumps(play(lo, hi))], bounds, "rounds") as played:
+    bounds = split(rounds, _ROUNDS_PER_PROCESS, processes)
+    with forked(lambda lo, hi: [play(lo, hi)], bounds, "rounds") as played:
         failed, failures = play(bounds[0], bounds[1])
-        for pieces in played:
-            child_failed, child_failures = pickle.loads(b"".join(pieces))
+        for [(child_failed, child_failures)] in played:
             for s in range(len(failed)):
                 failed[s] += child_failed[s]
                 failures[s] += child_failures[s]

@@ -799,6 +799,13 @@ class TestMpi:
         assert payload["contributions"]["child_mortality"] == pytest.approx(5 / 9, rel=1e-12)
         assert sum(payload["contributions"].values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_by_subgroup_and_area_runs_without_warnings(self, tmp_path):
+        done = run_python(
+            "-m", "spreekit.cli", "mpi", "--households", "fixtures/households3.csv",
+            "--hierarchy", "fixtures/mini/hierarchy.csv", "--by-subgroup", "--out", tmp_path,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+
     def test_subgroups(self, tmp_path):
         code, _, err = run_cli(*self.mpi_argv(tmp_path, "--by-subgroup"))
         assert code == 0, err
@@ -1108,6 +1115,34 @@ class TestAggregate:
         assert got == want and summary["total_mass"] == sum(want.values())
         assert peak <= self.BOUND_MIB
 
+    def test_a_comb_polygon_in_bounded_memory(self, tmp_path):
+        # Every pixel lies between all 400 tall edges of the comb: 4e7 (edge,
+        # pixel) pairs, tested in batches. The command peaked at 50 MiB on
+        # Linux with Python 3.11, where one 4e7-pair temporary alone is 305 MiB.
+        teeth, rows, bound_mib = 200, 100_000, 120
+        top = []
+        for k in range(teeth - 1, -1, -1):
+            top += [[2 * k + 1, 1], [2 * k, 1]] + ([[2 * k, 0], [2 * k - 1, 0]] if k else [])
+        ring = [[0, -1], [2 * teeth - 1, -1], *top, [0, -1]]
+        (tmp_path / "comb.geojson").write_text(json.dumps(
+            one_feature({"type": "Polygon", "coordinates": [ring]}, {"area_id": "comb"})
+        ))
+        g = np.random.default_rng(0)
+        lon, lat = g.uniform(-0.5, 2 * teeth - 0.5, rows).tolist(), g.uniform(0, 1, rows).tolist()
+        with open(tmp_path / "pixels.csv", "w", encoding="utf-8") as f:
+            f.write("lon,lat,value\n")
+            f.writelines(f"{x!r},{y!r},1.0\n" for x, y in zip(lon, lat))
+        done = run_python(
+            "-c", self.PEAK, "aggregate", "--pixels", tmp_path / "pixels.csv",
+            "--polygons", tmp_path / "comb.geojson", "--out", tmp_path / "out",
+        )
+        assert done.returncode == 0, done.stderr
+        # Pixels on a tooth (left half of each unit of longitude) are inside.
+        inside = sum(int(np.floor(x)) % 2 == 0 and x >= 0 for x in lon)
+        summary = json.loads((tmp_path / "out" / "aggregation.json").read_text())
+        assert summary["unassigned_count"] == rows - inside
+        assert float(done.stdout) <= bound_mib
+
     def test_directory_out(self, tmp_path):
         code, _, err = run_cli(
             "aggregate",
@@ -1256,6 +1291,30 @@ class TestErrorsAndExitCodes:
             "error": "IngestError",
             "message": f"{first}:2: field larger than field limit ({csv.field_size_limit()})",
         }
+
+    @pytest.mark.parametrize("epoch", ["abc", "99999999999999999"])
+    def test_a_bad_source_date_epoch_is_a_data_error(self, tmp_path, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code, out, err = run_cli(*update_argv(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "CliDataError",
+            "message": f"SOURCE_DATE_EPOCH must be seconds since 1970, got {epoch!r}",
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_a_hierarchy_that_misses_an_area_is_a_data_error(self, tmp_path):
+        rows = (MINI / "hierarchy.csv").read_text().splitlines(keepends=True)
+        hierarchy = tmp_path / "hierarchy-no-a1.csv"
+        hierarchy.write_text("".join(r for r in rows if not r.startswith("a1,")))
+        argv = update_argv(tmp_path / "unassigned")
+        argv[argv.index("--hierarchy") + 1] = hierarchy
+        done = run_python("-m", "spreekit.cli", *argv)
+        assert done.returncode == 1, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert json.loads(lines[0]).get("error") == "ValueError"
 
     def test_unknown_area_is_data_error_and_writes_nothing(self, tmp_path):
         rows = (FIXTURES / "households3.csv").read_text().splitlines()
@@ -1633,3 +1692,37 @@ class TestEnvironmentFallback:
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2
+
+
+HYBRID_INPUTS = ["--hierarchy", MINI / "hierarchy.csv", "--projections", MINI / "projections.csv",
+                 "--aux", MINI / "aux.csv", "--year", "2013"]
+HYBRID_MARGINS = ["--col-margin", MINI / "survey_margin.csv", "--shares-mode", "hybrid",
+                  *HYBRID_INPUTS]
+HYBRID_BOOTSTRAP = ["bootstrap", "--census", MINI / "census2002.csv", *HYBRID_MARGINS,
+                    "--design", MINI / "design.csv", "--replicates", "50"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["update", "--seed", MINI / "census2002.csv", *HYBRID_MARGINS, "--unit", "persons"],
+        HYBRID_BOOTSTRAP,
+        [*HYBRID_BOOTSTRAP, "--col-resample", "iid-category"],
+        [*HYBRID_BOOTSTRAP, "--aux-resample", "none"],
+        [*HYBRID_BOOTSTRAP, "--col-resample", "none", "--aux-resample", "none"],
+        ["shares", "--mode", "hybrid", "--census", MINI / "census2002.csv", *HYBRID_INPUTS],
+    ],
+    ids=["update", "bootstrap", "bootstrap_iid", "bootstrap_no_aux", "bootstrap_census_only",
+         "shares"],
+)
+def test_hybrid_shares_run_without_warnings(tmp_path, argv):
+    done = run_python("-m", "spreekit.cli", *argv, "--out", tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_readme_library_quick_start_runs():
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library quick start\n+```python\n(.*?)^```$", readme, re.S | re.M)
+    assert block is not None, "README.md has no python block under '## Library quick start'"
+    done = run_python("-c", block.group(1))
+    assert done.returncode == 0, done.stderr

@@ -27,7 +27,7 @@ from spreekit import (
     row_margins,
     run_simulation,
 )
-from spreekit import bootstrap, io as sio, rng as rngmod, simulation
+from spreekit import _fork, bootstrap, io as sio, rng as rngmod, simulation
 from spreekit.scenario import ScenarioConfig
 from spreekit.simulation import STRATEGIES, StrategyMetrics, _pearson_rows, quartile_means
 
@@ -1107,6 +1107,18 @@ def assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def recorded_forks(monkeypatch) -> list[int]:
+    """The pids of the children forked from here on, through a wrapped ``os.fork``."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
 def test_one_process_starts_no_other(monkeypatch):
     def no_fork():
         pytest.fail("a process was started")
@@ -1124,28 +1136,37 @@ def test_process_count_must_be_a_positive_integer(processes):
         run_simulation(plan, processes=processes)
 
 
-def test_report_bits_do_not_depend_on_the_process_count():
+def test_report_bits_do_not_depend_on_the_process_count(monkeypatch):
     """37 rounds, which no count from 2 to 4 divides; 50 processes run one
-    round each."""
+    round each, at one round a process."""
+    monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
     plan = build_scenario(migration_shock_config(replicates=37))
     want = report_bits(run_simulation(plan))
+    forks = recorded_forks(monkeypatch)
     for processes in (2, 3, 4, 50):
+        del forks[:]
         assert report_bits(run_simulation(plan, processes=processes)) == want
+        assert len(forks) == min(processes, 37) - 1
     assert_no_child_left()
 
 
-def test_failed_rounds_in_several_ranges_come_back_in_round_order():
+def test_failed_rounds_in_several_ranges_come_back_in_round_order(monkeypatch):
+    # At one round a process, so that 23 rounds split in 3 and in 4.
+    monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
     plan = partly_failing_plan(23)
     report = run_simulation(plan)
     fixed_failed = [int(f.split()[1].rstrip(":")) for f in report.metrics["fixed"].failures]
     assert fixed_failed == [2, 4, 7, 12, 13, 17, 19, 21]
     assert report.metrics["fixed"].completed == 15
     want = report_bits(report)
+    forks = recorded_forks(monkeypatch)
     for processes in (2, 3, 4):
-        bounds = [23 * k // processes for k in range(processes + 1)]
+        bounds = _fork.split(23, simulation._ROUNDS_PER_PROCESS, processes)
         ranges = {next(k for k in range(processes) if r < bounds[k + 1]) for r in fixed_failed}
         assert len(ranges) > 1
+        del forks[:]
         got = run_simulation(plan, processes=processes)
+        assert len(forks) == processes - 1
         assert report_bits(got) == want
         for strategy, m in got.metrics.items():
             assert m.failures == report.metrics[strategy].failures
@@ -1219,18 +1240,13 @@ def test_a_child_that_ends_without_its_rounds_is_an_error(monkeypatch):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize(
-    "cpus, counts",
-    [(1, {1: 1, 500: 1}), (2, {1: 1, 15: 1, 16: 2, 500: 2}), (4, {23: 2, 24: 3, 32: 4, 500: 4})],
-)
-def test_cpu_processes_gives_each_process_eight_rounds(monkeypatch, cpus, counts):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert {rounds: simulation.cpu_processes(rounds) for rounds in counts} == counts
-
-
-def test_cpu_processes_is_one_where_the_cpus_cannot_be_read(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert simulation.cpu_processes(500) == 1
+@pytest.mark.parametrize("rounds, forks", [(15, 0), (16, 1), (24, 2)])
+def test_four_processes_get_eight_rounds_each(monkeypatch, rounds, forks):
+    plan = build_scenario(migration_shock_config(replicates=rounds))
+    pids = recorded_forks(monkeypatch)
+    assert run_simulation(plan, processes=4).metrics["fixed"].completed == rounds
+    assert len(pids) == forks
+    assert_no_child_left()
 
 
 def test_an_empty_shared_stack_keeps_its_shape():
@@ -1244,13 +1260,7 @@ def test_a_plan_whose_stacks_fill_the_budget_still_splits(monkeypatch):
     want = report_bits(run_simulation(plan))
     areas, categories = plan.truth_t0.counts.shape
     counted = 8 * 37 * (areas * categories + 3 * areas * categories + 3 * areas + 2 * areas)
-    pids, fork = [], os.fork
-
-    def counted_fork():
-        pids.append(fork())
-        return pids[-1]
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+    pids = recorded_forks(monkeypatch)
     monkeypatch.setattr(bootstrap, "_MAX_STACK_BYTES", counted)
     assert report_bits(run_simulation(plan, processes=3)) == want
     assert len(pids) == 2
