@@ -22,11 +22,11 @@ fewest units a process: ``validate``'s rounds
 or pixels file (:func:`spreekit.io.load_households`,
 :func:`spreekit.io.load_pixels`).
 
-Nothing here forks unless asked.  A library must not fork behind a caller
-that may hold threads or locks, so every library function that splits its
-work defaults to one process; the command line asks for one process per
-CPU it may run on (:func:`usable_cpus`), at a point where it holds no
-thread but its own.
+Nothing here forks unless asked, nor while another thread is alive, whose
+locks a child would hold for good: :func:`split` then gives one range,
+which the calling process works on itself.  Every library function that
+splits its work defaults to one process; the command line asks for one
+process per CPU it may run on (:func:`usable_cpus`).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import contextlib
 import os
 import pickle
 import signal
+import threading
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 
@@ -47,7 +48,9 @@ def split(n: int, fewest: int, processes: int) -> list[int]:
     """Where each range of units ``0`` to ``n - 1`` starts, then ``n``: at
     most ``processes`` even ranges of at least ``fewest`` units each, the
     later ranges taking any extra unit; one range where two would not
-    have ``fewest`` units each."""
+    have ``fewest`` units each, or while another thread is alive."""
+    if threading.active_count() > 1:
+        processes = 1
     ranges = max(1, min(processes, n // fewest))
     return [n * k // ranges for k in range(ranges + 1)]
 

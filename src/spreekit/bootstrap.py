@@ -69,7 +69,9 @@ from spreekit.composition import (
     Composition,
     MarginLevel,
     MarginVector,
+    _adopted,
     _check_unique,
+    _finite,
     check_integer,
 )
 from spreekit.ipf import IpfError, ipf_fit
@@ -249,8 +251,9 @@ def resample_column_margin(
     per_stratum = np.empty((len(d.strata), len(d.category_ids)))
     for idx, pos in d._size_groups:  # type: ignore[attr-defined]
         per_stratum[idx] = drawn[pos].sum(axis=1)
-    totals = np.add.accumulate(per_stratum, axis=0)[-1]
-    return MarginVector(d.category_ids, totals, MarginLevel.CATEGORY, reference_time)
+    # Sums of finite PSU totals >= 0: finite but for an overflow.
+    totals = _finite(np.add.accumulate(per_stratum, axis=0)[-1], "margin values")
+    return _adopted(MarginVector, d.category_ids, totals, MarginLevel.CATEGORY, reference_time)
 
 
 def _resample_iid(
@@ -264,7 +267,9 @@ def _resample_iid(
         weights=(design.weight * design.value)[chosen],
         minlength=len(design.category_ids),
     )
-    return MarginVector(design.category_ids, totals, MarginLevel.CATEGORY, reference_time)
+    # Products >= 0, finite as the PSU totals that sum them are: only these sums can overflow.
+    totals = _finite(totals, "margin values")
+    return _adopted(MarginVector, design.category_ids, totals, MarginLevel.CATEGORY, reference_time)
 
 
 def _census_proportions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +311,7 @@ def resample_aux_margin(
             return pool
         sigma = math.sqrt(math.log(1.0 + perturb_cv**2))
         factors = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma, size=len(pool.ids))
-        return pool.with_values(pool.values * factors)
+        return pool._times(factors)
     if len(pool) == 0:
         raise ValueError("empty auxiliary pool")
     return pool[int(rng.integers(0, len(pool)))]
@@ -405,10 +410,10 @@ def bootstrap_mse(
         b: int, rng: np.random.Generator, mult: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | str:
         if cfg.fully_degenerate:
-            # Zero-variance limit: the margins are the point composition's
-            # own, so raking is an exact no-op and the MSE vanishes identically.
-            row_m = MarginVector(area_ids, mult.sum(axis=1), MarginLevel.SMALL_AREA, t)
-            col_m = MarginVector(category_ids, mult.sum(axis=0), MarginLevel.CATEGORY, t)
+            # Zero-variance limit: the margins are the converged point fit's own
+            # (finite) sums, so raking is an exact no-op and the MSE vanishes identically.
+            row_m = _adopted(MarginVector, area_ids, mult.sum(axis=1), MarginLevel.SMALL_AREA, t)
+            col_m = _adopted(MarginVector, category_ids, mult.sum(axis=0), MarginLevel.CATEGORY, t)
         else:
             if cfg.aux_resample == "resample-pool":
                 row_m = resample_aux_margin(
@@ -425,7 +430,8 @@ def bootstrap_mse(
 
         try:
             row_m, col_m, _ = reconcile_margins(row_m, col_m, req.reconcile_policy)
-            seed_b = Composition(area_ids, category_ids, mult, t)
+            # A census draw, whole numbers >= 0 in a new array, or the point fit.
+            seed_b = _adopted(Composition, area_ids, category_ids, mult, t)
             res = ipf_fit(seed_b, row_m, col_m, req.ipf_config)
         except (IpfError, ValueError) as e:
             return f"replicate {b}: {e}"

@@ -3,9 +3,10 @@
 A composition is a non-negative contingency table of population counts over
 small areas (rows) and categories of interest (columns).  Small areas nest in
 disjoint large areas; margins are carried as labelled vectors.  All types are
-immutable after construction.  Every public constructor checks its ids for
-duplicates; ids one has checked pass unchecked into the next, and a slice or
-concatenation of them is a plain tuple, checked again.
+immutable after construction.  Every public constructor copies and checks
+what it is given.  What the library builds from values it has just computed
+is not checked again (:func:`_adopted`), but for a sum or a product that
+can overflow (:func:`_finite`).
 """
 
 from __future__ import annotations
@@ -37,18 +38,10 @@ def check_integer(name: str, value: object, minimum: int | None = None) -> int:
     return value
 
 
-class _Ids(tuple):
-    """Unique ``str`` ids: made by :func:`_check_unique`, or by a loader
-    that has proved them unique itself."""
-    __slots__ = ()
-
-
 def _check_unique(ids: Sequence[str], what: str) -> tuple[str, ...]:
-    """``ids`` as checked ``str`` ids, or ValueError naming ``what`` and the
-    repeated ids; ids it has checked before pass through unchanged."""
-    if type(ids) is _Ids:
-        return ids
-    ids = _Ids(map(str, ids))
+    """``ids`` as a tuple of ``str``, or ValueError naming ``what`` and the
+    repeated ids."""
+    ids = tuple(map(str, ids))
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
         dupes = sorted({i for i in ids if i in seen or seen.add(i)})  # type: ignore[func-returns-value]
@@ -56,14 +49,31 @@ def _check_unique(ids: Sequence[str], what: str) -> tuple[str, ...]:
     return ids
 
 
-def _as_readonly(values, shape_name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _finite(arr: np.ndarray, shape_name: str) -> np.ndarray:
+    """``arr``; the constructors' ValueError where a value is not finite."""
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError(f"{shape_name} contains non-finite values")
+    return arr
+
+
+def _as_readonly(values, shape_name: str) -> np.ndarray:
+    arr = _finite(np.array(values, dtype=float), shape_name)
     if np.logical_or.reduce(arr < 0, axis=None):
         raise ValueError(f"{shape_name} contains negative values")
     arr.setflags(write=False)
     return arr
+
+
+def _adopted(cls: type, *values, **attributes):
+    """The frozen dataclass ``cls`` over ``values`` (its fields in order) and
+    ``attributes``, neither copied nor checked, its arrays made read-only in
+    place: for values the library has just made and will not write again."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj = object.__new__(cls)
+    vars(obj).update(zip(cls.__dataclass_fields__, values), **attributes)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,11 @@ class MarginVector:
     def with_values(self, values: np.ndarray) -> "MarginVector":
         return MarginVector(self.ids, values, self.level, self.reference_time)
 
+    def _times(self, factor: float | np.ndarray) -> "MarginVector":
+        """The values times a ``factor`` >= 0, checked only for an overflow."""
+        values = _finite(self.values * factor, "margin values")
+        return _adopted(MarginVector, self.ids, values, self.level, self.reference_time)
+
 
 @dataclass(frozen=True)
 class ProbabilityMatrix:
@@ -225,16 +240,16 @@ class ProbabilityMatrix:
 
 def row_margins(c: Composition) -> MarginVector:
     """Per-area population totals (sum over categories)."""
-    return MarginVector(
-        c.area_ids, c.counts.sum(axis=1), MarginLevel.SMALL_AREA, c.reference_time
-    )
+    # Sums of a checked table: >= 0, and finite but for an overflow.
+    rows = _finite(c.counts.sum(axis=1), "margin values")
+    return _adopted(MarginVector, c.area_ids, rows, MarginLevel.SMALL_AREA, c.reference_time)
 
 
 def column_margins(c: Composition) -> MarginVector:
     """Per-category totals over all areas."""
-    return MarginVector(
-        c.category_ids, c.counts.sum(axis=0), MarginLevel.CATEGORY, c.reference_time
-    )
+    # Sums of a checked table: >= 0, and finite but for an overflow.
+    columns = _finite(c.counts.sum(axis=0), "margin values")
+    return _adopted(MarginVector, c.category_ids, columns, MarginLevel.CATEGORY, c.reference_time)
 
 
 def aggregate_to_large(c: Composition, h: AreaHierarchy) -> Composition:

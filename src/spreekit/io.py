@@ -71,7 +71,6 @@ from spreekit.composition import (
     Composition,
     MarginLevel,
     MarginVector,
-    _Ids,
     check_integer,
 )
 from spreekit._fork import forked, split
@@ -636,7 +635,7 @@ def load_households(
 
         def done() -> Households:
             # ``t.unique`` has proved the keys unique, so the table need not.
-            household_ids = _Ids(seen)
+            household_ids = tuple(seen)
             flag_codes = np.frombuffer(codes, dtype=np.int8).reshape(len(seen), len(indicators))
             flags, missing = flag_codes == 1, flag_codes == 2
             # The table keeps its columns uncopied: free the key dict and the codes first.

@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from spreekit.composition import Composition, MarginVector
+from spreekit.composition import Composition, MarginVector, _adopted
 
 ZeroMode = Literal["structural", "epsilon"]
 
@@ -171,7 +171,8 @@ def ipf_fit(
     else:
         worst = ("column", seed.category_ids[int(col_dev.argmax())], float(col_max))
 
-    fitted = Composition(
-        seed.area_ids, seed.category_ids, counts, row_target.reference_time
+    # Each way out of the loop found the row sums of these cells >= 0 finite.
+    fitted = _adopted(
+        Composition, seed.area_ids, seed.category_ids, counts, row_target.reference_time
     )
     return IpfResult(fitted, iterations, converged, float(dev), worst, cfg)

@@ -10,7 +10,7 @@ the strongest change).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from spreekit.composition import (
     Composition,
     MarginLevel,
     MarginVector,
+    _adopted,
     _check_unique,
     aggregate_to_large,
     row_margins,
@@ -50,21 +51,15 @@ class ShareVector:
     hierarchy: AreaHierarchy
     reference_time: int = 0
     provenance: Provenance = "fixed-census"
-    # ``hierarchy.group_positions(small_ids)``, passed in only by the builders
-    # below, which have just computed it.  An InitVar, so that
-    # ``dataclasses.replace`` groups afresh.
-    _grouped: InitVar[dict[str, np.ndarray] | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self, _grouped: dict[str, np.ndarray] | None) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "small_ids", _check_unique(self.small_ids, "small ids"))
         arr = np.array(self.shares, dtype=float)
         if arr.shape != (len(self.small_ids),):
             raise ValueError("shares shape does not match small ids")
         if not np.all((arr >= 0) & (arr <= 1 + SHARE_SUM_TOL)):
             raise ValueError("shares must lie in [0, 1]")
-        groups = _grouped
-        if groups is None:
-            groups = self.hierarchy.group_positions(self.small_ids)
+        groups = self.hierarchy.group_positions(self.small_ids)
         for large, pos in groups.items():
             if pos.size == 0:
                 continue
@@ -114,9 +109,10 @@ def _large_area_shares(
     source: str,
 ) -> ShareVector:
     """Each area's value over its large-area total; a large area whose
-    ``source`` population is zero has no shares and raises."""
+    ``source`` population is zero, or whose total overflows, raises."""
     shares = np.empty(len(ids))
     groups = h.group_positions(ids)
+    overflowed = None
     for large, pos in groups.items():
         if pos.size == 0:
             continue
@@ -125,19 +121,21 @@ def _large_area_shares(
             raise ValueError(
                 f"large area {large!r} has zero {source} population; shares undefined"
             )
+        if large_total == np.inf and overflowed is None:
+            overflowed = large
         shares[pos] = values[pos] / large_total
-    return ShareVector(ids, shares, h, reference_time, provenance, _grouped=groups)
+    if overflowed is not None:
+        s = shares[groups[overflowed]].sum()
+        raise ValueError(f"shares in large area {overflowed!r} sum to {s!r}, expected 1")
+    # Values >= 0 over their finite group sum: in [0, 1], summing to one but for rounding.
+    return _adopted(ShareVector, ids, shares, h, reference_time, provenance, _groups=groups)
 
 
 def fixed_shares(census: Composition, h: AreaHierarchy) -> ShareVector:
     """Shares frozen at the census: area total over its large-area total."""
+    totals = row_margins(census).values
     return _large_area_shares(
-        census.area_ids,
-        row_margins(census).values,
-        h,
-        census.reference_time,
-        "fixed-census",
-        "census",
+        census.area_ids, totals, h, census.reference_time, "fixed-census", "census"
     )
 
 
@@ -222,9 +220,10 @@ def hybrid_shares(
     for large in set(sel.selected_large_ids) & fixed._groups.keys():  # type: ignore[attr-defined]
         use_dynamic[fixed._groups[large]] = True  # type: ignore[attr-defined]
     shares = np.where(use_dynamic, dynamic.shares, fixed.shares)
-    return ShareVector(
-        fixed.small_ids, shares, fixed.hierarchy, dynamic.reference_time, "hybrid",
-        _grouped=fixed._groups,  # type: ignore[attr-defined]
+    # Each large area's shares are one checked vector's, whole.
+    return _adopted(
+        ShareVector, fixed.small_ids, shares, fixed.hierarchy, dynamic.reference_time, "hybrid",
+        _groups=fixed._groups,  # type: ignore[attr-defined]
     )
 
 
@@ -283,8 +282,9 @@ def distribute(large_totals: MarginVector, shares: ShareVector) -> MarginVector:
     values = np.empty(len(shares.small_ids))
     for total, pos in zip(_totals_at(large_totals, list(groups)), groups.values()):
         values[pos] = _conserving_block(total, shares.shares[pos])
-    margin = MarginVector(
-        shares.small_ids, values, MarginLevel.SMALL_AREA, large_totals.reference_time
+    # Values >= 0 that make up each group's finite total (_conserving_block).
+    margin = _adopted(
+        MarginVector, shares.small_ids, values, MarginLevel.SMALL_AREA, large_totals.reference_time
     )
     object.__setattr__(shares, "_distributed", (large_totals, margin))
     return margin
@@ -309,10 +309,10 @@ def reconcile_margins(
         return ReconcileResult(row, col, 1.0)
     if policy == "scale-col-to-row":
         factor = total_r / total_c
-        return ReconcileResult(row, col.with_values(col.values * factor), factor)
+        return ReconcileResult(row, col._times(factor), factor)
     if policy == "scale-row-to-col":
         factor = total_c / total_r
-        return ReconcileResult(row.with_values(row.values * factor), col, factor)
+        return ReconcileResult(row._times(factor), col, factor)
     if policy == "error":
         if mismatch > 1e-6:
             raise ValueError(

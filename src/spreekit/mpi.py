@@ -26,14 +26,14 @@ row order, as the exact :class:`~fractions.Fraction` reference
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
 
-from spreekit.composition import AreaHierarchy, Composition, _check_unique, _Ids
+from spreekit.composition import AreaHierarchy, Composition, _adopted, _check_unique
 
 POVERTY_CATEGORIES = ("poor", "non-poor")
 
@@ -149,28 +149,25 @@ class Households:
     missing: np.ndarray
 
     def __post_init__(self) -> None:
-        self._keep(copy=True)
+        columns = [getattr(self, name) for name in self.__dataclass_fields__]
+        vars(self).update(vars(Households._adopt(*columns, copy=True)))
 
     @classmethod
-    def _adopt(cls, *columns) -> "Households":
+    def _adopt(cls, *columns, copy: bool = False) -> "Households":
         """The table over ``columns``, checked as the constructor checks
-        them, that keeps them uncopied: for a caller that built them for the
-        table alone.  Its arrays are made read-only in place; id lists
-        become tuples, and ids must be ``str`` already."""
-        table = object.__new__(cls)
-        for field, value in zip(fields(cls), columns):
-            object.__setattr__(table, field.name, value)
-        table._keep(copy=False)
-        return table
-
-    def _keep(self, copy: bool) -> None:
-        n, k = len(self.household_ids), len(self.indicators)
+        them but for repeated ids, that keeps them uncopied: for a caller
+        that built them for the table alone, with ids it has proved unique.
+        Its arrays are made read-only in place; id lists become tuples, and
+        ids must be ``str`` already.  With ``copy``, the constructor's own
+        checks and copies."""
+        household_ids, area_ids, subgroup_ids, size, weight, indicators, flags, missing = columns
+        n, k = len(household_ids), len(indicators)
         array = np.array if copy else np.asarray
-        size = array(self.size, dtype=None if n else np.int64)
-        weight = array(self.weight, dtype=float)
-        flags, missing = array(self.flags, dtype=bool), array(self.missing, dtype=bool)
+        size = array(size, dtype=None if n else np.int64)
+        weight = array(weight, dtype=float)
+        flags, missing = array(flags, dtype=bool), array(missing, dtype=bool)
         shapes = dict(
-            area_ids=(len(self.area_ids),), subgroup_ids=(len(self.subgroup_ids),),
+            area_ids=(len(area_ids),), subgroup_ids=(len(subgroup_ids),),
             size=size.shape, weight=weight.shape, flags=flags.shape, missing=missing.shape,
         )
         for name, shape in shapes.items():
@@ -187,15 +184,11 @@ class Households:
             raise ValueError(f"weight must be positive, got {float(weight[np.argmin(weight > 0)])}")
         flags[missing] = False
         ids = (lambda column: tuple(map(str, column))) if copy else tuple
-        values = (
-            _check_unique(self.household_ids, "household ids"), ids(self.area_ids),
-            ids(self.subgroup_ids), size, weight,
-            _check_unique(self.indicators, "indicator ids"), flags, missing,
+        unique = _check_unique if copy else lambda column, what: tuple(column)
+        return _adopted(
+            cls, unique(household_ids, "household ids"), ids(area_ids), ids(subgroup_ids), size,
+            weight, unique(indicators, "indicator ids"), flags, missing,
         )
-        for field, value in zip(fields(self), values):
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, field.name, value)
 
     def __len__(self) -> int:
         return len(self.household_ids)
@@ -209,7 +202,7 @@ class Households:
         area, subgroup = (tuple(compress(ids, keep)) for ids in (self.area_ids, self.subgroup_ids))
         # A subset of unique ids is unique, and indexing copies the arrays.
         return Households._adopt(
-            _Ids(compress(self.household_ids, keep)), area, subgroup, self.size[mask],
+            tuple(compress(self.household_ids, keep)), area, subgroup, self.size[mask],
             self.weight[mask], self.indicators, self.flags[mask], self.missing[mask],
         )
 

@@ -63,6 +63,7 @@ from spreekit.composition import (
     AreaHierarchy,
     Composition,
     MarginVector,
+    _adopted,
     check_integer,
     column_margins,
     row_margins,
@@ -145,8 +146,9 @@ def replicate_census(truth: Composition, rng: np.random.Generator) -> Compositio
     if draw is None:
         draw = (truth.counts.sum(axis=1), *_census_proportions(truth.counts))
         object.__setattr__(truth, "_census_draw", draw)
+    # Poisson totals split multinomially: whole numbers >= 0, in a new array.
     counts = _redraw_census(rng, *draw)
-    return Composition(truth.area_ids, truth.category_ids, counts, truth.reference_time)
+    return _adopted(Composition, truth.area_ids, truth.category_ids, counts, truth.reference_time)
 
 
 def _within_large_shares(
@@ -339,10 +341,10 @@ def _shared(shape: tuple[int, ...]) -> np.ndarray:
 
 
 # The fewest rounds :func:`run_simulation` gives a process.  On two CPUs,
-# a split of the shipped scenario or the mini plan in two loses at 8
-# rounds, is about even at 10 and wins from 12 (a round costs about
-# 0.45 ms, a fork 1.3 ms).
-_ROUNDS_PER_PROCESS = 8
+# in medians of 200 alternating runs, a split of the shipped scenario or
+# the mini plan in two loses at 8 to 12 rounds (by 8-30%), is about even
+# at 16 and wins from 20.
+_ROUNDS_PER_PROCESS = 10
 
 
 def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationReport:

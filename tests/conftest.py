@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import threading
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -21,6 +23,19 @@ settings.load_profile("spreekit")
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@contextlib.contextmanager
+def another_thread_alive():
+    """A second thread, alive until the block ends."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join()
 
 
 def random_positive_table(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

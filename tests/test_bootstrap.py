@@ -996,3 +996,20 @@ def test_runs_in_one_process_carry_no_state(monkeypatch):
     assert len(calls) == 3
     bootstrap_mse(req, design, pool, dataclasses.replace(cfg, census_resample="none"))
     assert len(calls) == 3
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_resampled_margins_past_the_float_range_are_rejected():
+    # Each PSU total is finite, but any two drawn PSUs sum past the float
+    # range; and the largest float times a lognormal factor above one
+    # overflows.  Each fails with the message MarginVector gives.
+    design = SurveyDesign(["p1", "p2"], ["s", "s"], [1.0, 1.0], ["c1", "c1"], [1e308, 1e308])
+    biggest = MarginVector(("a1", "a2"), [np.finfo(float).max] * 2, MarginLevel.SMALL_AREA)
+    for resample in (
+        lambda rng: resample_column_margin(design, rng),
+        lambda rng: _resample_iid(design, rng),
+        lambda rng: resample_aux_margin(biggest, rng, 0.5),
+    ):
+        with pytest.raises(ValueError) as e:
+            resample(rngmod.stream(0, 0))
+        assert str(e.value) == "margin values contains non-finite values"

@@ -626,8 +626,8 @@ class TestValidate:
         assert error.get("error") == "IngestError"
         assert str(plan) in error.get("message", "")
 
-    @pytest.mark.parametrize("cpus, replicates, forks", [(1, 200, 0), (3, 23, 1), (3, 24, 2)])
-    def test_one_process_per_cpu_with_eight_rounds_each(
+    @pytest.mark.parametrize("cpus, replicates, forks", [(1, 200, 0), (3, 29, 1), (3, 30, 2)])
+    def test_one_process_per_cpu_with_ten_rounds_each(
         self, tmp_path, monkeypatch, cpus, replicates, forks
     ):
         pids, fork = [], os.fork
@@ -1726,3 +1726,37 @@ def test_readme_library_quick_start_runs():
     assert block is not None, "README.md has no python block under '## Library quick start'"
     done = run_python("-c", block.group(1))
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 12), reason="Python warns of a multi-threaded fork from 3.12 on"
+)
+def test_no_command_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
+    """One run each of the four forking commands, on four CPUs and with
+    every split threshold lowered so that each forks.  Python 3.12 and
+    later warn at a fork while another thread is alive ("This process ...
+    is multi-threaded, use of fork() may lead to deadlocks in the child");
+    no command may.  A ``filterwarnings`` error entry cannot catch it:
+    CPython clears the error it would raise there, and the run goes on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
+    monkeypatch.setattr(sio, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(sio, "_ROWS_PER_PROCESS", 2)
+    monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", 64)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = [
+        TestValidate().validate_argv(tmp_path / "validate"),
+        bootstrap_argv(tmp_path / "bootstrap"),
+        TestMpi().mpi_argv(tmp_path / "mpi"),
+        ["aggregate", "--pixels", FIXTURES / "pixels10.csv",
+         "--polygons", FIXTURES / "polygons_vertical.geojson", "--out", tmp_path / "aggregate"],
+    ]
+    for argv in runs:
+        before = len(forks)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv)[0] == 0, argv[0]
+        assert len(forks) > before, argv[0]
+        threaded = [str(w.message) for w in caught if "is multi-threaded" in str(w.message)]
+        assert threaded == [], argv[0]

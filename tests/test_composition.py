@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spreekit import (
     AreaHierarchy,
@@ -26,6 +27,8 @@ from spreekit import (
     to_probabilities,
 )
 from spreekit import io as sio
+from spreekit.composition import _adopted
+from spreekit.margins import SHARE_SUM_TOL
 
 from conftest import FIXTURES, make_composition, two_region_hierarchy
 
@@ -246,3 +249,88 @@ def test_ids_are_checked_at_the_boundary_only(monkeypatch, run):
             counts.append(len(slow))
     assert counts[0] > 0
     assert counts[0] == counts[1]
+
+
+_CONSTRUCTED = {"counts": Composition, "margin values": MarginVector, "shares": ShareVector}
+
+
+@st.composite
+def constructor_calls(draw):
+    """A public constructor, its arguments with at most one fault, and the
+    message it gives for that fault (None for valid arguments)."""
+    name = draw(st.sampled_from(sorted(_CONSTRUCTED)))
+    faults = [None, "nan", "inf", "-inf", "negative", "duplicate", "shape"]
+    fault = draw(st.sampled_from(faults + ["sum"] * (name == "shares")))
+    n = draw(st.integers(2 if fault == "duplicate" else 1, 5))
+    ids = tuple(f"a{i}" for i in range(n))
+    cells = st.one_of(st.just(-0.0), st.floats(0.0, 1e300))
+    if name == "counts":
+        j = draw(st.integers(1, 3))
+        values = np.array(draw(st.lists(cells, min_size=n * j, max_size=n * j))).reshape(n, j)
+        args = [ids, tuple(f"c{k}" for k in range(j)), values, 3]
+    elif name == "margin values":
+        values = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+        args = [ids, values, MarginLevel.SMALL_AREA, 3]
+    else:
+        regions = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        h = AreaHierarchy.from_pairs((a, f"g{r}") for a, r in zip(ids, regions))
+        weights = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+        values = np.empty(n)
+        for pos in h.group_positions(ids).values():
+            values[pos] = weights[pos] / weights[pos].sum()
+        args = [ids, values, h, 3, "dynamic-auxiliary"]
+    if fault is None:
+        return name, args, None
+    if fault in ("nan", "inf", "-inf", "negative"):
+        bad = -draw(st.floats(5e-324, 1e300)) if fault == "negative" else float(fault)
+        values.flat[draw(st.integers(0, values.size - 1))] = bad
+        if name == "shares":
+            return name, args, "shares must lie in [0, 1]"
+        problem = "negative" if fault == "negative" else "non-finite"
+        return name, args, f"{name} contains {problem} values"
+    if fault == "duplicate":
+        args[0] = ids[:-1] + ids[:1]
+        what = {"counts": "area", "margin values": "margin", "shares": "small"}[name]
+        return name, args, f"duplicate {what} ids: ['a0']"
+    if fault == "shape":
+        # One value too many, or the values in one dimension too many or too few.
+        flat = values.ravel() if values.ndim == 2 else values.reshape(1, -1)
+        wrong = draw(st.sampled_from([np.append(values, values[:1], axis=0), flat]))
+        args[2 if name == "counts" else 1] = wrong
+        if name == "counts":
+            return name, args, f"counts shape {wrong.shape} does not match ({n}, {values.shape[1]})"
+        if name == "margin values":
+            return name, args, f"margin values shape {wrong.shape} does not match {n} ids"
+        return name, args, "shares shape does not match small ids"
+    # A region whose shares sum to less than one by more than the tolerance.
+    large, pos = draw(st.sampled_from([g for g in h.group_positions(ids).items() if g[1].size]))
+    values[pos] *= draw(st.floats(0.5, 1 - 1e3 * SHARE_SUM_TOL))
+    return name, args, f"shares in large area {large!r} sum to {values[pos].sum()!r}, expected 1"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(constructor_calls())
+def test_public_constructors_check_and_the_private_one_adopts(call):
+    """Composition, MarginVector and ShareVector reject a non-finite or
+    negative value, a repeated id, a wrong shape and (shares) a region sum
+    off by more than SHARE_SUM_TOL, each with its message.  On valid values
+    ``_adopted`` keeps the array it is given, read-only, bitwise equal to
+    the public constructor's copy, with equal other fields."""
+    name, args, message = call
+    cls = _CONSTRUCTED[name]
+    if message is not None:
+        with pytest.raises(ValueError) as e:
+            cls(*args)
+        assert str(e.value) == message
+        return
+    public = cls(*args)
+    given_array = next(a for a in args if isinstance(a, np.ndarray))
+    adopted = _adopted(cls, *args)
+    for field in dataclasses.fields(cls):
+        a, b = getattr(public, field.name), getattr(adopted, field.name)
+        if isinstance(a, np.ndarray):
+            assert b is given_array and a is not given_array
+            assert not a.flags.writeable and not b.flags.writeable
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b

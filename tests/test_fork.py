@@ -10,6 +10,8 @@ import pytest
 
 from spreekit._fork import forked, split
 
+from conftest import another_thread_alive
+
 
 @pytest.mark.parametrize(
     "n, fewest, processes, bounds",
@@ -63,6 +65,14 @@ def test_objects_arrive_equal_and_in_range_order():
             else:
                 assert a == b
     assert_no_child_left()
+
+
+def test_one_range_while_another_thread_is_alive():
+    # A child would hold only the forking thread, and any lock another
+    # thread held, for good; so the caller works on every unit itself.
+    with another_thread_alive():
+        assert split(50, 1, 4) == [0, 50]
+    assert split(50, 1, 4) == [0, 12, 25, 37, 50]
 
 
 def test_an_object_a_child_cannot_pickle_is_its_error():

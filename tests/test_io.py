@@ -27,7 +27,7 @@ from spreekit import (
 )
 from spreekit import io as sio
 
-from conftest import FIXTURES, same_bits
+from conftest import FIXTURES, another_thread_alive, same_bits
 
 
 def write(tmp_path, name, text):
@@ -985,6 +985,23 @@ class TestSplitLoad:
             assert load_outcome("households", path, processes) == want
             assert len(forks) == processes - 1
         assert reruns == [1]  # the one-process load only
+
+    def test_no_fork_while_another_thread_is_alive(self, tmp_path, forks, monkeypatch):
+        # Each file is read once, in one process: the one-process table, for
+        # the households and the pixels, and the one-process CSV text.
+        reruns = self.reruns(monkeypatch)
+        households = self.big(tmp_path)
+        pixels = write(tmp_path, "px.csv", "lon,lat,value\n" + "".join(
+            f"{k / 3!r},{k % 7},{k * 0.25!r}\n" for k in range(40)
+        ))
+        want = [load_outcome("households", households, 1), load_outcome("pixels", pixels, 1)]
+        columns = [[f"a{i}" for i in range(40)], np.arange(40) / 7]
+        text = "".join(sio.csv_text(("id", "value"), columns, "\n"))
+        with another_thread_alive():
+            got = [load_outcome("households", households, 4), load_outcome("pixels", pixels, 4)]
+            assert "".join(sio.csv_text(("id", "value"), columns, "\n", 4)) == text
+        assert got == want and want[0][0] == want[1][0] == "ok"
+        assert forks == [] and reruns == [1] * 4
 
     def test_no_fork_in_one_process_or_below_the_threshold(self, tmp_path, monkeypatch):
         forks = recorded_forks(monkeypatch)

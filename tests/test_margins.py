@@ -22,7 +22,7 @@ from spreekit import (
     select_by_change,
 )
 from spreekit.margins import _conserving_block
-from spreekit.update import UpdateRequest, spree_update
+from spreekit.update import UpdateError, UpdateRequest, spree_update
 
 from conftest import make_composition, make_margin, two_region_hierarchy
 
@@ -448,3 +448,75 @@ def test_distribute_does_not_keep_a_failed_margin():
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^no total supplied for large areas: \['g2'\]$"):
             distribute(partial, shares)
+
+
+# Past the float range.  The builders below check only what their own
+# arithmetic can break, with the message the public constructors give; numpy
+# is kept quiet, as a library caller may have it, so those checks must fail.
+FLOAT_MAX = np.finfo(float).max
+quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@quiet
+def test_a_region_total_past_the_float_range_fails_the_share_sum():
+    # Region g1's total overflows, so the shares it would give sum to zero;
+    # a zero region after it still fails first for its zero population.
+    h = two_region_hierarchy(4)
+    census = make_composition([[1e308, 0.0], [1e308, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    aux = make_margin([1e308, 1e308, 1.0, 1.0], MarginLevel.SMALL_AREA, "a")
+    zero_sum = f"shares in large area 'g1' sum to {np.float64(0.0)!r}, expected 1"
+    for build in (lambda: fixed_shares(census, h), lambda: dynamic_shares(aux, h)):
+        with pytest.raises(ValueError) as e:
+            build()
+        assert str(e.value) == zero_sum
+    aux = make_margin([1e308, 1e308, 0.0, 0.0], MarginLevel.SMALL_AREA, "a")
+    with pytest.raises(ValueError, match="^large area 'g2' has zero auxiliary population"):
+        dynamic_shares(aux, h)
+
+
+@pytest.mark.parametrize(
+    "row, col, policy",
+    [
+        ([1e308, 1e308], [1.0, 1.0], "scale-col-to-row"),  # the row total overflows
+        ([1e308, 0.0], [1e-300, 0.0], "scale-col-to-row"),  # the factor overflows
+        ([1.0, 1.0], [1e308, 1e308], "scale-row-to-col"),
+    ],
+)
+@quiet
+def test_a_scaled_margin_past_the_float_range_is_rejected(row, col, policy):
+    row = make_margin(row, MarginLevel.SMALL_AREA, "a")
+    col = make_margin(col, MarginLevel.CATEGORY, "c")
+    with pytest.raises(ValueError) as e:
+        reconcile_margins(row, col, policy)
+    assert str(e.value) == "margin values contains non-finite values"
+
+
+@quiet
+def test_a_reconcile_past_the_float_range_is_tagged_with_its_stage():
+    census = make_composition([[10.0, 10.0], [10.0, 10.0]])
+    h = two_region_hierarchy(2)
+    totals = MarginVector(("g1", "g2"), [1e308, 1e308], MarginLevel.LARGE_AREA)
+    col = MarginVector(("c1", "c2"), [1.0, 1.0], MarginLevel.CATEGORY)
+    with pytest.raises(UpdateError) as e:
+        spree_update(UpdateRequest(census, col, totals, fixed_shares(census, h)))
+    assert str(e.value) == "[reconcile] margin values contains non-finite values"
+
+
+@pytest.mark.parametrize(
+    "shares", [[1 + 9e-10, 0.0, 0.0], [0.5 + 4e-10, 0.5 + 4e-10, 0.0], [0.9, 0.1 + 9e-10, 1e-300]]
+)
+def test_distribute_at_the_float_maximum_stays_finite(shares):
+    # Shares may sum to one plus the tolerance, but each region's values
+    # still make up its total exactly, so none overflows.
+    h = AreaHierarchy.from_pairs([("a1", "g"), ("a2", "g"), ("a3", "g")])
+    sv = ShareVector(("a1", "a2", "a3"), np.array(shares), h)
+    values = distribute(MarginVector(("g",), [FLOAT_MAX], MarginLevel.LARGE_AREA), sv).values
+    assert np.isfinite(values).all() and math.fsum(values) == FLOAT_MAX
+
+
+@quiet
+def test_census_rows_past_the_float_range_fail_the_fixed_shares():
+    census = make_composition([[1e308, 1e308], [1.0, 1.0]])
+    with pytest.raises(ValueError) as e:
+        fixed_shares(census, two_region_hierarchy(2))
+    assert str(e.value) == "margin values contains non-finite values"

@@ -33,6 +33,7 @@ from spreekit.simulation import STRATEGIES, StrategyMetrics, _pearson_rows, quar
 
 from conftest import (
     FIXTURES,
+    another_thread_alive,
     make_composition,
     make_margin,
     report_bits,
@@ -1173,6 +1174,21 @@ def test_failed_rounds_in_several_ranges_come_back_in_round_order(monkeypatch):
     assert_no_child_left()
 
 
+def test_no_fork_while_another_thread_is_alive(monkeypatch):
+    # Every range of rounds runs in this process: the same report, and the
+    # same failed rounds in round order.
+    monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
+    plan = partly_failing_plan(23)
+    want = run_simulation(plan)
+    forks = recorded_forks(monkeypatch)
+    with another_thread_alive():
+        got = run_simulation(plan, processes=4)
+    assert forks == []
+    assert report_bits(got) == report_bits(want)
+    for strategy, m in got.metrics.items():
+        assert m.failures == want.metrics[strategy].failures
+
+
 class CensusError(Exception):
     """An error whose constructor does not take its own ``args``."""
 
@@ -1240,8 +1256,8 @@ def test_a_child_that_ends_without_its_rounds_is_an_error(monkeypatch):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("rounds, forks", [(15, 0), (16, 1), (24, 2)])
-def test_four_processes_get_eight_rounds_each(monkeypatch, rounds, forks):
+@pytest.mark.parametrize("rounds, forks", [(19, 0), (20, 1), (30, 2)])
+def test_four_processes_get_ten_rounds_each(monkeypatch, rounds, forks):
     plan = build_scenario(migration_shock_config(replicates=rounds))
     pids = recorded_forks(monkeypatch)
     assert run_simulation(plan, processes=4).metrics["fixed"].completed == rounds
