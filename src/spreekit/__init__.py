@@ -62,8 +62,6 @@ from spreekit.simulation import (
     SimulationPlan,
     SimulationReport,
     quartile_grouping,
-    relative_bias,
-    relative_rmse,
     replicate_census,
     run_simulation,
 )

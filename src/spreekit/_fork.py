@@ -1,7 +1,7 @@
 """Contiguous ranges of work split across forked processes.
 
 :func:`split` cuts a count of units into at most one even range per
-process asked for, each of at least the caller's fewest units.
+usable CPU, each of at least the caller's fewest units.
 :func:`forked` runs a function on each range but the first in a child
 started with ``os.fork``; the calling process works on the first range
 itself.  A child pickles every object the function gives,
@@ -22,11 +22,13 @@ fewest units a process: ``validate``'s rounds
 or pixels file (:func:`spreekit.io.load_households`,
 :func:`spreekit.io.load_pixels`).
 
-Nothing here forks unless asked, nor while another thread is alive, whose
-locks a child would hold for good: :func:`split` then gives one range,
-which the calling process works on itself.  Every library function that
-splits its work defaults to one process; the command line asks for one
-process per CPU it may run on (:func:`usable_cpus`).
+The split rule, for every one of them, library call or command: one range
+per CPU this process may run on (``os.sched_getaffinity``), fewer where a
+range would have less than the caller's fewest units, and one where the
+CPUs cannot be read, or while another thread is alive, whose locks a child
+would hold for good.  One range forks nothing; so a process pinned to one
+CPU (``taskset -c 0``, ``os.sched_setaffinity``) works on every unit
+itself.  No output byte depends on the split.
 """
 
 from __future__ import annotations
@@ -39,18 +41,12 @@ import threading
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on; one where they cannot be read."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def split(n: int, fewest: int, processes: int) -> list[int]:
-    """Where each range of units ``0`` to ``n - 1`` starts, then ``n``: at
-    most ``processes`` even ranges of at least ``fewest`` units each, the
-    later ranges taking any extra unit; one range where two would not
-    have ``fewest`` units each, or while another thread is alive."""
-    if threading.active_count() > 1:
-        processes = 1
+def split(n: int, fewest: int) -> list[int]:
+    """Where each range of units ``0`` to ``n - 1`` starts, then ``n``, by
+    the split rule above with at least ``fewest`` units a range; the later
+    ranges take any extra unit."""
+    may_fork = threading.active_count() == 1 and hasattr(os, "sched_getaffinity")
+    processes = len(os.sched_getaffinity(0)) if may_fork else 1
     ranges = max(1, min(processes, n // fewest))
     return [n * k // ranges for k in range(ranges + 1)]
 

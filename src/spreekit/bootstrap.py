@@ -70,6 +70,7 @@ from spreekit.composition import (
     MarginLevel,
     MarginVector,
     _adopted,
+    _census_proportions,
     _check_unique,
     _finite,
     check_integer,
@@ -270,16 +271,6 @@ def _resample_iid(
     # Products >= 0, finite as the PSU totals that sum them are: only these sums can overflow.
     totals = _finite(totals, "margin values")
     return _adopted(MarginVector, design.category_ids, totals, MarginLevel.CATEGORY, reference_time)
-
-
-def _census_proportions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``counts`` without mass, and each row's category
-    proportions (zero on those rows): what :func:`_redraw_census` splits by."""
-    row_mass = counts.sum(axis=1)
-    zero = row_mass == 0
-    probs = counts / np.where(zero, 1.0, row_mass)[:, None]
-    probs[zero] = 0.0
-    return zero, probs
 
 
 def _redraw_census(

@@ -47,7 +47,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, get_args
 import numpy as np
 
 from spreekit import __version__, io as sio
-from spreekit._fork import usable_cpus
 from spreekit.bootstrap import (
     QUANTILE_LABELS,
     AuxResample,
@@ -300,8 +299,7 @@ def cmd_bootstrap(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     tables += tuple(cell.rep_quantiles[name] for name in QUANTILE_LABELS)
     columns = (*sio.long_ids(cell.area_ids, cell.category_ids), *(t.ravel() for t in tables))
     header = ("area_id", "category_id", "point", "mse", "cv", "rep_mean", *QUANTILE_LABELS)
-    # The census helper thread has ended, so this process may fork.
-    yield "cell_uncertainty.csv", sio.csv_text(header, columns, "\n", usable_cpus())
+    yield "cell_uncertainty.csv", sio.csv_text(header, columns, "\n")
 
     if cell.headcount_point is not None:
         hc = (cell.area_ids, cell.headcount_point, cell.headcount_mse, cell.headcount_cv)
@@ -324,7 +322,7 @@ def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     }
     if overrides:
         plan = replace(plan, **overrides)
-    report = run_simulation(plan, processes=usable_cpus())
+    report = run_simulation(plan)
 
     mean_abs = {
         s: quartile_means(np.abs(report.metrics[s].share_bias), report.quartile_labels)
@@ -400,9 +398,7 @@ def cmd_mpi(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
         profile = sio.load_profile(_note(inputs, "profile", ns.profile))
     else:
         profile = MpiProfile.nine_indicator()
-    households = sio.load_households(
-        _note(inputs, "households", ns.households), profile, usable_cpus()
-    )
+    households = sio.load_households(_note(inputs, "households", ns.households), profile)
     result = compute_mpi(households, profile)
     payload = {
         **_mpi_summary(result),
@@ -422,7 +418,7 @@ def cmd_mpi(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
 
 
 def cmd_aggregate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
-    px = sio.load_pixels(_note(inputs, "pixels", ns.pixels), usable_cpus())
+    px = sio.load_pixels(_note(inputs, "pixels", ns.pixels))
     polys = sio.load_polygons(_note(inputs, "polygons", ns.polygons))
     agg = aggregate_pixels(px, polys)
     yield "margin.csv", sio.margin_csv(agg.margin.ids, agg.margin.values, "\n")

@@ -262,12 +262,19 @@ def aggregate_to_large(c: Composition, h: AreaHierarchy) -> Composition:
     return Composition(h.large_ids, c.category_ids, out, c.reference_time)
 
 
+def _census_proportions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``counts`` without mass, and each row's category
+    proportions (zero on those rows): what
+    :func:`spreekit.bootstrap._redraw_census` splits by."""
+    row_mass = counts.sum(axis=1)
+    zero = row_mass == 0
+    probs = counts / np.where(zero, 1.0, row_mass)[:, None]
+    probs[zero] = 0.0
+    return zero, probs
+
+
 def to_probabilities(c: Composition) -> ProbabilityMatrix:
     """Within-area category probabilities; zero-total rows are flagged."""
-    totals = c.counts.sum(axis=1)
-    zero = totals == 0
-    safe = np.where(zero, 1.0, totals)
-    probs = c.counts / safe[:, None]
-    probs[zero] = 0.0
+    zero, probs = _census_proportions(c.counts)
     flagged = tuple(a for a, z in zip(c.area_ids, zero) if z)
     return ProbabilityMatrix(c.area_ids, c.category_ids, probs, flagged)

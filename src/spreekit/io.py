@@ -16,11 +16,11 @@ keys must be unique, the keys read so far; the object's own constructor
 may then copy its columns once (``Households`` keeps the loader's
 columns).  Repeated ids (areas, subgroups, categories, strata, PSUs,
 large areas) share one ``str`` per distinct value.  :func:`load_households`
-and :func:`load_pixels` take a number of ``processes``; with more than one
-they read a large file's byte ranges in forked children (:func:`_load`),
-each of which holds its range's parsed blocks until it sends them, and
-this process takes one block from them at a time.  The object and any
-error are those of one process.
+and :func:`load_pixels` read a large file's byte ranges in forked children
+by the split rule of :mod:`spreekit._fork` (:func:`_load`); each child
+holds its range's parsed blocks until it sends them, and this process
+takes one block from them at a time.  The object and any error are those
+of one process.
 
 Every CSV spreekit writes has one dialect, :func:`csv_text`: float columns
 as ``repr`` of Python floats (so save then load is an identity), other
@@ -153,15 +153,14 @@ def _csv_blocks(path: Path, lo: int = 0, hi: int | None = None) -> Iterator[list
         _fail(path, done + len(block) + 1, str(e))
 
 
-def _bounds(path: Path, processes: int) -> list[int]:
-    """Where the file's byte ranges start, then its size: the ranges
-    :func:`~spreekit._fork.split` gives ``processes`` processes of at least
-    :data:`_BYTES_PER_PROCESS` bytes, each cut moved to just after the next
-    ``\\n``.  ``[0]`` for one range."""
-    check_integer("processes", processes, 1)
+def _bounds(path: Path) -> list[int]:
+    """Where the file's byte ranges start, then its size: the ranges of at
+    least :data:`_BYTES_PER_PROCESS` bytes :func:`~spreekit._fork.split`
+    gives, each cut moved to just after the next ``\\n``.  ``[0]`` for one
+    range."""
     with contextlib.suppress(OSError):
-        size = os.stat(path).st_size if processes > 1 else 0
-        bounds = split(size, _BYTES_PER_PROCESS, processes)
+        size = os.stat(path).st_size
+        bounds = split(size, _BYTES_PER_PROCESS)
         if len(bounds) > 2:
             with open(path, "rb") as f:
                 cuts = {0, size}
@@ -186,25 +185,21 @@ def _is_float(column: Sequence[Any]) -> bool:
 
 
 def csv_text(
-    header: Sequence[str],
-    columns: Iterable[Sequence[Any]],
-    line_end: str,
-    processes: int = 1,
+    header: Sequence[str], columns: Iterable[Sequence[Any]], line_end: str
 ) -> Iterator[str]:
     """The CSV text of equal-length ``columns`` under ``header``: the header
     line, then ``_BLOCK_ROWS`` rows at a time.
 
-    With ``processes`` above 1, the rows are split into at most that many
-    contiguous ranges of whole blocks (the last also takes a part block),
-    each of at least :data:`_ROWS_PER_PROCESS` rows.  When the first block
-    of rows is asked for, a child is forked for each range but the first
-    (:mod:`spreekit._fork`).  This process yields the first range block by
-    block; each child formats its range with the same code and sends its
-    blocks, which are yielded one at a time, in range order.  The text, and
-    any error, is that of one process.  Every child has ended when the
-    generator is exhausted or closed.
+    The rows are split into contiguous ranges of whole blocks (the last also
+    takes a part block), each of at least :data:`_ROWS_PER_PROCESS` rows, by
+    the split rule of :mod:`spreekit._fork`.  When the first block of rows
+    is asked for, a child is forked for each range but the first.  This
+    process yields the first range block by block; each child formats its
+    range with the same code and sends its blocks, which are yielded one at
+    a time, in range order.  The text, and any error, is that of one
+    process.  Every child has ended when the generator is exhausted or
+    closed.
     """
-    check_integer("processes", processes, 1)
     columns = list(columns)
     lengths = {len(column) for column in columns}
     if len(columns) != len(header) or len(lengths) > 1:
@@ -226,7 +221,7 @@ def csv_text(
     # takes the part block.
     rows = max(lengths, default=0)
     fewest = -(-_ROWS_PER_PROCESS // _BLOCK_ROWS)
-    bounds = [_BLOCK_ROWS * b for b in split(rows // _BLOCK_ROWS, fewest, processes)[:-1]]
+    bounds = [_BLOCK_ROWS * b for b in split(rows // _BLOCK_ROWS, fewest)[:-1]]
     bounds.append(rows)
     with forked(blocks, bounds, "rows") as children:
         yield from blocks(bounds[0], bounds[1])
@@ -428,22 +423,22 @@ def _columns(path: Path, header: Sequence[str], required: str | None = None) -> 
 _Begun = tuple[Callable[[_Columns], tuple], Callable[..., None], Callable[..., None], Callable]
 
 
-def _load(path: Path, processes: int, expected: str, begin: Callable[[list[str]], _Begun]) -> Any:
+def _load(path: Path, expected: str, begin: Callable[[list[str]], _Begun]) -> Any:
     """The object that ``begin(header)`` sets up the load of, for the
     file's stripped header (``expected`` names the header an empty file
-    lacks), read in up to ``processes`` processes.
+    lacks).
 
     A file of at least two ranges of :data:`_BYTES_PER_PROCESS` bytes is cut
-    into at most ``processes`` byte ranges (:func:`_bounds`).  This process
-    reads the header, forks a child for each range but the first
-    (:mod:`spreekit._fork`), and reads the first range.  Each child sends
+    into byte ranges by the split rule of :mod:`spreekit._fork`
+    (:func:`_bounds`).  This process reads the header, forks a child for
+    each range but the first, and reads the first range.  Each child sends
     each parsed block, which this process absorbs in file order.  If any
     of this raises IngestError or UnicodeDecodeError (a range cut inside a
     quoted field, a fault, a unique key in two ranges), or a child is lost,
     the file is read again in one process, whose object or error is the
     one given.
     """
-    bounds = _bounds(path, processes)
+    bounds = _bounds(path)
     if len(bounds) > 2:
         with contextlib.suppress(IngestError, UnicodeDecodeError, ChildProcessError):
             return _load_ranges(path, expected, begin, bounds)
@@ -553,16 +548,12 @@ def save_hierarchy(path: str | Path, h: AreaHierarchy) -> None:
 _FLAGS = {"0": 0, "1": 1, "": 2}
 
 
-def load_households(
-    path: str | Path, profile: MpiProfile | None = None, processes: int = 1
-) -> Households:
+def load_households(path: str | Path, profile: MpiProfile | None = None) -> Households:
     """The household table, with per-indicator deprivation flags.
 
     With a profile supplied, the ``ind_`` columns must cover exactly the
-    profile's indicators.  With ``processes`` above 1, a file of at least
-    two ranges of :data:`_BYTES_PER_PROCESS` bytes is read in up to that
-    many processes (:func:`_load`); the table, or the error, is that of
-    one process.
+    profile's indicators.  A large file is read in several processes
+    (:func:`_load`); the table, or the error, is that of one process.
     """
     path = Path(path)
 
@@ -652,7 +643,7 @@ def load_households(
 
         return parse, keep, absorb, done
 
-    return _load(path, processes, "household header", begin)
+    return _load(path, "household header", begin)
 
 
 def save_households(path: str | Path, households: Households) -> None:
@@ -767,11 +758,9 @@ def save_by_year(
     write_text(path, csv_text(header, zip(*rows), "\r\n"))
 
 
-def load_pixels(path: str | Path, processes: int = 1) -> PixelTable:
-    """The pixel table.  With ``processes`` above 1, a file of at least two
-    ranges of :data:`_BYTES_PER_PROCESS` bytes is read in up to that many
-    processes (:func:`_load`); the table, or the error, is that of one
-    process."""
+def load_pixels(path: str | Path) -> PixelTable:
+    """The pixel table.  A large file is read in several processes
+    (:func:`_load`); the table, or the error, is that of one process."""
     path = Path(path)
 
     def begin(header: list[str]) -> _Begun:
@@ -796,7 +785,7 @@ def load_pixels(path: str | Path, processes: int = 1) -> PixelTable:
 
         return parse, keep, keep, done
 
-    return _load(path, processes, "header " + ",".join(_PIXELS_HEADER), begin)
+    return _load(path, "header " + ",".join(_PIXELS_HEADER), begin)
 
 
 def save_pixels(path: str | Path, px: PixelTable) -> None:

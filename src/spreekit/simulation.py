@@ -27,10 +27,10 @@ through the same aggregation as any other, on empty stacks, and reports NaN
 metrics without a warning.  The summary quantiles are
 :data:`~spreekit.bootstrap.QUANTILE_LEVELS`.
 
-``run_simulation(plan, processes=n)`` splits the rounds into at most ``n``
-contiguous ranges of at least :data:`_ROUNDS_PER_PROCESS` rounds each, the
-first run by the calling process and each other by a forked child
-(:mod:`spreekit._fork`).  The stacks live in anonymous shared memory, held
+:func:`run_simulation` splits the rounds into contiguous ranges of at
+least :data:`_ROUNDS_PER_PROCESS` rounds each, by the split rule of
+:mod:`spreekit._fork`, the first run by the calling process and each other
+by a forked child.  The stacks live in anonymous shared memory, held
 once: every process writes round r's truth and fits at row r of the
 caller's own arrays, and a child sends back only its failed rounds.  The
 caller aggregates the stacks once.  Round r draws only from stream r
@@ -53,7 +53,6 @@ from spreekit.bootstrap import (
     QUANTILE_LABELS,
     QUANTILE_LEVELS,
     SurveyDesign,
-    _census_proportions,
     _check_stack,
     _nan_mean,
     _redraw_census,
@@ -64,6 +63,7 @@ from spreekit.composition import (
     Composition,
     MarginVector,
     _adopted,
+    _census_proportions,
     check_integer,
     column_margins,
     row_margins,
@@ -95,25 +95,6 @@ def summary_row(values: np.ndarray) -> np.ndarray:
         return np.full(len(SUMMARY_COLUMNS), np.nan)
     qs = np.quantile(values, QUANTILE_LEVELS)
     return np.array([qs[0], qs[1], qs[2], values.mean(), qs[3], qs[4]])
-
-
-def _series(estimates: Sequence[float], truths: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Both sequences as float arrays, checked to be equal-length, 1-D and non-empty."""
-    est = np.asarray(estimates, dtype=float)
-    tru = np.asarray(truths, dtype=float)
-    if est.shape != tru.shape or est.ndim != 1 or est.size == 0:
-        raise ValueError("estimates and truths must be equal-length 1-D sequences")
-    return est, tru
-
-
-def relative_bias(estimates: Sequence[float], truths: Sequence[float]) -> float:
-    """mean(est - truth) / mean(truth); NaN when the mean truth is zero."""
-    return float(_nd_bias(*_series(estimates, truths)))
-
-
-def relative_rmse(estimates: Sequence[float], truths: Sequence[float]) -> float:
-    """sqrt(mean((est - truth)^2)) / mean(truth); NaN when the mean truth is zero."""
-    return float(_nd_rmse(*_series(estimates, truths)))
 
 
 def quartile_grouping(change_scores: Sequence[float]) -> np.ndarray:
@@ -347,7 +328,7 @@ def _shared(shape: tuple[int, ...]) -> np.ndarray:
 _ROUNDS_PER_PROCESS = 10
 
 
-def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationReport:
+def run_simulation(plan: SimulationPlan) -> SimulationReport:
     """Run the replication study and aggregate the comparison report.
 
     Rounds where a strategy's update fails are dropped for that strategy
@@ -357,15 +338,12 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
     memory budget of :mod:`spreekit.bootstrap` fails before its first
     round.
 
-    With ``processes`` above 1, the rounds are split into at most that
-    many contiguous ranges of at least :data:`_ROUNDS_PER_PROCESS` rounds
-    each (:func:`spreekit._fork.split`).  This process runs the first and
-    a forked child each other range, writing into this process's stacks,
-    which are held once; every byte of the report is that of a
-    one-process run, and so is an error: the one from the lowest round
-    that raises.  Every child has ended when this returns or raises.
+    The rounds are split as the module states.  This process runs the
+    first range and a forked child each other range, writing into this
+    process's stacks, which are held once; every byte of the report is
+    that of a one-process run, and so is an error: the one from the lowest
+    round that raises.  Every child has ended when this returns or raises.
     """
-    check_integer("processes", processes, 1)
     h = plan.hierarchy
     area_ids = plan.truth_t0.area_ids
     category_ids = plan.truth_t0.category_ids
@@ -450,7 +428,7 @@ def run_simulation(plan: SimulationPlan, *, processes: int = 1) -> SimulationRep
                 fitted_shares[s, r] = sv.shares
         return failed, failures
 
-    bounds = split(rounds, _ROUNDS_PER_PROCESS, processes)
+    bounds = split(rounds, _ROUNDS_PER_PROCESS)
     with forked(lambda lo, hi: [play(lo, hi)], bounds, "rounds") as played:
         failed, failures = play(bounds[0], bounds[1])
         for [(child_failed, child_failures)] in played:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import os
 import threading
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -36,6 +37,12 @@ def another_thread_alive():
     finally:
         release.set()
         thread.join()
+
+
+def fake_cpus(monkeypatch, n: int) -> None:
+    """Make this process seem to run on ``n`` CPUs, the count every split
+    of :mod:`spreekit._fork` reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def random_positive_table(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

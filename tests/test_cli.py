@@ -38,7 +38,7 @@ from spreekit import io as sio
 from spreekit.cli import main
 from spreekit.mpi import MpiResult, _measures
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fake_cpus
 
 MINI = FIXTURES / "mini"
 
@@ -460,8 +460,9 @@ class TestBootstrap:
         assert digests["free"] == digests["one-cpu"]
 
     def test_the_cell_table_is_split_with_one_thread_at_each_fork(self, tmp_path, monkeypatch):
-        # 8 rows in blocks of 1, at least 2 rows a process, on 4 CPUs: three
-        # children, forked once the census helper thread has ended.
+        # Blocks of 1 row, at least 2 rows a process, on 4 CPUs: three
+        # children for the cell table's 8 rows and one for headcount_cv.csv's
+        # 4, forked once the census helper thread has ended.
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         assert run_cli(*bootstrap_argv(tmp_path / "one"))[0] == 0
         threads, fork = [], os.fork
@@ -472,10 +473,10 @@ class TestBootstrap:
 
         monkeypatch.setattr(sio, "_BLOCK_ROWS", 1)
         monkeypatch.setattr(sio, "_ROWS_PER_PROCESS", 2)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        fake_cpus(monkeypatch, 4)
         monkeypatch.setattr(os, "fork", counted)
         assert run_cli(*bootstrap_argv(tmp_path / "split"))[0] == 0
-        assert threads == [1, 1, 1]
+        assert threads == [1, 1, 1, 1]
         for f in sorted((tmp_path / "one").iterdir()):
             assert f.read_bytes() == (tmp_path / "split" / f.name).read_bytes(), f.name
 
@@ -636,7 +637,7 @@ class TestValidate:
             pids.append(fork())
             return pids[-1]
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        fake_cpus(monkeypatch, cpus)
         monkeypatch.setattr(os, "fork", counted)
         argv = self.validate_argv(tmp_path)
         assert run_cli(*argv, "--replicates", replicates)[0] == 0
@@ -1732,31 +1733,45 @@ def test_readme_library_quick_start_runs():
     sys.version_info < (3, 12), reason="Python warns of a multi-threaded fork from 3.12 on"
 )
 def test_no_command_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
-    """One run each of the four forking commands, on four CPUs and with
+    """One run each of the four forking commands and of the four library
+    calls that split, called with their defaults, on four CPUs and with
     every split threshold lowered so that each forks.  Python 3.12 and
     later warn at a fork while another thread is alive ("This process ...
     is multi-threaded, use of fork() may lead to deadlocks in the child");
-    no command may.  A ``filterwarnings`` error entry cannot catch it:
-    CPython clears the error it would raise there, and the run goes on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    no run may.  A ``filterwarnings`` error entry cannot catch it: CPython
+    clears the error it would raise there, and the run goes on."""
+    fake_cpus(monkeypatch, 4)
     monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
     monkeypatch.setattr(sio, "_BLOCK_ROWS", 1)
     monkeypatch.setattr(sio, "_ROWS_PER_PROCESS", 2)
     monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", 64)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def command(*argv):
+        def run():
+            assert run_cli(*argv)[0] == 0, argv[0]
+
+        return argv[0], run
+
+    plan = sio.load_plan(FIXTURES / "mini_plan.json")
     runs = [
-        TestValidate().validate_argv(tmp_path / "validate"),
-        bootstrap_argv(tmp_path / "bootstrap"),
-        TestMpi().mpi_argv(tmp_path / "mpi"),
-        ["aggregate", "--pixels", FIXTURES / "pixels10.csv",
-         "--polygons", FIXTURES / "polygons_vertical.geojson", "--out", tmp_path / "aggregate"],
+        command(*TestValidate().validate_argv(tmp_path / "validate")),
+        command(*bootstrap_argv(tmp_path / "bootstrap")),
+        command(*TestMpi().mpi_argv(tmp_path / "mpi")),
+        command("aggregate", "--pixels", FIXTURES / "pixels10.csv",
+                "--polygons", FIXTURES / "polygons_vertical.geojson",
+                "--out", tmp_path / "aggregate"),
+        ("run_simulation", lambda: simulation.run_simulation(plan)),
+        ("csv_text", lambda: list(sio.csv_text(("id",), [list("abcdefgh")], "\n"))),
+        ("load_households", lambda: sio.load_households(FIXTURES / "households3.csv")),
+        ("load_pixels", lambda: sio.load_pixels(FIXTURES / "pixels10.csv")),
     ]
-    for argv in runs:
+    for name, run in runs:
         before = len(forks)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli(*argv)[0] == 0, argv[0]
-        assert len(forks) > before, argv[0]
+            run()
+        assert len(forks) > before, name
         threaded = [str(w.message) for w in caught if "is multi-threaded" in str(w.message)]
-        assert threaded == [], argv[0]
+        assert threaded == [], name

@@ -10,11 +10,11 @@ import pytest
 
 from spreekit._fork import forked, split
 
-from conftest import another_thread_alive
+from conftest import another_thread_alive, fake_cpus
 
 
 @pytest.mark.parametrize(
-    "n, fewest, processes, bounds",
+    "n, fewest, cpus, bounds",
     [
         (15, 8, 4, [0, 15]),  # one range below 2 * fewest
         (0, 8, 4, [0, 0]),
@@ -25,8 +25,20 @@ from conftest import another_thread_alive
         (50, 1, 4, [0, 12, 25, 37, 50]),
     ],
 )
-def test_split(n, fewest, processes, bounds):
-    assert split(n, fewest, processes) == bounds
+def test_split(monkeypatch, n, fewest, cpus, bounds):
+    fake_cpus(monkeypatch, cpus)
+    assert split(n, fewest) == bounds
+
+
+def test_one_range_where_the_cpus_cannot_be_read(monkeypatch):
+    # As on macOS and Windows, which have no os.sched_getaffinity: the
+    # caller works on every unit itself, and nothing forks.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was started"))
+    bounds = split(50, 1)
+    assert bounds == [0, 50]
+    with forked(lambda lo, hi: [lo], bounds, "units") as children:
+        assert list(children) == []
 
 
 def assert_no_child_left() -> None:
@@ -67,12 +79,13 @@ def test_objects_arrive_equal_and_in_range_order():
     assert_no_child_left()
 
 
-def test_one_range_while_another_thread_is_alive():
+def test_one_range_while_another_thread_is_alive(monkeypatch):
     # A child would hold only the forking thread, and any lock another
     # thread held, for good; so the caller works on every unit itself.
+    fake_cpus(monkeypatch, 4)
     with another_thread_alive():
-        assert split(50, 1, 4) == [0, 50]
-    assert split(50, 1, 4) == [0, 12, 25, 37, 50]
+        assert split(50, 1) == [0, 50]
+    assert split(50, 1) == [0, 12, 25, 37, 50]
 
 
 def test_an_object_a_child_cannot_pickle_is_its_error():

@@ -27,7 +27,7 @@ from spreekit import (
 )
 from spreekit import io as sio
 
-from conftest import FIXTURES, another_thread_alive, same_bits
+from conftest import FIXTURES, another_thread_alive, fake_cpus, same_bits
 
 
 def write(tmp_path, name, text):
@@ -726,9 +726,9 @@ def test_failed_save_after_first_block_keeps_previous_file(tmp_path, monkeypatch
 
 
 class TestSplitText:
-    """``csv_text`` over several processes, with blocks of 3 rows and at
-    least 4 rows (so 2 blocks) a range: the text of one process, byte for
-    byte, and no child left on any path."""
+    """``csv_text`` on several CPUs, with blocks of 3 rows and at least 4
+    rows (so 2 blocks) a range: the text of one process, byte for byte, and
+    no child left on any path."""
 
     HEADER = ("id", "name", "value")
 
@@ -763,14 +763,16 @@ class TestSplitText:
     # 0 rows; 7 rows end in a one-row block; 12 rows in 4 whole blocks; 26
     # rows in 8 whole blocks and a ragged one.
     @pytest.mark.parametrize("rows, splits", [(0, 1), (7, 1), (12, 2), (26, 4)])
-    def test_every_process_count_gives_the_same_text(self, forks, rows, splits):
+    def test_every_process_count_gives_the_same_text(self, forks, monkeypatch, rows, splits):
+        fake_cpus(monkeypatch, 1)
         want = "".join(sio.csv_text(self.HEADER, self.columns(rows), "\r\n"))
         assert len(want.splitlines()) > rows
-        for processes in (1, 2, 3, 4):
+        for cpus in (1, 2, 3, 4):
             del forks[:]
-            got = "".join(sio.csv_text(self.HEADER, self.columns(rows), "\r\n", processes))
-            assert got == want, processes
-            assert len(forks) == min(processes, splits) - 1
+            fake_cpus(monkeypatch, cpus)
+            got = "".join(sio.csv_text(self.HEADER, self.columns(rows), "\r\n"))
+            assert got == want, cpus
+            assert len(forks) == min(cpus, splits) - 1
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -780,54 +782,55 @@ class TestSplitText:
     # Row 3 opens the caller's second block; rows 10 and 11 are a child's
     # in four processes, row 25 in two and in four.
     @pytest.mark.parametrize("row", [3, 10, 11, 25])
-    def test_an_error_is_that_of_one_process(self, tmp_path, forks, bad, error, row):
+    def test_an_error_is_that_of_one_process(self, tmp_path, forks, monkeypatch, bad, error, row):
         p = write(tmp_path, "out.csv", "previous contents\n")
         columns = self.columns(26, lambda i: bad if i == row else None)
         raised = []
-        for processes in (1, 2, 4):
+        for cpus in (1, 2, 4):
+            fake_cpus(monkeypatch, cpus)
             with pytest.raises(error) as e:
-                sio.write_text(p, sio.csv_text(self.HEADER, columns, "\n", processes))
+                sio.write_text(p, sio.csv_text(self.HEADER, columns, "\n"))
             raised.append((type(e.value), str(e.value)))
             assert p.read_bytes() == b"previous contents\n"
             assert [q.name for q in tmp_path.iterdir()] == ["out.csv"]
         assert raised == [raised[0]] * 3
         assert len(forks) == 1 + 3
 
-    def test_a_generator_closed_early_leaves_no_child(self, forks):
-        text = sio.csv_text(self.HEADER, self.columns(26), "\n", 4)
+    def test_a_generator_closed_early_leaves_no_child(self, forks, monkeypatch):
+        fake_cpus(monkeypatch, 4)
+        text = sio.csv_text(self.HEADER, self.columns(26), "\n")
         next(text), next(text)
         assert len(forks) == 3
         text.close()
 
-    def test_a_caller_that_ignores_its_children_gets_the_same_text(self, forks):
+    def test_a_caller_that_ignores_its_children_gets_the_same_text(self, forks, monkeypatch):
         # Children that have ended are reaped by the system, not by the writer.
+        fake_cpus(monkeypatch, 1)
         want = "".join(sio.csv_text(self.HEADER, self.columns(26), "\n"))
+        fake_cpus(monkeypatch, 4)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
-            assert "".join(sio.csv_text(self.HEADER, self.columns(26), "\n", 4)) == want
+            assert "".join(sio.csv_text(self.HEADER, self.columns(26), "\n")) == want
         finally:
             signal.signal(signal.SIGCHLD, previous)
         assert len(forks) == 3
 
-    def test_this_process_holds_one_block_of_a_child_at_a_time(self, tmp_path):
+    def test_this_process_holds_one_block_of_a_child_at_a_time(self, tmp_path, monkeypatch):
         # 80 blocks of about 16 kB: the child's 40 blocks come one at a time,
         # as this process's own do, not as one 0.65 MB text.
         rows = 80 * sio._BLOCK_ROWS
         columns = self.columns(rows)
+        fake_cpus(monkeypatch, 1)
         want = "".join(sio.csv_text(self.HEADER, columns, "\n")).encode()
+        fake_cpus(monkeypatch, 2)
         tracemalloc.start()
         try:
-            sio.write_text(tmp_path / "out.csv", sio.csv_text(self.HEADER, columns, "\n", 2))
+            sio.write_text(tmp_path / "out.csv", sio.csv_text(self.HEADER, columns, "\n"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (tmp_path / "out.csv").read_bytes() == want
         assert peak < len(want) / 4
-
-    @pytest.mark.parametrize("processes", [0, -1, True, 2.0])
-    def test_process_count_must_be_a_positive_integer(self, processes):
-        with pytest.raises(ValueError, match="^processes must be"):
-            next(sio.csv_text(self.HEADER, self.columns(3), "\n", processes))
 
 
 def recorded_forks(monkeypatch) -> list[int]:
@@ -896,17 +899,17 @@ def split_csv(draw, kind: str) -> bytes:
     return text.encode("utf-8")
 
 
-def load_outcome(kind: str, path, processes: int):
+def load_outcome(kind: str, path):
     """The loaded table's fields (arrays as dtype, shape and bytes), or the
     error's type and message."""
     try:
         if kind == "households":
-            table = sio.load_households(path, None, processes)
+            table = sio.load_households(path)
             # One str per distinct id, whichever process read it.
             for ids in (table.area_ids, table.subgroup_ids):
                 assert len({id(i) for i in ids}) == len(set(ids))
         else:
-            table = sio.load_pixels(path, processes)
+            table = sio.load_pixels(path)
     except Exception as e:
         return type(e), str(e)
     return "ok", {
@@ -917,7 +920,7 @@ def load_outcome(kind: str, path, processes: int):
 
 
 class TestSplitLoad:
-    """``load_households`` and ``load_pixels`` over several processes, with
+    """``load_households`` and ``load_pixels`` on several CPUs, with
     a 1-byte range threshold (so a file is cut at line ends all through it)
     and blocks of 2 rows: the object, or the error, of one process, and no
     child left on any path."""
@@ -951,13 +954,17 @@ class TestSplitLoad:
         suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
     )
     @given(data=st.data())
-    def test_every_process_count_gives_the_one_process_load(self, tmp_path, forks, kind, data):
+    def test_every_process_count_gives_the_one_process_load(
+        self, tmp_path, forks, monkeypatch, kind, data
+    ):
         path = tmp_path / f"{kind}.csv"
         path.write_bytes(data.draw(split_csv(kind)))
-        want = load_outcome(kind, path, 1)
+        fake_cpus(monkeypatch, 1)
+        want = load_outcome(kind, path)
         assert want[0] in ("ok", sio.IngestError)
-        for processes in (2, 3, 4):
-            assert load_outcome(kind, path, processes) == want, processes
+        for cpus in (2, 3, 4):
+            fake_cpus(monkeypatch, cpus)
+            assert load_outcome(kind, path) == want, cpus
 
     def big(self, tmp_path, rows: int = 40, changed: dict[int, str] | None = None) -> Path:
         """A clean household file of ``rows`` rows, but for the ``changed``
@@ -979,11 +986,13 @@ class TestSplitLoad:
     def test_a_clean_file_is_read_once_in_every_process(self, tmp_path, forks, monkeypatch):
         reruns = self.reruns(monkeypatch)
         path = self.big(tmp_path)
-        want = load_outcome("households", path, 1)
-        for processes in (2, 3, 4):
+        fake_cpus(monkeypatch, 1)
+        want = load_outcome("households", path)
+        for cpus in (2, 3, 4):
             del forks[:]
-            assert load_outcome("households", path, processes) == want
-            assert len(forks) == processes - 1
+            fake_cpus(monkeypatch, cpus)
+            assert load_outcome("households", path) == want
+            assert len(forks) == cpus - 1
         assert reruns == [1]  # the one-process load only
 
     def test_no_fork_while_another_thread_is_alive(self, tmp_path, forks, monkeypatch):
@@ -994,12 +1003,14 @@ class TestSplitLoad:
         pixels = write(tmp_path, "px.csv", "lon,lat,value\n" + "".join(
             f"{k / 3!r},{k % 7},{k * 0.25!r}\n" for k in range(40)
         ))
-        want = [load_outcome("households", households, 1), load_outcome("pixels", pixels, 1)]
+        fake_cpus(monkeypatch, 1)
+        want = [load_outcome("households", households), load_outcome("pixels", pixels)]
         columns = [[f"a{i}" for i in range(40)], np.arange(40) / 7]
         text = "".join(sio.csv_text(("id", "value"), columns, "\n"))
+        fake_cpus(monkeypatch, 4)
         with another_thread_alive():
-            got = [load_outcome("households", households, 4), load_outcome("pixels", pixels, 4)]
-            assert "".join(sio.csv_text(("id", "value"), columns, "\n", 4)) == text
+            got = [load_outcome("households", households), load_outcome("pixels", pixels)]
+            assert "".join(sio.csv_text(("id", "value"), columns, "\n")) == text
         assert got == want and want[0][0] == want[1][0] == "ok"
         assert forks == [] and reruns == [1] * 4
 
@@ -1007,13 +1018,14 @@ class TestSplitLoad:
         forks = recorded_forks(monkeypatch)
         path = self.big(tmp_path, 30_000)
         assert path.stat().st_size > 2 * sio._BYTES_PER_PROCESS
+        fake_cpus(monkeypatch, 1)
         sio.load_households(path)
-        sio.load_households(path, None, 1)
+        fake_cpus(monkeypatch, 4)
         monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", path.stat().st_size // 2 + 1)
-        sio.load_households(path, None, 4)
+        sio.load_households(path)
         assert forks == []
         monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", path.stat().st_size // 2)
-        sio.load_households(path, None, 4)
+        sio.load_households(path)
         assert len(forks) == 1
         assert_reaped(forks)
 
@@ -1033,9 +1045,10 @@ class TestSplitLoad:
                                                       changed, message):
         reruns = self.reruns(monkeypatch)
         path = self.big(tmp_path, changed=changed)
-        for processes in (1, 4):
+        for cpus in (1, 4):
+            fake_cpus(monkeypatch, cpus)
             with pytest.raises(sio.IngestError, match=message):
-                sio.load_households(path, None, processes)
+                sio.load_households(path)
         assert len(forks) == 3 and reruns == [1, 1]
 
     def test_a_child_lost_is_a_rerun(self, tmp_path, forks, monkeypatch):
@@ -1050,16 +1063,11 @@ class TestSplitLoad:
 
         csv_blocks = sio._csv_blocks
         monkeypatch.setattr(sio, "_csv_blocks", lost)
-        assert load_outcome("households", path, 2) == load_outcome("households", path, 1)
+        fake_cpus(monkeypatch, 2)
+        got = load_outcome("households", path)
+        fake_cpus(monkeypatch, 1)
+        assert got == load_outcome("households", path)
         assert len(forks) == 1 and reruns == [1, 1]
-
-    @pytest.mark.parametrize("processes", [0, -1, True, 2.0])
-    def test_process_count_must_be_a_positive_integer(self, tmp_path, processes):
-        path = self.big(tmp_path, 3)
-        with pytest.raises(ValueError, match="^processes must be"):
-            sio.load_households(path, None, processes)
-        with pytest.raises(ValueError, match="^processes must be"):
-            sio.load_pixels(path, processes)
 
 
 # Ingest memory: a load may hold, beyond the table it returns, one block of
@@ -1089,7 +1097,8 @@ def traced_peak(load, path):
         tracemalloc.stop()
 
 
-def test_pixel_ingest_memory_is_bounded(tmp_path):
+def test_pixel_ingest_memory_is_bounded(tmp_path, monkeypatch):
+    fake_cpus(monkeypatch, 1)  # every row read in this process, where it is traced
     g = np.random.default_rng(13)
     columns = (g.uniform(-180, 180, INGEST_ROWS), g.uniform(-90, 90, INGEST_ROWS),
                g.integers(0, 200, INGEST_ROWS).astype(float))
@@ -1102,6 +1111,7 @@ def test_pixel_ingest_memory_is_bounded(tmp_path):
 
 
 def test_household_ingest_memory_is_bounded(tmp_path, monkeypatch):
+    fake_cpus(monkeypatch, 1)  # every row read in this process, where it is traced
     g = np.random.default_rng(17)
     area = g.integers(0, 500, INGEST_ROWS).tolist()
     group = g.integers(0, 4, INGEST_ROWS).tolist()

@@ -21,8 +21,6 @@ from spreekit import (
     column_margins,
     migration_shock_config,
     quartile_grouping,
-    relative_bias,
-    relative_rmse,
     replicate_census,
     row_margins,
     run_simulation,
@@ -34,12 +32,25 @@ from spreekit.simulation import STRATEGIES, StrategyMetrics, _pearson_rows, quar
 from conftest import (
     FIXTURES,
     another_thread_alive,
+    fake_cpus,
     make_composition,
     make_margin,
     report_bits,
     same_bits,
     two_region_hierarchy,
 )
+
+
+def relative_bias(estimates, truths) -> float:
+    """``_nd_bias`` of one series."""
+    est, tru = np.asarray(estimates, dtype=float), np.asarray(truths, dtype=float)
+    return float(simulation._nd_bias(est, tru))
+
+
+def relative_rmse(estimates, truths) -> float:
+    """``_nd_rmse`` of one series."""
+    est, tru = np.asarray(estimates, dtype=float), np.asarray(truths, dtype=float)
+    return float(simulation._nd_rmse(est, tru))
 
 
 class TestMetricFormulas:
@@ -73,15 +84,9 @@ class TestMetricFormulas:
         assert math.isnan(relative_bias([1.0, 2.0], [0.0, 0.0]))
         assert math.isnan(relative_rmse([1.0, 2.0], [0.0, 0.0]))
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            relative_bias([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            relative_rmse([], [])
-
 
 def relative_bias_formula(estimates, truths):
-    """``relative_bias`` as it was computed before it shared ``_nd_bias``."""
+    """The relative bias as it was computed before it shared ``_nd_bias``."""
     est, tru = np.asarray(estimates, dtype=float), np.asarray(truths, dtype=float)
     denom = tru.mean()
     if denom == 0:
@@ -90,7 +95,7 @@ def relative_bias_formula(estimates, truths):
 
 
 def relative_rmse_formula(estimates, truths):
-    """``relative_rmse`` before it recomputed overflowed squares."""
+    """The relative RMSE before it recomputed overflowed squares."""
     est, tru = np.asarray(estimates, dtype=float), np.asarray(truths, dtype=float)
     denom = tru.mean()
     if denom == 0:
@@ -884,11 +889,12 @@ def test_replicate_means_match_np_mean_bitwise(stacks):
         assert rmse_matches_oracles(got, est[column].tolist(), tru[column].tolist(), want)
 
 
-def test_stacks_hold_what_the_budget_counts():
+def test_stacks_hold_what_the_budget_counts(monkeypatch):
     """At R = 400 on the shipped shock plan, the run's peak (the traced
     peak plus the shared memory of the stacks, which tracemalloc does not
     see and the run holds throughout) stays within 1.5x the bytes its
     budget check counts, and the check counts exactly those bytes."""
+    fake_cpus(monkeypatch, 1)  # every round in this process, where it is traced
     plan = replace(sio.load_plan(FIXTURES / "shock.json"), replicates=400)
     strategies, rounds = len(plan.strategies), plan.replicates
     areas, categories = plan.truth_t0.counts.shape
@@ -933,6 +939,7 @@ def test_share_vectors_reuse_their_builders_groups(rounds, monkeypatch):
         return group_positions(self, area_ids)
 
     monkeypatch.setattr(AreaHierarchy, "group_positions", counted)
+    fake_cpus(monkeypatch, 1)  # every call in this process
     run_simulation(plan)
     assert len(calls) == 1 + rounds + min(rounds, len(plan.aux_pool))
 
@@ -1066,11 +1073,12 @@ def partly_failing_plan(replicates: int) -> SimulationPlan:
     )
 
 
-def test_failed_rounds_add_less_than_a_fit_stack_to_the_aggregation():
+def test_failed_rounds_add_less_than_a_fit_stack_to_the_aggregation(monkeypatch):
     """A strategy's completed rounds are moved to the front of its own
     stacks, not copied: what failed rounds add to the aggregation's
     ``tracemalloc`` peak (from the end of the rounds) is less than one
     strategy's fit stack.  Copying the fits and shares took 155 kB."""
+    fake_cpus(monkeypatch, 1)
 
     def aggregation_peak(plan: SimulationPlan) -> tuple[int, dict]:
         run_simulation(replace(plan, replicates=20))  # fills numpy's and the interpreter's caches
@@ -1125,29 +1133,24 @@ def test_one_process_starts_no_other(monkeypatch):
         pytest.fail("a process was started")
 
     monkeypatch.setattr(os, "fork", no_fork)
+    fake_cpus(monkeypatch, 1)
     plan = build_scenario(migration_shock_config(replicates=130))
     assert run_simulation(plan).metrics["fixed"].completed == 130
-    assert run_simulation(plan, processes=1).metrics["fixed"].completed == 130
-
-
-@pytest.mark.parametrize("processes", [0, -1, True, 2.0])
-def test_process_count_must_be_a_positive_integer(processes):
-    plan = build_scenario(migration_shock_config(replicates=2))
-    with pytest.raises(ValueError, match="^processes must be"):
-        run_simulation(plan, processes=processes)
 
 
 def test_report_bits_do_not_depend_on_the_process_count(monkeypatch):
-    """37 rounds, which no count from 2 to 4 divides; 50 processes run one
+    """37 rounds, which no count from 2 to 4 divides; 50 CPUs run one
     round each, at one round a process."""
     monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
     plan = build_scenario(migration_shock_config(replicates=37))
+    fake_cpus(monkeypatch, 1)
     want = report_bits(run_simulation(plan))
     forks = recorded_forks(monkeypatch)
-    for processes in (2, 3, 4, 50):
+    for cpus in (2, 3, 4, 50):
         del forks[:]
-        assert report_bits(run_simulation(plan, processes=processes)) == want
-        assert len(forks) == min(processes, 37) - 1
+        fake_cpus(monkeypatch, cpus)
+        assert report_bits(run_simulation(plan)) == want
+        assert len(forks) == min(cpus, 37) - 1
     assert_no_child_left()
 
 
@@ -1155,19 +1158,21 @@ def test_failed_rounds_in_several_ranges_come_back_in_round_order(monkeypatch):
     # At one round a process, so that 23 rounds split in 3 and in 4.
     monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
     plan = partly_failing_plan(23)
+    fake_cpus(monkeypatch, 1)
     report = run_simulation(plan)
     fixed_failed = [int(f.split()[1].rstrip(":")) for f in report.metrics["fixed"].failures]
     assert fixed_failed == [2, 4, 7, 12, 13, 17, 19, 21]
     assert report.metrics["fixed"].completed == 15
     want = report_bits(report)
     forks = recorded_forks(monkeypatch)
-    for processes in (2, 3, 4):
-        bounds = _fork.split(23, simulation._ROUNDS_PER_PROCESS, processes)
-        ranges = {next(k for k in range(processes) if r < bounds[k + 1]) for r in fixed_failed}
+    for cpus in (2, 3, 4):
+        fake_cpus(monkeypatch, cpus)
+        bounds = _fork.split(23, simulation._ROUNDS_PER_PROCESS)
+        ranges = {next(k for k in range(cpus) if r < bounds[k + 1]) for r in fixed_failed}
         assert len(ranges) > 1
         del forks[:]
-        got = run_simulation(plan, processes=processes)
-        assert len(forks) == processes - 1
+        got = run_simulation(plan)
+        assert len(forks) == cpus - 1
         assert report_bits(got) == want
         for strategy, m in got.metrics.items():
             assert m.failures == report.metrics[strategy].failures
@@ -1179,10 +1184,12 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch):
     # same failed rounds in round order.
     monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
     plan = partly_failing_plan(23)
+    fake_cpus(monkeypatch, 1)
     want = run_simulation(plan)
     forks = recorded_forks(monkeypatch)
+    fake_cpus(monkeypatch, 4)
     with another_thread_alive():
-        got = run_simulation(plan, processes=4)
+        got = run_simulation(plan)
     assert forks == []
     assert report_bits(got) == report_bits(want)
     for strategy, m in got.metrics.items():
@@ -1222,10 +1229,12 @@ def test_the_lowest_failing_round_raises_whichever_process_runs_it(monkeypatch, 
     """On 37 rounds in 3 ranges (0-11 here, 12-23 and 24-36 in children)."""
     plan = build_scenario(migration_shock_config(replicates=37))
     fail_census_in_rounds(monkeypatch, rounds, error)
+    fake_cpus(monkeypatch, 1)
     with pytest.raises(error) as one:
         run_simulation(plan)
+    fake_cpus(monkeypatch, 3)
     with pytest.raises(error) as three:
-        run_simulation(plan, processes=3)
+        run_simulation(plan)
     assert type(three.value) is type(one.value)
     assert str(three.value) == str(one.value)
     assert vars(three.value) == vars(one.value)
@@ -1236,8 +1245,9 @@ def test_the_lowest_failing_round_raises_whichever_process_runs_it(monkeypatch, 
 def test_an_interrupt_in_this_process_reaps_every_child(monkeypatch):
     plan = build_scenario(migration_shock_config(replicates=37))
     fail_census_in_rounds(monkeypatch, {3}, lambda message: KeyboardInterrupt(message))
+    fake_cpus(monkeypatch, 4)
     with pytest.raises(KeyboardInterrupt):
-        run_simulation(plan, processes=4)
+        run_simulation(plan)
     assert_no_child_left()
 
 
@@ -1251,8 +1261,9 @@ def test_a_child_that_ends_without_its_rounds_is_an_error(monkeypatch):
         return census(truth, rng)
 
     monkeypatch.setattr(simulation, "replicate_census", ending)
+    fake_cpus(monkeypatch, 3)
     with pytest.raises(ChildProcessError, match="^rounds 12 to 23 ended without a result$"):
-        run_simulation(plan, processes=3)
+        run_simulation(plan)
     assert_no_child_left()
 
 
@@ -1260,7 +1271,8 @@ def test_a_child_that_ends_without_its_rounds_is_an_error(monkeypatch):
 def test_four_processes_get_ten_rounds_each(monkeypatch, rounds, forks):
     plan = build_scenario(migration_shock_config(replicates=rounds))
     pids = recorded_forks(monkeypatch)
-    assert run_simulation(plan, processes=4).metrics["fixed"].completed == rounds
+    fake_cpus(monkeypatch, 4)
+    assert run_simulation(plan).metrics["fixed"].completed == rounds
     assert len(pids) == forks
     assert_no_child_left()
 
@@ -1273,11 +1285,13 @@ def test_a_plan_whose_stacks_fill_the_budget_still_splits(monkeypatch):
     """The children write into the caller's stacks, which are held once, so
     a split needs no more than the budget counts."""
     plan = build_scenario(migration_shock_config(replicates=37))
+    fake_cpus(monkeypatch, 1)
     want = report_bits(run_simulation(plan))
     areas, categories = plan.truth_t0.counts.shape
     counted = 8 * 37 * (areas * categories + 3 * areas * categories + 3 * areas + 2 * areas)
     pids = recorded_forks(monkeypatch)
     monkeypatch.setattr(bootstrap, "_MAX_STACK_BYTES", counted)
-    assert report_bits(run_simulation(plan, processes=3)) == want
+    fake_cpus(monkeypatch, 3)
+    assert report_bits(run_simulation(plan)) == want
     assert len(pids) == 2
     assert_no_child_left()
