@@ -13,6 +13,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -38,7 +39,7 @@ from spreekit import io as sio
 from spreekit.cli import main
 from spreekit.mpi import MpiResult, _measures
 
-from conftest import FIXTURES, fake_cpus
+from conftest import FIXTURES, fake_cpus, report_bits
 
 MINI = FIXTURES / "mini"
 
@@ -1729,6 +1730,53 @@ def test_readme_library_quick_start_runs():
     assert done.returncode == 0, done.stderr
 
 
+def lower_split_thresholds(monkeypatch) -> list:
+    """Lower every split threshold, so that each call below forks on two
+    CPUs; and give the list that gets an entry at each fork."""
+    monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
+    monkeypatch.setattr(sio, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(sio, "_ROWS_PER_PROCESS", 2)
+    monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", 64)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+# The four library calls that split, each called with its defaults.
+LIBRARY_CALLS = {
+    "run_simulation": lambda: simulation.run_simulation(
+        sio.load_plan(FIXTURES / "mini_plan.json")
+    ),
+    "csv_text": lambda: list(sio.csv_text(("id",), [list("abcdefgh")], "\n")),
+    "load_households": lambda: sio.load_households(FIXTURES / "households3.csv"),
+    "load_pixels": lambda: sio.load_pixels(FIXTURES / "pixels10.csv"),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_CALLS)
+def test_a_library_call_gives_the_same_bits_split_or_not(monkeypatch, name):
+    """On one CPU, on four (where it forks) and where the CPUs cannot be
+    read, as on macOS and Windows (where it forks nothing)."""
+    forks = lower_split_thresholds(monkeypatch)
+    call = LIBRARY_CALLS[name]
+    fake_cpus(monkeypatch, 1)
+    want = report_bits(call())
+    assert forks == []
+    fake_cpus(monkeypatch, 4)
+    assert report_bits(call()) == want
+    assert forks
+    del forks[:]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert report_bits(call()) == want
+    assert forks == []
+
+
+@pytest.mark.parametrize("name", LIBRARY_CALLS)
+def test_no_library_call_takes_a_process_count(name):
+    function = getattr(simulation if name == "run_simulation" else sio, name)
+    assert "processes" not in inspect.signature(function).parameters
+
+
 @pytest.mark.skipif(
     sys.version_info < (3, 12), reason="Python warns of a multi-threaded fork from 3.12 on"
 )
@@ -1741,12 +1789,7 @@ def test_no_command_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
     no run may.  A ``filterwarnings`` error entry cannot catch it: CPython
     clears the error it would raise there, and the run goes on."""
     fake_cpus(monkeypatch, 4)
-    monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
-    monkeypatch.setattr(sio, "_BLOCK_ROWS", 1)
-    monkeypatch.setattr(sio, "_ROWS_PER_PROCESS", 2)
-    monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", 64)
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = lower_split_thresholds(monkeypatch)
 
     def command(*argv):
         def run():
@@ -1754,7 +1797,6 @@ def test_no_command_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
 
         return argv[0], run
 
-    plan = sio.load_plan(FIXTURES / "mini_plan.json")
     runs = [
         command(*TestValidate().validate_argv(tmp_path / "validate")),
         command(*bootstrap_argv(tmp_path / "bootstrap")),
@@ -1762,10 +1804,7 @@ def test_no_command_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
         command("aggregate", "--pixels", FIXTURES / "pixels10.csv",
                 "--polygons", FIXTURES / "polygons_vertical.geojson",
                 "--out", tmp_path / "aggregate"),
-        ("run_simulation", lambda: simulation.run_simulation(plan)),
-        ("csv_text", lambda: list(sio.csv_text(("id",), [list("abcdefgh")], "\n"))),
-        ("load_households", lambda: sio.load_households(FIXTURES / "households3.csv")),
-        ("load_pixels", lambda: sio.load_pixels(FIXTURES / "pixels10.csv")),
+        *LIBRARY_CALLS.items(),
     ]
     for name, run in runs:
         before = len(forks)

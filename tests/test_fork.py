@@ -23,6 +23,10 @@ from conftest import another_thread_alive, fake_cpus
         (23, 8, 4, [0, 11, 23]),  # processes capped at n // fewest
         (24, 8, 4, [0, 8, 16, 24]),
         (50, 1, 4, [0, 12, 25, 37, 50]),
+        (16, 8, 4, [0, 8, 16]),  # two ranges from 2 * fewest
+        (17, 8, 2, [0, 8, 17]),
+        (1, 1, 4, [0, 1]),
+        (3, 1, 50, [0, 1, 2, 3]),  # more CPUs than units: one unit a range
     ],
 )
 def test_split(monkeypatch, n, fewest, cpus, bounds):

@@ -851,6 +851,20 @@ def assert_reaped(pids: list[int]) -> None:
             os.waitpid(pid, 0)
 
 
+def test_a_csv_splits_from_2048_rows_on_two_cpus(monkeypatch):
+    # As the README says of every CSV spreekit writes.
+    forks = recorded_forks(monkeypatch)
+    for rows, splits in [(2047, 1), (2048, 2)]:
+        columns = [[f"a{i}" for i in range(rows)], np.arange(rows) / 7]
+        fake_cpus(monkeypatch, 1)
+        want = "".join(sio.csv_text(("id", "value"), columns, "\n"))
+        fake_cpus(monkeypatch, 2)
+        del forks[:]
+        assert "".join(sio.csv_text(("id", "value"), columns, "\n")) == want
+        assert len(forks) == splits - 1
+        assert_reaped(forks)
+
+
 HOUSEHOLD_HEAD = ("household_id", "area_id", "subgroup_id", "size", "weight", "ind_x", "ind_y")
 # Ids with a comma, a quote, a line break (LF and CRLF), multibyte UTF-8 and padding.
 SPLIT_IDS = ["a", "b,c", 'q"x', "two\nlines", "cr\r\nlf", "é字", " pad "]
