@@ -25,14 +25,19 @@ or pixels file (:func:`spreekit.io.load_households`,
 The split rule, for every one of them, library call or command: one range
 per CPU this process may run on (``os.sched_getaffinity``), fewer where a
 range would have less than the caller's fewest units, and one where the
-CPUs cannot be read, or while another thread is alive, whose locks a child
-would hold for good.  One range forks nothing; so a process pinned to one
+CPUs cannot be read, or while another Python thread is alive (started
+through ``threading`` or ``_thread``), whose locks a child would hold for
+good.  A thread that a C extension starts unseen by Python is not counted:
+the system's count of threads would also see numpy's OpenBLAS pool, which
+OpenBLAS stops itself at a fork, and so would keep every call from
+splitting.  One range forks nothing; so a process pinned to one
 CPU (``taskset -c 0``, ``os.sched_setaffinity``) works on every unit
 itself.  No output byte depends on the split.
 """
 
 from __future__ import annotations
 
+import _thread
 import contextlib
 import os
 import pickle
@@ -45,7 +50,8 @@ def split(n: int, fewest: int) -> list[int]:
     """Where each range of units ``0`` to ``n - 1`` starts, then ``n``, by
     the split rule above with at least ``fewest`` units a range; the later
     ranges take any extra unit."""
-    may_fork = threading.active_count() == 1 and hasattr(os, "sched_getaffinity")
+    alone = threading.active_count() == 1 and _thread._count() == 0
+    may_fork = alone and hasattr(os, "sched_getaffinity")
     processes = len(os.sched_getaffinity(0)) if may_fork else 1
     ranges = max(1, min(processes, n // fewest))
     return [n * k // ranges for k in range(ranges + 1)]
@@ -137,10 +143,12 @@ def forked(
         yield results()
     finally:
         # A child that has sent its result has nothing left to do; one
-        # still running is not needed once the caller has left.
+        # still running is not needed once the caller has left.  One that
+        # has ended is not signalled: where the caller ignores SIGCHLD the
+        # system has reaped it already, and its pid may be another's.
         for pid, stream in children:
             stream.close()
-            # Gone already where the caller ignores SIGCHLD.
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)

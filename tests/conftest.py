@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import _thread
 import contextlib
 import dataclasses
 import os
 import threading
+import time
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -27,16 +29,29 @@ def fixtures_dir() -> Path:
 
 
 @contextlib.contextmanager
-def another_thread_alive():
-    """A second thread, alive until the block ends."""
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
+def another_thread_alive(raw: bool = False):
+    """A second thread, alive until the block ends; with ``raw``, one
+    started through ``_thread``, which ``threading`` does not list."""
+    started, release = threading.Event(), threading.Event()
+
+    def run():
+        started.set()
+        release.wait()
+
+    before = _thread._count()
+    if raw:
+        _thread.start_new_thread(run, ())
+    else:
+        thread = threading.Thread(target=run)
+        thread.start()
+    started.wait()
     try:
         yield
     finally:
         release.set()
-        thread.join()
+        # A raw thread cannot be joined: wait until Python stops counting it.
+        while _thread._count() > before:
+            time.sleep(0.001)
 
 
 def fake_cpus(monkeypatch, n: int) -> None:

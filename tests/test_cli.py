@@ -13,7 +13,6 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -1755,8 +1754,7 @@ LIBRARY_CALLS = {
 
 @pytest.mark.parametrize("name", LIBRARY_CALLS)
 def test_a_library_call_gives_the_same_bits_split_or_not(monkeypatch, name):
-    """On one CPU, on four (where it forks) and where the CPUs cannot be
-    read, as on macOS and Windows (where it forks nothing)."""
+    """On one CPU, and on four, where it forks."""
     forks = lower_split_thresholds(monkeypatch)
     call = LIBRARY_CALLS[name]
     fake_cpus(monkeypatch, 1)
@@ -1765,16 +1763,6 @@ def test_a_library_call_gives_the_same_bits_split_or_not(monkeypatch, name):
     fake_cpus(monkeypatch, 4)
     assert report_bits(call()) == want
     assert forks
-    del forks[:]
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert report_bits(call()) == want
-    assert forks == []
-
-
-@pytest.mark.parametrize("name", LIBRARY_CALLS)
-def test_no_library_call_takes_a_process_count(name):
-    function = getattr(simulation if name == "run_simulation" else sio, name)
-    assert "processes" not in inspect.signature(function).parameters
 
 
 @pytest.mark.skipif(

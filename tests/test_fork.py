@@ -1,8 +1,10 @@
 """How work is split across forked processes and how a child's objects
 come back (``spreekit._fork``)."""
 
+import contextlib
 import os
 import pickle
+import signal
 import threading
 
 import numpy as np
@@ -83,13 +85,35 @@ def test_objects_arrive_equal_and_in_range_order():
     assert_no_child_left()
 
 
-def test_one_range_while_another_thread_is_alive(monkeypatch):
+@pytest.mark.parametrize("raw", [False, True], ids=["threading", "_thread"])
+def test_one_range_while_another_thread_is_alive(monkeypatch, raw):
     # A child would hold only the forking thread, and any lock another
-    # thread held, for good; so the caller works on every unit itself.
+    # thread held, for good; so the caller works on every unit itself.  A
+    # thread started through _thread is not in threading's list.
     fake_cpus(monkeypatch, 4)
-    with another_thread_alive():
+    with another_thread_alive(raw):
         assert split(50, 1) == [0, 50]
     assert split(50, 1) == [0, 12, 25, 37, 50]
+
+
+@pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN], ids=["default", "ignored"])
+def test_a_child_that_has_ended_is_not_signalled(monkeypatch, sigchld):
+    # Where SIGCHLD is ignored the system reaps a child as it ends, and its
+    # pid may soon be another process's.
+    pids, fork, kills = [], os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+    previous = signal.signal(signal.SIGCHLD, sigchld)
+    try:
+        with forked(lambda lo, hi: [lo], [0, 1, 2, 3], "units") as children:
+            assert [list(objects) for objects in children] == [[1], [2]]
+            for pid in pids:  # until each has ended, reaping none
+                with contextlib.suppress(ChildProcessError):
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(pids) == 2 and kills == []
+    assert_no_child_left()
 
 
 def test_an_object_a_child_cannot_pickle_is_its_error():
