@@ -151,6 +151,8 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         check_integer("replicates", self.replicates, 1)
         check_integer("seed", self.seed, 0)
+        if not -math.inf < self.aux_perturb_cv < math.inf:
+            raise ValueError("aux_perturb_cv must be finite")
         if self.aux_perturb_cv < 0:
             raise ValueError("aux_perturb_cv must be >= 0")
 
@@ -300,7 +302,10 @@ def resample_aux_margin(
     if isinstance(pool, MarginVector):
         if perturb_cv == 0:
             return pool
-        sigma = math.sqrt(math.log(1.0 + perturb_cv**2))
+        try:
+            sigma = math.sqrt(math.log(1.0 + perturb_cv**2))
+        except OverflowError:
+            raise ValueError(f"perturb_cv {perturb_cv!r} is too large to square") from None
         factors = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma, size=len(pool.ids))
         return pool._times(factors)
     if len(pool) == 0:

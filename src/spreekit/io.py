@@ -755,7 +755,8 @@ def save_by_year(
 ) -> None:
     rows = [(ident, str(year), value) for year in sorted(margins)
             for ident, value in zip(margins[year].ids, margins[year].values.tolist())]
-    write_text(path, csv_text(header, zip(*rows), "\r\n"))
+    columns = list(zip(*rows)) or [()] * len(header)  # no rows: empty columns, not none
+    write_text(path, csv_text(header, columns, "\r\n"))
 
 
 def load_pixels(path: str | Path) -> PixelTable:

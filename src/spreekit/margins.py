@@ -269,25 +269,18 @@ def distribute(large_totals: MarginVector, shares: ShareVector) -> MarginVector:
     Totals are matched by id; every large area with small areas needs one.
     Conservation is exact, not approximate: the values returned for the
     small areas of one large area sum back to its total in exact (not
-    merely floating-point) arithmetic.  ``shares`` keeps its last margin
-    for the same ``large_totals`` object: both are immutable, and the memo
-    holds its key, so that key's id cannot pass to another object.
+    merely floating-point) arithmetic.
     """
     if large_totals.level is not MarginLevel.LARGE_AREA:
         raise ValueError("large_totals must be a large-area margin")
-    memo = shares.__dict__.get("_distributed")
-    if memo is not None and memo[0] is large_totals:
-        return memo[1]
     groups = {l: p for l, p in shares._groups.items() if p.size}  # type: ignore[attr-defined]
     values = np.empty(len(shares.small_ids))
     for total, pos in zip(_totals_at(large_totals, list(groups)), groups.values()):
         values[pos] = _conserving_block(total, shares.shares[pos])
     # Values >= 0 that make up each group's finite total (_conserving_block).
-    margin = _adopted(
+    return _adopted(
         MarginVector, shares.small_ids, values, MarginLevel.SMALL_AREA, large_totals.reference_time
     )
-    object.__setattr__(shares, "_distributed", (large_totals, margin))
-    return margin
 
 
 def reconcile_margins(

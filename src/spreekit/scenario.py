@@ -15,6 +15,7 @@ shares moved a lot and loses to the fixed margin where they barely moved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,8 @@ class ScenarioConfig:
             for row in table:
                 if any(not 0 < v < 1 for v in row):
                     raise ValueError("poverty rates must lie strictly in (0, 1)")
+        if not -math.inf < self.aux_cv < math.inf:
+            raise ValueError("aux_cv must be finite")
         if self.aux_cv < 0:
             raise ValueError("aux_cv must be >= 0")
         lo, hi = self.aux_bias_range
@@ -206,7 +209,10 @@ def build_scenario(cfg: ScenarioConfig) -> SimulationPlan:
         signs = np.where(np.arange(len(area_ids)) % 2 == 0, 1.0, -1.0)
         distortion = 1.0 + signs * magnitudes
         if cfg.aux_cv > 0:
-            sigma = float(np.sqrt(np.log(1.0 + cfg.aux_cv**2)))
+            try:
+                sigma = float(np.sqrt(np.log(1.0 + cfg.aux_cv**2)))
+            except OverflowError:
+                raise ValueError(f"aux_cv {cfg.aux_cv!r} is too large to square") from None
             noise = rng.lognormal(
                 mean=-0.5 * sigma**2,
                 sigma=sigma,

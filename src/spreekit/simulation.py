@@ -14,11 +14,11 @@ randomness.
 
 Shares are built once and reused wherever the result cannot differ: the
 fixed shares once per round (the hybrid margin reuses them) and the
-dynamic shares once per aux-pool entry, each of which keeps the margin
-:func:`~spreekit.margins.distribute` spreads the large-area totals into.
-Each truth keeps its census proportions (:func:`replicate_census`).  A
-build that fails is not kept, so every strategy and round that needs it
-records the same failure.
+dynamic shares once per aux-pool entry, held by the run, not by the plan.
+A build that fails is not kept, so every strategy and round that needs it
+records the same failure.  Nothing is written onto the plan: each update
+spreads the large-area totals afresh, and each census redraw computes its
+truth's proportions afresh.
 
 Means over rounds are the sum over the round count, the arithmetic of
 ``np.mean``, and the per-area mean over categories is
@@ -120,15 +120,11 @@ def quartile_grouping(change_scores: Sequence[float]) -> np.ndarray:
 def replicate_census(truth: Composition, rng: np.random.Generator) -> Composition:
     """Redraw a census: Poisson row totals with the truth's as means, then a
     multinomial split per area (:func:`spreekit.bootstrap._redraw_census`).
-    Zero-total rows stay zero.  The row totals and proportions are computed
-    on the first call for ``truth`` and kept on it.
+    Zero-total rows stay zero.  The truth's row totals and proportions are
+    computed on each call.
     """
-    draw = truth.__dict__.get("_census_draw")
-    if draw is None:
-        draw = (truth.counts.sum(axis=1), *_census_proportions(truth.counts))
-        object.__setattr__(truth, "_census_draw", draw)
     # Poisson totals split multinomially: whole numbers >= 0, in a new array.
-    counts = _redraw_census(rng, *draw)
+    counts = _redraw_census(rng, truth.counts.sum(axis=1), *_census_proportions(truth.counts))
     return _adopted(Composition, truth.area_ids, truth.category_ids, counts, truth.reference_time)
 
 

@@ -2,16 +2,17 @@
 
 Builds the small-area row margin from large-area totals and shares,
 reconciles it with the survey column margin, rakes the census seed to both,
-and packages the fitted table with provenance (shares mode, scaling factor,
-config digest) so fixed, dynamic, and hybrid runs stay distinguishable
-downstream.
+and returns the fitted table with the request it came from.  Its provenance
+(shares mode, scaling factor, config digest), which keeps fixed, dynamic,
+and hybrid runs distinguishable downstream, is built from them each time it
+is read; an update writes nothing onto its request.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from spreekit.composition import Composition, MarginVector
 from spreekit.ipf import IpfConfig, IpfResult, ipf_fit
@@ -54,12 +55,26 @@ class UpdateResult:
     row_margin_used: MarginVector
     col_margin_used: MarginVector
     ipf: IpfResult
-    provenance: dict[str, object] = field(default_factory=dict)
+    request: UpdateRequest
+    reconcile_factor: float
 
+    @property
+    def provenance(self) -> dict[str, object]:
+        """How the fit was produced, built afresh on each read."""
+        from spreekit import __version__
 
-# Config digests by the repr of the hashed values: 1 and 1.0, or 0.0 and
-# -0.0, compare equal but JSON writes them differently.
-_digests: dict[str, str] = {}
+        req = self.request
+        return {
+            "shares_mode": req.shares.provenance,
+            "reconcile_policy": req.reconcile_policy,
+            "reconcile_factor": self.reconcile_factor,
+            "zero_mode": req.ipf_config.zero_mode,
+            "config_digest": _config_digest(req),
+            "target_time": self.row_margin_used.reference_time,
+            "seed_time": req.seed.reference_time,
+            "converged": self.ipf.converged,
+            "library_version": __version__,
+        }
 
 
 def _config_digest(req: UpdateRequest) -> str:
@@ -71,20 +86,11 @@ def _config_digest(req: UpdateRequest) -> str:
         "reconcile_policy": req.reconcile_policy,
         "shares_provenance": req.shares.provenance,
     }
-    key = repr(list(cfg.values()))
-    digest = _digests.get(key)
-    if digest is None:
-        if len(_digests) >= 256:
-            _digests.clear()
-        blob = json.dumps(cfg, sort_keys=True).encode()
-        digest = _digests[key] = hashlib.sha256(blob).hexdigest()[:16]
-    return digest
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def spree_update(req: UpdateRequest) -> UpdateResult:
     """Run one update: distribute totals, reconcile margins, rake the seed."""
-    from spreekit import __version__
-
     try:
         row = distribute(req.large_totals, req.shares)
     except Exception as e:
@@ -97,16 +103,4 @@ def spree_update(req: UpdateRequest) -> UpdateResult:
         result = ipf_fit(req.seed, row, col, req.ipf_config)
     except Exception as e:
         raise UpdateError("ipf", str(e)) from e
-
-    provenance = {
-        "shares_mode": req.shares.provenance,
-        "reconcile_policy": req.reconcile_policy,
-        "reconcile_factor": factor,
-        "zero_mode": req.ipf_config.zero_mode,
-        "config_digest": _config_digest(req),
-        "target_time": row.reference_time,
-        "seed_time": req.seed.reference_time,
-        "converged": result.converged,
-        "library_version": __version__,
-    }
-    return UpdateResult(result.fitted, row, col, result, provenance)
+    return UpdateResult(result.fitted, row, col, result, req, factor)

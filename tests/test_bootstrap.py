@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import sys
 import threading
@@ -346,6 +347,11 @@ class TestAuxResample:
     def test_zero_cv_returns_input_unchanged(self):
         base = MarginVector(("a1",), np.array([5.0]), MarginLevel.SMALL_AREA)
         assert resample_aux_margin(base, rngmod.stream(9, 0), perturb_cv=0.0) is base
+
+    def test_a_cv_too_large_to_square_is_rejected(self):
+        base = MarginVector(("a1",), np.array([5.0]), MarginLevel.SMALL_AREA)
+        with pytest.raises(ValueError, match=r"^perturb_cv 1e\+200 is too large to square$"):
+            resample_aux_margin(base, rngmod.stream(9, 0), perturb_cv=1e200)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -949,12 +955,15 @@ def _design(value=(1.0, 3.0), category=("poor", "non-poor")):
     "build, message",
     [
         (lambda: BootstrapConfig(aux_perturb_cv=-0.01), "aux_perturb_cv must be >= 0"),
+        (lambda: BootstrapConfig(aux_perturb_cv=math.nan), "aux_perturb_cv must be finite"),
+        (lambda: BootstrapConfig(aux_perturb_cv=math.inf), "aux_perturb_cv must be finite"),
+        (lambda: BootstrapConfig(aux_perturb_cv=-math.inf), "aux_perturb_cv must be finite"),
         (lambda: _design((), ()), "empty survey design"),
         (lambda: _design((1.0, -1.0)), "design values must be finite and non-negative"),
         (lambda: _design((1.0, np.nan)), "design values must be finite and non-negative"),
         (lambda: _design((1.0, np.inf)), "design values must be finite and non-negative"),
     ],
-    ids=["negative-cv", "empty-design", "negative-value", "nan-value", "inf-value"],
+    ids=["negative-cv", "nan-cv", "inf-cv", "minus-inf-cv", "empty-design", "negative-value", "nan-value", "inf-value"],
 )
 def test_bad_config_and_design_values_are_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -202,6 +202,64 @@ class TestUpdate:
         assert len(manifest["config_digest"]) == 64
         assert manifest["library_version"]
 
+    @pytest.mark.parametrize(
+        "mode, want",
+        [
+            (
+                "fixed",
+                {
+                    "fitted.csv": "09139e5d6cad7af1a304036e5f464057a0ce20dd85bf7499a486923b6720f244",
+                    "manifest.json": "81b5fd9b8434ccb0fc36946f61ce99916efaa6749cf9b0cc571356681ed4a7f5",
+                    "provenance.json": "cf092650e0bab6f68a3622b84d7128e9982df80ca15110c1ccdeb7ee644d95ff",
+                },
+            ),
+            (
+                "dynamic",
+                {
+                    "fitted.csv": "db8861b1074319429c07317f61f343283b12bb0c7f118c21b44bafc443a0d932",
+                    "manifest.json": "4fea85c7c06dfdb10c22e34e8283c53bdeed570de65859838ace1f71d275e9ec",
+                    "provenance.json": "5cfee13c2541ce7c91764336972fa0bae4c6b4ce87fba3494bc77010a54611ce",
+                },
+            ),
+            (
+                "hybrid",
+                {
+                    "fitted.csv": "799d819afab0ae2a115ff97b186e505c6cfeef80233fe97fbea8c7c91b652cdf",
+                    "manifest.json": "8e322af438e2e4743ff94b0353c4bfe806ec7d9abd48d01ba5019cda4d95bcd3",
+                    "provenance.json": "ffb19273b9d7f9a90a277c88f179ba49e60a02fbc5f178e47e1ba07dfb79044d",
+                },
+            ),
+        ],
+    )
+    def test_golden_output_digests(self, tmp_path, monkeypatch, mode, want):
+        # Recorded while spree_update still built the provenance dict and
+        # cached config digests; every byte, manifest included, must stay
+        # the same.  The relative input paths are part of the manifest, so
+        # the run starts in the repo root.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        monkeypatch.chdir(FIXTURES.parent)
+        mini = "fixtures/mini"
+        argv = [
+            "update",
+            "--seed", f"{mini}/census2002.csv",
+            "--col-margin", f"{mini}/survey_margin.csv",
+            "--projections", f"{mini}/projections.csv",
+            "--hierarchy", f"{mini}/hierarchy.csv",
+            "--shares-mode", mode,
+            "--year", "2013",
+            "--unit", "persons",
+            "--out", tmp_path,
+        ]
+        if mode != "fixed":
+            argv += ["--aux", f"{mini}/aux.csv"]
+        code, _, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())
+        }
+        assert digests == want
+
     def test_hybrid_mode_runs(self, tmp_path):
         code, _, err = run_cli(*update_argv(tmp_path, mode="hybrid", aux=MINI / "aux.csv"))
         assert code == 0, err
@@ -732,11 +790,15 @@ class TestValidate:
                 "poverty rates must lie strictly in (0, 1)",
             ),
             ({"aux_cv": -0.1}, "aux_cv must be >= 0"),
+            ({"aux_cv": math.nan}, "aux_cv must be finite"),
+            ({"aux_cv": math.inf}, "aux_cv must be finite"),
+            ({"aux_cv": -math.inf}, "aux_cv must be finite"),
             ({"aux_bias_range": [0.05, 0.025]}, "aux_bias_range must satisfy 0 <= lo <= hi"),
         ],
         ids=["ipf_config", "persons_per_psu", "psus_per_region",
              "region_populations", "region_growth", "regions-per-row", "areas-per-row",
-             "share-sum", "poverty-rate", "aux_cv", "aux_bias_range"],
+             "share-sum", "poverty-rate", "aux_cv", "aux_cv-nan", "aux_cv-inf", "aux_cv-minus-inf",
+             "aux_bias_range"],
     )
     def test_bad_scenario_config_is_data_error(self, tmp_path, scenario, message):
         plan = tmp_path / "plan.json"
@@ -1518,6 +1580,38 @@ class TestErrorsAndExitCodes:
         assert json.loads(err) == {
             "error": "ValueError", "message": "quantile_cutoff must lie in (0, 1)",
         }
+
+    @pytest.mark.parametrize("cv", [1e200, 10**400], ids=["float", "json-integer"])
+    def test_an_aux_cv_too_large_to_square_is_data_error(self, tmp_path, cv):
+        """A finite CV past the square root of the float range; a JSON
+        integer that large cannot even be made a float."""
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"scenario": {"replicates": 2, "aux_cv": cv}}))
+        code, out, err = run_cli("validate", "--plan", path, "--out", tmp_path / "out")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "IngestError", "message": f"{path}: aux_cv {cv!r} is too large to square",
+        }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cv, message",
+        [
+            ("nan", "aux_perturb_cv must be finite"),
+            ("inf", "aux_perturb_cv must be finite"),
+            ("-inf", "aux_perturb_cv must be finite"),
+            ("1e200", "perturb_cv 1e+200 is too large to square"),
+        ],
+    )
+    def test_a_bad_aux_perturb_cv_is_data_error(self, tmp_path, cv, message):
+        """Without ``--aux-pool`` the point margin is perturbed by the CV."""
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(*bootstrap_argv(out_dir), f"--aux-perturb-cv={cv}")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "argv, edit, error",

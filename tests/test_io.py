@@ -306,6 +306,20 @@ class TestByYear:
             assert back[year].reference_time == year
             np.testing.assert_array_equal(back[year].values, m.values)
 
+    @pytest.mark.parametrize(
+        "load, header",
+        [
+            (sio.load_projections, ("large_id", "year", "population")),
+            (sio.load_aux_populations, ("small_id", "year", "population")),
+        ],
+        ids=["projections", "aux"],
+    )
+    def test_an_empty_mapping_round_trips(self, tmp_path, load, header):
+        p = tmp_path / "by_year.csv"
+        sio.save_by_year(p, {}, header)
+        assert p.read_bytes() == ",".join(header).encode() + b"\r\n"
+        assert load(p) == {}
+
     def test_aux_fixture(self):
         aux = sio.load_aux_populations(FIXTURES / "mini" / "aux.csv")
         assert list(aux) == [2013]

@@ -1,7 +1,6 @@
 import math
 import os
 import re
-import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -508,6 +507,19 @@ class TestRunSimulation:
         assert np.all(first != truth)
         np.testing.assert_allclose(first / truth, 1.0, atol=ScenarioConfig().aux_bias_range[1])
 
+    @pytest.mark.parametrize("cv", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_aux_cv_is_rejected(self, cv):
+        # NaN used to pass the sign check and draw no noise, as 0 does.
+        with pytest.raises(ValueError, match="^aux_cv must be finite$"):
+            ScenarioConfig(aux_cv=cv)
+
+    def test_an_aux_cv_too_large_to_square_fails_the_build(self):
+        cfg = ScenarioConfig(replicates=2, aux_cv=1e200, aux_pool_size=3)
+        with pytest.raises(ValueError, match=r"^aux_cv 1e\+200 is too large to square$"):
+            build_scenario(cfg)
+        # The exact pool draws no noise, so the CV is not used.
+        build_scenario(replace(cfg, aux_exact=True))
+
     def test_exact_aux_pool_zeroes_dynamic_share_error(self):
         cfg = ScenarioConfig(replicates=6, aux_exact=True, seed=4)
         rep = run_simulation(build_scenario(cfg))
@@ -996,18 +1008,10 @@ def test_partly_failed_strategies_match_stacked_rounds(monkeypatch):
         assert same_bits(m.headcount_rmse, simulation._nd_rmse(est_h, tru_h))
 
 
-def test_runs_in_one_process_carry_no_state(monkeypatch):
+def test_runs_in_one_process_carry_no_state():
     """Runs on reused plan objects, and on a second plan that shares the
     first's large-area totals and hierarchy, report the bits of runs on
-    fresh objects.  Each truth's census proportions are computed once,
-    however many rounds redraw it."""
-    proportions, calls = simulation._census_proportions, []
-
-    def counted(counts):
-        calls.append(None)
-        return proportions(counts)
-
-    monkeypatch.setattr(simulation, "_census_proportions", counted)
+    fresh objects."""
     cfg_a = migration_shock_config(replicates=6)
     cfg_b = migration_shock_config(replicates=6, seed=cfg_a.seed + 1)
 
@@ -1018,47 +1022,34 @@ def test_runs_in_one_process_carry_no_state(monkeypatch):
 
     plan_a = build_scenario(cfg_a)
     first = report_bits(run_simulation(plan_a))
-    assert len(calls) == 2
     second = report_bits(run_simulation(plan_a))
-    assert len(calls) == 2
     shared = report_bits(run_simulation(plan_b(plan_a)))
-    assert len(calls) == 4
     third = report_bits(run_simulation(plan_a))
-    assert len(calls) == 4
     assert first == second == third == report_bits(run_simulation(build_scenario(cfg_a)))
     assert shared == report_bits(run_simulation(plan_b(build_scenario(cfg_a))))
     assert shared != first
 
 
 def test_dynamic_margin_is_built_once_per_pool_entry(monkeypatch):
-    """Every round that uses a pool entry gets that entry's one distributed
-    margin, and a run that spreads the totals afresh for every update
-    reports the same bits."""
+    """Every round that uses a pool entry gets that entry's one share
+    vector, and so a margin with the same bits; a second run reports the
+    same bits."""
     plan = build_scenario(migration_shock_config(replicates=7))
     plan = replace(plan, aux_pool=plan.aux_pool[:3])
-    real_update, rows = simulation.spree_update, []
+    real_update, shares, rows = simulation.spree_update, [], []
 
     def update(req):
         res = real_update(req)
         if req.shares.provenance == "dynamic-auxiliary":
-            rows.append(res.row_margin_used)
+            shares.append(req.shares)
+            rows.append(res.row_margin_used.values.tobytes())
         return res
 
     monkeypatch.setattr(simulation, "spree_update", update)
-    memoised = report_bits(run_simulation(plan))
-    assert len(rows) == 7 and len({id(r) for r in rows}) == 3
-    assert all(rows[r] is rows[r % 3] for r in range(7))
-
-    real_distribute = sys.modules["spreekit.update"].distribute
-
-    def afresh(large_totals, shares):
-        shares.__dict__.pop("_distributed", None)
-        return real_distribute(large_totals, shares)
-
-    monkeypatch.setattr(sys.modules["spreekit.update"], "distribute", afresh)
-    rows.clear()
-    assert report_bits(run_simulation(plan)) == memoised
-    assert len({id(r) for r in rows}) == 7
+    first = report_bits(run_simulation(plan))
+    assert len(shares) == 7 and len({id(sv) for sv in shares}) == 3
+    assert all(shares[r] is shares[r % 3] and rows[r] == rows[r % 3] for r in range(7))
+    assert report_bits(run_simulation(plan)) == first
 
 
 def partly_failing_plan(replicates: int) -> SimulationPlan:

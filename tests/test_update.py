@@ -19,7 +19,6 @@ from spreekit import (
     spree_update,
 )
 from spreekit.margins import ShareVector
-from spreekit import update
 from spreekit.update import _config_digest
 
 from conftest import make_composition, random_positive_table, two_region_hierarchy
@@ -168,18 +167,13 @@ def test_provenance_fields():
     assert other.provenance["config_digest"] != prov["config_digest"]
 
 
-def test_config_digest_cache_is_cleared_at_256_entries(monkeypatch):
-    monkeypatch.setattr(update, "_digests", {})
+def test_config_digest_is_the_same_on_every_call():
     census = make_composition([[10.0, 10.0], [10.0, 10.0]])
     h = two_region_hierarchy(2)
     reqs = [self_request(census, h, ipf_config=IpfConfig(max_iterations=k)) for k in range(1, 258)]
-    digests = [_config_digest(req) for req in reqs[:256]]
-    assert len(update._digests) == 256
-    # The 257th configuration clears the cache; its entries then come back unchanged.
-    last = _config_digest(reqs[256])
-    assert len(update._digests) == 1
-    assert [_config_digest(req) for req in reqs[:256]] == digests
-    assert len(set(digests + [last])) == 257
+    digests = [_config_digest(req) for req in reqs]
+    assert [_config_digest(req) for req in reqs] == digests
+    assert len(set(digests)) == 257
 
 
 def test_config_digest_pins_its_six_fields():
