@@ -15,12 +15,13 @@ its type, message and attributes.  Every child is killed if still running
 and reaped on every path: a return, an error, an interrupt, or a generator
 closed before its end.
 
-Three callers split their work this way, each naming its unit and its
+Four callers split their work this way, each naming its unit and its
 fewest units a process: ``validate``'s rounds
 (:func:`spreekit.simulation.run_simulation`), the rows of a CSV output
-(:func:`spreekit.io.csv_text`), and the byte ranges of a large households
+(:func:`spreekit.io.csv_text`), the byte ranges of a large households
 or pixels file (:func:`spreekit.io.load_households`,
-:func:`spreekit.io.load_pixels`).
+:func:`spreekit.io.load_pixels`), and ``aggregate``'s areas
+(:func:`spreekit.geo.aggregate_pixels`).
 
 The split rule, for every one of them, library call or command: one range
 per CPU this process may run on (``os.sched_getaffinity``), fewer where a

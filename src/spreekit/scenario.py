@@ -123,6 +123,8 @@ class ScenarioConfig:
             raise ValueError("aux_cv must be finite")
         if self.aux_cv < 0:
             raise ValueError("aux_cv must be >= 0")
+        if not all(-math.inf < v < math.inf for v in self.aux_bias_range):
+            raise ValueError("aux_bias_range must be finite")
         lo, hi = self.aux_bias_range
         if not 0 <= lo <= hi:
             raise ValueError("aux_bias_range must satisfy 0 <= lo <= hi")

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spreekit import AreaHierarchy, Composition, Households, MpiProfile, compute_mpi
-from spreekit import bootstrap, mpi, rng as rngmod, simulation
+from spreekit import bootstrap, geo, mpi, rng as rngmod, simulation
 from spreekit import io as sio
 from spreekit.cli import main
 from spreekit.mpi import MpiResult, _measures
@@ -794,11 +794,12 @@ class TestValidate:
             ({"aux_cv": math.inf}, "aux_cv must be finite"),
             ({"aux_cv": -math.inf}, "aux_cv must be finite"),
             ({"aux_bias_range": [0.05, 0.025]}, "aux_bias_range must satisfy 0 <= lo <= hi"),
+            ({"aux_bias_range": [0.0, math.inf]}, "aux_bias_range must be finite"),
         ],
         ids=["ipf_config", "persons_per_psu", "psus_per_region",
              "region_populations", "region_growth", "regions-per-row", "areas-per-row",
              "share-sum", "poverty-rate", "aux_cv", "aux_cv-nan", "aux_cv-inf", "aux_cv-minus-inf",
-             "aux_bias_range"],
+             "aux_bias_range", "aux_bias_range-inf"],
     )
     def test_bad_scenario_config_is_data_error(self, tmp_path, scenario, message):
         plan = tmp_path / "plan.json"
@@ -1827,6 +1828,7 @@ def lower_split_thresholds(monkeypatch) -> list:
     """Lower every split threshold, so that each call below forks on two
     CPUs; and give the list that gets an entry at each fork."""
     monkeypatch.setattr(simulation, "_ROUNDS_PER_PROCESS", 1)
+    monkeypatch.setattr(geo, "_AREAS_PER_PROCESS", 1)
     monkeypatch.setattr(sio, "_BLOCK_ROWS", 1)
     monkeypatch.setattr(sio, "_ROWS_PER_PROCESS", 2)
     monkeypatch.setattr(sio, "_BYTES_PER_PROCESS", 64)
@@ -1835,7 +1837,13 @@ def lower_split_thresholds(monkeypatch) -> list:
     return forks
 
 
-# The four library calls that split, each called with its defaults.
+# The two areas and 100 pixels that aggregate_pixels splits, read once.
+AGGREGATE_INPUTS = (
+    sio.load_pixels(FIXTURES / "pixels10.csv"),
+    sio.load_polygons(FIXTURES / "polygons_vertical.geojson"),
+)
+
+# The five library calls that split, each called with its defaults.
 LIBRARY_CALLS = {
     "run_simulation": lambda: simulation.run_simulation(
         sio.load_plan(FIXTURES / "mini_plan.json")
@@ -1843,6 +1851,7 @@ LIBRARY_CALLS = {
     "csv_text": lambda: list(sio.csv_text(("id",), [list("abcdefgh")], "\n")),
     "load_households": lambda: sio.load_households(FIXTURES / "households3.csv"),
     "load_pixels": lambda: sio.load_pixels(FIXTURES / "pixels10.csv"),
+    "aggregate_pixels": lambda: geo.aggregate_pixels(*AGGREGATE_INPUTS),
 }
 
 
@@ -1863,7 +1872,7 @@ def test_a_library_call_gives_the_same_bits_split_or_not(monkeypatch, name):
     sys.version_info < (3, 12), reason="Python warns of a multi-threaded fork from 3.12 on"
 )
 def test_no_command_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
-    """One run each of the four forking commands and of the four library
+    """One run each of the four forking commands and of the five library
     calls that split, called with their defaults, on four CPUs and with
     every split threshold lowered so that each forks.  Python 3.12 and
     later warn at a fork while another thread is alive ("This process ...

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import tracemalloc
 
@@ -10,7 +11,7 @@ from spreekit import AreaPolygonSet, PixelTable, aggregate_pixels, area_contains
 from spreekit import geo
 from spreekit import io as sio
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fake_cpus, report_bits
 
 
 def grid_pixels():
@@ -88,6 +89,28 @@ def reference_aggregate(px, polys):
         assignment[np.flatnonzero(open_mask)[hit]] = pos
     sums = np.array([px.value[assignment == pos].sum() for pos in range(len(ordered))])
     return assignment, sums
+
+
+def aggregate_on(cpus, px, polys):
+    """``aggregate_pixels`` with one area a range on ``cpus`` faked CPUs;
+    on more than one it must fork a child for each range but the first and
+    give every bit that one CPU gives."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "_AREAS_PER_PROCESS", 1)
+        fake_cpus(mp, 1)
+        alone = aggregate_pixels(px, polys)
+        if cpus == 1:
+            return alone
+        fake_cpus(mp, cpus)
+        forks, fork = [], os.fork
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        split = aggregate_pixels(px, polys)
+    assert len(forks) == min(cpus, len(polys.area_ids)) - 1
+    assert report_bits(split) == report_bits(alone)
+    return split
+
+
+CPUS = pytest.mark.parametrize("cpus", [1, 4], ids=["one_cpu", "four_cpus"])
 
 
 def closed(points):
@@ -224,9 +247,10 @@ class TestMatchesPerEdgeOracle:
         agg = aggregate_pixels(PixelTable([lon], [lat], [1.0]), polys)
         assert agg.area_index.tolist() == [0]
 
+    @CPUS
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(st.data())
-    def test_random_jittered_polygons(self, data):
+    @given(data=st.data())
+    def test_random_jittered_polygons(self, cpus, data):
         # Offsets up to 1e6 degrees scale the rounding of the crossings.
         shift = data.draw(st.sampled_from([0.0, 16.25, -179.9, 1e6]))
         polys = AreaPolygonSet({
@@ -239,7 +263,7 @@ class TestMatchesPerEdgeOracle:
         for polygons in polys.polygons.values():
             got = area_contains(lon, lat, polygons)
             np.testing.assert_array_equal(got, reference_contains(lon, lat, polygons))
-        agg = aggregate_pixels(px, polys)
+        agg = aggregate_on(cpus, px, polys)
         assignment, sums = reference_aggregate(px, polys)
         np.testing.assert_array_equal(agg.area_index, assignment)
         assert agg.margin.values.tobytes() == sums.tobytes()
@@ -330,9 +354,10 @@ def masked_sums(values, assignment, n_areas):
 
 
 class TestAreaSums:
+    @CPUS
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.integers(1, 12), st.integers(0, 3000), st.integers(0, 2**32 - 1))
-    def test_equal_the_masked_sums_bitwise(self, n_areas, n_pixels, seed):
+    @given(n_areas=st.integers(1, 12), n_pixels=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_equal_the_masked_sums_bitwise(self, cpus, n_areas, n_pixels, seed):
         # Unit squares two apart, so pixels between them stay unassigned;
         # a square far from the pixels leaves its area empty.
         rng = np.random.default_rng(seed)
@@ -344,7 +369,7 @@ class TestAreaSums:
         lon = rng.uniform(-0.5, 2.0 * n_areas, n_pixels)
         lat = rng.uniform(-0.2, 1.2, n_pixels)
         values = rng.uniform(0.0, 1.0, n_pixels) * 10.0 ** rng.uniform(-3.0, 6.0, n_pixels)
-        agg = aggregate_pixels(PixelTable(lon, lat, values), polys)
+        agg = aggregate_on(cpus, PixelTable(lon, lat, values), polys)
         want = masked_sums(values, agg.area_index, n_areas)
         assert agg.margin.values.tobytes() == want.tobytes()
         assert agg.unassigned_count == int((agg.area_index < 0).sum())
@@ -511,13 +536,14 @@ class TestAggregation:
         assert m["north"] == rectangle_oracle(px, 0, 5, 10, 10)
         assert m["south"] + m["north"] == px.value.sum()
 
-    def test_boundary_pixels_go_to_first_area_in_id_order(self):
+    @CPUS
+    def test_boundary_pixels_go_to_first_area_in_id_order(self, cpus):
         # Pixels exactly on the shared edge x = 1 of two abutting squares.
         left = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         right = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
         polys = AreaPolygonSet({"a": ((left,),), "b": ((right,),)})
         px = PixelTable([1.0], [0.5], [7.0])
-        agg = aggregate_pixels(px, polys)
+        agg = aggregate_on(cpus, px, polys)
         # Ray casting puts an on-edge point in exactly one square here; the
         # sweep order (sorted ids) makes the outcome reproducible.
         assert agg.unassigned_count == 0
@@ -539,15 +565,36 @@ class TestAggregation:
         assert agg2.unassigned_mass == 6.0
         assert agg2.margin.as_dict() == {"only": 90.0}
 
-    def test_overlapping_areas_resolve_by_id_order(self):
+    @CPUS
+    def test_overlapping_areas_resolve_by_id_order(self, cpus):
+        # On four CPUs each area is a range of its own: the pixel is claimed
+        # on both sides of the cut.
         big = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0], [0.0, 0.0]])
         polys = AreaPolygonSet({"z_first": ((big,),), "a_first": ((big,),)})
         px = PixelTable([2.0], [2.0], [5.0])
-        agg = aggregate_pixels(px, polys)
+        agg = aggregate_on(cpus, px, polys)
         # Sorted id order puts "a_first" before "z_first".
         assert agg.margin.ids == ("a_first", "z_first")
         assert agg.margin.as_dict() == {"a_first": 5.0, "z_first": 0.0}
 
+
+    @CPUS
+    def test_the_first_range_to_claim_a_pixel_owns_it(self, cpus):
+        # On four CPUs each area is a range of its own.  The caller's range,
+        # "a_far", holds no pixel; the pixel at (1, 1) lies in the next two
+        # ranges, each a child's, and goes to the first of them.
+        big = closed([(0, 0), (2, 0), (2, 2), (0, 2)])
+        polys = AreaPolygonSet({
+            "a_far": ((closed([(50, 50), (51, 50), (51, 51), (50, 51)]),),),
+            "c_big": ((big,),),
+            "b_big": ((big,),),
+            "d_east": ((closed([(3, 0), (4, 0), (4, 1), (3, 1)]),),),
+        })
+        px = PixelTable([1.0, 3.5, 9.0], [1.0, 0.5, 9.0], [5.0, 3.0, 0.25])
+        agg = aggregate_on(cpus, px, polys)
+        assert agg.area_index.tolist() == [1, 3, -1]
+        assert agg.margin.as_dict() == {"a_far": 0.0, "b_big": 5.0, "c_big": 0.0, "d_east": 3.0}
+        assert (agg.unassigned_count, agg.unassigned_mass) == (1, 0.25)
 
 class TestPixelTable:
     def test_from_rows_and_len(self):
