@@ -9,7 +9,10 @@ line; in a line with several faults, the check the loader states first),
 and no later block is read; a fault of the built object as a whole names
 the file only.  Fields may be CSV-quoted and are stripped of surrounding
 whitespace.  Numbers and flags are converted from the raw text; a stripped
-copy is made only when the raw text is rejected.
+copy is made only when the raw text is rejected.  A pixels file is first
+parsed by numpy's text reader (:func:`_numbers`), which takes only plain
+numbers, to the same bits; the csv path reads any other file, and names
+any fault.
 
 Memory: a load holds the object it returns, one block of rows and, where
 keys must be unique, the keys read so far; the object's own constructor
@@ -20,7 +23,9 @@ and :func:`load_pixels` read a large file's byte ranges in forked children
 by the split rule of :mod:`spreekit._fork` (:func:`_load`); each child
 holds its range's parsed blocks until it sends them, and this process
 takes one block from them at a time.  The object and any error are those
-of one process.
+of one process.  numpy's reader holds each range's rows whole, a child
+until it has sent them; this process joins the ranges' rows into one array
+(one range is not copied), whose columns the table views.
 
 Every CSV spreekit writes has one dialect, :func:`csv_text`: float columns
 as ``repr`` of Python floats (so save then load is an identity), other
@@ -57,6 +62,7 @@ import csv
 import io
 import json
 import os
+import sys
 from array import array
 from fractions import Fraction
 from itertools import islice, repeat
@@ -105,18 +111,36 @@ def _fail(path: Path, line: int, message: str) -> None:
 
 
 class _Span(io.RawIOBase):
-    """A raw binary file read from where it stands up to byte ``end``."""
+    """A raw binary file read 8 KiB at most at a time, from where it stands
+    up to byte ``end``, or to its end where ``end`` is None.  ``lines``
+    counts the lines read, a last one without ``\\n`` too; it is None after
+    a whole read with no ``\\n``, as a line that long may hold a field longer
+    than the ``csv`` module takes (:func:`csv.field_size_limit`)."""
 
-    def __init__(self, raw: io.RawIOBase, end: int) -> None:
-        self.raw, self.left = raw, end - raw.tell()
+    ends: int | None = 0
+    tail = False  # whether the last byte read is not \n
+
+    def __init__(self, raw: io.RawIOBase, end: int | None) -> None:
+        self.raw, self.left = raw, (sys.maxsize if end is None else end) - raw.tell()
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        n = self.raw.readinto(memoryview(buffer)[: max(self.left, 0)])
+        view = memoryview(buffer)[: min(max(self.left, 0), 1 << 13)]
+        n = self.raw.readinto(view)
         self.left -= n
+        chunk = view[:n].tobytes()
+        ends = chunk.count(b"\n")
+        if self.ends is not None:
+            self.ends = None if n == len(view) > 0 and not ends else self.ends + ends
+        if n:
+            self.tail = chunk[-1] != ord("\n")
         return n
+
+    @property
+    def lines(self) -> int | None:
+        return None if self.ends is None else self.ends + self.tail
 
 
 def _csv_blocks(path: Path, lo: int = 0, hi: int | None = None) -> Iterator[list[list[str]]]:
@@ -153,11 +177,11 @@ def _csv_blocks(path: Path, lo: int = 0, hi: int | None = None) -> Iterator[list
         _fail(path, done + len(block) + 1, str(e))
 
 
-def _bounds(path: Path) -> list[int]:
+def _bounds(path: Path) -> list[int | None]:
     """Where the file's byte ranges start, then its size: the ranges of at
     least :data:`_BYTES_PER_PROCESS` bytes :func:`~spreekit._fork.split`
-    gives, each cut moved to just after the next ``\\n``.  ``[0]`` for one
-    range."""
+    gives, each cut moved to just after the next ``\\n``.  ``[0, None]``
+    for one range."""
     with contextlib.suppress(OSError):
         size = os.stat(path).st_size
         bounds = split(size, _BYTES_PER_PROCESS)
@@ -169,7 +193,7 @@ def _bounds(path: Path) -> list[int]:
                     f.readline()
                     cuts.add(min(f.tell(), size))
             return sorted(cuts)
-    return [0]
+    return [0, None]
 
 
 def _quoted(text: str) -> str:
@@ -443,6 +467,52 @@ def _load(path: Path, expected: str, begin: Callable[[list[str]], _Begun]) -> An
         with contextlib.suppress(IngestError, UnicodeDecodeError, ChildProcessError):
             return _load_ranges(path, expected, begin, bounds)
     return _load_ranges(path, expected, begin, [0, None])
+
+
+def _numbers(path: Path, header: Sequence[str], bounds: list[int | None]) -> np.ndarray | None:
+    """The file's data rows parsed by numpy, as a view with one row a
+    column of the file; or None, where the csv path must read it
+    (:func:`_load`).
+
+    Each byte range of ``bounds`` is parsed as it is read by one
+    ``np.loadtxt`` call, in a child forked for each range but the first as
+    in :func:`_load`.  The rows are taken only under ``header`` and where
+    each line of every range gives one row of ``len(header)`` numbers (numpy
+    skips a blank line, which the csv path rejects); an empty range, any
+    error or a lost child gives None.  numpy rejects a quote, ``_``, a
+    non-ASCII digit and a lone ``\\r``, and converts as ``float`` does, with
+    ``PyOS_string_to_double``, so every value taken has the csv path's bits."""
+    first = ",".join(header).encode()
+
+    def rows(lo: int, hi: int | None) -> list[np.ndarray | None]:
+        with open(path, "rb", buffering=0) as raw:
+            raw.seek(lo)
+            span = _Span(raw, hi)
+            binary = io.BufferedReader(span)
+            if not lo and binary.readline(len(first) + 2) not in (first + b"\n", first + b"\r\n"):
+                return [None]
+            # A first row, so numpy does not warn that it found none.
+            if binary.peek(1)[:1] in (b"", b"\n", b"\r"):
+                return [None]
+            # Lines end at \n alone: numpy fails on a \r inside one.
+            text = io.TextIOWrapper(binary, encoding="utf-8", newline="\n")
+            table = np.loadtxt(text, delimiter=",", comments=None, dtype=float, ndmin=2)
+        lines = span.lines
+        whole = lines is not None and len(table) == lines - (not lo)
+        return [table if whole and table.shape[1] == len(header) else None]
+
+    try:
+        with forked(rows, bounds, "bytes") as children:
+            parts = rows(bounds[0], bounds[1])
+            for child in children:
+                if parts[-1] is None:
+                    break
+                parts.extend(child)
+    except Exception:  # whatever numpy raises, the csv path gives the error
+        return None
+    if parts[-1] is None:
+        return None
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)).T
 
 
 def _load_ranges(
@@ -760,9 +830,16 @@ def save_by_year(
 
 
 def load_pixels(path: str | Path) -> PixelTable:
-    """The pixel table.  A large file is read in several processes
-    (:func:`_load`); the table, or the error, is that of one process."""
+    """The pixel table.  A large file is read in several processes.  A
+    file of plain numbers is parsed by numpy (:func:`_numbers`); any other,
+    or a value the table rejects, is read again by the csv path
+    (:func:`_load`).  The table, or the error, is that of the csv path in
+    one process."""
     path = Path(path)
+    columns = _numbers(path, _PIXELS_HEADER, _bounds(path))
+    if columns is not None:
+        with contextlib.suppress(ValueError):  # the csv path names its line
+            return PixelTable(*columns)
 
     def begin(header: list[str]) -> _Begun:
         _check_header(path, header, _PIXELS_HEADER)

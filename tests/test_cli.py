@@ -1120,17 +1120,22 @@ class TestAggregate:
         )
         assert forks == min(len(os.sched_getaffinity(0)), ranges) - 1
 
-    # A million pixels: CSVs are read in row blocks and split across
+    # A million pixels: CSVs are read in byte ranges split across
     # processes, and the peak is read in the command's process, over it and
-    # its forked readers.  With Python 3.11 on Linux the command peaked at
-    # 114 MiB and its reader child at 35 MiB (113 MiB unsplit; the
-    # whole-file reader of earlier versions took 402 MiB).
+    # its forked readers.  Its own peak is ``VmHWM``: ``RUSAGE_SELF`` would
+    # keep the peak of the process that started it, which ``exec`` does not
+    # reset (a child started from a 164 MiB process read 164 MiB there
+    # against a ``VmHWM`` of 13 MiB).  With Python 3.11 on Linux the
+    # command peaked at 113 MiB and its reader child at 59 MiB, which holds
+    # its range's rows and their pickle (36 MiB with the csv path's blocks;
+    # the whole-file reader of earlier versions took 402 MiB).
     PEAK = (
         "import resource, sys\n"
         "from spreekit.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(max(resource.getrusage(who).ru_maxrss\n"
-        "          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024)\n"
+        "with open('/proc/self/status') as f:\n"
+        "    own = next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+        "print(max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) / 1024)\n"
         "sys.exit(code)\n"
     )
     BOUND_MIB = 200

@@ -6,6 +6,7 @@ import re
 import signal
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -947,6 +948,48 @@ def load_outcome(kind: str, path):
     }
 
 
+PIXEL_ROWS = [f"{k / 3!r},{k % 7},{k * 0.25!r}" for k in range(40)]
+# Lines a pixel file may hold: plain numbers numpy takes, and lines the
+# csv path reads otherwise or rejects.
+PIXEL_LINES = [
+    " 2 ,-0.0,1e-300", "\u00a01.5\x1c,2,3", "1.5,2", "1,2,3,", "1,,3", "1e400,2,3", "nan,1,2",
+    "1,2,-3", "1.5,\x00,3", '"1.5",2,3', '"1,5",2,3', "1_0,2,3", "\u0661,2,3", "1,2,3\r4,5,6", "1,2,3\r",
+    "", " ", "\ufefflon,lat,value", "lon, lat ,value",
+]
+PIXEL_ALPHABET = '0123456789.,-+e _"\r\n\t\x00\ufeff\u0661'
+
+
+def pixel_text(rows, header="lon,lat,value", end="\n", final=True) -> str:
+    return end.join([header, *rows]) + (end if final else "")
+
+
+# A file, and whether numpy's reader gives rows for it, by name.
+PIXEL_CASES = {
+    "a_short_row": (pixel_text(PIXEL_ROWS[:30] + ["1.5,2"] + PIXEL_ROWS[31:]), False),
+    "no_final_newline": (pixel_text(PIXEL_ROWS, final=False), True),
+    "a_bom_header": (pixel_text(PIXEL_ROWS, "\ufefflon,lat,value"), False),
+    "1e400": (pixel_text(PIXEL_ROWS[:30] + ["1e400,2,3"] + PIXEL_ROWS[31:]), True),
+    "nul": (pixel_text(PIXEL_ROWS[:30] + ["1.5,\x00,3"] + PIXEL_ROWS[31:]), False),
+    "a_trailing_blank_line": (pixel_text(PIXEL_ROWS + [""]), False),
+    "a_lone_cr": (pixel_text(PIXEL_ROWS[:30] + ["1.5,2,3\r\r"] + PIXEL_ROWS[31:]), False),
+    "a_quoted_field": (pixel_text(PIXEL_ROWS[:30] + ['"1.5",2,3'] + PIXEL_ROWS[31:]), False),
+    "crlf_as_save_pixels_writes": ("".join(sio.csv_text(
+        sio._PIXELS_HEADER, np.arange(120.0).reshape(3, 40) / 7, "\r\n"
+    )), True),
+    "only_the_header": ("lon,lat,value\r\n", False),
+    "a_field_longer_than_the_csv_module_takes": (
+        pixel_text(PIXEL_ROWS[:30] + ["0" * csv.field_size_limit() + "1.5,2,3"]), False
+    ),
+}
+
+
+def csv_only_outcome(monkeypatch, path):
+    """:func:`load_outcome` of a pixel file read by the csv path alone."""
+    with monkeypatch.context() as m:
+        m.setattr(sio, "_numbers", lambda *args: None)
+        return load_outcome("pixels", path)
+
+
 class TestSplitLoad:
     """``load_households`` and ``load_pixels`` on several CPUs, with
     a 1-byte range threshold (so a file is cut at line ends all through it)
@@ -961,17 +1004,23 @@ class TestSplitLoad:
         yield pids
         assert_reaped(pids)
 
-    def reruns(self, monkeypatch) -> list[int]:
+    def reruns(self, monkeypatch, split: bool = False) -> list[int]:
         """A list that gets an entry each time a file is read in one
-        process: a one-process load, or the rerun after a split fails."""
-        reads, read = [], sio._read
+        process, by numpy's reader or the csv path: a one-process load, or
+        the rerun after a split fails.  With ``split``, a read in several
+        processes gets one too: its count of ranges."""
+        reads = []
 
-        def counted(path, expected, hi=None):
-            if hi is None:
-                reads.append(1)
-            return read(path, expected, hi)
+        def counted(read):
+            def wrapped(*args):  # the ranges' bounds come last
+                if split or len(args[-1]) == 2:
+                    reads.append(len(args[-1]) - 1)
+                return read(*args)
 
-        monkeypatch.setattr(sio, "_read", counted)
+            return wrapped
+
+        for name in ("_numbers", "_load_ranges"):
+            monkeypatch.setattr(sio, name, counted(getattr(sio, name)))
         return reads
 
     @pytest.mark.parametrize("kind", ["households", "pixels"])
@@ -1041,6 +1090,78 @@ class TestSplitLoad:
             assert "".join(sio.csv_text(("id", "value"), columns, "\n")) == text
         assert got == want and want[0][0] == want[1][0] == "ok"
         assert forks == [] and reruns == [1] * 4
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("1.5,2,-3", "negative value '-3'"), ("1.5,2", "expected 3 columns, got 2")],
+        ids=["negative", "short"],
+    )
+    def test_a_fault_on_the_last_line_is_found_in_three_reads_at_most(
+        self, tmp_path, forks, monkeypatch, fault, message
+    ):
+        # numpy's reader, then the split csv path, then the csv path in one
+        # process: the error is the csv path's.
+        path = write(tmp_path, "px.csv", pixel_text(PIXEL_ROWS[:-1] + [fault]))
+        reads = self.reruns(monkeypatch, split=True)
+        for cpus, want in ((1, [1, 1]), (4, [4, 4, 1])):
+            del reads[:]
+            fake_cpus(monkeypatch, cpus)
+            with pytest.raises(sio.IngestError, match=rf"px\.csv:41: {message}$"):
+                sio.load_pixels(path)
+            assert reads == want
+
+    @pytest.mark.parametrize(
+        "text", ["", "lon,lat,value\n", "lon,lat,value\n\n", "lon,lat,value\n1,2,3\n\n\n\n\n\n"]
+    )
+    def test_an_empty_file_or_range_warns_of_nothing(self, tmp_path, forks, monkeypatch, text):
+        path = write(tmp_path, "px.csv", text)
+        want = csv_only_outcome(monkeypatch, path)
+        for cpus in (1, 4):
+            fake_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert load_outcome("pixels", path) == want
+            assert caught == []
+
+    @pytest.mark.parametrize("case", PIXEL_CASES)
+    def test_numpy_reads_a_file_as_the_csv_path_does(self, tmp_path, forks, monkeypatch, case):
+        text, parsed = PIXEL_CASES[case]
+        path = tmp_path / "px.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fake_cpus(monkeypatch, 1)
+        want = csv_only_outcome(monkeypatch, path)
+        got, numbers = [], sio._numbers
+        monkeypatch.setattr(sio, "_numbers", lambda *args: got.append(numbers(*args)) or got[-1])
+        for cpus in (1, 4):
+            fake_cpus(monkeypatch, cpus)
+            assert load_outcome("pixels", path) == want, cpus
+        assert [rows is not None for rows in got] == [parsed, parsed]
+
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_any_one_line_changed_reads_as_the_csv_path_reads(
+        self, tmp_path, forks, monkeypatch, data
+    ):
+        rows = PIXEL_ROWS[: data.draw(st.integers(0, 12))]
+        lines = ["lon,lat,value", *rows]
+        k = data.draw(st.integers(0, len(lines)))  # past the end: one line more
+        lines[k : k + 1] = [data.draw(st.one_of(
+            st.sampled_from(PIXEL_LINES), st.text(PIXEL_ALPHABET, max_size=14)
+        ))]
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        path = tmp_path / "px.csv"
+        path.write_bytes(pixel_text(lines[1:], lines[0], end, data.draw(st.booleans())).encode())
+        fake_cpus(monkeypatch, 1)
+        want = csv_only_outcome(monkeypatch, path)
+        assert want[0] in ("ok", sio.IngestError)
+        for cpus in (1, 4):
+            fake_cpus(monkeypatch, cpus)
+            assert load_outcome("pixels", path) == want, cpus
 
     def test_no_fork_in_one_process_or_below_the_threshold(self, tmp_path, monkeypatch):
         forks = recorded_forks(monkeypatch)
