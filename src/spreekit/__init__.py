@@ -71,7 +71,6 @@ from spreekit.geo import (
     PixelAggregation,
     PixelTable,
     aggregate_pixels,
-    area_contains,
 )
 from spreekit.io import IngestError
 

@@ -175,7 +175,9 @@ _AREAS_PER_PROCESS = 48
 def _contains_sorted(
     lon: np.ndarray, lat: np.ndarray, polygons: tuple[Polygon, ...]
 ) -> np.ndarray:
-    """:func:`area_contains` for points in ascending latitude order."""
+    """Containment, of points in ascending latitude order, in a
+    (multi)polygon: inside any constituent polygon, which holds a point when
+    an odd number of its rings do."""
     n = len(lat)
     inside = np.zeros(n, dtype=bool)
     for polygon in polygons:
@@ -201,18 +203,6 @@ def _contains_sorted(
                 hit = lon[point] < x1 + (lat[point] - y1) * dx / dy
             np.add.at(crossings, point[hit], 1)
         inside |= crossings & 1 == 1
-    return inside
-
-
-def area_contains(
-    lon: np.ndarray, lat: np.ndarray, polygons: tuple[Polygon, ...]
-) -> np.ndarray:
-    """Containment in a (multi)polygon: inside any constituent polygon,
-    which holds a point when an odd number of its rings do."""
-    lat = np.asarray(lat, dtype=float)
-    by_lat = np.argsort(lat)
-    inside = np.empty(len(lat), dtype=bool)
-    inside[by_lat] = _contains_sorted(np.asarray(lon, dtype=float)[by_lat], lat[by_lat], polygons)
     return inside
 
 

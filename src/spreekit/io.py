@@ -11,21 +11,22 @@ the file only.  Fields may be CSV-quoted and are stripped of surrounding
 whitespace.  Numbers and flags are converted from the raw text; a stripped
 copy is made only when the raw text is rejected.  A pixels file is first
 parsed by numpy's text reader (:func:`_numbers`), which takes only plain
-numbers, to the same bits; the csv path reads any other file, and names
-any fault.
+numbers, to the same bits; the csv path reads any other file in one
+process, and names any fault.
 
 Memory: a load holds the object it returns, one block of rows and, where
 keys must be unique, the keys read so far; the object's own constructor
 may then copy its columns once (``Households`` keeps the loader's
 columns).  Repeated ids (areas, subgroups, categories, strata, PSUs,
 large areas) share one ``str`` per distinct value.  :func:`load_households`
-and :func:`load_pixels` read a large file's byte ranges in forked children
-by the split rule of :mod:`spreekit._fork` (:func:`_load`); each child
-holds its range's parsed blocks until it sends them, and this process
-takes one block from them at a time.  The object and any error are those
-of one process.  numpy's reader holds each range's rows whole, a child
-until it has sent them; this process joins the ranges' rows into one array
-(one range is not copied), whose columns the table views.
+and numpy's reader of :func:`load_pixels` read a large file's byte ranges
+in forked children by the split rule of :mod:`spreekit._fork`
+(:func:`_bounds`).  A households child holds its range's parsed blocks
+until it sends them, and this process takes one block from them at a
+time; the table and any error are those of one process.  numpy's reader
+holds each range's rows whole, a child until it has sent them; this
+process joins the ranges' rows into one array (one range is not copied),
+whose columns the table views.
 
 Every CSV spreekit writes has one dialect, :func:`csv_text`: float columns
 as ``repr`` of Python floats (so save then load is an identity), other
@@ -65,7 +66,7 @@ import os
 import sys
 from array import array
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -440,46 +441,17 @@ def _columns(path: Path, header: Sequence[str], required: str | None = None) -> 
     return _column_blocks(path, blocks, len(header), required)
 
 
-# What a load sets up for a header: ``parse(t)`` checks one block of data
-# rows (IngestError at its first fault) and gives its parts; ``keep(*parts)``
-# appends them to the columns, and ``absorb(*parts)`` those of a block that
-# a child parsed; ``done()`` builds the object from the columns.
-_Begun = tuple[Callable[[_Columns], tuple], Callable[..., None], Callable[..., None], Callable]
-
-
-def _load(path: Path, expected: str, begin: Callable[[list[str]], _Begun]) -> Any:
-    """The object that ``begin(header)`` sets up the load of, for the
-    file's stripped header (``expected`` names the header an empty file
-    lacks).
-
-    A file of at least two ranges of :data:`_BYTES_PER_PROCESS` bytes is cut
-    into byte ranges by the split rule of :mod:`spreekit._fork`
-    (:func:`_bounds`).  This process reads the header, forks a child for
-    each range but the first, and reads the first range.  Each child sends
-    each parsed block, which this process absorbs in file order.  If any
-    of this raises IngestError or UnicodeDecodeError (a range cut inside a
-    quoted field, a fault, a unique key in two ranges), or a child is lost,
-    the file is read again in one process, whose object or error is the
-    one given.
-    """
-    bounds = _bounds(path)
-    if len(bounds) > 2:
-        with contextlib.suppress(IngestError, UnicodeDecodeError, ChildProcessError):
-            return _load_ranges(path, expected, begin, bounds)
-    return _load_ranges(path, expected, begin, [0, None])
-
-
 def _numbers(path: Path, header: Sequence[str], bounds: list[int | None]) -> np.ndarray | None:
     """The file's data rows parsed by numpy, as a view with one row a
     column of the file; or None, where the csv path must read it
-    (:func:`_load`).
+    (:func:`_pixels`).
 
     Each byte range of ``bounds`` is parsed as it is read by one
-    ``np.loadtxt`` call, in a child forked for each range but the first as
-    in :func:`_load`.  The rows are taken only under ``header`` and where
-    each line of every range gives one row of ``len(header)`` numbers (numpy
-    skips a blank line, which the csv path rejects); an empty range, any
-    error or a lost child gives None.  numpy rejects a quote, ``_``, a
+    ``np.loadtxt`` call: the first here, each other in a child forked for
+    it.  The rows are taken only under ``header`` and where each line of
+    every range gives one row of ``len(header)`` numbers (numpy skips a
+    blank line, which the csv path rejects); an empty range, any error or a
+    lost child gives None.  numpy rejects a quote, ``_``, a
     non-ASCII digit and a lone ``\\r``, and converts as ``float`` does, with
     ``PyOS_string_to_double``, so every value taken has the csv path's bits."""
     first = ",".join(header).encode()
@@ -513,24 +485,6 @@ def _numbers(path: Path, header: Sequence[str], bounds: list[int | None]) -> np.
     if parts[-1] is None:
         return None
     return (parts[0] if len(parts) == 1 else np.concatenate(parts)).T
-
-
-def _load_ranges(
-    path: Path, expected: str, begin: Callable[[list[str]], _Begun], bounds: list[int | None]
-) -> Any:
-    header, blocks = _read(path, expected, bounds[1])
-    parse, keep, absorb, done = begin(header)
-
-    def parsed(lo: int, hi: int) -> Iterator[tuple]:
-        return map(parse, _column_blocks(path, _csv_blocks(path, lo, hi), len(header)))
-
-    with forked(parsed, bounds, "bytes") as children:
-        for t in _column_blocks(path, blocks, len(header)):
-            keep(*parse(t))
-        for parts in children:
-            for part in parts:
-                absorb(*part)
-    return done()
 
 
 def load_composition(path: str | Path, reference_time: int = 0) -> Composition:
@@ -622,98 +576,112 @@ def load_households(path: str | Path, profile: MpiProfile | None = None) -> Hous
     """The household table, with per-indicator deprivation flags.
 
     With a profile supplied, the ``ind_`` columns must cover exactly the
-    profile's indicators.  A large file is read in several processes
-    (:func:`_load`); the table, or the error, is that of one process.
+    profile's indicators.  A file of at least two ranges of
+    :data:`_BYTES_PER_PROCESS` bytes is read in byte ranges
+    (:func:`_bounds`), one process each.  If that raises IngestError or
+    UnicodeDecodeError (a range cut inside a quoted field, a fault, a
+    household id in two ranges), or a child is lost, the file is read again
+    in one process, whose table or error is the one given.
     """
     path = Path(path)
+    bounds = _bounds(path)
+    if len(bounds) > 2:
+        with contextlib.suppress(IngestError, UnicodeDecodeError, ChildProcessError):
+            return _households(path, profile, bounds)
+    return _households(path, profile, [0, None])
 
-    def begin(header: list[str]) -> _Begun:
-        if tuple(header[: len(_HOUSEHOLD_HEADER)]) != _HOUSEHOLD_HEADER:
-            _fail(path, 1, f"header must start with {','.join(_HOUSEHOLD_HEADER)}")
-        indicator_cols = header[len(_HOUSEHOLD_HEADER) :]
-        bad = [c for c in indicator_cols if not c.startswith("ind_")]
-        if bad:
-            _fail(path, 1, f"indicator columns must start with 'ind_': {bad}")
-        indicators = tuple(c[len("ind_") :] for c in indicator_cols)
-        if len(set(indicators)) != len(indicators):
-            _fail(path, 1, "duplicate indicator columns")
-        if profile is not None and set(indicators) != set(profile.indicators):
-            _fail(
-                path,
-                1,
-                f"indicator columns {sorted(indicators)} do not match the profile "
-                f"indicators {sorted(profile.indicators)}",
-            )
-        seen: dict[str, None] = {}
-        pool: dict[str, str] = {}
-        areas: list[str] = []
-        subgroups: list[str] = []
-        # Sizes stay Python ints, so the table's own check sees each one whole.
-        sizes: list[int] = []
-        weights, codes = array("d"), array("b")
 
-        def parse(t: _Columns) -> tuple:
-            hid, area, subgroup = t.text(0), t.ids(1, pool), t.ids(2, pool)
-            t.nonempty("empty household_id or area_id", hid, area)
-            t.unique(
-                hid, seen,
-                lambda i, first: f"duplicate household_id {hid[i]!r}, first at line {first}",
-            )
-            size = t.parse(t.raw(3), int, lambda raw: f"size is not an integer: {raw!r}")
-            weight = t.floats(4, "weight")
-            flag_columns = []
-            for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER)):
-                try:
-                    flag_columns.append(bytes(map(_FLAGS.get, t.raw(k))))
-                except TypeError:  # a field that is not a flag code as it stands
-                    flag_columns.append(bytes(t.parse(
-                        t.text(k),
-                        _FLAGS.__getitem__,
-                        lambda raw: f"ind_{indicator} must be 0, 1, or empty, got {raw!r}",
-                    )))
-            t.check([s < 1 for s in size], lambda i: f"household size must be >= 1, got {size[i]}")
-            t.check(~(weight > 0), lambda i: f"weight must be positive, got {float(weight[i])}")
-            t.done()
-            flags = np.frombuffer(b"".join(flag_columns), np.int8).reshape(len(indicators), t.n)
-            return hid, area, subgroup, size, weight.tobytes(), flags.T.tobytes()
+def _households(path: Path, profile: MpiProfile | None, bounds: list[int | None]) -> Households:
+    """:func:`load_households` over the byte ranges of ``bounds``: this
+    process reads the header and the first range, and a child forked for
+    each other range sends each block it parsed, which this process takes
+    in file order."""
+    header, blocks = _read(path, "household header", bounds[1])
+    if tuple(header[: len(_HOUSEHOLD_HEADER)]) != _HOUSEHOLD_HEADER:
+        _fail(path, 1, f"header must start with {','.join(_HOUSEHOLD_HEADER)}")
+    indicator_cols = header[len(_HOUSEHOLD_HEADER) :]
+    bad = [c for c in indicator_cols if not c.startswith("ind_")]
+    if bad:
+        _fail(path, 1, f"indicator columns must start with 'ind_': {bad}")
+    indicators = tuple(c[len("ind_") :] for c in indicator_cols)
+    if len(set(indicators)) != len(indicators):
+        _fail(path, 1, "duplicate indicator columns")
+    if profile is not None and set(indicators) != set(profile.indicators):
+        _fail(
+            path,
+            1,
+            f"indicator columns {sorted(indicators)} do not match the profile "
+            f"indicators {sorted(profile.indicators)}",
+        )
+    seen: dict[str, None] = {}
+    pool: dict[str, str] = {}
+    areas: list[str] = []
+    subgroups: list[str] = []
+    # Sizes stay Python ints, so the table's own check sees each one whole.
+    sizes: list[int] = []
+    weights, codes = array("d"), array("b")
 
-        def keep(hid, area, subgroup, size, weight: bytes, flags: bytes) -> None:
-            # ``parse`` has put the ids in ``seen``.
-            areas.extend(area)
-            subgroups.extend(subgroup)
-            sizes.extend(size)
-            weights.frombytes(weight)
-            codes.frombytes(flags)
+    def parse(t: _Columns) -> tuple:
+        hid, area, subgroup = t.text(0), t.ids(1, pool), t.ids(2, pool)
+        t.nonempty("empty household_id or area_id", hid, area)
+        t.unique(
+            hid, seen,
+            lambda i, first: f"duplicate household_id {hid[i]!r}, first at line {first}",
+        )
+        size = t.parse(t.raw(3), int, lambda raw: f"size is not an integer: {raw!r}")
+        weight = t.floats(4, "weight")
+        flag_columns = []
+        for k, indicator in enumerate(indicators, start=len(_HOUSEHOLD_HEADER)):
+            try:
+                flag_columns.append(bytes(map(_FLAGS.get, t.raw(k))))
+            except TypeError:  # a field that is not a flag code as it stands
+                flag_columns.append(bytes(t.parse(
+                    t.text(k),
+                    _FLAGS.__getitem__,
+                    lambda raw: f"ind_{indicator} must be 0, 1, or empty, got {raw!r}",
+                )))
+        t.check([s < 1 for s in size], lambda i: f"household size must be >= 1, got {size[i]}")
+        t.check(~(weight > 0), lambda i: f"weight must be positive, got {float(weight[i])}")
+        t.done()
+        flags = np.frombuffer(b"".join(flag_columns), np.int8).reshape(len(indicators), t.n)
+        return hid, area, subgroup, size, weight.tobytes(), flags.T.tobytes()
 
-        def absorb(hid, area, subgroup, *rest) -> None:
+    def keep(area, subgroup, size, weight: bytes, flags: bytes) -> None:
+        areas.extend(area)
+        subgroups.extend(subgroup)
+        sizes.extend(size)
+        weights.frombytes(weight)
+        codes.frombytes(flags)
+
+    def parsed(lo: int, hi: int) -> Iterator[tuple]:
+        return map(parse, _column_blocks(path, _csv_blocks(path, lo, hi), len(header)))
+
+    with forked(parsed, bounds, "bytes") as children:
+        for t in _column_blocks(path, blocks, len(header)):
+            keep(*parse(t)[1:])  # ``parse`` has put the ids in ``seen``
+        for hid, area, subgroup, *rest in chain.from_iterable(children):
             before = len(seen)
             seen.update(zip(hid, repeat(None)))
             if len(seen) - before < len(hid):
                 raise IngestError(f"{path}: a household_id is in two ranges")
             # One str per distinct id, as in one process.
-            keep(hid, map(pool.setdefault, area, area), map(pool.setdefault, subgroup, subgroup),
+            keep(map(pool.setdefault, area, area), map(pool.setdefault, subgroup, subgroup),
                  *rest)
-
-        def done() -> Households:
-            # ``t.unique`` has proved the keys unique, so the table need not.
-            household_ids = tuple(seen)
-            flag_codes = np.frombuffer(codes, dtype=np.int8).reshape(len(seen), len(indicators))
-            flags, missing = flag_codes == 1, flag_codes == 2
-            # The table keeps its columns uncopied: free the key dict and the codes first.
-            seen.clear()
-            del flag_codes, codes[:]
-            households = _wrap_invariant(
-                path, Households._adopt, household_ids, areas, subgroups, sizes,
-                np.frombuffer(weights), indicators, flags, missing,
-            )
-            for column in areas, subgroups, sizes:  # the table holds its own tuples and array
-                column.clear()
-            _wrap_invariant(path, _people, households)
-            return households
-
-        return parse, keep, absorb, done
-
-    return _load(path, "household header", begin)
+    # ``t.unique`` has proved the keys unique, so the table need not.
+    household_ids = tuple(seen)
+    flag_codes = np.frombuffer(codes, dtype=np.int8).reshape(len(seen), len(indicators))
+    flags, missing = flag_codes == 1, flag_codes == 2
+    # The table keeps its columns uncopied: free the key dict and the codes first.
+    seen.clear()
+    del flag_codes, codes[:]
+    households = _wrap_invariant(
+        path, Households._adopt, household_ids, areas, subgroups, sizes,
+        np.frombuffer(weights), indicators, flags, missing,
+    )
+    for column in areas, subgroups, sizes:  # the table holds its own tuples and array
+        column.clear()
+    _wrap_invariant(path, _people, households)
+    return households
 
 
 def save_households(path: str | Path, households: Households) -> None:
@@ -830,40 +798,30 @@ def save_by_year(
 
 
 def load_pixels(path: str | Path) -> PixelTable:
-    """The pixel table.  A large file is read in several processes.  A
-    file of plain numbers is parsed by numpy (:func:`_numbers`); any other,
-    or a value the table rejects, is read again by the csv path
-    (:func:`_load`).  The table, or the error, is that of the csv path in
-    one process."""
+    """The pixel table.  A file of plain numbers is parsed by numpy
+    (:func:`_numbers`), in several processes where it is large; any other,
+    or a value the table rejects, is read by the csv path in one process
+    (:func:`_pixels`), whose table or error is the one given."""
     path = Path(path)
     columns = _numbers(path, _PIXELS_HEADER, _bounds(path))
     if columns is not None:
         with contextlib.suppress(ValueError):  # the csv path names its line
             return PixelTable(*columns)
+    return _pixels(path)
 
-    def begin(header: list[str]) -> _Begun:
-        _check_header(path, header, _PIXELS_HEADER)
-        columns = array("d"), array("d"), array("d")
 
-        def parse(t: _Columns) -> tuple[bytes, bytes, bytes]:
-            x = t.floats(0, "lon")
-            y = t.floats(1, "lat")
-            raw = t.raw(2)
-            v = t.floats(2, "value")
-            t.check(v < 0, lambda i: f"negative value {raw[i]!r}")
-            t.done()
-            return x.tobytes(), y.tobytes(), v.tobytes()
-
-        def keep(*parts: bytes) -> None:
-            for column, part in zip(columns, parts):
-                column.frombytes(part)
-
-        def done() -> PixelTable:
-            return _wrap_invariant(path, PixelTable, *map(np.frombuffer, columns))
-
-        return parse, keep, keep, done
-
-    return _load(path, "header " + ",".join(_PIXELS_HEADER), begin)
+def _pixels(path: Path) -> PixelTable:
+    columns = array("d"), array("d"), array("d")
+    for t in _columns(path, _PIXELS_HEADER):
+        x = t.floats(0, "lon")
+        y = t.floats(1, "lat")
+        raw = t.raw(2)
+        v = t.floats(2, "value")
+        t.check(v < 0, lambda i: f"negative value {raw[i]!r}")
+        t.done()
+        for column, block in zip(columns, (x, y, v)):
+            column.frombytes(block.tobytes())
+    return _wrap_invariant(path, PixelTable, *map(np.frombuffer, columns))
 
 
 def save_pixels(path: str | Path, px: PixelTable) -> None:

@@ -1078,11 +1078,12 @@ def subgroup_tables(draw):
 class TestAggregate:
     def test_golden_output_digests(self, tmp_path, monkeypatch):
         # 3000 seeded pixels with non-integer values, some outside both
-        # areas, so every sum depends on its order.  Recorded while each
-        # area's sum was a masked sum over all pixels.
+        # areas, so every sum depends on its order.  The values are scaled
+        # by exact powers of two: the bits of ``10.0 ** x`` depend on the
+        # SIMD loops numpy picks for the CPU.
         rng = np.random.default_rng(2025)
         lon, lat = rng.uniform(-1.0, 11.0, 3000), rng.uniform(-0.5, 10.5, 3000)
-        values = rng.uniform(0.0, 1.0, 3000) * 10.0 ** rng.uniform(-3.0, 4.0, 3000)
+        values = np.ldexp(rng.uniform(0.0, 1.0, 3000), rng.integers(-10, 14, 3000))
         (tmp_path / "pixels.csv").write_text("lon,lat,value\n" + "".join(
             f"{x!r},{y!r},{v!r}\n" for x, y, v in zip(lon.tolist(), lat.tolist(), values.tolist())
         ))
@@ -1095,10 +1096,22 @@ class TestAggregate:
         )
         assert code == 0
         assert json.loads(err) == {"warning": "more than 5% of pixel mass unassigned"}
+        # The areas split the square [0, 10] x [0, 10] at lon 5, and no pixel
+        # lies on an edge: each sum is a masked sum over all pixels.
+        assert not np.isin(lon, (0, 5, 10)).any() and not np.isin(lat, (0, 10)).any()
+        inside = (lat > 0) & (lat < 10)
+        west, east = inside & (lon > 0) & (lon < 5), inside & (lon > 5) & (lon < 10)
+        margin = read_rows(tmp_path / "out" / "margin.csv")
+        assert {r["id"]: r["value"] for r in margin} == {
+            "west": repr(float(values[west].sum())), "east": repr(float(values[east].sum())),
+        }
+        summary = json.loads((tmp_path / "out" / "aggregation.json").read_text())
+        assert summary["unassigned_mass"] == values[~(west | east)].sum()
+        assert summary["total_mass"] == values.sum()
         assert TestMpi.digests(tmp_path / "out") == {
-            "aggregation.json": "7fe05fd0f8815a5aaf308722f96796841652d7e3525e6d5127f9cdb77b232548",
-            "manifest.json": "2a34f0d86cf1b2b50332ee3c47f908b9ba08bfde0adf01f7f8c24bcc484c3010",
-            "margin.csv": "75d0dd4838952e2de27a1dfcb91f5131ea984c4269dabbb8d420671169e56e28",
+            "aggregation.json": "f5467dd38843b1e5ff6313e2ed27ef5ce90b518423231aa14ba96787b3dac09d",
+            "manifest.json": "bf40c2e728a6d5c09afa9a78289f949bb5cbd758c170610c4b6013fddabb3ecd",
+            "margin.csv": "eb914a9d98e36f60f2f73b644d3d36c983377bb124acf957412884ed04015d9d",
         }
 
     @SEVERAL_CPUS
@@ -1910,3 +1923,42 @@ def test_no_command_forks_while_another_thread_is_alive(tmp_path, monkeypatch):
         assert len(forks) > before, name
         threaded = [str(w.message) for w in caught if "is multi-threaded" in str(w.message)]
         assert threaded == [], name
+
+
+# numpy picks its SIMD loops at import, by the CPU.  With these switched
+# off it runs its SSE baseline loops, as on a CPU without AVX-512 or AVX2.
+BASELINE_LOOPS = "AVX512_SPR,AVX512_ICL,X86_V4,X86_V3"
+# Runs pytest on its arguments; or exits 77, saying why, where numpy's AVX2
+# loops are not switched off.  numpy 2.4 keys them on X86_V3, and reads
+# AVX2 itself from the CPU whatever is switched off.
+ON_BASELINE_LOOPS = """\
+import sys
+
+import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as cpu
+except Exception as e:  # numpy 1.x, or a feature it cannot switch off
+    print(f"numpy did not start with its AVX2 loops off: {e}")
+    sys.exit(77)
+level = "X86_V3" if "X86_V3" in cpu else "AVX2"
+if cpu.get(level) is not False:
+    print(f"{level} reads {cpu.get(level)} in numpy's __cpu_features__")
+    sys.exit(77)
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+def test_the_recorded_digests_hold_on_numpy_baseline_loops():
+    """The golden digests and the RNG contract, rerun in a process where
+    numpy runs its baseline loops: a byte that depends on the CPU fails
+    here, not only on a CPU without AVX-512 or AVX2."""
+    done = run_python(
+        "-c", ON_BASELINE_LOOPS, "-q", "-p", "no:cacheprovider",
+        "tests/test_cli.py", "tests/test_rng_contract.py",
+        "-k", "(golden or rng_contract) and not baseline_loops",
+        NPY_DISABLE_CPU_FEATURES=BASELINE_LOOPS,
+    )
+    if done.returncode == 77:
+        pytest.skip(done.stdout.strip())
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spreekit import AreaPolygonSet, PixelTable, aggregate_pixels, area_contains
+from spreekit import AreaPolygonSet, PixelTable, aggregate_pixels
 from spreekit import geo
 from spreekit import io as sio
 
@@ -16,6 +16,16 @@ from conftest import FIXTURES, fake_cpus, report_bits
 
 def grid_pixels():
     return sio.load_pixels(FIXTURES / "pixels10.csv")
+
+
+def area_contains(lon, lat, polygons):
+    """Containment in a (multi)polygon of points in any order, through the
+    kernel that takes them sorted by latitude."""
+    lon, lat = np.asarray(lon, dtype=float), np.asarray(lat, dtype=float)
+    by_lat = np.argsort(lat)
+    inside = np.empty(len(lat), dtype=bool)
+    inside[by_lat] = geo._contains_sorted(lon[by_lat], lat[by_lat], polygons)
+    return inside
 
 
 def vertical_split():

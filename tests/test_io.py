@@ -1006,20 +1006,22 @@ class TestSplitLoad:
 
     def reruns(self, monkeypatch, split: bool = False) -> list[int]:
         """A list that gets an entry each time a file is read in one
-        process, by numpy's reader or the csv path: a one-process load, or
-        the rerun after a split fails.  With ``split``, a read in several
-        processes gets one too: its count of ranges."""
+        process: by numpy's reader, by the households' range reader (a
+        one-process load, or the rerun after a split fails) or by the
+        pixels' csv path.  With ``split``, a read in several processes gets
+        one too: its count of ranges."""
         reads = []
 
         def counted(read):
-            def wrapped(*args):  # the ranges' bounds come last
-                if split or len(args[-1]) == 2:
-                    reads.append(len(args[-1]) - 1)
+            def wrapped(*args):  # the ranges' bounds come last, where there are any
+                ranges = len(args[-1]) - 1 if isinstance(args[-1], list) else 1
+                if split or ranges == 1:
+                    reads.append(ranges)
                 return read(*args)
 
             return wrapped
 
-        for name in ("_numbers", "_load_ranges"):
+        for name in ("_numbers", "_households", "_pixels"):
             monkeypatch.setattr(sio, name, counted(getattr(sio, name)))
         return reads
 
@@ -1096,19 +1098,31 @@ class TestSplitLoad:
         [("1.5,2,-3", "negative value '-3'"), ("1.5,2", "expected 3 columns, got 2")],
         ids=["negative", "short"],
     )
-    def test_a_fault_on_the_last_line_is_found_in_three_reads_at_most(
+    def test_a_fault_on_the_last_line_is_found_in_two_reads(
         self, tmp_path, forks, monkeypatch, fault, message
     ):
-        # numpy's reader, then the split csv path, then the csv path in one
-        # process: the error is the csv path's.
+        # numpy's reader, then the csv path in one process: the error is the
+        # csv path's.
         path = write(tmp_path, "px.csv", pixel_text(PIXEL_ROWS[:-1] + [fault]))
         reads = self.reruns(monkeypatch, split=True)
-        for cpus, want in ((1, [1, 1]), (4, [4, 4, 1])):
+        for cpus, want in ((1, [1, 1]), (4, [4, 1])):
             del reads[:]
             fake_cpus(monkeypatch, cpus)
             with pytest.raises(sio.IngestError, match=rf"px\.csv:41: {message}$"):
                 sio.load_pixels(path)
             assert reads == want
+
+    def test_a_file_numpy_declines_is_read_by_the_csv_path_once_in_this_process(
+        self, tmp_path, forks, monkeypatch
+    ):
+        # Only numpy's readers fork; the quoted field sends the file to the
+        # csv path, which reads it once, here.
+        path = write(tmp_path, "px.csv", PIXEL_CASES["a_quoted_field"][0])
+        want = csv_only_outcome(monkeypatch, path)
+        reads = self.reruns(monkeypatch, split=True)
+        fake_cpus(monkeypatch, 4)
+        assert load_outcome("pixels", path) == want and want[0] == "ok"
+        assert reads == [4, 1] and len(forks) == 3
 
     @pytest.mark.parametrize(
         "text", ["", "lon,lat,value\n", "lon,lat,value\n\n", "lon,lat,value\n1,2,3\n\n\n\n\n\n"]
