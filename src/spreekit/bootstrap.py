@@ -29,18 +29,19 @@ order, which independent re-implementations must follow to reproduce runs:
 
 The margins drawn in steps 3 and 4 go to the reconcile step as they are.
 
-One helper thread draws censuses (steps 1 and 2) ahead of the replicates
-that use them: while the main thread works on replicate b, the censuses of
-the next three (:data:`_CENSUSES_AHEAD`) are queued on the helper, each as
-:func:`_redraw_census` on its own stream with the proportions computed
-before the helper started.  When census b is not ready, the main thread
-does not wait idle: it takes back the furthest queued census the helper
-has not started and draws it itself.  Either way each census is drawn
-once, by one thread, from its own stream, and before the main thread draws
-steps 3 and 4 from that stream.  No draw depends on which thread makes it,
-so no output depends on how the threads are scheduled.  Without a census
-redraw no helper thread starts.  A census draw that raises ends the run:
-the censuses still queued are not drawn.
+Each pass of the replicate loop, for replicate b: queues the censuses up
+to :data:`_CENSUSES_AHEAD` (three) replicates past b on one helper thread,
+each as :func:`_redraw_census` on its own stream with the proportions
+computed once before the loop; takes replicate b's stream and census, and
+while the helper is still drawing that census, draws the furthest queued
+census the helper has not started on this thread rather than wait; then
+draws steps 3 and 4, reconciles and rakes, and records either the drop
+reason or the replicate.  Each census is drawn once, by one thread, from
+its own stream, and before steps 3 and 4 are drawn from that stream, so no
+output depends on how the threads are scheduled.  Without a census redraw
+no helper thread starts and every replicate is raked from the point fit.
+A census draw that raises ends the run: the censuses still queued are not
+drawn.
 
 Replicates are aggregated as they complete, in replicate order, so a run
 holds one (B, A, J) stack of fitted tables and nothing else of that size:
@@ -364,6 +365,11 @@ def _replicate_quantiles(cells: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cv(mse: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """``sqrt(mse) / point`` where ``point > 0``, else NaN."""
+    return np.where(point > 0, np.sqrt(mse) / np.where(point > 0, point, 1.0), np.nan)
+
+
 def bootstrap_mse(
     req: UpdateRequest,
     design: SurveyDesign | None,
@@ -401,40 +407,6 @@ def bootstrap_mse(
                 raise BootstrapError("auxiliary pool ids do not match the seed areas")
 
     t = point.row_margin_used.reference_time
-
-    def one_replicate(
-        b: int, rng: np.random.Generator, mult: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | str:
-        if cfg.fully_degenerate:
-            # Zero-variance limit: the margins are the converged point fit's own
-            # (finite) sums, so raking is an exact no-op and the MSE vanishes identically.
-            row_m = _adopted(MarginVector, area_ids, mult.sum(axis=1), MarginLevel.SMALL_AREA, t)
-            col_m = _adopted(MarginVector, category_ids, mult.sum(axis=0), MarginLevel.CATEGORY, t)
-        else:
-            if cfg.aux_resample == "resample-pool":
-                row_m = resample_aux_margin(
-                    aux_pool or point.row_margin_used, rng, cfg.aux_perturb_cv
-                )
-            else:
-                row_m = point.row_margin_used
-            if cfg.col_resample == "psu-cluster":
-                col_m = resample_column_margin(design, rng, t)
-            elif cfg.col_resample == "iid-category":
-                col_m = _resample_iid(design, rng, t)
-            else:
-                col_m = point.col_margin_used
-
-        try:
-            row_m, col_m, _ = reconcile_margins(row_m, col_m, req.reconcile_policy)
-            # A census draw, whole numbers >= 0 in a new array, or the point fit.
-            seed_b = _adopted(Composition, area_ids, category_ids, mult, t)
-            res = ipf_fit(seed_b, row_m, col_m, req.ipf_config)
-        except (IpfError, ValueError) as e:
-            return f"replicate {b}: {e}"
-        if not res.converged:
-            return f"replicate {b}: did not converge (deviation {res.final_deviation:.3e})"
-        return res.fitted.counts, mult
-
     poor_col = _poor_column(category_ids)
     stack = np.empty(shape)
     # Squares are never -0.0, so starting from zeros changes no bit.
@@ -452,50 +424,65 @@ def bootstrap_mse(
 
     helper = ThreadPoolExecutor(1)
     try:
-        # Each replicate's stream, and its census (steps 1-2): a future while
-        # queued on the helper, an array once drawn here, None if not redrawn.
-        queued: deque[tuple[np.random.Generator, Future | np.ndarray | None]] = deque()
-
-        def queue(b: int) -> None:
-            rng = rngmod.stream(cfg.seed, b)
-            if cfg.census_resample == "none":
-                queued.append((rng, None))
-            else:
-                queued.append((rng, helper.submit(_redraw_census, rng, lam, zero, probs)))
-
-        def take() -> tuple[np.random.Generator, np.ndarray]:
-            """The next replicate's stream and census.  While the helper is
-            still drawing that census, this thread draws the furthest queued
-            census the helper has not started, rather than wait."""
+        # Each queued replicate's stream and census (steps 1-2): a future
+        # while on the helper, an array once drawn, the point fit if not redrawn.
+        queued: deque[tuple[np.random.Generator, Future | np.ndarray]] = deque()
+        for b in range(cfg.replicates):
+            for later in range(b + len(queued), min(b + _CENSUSES_AHEAD + 1, cfg.replicates)):
+                rng = rngmod.stream(cfg.seed, later)
+                if cfg.census_resample == "none":
+                    queued.append((rng, fitted))
+                else:
+                    queued.append((rng, helper.submit(_redraw_census, rng, lam, zero, probs)))
             rng, census = queued.popleft()
             if isinstance(census, Future):
                 if not census.done():
+                    # Rather than wait, draw the furthest queued census
+                    # the helper has not started.
                     for i in reversed(range(len(queued))):
                         later_rng, later = queued[i]
                         if isinstance(later, Future) and later.cancel():
                             queued[i] = later_rng, _redraw_census(later_rng, lam, zero, probs)
                             break
                 census = census.result()
-            return rng, fitted if census is None else census
 
-        for b in range(min(_CENSUSES_AHEAD, cfg.replicates)):
-            queue(b)
-        for b in range(cfg.replicates):
-            if b + _CENSUSES_AHEAD < cfg.replicates:
-                queue(b + _CENSUSES_AHEAD)
-            rng, mult = take()
-            outcome = one_replicate(b, rng, mult)
-            if isinstance(outcome, str):
-                reasons.append(outcome)
+            if cfg.fully_degenerate:
+                # Zero-variance limit: the margins are the converged point fit's own
+                # (finite) sums, so raking is an exact no-op and the MSE vanishes identically.
+                rows, cols = census.sum(axis=1), census.sum(axis=0)
+                row_m = _adopted(MarginVector, area_ids, rows, MarginLevel.SMALL_AREA, t)
+                col_m = _adopted(MarginVector, category_ids, cols, MarginLevel.CATEGORY, t)
+            else:
+                row_m = point.row_margin_used
+                if cfg.aux_resample == "resample-pool":
+                    row_m = resample_aux_margin(aux_pool or row_m, rng, cfg.aux_perturb_cv)
+                if cfg.col_resample == "psu-cluster":
+                    col_m = resample_column_margin(design, rng, t)
+                elif cfg.col_resample == "iid-category":
+                    col_m = _resample_iid(design, rng, t)
+                else:
+                    col_m = point.col_margin_used
+            try:
+                row_m, col_m, _ = reconcile_margins(row_m, col_m, req.reconcile_policy)
+                # A census draw, whole numbers >= 0 in a new array, or the point fit.
+                seed_b = _adopted(Composition, area_ids, category_ids, census, t)
+                res = ipf_fit(seed_b, row_m, col_m, req.ipf_config)
+            except (IpfError, ValueError) as e:
+                reasons.append(f"replicate {b}: {e}")
                 continue
-            fitted_b, mult = outcome
+            if not res.converged:
+                reasons.append(
+                    f"replicate {b}: did not converge (deviation {res.final_deviation:.3e})"
+                )
+                continue
+            fitted_b = res.fitted.counts
             stack[n] = fitted_b
-            sq = np.square(fitted_b - mult)
+            sq = np.square(fitted_b - census)
             sq_sum += sq
             if sq_cells is not None:
                 sq_cells[n] = sq
             if h_sq is not None:
-                h_sq[n] = np.square(_poor_share(fitted_b, poor_col) - _poor_share(mult, poor_col))
+                h_sq[n] = np.square(_poor_share(fitted_b, poor_col) - _poor_share(census, poor_col))
             n += 1
     finally:
         # After an error the censuses still queued are not drawn.
@@ -513,7 +500,7 @@ def bootstrap_mse(
     if sq_cells is not None:
         sq_sum = sq_cells[:n].sum(axis=0)
     mse = sq_sum / n
-    cv = np.where(fitted > 0, np.sqrt(mse) / np.where(fitted > 0, fitted, 1.0), np.nan)
+    cv = _cv(mse, fitted)
     rep_mean = stack.mean(axis=0)
     quantiles = _replicate_quantiles(stack.reshape(n, -1))
     rep_quantiles = dict(zip(QUANTILE_LABELS, quantiles.reshape(-1, *fitted.shape)))
@@ -523,11 +510,7 @@ def bootstrap_mse(
         headcount_point = _poor_share(fitted, poor_col)
         # NaN for an area that has no population in any replicate.
         headcount_mse = _nan_mean(h_sq[:n], axis=0)
-        headcount_cv = np.where(
-            headcount_point > 0,
-            np.sqrt(headcount_mse) / np.where(headcount_point > 0, headcount_point, 1.0),
-            np.nan,
-        )
+        headcount_cv = _cv(headcount_mse, headcount_point)
 
     return CellUncertainty(
         area_ids,

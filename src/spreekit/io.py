@@ -715,6 +715,8 @@ def _parse_fraction(path: Path, what: str, raw: Any) -> Fraction:
         except (ValueError, ZeroDivisionError) as e:
             raise IngestError(f"{path}: bad {what} {raw!r}: {e}") from e
     if isinstance(raw, float):
+        if not np.isfinite(raw):
+            raise IngestError(f"{path}: {what} must be finite, got {raw!r}")
         return Fraction(raw).limit_denominator(10**6)
     raise IngestError(f"{path}: {what} must be a number or fraction string, got {raw!r}")
 
@@ -911,28 +913,38 @@ def load_plan(path: str | Path) -> SimulationPlan:
     if unknown := sorted(set(data) - set(known)):
         raise IngestError(f"{path}: unknown plan keys: {unknown}")
 
+    def check_types(fields: Mapping[str, Any]) -> None:
+        for keys, ok, what in (
+            ((*required, "design"), lambda v: isinstance(v, str), "a path string"),
+            (("aux_pool", "strategies"),
+             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+             "a list of strings"),
+            (("quantile_cutoff",), lambda v: type(v) in (int, float), "a number"),
+        ):
+            if bad := [k for k in keys if k in fields and not ok(fields[k])]:
+                raise IngestError(f"{path}: {bad[0]} must be {what}")
+
     if "scenario" in data:
+        scenario = data.pop("scenario")
+        if isinstance(scenario, dict):
+            both = ("strategies", "quantile_cutoff")  # the keys both forms take
+            check_types({k: v for k, v in scenario.items() if k in both})
         try:
-            raw = {**data.pop("scenario"), **data}  # top-level replicates and seed win
+            raw = {**scenario, **data}  # top-level replicates and seed win
             cfg = ScenarioConfig(**{k: _tupled(v) for k, v in raw.items()})
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise IngestError(f"{path}: bad scenario config: {e}") from e
         try:
-            return build_scenario(cfg)
-        except ValueError as e:
+            # A number that overflows while the plan is built fails here, not as a warning.
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return build_scenario(cfg)
+        except (ValueError, ArithmeticError) as e:
             raise IngestError(f"{path}: {e}") from e
 
     missing = [k for k in required if k not in data]
     if missing:
         raise IngestError(f"{path}: plan missing keys: {missing}")
-    for keys, ok, what in (
-        ((*required, "design"), lambda v: isinstance(v, str), "a path string"),
-        (("aux_pool", "strategies"),
-         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings"),
-        (("quantile_cutoff",), lambda v: type(v) in (int, float), "a number"),
-    ):
-        if bad := [k for k in keys if k in data and not ok(data[k])]:
-            raise IngestError(f"{path}: {bad[0]} must be {what}")
+    check_types(data)
     base_time = _wrap_invariant(path, check_integer, "base_time", data.get("base_time", 0))
     target_time = _wrap_invariant(path, check_integer, "target_time", data.get("target_time", 1))
     base = path.parent
@@ -964,5 +976,5 @@ def load_plan(path: str | Path) -> SimulationPlan:
             aux_pool=aux_pool,
             **optional,
         )
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise IngestError(f"{path}: {e}") from e

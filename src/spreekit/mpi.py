@@ -73,9 +73,12 @@ class MpiProfile:
             raise ValueError("one weight per indicator required")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        total = sum(weights)
-        if abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {float(total)!r}, expected 1")
+        try:
+            total = float(sum(weights))
+        except OverflowError:  # a sum past the float range
+            total = math.inf
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"weights sum to {total!r}, expected 1")
         cutoff = Fraction(self.poverty_cutoff)
         if not 0 < cutoff <= 1:
             raise ValueError("poverty cutoff must lie in (0, 1]")

@@ -32,14 +32,16 @@ least :data:`_ROUNDS_PER_PROCESS` rounds each, by the split rule of
 :mod:`spreekit._fork`, the first run by the calling process and each other
 by a forked child.  The stacks live in anonymous shared memory, held
 once: every process writes round r's truth and fits at row r of the
-caller's own arrays, and a child sends back only its failed rounds.  The
-caller aggregates the stacks once.  Round r draws only from stream r
-wherever it runs, and every cache a process builds gives the bits a fresh
-build gives, so no byte of the report depends on the process count.
+caller's own arrays, and a child sends back only its failed rounds, one
+``{round: message}`` dict per strategy.  The caller merges those dicts in
+range order and aggregates the stacks once.  Round r draws only from
+stream r wherever it runs, and every cache a process builds gives the bits
+a fresh build gives, so no byte of the report depends on the process count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 from dataclasses import dataclass
@@ -305,10 +307,6 @@ def quartile_means(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return means
 
 
-# Per strategy: the failed rounds and their messages.
-_Played = tuple[list[list[int]], list[list[str]]]
-
-
 def _shared(shape: tuple[int, ...]) -> np.ndarray:
     """A zeroed float64 array of ``shape`` in anonymous memory that the
     children this process forks write into.  An empty array maps one
@@ -328,11 +326,11 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
     """Run the replication study and aggregate the comparison report.
 
     Rounds where a strategy's update fails are dropped for that strategy
-    only and recorded in its ``failures``; the report carries the completed
-    count per strategy.  Round r's tables go into row r of stacks
-    allocated before the first round.  A plan whose stacks would pass the
-    memory budget of :mod:`spreekit.bootstrap` fails before its first
-    round.
+    only, and their messages are its ``failures``, in round order; the
+    report carries the completed count per strategy.  Round r's tables go
+    into row r of stacks allocated before the first round.  A plan whose
+    stacks would pass the memory budget of :mod:`spreekit.bootstrap` fails
+    before its first round.
 
     The rounds are split as the module states.  This process runs the
     first range and a forked child each other range, writing into this
@@ -375,20 +373,17 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
             plan.large_totals_t, census_baseline(plan.truth_t0, h), plan.quantile_cutoff
         )
 
-    dynamic_by_entry: dict[int, ShareVector] = {}
-
-    def dynamic_for(r: int) -> ShareVector:
-        k = r % len(plan.aux_pool)
-        if k not in dynamic_by_entry:
-            dynamic_by_entry[k] = dynamic_shares(plan.aux_pool[k], h)
-        return dynamic_by_entry[k]
+    @functools.cache
+    def dynamic_for(k: int) -> ShareVector:
+        """Pool entry ``k``'s dynamic shares; a build that raises is not kept."""
+        return dynamic_shares(plan.aux_pool[k], h)
 
     truth_cells, fitted_cells, fitted_shares = map(_shared, shapes[:3])
 
-    def play(lo: int, hi: int) -> _Played:
-        """Rounds ``lo`` to ``hi - 1``, each into its row of the stacks."""
-        failed: list[list[int]] = [[] for _ in plan.strategies]
-        failures: list[list[str]] = [[] for _ in plan.strategies]
+    def play(lo: int, hi: int) -> list[dict[int, str]]:
+        """Rounds ``lo`` to ``hi - 1``, each into its row of the stacks.
+        Per strategy, the message of each round that failed, in round order."""
+        failures: list[dict[int, str]] = [{} for _ in plan.strategies]
         for r in range(lo, hi):
             rng = rngmod.stream(plan.seed, r)
             census0 = replicate_census(plan.truth_t0, rng)
@@ -406,9 +401,9 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
                     if strategy == "fixed":
                         sv = fixed
                     elif strategy == "dynamic":
-                        sv = dynamic_for(r)
+                        sv = dynamic_for(r % len(plan.aux_pool))
                     else:
-                        sv = hybrid_shares(fixed, dynamic_for(r), selection)
+                        sv = hybrid_shares(fixed, dynamic_for(r % len(plan.aux_pool)), selection)
                     req = UpdateRequest(
                         seed=census0,
                         col_margin=col,
@@ -417,20 +412,18 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
                     )
                     res = spree_update(req)
                 except (UpdateError, ValueError) as e:
-                    failed[s].append(r)
-                    failures[s].append(f"replicate {r}: {e}")
+                    failures[s][r] = f"replicate {r}: {e}"
                     continue
                 fitted_cells[s, r] = res.fitted.counts
                 fitted_shares[s, r] = sv.shares
-        return failed, failures
+        return failures
 
     bounds = split(rounds, _ROUNDS_PER_PROCESS)
     with forked(lambda lo, hi: [play(lo, hi)], bounds, "rounds") as played:
-        failed, failures = play(bounds[0], bounds[1])
-        for [(child_failed, child_failures)] in played:
-            for s in range(len(failed)):
-                failed[s] += child_failed[s]
-                failures[s] += child_failures[s]
+        failures = play(bounds[0], bounds[1])
+        for [theirs] in played:
+            for ours, their in zip(failures, theirs):
+                ours.update(their)
 
     poor_col = _poor_column(category_ids)
 
@@ -447,16 +440,17 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
     correlations: dict[str, np.ndarray] = {}
 
     for s, strategy in enumerate(plan.strategies):
-        n = rounds - len(failed[s])
+        failed = list(failures[s])
+        n = rounds - len(failed)
         tru_cells, tru_h = truth_cells, truth_h
-        if failed[s]:
+        if failed:
             # The strategy's own stacks keep its completed rounds, moved to
             # the front in round order; the shared truths are copied.
-            kept = np.delete(np.arange(rounds), failed[s])
-            for i in range(failed[s][0], n):
+            kept = np.delete(np.arange(rounds), failed)
+            for i in range(failed[0], n):
                 fitted_cells[s, i] = fitted_cells[s, kept[i]]
                 fitted_shares[s, i] = fitted_shares[s, kept[i]]
-            tru_cells, tru_h = (np.delete(t, failed[s], axis=0) for t in (truth_cells, truth_h))
+            tru_cells, tru_h = (np.delete(t, failed, axis=0) for t in (truth_cells, truth_h))
         est_cells, est_shares = fitted_cells[s, :n], fitted_shares[s, :n]
 
         cell_bias = _nd_bias(est_cells, tru_cells)
@@ -475,7 +469,7 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
             per_area_rmse = _nan_mean(cell_rmse, axis=1)
 
         metrics[strategy] = StrategyMetrics(
-            strategy, n, tuple(failures[s]), cell_bias, cell_rmse,
+            strategy, n, tuple(failures[s].values()), cell_bias, cell_rmse,
             share_bias, share_rmse, headcount_bias, headcount_rmse,
         )
 

@@ -37,6 +37,7 @@ from spreekit import bootstrap, geo, mpi, rng as rngmod, simulation
 from spreekit import io as sio
 from spreekit.cli import main
 from spreekit.mpi import MpiResult, _measures
+from spreekit.scenario import ScenarioConfig
 
 from conftest import FIXTURES, fake_cpus, report_bits
 
@@ -136,6 +137,15 @@ def plan_json(plan: dict) -> dict:
         base[key] = str(FIXTURES / base[key])
     base["aux_pool"] = [str(FIXTURES / p) for p in base["aux_pool"]]
     return {**base, **plan}
+
+
+# JSON number texts past, at or inside the float range's edges, and two non-numbers.
+JSON_NUMBERS = ("1" + "0" * 399, "-0.0", "1e-320", "1e308", "1e400", "-1e400", "NaN", "true",
+                '"text"')
+# The numeric fields of an inline scenario; a nested one is set at one position.
+SCENARIO_NUMBERS = tuple(
+    f.name for f in dataclasses.fields(ScenarioConfig) if f.name not in ("aux_exact", "strategies")
+)
 
 
 SQUARE = {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]}
@@ -1551,11 +1561,17 @@ class TestErrorsAndExitCodes:
             ({"aux_pool": [5]}, "aux_pool must be a list of strings"),
             ({"strategies": 5}, "strategies must be a list of strings"),
             ({"strategies": "fixed"}, "strategies must be a list of strings"),
+            ({"scenario": {"replicates": 2, "strategies": "fixed"}},
+             "strategies must be a list of strings"),
+            ({"scenario": {"replicates": 2, "quantile_cutoff": "0.5"}},
+             "quantile_cutoff must be a number"),
             ({"quantile_cutoff": "0.5"}, "quantile_cutoff must be a number"),
             ({"quantile_cutoff": True}, "quantile_cutoff must be a number"),
+            ({"quantile_cutoff": 10**400}, "int too large to convert to float"),
         ],
         ids=["truth_t0", "design", "aux_pool", "aux_pool_entry", "strategies",
-             "strategies_string", "quantile_cutoff", "quantile_cutoff_bool"],
+             "strategies_string", "scenario_strategies_string", "scenario_quantile_cutoff",
+             "quantile_cutoff", "quantile_cutoff_bool", "quantile_cutoff_past_the_float_range"],
     )
     def test_wrong_plan_json_type_is_data_error(self, tmp_path, plan, message):
         path = tmp_path / "plan.json"
@@ -1631,6 +1647,52 @@ class TestErrorsAndExitCodes:
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {"error": "ValueError", "message": message}
         assert not out_dir.exists()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_a_json_number_in_a_profile_or_plan_never_ends_in_a_traceback(self, data):
+        """One profile weight or cutoff, one number of an inline scenario,
+        or the top-level ``replicates`` or ``seed``, set to one of
+        :data:`JSON_NUMBERS`.  A bad value is an error naming the file; a
+        plan that loads but cannot run fails with the run's own ValueError,
+        as a non-finite ``quantile_cutoff`` does."""
+        value = data.draw(st.sampled_from(JSON_NUMBERS))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "in.json"
+            if data.draw(st.booleans()):
+                doc = json.loads((FIXTURES / "profile9.json").read_text())
+                spot = data.draw(st.integers(-1, len(doc["indicators"]) - 1))
+                if spot < 0:
+                    doc["cutoff"] = "@"
+                else:
+                    doc["indicators"][spot]["weight"] = "@"
+                argv = ["mpi", "--households", FIXTURES / "households3.csv", "--profile", path]
+            else:
+                doc = {"scenario": {"replicates": 1}}
+                names = [*SCENARIO_NUMBERS, "top replicates", "top seed"]
+                name = data.draw(st.sampled_from(names))
+                if name.startswith("top "):
+                    doc[name[4:]] = "@"
+                else:
+                    cell = json.loads(json.dumps(getattr(ScenarioConfig(), name)))
+                    doc["scenario"][name] = cell if isinstance(cell, list) else "@"
+                    while isinstance(cell, list):
+                        k = data.draw(st.integers(0, len(cell) - 1))
+                        if not isinstance(cell[k], list):
+                            cell[k] = "@"
+                        cell = cell[k]
+                argv = ["validate", "--plan", path]
+            path.write_text(json.dumps(doc).replace('"@"', value))
+            code, out, err = run_cli(*argv, "--out", Path(d) / "out")
+        if code == 0:
+            assert err == ""
+            return
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["message"].startswith(f"{path}: ") or (
+            argv[0] == "validate" and payload["error"] == "ValueError"
+        )
 
     @pytest.mark.parametrize(
         "argv, edit, error",

@@ -282,8 +282,35 @@ class TestProfile:
                 '{"indicators": [{"id": "a", "weight": 1}], "cutoff": [1]}',
                 "cutoff must be a number or fraction string, got [1]",
             ),
+            (
+                '{"indicators": [{"id": "a", "weight": Infinity}]}',
+                "indicators[0].weight must be finite, got inf",
+            ),
+            (
+                '{"indicators": [{"id": "a", "weight": 1e400}]}',
+                "indicators[0].weight must be finite, got inf",
+            ),
+            (
+                '{"indicators": [{"id": "a", "weight": NaN}]}',
+                "indicators[0].weight must be finite, got nan",
+            ),
+            (
+                '{"indicators": [{"id": "a", "weight": "1e400"}]}',
+                "weights sum to inf, expected 1",
+            ),
+            (
+                '{"indicators": [{"id": "a", "weight": 1%s}]}' % ("0" * 399),
+                "weights sum to inf, expected 1",
+            ),
+            (
+                '{"indicators": [{"id": "a", "weight": 1}], "cutoff": 1e400}',
+                "cutoff must be finite, got inf",
+            ),
         ],
-        ids=["missing-file", "no-indicators", "bool-weight", "zero-denominator", "list-cutoff"],
+        ids=["missing-file", "no-indicators", "bool-weight", "zero-denominator", "list-cutoff",
+             "infinite-weight", "weight-past-the-float-range", "nan-weight",
+             "string-weight-past-the-float-range", "400-digit-weight",
+             "cutoff-past-the-float-range"],
     )
     def test_bad_profile_is_an_ingest_error_naming_the_file(self, tmp_path, text, message):
         p = tmp_path / "p.json" if text is None else write(tmp_path, "p.json", text)

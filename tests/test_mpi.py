@@ -179,6 +179,8 @@ class TestProfiles:
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="sum"):
             MpiProfile(("a", "b"), (Fraction(1, 2), Fraction(1, 4)))
+        with pytest.raises(ValueError, match="^weights sum to inf, expected 1$"):
+            MpiProfile(("a", "b"), (Fraction(10**400), Fraction(1, 2)))
         with pytest.raises(ValueError, match="positive"):
             MpiProfile(("a", "b"), (Fraction(3, 2), Fraction(-1, 2)))
         with pytest.raises(ValueError, match="cutoff"):
