@@ -287,6 +287,17 @@ def _redraw_census(
     return rng.multinomial(totals, probs).astype(float)
 
 
+def _unit_lognormal(
+    rng: np.random.Generator, cv: float, size: int | tuple[int, ...], name: str
+) -> np.ndarray:
+    """Unit-mean lognormal factors with coefficient of variation ``cv``."""
+    try:
+        sigma = math.sqrt(math.log(1.0 + cv**2))
+    except OverflowError:
+        raise ValueError(f"{name} {cv!r} is too large to square") from None
+    return rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma, size=size)
+
+
 def resample_aux_margin(
     pool: Sequence[MarginVector] | MarginVector,
     rng: np.random.Generator,
@@ -303,12 +314,7 @@ def resample_aux_margin(
     if isinstance(pool, MarginVector):
         if perturb_cv == 0:
             return pool
-        try:
-            sigma = math.sqrt(math.log(1.0 + perturb_cv**2))
-        except OverflowError:
-            raise ValueError(f"perturb_cv {perturb_cv!r} is too large to square") from None
-        factors = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma, size=len(pool.ids))
-        return pool._times(factors)
+        return pool._times(_unit_lognormal(rng, perturb_cv, len(pool.ids), "perturb_cv"))
     if len(pool) == 0:
         raise ValueError("empty auxiliary pool")
     return pool[int(rng.integers(0, len(pool)))]

@@ -8,13 +8,12 @@ Subcommands: update, bootstrap, validate, mpi, shares, aggregate, diagnose.
 Any flag can also be supplied through an environment variable named
 after the flag, ``SPREEKIT_<FLAG>`` (dashes become underscores,
 upper-cased: ``bootstrap --census`` reads ``SPREEKIT_CENSUS``); explicit
-flags win over the environment.  ``update --seed`` (the census file) and
-``bootstrap --census`` used to read ``SPREEKIT_SEED_COMPOSITION``, which is
-no longer read.  ``SPREEKIT_SEED`` also sets the global integer ``--seed``,
-so give ``update``'s census file as a flag.  An environment value gets the
-same type and choice checks as its flag, so a bad one is a usage error
-(exit 2), even where the flag is also given, and for every subcommand, not
-only those that have the flag.
+flags win over the environment.  ``SPREEKIT_SEED`` sets the global integer
+``--seed``, not ``update --seed`` (the census file), so give ``update``'s
+census file as a flag.  An environment value gets the same type and choice
+checks as its flag, so a bad one is a usage error (exit 2), even where the
+flag is also given, and for every subcommand, not only those that have the
+flag.
 Outputs are written atomically under ``--out`` together with a
 ``manifest.json`` recording input digests, the seed, the library version,
 and timestamps; set ``SOURCE_DATE_EPOCH`` to pin the timestamps for
@@ -322,7 +321,10 @@ def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     }
     if overrides:
         plan = replace(plan, **overrides)
-    report = run_simulation(plan)
+    try:
+        report = run_simulation(plan)
+    except ValueError as e:
+        raise sio.IngestError(f"{ns.plan}: {e}") from e
 
     mean_abs = {
         s: quartile_means(np.abs(report.metrics[s].share_bias), report.quartile_labels)

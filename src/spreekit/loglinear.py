@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spreekit.composition import Composition, _check_unique
+from spreekit.composition import Composition, _adopted, _check_unique
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,9 @@ def decompose(c: Composition) -> LogLinearDecomposition:
     area = log.mean(axis=1) - overall
     category = log.mean(axis=0) - overall
     interaction = log - overall - area[:, None] - category[None, :]
-    return LogLinearDecomposition(
-        c.area_ids, c.category_ids, float(overall), area, category, interaction
+    return _adopted(
+        LogLinearDecomposition, c.area_ids, c.category_ids, float(overall), area, category,
+        interaction,
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spreekit import rng as rngmod
-from spreekit.bootstrap import SurveyDesign, _check_stack
+from spreekit.bootstrap import SurveyDesign, _check_stack, _unit_lognormal
 from spreekit.composition import (
     AreaHierarchy,
     Composition,
@@ -112,6 +112,11 @@ class ScenarioConfig:
             for row in getattr(self, name):
                 if len(row) != self.areas_per_region:
                     raise ValueError(f"{name} rows must have one entry per area")
+        floats = {**per_region, "aux_cv": (self.aux_cv,), "aux_bias_range": self.aux_bias_range}
+        for name, seq in floats.items():
+            values = [v for row in seq for v in row] if name in per_area else seq
+            if not all(-math.inf < v < math.inf for v in values):
+                raise ValueError(f"{name} must be finite")
         for row in self.base_shares:
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError("base_shares rows must sum to 1")
@@ -119,12 +124,8 @@ class ScenarioConfig:
             for row in table:
                 if any(not 0 < v < 1 for v in row):
                     raise ValueError("poverty rates must lie strictly in (0, 1)")
-        if not -math.inf < self.aux_cv < math.inf:
-            raise ValueError("aux_cv must be finite")
         if self.aux_cv < 0:
             raise ValueError("aux_cv must be >= 0")
-        if not all(-math.inf < v < math.inf for v in self.aux_bias_range):
-            raise ValueError("aux_bias_range must be finite")
         lo, hi = self.aux_bias_range
         if not 0 <= lo <= hi:
             raise ValueError("aux_bias_range must satisfy 0 <= lo <= hi")
@@ -132,18 +133,6 @@ class ScenarioConfig:
             raise ValueError("region_populations must be > 0")
         if any(not v > -1 for v in self.region_growth):
             raise ValueError("region_growth must be > -1")
-
-
-def _region_ids(cfg: ScenarioConfig) -> tuple[str, ...]:
-    return tuple(f"R{k + 1}" for k in range(cfg.regions))
-
-
-def _area_ids(cfg: ScenarioConfig) -> tuple[str, ...]:
-    return tuple(
-        f"R{k + 1}-A{a + 1}"
-        for k in range(cfg.regions)
-        for a in range(cfg.areas_per_region)
-    )
 
 
 def _poverty_cells(populations: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -166,14 +155,12 @@ def build_scenario(cfg: ScenarioConfig) -> SimulationPlan:
     design_rows = cfg.regions * cfg.psus_per_region * len(POVERTY_CATEGORIES)
     _check_stack("scenario", [pool, (design_rows, 5)], ValueError, "pool and design array")
     rng = rngmod.stream(cfg.seed, _GENERATOR_STREAM)
-    region_ids = _region_ids(cfg)
-    area_ids = _area_ids(cfg)
     hierarchy = AreaHierarchy.from_pairs(
-        [
-            (area, area.split("-")[0])
-            for area in area_ids
-        ]
+        (f"R{k + 1}-A{a + 1}", f"R{k + 1}")
+        for k in range(cfg.regions)
+        for a in range(cfg.areas_per_region)
     )
+    region_ids, area_ids = hierarchy.large_ids, hierarchy.small_ids
 
     shares_t0 = np.asarray(cfg.base_shares, dtype=float)
     raw_t = shares_t0 * (1.0 + np.asarray(cfg.share_changes, dtype=float))
@@ -211,15 +198,7 @@ def build_scenario(cfg: ScenarioConfig) -> SimulationPlan:
         signs = np.where(np.arange(len(area_ids)) % 2 == 0, 1.0, -1.0)
         distortion = 1.0 + signs * magnitudes
         if cfg.aux_cv > 0:
-            try:
-                sigma = float(np.sqrt(np.log(1.0 + cfg.aux_cv**2)))
-            except OverflowError:
-                raise ValueError(f"aux_cv {cfg.aux_cv!r} is too large to square") from None
-            noise = rng.lognormal(
-                mean=-0.5 * sigma**2,
-                sigma=sigma,
-                size=(cfg.aux_pool_size, len(area_ids)),
-            )
+            noise = _unit_lognormal(rng, cfg.aux_cv, (cfg.aux_pool_size, len(area_ids)), "aux_cv")
         else:
             noise = np.ones((cfg.aux_pool_size, len(area_ids)))
         aux_pool = tuple(

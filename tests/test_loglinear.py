@@ -57,6 +57,16 @@ def test_association_distance_detects_changed_association():
     assert association_distance(base, bumped) == pytest.approx(math.log(1.5) / 4)
 
 
+def test_a_large_table_decomposes():
+    """Rounding in the effects' sums grows with the table, past the
+    constructor's absolute tolerance; ``decompose`` does not re-check them."""
+    counts = np.random.default_rng(1).uniform(1.0, 1e9, size=(20000, 12))
+    c = make_composition(counts)
+    d = decompose(c)
+    np.testing.assert_allclose(d.reconstruct(), counts, rtol=1e-13)
+    assert association_distance(c, c) == 0.0
+
+
 def test_zero_cells_rejected():
     c = make_composition([[0.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="non-positive"):
