@@ -206,7 +206,8 @@ class SurveyDesign:
         )
         totals = np.zeros((len(psu_pos), len(cat_ids)))
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(totals, (psu_index, cat_index), weight * value)
+            products = weight * value
+            np.add.at(totals, (psu_index, cat_index), products)
         if not np.all(np.isfinite(totals)):
             raise ValueError("design weight * value must be finite")
         by_stratum: dict[str, list[int]] = {}
@@ -216,6 +217,17 @@ class SurveyDesign:
         # PSU count and first position there, and the strata of each count.
         sizes = np.asarray([len(rows) for rows in by_stratum.values()])
         starts = np.cumsum(sizes) - sizes
+        psu_rows = np.concatenate(list(by_stratum.values()))
+        # The largest margin each sampler can draw, per category: every PSU
+        # of a stratum drawn as its largest total, or every observation as
+        # the largest product.
+        largest = np.zeros(len(cat_ids))
+        np.maximum.at(largest, cat_index, products)
+        with np.errstate(over="ignore"):
+            by_psu = (sizes[:, None] * np.maximum.reduceat(totals[psu_rows], starts)).sum(axis=0)
+            by_obs = n * largest
+        if not (np.all(np.isfinite(by_psu)) and np.all(np.isfinite(by_obs))):
+            raise ValueError("design weight * value too large: a resampled margin can overflow")
         size_groups = tuple(
             (idx, starts[idx][:, None] + np.arange(n))
             for n in np.unique(sizes)
@@ -231,7 +243,7 @@ class SurveyDesign:
         object.__setattr__(self, "_cat_index", cat_index)
         object.__setattr__(self, "_strata", tuple(by_stratum))
         object.__setattr__(self, "_psu_totals", totals)
-        object.__setattr__(self, "_psu_rows", np.concatenate(list(by_stratum.values())))
+        object.__setattr__(self, "_psu_rows", psu_rows)
         object.__setattr__(self, "_draw_high", np.repeat(sizes, sizes))
         object.__setattr__(self, "_draw_start", np.repeat(starts, sizes))
         object.__setattr__(self, "_size_groups", size_groups)
@@ -285,6 +297,16 @@ def _redraw_census(
     totals = rng.poisson(lam)
     totals[zero] = 0
     return rng.multinomial(totals, probs).astype(float)
+
+
+# The largest mean numpy's ``Generator.poisson`` takes, computed as numpy does.
+_POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
+
+def _check_census_means(lam: np.ndarray, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` where a Poisson mean in ``lam`` passes numpy's limit."""
+    if np.any(lam > _POISSON_LAM_MAX):
+        raise error(f"{what} must be at most {_POISSON_LAM_MAX!r} to redraw a census")
 
 
 def _unit_lognormal(
@@ -392,14 +414,7 @@ def bootstrap_mse(
     """
     shape = (cfg.replicates, len(req.seed.area_ids), len(req.seed.category_ids))
     _check_stack("bootstrap", [shape], BootstrapError)
-    point = spree_update(req)
-    if not point.ipf.converged:
-        raise BootstrapError("point estimate did not converge; cannot bootstrap")
-    fitted = point.fitted.counts
-    area_ids = point.fitted.area_ids
-    category_ids = point.fitted.category_ids
-    lam = point.row_margin_used.values
-
+    area_ids, category_ids = req.seed.area_ids, req.seed.category_ids
     if cfg.col_resample != "none":
         if design is None:
             raise BootstrapError("survey design required unless col_resample='none'")
@@ -411,6 +426,12 @@ def bootstrap_mse(
         for m in aux_pool:
             if m.ids != area_ids:
                 raise BootstrapError("auxiliary pool ids do not match the seed areas")
+
+    point = spree_update(req)
+    if not point.ipf.converged:
+        raise BootstrapError("point estimate did not converge; cannot bootstrap")
+    fitted = point.fitted.counts
+    lam = point.row_margin_used.values
 
     t = point.row_margin_used.reference_time
     poor_col = _poor_column(category_ids)
@@ -426,6 +447,7 @@ def bootstrap_mse(
     from concurrent.futures import Future, ThreadPoolExecutor
 
     if cfg.census_resample != "none":
+        _check_census_means(lam, "bootstrap: row margin totals", BootstrapError)
         zero, probs = _census_proportions(fitted)
 
     helper = ThreadPoolExecutor(1)

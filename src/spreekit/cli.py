@@ -321,10 +321,7 @@ def cmd_validate(ns: argparse.Namespace, inputs: Inputs) -> Outputs:
     }
     if overrides:
         plan = replace(plan, **overrides)
-    try:
-        report = run_simulation(plan)
-    except ValueError as e:
-        raise sio.IngestError(f"{ns.plan}: {e}") from e
+    report = run_simulation(plan)
 
     mean_abs = {
         s: quartile_means(np.abs(report.metrics[s].share_bias), report.quartile_labels)

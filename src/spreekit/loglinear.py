@@ -44,7 +44,12 @@ class LogLinearDecomposition:
             raise ValueError("main effect shapes do not match ids")
         if aj.shape != (len(self.area_ids), len(self.category_ids)):
             raise ValueError("interaction shape does not match ids")
-        tol = 1e-9
+        # Zero up to the rounding of effects that come from means of n terms
+        # as large as a log cell: n * n rounding errors of that size, where n
+        # is the longer side; never below 1e-9.
+        cell = abs(self.overall) + sum(np.abs(x).max(initial=0.0) for x in (a, j, aj))
+        bound = max(aj.shape) ** 2 * np.finfo(float).eps * cell
+        tol = bound if 1e-9 < bound < np.inf else 1e-9
         if abs(a.sum()) > tol or abs(j.sum()) > tol:
             raise ValueError("main effects must sum to zero")
         if np.abs(aj.sum(axis=0)).max() > tol or np.abs(aj.sum(axis=1)).max() > tol:

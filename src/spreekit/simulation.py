@@ -27,6 +27,11 @@ through the same aggregation as any other, on empty stacks, and reports NaN
 metrics without a warning.  The summary quantiles are
 :data:`~spreekit.bootstrap.QUANTILE_LEVELS`.
 
+A :class:`SimulationPlan` that constructs runs: it fails when it is
+constructed on a hierarchy gap, fewer than 4 areas, stacks past the memory
+budget of :mod:`spreekit.bootstrap`, a hybrid selection that cannot be
+made, or a truth area total past numpy's largest Poisson mean.
+
 :func:`run_simulation` splits the rounds into contiguous ranges of at
 least :data:`_ROUNDS_PER_PROCESS` rounds each, by the split rule of
 :mod:`spreekit._fork`, the first run by the calling process and each other
@@ -55,6 +60,7 @@ from spreekit.bootstrap import (
     QUANTILE_LABELS,
     QUANTILE_LEVELS,
     SurveyDesign,
+    _check_census_means,
     _check_stack,
     _nan_mean,
     _redraw_census,
@@ -186,6 +192,36 @@ class SimulationPlan:
         for m in self.aux_pool:
             if m.ids != self.truth_t0.area_ids:
                 raise ValueError("aux_pool ids must match the truth area ids")
+
+        # The checks that need the run's setup, in the order the run needs
+        # it; the setup is kept for the run.  The stacks: every round's
+        # target-year truth, per strategy the fits and shares of each round,
+        # and the per-area headcounts of the truth and of one strategy's fits.
+        n, r, (a, c) = len(self.strategies), self.replicates, self.truth_t0.counts.shape
+        shapes = [(r, a, c), (n, r, a, c), (n, r, a), (2, r, a)]
+        _check_stack("simulation", shapes, ValueError)
+        positions = self.hierarchy.group_positions(self.truth_t0.area_ids)
+        rows_t0 = row_margins(self.truth_t0).values
+        rows_t = row_margins(self.truth_t).values
+        shares_t0 = _within_large_shares(rows_t0, positions)
+        shares_t = _within_large_shares(rows_t, positions)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = np.where(shares_t0 > 0, shares_t / shares_t0, np.inf)
+        change_scores = np.abs(ratio - 1.0)
+        change_scores[(shares_t0 == 0) & (shares_t == 0)] = 0.0
+        labels = quartile_grouping(change_scores)
+        selection = None
+        if "hybrid" in self.strategies:
+            baseline = census_baseline(self.truth_t0, self.hierarchy)
+            selection = select_by_change(self.large_totals_t, baseline, self.quantile_cutoff)
+        _check_census_means(rows_t0, "truth_t0: area totals")
+        _check_census_means(rows_t, "truth_t: area totals")
+        for kept in (shares_t, change_scores, labels):
+            kept.setflags(write=False)
+        vars(self).update(
+            _shapes=shapes, _shares_t=shares_t, _change_scores=change_scores,
+            _labels=labels, _selection=selection,
+        )
 
 
 @dataclass(frozen=True)
@@ -330,7 +366,7 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
     report carries the completed count per strategy.  Round r's tables go
     into row r of stacks allocated before the first round.  A plan whose
     stacks would pass the memory budget of :mod:`spreekit.bootstrap` fails
-    before its first round.
+    when it is constructed, as does every other fault of the plan.
 
     The rounds are split as the module states.  This process runs the
     first range and a forked child each other range, writing into this
@@ -339,39 +375,14 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
     round that raises.  Every child has ended when this returns or raises.
     """
     h = plan.hierarchy
-    area_ids = plan.truth_t0.area_ids
     category_ids = plan.truth_t0.category_ids
-    n_strategies, rounds = len(plan.strategies), plan.replicates
-    # All the run holds that grows with the round count: every round's
-    # target-year truth, per strategy the fitted table and shares of each
-    # round, and the per-area headcounts of the truth and of one strategy's
-    # fits.
-    shapes = [
-        (rounds, len(area_ids), len(category_ids)),
-        (n_strategies, rounds, len(area_ids), len(category_ids)),
-        (n_strategies, rounds, len(area_ids)),
-        (2, rounds, len(area_ids)),
-    ]
-    _check_stack("simulation", shapes, ValueError)
-    positions = h.group_positions(area_ids)
+    rounds = plan.replicates
     t_time = plan.truth_t.reference_time
-
-    rows_t0 = row_margins(plan.truth_t0).values
-    rows_t = row_margins(plan.truth_t).values
-    shares_t0 = _within_large_shares(rows_t0, positions)
-    shares_t = _within_large_shares(rows_t, positions)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(shares_t0 > 0, shares_t / np.where(shares_t0 > 0, shares_t0, 1.0), np.inf)
-    change_scores = np.abs(ratio - 1.0)
-    change_scores[(shares_t0 == 0) & (shares_t == 0)] = 0.0
-    labels = quartile_grouping(change_scores)
-
-    selection = None
-    if "hybrid" in plan.strategies:
-        selection = select_by_change(
-            plan.large_totals_t, census_baseline(plan.truth_t0, h), plan.quantile_cutoff
-        )
+    # What the plan's construction computed as it checked the plan.
+    shapes = plan._shapes  # type: ignore[attr-defined]
+    shares_t = plan._shares_t  # type: ignore[attr-defined]
+    labels = plan._labels  # type: ignore[attr-defined]
+    selection = plan._selection  # type: ignore[attr-defined]
 
     @functools.cache
     def dynamic_for(k: int) -> ShareVector:
@@ -475,31 +486,17 @@ def run_simulation(plan: SimulationPlan) -> SimulationReport:
 
         share_accuracy[strategy] = quartile_means(share_bias, labels)
 
-        summary = {}
-        for name, values in (("bias", per_area_bias), ("rmse", per_area_rmse)):
-            by_quartile = [values[labels == q] for q in range(4)]
-            summary[name] = np.array([summary_row(v[~np.isnan(v)]) for v in by_quartile])
-        quartile_summary[strategy] = summary
+        quartile_summary[strategy] = {
+            name: np.array([summary_row(v[(labels == q) & ~np.isnan(v)]) for q in range(4)])
+            for name, v in (("bias", per_area_bias), ("rmse", per_area_rmse))
+        }
 
-        corr = np.full(4, np.nan)
-        for q in range(4):
-            mask = labels == q
-            per_rep = _pearson_rows(est_h[:, mask], tru_h[:, mask])
-            per_rep = per_rep[~np.isnan(per_rep)]
-            if per_rep.size:
-                corr[q] = per_rep.mean()
-        correlations[strategy] = corr
-
-    win_counts = _win_counts({s: m.share_bias for s, m in metrics.items()})
+        # Per quartile, the mean over the rounds of the correlations that are not NaN.
+        per_rep = [_pearson_rows(est_h[:, labels == q], tru_h[:, labels == q]) for q in range(4)]
+        correlations[strategy] = quartile_means(np.concatenate(per_rep), np.repeat(range(4), n))
 
     return SimulationReport(
-        area_ids,
-        category_ids,
-        change_scores,
-        labels,
-        metrics,
-        share_accuracy,
-        quartile_summary,
-        correlations,
-        win_counts,
+        plan.truth_t0.area_ids, category_ids, plan._change_scores,  # type: ignore[attr-defined]
+        labels, metrics, share_accuracy, quartile_summary, correlations,
+        _win_counts({s: m.share_bias for s, m in metrics.items()}),
     )

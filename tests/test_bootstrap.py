@@ -23,7 +23,9 @@ from spreekit import (
     SurveyDesign,
     UpdateRequest,
     bootstrap_mse,
+    build_scenario,
     fixed_shares,
+    migration_shock_config,
     resample_aux_margin,
     resample_column_margin,
     spree_update,
@@ -970,7 +972,15 @@ def test_bad_config_and_design_values_are_rejected(build, message):
         build()
 
 
-def test_design_categories_must_match_the_composition():
+def _no_point_fit(monkeypatch):
+    def no_fit(req):
+        pytest.fail("the point fit ran")
+
+    monkeypatch.setattr(bootstrap, "spree_update", no_fit)
+
+
+def test_design_categories_must_match_the_composition(monkeypatch):
+    _no_point_fit(monkeypatch)
     design = _design(category=("non-poor", "poor"))
     with pytest.raises(
         BootstrapError,
@@ -979,7 +989,8 @@ def test_design_categories_must_match_the_composition():
         bootstrap_mse(mini_request(), design, None, BootstrapConfig(replicates=2))
 
 
-def test_aux_pool_ids_must_match_the_seed_areas():
+def test_aux_pool_ids_must_match_the_seed_areas(monkeypatch):
+    _no_point_fit(monkeypatch)
     pool = [MarginVector(("a1", "a2", "a3", "a5"), np.ones(4), MarginLevel.SMALL_AREA)]
     with pytest.raises(BootstrapError, match="^auxiliary pool ids do not match the seed areas$"):
         bootstrap_mse(mini_request(), mini_design(), pool, BootstrapConfig(replicates=2))
@@ -1007,18 +1018,90 @@ def test_runs_in_one_process_carry_no_state(monkeypatch):
     assert len(calls) == 3
 
 
+MARGIN_OVERFLOW = "design weight * value too large: a resampled margin can overflow"
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def test_resampled_margins_past_the_float_range_are_rejected():
     # Each PSU total is finite, but any two drawn PSUs sum past the float
-    # range; and the largest float times a lognormal factor above one
-    # overflows.  Each fails with the message MarginVector gives.
-    design = SurveyDesign(["p1", "p2"], ["s", "s"], [1.0, 1.0], ["c1", "c1"], [1e308, 1e308])
+    # range: the design is rejected as it is built.  The largest float times
+    # a lognormal factor above one overflows, and fails with the message
+    # MarginVector gives.
+    with pytest.raises(ValueError, match=f"^{re.escape(MARGIN_OVERFLOW)}$"):
+        SurveyDesign(["p1", "p2"], ["s", "s"], [1.0, 1.0], ["c1", "c1"], [1e308, 1e308])
     biggest = MarginVector(("a1", "a2"), [np.finfo(float).max] * 2, MarginLevel.SMALL_AREA)
-    for resample in (
-        lambda rng: resample_column_margin(design, rng),
-        lambda rng: _resample_iid(design, rng),
-        lambda rng: resample_aux_margin(biggest, rng, 0.5),
+    with pytest.raises(ValueError) as e:
+        resample_aux_margin(biggest, rngmod.stream(0, 0), 0.5)
+    assert str(e.value) == "margin values contains non-finite values"
+
+
+@pytest.mark.parametrize(
+    "psu, stratum, value",
+    [
+        # One PSU holds 1e308 per category: drawn twice, it overflows.
+        (["p1", "p1", "p2"], ["s", "s", "s"], [5e307, 5e307, 1.0]),
+        # One PSU a stratum, so ``psu-cluster`` draws 1e308 + 1, and
+        # ``iid-category`` can draw the 1e308 observation twice.
+        (["p1", "p2"], ["s1", "s2"], [1e308, 1.0]),
+    ],
+    ids=["psu-cluster", "iid-category"],
+)
+def test_a_design_whose_resampled_margin_can_overflow_is_rejected(psu, stratum, value):
+    """The largest margin each sampler can draw is checked when the design
+    is built, without a warning; a design just inside both limits is kept."""
+    def build(scale):
+        n = len(value)
+        return SurveyDesign(psu, stratum, [1.0] * n, ["c"] * n, np.multiply(value, scale))
+
+    with pytest.raises(ValueError, match=f"^{re.escape(MARGIN_OVERFLOW)}$"):
+        build(1.0)
+    design = build(0.5)
+    for resample in (resample_column_margin, _resample_iid):
+        assert np.isfinite(resample(design, rngmod.stream(0, 0)).values).all()
+
+
+def test_the_overflowing_design_of_the_shock_scenario_is_rejected_when_built():
+    design = build_scenario(migration_shock_config(replicates=2)).survey_design
+    with pytest.raises(ValueError, match=f"^{re.escape(MARGIN_OVERFLOW)}$"):
+        SurveyDesign(design.psu, design.stratum, design.weight, design.category,
+                     design.value * 1e303)
+
+
+def test_area_totals_past_the_poisson_limit_fail_before_the_first_replicate(monkeypatch):
+    """The point fit's row margin is the census redraw's Poisson means."""
+    def no_redraw(*args):
+        pytest.fail("a census was redrawn")
+
+    req = mini_request()
+    big = dataclasses.replace(
+        req,
+        col_margin=MarginVector(req.col_margin.ids, req.col_margin.values * 1e16,
+                                MarginLevel.CATEGORY, req.col_margin.reference_time),
+        large_totals=MarginVector(req.large_totals.ids, req.large_totals.values * 1e16,
+                                  MarginLevel.LARGE_AREA, req.large_totals.reference_time),
+    )
+    monkeypatch.setattr(bootstrap, "_redraw_census", no_redraw)
+    cfg = BootstrapConfig(replicates=4, col_resample="none", aux_resample="none")
+    with pytest.raises(BootstrapError) as e:
+        bootstrap_mse(big, None, None, cfg)
+    assert str(e.value) == (
+        "bootstrap: row margin totals must be at most 9.223372006484771e+18 to redraw a census"
+    )
+    unc = bootstrap_mse(big, None, None, dataclasses.replace(cfg, census_resample="none"))
+    assert unc.completed_replicates == 4
+
+
+def test_the_census_mean_limit_is_numpys():
+    """The last mean numpy's Poisson sampler takes passes the check, and the
+    next float up fails it as it fails numpy."""
+    last = np.array([bootstrap._POISSON_LAM_MAX])
+    assert last[0] == 9.223372006484771e18
+    bootstrap._check_census_means(last, "x")
+    assert rngmod.stream(0, 0).poisson(last)[0] > 0
+    beyond = np.nextafter(last, np.inf)
+    with pytest.raises(ValueError, match="^lam value too large$"):
+        rngmod.stream(0, 0).poisson(beyond)
+    with pytest.raises(
+        ValueError, match=r"^x must be at most 9\.223372006484771e\+18 to redraw a census$"
     ):
-        with pytest.raises(ValueError) as e:
-            resample(rngmod.stream(0, 0))
-        assert str(e.value) == "margin values contains non-finite values"
+        bootstrap._check_census_means(beyond, "x")

@@ -32,7 +32,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spreekit import AreaHierarchy, Composition, Households, MpiProfile, compute_mpi
+from spreekit import (
+    AreaHierarchy, Composition, Households, MarginLevel, MpiProfile, SimulationPlan, compute_mpi,
+)
 from spreekit import bootstrap, geo, mpi, rng as rngmod, simulation
 from spreekit import io as sio
 from spreekit.cli import main
@@ -1542,6 +1544,90 @@ class TestErrorsAndExitCodes:
             message = f"{tmp_path / 'plan.json'}: {message}"
         assert payload["error"] == ("BootstrapError" if plan is None else "IngestError")
         assert payload["message"] == f"{message}, over the budget of {2**32}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edits, plan, message",
+        [
+            ({"hierarchy.csv": ("a1,", None)}, {}, "areas not assigned in hierarchy: ['a1']"),
+            ({name: ("a4,", None) for name in ("census2002.csv", "census2013.csv",
+                                              "aux_replicate.csv")},
+             {}, "quartile grouping needs at least 4 areas"),
+            ({}, {"replicates": 10**9},
+             "simulation: replicate stacks of 1000000000 x 4 x 2 + 3 x 1000000000 x 4 x 2"
+             f" + 3 x 1000000000 x 4 + 2 x 1000000000 x 4 need 416000000000 bytes,"
+             f" over the budget of {2**32}"),
+            ({}, {"quantile_cutoff": 1.0}, "quantile_cutoff must lie in (0, 1)"),
+            ({"census2002.csv": (("a1,", "a2,"), "0")}, {},
+             "baseline population must be positive, got zero for: ['K']"),
+            ({"large_totals.csv": ("L,", None)}, {}, "no total supplied for large areas: ['L']"),
+            ({"census2002.csv": ("a1,poor,", "1e19")}, {},
+             "truth_t0: area totals must be at most 9.223372006484771e+18 to redraw a census"),
+            ({"census2013.csv": ("a1,poor,", "1e19")}, {},
+             "truth_t: area totals must be at most 9.223372006484771e+18 to redraw a census"),
+        ],
+        ids=["hierarchy_gap", "three_areas", "stack_budget", "quantile_cutoff",
+             "zero_baseline_region", "missing_large_total", "poisson_limit_truth_t0",
+             "poisson_limit_truth_t"],
+    )
+    def test_a_plan_fault_fails_when_the_plan_is_built(
+        self, tmp_path, monkeypatch, edits, plan, message
+    ):
+        """Each fault fails at ``SimulationPlan(...)``, and through ``validate
+        --plan`` as a data error naming the plan file, before any round."""
+        def no_round(*args):
+            pytest.fail("a round started")
+
+        monkeypatch.setattr(simulation, "replicate_census", no_round)
+        mini = tmp_path / "mini"
+        shutil.copytree(MINI, mini)
+        for name, (starts, count) in edits.items():
+            # Drop the rows that start with ``starts``, or set their last field.
+            kept = []
+            for row in (mini / name).read_text().splitlines():
+                if row.startswith(starts):
+                    if count is None:
+                        continue
+                    row = f"{row.rsplit(',', 1)[0]},{count}"
+                kept.append(row)
+            (mini / name).write_text("\n".join(kept) + "\n")
+        args = dict(
+            replicates=10, seed=3,
+            truth_t0=sio.load_composition(mini / "census2002.csv", 0),
+            truth_t=sio.load_composition(mini / "census2013.csv", 1),
+            hierarchy=sio.load_hierarchy(mini / "hierarchy.csv"),
+            large_totals_t=sio.load_margin(mini / "large_totals.csv", MarginLevel.LARGE_AREA, 1),
+            survey_design=sio.load_design(mini / "design.csv"),
+            aux_pool=(sio.load_margin(mini / "aux_replicate.csv", MarginLevel.SMALL_AREA, 1),),
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationPlan(**{**args, **plan})
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_json(plan)).replace(str(MINI), str(mini)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("validate", "--plan", path, "--out", tmp_path / "out")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "IngestError", "message": f"{path}: {message}"}
+        assert not (tmp_path / "out").exists()
+
+    def test_a_replicates_flag_over_the_budget_is_a_flag_error(self, tmp_path):
+        """An override that fails is not a fault of the plan file: the error
+        does not name it."""
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_json({})))
+        code, out, err = run_cli(
+            "validate", "--plan", path, "--replicates", "1000000000", "--out", tmp_path / "out"
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "simulation: replicate stacks of 1000000000 x 4 x 2"
+            " + 3 x 1000000000 x 4 x 2 + 3 x 1000000000 x 4 + 2 x 1000000000 x 4"
+            f" need 416000000000 bytes, over the budget of {2**32}",
+        }
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -408,6 +408,13 @@ class TestPixelsAndDesign:
         with pytest.raises(IngestError, match=r"d\.csv: design weight \* value must be finite"):
             sio.load_design(p)
 
+    def test_design_whose_resampled_margin_can_overflow(self, tmp_path):
+        rows = "p1,s1,1,poor,1e308\np2,s1,1,poor,1e308\n"
+        p = write(tmp_path, "d.csv", "psu_id,stratum_id,weight,category_id,value\n" + rows)
+        message = r"d\.csv: design weight \* value too large: a resampled margin can overflow"
+        with pytest.raises(IngestError, match=message):
+            sio.load_design(p)
+
     def test_polygons_fixture(self):
         polys = sio.load_polygons(FIXTURES / "polygons_horizontal.geojson")
         assert set(polys.area_ids) == {"north", "south"}
@@ -598,7 +605,9 @@ def tricky_design():
     return SurveyDesign(
         np.array(TRICKY_IDS, dtype=object),
         np.array(TRICKY_IDS[::-1], dtype=object),
-        np.array((5e-324, 1e-05, 1e16, 1.0, 2.5)),
+        # The largest value has the smallest weight, so no margin drawn from
+        # the design can overflow.
+        np.array((1.0, 1e-05, 1e16, 5e-324, 2.5)),
         np.array(("x", YZ, "x", "x", YZ), dtype=object),
         np.array((-0.0, 5e-324, 1e-05, 1.7976931348623157e308, 1e16)),
     )
@@ -638,9 +647,9 @@ SAVED_BYTES = {
     ),
     "design": (
         lambda p: sio.save_design(p, tricky_design()),
-        b'psu_id,stratum_id,weight,category_id,value\r\n"a,1",\xc3\xa9\xe5\xad\x97,5e-324,x,'
+        b'psu_id,stratum_id,weight,category_id,value\r\n"a,1",\xc3\xa9\xe5\xad\x97,1.0,x,'
         b'-0.0\r\n"b""2","d\r4",1e-05,"y,""z""",5e-324\r\n"c\n3","c\n3",1e+16,x,1e-05\r\n'
-        b'"d\r4","b""2",1.0,x,1.7976931348623157e+308\r\n\xc3\xa9\xe5\xad\x97,"a,1",2.5,'
+        b'"d\r4","b""2",5e-324,x,1.7976931348623157e+308\r\n\xc3\xa9\xe5\xad\x97,"a,1",2.5,'
         b'"y,""z""",1e+16\r\n',
     ),
 }

@@ -111,3 +111,41 @@ def test_decomposition_checks_its_effects(overrides, message):
     _effects()
     with pytest.raises(ValueError, match=f"^{message}$"):
         _effects(**overrides)
+
+
+@pytest.fixture(scope="module")
+def large_decomposition():
+    """``decompose`` of a 20000 x 12 table of counts in [1, 1e9]: its column
+    sums of the interaction round to about 2e-9, past an absolute 1e-9."""
+    rng = np.random.default_rng(1)
+    counts = rng.uniform(1, 1e9, size=(20000, 12))
+    areas, categories = [f"a{i}" for i in range(20000)], [f"c{j}" for j in range(12)]
+    return decompose(Composition(areas, categories, counts))
+
+
+def _rebuilt(d, **overrides):
+    fields = ("area_ids", "category_ids", "overall", "area_effects", "category_effects",
+              "interaction")
+    return LogLinearDecomposition(**{**{f: getattr(d, f) for f in fields}, **overrides})
+
+
+def test_a_large_decomposition_goes_back_through_the_constructor(large_decomposition):
+    d = large_decomposition
+    again = _rebuilt(d)
+    for name in ("area_effects", "category_effects", "interaction"):
+        assert np.array_equal(getattr(again, name), getattr(d, name))
+
+
+@pytest.mark.parametrize(
+    "effect, message",
+    [("area_effects", "main effects must sum to zero"),
+     ("category_effects", "main effects must sum to zero"),
+     ("interaction", "interaction rows and columns must sum to zero")],
+)
+def test_a_large_decomposition_off_by_more_than_rounding_is_rejected(
+    large_decomposition, effect, message
+):
+    values = getattr(large_decomposition, effect).copy()
+    values.flat[0] += 1e-3
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _rebuilt(large_decomposition, **{effect: values})

@@ -914,7 +914,7 @@ def test_stacks_hold_what_the_budget_counts(monkeypatch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bootstrap, "_MAX_STACK_BYTES", counted - 1)
         with pytest.raises(ValueError, match=rf" need {counted} bytes, over the budget"):
-            run_simulation(plan)
+            replace(plan)  # the plan is checked again as it is built
     # A first run fills numpy's and the interpreter's caches.
     want = run_simulation(plan)
     held, shared = [], simulation._shared
@@ -938,12 +938,11 @@ def test_stacks_hold_what_the_budget_counts(monkeypatch):
 
 @pytest.mark.parametrize("rounds", [3, 500])
 def test_share_vectors_reuse_their_builders_groups(rounds, monkeypatch):
-    """On the shipped shock scenario the run groups its areas once for itself,
-    once per round for the fixed shares and once per aux pool entry it uses
-    for dynamic shares.  The share vectors those builders and the hybrid
-    builder make group nothing again (at 500 rounds: 701 calls, where one
-    more per share vector made 1901)."""
-    plan = build_scenario(migration_shock_config(replicates=rounds))
+    """On the shipped shock scenario the plan groups its areas once as it is
+    built, and the run once per round for the fixed shares and once per aux
+    pool entry it uses for dynamic shares.  The share vectors those builders
+    and the hybrid builder make group nothing again (at 500 rounds: 701
+    calls, where one more per share vector made 1901)."""
     group_positions, calls = AreaHierarchy.group_positions, []
 
     def counted(self, area_ids):
@@ -951,6 +950,7 @@ def test_share_vectors_reuse_their_builders_groups(rounds, monkeypatch):
         return group_positions(self, area_ids)
 
     monkeypatch.setattr(AreaHierarchy, "group_positions", counted)
+    plan = build_scenario(migration_shock_config(replicates=rounds))
     fake_cpus(monkeypatch, 1)  # every call in this process
     run_simulation(plan)
     assert len(calls) == 1 + rounds + min(rounds, len(plan.aux_pool))
@@ -991,7 +991,7 @@ def test_partly_failed_strategies_match_stacked_rounds(monkeypatch):
 
         monkeypatch.setattr(simulation, "replicate_census", census)
         monkeypatch.setattr(simulation, "spree_update", update)
-        run_simulation(SimulationPlan(**{**vars(plan), "strategies": (strategy,)}))
+        run_simulation(replace(plan, strategies=(strategy,)))
         m = report.metrics[strategy]
         failed = [int(f.split()[1].rstrip(":")) for f in m.failures]
         ok = [r for r in range(plan.replicates) if r not in failed]
@@ -1282,6 +1282,7 @@ def test_a_plan_whose_stacks_fill_the_budget_still_splits(monkeypatch):
     counted = 8 * 37 * (areas * categories + 3 * areas * categories + 3 * areas + 2 * areas)
     pids = recorded_forks(monkeypatch)
     monkeypatch.setattr(bootstrap, "_MAX_STACK_BYTES", counted)
+    plan = replace(plan)  # built under the budget it fills
     fake_cpus(monkeypatch, 3)
     assert report_bits(run_simulation(plan)) == want
     assert len(pids) == 2
